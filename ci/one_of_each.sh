@@ -1,0 +1,52 @@
+#!/usr/bin/env bash
+# One of each: fails when a shared primitive is defined anywhere but its
+# owner module. Each rule is a grep for the primitive's tell-tale over the
+# workspace sources, minus the files allowed to carry it.
+#
+# Not scanned: crates/perf (the benchmark measures the workspace from
+# outside and may not be touched by refactors), crates/workloads (data
+# seeds, not generators) and vendor/ (stand-ins for external crates).
+set -u
+cd "$(dirname "$0")/.."
+
+fail=0
+
+# check <what> <owner(s), |-separated regex> <grep -E pattern>
+check() {
+    local what=$1 owners=$2 pattern=$3 hits
+    hits=$(grep -rnEi --include='*.rs' -e "$pattern" crates src tests examples \
+        | grep -vE "^crates/(perf|workloads)/" \
+        | grep -vE "^($owners):")
+    if [ -n "$hits" ]; then
+        echo "one_of_each: $what outside $owners:"
+        echo "$hits" | sed 's/^/    /'
+        fail=1
+    fi
+}
+
+check "the SplitMix64 increment constant" \
+    "crates/trace/src/rng.rs" \
+    '9e37_?79b9_?7f4a_?7c15'
+
+# governor/class.rs mixes whole words, not bytes, and its `sig` is printed
+# in RunReport: a different function that happens to share the prime.
+check "the FNV-1a prime" \
+    "crates/trace/src/fnv.rs|crates/governor/src/class.rs" \
+    '0x(0000_?)?0?100_?0000_?01b3'
+
+check "a lock-poison recovery" \
+    "crates/trace/src/sync.rs" \
+    '\|e\| *e\.into_inner\(\)|PoisonError::into_inner'
+
+check "a connection front end (struct Conn)" \
+    "crates/serve/src/front.rs" \
+    'struct +Conn\b'
+
+check "a hand-rolled JSON scanner" \
+    "crates/trace/src/json.rs" \
+    "b'[{\\[]'|json_syntax_ok"
+
+if [ "$fail" -eq 0 ]; then
+    echo "one_of_each: ok"
+fi
+exit "$fail"

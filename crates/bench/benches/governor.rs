@@ -16,9 +16,10 @@
 
 use dae_bench::{geomean, out_dir, print_table, run_variant, write_summary_json, Row};
 use dae_power::DvfsConfig;
-use dae_runtime::{run_workload_governed, FreqPolicy, GovernorKind, RunReport, RuntimeConfig};
+use dae_runtime::{
+    run_workload_with, FreqPolicy, GovernorKind, RunHooks, RunReport, RuntimeConfig,
+};
 use dae_trace::json::JsonValue;
-use dae_trace::NullSink;
 use dae_workloads::{all_benchmarks, all_benchmarks_small, Variant, Workload};
 
 const SEED: u64 = 0xace;
@@ -31,12 +32,11 @@ fn trajectory(w: &Workload, kind: GovernorKind, repeats: usize) -> Vec<RunReport
     let mut gov = kind.build(&cfg.table);
     (0..repeats)
         .map(|_| {
-            run_workload_governed(
+            run_workload_with(
                 &w.module,
                 &w.tasks(Variant::ManualDae),
                 &cfg,
-                gov.as_mut(),
-                &mut NullSink,
+                RunHooks { governor: Some(gov.as_mut()), ..Default::default() },
             )
             .unwrap_or_else(|e| panic!("{}: {e}", w.name))
         })

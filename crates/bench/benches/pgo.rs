@@ -18,7 +18,9 @@ use dae_driver::{Driver, DriverConfig};
 use dae_ir::verify_module;
 use dae_pgo::{ProfileCollector, ProfileSet};
 use dae_power::DvfsConfig;
-use dae_runtime::{run_workload, run_workload_profiled, FreqPolicy, RunReport, RuntimeConfig};
+use dae_runtime::{
+    run_workload, run_workload_with, FreqPolicy, RunHooks, RunReport, RuntimeConfig,
+};
 use dae_trace::json::JsonValue;
 use dae_workloads::{all_benchmarks, all_benchmarks_small, Variant, Workload};
 
@@ -64,7 +66,8 @@ fn run(w: &Workload) -> RunReport {
 /// `daec --profile-out` performs.
 fn collect(w: &Workload, keys: &std::collections::HashMap<dae_ir::FuncId, u64>) -> ProfileSet {
     let mut col = ProfileCollector::new();
-    run_workload_profiled(&w.module, &w.tasks(Variant::AutoDae), &runtime_cfg(), &mut col)
+    let hooks = RunHooks { collector: Some(&mut col), ..Default::default() };
+    run_workload_with(&w.module, &w.tasks(Variant::AutoDae), &runtime_cfg(), hooks)
         .unwrap_or_else(|e| panic!("{}: profiled run failed: {e}", w.name));
     let mut set = ProfileSet::default();
     for (func, profile) in col.take() {

@@ -17,13 +17,13 @@
 //! wrong-schema file is treated as a miss (and counted as one), never an
 //! error — a corrupted cache can cost time, not correctness.
 
-use std::collections::{HashMap, VecDeque};
 use std::path::{Path, PathBuf};
 
 use dae_core::{AffineStats, RefuseReason, Strategy, TaskAccessInfo};
 use dae_ir::parse::parse_module;
 use dae_ir::{print_function, Function};
 use dae_trace::json::{parse, JsonValue};
+use dae_trace::Lru;
 
 /// Schema tag of on-disk artifacts. Bump on any layout change — the tag is
 /// part of the pipeline fingerprint, so old artifacts simply stop matching.
@@ -275,71 +275,13 @@ pub fn artifact_approx_bytes(artifact: &Artifact) -> usize {
     }
 }
 
-/// The in-memory LRU tier, bounded by **approximate bytes** rather than
-/// entry count so a long-running server's footprint does not scale with
-/// how large the cached functions happen to be.
-struct MemCache {
-    max_bytes: usize,
-    used_bytes: usize,
-    map: HashMap<u64, (Artifact, usize)>,
-    /// Keys from least- to most-recently used.
-    order: VecDeque<u64>,
-}
-
-impl MemCache {
-    fn new(max_bytes: usize) -> MemCache {
-        MemCache {
-            max_bytes: max_bytes.max(1),
-            used_bytes: 0,
-            map: HashMap::new(),
-            order: VecDeque::new(),
-        }
-    }
-
-    fn touch(&mut self, key: u64) {
-        if let Some(pos) = self.order.iter().position(|&k| k == key) {
-            self.order.remove(pos);
-        }
-        self.order.push_back(key);
-    }
-
-    fn get(&mut self, key: u64) -> Option<Artifact> {
-        let hit = self.map.get(&key).map(|(a, _)| a.clone());
-        if hit.is_some() {
-            self.touch(key);
-        }
-        hit
-    }
-
-    /// Inserts and returns the number of evictions it forced. The entry
-    /// just inserted is never its own victim — a single artifact larger
-    /// than the whole budget still caches (as the only resident entry).
-    fn insert(&mut self, key: u64, artifact: Artifact) -> u64 {
-        let bytes = artifact_approx_bytes(&artifact);
-        if let Some((_, old)) = self.map.insert(key, (artifact, bytes)) {
-            self.used_bytes -= old;
-        }
-        self.used_bytes += bytes;
-        self.touch(key);
-        let mut evicted = 0;
-        while self.used_bytes > self.max_bytes && self.order.len() > 1 {
-            let victim = self.order.pop_front().expect("len > 1");
-            if let Some((_, vb)) = self.map.remove(&victim) {
-                self.used_bytes -= vb;
-            }
-            evicted += 1;
-        }
-        evicted
-    }
-
-    fn used_bytes(&self) -> usize {
-        self.used_bytes
-    }
-}
-
 /// The two-tier artifact cache.
 pub struct Cache {
-    mem: MemCache,
+    /// The in-memory tier, bounded by **approximate bytes**
+    /// ([`artifact_approx_bytes`]) rather than entry count, so a
+    /// long-running server's footprint does not scale with how large the
+    /// cached functions happen to be.
+    mem: Lru<Artifact>,
     dir: Option<PathBuf>,
     stats: CacheStats,
 }
@@ -349,7 +291,7 @@ impl Cache {
     /// approximate bytes and an optional on-disk tier rooted at `dir`.
     pub fn new(mem_max_bytes: usize, dir: Option<&Path>) -> Cache {
         Cache {
-            mem: MemCache::new(mem_max_bytes),
+            mem: Lru::new(mem_max_bytes),
             dir: dir.map(Path::to_path_buf),
             stats: CacheStats::default(),
         }
@@ -369,7 +311,7 @@ impl Cache {
     pub fn lookup(&mut self, key: u64) -> Option<Artifact> {
         if let Some(a) = self.mem.get(key) {
             self.stats.mem_hits += 1;
-            return Some(a);
+            return Some(a.clone());
         }
         if let Some(dir) = &self.dir {
             // Validation happens *before* counting the hit: an unreadable
@@ -380,7 +322,7 @@ impl Cache {
                 .and_then(|v| Artifact::from_json(&v));
             if let Some(a) = loaded {
                 self.stats.disk_hits += 1;
-                self.stats.evictions += self.mem.insert(key, a.clone());
+                self.stats.evictions += self.remember(key, a.clone());
                 return Some(a);
             }
         }
@@ -407,7 +349,13 @@ impl Cache {
                 self.stats.disk_writes += 1;
             }
         }
-        self.stats.evictions += self.mem.insert(key, artifact);
+        self.stats.evictions += self.remember(key, artifact);
+    }
+
+    /// Puts an artifact in the memory tier; returns the evictions forced.
+    fn remember(&mut self, key: u64, artifact: Artifact) -> u64 {
+        let bytes = artifact_approx_bytes(&artifact);
+        self.mem.insert(key, artifact, bytes)
     }
 
     /// The monotonic counters.

@@ -143,183 +143,199 @@ impl Driver {
     /// Compiles every task in `module`, adding the generated access
     /// functions exactly like [`dae_core::transform_module`] — same
     /// functions, same ids, same registry — at any job count, cold or
-    /// warm cache.
+    /// warm cache. Tasks are refined against the installed profile set
+    /// ([`Driver::set_profiles`]).
     pub fn compile(
         &mut self,
         module: &mut Module,
-        mut opts_for: impl FnMut(FuncId, &Function) -> CompilerOptions,
+        opts_for: impl FnMut(FuncId, &Function) -> CompilerOptions,
     ) -> CompileOutcome {
-        let origin = Instant::now();
-        let before = self.cache.stats();
-        let fingerprint = self.pipeline.fingerprint();
-        let tasks = module.task_ids();
-
-        // Probe phase (main thread, task order): resolve each task to a
-        // cached artifact or a work-list slot. A task with a profile is
-        // keyed under `refined_key(base, profile_hash)` so refined
-        // artifacts never alias static ones and a profile change re-keys.
-        let mut slots: Vec<Slot> = Vec::with_capacity(tasks.len());
-        let mut task_spans: Vec<Vec<PassSpan>> = vec![Vec::new(); tasks.len()];
-        let mut work: Vec<(FuncId, CompilerOptions, u64, Option<PhaseProfile>)> = Vec::new();
-        let mut base_keys: HashMap<FuncId, u64> = HashMap::with_capacity(tasks.len());
-        let mut refined = 0usize;
-        for (i, &task) in tasks.iter().enumerate() {
-            let opts = opts_for(task, module.func(task));
-            let base = task_key(module, task, &opts, fingerprint);
-            base_keys.insert(task, base);
-            let profile = self.profiles.get(base).copied().filter(|p| p.runs > 0);
-            let key = match &profile {
-                Some(p) => {
-                    refined += 1;
-                    refined_key(base, p.content_hash())
-                }
-                None => base,
-            };
-            let start_s = origin.elapsed().as_secs_f64();
-            match self.cache.lookup(key) {
-                Some(artifact) => {
-                    task_spans[i].push(PassSpan {
-                        worker: 0,
-                        pass: "cache",
-                        func: module.func(task).name.clone(),
-                        start_s,
-                        dur_s: origin.elapsed().as_secs_f64() - start_s,
-                        cached: true,
-                    });
-                    slots.push(Slot::Ready(artifact));
-                }
-                None => {
-                    slots.push(Slot::Work(work.len()));
-                    work.push((task, opts, key, profile));
-                }
-            }
-        }
-
-        // Compile phase: run the pipeline over every miss. Workers see a
-        // read-only module snapshot and return results keyed by work index.
-        type TaskResult = (Result<GeneratedAccess, RefuseReason>, Vec<PassSpan>);
-        let mut results: Vec<Option<TaskResult>> = Vec::with_capacity(work.len());
-        results.resize_with(work.len(), || None);
-        if self.jobs == 1 || work.len() <= 1 {
-            for (k, (task, opts, _, profile)) in work.iter().enumerate() {
-                let mut spans = Vec::new();
-                let res = self.pipeline.run_task(
-                    module,
-                    *task,
-                    opts.clone(),
-                    *profile,
-                    origin,
-                    0,
-                    &mut spans,
-                );
-                results[k] = Some((res, spans));
-            }
-        } else {
-            let snapshot: &Module = module;
-            let pipeline = &self.pipeline;
-            let next = AtomicUsize::new(0);
-            let worker_results = std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..self.jobs.min(work.len()))
-                    .map(|w| {
-                        let work = &work;
-                        let next = &next;
-                        scope.spawn(move || {
-                            let mut out: Vec<(usize, TaskResult)> = Vec::new();
-                            loop {
-                                let k = next.fetch_add(1, Ordering::Relaxed);
-                                let Some((task, opts, _, profile)) = work.get(k) else { break };
-                                let mut spans = Vec::new();
-                                let res = pipeline.run_task(
-                                    snapshot,
-                                    *task,
-                                    opts.clone(),
-                                    *profile,
-                                    origin,
-                                    w as u32,
-                                    &mut spans,
-                                );
-                                out.push((k, (res, spans)));
-                            }
-                            out
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("worker panicked"))
-                    .collect::<Vec<_>>()
-            });
-            for (k, r) in worker_results {
-                results[k] = Some(r);
-            }
-        }
-
-        // Merge phase (main thread, task order): identical add_function
-        // order — and therefore identical FuncIds — at any job count.
-        let mut map = DaeMap::default();
-        let mut outcome = CompileOutcome {
-            map: DaeMap::default(),
-            tasks: tasks.len(),
-            generated: 0,
-            refused: 0,
-            from_cache: 0,
-            refined,
-            cache: CacheStats::default(),
-            spans: Vec::new(),
-            keys: base_keys,
-        };
-        for (i, (&task, slot)) in tasks.iter().zip(slots).enumerate() {
-            match slot {
-                Slot::Ready(artifact) => {
-                    outcome.from_cache += 1;
-                    match artifact {
-                        Artifact::Generated { func, strategy, info } => {
-                            outcome.generated += 1;
-                            let access_id = module.add_function(func);
-                            map.access_of.insert(task, access_id);
-                            map.strategy_of.insert(task, strategy);
-                            map.info_of.insert(task, info.into_info());
-                        }
-                        Artifact::Refused { reason } => {
-                            outcome.refused += 1;
-                            map.refused.insert(task, reason);
-                        }
-                    }
-                }
-                Slot::Work(k) => {
-                    let (res, spans) = results[k].take().expect("every work item was compiled");
-                    task_spans[i] = spans;
-                    let key = work[k].2;
-                    match res {
-                        Ok(g) => {
-                            outcome.generated += 1;
-                            self.cache.insert(
-                                key,
-                                Artifact::Generated {
-                                    func: g.func.clone(),
-                                    strategy: g.strategy.clone(),
-                                    info: InfoSummary::of(&g.info),
-                                },
-                            );
-                            let access_id = module.add_function(g.func);
-                            map.access_of.insert(task, access_id);
-                            map.strategy_of.insert(task, g.strategy);
-                            map.info_of.insert(task, g.info);
-                        }
-                        Err(reason) => {
-                            outcome.refused += 1;
-                            self.cache.insert(key, Artifact::Refused { reason: reason.clone() });
-                            map.refused.insert(task, reason);
-                        }
-                    }
-                }
-            }
-        }
-        outcome.map = map;
-        outcome.cache = self.cache.stats().delta(&before);
-        outcome.spans = task_spans.into_iter().flatten().collect();
-        outcome
+        compile_tasks(&self.pipeline, &mut self.cache, self.jobs, &self.profiles, module, opts_for)
     }
+
+    /// [`Driver::compile`] against `profiles` instead of the installed
+    /// set, which is neither read nor written — so nothing is left to
+    /// restore, and a panic mid-compile (an options closure, a pass)
+    /// cannot leave a temporary profile set installed on a shared driver.
+    pub fn compile_with(
+        &mut self,
+        profiles: &ProfileSet,
+        module: &mut Module,
+        opts_for: impl FnMut(FuncId, &Function) -> CompilerOptions,
+    ) -> CompileOutcome {
+        compile_tasks(&self.pipeline, &mut self.cache, self.jobs, profiles, module, opts_for)
+    }
+}
+
+/// The body of [`Driver::compile`], over the driver's parts so the
+/// profile set can be borrowed from anywhere.
+fn compile_tasks(
+    pipeline: &Pipeline,
+    cache: &mut Cache,
+    jobs: usize,
+    profiles: &ProfileSet,
+    module: &mut Module,
+    mut opts_for: impl FnMut(FuncId, &Function) -> CompilerOptions,
+) -> CompileOutcome {
+    let origin = Instant::now();
+    let before = cache.stats();
+    let fingerprint = pipeline.fingerprint();
+    let tasks = module.task_ids();
+
+    // Probe phase (main thread, task order): resolve each task to a
+    // cached artifact or a work-list slot. A task with a profile is
+    // keyed under `refined_key(base, profile_hash)` so refined
+    // artifacts never alias static ones and a profile change re-keys.
+    let mut slots: Vec<Slot> = Vec::with_capacity(tasks.len());
+    let mut task_spans: Vec<Vec<PassSpan>> = vec![Vec::new(); tasks.len()];
+    let mut work: Vec<(FuncId, CompilerOptions, u64, Option<PhaseProfile>)> = Vec::new();
+    let mut base_keys: HashMap<FuncId, u64> = HashMap::with_capacity(tasks.len());
+    let mut refined = 0usize;
+    for (i, &task) in tasks.iter().enumerate() {
+        let opts = opts_for(task, module.func(task));
+        let base = task_key(module, task, &opts, fingerprint);
+        base_keys.insert(task, base);
+        let profile = profiles.get(base).copied().filter(|p| p.runs > 0);
+        let key = match &profile {
+            Some(p) => {
+                refined += 1;
+                refined_key(base, p.content_hash())
+            }
+            None => base,
+        };
+        let start_s = origin.elapsed().as_secs_f64();
+        match cache.lookup(key) {
+            Some(artifact) => {
+                task_spans[i].push(PassSpan {
+                    worker: 0,
+                    pass: "cache",
+                    func: module.func(task).name.clone(),
+                    start_s,
+                    dur_s: origin.elapsed().as_secs_f64() - start_s,
+                    cached: true,
+                });
+                slots.push(Slot::Ready(artifact));
+            }
+            None => {
+                slots.push(Slot::Work(work.len()));
+                work.push((task, opts, key, profile));
+            }
+        }
+    }
+
+    // Compile phase: run the pipeline over every miss. Workers see a
+    // read-only module snapshot and return results keyed by work index.
+    type TaskResult = (Result<GeneratedAccess, RefuseReason>, Vec<PassSpan>);
+    let mut results: Vec<Option<TaskResult>> = Vec::with_capacity(work.len());
+    results.resize_with(work.len(), || None);
+    if jobs == 1 || work.len() <= 1 {
+        for (k, (task, opts, _, profile)) in work.iter().enumerate() {
+            let mut spans = Vec::new();
+            let res =
+                pipeline.run_task(module, *task, opts.clone(), *profile, origin, 0, &mut spans);
+            results[k] = Some((res, spans));
+        }
+    } else {
+        let snapshot: &Module = module;
+        let next = AtomicUsize::new(0);
+        let worker_results = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..jobs.min(work.len()))
+                .map(|w| {
+                    let work = &work;
+                    let next = &next;
+                    scope.spawn(move || {
+                        let mut out: Vec<(usize, TaskResult)> = Vec::new();
+                        loop {
+                            let k = next.fetch_add(1, Ordering::Relaxed);
+                            let Some((task, opts, _, profile)) = work.get(k) else { break };
+                            let mut spans = Vec::new();
+                            let res = pipeline.run_task(
+                                snapshot,
+                                *task,
+                                opts.clone(),
+                                *profile,
+                                origin,
+                                w as u32,
+                                &mut spans,
+                            );
+                            out.push((k, (res, spans)));
+                        }
+                        out
+                    })
+                })
+                .collect();
+            handles.into_iter().flat_map(|h| h.join().expect("worker panicked")).collect::<Vec<_>>()
+        });
+        for (k, r) in worker_results {
+            results[k] = Some(r);
+        }
+    }
+
+    // Merge phase (main thread, task order): identical add_function
+    // order — and therefore identical FuncIds — at any job count.
+    let mut map = DaeMap::default();
+    let mut outcome = CompileOutcome {
+        map: DaeMap::default(),
+        tasks: tasks.len(),
+        generated: 0,
+        refused: 0,
+        from_cache: 0,
+        refined,
+        cache: CacheStats::default(),
+        spans: Vec::new(),
+        keys: base_keys,
+    };
+    for (i, (&task, slot)) in tasks.iter().zip(slots).enumerate() {
+        match slot {
+            Slot::Ready(artifact) => {
+                outcome.from_cache += 1;
+                match artifact {
+                    Artifact::Generated { func, strategy, info } => {
+                        outcome.generated += 1;
+                        let access_id = module.add_function(func);
+                        map.access_of.insert(task, access_id);
+                        map.strategy_of.insert(task, strategy);
+                        map.info_of.insert(task, info.into_info());
+                    }
+                    Artifact::Refused { reason } => {
+                        outcome.refused += 1;
+                        map.refused.insert(task, reason);
+                    }
+                }
+            }
+            Slot::Work(k) => {
+                let (res, spans) = results[k].take().expect("every work item was compiled");
+                task_spans[i] = spans;
+                let key = work[k].2;
+                match res {
+                    Ok(g) => {
+                        outcome.generated += 1;
+                        cache.insert(
+                            key,
+                            Artifact::Generated {
+                                func: g.func.clone(),
+                                strategy: g.strategy.clone(),
+                                info: InfoSummary::of(&g.info),
+                            },
+                        );
+                        let access_id = module.add_function(g.func);
+                        map.access_of.insert(task, access_id);
+                        map.strategy_of.insert(task, g.strategy);
+                        map.info_of.insert(task, g.info);
+                    }
+                    Err(reason) => {
+                        outcome.refused += 1;
+                        cache.insert(key, Artifact::Refused { reason: reason.clone() });
+                        map.refused.insert(task, reason);
+                    }
+                }
+            }
+        }
+    }
+    outcome.map = map;
+    outcome.cache = cache.stats().delta(&before);
+    outcome.spans = task_spans.into_iter().flatten().collect();
+    outcome
 }
 
 /// Forwards pass spans to a trace sink as
@@ -465,17 +481,10 @@ mod tests {
         assert_eq!(out.from_cache, 1);
     }
 
-    #[test]
-    fn profiles_rekey_tasks_and_can_flip_outcomes() {
-        use dae_pgo::{PhaseProfile, PhaseSample, ProfileSet};
-        // Static compile to learn the base keys.
-        let mut d = Driver::new(&DriverConfig::default());
-        let mut m = test_module();
-        let statics = d.compile(&mut m, opts_for);
-        assert_eq!(statics.keys.len(), 4, "every task reports its base key");
-        assert_eq!(statics.refined, 0);
-
-        // Profile stream1 with useless coverage: the refine pass refuses it.
+    /// A profile set giving `stream1` useless prefetch coverage, so the
+    /// refine pass refuses it. `statics` is a static compile of `m`.
+    fn useless_stream1_profile(statics: &CompileOutcome, m: &Module) -> ProfileSet {
+        use dae_pgo::PhaseSample;
         let stream1 = *statics
             .keys
             .iter()
@@ -489,7 +498,18 @@ mod tests {
         );
         let mut set = ProfileSet::new();
         set.insert(stream1, useless);
-        d.set_profiles(set);
+        set
+    }
+
+    #[test]
+    fn profiles_rekey_tasks_and_can_flip_outcomes() {
+        // Static compile to learn the base keys.
+        let mut d = Driver::new(&DriverConfig::default());
+        let mut m = test_module();
+        let statics = d.compile(&mut m, opts_for);
+        assert_eq!(statics.keys.len(), 4, "every task reports its base key");
+        assert_eq!(statics.refined, 0);
+        d.set_profiles(useless_stream1_profile(&statics, &m));
 
         let mut refined_m = test_module();
         let refined = d.compile(&mut refined_m, opts_for);
@@ -507,6 +527,34 @@ mod tests {
         assert_eq!(again.refined, 0);
         assert_eq!(again.from_cache, 4);
         assert_eq!(print_module(&back), print_module(&m));
+    }
+
+    #[test]
+    fn a_panicking_compile_with_leaves_the_installed_profiles_alone() {
+        let mut d = Driver::new(&DriverConfig::default());
+        let mut m = test_module();
+        let statics = d.compile(&mut m, opts_for);
+        let set = useless_stream1_profile(&statics, &m);
+        // The options closure blows up on the second task, mid-compile.
+        let mut calls = 0;
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            d.compile_with(&set, &mut test_module(), |id, f| {
+                calls += 1;
+                assert!(calls < 2, "options closure panics");
+                opts_for(id, f)
+            })
+        }));
+        assert!(unwound.is_err());
+        assert!(d.profiles().is_empty(), "the borrowed set was never installed");
+        // Later plain compiles are static: same bytes, nothing refined.
+        let mut back = test_module();
+        let again = d.compile(&mut back, opts_for);
+        assert_eq!((again.refined, again.from_cache), (0, 4));
+        assert_eq!(print_module(&back), print_module(&m));
+        // Without the panic the borrowed set refines, and is still not kept.
+        let refined = d.compile_with(&set, &mut test_module(), opts_for);
+        assert_eq!((refined.refined, refined.refused), (1, 2));
+        assert!(d.profiles().is_empty());
     }
 
     #[test]

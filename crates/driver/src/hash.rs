@@ -14,66 +14,12 @@
 //!   so artifacts produced by a different pass sequence (or a future
 //!   artifact-schema revision) never alias.
 //!
-//! `std::hash::Hasher` is deliberately not used: its output is not
-//! guaranteed stable across Rust releases, and these keys name on-disk
-//! artifacts that must survive toolchain upgrades.
+//! The digest is [`dae_trace::Fnv64`], not `std::hash::Hasher`: these keys
+//! name on-disk artifacts that must survive toolchain upgrades.
 
 use dae_core::CompilerOptions;
 use dae_ir::{print_function, FuncId, InstKind, Module};
-
-/// A 64-bit FNV-1a hasher with a stable, documented algorithm.
-#[derive(Clone, Copy, Debug)]
-pub struct Fnv64(u64);
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x100_0000_01b3;
-
-impl Default for Fnv64 {
-    fn default() -> Self {
-        Fnv64(FNV_OFFSET)
-    }
-}
-
-impl Fnv64 {
-    /// A fresh hasher at the FNV offset basis.
-    pub fn new() -> Fnv64 {
-        Fnv64::default()
-    }
-
-    /// Absorbs raw bytes.
-    pub fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(FNV_PRIME);
-        }
-    }
-
-    /// Absorbs a string, length-prefixed so concatenations cannot collide.
-    pub fn write_str(&mut self, s: &str) {
-        self.write_u64(s.len() as u64);
-        self.write(s.as_bytes());
-    }
-
-    /// Absorbs a `u64` in little-endian byte order.
-    pub fn write_u64(&mut self, v: u64) {
-        self.write(&v.to_le_bytes());
-    }
-
-    /// Absorbs an `i64` in little-endian byte order.
-    pub fn write_i64(&mut self, v: i64) {
-        self.write(&v.to_le_bytes());
-    }
-
-    /// Absorbs a boolean as one byte.
-    pub fn write_bool(&mut self, v: bool) {
-        self.write(&[v as u8]);
-    }
-
-    /// The digest so far.
-    pub fn finish(&self) -> u64 {
-        self.0
-    }
-}
+use dae_trace::Fnv64;
 
 /// Functions reachable from `root` through `call` instructions, `root`
 /// first, then callees in deterministic first-encounter (pre-order) order.
@@ -176,14 +122,6 @@ mod tests {
         b.ret(None);
         let t = m.add_function(b.finish());
         (m, t)
-    }
-
-    #[test]
-    fn fnv_is_stable() {
-        // Reference value of FNV-1a-64 over "hello" (no length prefix).
-        let mut h = Fnv64::new();
-        h.write(b"hello");
-        assert_eq!(h.finish(), 0xa430_d846_80aa_bd0b);
     }
 
     #[test]

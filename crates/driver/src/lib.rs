@@ -33,6 +33,7 @@ pub mod pass;
 
 pub use cache::{artifact_approx_bytes, Artifact, Cache, CacheStats, InfoSummary, ARTIFACT_SCHEMA};
 pub use dae_ir::CodedError;
+pub use dae_trace::Fnv64;
 pub use driver::{emit_spans, CompileOutcome, Driver, DriverConfig};
-pub use hash::{refined_key, task_key, Fnv64};
+pub use hash::{refined_key, task_key};
 pub use pass::{Pass, PassSpan, Pipeline, TaskState};

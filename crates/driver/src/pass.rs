@@ -23,9 +23,8 @@ use dae_core::{
 };
 use dae_ir::{FuncId, Function, Module};
 use dae_pgo::{plan_refinement, PhaseProfile, RefineThresholds};
+use dae_trace::Fnv64;
 use std::time::Instant;
-
-use crate::hash::Fnv64;
 
 /// The timed record of one executed pass (or one cache probe).
 #[derive(Clone, Debug, PartialEq)]

@@ -34,7 +34,7 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use dae_trace::json::JsonValue;
-use dae_trace::LogHistogram;
+use dae_trace::{lock_recover, LogHistogram};
 
 /// Routability of a backend, as decided by probes and request outcomes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -148,17 +148,17 @@ impl Backend {
 
     /// Remembers the `pgo` section of the latest health probe.
     pub fn note_pgo(&self, pgo: JsonValue) {
-        *lock(&self.pgo) = Some(pgo);
+        *lock_recover(&self.pgo) = Some(pgo);
     }
 
     /// The latest scraped `pgo` section, if any probe carried one.
     pub fn pgo_json(&self) -> Option<JsonValue> {
-        lock(&self.pgo).clone()
+        lock_recover(&self.pgo).clone()
     }
 
     /// Current health state (with the Ejected → HalfOpen clock applied).
     pub fn state(&self, readmit_after: Duration) -> HealthState {
-        let mut h = lock(&self.health);
+        let mut h = lock_recover(&self.health);
         if h.state == HealthState::Ejected && h.since.elapsed() >= readmit_after {
             h.state = HealthState::HalfOpen;
             h.trial_inflight = false;
@@ -171,7 +171,7 @@ impl Backend {
     /// `HalfOpen` admits exactly one trial at a time; `Ejected` and
     /// `Draining` refuse.
     pub fn admit(&self, readmit_after: Duration) -> bool {
-        let mut h = lock(&self.health);
+        let mut h = lock_recover(&self.health);
         if h.state == HealthState::Ejected && h.since.elapsed() >= readmit_after {
             h.state = HealthState::HalfOpen;
             h.trial_inflight = false;
@@ -191,7 +191,7 @@ impl Backend {
     /// flipped the backend back to `Up` (a re-admission).
     pub fn note_success(&self) -> bool {
         self.consecutive_failures.store(0, Ordering::Relaxed);
-        let mut h = lock(&self.health);
+        let mut h = lock_recover(&self.health);
         match h.state {
             HealthState::Up => false,
             _ => {
@@ -208,7 +208,7 @@ impl Backend {
     /// records the `BackendEject` trace event and counter).
     pub fn note_failure(&self, eject_after: u32) -> Option<u32> {
         let n = self.consecutive_failures.fetch_add(1, Ordering::Relaxed) + 1;
-        let mut h = lock(&self.health);
+        let mut h = lock_recover(&self.health);
         match h.state {
             HealthState::HalfOpen => {
                 // The trial failed: back to Ejected, cooldown restarts.
@@ -229,7 +229,7 @@ impl Backend {
     /// Marks the backend as gracefully draining (probe saw
     /// `status: "draining"`). Returns `true` on the transition.
     pub fn note_draining(&self) -> bool {
-        let mut h = lock(&self.health);
+        let mut h = lock_recover(&self.health);
         if h.state == HealthState::Draining {
             return false;
         }
@@ -253,7 +253,7 @@ impl Backend {
         match &outcome {
             Ok(_) => {
                 self.ok.fetch_add(1, Ordering::Relaxed);
-                lock(&self.latency).record(started.elapsed().as_secs_f64());
+                lock_recover(&self.latency).record(started.elapsed().as_secs_f64());
             }
             Err(_) => {
                 self.failed.fetch_add(1, Ordering::Relaxed);
@@ -279,10 +279,13 @@ impl Backend {
         stream
             .set_read_timeout(Some(timeout.max(Duration::from_millis(1))))
             .map_err(|e| CallError::Io(e.to_string()))?;
-        let mut writer = stream.try_clone().map_err(|e| CallError::Io(e.to_string()))?;
-        writer.write_all(line.as_bytes()).map_err(|e| CallError::Io(e.to_string()))?;
-        writer.write_all(b"\n").map_err(|e| CallError::Io(e.to_string()))?;
-        let mut reader = BufReader::new(stream);
+        // One buffer, one write: the frame and its newline leave in the
+        // same segment under TCP_NODELAY.
+        let mut frame = String::with_capacity(line.len() + 1);
+        frame.push_str(line);
+        frame.push('\n');
+        (&stream).write_all(frame.as_bytes()).map_err(|e| CallError::Io(e.to_string()))?;
+        let mut reader = BufReader::new(&stream);
         let mut resp = String::new();
         match reader.read_line(&mut resp) {
             Ok(0) => return Err(CallError::Io("backend closed the connection".into())),
@@ -302,16 +305,16 @@ impl Backend {
         validate_response(&resp, id_json)?;
         // Fully valid exchange: the connection is in a known-clean state
         // and may serve the next request.
-        self.checkin(reader.into_inner());
+        self.checkin(stream);
         Ok(resp)
     }
 
     fn checkout(&self) -> Option<TcpStream> {
-        lock(&self.pool).pop()
+        lock_recover(&self.pool).pop()
     }
 
     fn checkin(&self, stream: TcpStream) {
-        let mut pool = lock(&self.pool);
+        let mut pool = lock_recover(&self.pool);
         if pool.len() < self.pool_cap {
             pool.push(stream);
         }
@@ -321,12 +324,12 @@ impl Backend {
     /// sockets are likely dead too, and dialling fresh is cheaper than
     /// failing once per stale socket).
     pub fn drop_pool(&self) {
-        lock(&self.pool).clear();
+        lock_recover(&self.pool).clear();
     }
 
     /// Idle pooled connections (racy, for stats).
     pub fn pooled(&self) -> usize {
-        lock(&self.pool).len()
+        lock_recover(&self.pool).len()
     }
 
     /// Per-backend stats object.
@@ -340,7 +343,7 @@ impl Backend {
             ("sent", self.sent.load(Ordering::Relaxed).into()),
             ("ok", self.ok.load(Ordering::Relaxed).into()),
             ("failed", self.failed.load(Ordering::Relaxed).into()),
-            ("latency", lock(&self.latency).to_json()),
+            ("latency", lock_recover(&self.latency).to_json()),
             ("pgo", self.pgo_json().unwrap_or(JsonValue::Null)),
         ])
     }
@@ -355,12 +358,12 @@ fn validate_response(resp: &str, id_json: &str) -> Result<(), CallError> {
     // echo and the `ok` bool fall out of a prefix compare; the rest only
     // needs a syntax scan (truncation and most garbling break syntax).
     // Responses survive the gateway verbatim, so the scan must guarantee
-    // the client's parse cannot fail where ours succeeded — the scanner
-    // mirrors `dae_trace::json::parse`, never laxer. Non-canonical key
-    // order falls through to the tree-building parse below.
+    // the client's parse cannot fail where ours succeeded — `validate`
+    // is that same parser, building nothing. Non-canonical key order
+    // falls through to the tree-building parse below.
     if let Some(rest) = resp.strip_prefix("{\"id\":").and_then(|r| r.strip_prefix(id_json)) {
         if (rest.starts_with(",\"ok\":true") || rest.starts_with(",\"ok\":false"))
-            && json_syntax_ok(resp)
+            && dae_trace::json::validate(resp)
         {
             return Ok(());
         }
@@ -377,222 +380,12 @@ fn validate_response(resp: &str, id_json: &str) -> Result<(), CallError> {
     Ok(())
 }
 
-/// Allocation-free JSON syntax check mirroring `dae_trace::json::parse`:
-/// same grammar, same `MAX_DEPTH`, same trailing-garbage rule, no tree.
-/// Where the two could diverge the scanner is the *stricter* one (it
-/// requires hex digits after `\u`, the parser also tolerates a sign), so
-/// `json_syntax_ok(s)` implies `parse(s)` succeeds — the invariant the
-/// verbatim pass-through fast path rests on.
-fn json_syntax_ok(text: &str) -> bool {
-    let mut s = Scan { bytes: text.as_bytes(), pos: 0, depth: 0 };
-    s.skip_ws();
-    if !s.value() {
-        return false;
-    }
-    s.skip_ws();
-    s.pos == s.bytes.len()
-}
-
-struct Scan<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    depth: usize,
-}
-
-impl Scan<'_> {
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn value(&mut self) -> bool {
-        match self.peek() {
-            Some(b'{') => self.container(b'}'),
-            Some(b'[') => self.container(b']'),
-            Some(b'"') => self.string(),
-            Some(b't') => self.literal(b"true"),
-            Some(b'f') => self.literal(b"false"),
-            Some(b'n') => self.literal(b"null"),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            _ => false,
-        }
-    }
-
-    fn literal(&mut self, word: &[u8]) -> bool {
-        if self.bytes[self.pos..].starts_with(word) {
-            self.pos += word.len();
-            true
-        } else {
-            false
-        }
-    }
-
-    fn container(&mut self, close: u8) -> bool {
-        self.pos += 1; // the opening brace/bracket, already peeked
-        self.depth += 1;
-        if self.depth > dae_trace::json::MAX_DEPTH {
-            return false;
-        }
-        self.skip_ws();
-        if self.peek() == Some(close) {
-            self.pos += 1;
-            self.depth -= 1;
-            return true;
-        }
-        loop {
-            self.skip_ws();
-            if close == b'}' {
-                if !self.string() {
-                    return false;
-                }
-                self.skip_ws();
-                if self.peek() != Some(b':') {
-                    return false;
-                }
-                self.pos += 1;
-                self.skip_ws();
-            }
-            if !self.value() {
-                return false;
-            }
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(c) if c == close => {
-                    self.pos += 1;
-                    self.depth -= 1;
-                    return true;
-                }
-                _ => return false,
-            }
-        }
-    }
-
-    fn string(&mut self) -> bool {
-        if self.peek() != Some(b'"') {
-            return false;
-        }
-        self.pos += 1;
-        loop {
-            match self.peek() {
-                None => return false,
-                Some(b'"') => {
-                    self.pos += 1;
-                    return true;
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => {}
-                        Some(b'u') => {
-                            if self.pos + 5 > self.bytes.len()
-                                || !self.bytes[self.pos + 1..self.pos + 5]
-                                    .iter()
-                                    .all(u8::is_ascii_hexdigit)
-                            {
-                                return false;
-                            }
-                            self.pos += 4;
-                        }
-                        _ => return false,
-                    }
-                    self.pos += 1;
-                }
-                // The input is a &str, so multi-byte scalars are valid
-                // UTF-8 by construction; continuation bytes just pass.
-                Some(_) => self.pos += 1,
-            }
-        }
-    }
-
-    fn number(&mut self) -> bool {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-            self.pos += 1;
-        }
-        if self.peek() == Some(b'.') {
-            self.pos += 1;
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
-            }
-        }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
-            self.pos += 1;
-            if matches!(self.peek(), Some(b'+' | b'-')) {
-                self.pos += 1;
-            }
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii digits");
-        text.parse::<f64>().map(f64::is_finite).unwrap_or(false)
-    }
-}
-
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::net::TcpListener;
 
     const READMIT: Duration = Duration::from_millis(40);
-
-    #[test]
-    fn syntax_scanner_is_never_laxer_than_the_parser() {
-        let cases: &[&str] = &[
-            // Canonical frames the fast path must accept.
-            "{\"id\":1,\"ok\":true,\"result\":{\"x\":[1,2.5e-3,\"s\\n\"]}}",
-            "{\"id\":\"a-b\",\"ok\":false,\"error\":{\"code\":\"gate.upstream\"}}",
-            "{\"id\":null,\"ok\":true,\"result\":\"\\u0041\\\\\"}",
-            " [1, -2.5E3, [], {}, \"\"] ",
-            // Damage in the shapes the fault proxy produces.
-            "{\"id\":1,\"ok\":true,\"result\":",
-            "{\"id\":1,\"ok\":truX,\"result\":1}",
-            "{\"id\":1,\"ok\":true,\"result\":1}}",
-            "{\"id\":1,\"ok\":true,\"result\":\"\\u12G4\"}",
-            "{\"id\":1,\"ok\":true,\"result\":1e}",
-            "{\"id\":1,\"ok\":true \"result\":1}",
-            "{\"id\":1,,\"ok\":true}",
-            "{\"id\":1,\"ok\":true,\"result\":-}",
-            "nul",
-            "",
-        ];
-        for case in cases {
-            if json_syntax_ok(case) {
-                assert!(
-                    dae_trace::json::parse(case).is_ok(),
-                    "scanner accepted what the parser rejects: {case:?}"
-                );
-            }
-        }
-        assert!(json_syntax_ok(cases[0]), "canonical frames must take the fast path");
-        assert!(json_syntax_ok(cases[1]));
-        // Depth: the scanner enforces the same nesting limit.
-        let deep_ok = format!(
-            "{}1{}",
-            "[".repeat(dae_trace::json::MAX_DEPTH),
-            "]".repeat(dae_trace::json::MAX_DEPTH)
-        );
-        let deep_bad = format!(
-            "{}1{}",
-            "[".repeat(dae_trace::json::MAX_DEPTH + 1),
-            "]".repeat(dae_trace::json::MAX_DEPTH + 1)
-        );
-        assert!(json_syntax_ok(&deep_ok));
-        assert!(!json_syntax_ok(&deep_bad));
-    }
 
     #[test]
     fn state_machine_ejects_cools_down_and_readmits() {

@@ -18,6 +18,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
+use dae_trace::{lock_recover, SplitMix64};
+
 /// The injectable fault classes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FaultKind {
@@ -96,15 +98,6 @@ impl FaultPlan {
     }
 }
 
-/// SplitMix64: tiny, seedable, good enough for fault schedules.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// A running fault-injection proxy in front of one upstream address.
 pub struct FaultProxy {
     addr: std::net::SocketAddr,
@@ -124,7 +117,7 @@ impl FaultProxy {
         listener.set_nonblocking(true)?;
         let stop = Arc::new(AtomicBool::new(false));
         let injected: Arc<[AtomicU64; 5]> = Arc::new(Default::default());
-        let rng = Arc::new(Mutex::new(plan.seed));
+        let rng = Arc::new(Mutex::new(SplitMix64::new(plan.seed)));
         {
             let stop = Arc::clone(&stop);
             let injected = Arc::clone(&injected);
@@ -195,7 +188,7 @@ fn pipe_connection(
     client: TcpStream,
     upstream: &str,
     plan: FaultPlan,
-    rng: &Arc<Mutex<u64>>,
+    rng: &Arc<Mutex<SplitMix64>>,
     injected: &Arc<[AtomicU64; 5]>,
 ) -> std::io::Result<()> {
     let up = TcpStream::connect(upstream)?;
@@ -229,10 +222,7 @@ fn pipe_connection(
             Ok(0) | Err(_) => return Ok(()),
             Ok(_) => {}
         }
-        let draw = {
-            let mut s = rng.lock().unwrap_or_else(|e| e.into_inner());
-            splitmix64(&mut s)
-        };
+        let draw = lock_recover(rng).next_u64();
         match plan.decide(draw) {
             None => writer.write_all(line.as_bytes())?,
             Some(kind) => {
@@ -382,8 +372,8 @@ mod tests {
             ..FaultPlan::clean(42)
         };
         let seq = |seed: u64| {
-            let mut s = seed;
-            (0..200).map(|_| plan.decide(splitmix64(&mut s))).collect::<Vec<_>>()
+            let mut rng = SplitMix64::new(seed);
+            (0..200).map(|_| plan.decide(rng.next_u64())).collect::<Vec<_>>()
         };
         assert_eq!(seq(42), seq(42));
         assert_ne!(seq(42), seq(43), "different seeds diverge");

@@ -1,13 +1,7 @@
-//! The gateway daemon: accept → admit → route → forward → respond.
-//!
-//! ```text
-//!            readers (1/conn)      bounded queue       routers (N)
-//!  client ──► parse frame ──► admit ────────────► pop → pick backend
-//!     ▲         │   │           │ full → gate.overloaded   │ ring walk,
-//!     │         │   │           │ drain → gate.draining    │ retry, hedge
-//!     └─────────┴───┴───────────┴───────────◄──────────────┘
-//!                      response line (backend bytes, verbatim)
-//! ```
+//! `daeg`: the routing [`Service`] behind the shared `dae-serve` front
+//! end ([`dae_serve::front`]) — the same readers, admission queue and
+//! worker pool as `daed`, with routers for workers:
+//! pop → pick backend (ring walk) → forward (retry, hedge) → respond.
 //!
 //! The gateway speaks the exact `daed` wire protocol on both sides. A work
 //! frame is re-serialised once (canonically, with its deadline budget
@@ -21,19 +15,15 @@
 //! request lands on the backend that already holds its answer and the
 //! fleet's cache capacity adds up instead of overlapping.
 
-use std::io::{Read, Write};
-use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use dae_serve::{
-    err_response, ok_response, parse_request, signal_drain_requested, ErrorBody, Op, Push, Queue,
-    Request, MAX_FRAME_BYTES,
-};
+use dae_serve::front::{AdmissionCounters, Front, Gauges, Job, Service, Wording};
+use dae_serve::{err_response, ErrorBody, Op, Request};
 use dae_trace::json::JsonValue;
-use dae_trace::{Recorder, TraceEvent, TraceSink};
+use dae_trace::{lock_recover, Recorder, TraceEvent, TraceSink};
 
 use crate::backend::{Backend, CallError, HealthState};
 use crate::metrics::{codes, GateMetrics, GATE_HEALTH_SCHEMA};
@@ -102,51 +92,20 @@ impl Default for GateConfig {
     }
 }
 
-/// One admitted work request, en route to a router thread.
-struct Job {
-    req: Request,
-    /// The client's frame exactly as received. With no deadline to
-    /// rewrite the gateway forwards these bytes verbatim instead of
-    /// re-serialising the (IR-sized) request per attempt.
-    raw: String,
-    conn: Arc<Conn>,
-    admitted: Instant,
-    deadline: Option<Instant>,
-}
-
-/// The write half of a client connection (one mutex: lines never
-/// interleave).
-struct Conn {
-    stream: Mutex<TcpStream>,
-}
-
-impl Conn {
-    fn send(&self, line: &str) {
-        let mut s = self.stream.lock().unwrap_or_else(|e| e.into_inner());
-        let _ = s.write_all(line.as_bytes());
-        let _ = s.write_all(b"\n");
-        let _ = s.flush();
-    }
-}
-
-/// The gateway: a bound listener plus the shared routing state.
+/// The gateway: the front end over the shared routing state.
 pub struct Gateway {
-    listener: TcpListener,
-    shared: Arc<Shared>,
-    routers: usize,
+    front: Front<Shared>,
     probe_interval: Duration,
 }
 
-/// State shared by readers, routers and the probe thread.
+/// What `daeg` plugs into the front end: the routing state shared by
+/// readers, routers and the probe thread.
 struct Shared {
     fleet: Arc<Vec<Backend>>,
     ring: Ring,
     metrics: GateMetrics,
-    queue: Queue<Job>,
-    drain: AtomicBool,
     started: Instant,
     cfg: RouteCfg,
-    routers: usize,
     recorder: Option<Mutex<Recorder>>,
     probe_id: AtomicU64,
 }
@@ -167,7 +126,6 @@ struct RouteCfg {
 impl Gateway {
     /// Binds the listener; routing starts with [`Gateway::run`].
     pub fn bind(config: &GateConfig) -> std::io::Result<Gateway> {
-        let listener = TcpListener::bind(&config.addr)?;
         let fleet: Vec<Backend> = config
             .backends
             .iter()
@@ -179,8 +137,6 @@ impl Gateway {
             fleet: Arc::new(fleet),
             ring,
             metrics: GateMetrics::new(),
-            queue: Queue::new(config.queue_depth),
-            drain: AtomicBool::new(false),
             started: Instant::now(),
             cfg: RouteCfg {
                 inflight_cap: config.inflight_cap.max(1),
@@ -193,77 +149,57 @@ impl Gateway {
                 hedge_after: (config.hedge_after_ms > 0)
                     .then(|| Duration::from_millis(config.hedge_after_ms)),
             },
-            routers: config.routers.max(1),
             recorder: config.trace.then(|| Mutex::new(Recorder::new(config.backends.len().max(1)))),
             probe_id: AtomicU64::new(0),
         };
         Ok(Gateway {
-            listener,
-            shared: Arc::new(shared),
-            routers: config.routers.max(1),
+            front: Front::bind(&config.addr, config.routers, config.queue_depth, shared)?,
             probe_interval: Duration::from_millis(config.probe_interval_ms),
         })
     }
 
     /// The bound address (the actual port when `addr` asked for port 0).
     pub fn local_addr(&self) -> std::io::Result<std::net::SocketAddr> {
-        self.listener.local_addr()
+        self.front.local_addr()
     }
 
     /// Serves until a drain is requested (a `shutdown` frame or
     /// SIGTERM/SIGINT), completes all admitted work, and returns. Every
     /// admitted request is answered before `run` returns.
     pub fn run(&self) -> std::io::Result<()> {
-        self.listener.set_nonblocking(true)?;
+        let shared = self.front.service();
         std::thread::scope(|scope| {
-            for _ in 0..self.routers {
-                scope.spawn(|| router_loop(&self.shared));
-            }
-            if !self.probe_interval.is_zero() && !self.shared.fleet.is_empty() {
-                scope.spawn(|| probe_loop(&self.shared, self.probe_interval));
-            }
-            while !self.draining() {
-                match self.listener.accept() {
-                    Ok((stream, _)) => {
-                        let _ = stream.set_nodelay(true);
-                        let shared = Arc::clone(&self.shared);
-                        std::thread::spawn(move || reader_loop(stream, shared));
+            if !self.probe_interval.is_zero() && !shared.fleet.is_empty() {
+                scope.spawn(|| {
+                    while !self.front.draining() {
+                        probe_fleet(shared);
+                        std::thread::sleep(self.probe_interval);
                     }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(5));
-                    }
-                    Err(_) => std::thread::sleep(Duration::from_millis(5)),
-                }
+                });
             }
-            self.shared.drain.store(true, Ordering::SeqCst);
-            self.shared.queue.close();
-            // Scope exit joins routers and the probe thread.
-        });
-        Ok(())
+            // Scope exit joins the probe thread, which stops with the drain.
+            self.front.run()
+        })
     }
 
     /// The captured trace events (empty when `trace` was off).
     pub fn trace_events(&self) -> Vec<TraceEvent> {
-        match &self.shared.recorder {
-            Some(r) => r.lock().unwrap_or_else(|e| e.into_inner()).events().to_vec(),
+        match &self.front.service().recorder {
+            Some(r) => lock_recover(r).events().to_vec(),
             None => Vec::new(),
         }
     }
 
     /// Number of trace lanes (backends) for exporters.
     pub fn trace_lanes(&self) -> usize {
-        self.shared.fleet.len().max(1)
-    }
-
-    fn draining(&self) -> bool {
-        self.shared.drain.load(Ordering::SeqCst) || signal_drain_requested()
+        self.front.service().fleet.len().max(1)
     }
 }
 
 impl Shared {
     fn record(&self, event: TraceEvent) {
         if let Some(r) = &self.recorder {
-            r.lock().unwrap_or_else(|e| e.into_inner()).record(event);
+            lock_recover(r).record(event);
         }
     }
 
@@ -273,138 +209,55 @@ impl Shared {
     }
 }
 
-/// Frames newline-delimited requests off one client connection until EOF.
-fn reader_loop(stream: TcpStream, shared: Arc<Shared>) {
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
-    let conn = match stream.try_clone() {
-        Ok(w) => Arc::new(Conn { stream: Mutex::new(w) }),
-        Err(_) => return,
+impl Service for Shared {
+    const WORDING: Wording = Wording {
+        overloaded: codes::OVERLOADED,
+        draining: codes::DRAINING,
+        deadline: codes::DEADLINE,
+        daemon: "gateway",
+        full_queue: "gateway queue",
+        deadline_queue: "gateway queue",
     };
-    let mut stream = stream;
-    let mut buf: Vec<u8> = Vec::new();
-    let mut chunk = [0u8; 16 * 1024];
-    loop {
-        while let Some(nl) = buf.iter().position(|&b| b == b'\n') {
-            let frame: Vec<u8> = buf.drain(..=nl).collect();
-            let line = String::from_utf8_lossy(&frame[..nl]);
-            let line = line.trim();
-            if !line.is_empty() {
-                handle_frame(line, &conn, &shared);
+    /// With no deadline to rewrite, the client's frame is forwarded
+    /// verbatim instead of re-serialising the (IR-sized) request per
+    /// attempt.
+    const KEEPS_FRAME: bool = true;
+
+    fn counters(&self) -> &AdmissionCounters {
+        &self.metrics.admission
+    }
+
+    fn control(&self, op: Op, g: &Gauges) -> JsonValue {
+        match op {
+            Op::Stats => {
+                let backends = self.fleet.iter().map(|b| b.to_json(self.cfg.readmit)).collect();
+                self.metrics.to_json(self.started, g.queue_depth, g.workers, backends)
             }
-        }
-        if buf.len() > MAX_FRAME_BYTES {
-            shared.metrics.bad_requests.fetch_add(1, Ordering::Relaxed);
-            let e = ErrorBody::new(
-                dae_serve::codes::TOO_LARGE,
-                format!("frame exceeds {MAX_FRAME_BYTES} bytes before its newline"),
-            );
-            conn.send(&err_response(&JsonValue::Null, &e));
-            return;
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) => return,
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut => {}
-            Err(_) => return,
+            Op::Health => {
+                let up = self
+                    .fleet
+                    .iter()
+                    .filter(|b| b.state(self.cfg.readmit) == HealthState::Up)
+                    .count();
+                JsonValue::obj([
+                    ("schema", GATE_HEALTH_SCHEMA.into()),
+                    ("status", if g.draining { "draining" } else { "ok" }.into()),
+                    ("backends", self.fleet.len().into()),
+                    ("backends_up", up.into()),
+                    ("queue_depth", g.queue_depth.into()),
+                    ("queue_capacity", g.queue_capacity.into()),
+                ])
+            }
+            _ => aggregate_profiles(self),
         }
     }
-}
 
-/// Routes one parsed frame: control ops inline, work ops into the queue.
-fn handle_frame(line: &str, conn: &Arc<Conn>, shared: &Arc<Shared>) {
-    let req = match parse_request(line) {
-        Ok(req) => req,
-        Err((id, e)) => {
-            shared.metrics.bad_requests.fetch_add(1, Ordering::Relaxed);
-            conn.send(&err_response(&id, &e));
-            return;
-        }
-    };
-    match req.op {
-        Op::Stats => {
-            let backends =
-                shared.fleet.iter().map(|b| b.to_json(shared.cfg.readmit)).collect::<Vec<_>>();
-            let body = shared.metrics.to_json(
-                shared.started,
-                shared.queue.len(),
-                shared.routers,
-                backends,
-            );
-            conn.send(&ok_response(&req.id, body));
-        }
-        Op::Health => {
-            let draining = shared.drain.load(Ordering::SeqCst)
-                || shared.queue.is_closed()
-                || signal_drain_requested();
-            let mut up = 0usize;
-            for b in shared.fleet.iter() {
-                if b.state(shared.cfg.readmit) == HealthState::Up {
-                    up += 1;
-                }
-            }
-            let body = JsonValue::obj([
-                ("schema", GATE_HEALTH_SCHEMA.into()),
-                ("status", if draining { "draining" } else { "ok" }.into()),
-                ("backends", shared.fleet.len().into()),
-                ("backends_up", up.into()),
-                ("queue_depth", shared.queue.len().into()),
-                ("queue_capacity", shared.queue.capacity().into()),
-            ]);
-            conn.send(&ok_response(&req.id, body));
-        }
-        Op::Profiles => {
-            conn.send(&ok_response(&req.id, aggregate_profiles(shared)));
-        }
-        Op::Shutdown => {
-            conn.send(&ok_response(&req.id, JsonValue::obj([("draining", true.into())])));
-            shared.drain.store(true, Ordering::SeqCst);
-            shared.queue.close();
-        }
-        Op::Compile | Op::Report | Op::Run => {
-            let deadline = (req.deadline_ms > 0)
-                .then(|| Instant::now() + Duration::from_millis(req.deadline_ms));
-            let job = Job {
-                req,
-                raw: line.trim_end().to_string(),
-                conn: Arc::clone(conn),
-                admitted: Instant::now(),
-                deadline,
-            };
-            match shared.queue.push(job) {
-                Push::Queued => {
-                    shared.metrics.accepted.fetch_add(1, Ordering::Relaxed);
-                }
-                Push::Full(job) => {
-                    shared.metrics.shed.fetch_add(1, Ordering::Relaxed);
-                    let e = ErrorBody::new(
-                        codes::OVERLOADED,
-                        format!(
-                            "gateway queue full ({} deep); retry later",
-                            shared.queue.capacity()
-                        ),
-                    );
-                    job.conn.send(&err_response(&job.req.id, &e));
-                }
-                Push::Closed(job) => {
-                    shared.metrics.refused_draining.fetch_add(1, Ordering::Relaxed);
-                    let e = ErrorBody::new(codes::DRAINING, "gateway is draining");
-                    job.conn.send(&err_response(&job.req.id, &e));
-                }
-            }
-        }
-    }
-}
-
-/// Pops admitted jobs and routes each through the fleet.
-fn router_loop(shared: &Arc<Shared>) {
-    while let Some(job) = shared.queue.pop() {
-        let waited = job.admitted.elapsed();
+    /// Routes one admitted job through the fleet.
+    fn work(&self, job: &Job, waited: Duration) {
         let t0 = Instant::now();
-        let (line, ok) = route(shared, &job);
-        job.conn.send(&line);
-        shared.metrics.record_done(
+        let (line, ok) = route(self, job);
+        job.conn.send(line);
+        self.metrics.record_done(
             ok,
             waited.as_secs_f64(),
             waited.as_secs_f64() + t0.elapsed().as_secs_f64(),
@@ -416,16 +269,8 @@ fn router_loop(shared: &Arc<Shared>) {
 /// with capped exponential backoff, optional hedging. Returns the
 /// response line (backend bytes verbatim on success) and whether it is a
 /// success frame.
-fn route(shared: &Arc<Shared>, job: &Job) -> (String, bool) {
+fn route(shared: &Shared, job: &Job) -> (String, bool) {
     let cfg = shared.cfg;
-    if deadline_expired(job) {
-        shared.metrics.deadline_expired.fetch_add(1, Ordering::Relaxed);
-        let e = ErrorBody::new(
-            codes::DEADLINE,
-            format!("deadline of {} ms expired in the gateway queue", job.req.deadline_ms),
-        );
-        return (err_response(&job.req.id, &e), false);
-    }
     let key = dae_serve::request_key(&job.req);
     let candidates = shared.ring.candidates(key);
     if candidates.is_empty() {
@@ -446,7 +291,7 @@ fn route(shared: &Arc<Shared>, job: &Job) -> (String, bool) {
     {
         Some(i) => i,
         None => {
-            shared.metrics.shed.fetch_add(1, Ordering::Relaxed);
+            shared.metrics.admission.shed.fetch_add(1, Ordering::Relaxed);
             let e = ErrorBody::new(
                 codes::OVERLOADED,
                 format!("all {} routable backends at in-flight cap", admitted.len()),
@@ -502,7 +347,7 @@ fn route(shared: &Arc<Shared>, job: &Job) -> (String, bool) {
                 }
                 Err(err) => {
                     note_route_failure(shared, backend_idx, &err);
-                    if attempts <= cfg.max_retries && !deadline_expired(job) && order.len() > 1 {
+                    if attempts <= cfg.max_retries && !job.expired() && order.len() > 1 {
                         let backoff = retry_backoff(cfg, attempts);
                         if !backoff.is_zero() {
                             std::thread::sleep(backoff);
@@ -570,7 +415,7 @@ fn route(shared: &Arc<Shared>, job: &Job) -> (String, bool) {
                 // backend: every work op is deterministic, so a second
                 // execution is safe (idempotent).
                 let retries_left = attempts <= cfg.max_retries;
-                if retries_left && !deadline_expired(job) && order.len() > 1 {
+                if retries_left && !job.expired() && order.len() > 1 {
                     let backoff = retry_backoff(cfg, attempts);
                     if !backoff.is_zero() {
                         std::thread::sleep(backoff);
@@ -587,7 +432,7 @@ fn route(shared: &Arc<Shared>, job: &Job) -> (String, bool) {
             Err(RecvTimeoutError::Timeout) => {
                 if let (Some(_), false) = (cfg.hedge_after, hedged) {
                     hedged = true;
-                    if order.len() > 1 && !deadline_expired(job) {
+                    if order.len() > 1 && !job.expired() {
                         shared.metrics.hedges.fetch_add(1, Ordering::Relaxed);
                         attempts += 1;
                         launch(next_slot);
@@ -608,14 +453,9 @@ fn route(shared: &Arc<Shared>, job: &Job) -> (String, bool) {
 
 /// The terminal failure response of a route: `gate.deadline` if the
 /// client's budget ran out along the way, `gate.upstream` otherwise.
-fn route_failed(
-    job: &Job,
-    shared: &Arc<Shared>,
-    attempts: u32,
-    last_error: &str,
-) -> (String, bool) {
-    if deadline_expired(job) {
-        shared.metrics.deadline_expired.fetch_add(1, Ordering::Relaxed);
+fn route_failed(job: &Job, shared: &Shared, attempts: u32, last_error: &str) -> (String, bool) {
+    if job.expired() {
+        shared.metrics.admission.deadline_expired.fetch_add(1, Ordering::Relaxed);
         let e = ErrorBody::new(
             codes::DEADLINE,
             format!("deadline of {} ms expired while routing", job.req.deadline_ms),
@@ -632,10 +472,6 @@ fn route_failed(
 fn no_backends(job: &Job) -> String {
     let e = ErrorBody::new(codes::NO_BACKENDS, "no routable backend (all ejected or draining)");
     err_response(&job.req.id, &e)
-}
-
-fn deadline_expired(job: &Job) -> bool {
-    matches!(job.deadline, Some(d) if Instant::now() >= d)
 }
 
 /// Per-attempt timeout: the configured cap, shrunk to the remaining
@@ -656,13 +492,13 @@ fn retry_backoff(cfg: RouteCfg, attempt: u32) -> Duration {
     Duration::from_millis(exp.min(cfg.retry_cap_ms))
 }
 
-fn note_route_success(shared: &Arc<Shared>, backend_idx: usize) {
+fn note_route_success(shared: &Shared, backend_idx: usize) {
     if shared.fleet[backend_idx].note_success() {
         shared.metrics.readmits.fetch_add(1, Ordering::Relaxed);
     }
 }
 
-fn note_route_failure(shared: &Arc<Shared>, backend_idx: usize, err: &CallError) {
+fn note_route_failure(shared: &Shared, backend_idx: usize, err: &CallError) {
     let b = &shared.fleet[backend_idx];
     if let Some(failures) = b.note_failure(shared.cfg.eject_after) {
         shared.metrics.ejects.fetch_add(1, Ordering::Relaxed);
@@ -705,7 +541,7 @@ fn forward_line(req: &Request, deadline: Option<Instant>) -> String {
 /// Fans a `profiles` request out to every routable backend and merges
 /// the answers: per-backend bodies verbatim plus fleet-wide totals
 /// (profile records held, recompile-worker counters) summed from them.
-fn aggregate_profiles(shared: &Arc<Shared>) -> JsonValue {
+fn aggregate_profiles(shared: &Shared) -> JsonValue {
     let mut backends = Vec::with_capacity(shared.fleet.len());
     let mut records = 0.0f64;
     let mut started = 0.0f64;
@@ -764,67 +600,65 @@ fn aggregate_profiles(shared: &Arc<Shared>) -> JsonValue {
     ])
 }
 
-/// Probes every backend's `health` op on a fixed period, driving the
-/// state machine from probe results: failures eject, `draining` bodies
-/// quarantine, recoveries re-admit.
-fn probe_loop(shared: &Arc<Shared>, interval: Duration) {
-    while !(shared.drain.load(Ordering::SeqCst) || signal_drain_requested()) {
-        for b in shared.fleet.iter() {
-            shared.metrics.probes.fetch_add(1, Ordering::Relaxed);
-            let id = shared.probe_id.fetch_add(1, Ordering::Relaxed);
-            let line = format!("{{\"id\":\"gate-probe-{id}\",\"op\":\"health\"}}");
-            let id_json = format!("\"gate-probe-{id}\"");
-            match b.call(&line, &id_json, Duration::from_millis(250)) {
-                Ok(resp) => {
-                    let result =
-                        dae_trace::json::parse(&resp).ok().and_then(|v| v.get("result").cloned());
-                    let draining = result
-                        .as_ref()
-                        .and_then(|r| r.get("status"))
-                        .and_then(JsonValue::as_str)
-                        .map(|s| s == "draining")
-                        .unwrap_or(false);
-                    // Ride-along scrape: `/3` health bodies carry the
-                    // backend's profile/recompile counters for `stats`.
-                    if let Some(pgo) = result.as_ref().and_then(|r| r.get("pgo")) {
-                        b.note_pgo(pgo.clone());
-                    }
-                    if draining {
-                        if b.note_draining() {
-                            shared.record(TraceEvent::BackendEject {
-                                core: b.index as u32,
-                                backend: b.addr.clone(),
-                                reason: "draining".to_string(),
-                                failures: 0,
-                                start_s: shared.now_s(),
-                            });
-                        }
-                    } else if b.note_success() {
-                        shared.metrics.readmits.fetch_add(1, Ordering::Relaxed);
-                    }
+/// One round of `health` probes over the fleet, driving the state machine
+/// from the results: failures eject, `draining` bodies quarantine,
+/// recoveries re-admit.
+fn probe_fleet(shared: &Shared) {
+    for b in shared.fleet.iter() {
+        shared.metrics.probes.fetch_add(1, Ordering::Relaxed);
+        let id = shared.probe_id.fetch_add(1, Ordering::Relaxed);
+        let line = format!("{{\"id\":\"gate-probe-{id}\",\"op\":\"health\"}}");
+        let id_json = format!("\"gate-probe-{id}\"");
+        match b.call(&line, &id_json, Duration::from_millis(250)) {
+            Ok(resp) => {
+                let result =
+                    dae_trace::json::parse(&resp).ok().and_then(|v| v.get("result").cloned());
+                let draining = result
+                    .as_ref()
+                    .and_then(|r| r.get("status"))
+                    .and_then(JsonValue::as_str)
+                    .map(|s| s == "draining")
+                    .unwrap_or(false);
+                // Ride-along scrape: `/3` health bodies carry the
+                // backend's profile/recompile counters for `stats`.
+                if let Some(pgo) = result.as_ref().and_then(|r| r.get("pgo")) {
+                    b.note_pgo(pgo.clone());
                 }
-                Err(err) => {
-                    if let Some(failures) = b.note_failure(shared.cfg.eject_after) {
-                        shared.metrics.ejects.fetch_add(1, Ordering::Relaxed);
-                        b.drop_pool();
+                if draining {
+                    if b.note_draining() {
                         shared.record(TraceEvent::BackendEject {
                             core: b.index as u32,
                             backend: b.addr.clone(),
-                            reason: err.describe(),
-                            failures,
+                            reason: "draining".to_string(),
+                            failures: 0,
                             start_s: shared.now_s(),
                         });
                     }
+                } else if b.note_success() {
+                    shared.metrics.readmits.fetch_add(1, Ordering::Relaxed);
+                }
+            }
+            Err(err) => {
+                if let Some(failures) = b.note_failure(shared.cfg.eject_after) {
+                    shared.metrics.ejects.fetch_add(1, Ordering::Relaxed);
+                    b.drop_pool();
+                    shared.record(TraceEvent::BackendEject {
+                        core: b.index as u32,
+                        backend: b.addr.clone(),
+                        reason: err.describe(),
+                        failures,
+                        start_s: shared.now_s(),
+                    });
                 }
             }
         }
-        std::thread::sleep(interval);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dae_serve::parse_request;
 
     fn req(deadline_ms: u64) -> Request {
         parse_request(&format!(

@@ -10,8 +10,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
+use dae_serve::front::AdmissionCounters;
 use dae_trace::json::JsonValue;
-use dae_trace::LogHistogram;
+use dae_trace::{lock_recover, LogHistogram};
 
 /// Stable schema tag for the gateway `stats` response body.
 pub const GATE_STATS_SCHEMA: &str = "dae-gate-stats/1";
@@ -39,20 +40,16 @@ pub mod codes {
 /// Aggregate gateway counters and latency histograms.
 #[derive(Default)]
 pub struct GateMetrics {
-    /// Frames admitted to the queue.
-    pub accepted: AtomicU64,
+    /// Accepted / shed (`gate.overloaded`, at admission or with every
+    /// routable backend at its in-flight cap) / refused (`gate.draining`) /
+    /// expired (`gate.deadline`, queued or while routing) / malformed-frame
+    /// counts; the front end bumps the admission-time ones.
+    pub admission: AdmissionCounters,
     /// Requests answered with `ok: true` (from any backend).
     pub completed: AtomicU64,
-    /// Requests answered with an error frame (gate- or backend-origin).
+    /// Routed requests answered with an error frame (gate- or
+    /// backend-origin).
     pub failed: AtomicU64,
-    /// Frames shed at admission with `gate.overloaded`.
-    pub shed: AtomicU64,
-    /// Work frames refused with `gate.draining`.
-    pub refused_draining: AtomicU64,
-    /// Requests whose deadline budget expired inside the gateway.
-    pub deadline_expired: AtomicU64,
-    /// Frames rejected before routing (parse / validation errors).
-    pub bad_requests: AtomicU64,
     /// Forwarding attempts beyond the first, excluding hedges.
     pub retries: AtomicU64,
     /// Hedge attempts launched.
@@ -86,8 +83,8 @@ impl GateMetrics {
         } else {
             self.failed.fetch_add(1, Ordering::Relaxed);
         }
-        lock(&self.queue_wait).record(queue_wait_s);
-        lock(&self.latency).record(total_s);
+        lock_recover(&self.queue_wait).record(queue_wait_s);
+        lock_recover(&self.latency).record(total_s);
     }
 
     /// The `stats` response body. `backends` carries per-backend objects
@@ -101,18 +98,19 @@ impl GateMetrics {
         backends: Vec<JsonValue>,
     ) -> JsonValue {
         let c = |a: &AtomicU64| JsonValue::from(a.load(Ordering::Relaxed));
+        let a = &self.admission;
         JsonValue::obj([
             ("schema", GATE_STATS_SCHEMA.into()),
             ("uptime_s", started.elapsed().as_secs_f64().into()),
             ("routers", routers.into()),
             ("queue_depth", queue_depth.into()),
-            ("accepted", c(&self.accepted)),
+            ("accepted", c(&a.accepted)),
             ("completed", c(&self.completed)),
             ("failed", c(&self.failed)),
-            ("shed", c(&self.shed)),
-            ("refused_draining", c(&self.refused_draining)),
-            ("deadline_expired", c(&self.deadline_expired)),
-            ("bad_requests", c(&self.bad_requests)),
+            ("shed", c(&a.shed)),
+            ("refused_draining", c(&a.refused_draining)),
+            ("deadline_expired", c(&a.deadline_expired)),
+            ("bad_requests", c(&a.bad_requests)),
             ("retries", c(&self.retries)),
             ("hedges", c(&self.hedges)),
             ("hedge_wins", c(&self.hedge_wins)),
@@ -120,15 +118,11 @@ impl GateMetrics {
             ("ejects", c(&self.ejects)),
             ("readmits", c(&self.readmits)),
             ("probes", c(&self.probes)),
-            ("latency", lock(&self.latency).to_json()),
-            ("queue_wait", lock(&self.queue_wait).to_json()),
+            ("latency", lock_recover(&self.latency).to_json()),
+            ("queue_wait", lock_recover(&self.queue_wait).to_json()),
             ("backends", JsonValue::Arr(backends)),
         ])
     }
-}
-
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 #[cfg(test)]
@@ -138,7 +132,7 @@ mod tests {
     #[test]
     fn stats_body_has_schema_and_counters() {
         let m = GateMetrics::new();
-        m.accepted.fetch_add(3, Ordering::Relaxed);
+        m.admission.accepted.fetch_add(3, Ordering::Relaxed);
         m.record_done(true, 0.001, 0.010);
         m.record_done(false, 0.002, 0.020);
         let body = m.to_json(Instant::now(), 1, 4, vec![JsonValue::obj([("addr", "x".into())])]);

@@ -114,8 +114,9 @@ mod tests {
     fn distribution_is_roughly_balanced() {
         let ring = Ring::new(&addrs(3), 128);
         let mut counts = [0usize; 3];
-        for key in 0..3000u64 {
-            counts[ring.home(key.wrapping_mul(0x9e37_79b9_7f4a_7c15)).unwrap()] += 1;
+        let mut keys = dae_trace::SplitMix64::new(3000);
+        for _ in 0..3000 {
+            counts[ring.home(keys.next_u64()).unwrap()] += 1;
         }
         for &c in &counts {
             // Perfect balance is 1000; 128 vnodes keeps every shard

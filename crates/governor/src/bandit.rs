@@ -24,9 +24,9 @@
 use crate::cache::{CacheConfig, DecisionCache};
 use crate::class::TaskClass;
 use crate::obs::TaskObs;
-use crate::rng::SplitMix64;
 use crate::{ClassSnapshot, Decision, Governor};
 use dae_power::{DvfsTable, FreqId};
+use dae_trace::SplitMix64;
 
 /// Tuning of [`BanditEdp`].
 #[derive(Clone, Copy, Debug, PartialEq)]

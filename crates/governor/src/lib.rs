@@ -56,15 +56,14 @@ pub mod cache;
 pub mod class;
 pub mod heuristic;
 pub mod obs;
-pub mod rng;
 pub mod statik;
 
 pub use bandit::{BanditConfig, BanditEdp};
 pub use cache::{CacheConfig, ClassEntry, DecisionCache};
 pub use class::TaskClass;
+pub use dae_trace::SplitMix64;
 pub use heuristic::{HeuristicConfig, MissRatioHeuristic};
 pub use obs::{PhaseObs, TaskObs};
-pub use rng::SplitMix64;
 pub use statik::StaticGovernor;
 
 use dae_power::{DvfsTable, FreqId};

@@ -78,22 +78,6 @@ impl dae_ir::CodedError for PgoError {
     }
 }
 
-/// FNV-1a-64 over raw bytes — the same stable algorithm (same constants)
-/// as `dae-driver`'s cache keys, duplicated here because the dependency
-/// points the other way (the driver consumes profiles).
-pub(crate) fn fnv1a(init: u64, bytes: &[u8]) -> u64 {
-    const FNV_PRIME: u64 = 0x100_0000_01b3;
-    let mut h = init;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-/// The FNV-1a-64 offset basis.
-pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -108,11 +92,5 @@ mod tests {
         let e = PgoError::new(codes::PARSE, "bad byte");
         assert_eq!(e.code(), "pgo.parse");
         assert_eq!(e.to_string(), "bad byte");
-    }
-
-    #[test]
-    fn fnv_matches_the_reference_vector() {
-        // FNV-1a-64 of "hello" — the same vector dae-driver pins.
-        assert_eq!(fnv1a(FNV_OFFSET, b"hello"), 0xa430_d846_80aa_bd0b);
     }
 }

@@ -11,9 +11,10 @@
 use std::collections::BTreeMap;
 
 use dae_ir::FuncId;
+use dae_trace::fnv::{self, fnv1a};
 use dae_trace::json::JsonValue;
 
-use crate::{fnv1a, FNV_OFFSET, PROFILE_SCHEMA};
+use crate::PROFILE_SCHEMA;
 
 /// One phase's counters from a single run, as sampled from the
 /// simulator's `PhaseTrace` by the runtime (this crate never sees the
@@ -218,7 +219,7 @@ impl PhaseProfile {
     /// `task_key` of a refined compile, so an artifact can never be
     /// served against a profile other than the one that shaped it.
     pub fn content_hash(&self) -> u64 {
-        let mut h = fnv1a(FNV_OFFSET, PROFILE_SCHEMA.as_bytes());
+        let mut h = fnv1a(fnv::OFFSET, PROFILE_SCHEMA.as_bytes());
         h = fnv1a(h, &self.runs.to_le_bytes());
         h = self.access.hash_into(h);
         h = self.execute.hash_into(h);
@@ -313,7 +314,7 @@ impl ProfileSet {
     /// Content hash of the whole set (order-independent by construction:
     /// the map iterates in key order).
     pub fn content_hash(&self) -> u64 {
-        let mut h = fnv1a(FNV_OFFSET, b"dae-pgo-set/1");
+        let mut h = fnv1a(fnv::OFFSET, b"dae-pgo-set/1");
         for (k, p) in &self.map {
             h = fnv1a(h, &k.to_le_bytes());
             h = fnv1a(h, &p.content_hash().to_le_bytes());

@@ -9,14 +9,14 @@
 //! that Figure 4 stacks.
 //!
 //! Every run can stream event-level evidence — task/phase spans, DVFS
-//! transitions, per-core idle gaps — into a [`dae_trace::TraceSink`] via
-//! [`run_workload_traced`]; [`run_workload`] is the zero-cost
-//! [`dae_trace::NullSink`] shorthand.
+//! transitions, per-core idle gaps — into a [`dae_trace::TraceSink`]
+//! passed in [`RunHooks`] to [`run_workload_with`], the one scheduler
+//! entry point; [`run_workload`] is its zero-cost no-hooks shorthand.
 //!
 //! Frequencies can also be chosen **online**: [`FreqPolicy::Governed`]
 //! routes every task through a `dae-governor` policy (miss-ratio heuristic
 //! or EDP bandit) that learns per-task-class operating points from the
-//! feedback the scheduler already produces, and [`run_workload_governed`]
+//! feedback the scheduler already produces, and [`RunHooks::governor`]
 //! lets a caller keep the learned state across runs.
 //!
 //! # Examples
@@ -46,6 +46,4 @@ pub use config::{FreqPolicy, RuntimeConfig};
 pub use dae_governor::GovernorKind;
 pub use dae_sim::EngineKind;
 pub use report::{Breakdown, ClassReport, CompileStats, GovernorReport, RunReport};
-pub use sched::{
-    run_workload, run_workload_governed, run_workload_profiled, run_workload_traced, TaskInstance,
-};
+pub use sched::{run_workload, run_workload_with, RunHooks, TaskInstance};

@@ -66,98 +66,6 @@ fn core_static_w(cfg: &RuntimeConfig, point: FreqPoint) -> f64 {
     cfg.power.static_power_w(point, 1) - cfg.power.static_base_w
 }
 
-/// Runs `tasks` to completion and reports time/energy/EDP.
-///
-/// Equivalent to [`run_workload_traced`] with a [`NullSink`]: no events
-/// are recorded and no instrumentation cost is paid.
-///
-/// # Errors
-///
-/// Propagates interpreter traps ([`InterpError`]).
-pub fn run_workload(
-    module: &Module,
-    tasks: &[TaskInstance],
-    cfg: &RuntimeConfig,
-) -> Result<RunReport, InterpError> {
-    run_workload_traced(module, tasks, cfg, &mut NullSink)
-}
-
-/// Runs `tasks` to completion, streaming trace events into `sink`.
-///
-/// The sink only observes the run: task/phase spans, DVFS transitions and
-/// per-core idle gaps are emitted with the exact times and energies the
-/// scheduler charges, so exported span totals reconcile with
-/// [`RunReport::breakdown`], and with a disabled sink the reported numbers
-/// are bit-identical to [`run_workload`].
-///
-/// # Errors
-///
-/// Propagates interpreter traps ([`InterpError`]).
-pub fn run_workload_traced(
-    module: &Module,
-    tasks: &[TaskInstance],
-    cfg: &RuntimeConfig,
-    sink: &mut dyn TraceSink,
-) -> Result<RunReport, InterpError> {
-    match cfg.policy {
-        FreqPolicy::Governed(kind) => {
-            let mut gov = kind.build(&cfg.table);
-            run_scheduler(module, tasks, cfg, Some(gov.as_mut()), sink, None)
-        }
-        _ => run_scheduler(module, tasks, cfg, None, sink, None),
-    }
-}
-
-/// Runs `tasks` to completion while collecting per-task phase profiles
-/// into `collector` — the PGO collection hook.
-///
-/// Each completed task contributes one access sample (when it ran
-/// decoupled) and one execute sample, converted from the same
-/// [`PhaseTrace`] counters the report aggregates. Collection is strictly
-/// observational: the returned [`RunReport`] is bit-identical to
-/// [`run_workload`] on the same inputs.
-///
-/// # Errors
-///
-/// Propagates interpreter traps ([`InterpError`]).
-pub fn run_workload_profiled(
-    module: &Module,
-    tasks: &[TaskInstance],
-    cfg: &RuntimeConfig,
-    collector: &mut ProfileCollector,
-) -> Result<RunReport, InterpError> {
-    match cfg.policy {
-        FreqPolicy::Governed(kind) => {
-            let mut gov = kind.build(&cfg.table);
-            run_scheduler(module, tasks, cfg, Some(gov.as_mut()), &mut NullSink, Some(collector))
-        }
-        _ => run_scheduler(module, tasks, cfg, None, &mut NullSink, Some(collector)),
-    }
-}
-
-/// Runs `tasks` under an externally-owned [`Governor`], streaming trace
-/// events into `sink`.
-///
-/// Unlike [`run_workload_traced`] with [`FreqPolicy::Governed`] — which
-/// builds fresh governor state per run — the caller keeps `gov` and can
-/// carry its learned per-class decisions across runs (warm start), which
-/// is how the regret bench measures convergence. The governor overrides
-/// `cfg.policy` for every task; tasks with an access phase always run
-/// decoupled.
-///
-/// # Errors
-///
-/// Propagates interpreter traps ([`InterpError`]).
-pub fn run_workload_governed(
-    module: &Module,
-    tasks: &[TaskInstance],
-    cfg: &RuntimeConfig,
-    gov: &mut dyn Governor,
-    sink: &mut dyn TraceSink,
-) -> Result<RunReport, InterpError> {
-    run_scheduler(module, tasks, cfg, Some(gov), sink, None)
-}
-
 /// End-of-run snapshot of the governor, with class labels resolved
 /// against the module's function names.
 fn governor_report(gov: &dyn Governor, module: &Module, table: &DvfsTable) -> GovernorReport {
@@ -180,14 +88,67 @@ fn governor_report(gov: &dyn Governor, module: &Module, table: &DvfsTable) -> Go
     }
 }
 
-fn run_scheduler(
+/// Optional observers and overrides of one run; the default has none.
+#[derive(Default)]
+pub struct RunHooks<'a> {
+    /// Receives task/phase spans, DVFS transitions and per-core idle gaps
+    /// with the exact times and energies the scheduler charges, so
+    /// exported span totals reconcile with [`RunReport::breakdown`].
+    pub sink: Option<&'a mut dyn TraceSink>,
+    /// An externally-owned governor. It overrides `cfg.policy` for every
+    /// task (tasks with an access phase always run decoupled), and — unlike
+    /// [`FreqPolicy::Governed`], which builds fresh governor state per run —
+    /// the caller keeps it and can carry its learned per-class decisions
+    /// across runs (warm start).
+    pub governor: Option<&'a mut dyn Governor>,
+    /// The PGO collection hook: each completed task contributes one access
+    /// sample (when it ran decoupled) and one execute sample, converted
+    /// from the same [`PhaseTrace`] counters the report aggregates.
+    pub collector: Option<&'a mut ProfileCollector>,
+}
+
+/// Runs `tasks` to completion and reports time/energy/EDP: no events are
+/// recorded and no instrumentation cost is paid.
+///
+/// # Errors
+///
+/// Propagates interpreter traps ([`InterpError`]).
+pub fn run_workload(
     module: &Module,
     tasks: &[TaskInstance],
     cfg: &RuntimeConfig,
-    mut gov: Option<&mut dyn Governor>,
-    sink: &mut dyn TraceSink,
-    mut collector: Option<&mut ProfileCollector>,
 ) -> Result<RunReport, InterpError> {
+    run_workload_with(module, tasks, cfg, RunHooks::default())
+}
+
+/// Runs `tasks` to completion under `hooks`.
+///
+/// The sink and the collector only observe: with either attached the
+/// reported numbers are bit-identical to [`run_workload`] on the same
+/// inputs.
+///
+/// # Errors
+///
+/// Propagates interpreter traps ([`InterpError`]).
+pub fn run_workload_with(
+    module: &Module,
+    tasks: &[TaskInstance],
+    cfg: &RuntimeConfig,
+    hooks: RunHooks<'_>,
+) -> Result<RunReport, InterpError> {
+    let RunHooks { sink, governor, mut collector } = hooks;
+    let mut null = NullSink;
+    let sink = sink.unwrap_or(&mut null);
+    let mut built;
+    let mut gov = match (governor, cfg.policy) {
+        (Some(g), _) => Some(g),
+        (None, FreqPolicy::Governed(kind)) => {
+            built = kind.build(&cfg.table);
+            Some(built.as_mut())
+        }
+        (None, _) => None,
+    };
+
     let mut machine = Machine::new(module);
     machine.config.max_steps = cfg.max_steps;
     machine.config.engine = cfg.engine;
@@ -782,7 +743,13 @@ mod tests {
         let n = 2 * tasks.len();
 
         let mut rec = dae_trace::Recorder::new(cfg.cores);
-        let with_lat = run_workload_traced(&m, &tasks, &cfg, &mut rec).unwrap();
+        let with_lat = run_workload_with(
+            &m,
+            &tasks,
+            &cfg,
+            RunHooks { sink: Some(&mut rec), ..Default::default() },
+        )
+        .unwrap();
         let no_lat =
             run_workload(&m, &tasks, &cfg.clone().with_dvfs(DvfsConfig::instant())).unwrap();
 
@@ -824,11 +791,11 @@ mod tests {
 
         // Zero-transition control: coupled-at-fmax never switches.
         let mut rec = dae_trace::Recorder::new(cfg.cores);
-        let coupled = run_workload_traced(
+        let coupled = run_workload_with(
             &m,
             &tasks,
             &cfg.clone().with_policy(FreqPolicy::CoupledMax),
-            &mut rec,
+            RunHooks { sink: Some(&mut rec), ..Default::default() },
         )
         .unwrap();
         assert!((coupled.breakdown.overhead_s - dispatch).abs() < 1e-15);
@@ -847,7 +814,13 @@ mod tests {
         let cfg = RuntimeConfig::paper_default().with_policy(FreqPolicy::DaeOptimal);
         let plain = run_workload(&m, &tasks, &cfg).unwrap();
         let mut rec = dae_trace::Recorder::new(cfg.cores);
-        let traced = run_workload_traced(&m, &tasks, &cfg, &mut rec).unwrap();
+        let traced = run_workload_with(
+            &m,
+            &tasks,
+            &cfg,
+            RunHooks { sink: Some(&mut rec), ..Default::default() },
+        )
+        .unwrap();
         assert_eq!(plain.time_s.to_bits(), traced.time_s.to_bits());
         assert_eq!(plain.energy_j.to_bits(), traced.energy_j.to_bits());
         assert_eq!(plain.breakdown, traced.breakdown);
@@ -861,7 +834,13 @@ mod tests {
         let cfg = RuntimeConfig::paper_default().with_policy(FreqPolicy::DaeOptimal);
         let plain = run_workload(&m, &tasks, &cfg).unwrap();
         let mut col = ProfileCollector::new();
-        let profiled = run_workload_profiled(&m, &tasks, &cfg, &mut col).unwrap();
+        let profiled = run_workload_with(
+            &m,
+            &tasks,
+            &cfg,
+            RunHooks { collector: Some(&mut col), ..Default::default() },
+        )
+        .unwrap();
         // Strictly observational: bit-identical report.
         assert_eq!(plain.time_s.to_bits(), profiled.time_s.to_bits());
         assert_eq!(plain.energy_j.to_bits(), profiled.energy_j.to_bits());
@@ -882,7 +861,13 @@ mod tests {
             tasks.iter().map(|t| TaskInstance::coupled(t.func, t.args.clone())).collect();
         let mut col = ProfileCollector::new();
         let cfg = RuntimeConfig::paper_default().with_policy(FreqPolicy::CoupledMax);
-        run_workload_profiled(&m, &coupled, &cfg, &mut col).unwrap();
+        run_workload_with(
+            &m,
+            &coupled,
+            &cfg,
+            RunHooks { collector: Some(&mut col), ..Default::default() },
+        )
+        .unwrap();
         let (_, p) = col.iter().next().unwrap();
         assert_eq!(p.access.instrs, 0);
         assert!(p.execute.instrs > 0);
@@ -896,7 +881,13 @@ mod tests {
         let tasks = tasks_for(exec, access, 16384, 512);
         let cfg = RuntimeConfig::paper_default().with_policy(FreqPolicy::DaeMinMax);
         let mut rec = dae_trace::Recorder::new(cfg.cores);
-        let r = run_workload_traced(&m, &tasks, &cfg, &mut rec).unwrap();
+        let r = run_workload_with(
+            &m,
+            &tasks,
+            &cfg,
+            RunHooks { sink: Some(&mut rec), ..Default::default() },
+        )
+        .unwrap();
 
         let mut by_cat = std::collections::HashMap::new();
         for e in rec.events() {
@@ -958,7 +949,13 @@ mod tests {
         let cfg = RuntimeConfig::paper_default()
             .with_policy(FreqPolicy::Governed(dae_governor::GovernorKind::Heuristic));
         let mut rec = dae_trace::Recorder::new(cfg.cores);
-        let r = run_workload_traced(&m, &tasks, &cfg, &mut rec).unwrap();
+        let r = run_workload_with(
+            &m,
+            &tasks,
+            &cfg,
+            RunHooks { sink: Some(&mut rec), ..Default::default() },
+        )
+        .unwrap();
         let decisions: Vec<_> = rec
             .events()
             .iter()
@@ -983,7 +980,8 @@ mod tests {
         let mut gov = dae_governor::GovernorKind::Bandit { seed: 3 }.build(&cfg.table);
         let mut obs = Vec::new();
         for _ in 0..3 {
-            let r = run_workload_governed(&m, &tasks, &cfg, gov.as_mut(), &mut NullSink).unwrap();
+            let hooks = RunHooks { governor: Some(gov.as_mut()), ..Default::default() };
+            let r = run_workload_with(&m, &tasks, &cfg, hooks).unwrap();
             let g = r.governor.unwrap();
             obs.push(g.classes.iter().map(|c| c.observations).sum::<u64>());
         }

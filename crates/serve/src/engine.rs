@@ -25,17 +25,20 @@
 //! a given request are identical cold or warm, which is what the e2e suite
 //! checks against a fresh single-use engine.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use dae_core::{CompilerOptions, Strategy};
-use dae_driver::{Driver, DriverConfig, Fnv64};
+use dae_driver::{Driver, DriverConfig};
 use dae_ir::{parse::parse_module, print_module, verify_module, FuncId, Function, Module};
 use dae_pgo::{ProfileCollector, ProfileStore};
-use dae_runtime::{run_workload, run_workload_profiled, FreqPolicy, RuntimeConfig, TaskInstance};
+use dae_runtime::{
+    run_workload, run_workload_with, FreqPolicy, RunHooks, RuntimeConfig, TaskInstance,
+};
 use dae_sim::{EngineKind, Val};
 use dae_trace::json::JsonValue;
+use dae_trace::{lock_recover, Fnv64, Lru};
 
 use crate::proto::{codes, ErrorBody, Op, Request};
 
@@ -88,7 +91,12 @@ impl Default for EngineConfig {
 /// The shared compile-and-simulate executor behind every worker.
 pub struct Engine {
     driver: Mutex<Driver>,
-    resp: Mutex<ResponseCache>,
+    /// Memoised, already-serialised `result` objects keyed by
+    /// [`request_key`], each charged its byte length. Only successes are
+    /// cached: errors are cheap to recompute and must not pin the budget.
+    resp: Mutex<Lru<Arc<String>>>,
+    resp_hits: AtomicU64,
+    resp_misses: AtomicU64,
     pgo: Mutex<PgoState>,
     recompiles_started: AtomicU64,
     recompiles_completed: AtomicU64,
@@ -124,7 +132,9 @@ impl Engine {
         let driver_cfg = DriverConfig { jobs: 1, ..config.driver.clone() };
         Engine {
             driver: Mutex::new(Driver::new(&driver_cfg)),
-            resp: Mutex::new(ResponseCache::new(config.resp_max_bytes)),
+            resp: Mutex::new(Lru::new(config.resp_max_bytes)),
+            resp_hits: AtomicU64::new(0),
+            resp_misses: AtomicU64::new(0),
             pgo: Mutex::new(PgoState {
                 store: ProfileStore::new(),
                 recent: VecDeque::new(),
@@ -158,9 +168,10 @@ impl Engine {
     /// response cache without re-parsing the IR or re-printing the JSON.
     pub fn handle_raw(&self, req: &Request) -> Result<Arc<String>, ErrorBody> {
         let key = request_key(req);
-        if let Some(result) = lock(&self.resp).get(key) {
+        if let Some(result) = self.resp_lookup(key) {
             return Ok(result);
         }
+        self.resp_misses.fetch_add(1, Ordering::Relaxed);
         self.miss(req, key)
     }
 
@@ -169,7 +180,14 @@ impl Engine {
     /// (the request proceeds to a worker, whose [`Engine::handle_raw`]
     /// call counts it exactly once).
     pub fn cached_response(&self, req: &Request) -> Option<Arc<String>> {
-        lock(&self.resp).peek(request_key(req))
+        self.resp_lookup(request_key(req))
+    }
+
+    /// A response-cache hit, counted and LRU-touched.
+    fn resp_lookup(&self, key: u64) -> Option<Arc<String>> {
+        let hit = lock_recover(&self.resp).get(key).cloned()?;
+        self.resp_hits.fetch_add(1, Ordering::Relaxed);
+        Some(hit)
     }
 
     fn miss(&self, req: &Request, key: u64) -> Result<Arc<String>, ErrorBody> {
@@ -177,7 +195,7 @@ impl Engine {
         match outcome {
             Ok(Ok(result)) => {
                 let bytes = Arc::new(result.to_json_string());
-                lock(&self.resp).insert(key, &bytes);
+                lock_recover(&self.resp).insert(key, Arc::clone(&bytes), bytes.len());
                 Ok(bytes)
             }
             Ok(Err(e)) => Err(e),
@@ -198,20 +216,16 @@ impl Engine {
     /// touches the driver lock, so a health probe cannot stall behind a
     /// long compile.
     pub fn resp_cache_json(&self) -> JsonValue {
-        let r = lock(&self.resp);
         JsonValue::obj([
-            ("resp_hits", r.hits.into()),
-            ("resp_misses", r.misses.into()),
-            ("resp_used_bytes", r.used_bytes.into()),
+            ("resp_hits", self.resp_hits.load(Ordering::Relaxed).into()),
+            ("resp_misses", self.resp_misses.load(Ordering::Relaxed).into()),
+            ("resp_used_bytes", lock_recover(&self.resp).used_bytes().into()),
         ])
     }
 
     /// Lifetime cache counters and memory-tier occupancy, for `stats`.
     pub fn cache_json(&self) -> JsonValue {
-        let (resp_hits, resp_misses, resp_used) = {
-            let r = lock(&self.resp);
-            (r.hits, r.misses, r.used_bytes)
-        };
+        let resp_used = lock_recover(&self.resp).used_bytes();
         let driver = self.lock_driver();
         let s = driver.cache_stats();
         JsonValue::obj([
@@ -220,8 +234,8 @@ impl Engine {
             ("misses", s.misses.into()),
             ("evictions", s.evictions.into()),
             ("mem_used_bytes", driver.cache_mem_used_bytes().into()),
-            ("resp_hits", resp_hits.into()),
-            ("resp_misses", resp_misses.into()),
+            ("resp_hits", self.resp_hits.load(Ordering::Relaxed).into()),
+            ("resp_misses", self.resp_misses.load(Ordering::Relaxed).into()),
             ("resp_used_bytes", resp_used.into()),
         ])
     }
@@ -332,7 +346,8 @@ impl Engine {
         // only observes), so the response bytes stay exactly what
         // `run_workload` would produce.
         let mut col = ProfileCollector::new();
-        let report = run_workload_profiled(module, &insts, &cfg, &mut col)
+        let hooks = RunHooks { collector: Some(&mut col), ..Default::default() };
+        let report = run_workload_with(module, &insts, &cfg, hooks)
             .map_err(|e| ErrorBody::from_coded(&e))?;
         self.absorb_profiles(req, c, col);
         Ok(JsonValue::obj([
@@ -356,7 +371,7 @@ impl Engine {
             mkey.write_i64(v);
         }
         let mkey = mkey.finish();
-        let mut st = lock_pgo(&self.pgo);
+        let mut st = lock_recover(&self.pgo);
         for (func, p) in col.take() {
             if let Some(&key) = c.outcome.keys.get(&func) {
                 st.store.merge_record(key, &p);
@@ -381,7 +396,7 @@ impl Engine {
     /// Returns the number of tasks that compiled against a profile.
     pub fn recompile_pass(&self) -> usize {
         let (snapshot, jobs) = {
-            let mut st = lock_pgo(&self.pgo);
+            let mut st = lock_recover(&self.pgo);
             let snap = st.store.snapshot();
             if snap.is_empty() {
                 return 0;
@@ -400,17 +415,19 @@ impl Engine {
                 let mut module = parse_module(&m.ir).ok()?;
                 verify_module(&module).ok()?;
                 let hints = m.hints.clone();
-                let mut driver = self.lock_driver();
-                let prev = driver.set_profiles(snapshot.clone());
-                let outcome = driver.compile(&mut module, |_, f: &Function| CompilerOptions {
-                    param_hints: if hints.len() == f.params.len() {
-                        hints.clone()
-                    } else {
-                        vec![0; f.params.len()]
-                    },
-                    ..CompilerOptions::default()
-                });
-                driver.set_profiles(prev);
+                // The snapshot is lent to this one compile, never installed:
+                // a panic in here cannot leave foreground compiles refined.
+                let outcome =
+                    self.lock_driver().compile_with(&snapshot, &mut module, |_, f: &Function| {
+                        CompilerOptions {
+                            param_hints: if hints.len() == f.params.len() {
+                                hints.clone()
+                            } else {
+                                vec![0; f.params.len()]
+                            },
+                            ..CompilerOptions::default()
+                        }
+                    });
                 Some(outcome.refined)
             }));
             if let Ok(Some(refined)) = result {
@@ -426,7 +443,7 @@ impl Engine {
     /// driver lock, so probes never stall behind a compile.
     pub fn pgo_json(&self) -> JsonValue {
         let (records, recent) = {
-            let st = lock_pgo(&self.pgo);
+            let st = lock_recover(&self.pgo);
             (st.store.len(), st.recent.len())
         };
         JsonValue::obj([
@@ -441,7 +458,7 @@ impl Engine {
     /// The `profiles` result object: every resident profile record
     /// (derived metrics included) plus store and recompile counters.
     pub fn profiles_json(&self) -> JsonValue {
-        let st = lock_pgo(&self.pgo);
+        let st = lock_recover(&self.pgo);
         let records: Vec<JsonValue> =
             st.store.snapshot().iter().map(|(&k, p)| p.summary_json(k)).collect();
         let s = st.store.stats();
@@ -470,11 +487,12 @@ impl Engine {
     }
 
     fn lock_driver(&self) -> std::sync::MutexGuard<'_, Driver> {
-        // A panic inside `handle` is already converted to an error
-        // response; the driver's own state is only ever mutated through
-        // `Cache::insert`, which is atomic per artifact, so recovering the
-        // poisoned lock is safe.
-        self.driver.lock().unwrap_or_else(|e| e.into_inner())
+        // A panic inside `handle` or a recompile is already converted to
+        // an error; the only driver state a compile mutates is its cache
+        // — `Cache::insert`, atomic per artifact, and monotonic counters
+        // (the installed profile set is never touched after construction)
+        // — so recovering the poisoned lock is safe.
+        lock_recover(&self.driver)
     }
 }
 
@@ -494,78 +512,6 @@ pub fn request_key(req: &Request) -> u64 {
     }
     h.write_str(req.policy.as_deref().unwrap_or(""));
     h.finish()
-}
-
-/// A byte-bounded LRU of memoised, already-serialised `result` objects,
-/// keyed by [`request_key`]. Only successes are cached: errors are cheap
-/// to recompute and must not pin the budget.
-struct ResponseCache {
-    map: HashMap<u64, Arc<String>>,
-    order: VecDeque<u64>,
-    used_bytes: usize,
-    max_bytes: usize,
-    hits: u64,
-    misses: u64,
-}
-
-impl ResponseCache {
-    fn new(max_bytes: usize) -> ResponseCache {
-        ResponseCache {
-            map: HashMap::new(),
-            order: VecDeque::new(),
-            used_bytes: 0,
-            max_bytes: max_bytes.max(1),
-            hits: 0,
-            misses: 0,
-        }
-    }
-
-    fn get(&mut self, key: u64) -> Option<Arc<String>> {
-        let hit = self.peek(key);
-        if hit.is_none() {
-            self.misses += 1;
-        }
-        hit
-    }
-
-    /// Like [`ResponseCache::get`] but a miss is not counted.
-    fn peek(&mut self, key: u64) -> Option<Arc<String>> {
-        match self.map.get(&key) {
-            Some(s) => {
-                let s = Arc::clone(s);
-                self.hits += 1;
-                self.order.retain(|k| *k != key);
-                self.order.push_back(key);
-                Some(s)
-            }
-            None => None,
-        }
-    }
-
-    fn insert(&mut self, key: u64, result: &Arc<String>) {
-        if let Some(old) = self.map.insert(key, Arc::clone(result)) {
-            self.used_bytes -= old.len();
-            self.order.retain(|k| *k != key);
-        }
-        self.used_bytes += result.len();
-        self.order.push_back(key);
-        // Evict from the cold end; the sole newest entry never evicts
-        // itself, so one oversized response still caches.
-        while self.used_bytes > self.max_bytes && self.order.len() > 1 {
-            let victim = self.order.pop_front().expect("non-empty");
-            if let Some(s) = self.map.remove(&victim) {
-                self.used_bytes -= s.len();
-            }
-        }
-    }
-}
-
-fn lock(m: &Mutex<ResponseCache>) -> std::sync::MutexGuard<'_, ResponseCache> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-fn lock_pgo(m: &Mutex<PgoState>) -> std::sync::MutexGuard<'_, PgoState> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// A compiled module's task list and driver outcome.

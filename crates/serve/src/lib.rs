@@ -18,9 +18,11 @@
 //! * [`engine`] — the shared executor: one `dae-driver` (one incremental
 //!   cache) behind a mutex for compiles, simulation outside any lock,
 //!   input hardening (global-data cap, frame cap, panic containment).
-//! * [`server`] — the daemon: per-connection reader threads, a worker
-//!   pool, per-request deadlines, live metrics, graceful drain on
-//!   `shutdown`/SIGTERM.
+//! * [`front`] — the NDJSON/TCP front end, shared with `dae-gate`:
+//!   per-connection reader threads, admission, a worker pool, per-request
+//!   deadlines, graceful drain on `shutdown`/SIGTERM.
+//! * [`server`] — the daemon: what `daed` plugs into the front end
+//!   (control-op bodies, the response-cache fast path, the work function).
 //! * [`metrics`] — counters and log-bucketed latency histograms behind the
 //!   `stats` endpoint.
 //! * [`load`] — the seeded load generator and the multi-worker-count
@@ -42,15 +44,17 @@
 #![warn(missing_docs)]
 
 pub mod engine;
+pub mod front;
 pub mod load;
 pub mod metrics;
 pub mod proto;
 pub mod queue;
 pub mod server;
 
-pub use dae_driver::Fnv64;
 pub use dae_sim::EngineKind;
+pub use dae_trace::Fnv64;
 pub use engine::{request_key, Engine, EngineConfig, PROFILES_SCHEMA};
+pub use front::{install_signal_drain, signal_drain_requested};
 pub use load::{bench_workers, run_load, LoadConfig, LoadReport, Mix};
 pub use metrics::{Metrics, STATS_SCHEMA};
 pub use proto::{
@@ -58,6 +62,4 @@ pub use proto::{
     MAX_FRAME_BYTES,
 };
 pub use queue::{Push, Queue};
-pub use server::{
-    install_signal_drain, signal_drain_requested, Server, ServerConfig, HEALTH_SCHEMA,
-};
+pub use server::{Server, ServerConfig, HEALTH_SCHEMA};

@@ -17,9 +17,9 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::time::Instant;
 
-use dae_governor::SplitMix64;
 use dae_trace::json::JsonValue;
 use dae_trace::LogHistogram;
+use dae_trace::SplitMix64;
 
 use crate::engine::{Engine, EngineConfig};
 use crate::proto::parse_request;

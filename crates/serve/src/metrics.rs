@@ -11,7 +11,9 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use dae_trace::json::JsonValue;
-use dae_trace::LogHistogram;
+use dae_trace::{lock_recover, LogHistogram};
+
+use crate::front::AdmissionCounters;
 
 /// Schema tag of the `stats` result object. `/2` added the engine kind;
 /// `/3` added the `pgo` section (profile records, recompile counters).
@@ -33,20 +35,14 @@ const WORK_OPS: [&str; 3] = ["compile", "report", "run"];
 /// The server's live counters and latency distributions.
 pub struct Metrics {
     started: Instant,
-    /// Work requests admitted to the queue.
-    pub accepted: AtomicU64,
+    /// Accepted / shed (`serve.overloaded`) / refused (`serve.draining`) /
+    /// expired (`serve.deadline`) / malformed-frame counts, bumped by the
+    /// front end.
+    pub admission: AdmissionCounters,
     /// Work requests answered successfully.
     pub completed: AtomicU64,
     /// Work requests answered with a layer error (`ir.parse`, `sim.trap`, …).
     pub failed: AtomicU64,
-    /// Requests shed because the queue was full (`serve.overloaded`).
-    pub shed: AtomicU64,
-    /// Requests refused because the server was draining (`serve.draining`).
-    pub refused_draining: AtomicU64,
-    /// Requests whose deadline expired while queued (`serve.deadline`).
-    pub deadline_expired: AtomicU64,
-    /// Frames that never became a valid request (`serve.bad-request`, …).
-    pub bad_requests: AtomicU64,
     /// Handler panics converted to `serve.internal` responses.
     pub internal_errors: AtomicU64,
     /// End-to-end service latency per work op (queue wait + handling).
@@ -60,13 +56,9 @@ impl Metrics {
     pub fn new() -> Metrics {
         Metrics {
             started: Instant::now(),
-            accepted: AtomicU64::new(0),
+            admission: AdmissionCounters::default(),
             completed: AtomicU64::new(0),
             failed: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
-            refused_draining: AtomicU64::new(0),
-            deadline_expired: AtomicU64::new(0),
-            bad_requests: AtomicU64::new(0),
             internal_errors: AtomicU64::new(0),
             service: [
                 Mutex::new(LogHistogram::new()),
@@ -80,8 +72,8 @@ impl Metrics {
     /// Records one completed work request: its op, how long it waited in
     /// the queue and its end-to-end service time.
     pub fn record(&self, op: WorkOp, queue_wait: Duration, service: Duration) {
-        lock(&self.queue_wait).record(queue_wait.as_secs_f64());
-        lock(&self.service[op as usize]).record(service.as_secs_f64());
+        lock_recover(&self.queue_wait).record(queue_wait.as_secs_f64());
+        lock_recover(&self.service[op as usize]).record(service.as_secs_f64());
     }
 
     /// The `stats` result object. `queue_depth`, the engine label and the
@@ -96,11 +88,12 @@ impl Metrics {
         pgo: JsonValue,
     ) -> JsonValue {
         let c = |a: &AtomicU64| JsonValue::from(a.load(Ordering::Relaxed));
+        let a = &self.admission;
         let latency: Vec<(String, JsonValue)> = WORK_OPS
             .iter()
             .enumerate()
-            .map(|(i, name)| (name.to_string(), lock(&self.service[i]).to_json()))
-            .chain([("queue_wait".to_string(), lock(&self.queue_wait).to_json())])
+            .map(|(i, name)| (name.to_string(), lock_recover(&self.service[i]).to_json()))
+            .chain([("queue_wait".to_string(), lock_recover(&self.queue_wait).to_json())])
             .collect();
         JsonValue::obj([
             ("schema", STATS_SCHEMA.into()),
@@ -111,13 +104,13 @@ impl Metrics {
             (
                 "requests",
                 JsonValue::obj([
-                    ("accepted", c(&self.accepted)),
+                    ("accepted", c(&a.accepted)),
                     ("completed", c(&self.completed)),
                     ("failed", c(&self.failed)),
-                    ("shed", c(&self.shed)),
-                    ("refused_draining", c(&self.refused_draining)),
-                    ("deadline_expired", c(&self.deadline_expired)),
-                    ("bad_requests", c(&self.bad_requests)),
+                    ("shed", c(&a.shed)),
+                    ("refused_draining", c(&a.refused_draining)),
+                    ("deadline_expired", c(&a.deadline_expired)),
+                    ("bad_requests", c(&a.bad_requests)),
                     ("internal_errors", c(&self.internal_errors)),
                 ]),
             ),
@@ -134,10 +127,6 @@ impl Default for Metrics {
     }
 }
 
-fn lock(h: &Mutex<LogHistogram>) -> std::sync::MutexGuard<'_, LogHistogram> {
-    h.lock().unwrap_or_else(|e| e.into_inner())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -145,9 +134,9 @@ mod tests {
     #[test]
     fn stats_json_has_the_full_shape() {
         let m = Metrics::new();
-        m.accepted.store(5, Ordering::Relaxed);
+        m.admission.accepted.store(5, Ordering::Relaxed);
         m.completed.store(4, Ordering::Relaxed);
-        m.shed.store(1, Ordering::Relaxed);
+        m.admission.shed.store(1, Ordering::Relaxed);
         m.record(WorkOp::Run, Duration::from_micros(20), Duration::from_millis(3));
         let v = m.to_json(
             2,

@@ -15,6 +15,8 @@
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
 
+use dae_trace::sync::{lock_recover, recover};
+
 /// Outcome of a non-blocking [`Queue::push`].
 #[derive(Debug)]
 pub enum Push<T> {
@@ -96,7 +98,7 @@ impl<T> Queue<T> {
             if inner.closed {
                 return None;
             }
-            inner = self.not_empty.wait(inner).unwrap_or_else(|e| e.into_inner());
+            inner = recover(self.not_empty.wait(inner));
         }
     }
 
@@ -109,7 +111,7 @@ impl<T> Queue<T> {
 
     fn lock(&self) -> std::sync::MutexGuard<'_, Inner<T>> {
         // A panicking producer/consumer must not wedge the whole server.
-        self.inner.lock().unwrap_or_else(|e| e.into_inner())
+        lock_recover(&self.inner)
     }
 }
 

@@ -1,42 +1,20 @@
-//! The TCP daemon: accept → admit → execute → respond.
+//! `daed`: the compile-and-simulate [`Service`] behind the shared
+//! [front end](crate::front).
 //!
-//! ```text
-//!            readers (1/conn)        bounded queue        workers (N)
-//!  client ──► parse frame ──► admit ─────────────────► pop → Engine::handle
-//!     ▲         │    │          │ full → overloaded        │
-//!     │         │    │          │ draining → refused       ▼
-//!     └─────────┴────┴──────────┴──────────────── response line (per conn)
-//! ```
-//!
-//! * Each connection gets a **reader thread** that frames newline-delimited
-//!   requests, answers control ops (`stats`, `health`, `shutdown`) inline,
-//!   and pushes work ops onto the shared [`Queue`]. A full queue sheds with
-//!   `serve.overloaded`; a draining queue refuses with `serve.draining`.
-//! * A fixed pool of **worker threads** pops jobs and runs them through the
-//!   one shared [`Engine`] (and thus the one shared incremental cache).
-//!   Responses are written back through a per-connection writer mutex, so
-//!   lines never interleave; `id` is the client's correlation key.
-//! * **Graceful drain** — a `shutdown` request or a SIGTERM/SIGINT (see
-//!   [`install_signal_drain`]) stops the accept loop and closes the queue:
-//!   everything already admitted completes and is answered, everything new
-//!   is refused, and [`Server::run`] returns once the workers have gone
-//!   idle.
+//! Work ops run through the one shared [`Engine`] (and thus the one shared
+//! incremental cache); a response-cache hit is answered on the reader
+//! thread, so the queue hop is only paid by requests that need work.
 
-use std::io::{Read, Write};
-use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use dae_trace::json::JsonValue;
 
 use crate::engine::{Engine, EngineConfig};
+use crate::front::{AdmissionCounters, Conn, Front, Gauges, Job, Service, Wording};
 use crate::metrics::{Metrics, WorkOp};
-use crate::proto::{
-    codes, err_response, ok_response, ok_response_raw, parse_request, ErrorBody, Op, Request,
-    MAX_FRAME_BYTES,
-};
-use crate::queue::{Push, Queue};
+use crate::proto::{codes, err_response, ok_response_raw, Op, Request};
 
 /// Schema tag of the `health` result object. `/2` added the routing
 /// inputs a gateway needs from one cheap probe: engine kind, queue
@@ -68,344 +46,131 @@ impl Default for ServerConfig {
     }
 }
 
-/// One admitted work request, en route to a worker.
-struct Job {
-    req: Request,
-    conn: Arc<Conn>,
-    admitted: Instant,
-    deadline: Option<Instant>,
-}
-
-/// The write half of a connection: one mutex so response lines never
-/// interleave, shared by the reader and every worker holding a job for it.
-struct Conn {
-    stream: Mutex<TcpStream>,
-}
-
-impl Conn {
-    /// Writes one response line. Errors are swallowed: a vanished client
-    /// must not take a worker down with it.
-    fn send(&self, line: &str) {
-        let mut s = self.stream.lock().unwrap_or_else(|e| e.into_inner());
-        let _ = s.write_all(line.as_bytes());
-        let _ = s.write_all(b"\n");
-        let _ = s.flush();
-    }
-}
-
-/// The daemon: a bound listener plus the shared state every thread sees.
+/// The daemon: the front end over an engine and its metrics.
 pub struct Server {
-    listener: TcpListener,
+    front: Front<Daed>,
+}
+
+/// What `daed` plugs into the front end.
+struct Daed {
     engine: Arc<Engine>,
-    metrics: Arc<Metrics>,
-    queue: Arc<Queue<Job>>,
-    drain: Arc<AtomicBool>,
-    workers: usize,
+    metrics: Metrics,
 }
 
 impl Server {
     /// Binds the listener; the accept loop starts with [`Server::run`].
     pub fn bind(config: &ServerConfig) -> std::io::Result<Server> {
-        let listener = TcpListener::bind(&config.addr)?;
-        Ok(Server {
-            listener,
-            engine: Arc::new(Engine::new(&config.engine)),
-            metrics: Arc::new(Metrics::new()),
-            queue: Arc::new(Queue::new(config.queue_depth)),
-            drain: Arc::new(AtomicBool::new(false)),
-            workers: config.workers.max(1),
-        })
+        let daed = Daed { engine: Arc::new(Engine::new(&config.engine)), metrics: Metrics::new() };
+        Ok(Server { front: Front::bind(&config.addr, config.workers, config.queue_depth, daed)? })
     }
 
     /// The bound address (the actual port when `addr` asked for port 0).
     pub fn local_addr(&self) -> std::io::Result<std::net::SocketAddr> {
-        self.listener.local_addr()
+        self.front.local_addr()
     }
 
     /// The drain flag: set it (from any thread) to begin a graceful
     /// shutdown, exactly as a `shutdown` request would.
     pub fn drain_flag(&self) -> Arc<AtomicBool> {
-        Arc::clone(&self.drain)
+        self.front.drain_flag()
     }
 
     /// The shared engine, for background workers (`daed`'s recompile
     /// loop calls [`Engine::recompile_pass`] through this).
     pub fn engine(&self) -> Arc<Engine> {
-        Arc::clone(&self.engine)
+        Arc::clone(&self.front.service().engine)
     }
 
     /// Serves until a drain is requested, then completes all admitted work
-    /// and returns. Reader threads are detached — they die with their
-    /// connections — but every worker is joined, so when `run` returns
-    /// every admitted request has been answered.
+    /// and returns: every admitted request has been answered by then.
     pub fn run(&self) -> std::io::Result<()> {
-        self.listener.set_nonblocking(true)?;
-        std::thread::scope(|scope| {
-            for _ in 0..self.workers {
-                scope.spawn(|| self.worker_loop());
-            }
-            while !self.draining() {
-                match self.listener.accept() {
-                    Ok((stream, _)) => {
-                        // Frames are small and latency-sensitive: without
-                        // this, Nagle + delayed ACK adds ~40 ms per
-                        // request/response round trip.
-                        let _ = stream.set_nodelay(true);
-                        let engine = Arc::clone(&self.engine);
-                        let metrics = Arc::clone(&self.metrics);
-                        let queue = Arc::clone(&self.queue);
-                        let drain = Arc::clone(&self.drain);
-                        let workers = self.workers;
-                        std::thread::spawn(move || {
-                            reader_loop(stream, engine, metrics, queue, drain, workers);
-                        });
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(5));
-                    }
-                    Err(_) => std::thread::sleep(Duration::from_millis(5)),
-                }
-            }
-            self.drain.store(true, Ordering::SeqCst);
-            self.queue.close();
-            // Scope exit joins the workers: the queue drains completely.
-        });
-        Ok(())
-    }
-
-    fn draining(&self) -> bool {
-        self.drain.load(Ordering::SeqCst) || signal_drain_requested()
-    }
-
-    fn worker_loop(&self) {
-        while let Some(job) = self.queue.pop() {
-            let waited = job.admitted.elapsed();
-            if let Some(deadline) = job.deadline {
-                if Instant::now() > deadline {
-                    self.metrics.deadline_expired.fetch_add(1, Ordering::Relaxed);
-                    let e = ErrorBody::new(
-                        codes::DEADLINE,
-                        format!("deadline of {} ms expired in the queue", job.req.deadline_ms),
-                    );
-                    job.conn.send(&err_response(&job.req.id, &e));
-                    continue;
-                }
-            }
-            let line = match self.engine.handle_raw(&job.req) {
-                Ok(result) => {
-                    self.metrics.completed.fetch_add(1, Ordering::Relaxed);
-                    ok_response_raw(&job.req.id, &result)
-                }
-                Err(e) => {
-                    let counter = if e.code == codes::INTERNAL {
-                        &self.metrics.internal_errors
-                    } else {
-                        &self.metrics.failed
-                    };
-                    counter.fetch_add(1, Ordering::Relaxed);
-                    err_response(&job.req.id, &e)
-                }
-            };
-            job.conn.send(&line);
-            let op = match job.req.op {
-                Op::Compile => WorkOp::Compile,
-                Op::Report => WorkOp::Report,
-                _ => WorkOp::Run,
-            };
-            self.metrics.record(op, waited, job.admitted.elapsed());
-        }
+        self.front.run()
     }
 }
 
-/// Frames newline-delimited requests off one connection until EOF.
-fn reader_loop(
-    stream: TcpStream,
-    engine: Arc<Engine>,
-    metrics: Arc<Metrics>,
-    queue: Arc<Queue<Job>>,
-    drain: Arc<AtomicBool>,
-    workers: usize,
-) {
-    // The timeout keeps the reader responsive to client death even when
-    // the client never sends another byte.
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
-    let conn = match stream.try_clone() {
-        Ok(w) => Arc::new(Conn { stream: Mutex::new(w) }),
-        Err(_) => return,
-    };
-    let mut stream = stream;
-    let mut buf: Vec<u8> = Vec::new();
-    let mut chunk = [0u8; 16 * 1024];
-    loop {
-        // Drain complete frames out of the buffer first.
-        while let Some(nl) = buf.iter().position(|&b| b == b'\n') {
-            let frame: Vec<u8> = buf.drain(..=nl).collect();
-            let line = String::from_utf8_lossy(&frame[..nl]);
-            let line = line.trim();
-            if !line.is_empty() {
-                handle_frame(line, &conn, &engine, &metrics, &queue, &drain, workers);
-            }
-        }
-        // A line longer than the frame cap can never complete: answer once
-        // and drop the connection, because framing is lost.
-        if buf.len() > MAX_FRAME_BYTES {
-            metrics.bad_requests.fetch_add(1, Ordering::Relaxed);
-            let e = ErrorBody::new(
-                codes::TOO_LARGE,
-                format!("frame exceeds {MAX_FRAME_BYTES} bytes before its newline"),
-            );
-            conn.send(&err_response(&JsonValue::Null, &e));
-            return;
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) => return, // EOF: client closed its write half.
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut => {}
-            Err(_) => return,
-        }
+fn work_op(op: Op) -> WorkOp {
+    match op {
+        Op::Compile => WorkOp::Compile,
+        Op::Report => WorkOp::Report,
+        _ => WorkOp::Run,
     }
 }
 
-/// Routes one parsed frame: control ops inline, work ops into the queue.
-fn handle_frame(
-    line: &str,
-    conn: &Arc<Conn>,
-    engine: &Engine,
-    metrics: &Metrics,
-    queue: &Queue<Job>,
-    drain: &AtomicBool,
-    workers: usize,
-) {
-    let req = match parse_request(line) {
-        Ok(req) => req,
-        Err((id, e)) => {
-            metrics.bad_requests.fetch_add(1, Ordering::Relaxed);
-            conn.send(&err_response(&id, &e));
-            return;
-        }
+impl Service for Daed {
+    const WORDING: Wording = Wording {
+        overloaded: codes::OVERLOADED,
+        draining: codes::DRAINING,
+        deadline: codes::DEADLINE,
+        daemon: "server",
+        full_queue: "admission queue",
+        deadline_queue: "queue",
     };
-    match req.op {
-        Op::Stats => {
-            let body = metrics.to_json(
-                queue.len(),
-                workers,
+    const KEEPS_FRAME: bool = false;
+
+    fn counters(&self) -> &AdmissionCounters {
+        &self.metrics.admission
+    }
+
+    fn control(&self, op: Op, g: &Gauges) -> JsonValue {
+        let engine = &self.engine;
+        match op {
+            Op::Stats => self.metrics.to_json(
+                g.queue_depth,
+                g.workers,
                 engine.kind().label(),
                 engine.cache_json(),
                 engine.pgo_json(),
-            );
-            conn.send(&ok_response(&req.id, body));
-        }
-        Op::Profiles => {
-            conn.send(&ok_response(&req.id, engine.profiles_json()));
-        }
-        Op::Health => {
-            // A SIGTERM counts as draining *immediately* — before the
-            // accept loop notices and closes the queue — so a gateway
-            // probing health stops routing to this backend before its
-            // socket disappears.
-            let draining =
-                drain.load(Ordering::SeqCst) || queue.is_closed() || signal_drain_requested();
-            let body = JsonValue::obj([
+            ),
+            Op::Health => JsonValue::obj([
                 ("schema", HEALTH_SCHEMA.into()),
-                ("status", if draining { "draining" } else { "ok" }.into()),
+                ("status", if g.draining { "draining" } else { "ok" }.into()),
                 ("engine", engine.kind().label().into()),
-                ("workers", workers.into()),
-                ("queue_depth", queue.len().into()),
-                ("queue_capacity", queue.capacity().into()),
+                ("workers", g.workers.into()),
+                ("queue_depth", g.queue_depth.into()),
+                ("queue_capacity", g.queue_capacity.into()),
                 ("cache", engine.resp_cache_json()),
                 ("pgo", engine.pgo_json()),
-            ]);
-            conn.send(&ok_response(&req.id, body));
+            ]),
+            _ => engine.profiles_json(),
         }
-        Op::Shutdown => {
-            // Answer first: the drain may outlive the client's patience.
-            conn.send(&ok_response(&req.id, JsonValue::obj([("draining", true.into())])));
-            drain.store(true, Ordering::SeqCst);
-            queue.close();
-        }
-        Op::Compile | Op::Report | Op::Run => {
-            // Fast path: a response-cache hit is answered here on the
-            // reader thread — the queue hop (two context switches on a
-            // small machine) is only paid by requests that need work.
-            // Drain still wins: once the queue is closed, new work is
-            // refused uniformly, warm or not.
-            if !queue.is_closed() && !drain.load(Ordering::SeqCst) {
-                if let Some(result) = engine.cached_response(&req) {
-                    let t0 = Instant::now();
-                    metrics.accepted.fetch_add(1, Ordering::Relaxed);
-                    metrics.completed.fetch_add(1, Ordering::Relaxed);
-                    conn.send(&ok_response_raw(&req.id, &result));
-                    let op = match req.op {
-                        Op::Compile => WorkOp::Compile,
-                        Op::Report => WorkOp::Report,
-                        _ => WorkOp::Run,
-                    };
-                    metrics.record(op, Duration::ZERO, t0.elapsed());
-                    return;
-                }
+    }
+
+    fn fast_path(&self, req: &Request, conn: &Conn) -> bool {
+        let Some(result) = self.engine.cached_response(req) else { return false };
+        let t0 = Instant::now();
+        self.metrics.admission.accepted.fetch_add(1, Ordering::Relaxed);
+        self.metrics.completed.fetch_add(1, Ordering::Relaxed);
+        conn.send(ok_response_raw(&req.id, &result));
+        self.metrics.record(work_op(req.op), Duration::ZERO, t0.elapsed());
+        true
+    }
+
+    fn work(&self, job: &Job, waited: Duration) {
+        let line = match self.engine.handle_raw(&job.req) {
+            Ok(result) => {
+                self.metrics.completed.fetch_add(1, Ordering::Relaxed);
+                ok_response_raw(&job.req.id, &result)
             }
-            let deadline = (req.deadline_ms > 0)
-                .then(|| Instant::now() + Duration::from_millis(req.deadline_ms));
-            let job = Job { req, conn: Arc::clone(conn), admitted: Instant::now(), deadline };
-            match queue.push(job) {
-                Push::Queued => {
-                    metrics.accepted.fetch_add(1, Ordering::Relaxed);
-                }
-                Push::Full(job) => {
-                    metrics.shed.fetch_add(1, Ordering::Relaxed);
-                    let e = ErrorBody::new(
-                        codes::OVERLOADED,
-                        format!("admission queue full ({} deep); retry later", queue.capacity()),
-                    );
-                    job.conn.send(&err_response(&job.req.id, &e));
-                }
-                Push::Closed(job) => {
-                    metrics.refused_draining.fetch_add(1, Ordering::Relaxed);
-                    let e = ErrorBody::new(codes::DRAINING, "server is draining");
-                    job.conn.send(&err_response(&job.req.id, &e));
-                }
+            Err(e) => {
+                let counter = if e.code == codes::INTERNAL {
+                    &self.metrics.internal_errors
+                } else {
+                    &self.metrics.failed
+                };
+                counter.fetch_add(1, Ordering::Relaxed);
+                err_response(&job.req.id, &e)
             }
-        }
+        };
+        job.conn.send(line);
+        self.metrics.record(work_op(job.req.op), waited, job.admitted.elapsed());
     }
 }
-
-static SIGNAL_DRAIN: AtomicBool = AtomicBool::new(false);
-
-/// True once a SIGTERM/SIGINT arrived after [`install_signal_drain`].
-pub fn signal_drain_requested() -> bool {
-    SIGNAL_DRAIN.load(Ordering::SeqCst)
-}
-
-/// Routes SIGTERM and SIGINT into the drain path: the accept loop notices
-/// within one poll interval and begins the same graceful drain a
-/// `shutdown` request would. `std` already links the platform C runtime,
-/// so plain `signal(2)` is declared directly rather than through a crate.
-#[cfg(unix)]
-pub fn install_signal_drain() {
-    extern "C" fn on_signal(_sig: i32) {
-        SIGNAL_DRAIN.store(true, Ordering::SeqCst);
-    }
-    extern "C" {
-        fn signal(signum: i32, handler: usize) -> usize;
-    }
-    const SIGINT: i32 = 2;
-    const SIGTERM: i32 = 15;
-    unsafe {
-        signal(SIGINT, on_signal as extern "C" fn(i32) as usize);
-        signal(SIGTERM, on_signal as extern "C" fn(i32) as usize);
-    }
-}
-
-/// No-op off Unix; a `shutdown` request still drains gracefully.
-#[cfg(not(unix))]
-pub fn install_signal_drain() {}
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::BufRead;
+    use std::io::{BufRead, Write};
+    use std::net::TcpStream;
 
     const STREAM: &str = "global g0 a : 1024 x f64\n\ntask fn s(arg0: i64) {\nbb0:\n  jump bb1(0)\nbb1(bb1p0: i64):\n  v0: bool = icmp lt bb1p0, arg0\n  br v0, bb2, bb3\nbb2:\n  v1: i64 = imul bb1p0, 8\n  v2: ptr = ptradd @g0, v1\n  v3: f64 = load v2\n  v4: f64 = fmul v3, 2.0\n  store v2, v4\n  v5: i64 = iadd bb1p0, 1\n  jump bb1(v5)\nbb3:\n  ret\n}\n";
 

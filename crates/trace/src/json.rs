@@ -225,29 +225,45 @@ pub const MAX_DEPTH: usize = 128;
 /// trailing garbage is an error). Containers nested deeper than
 /// [`MAX_DEPTH`] are rejected with an error.
 pub fn parse(text: &str) -> Result<JsonValue, JsonError> {
-    let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
-    p.skip_ws();
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing characters after value"));
-    }
-    Ok(v)
+    Parser::<true>::document(text)
 }
 
-struct Parser<'a> {
-    bytes: &'a [u8],
+/// True exactly when [`parse`] would succeed: the same parser walks the
+/// same grammar (same [`MAX_DEPTH`], same trailing-garbage rule) but
+/// builds no tree and allocates nothing, so checking a frame that is only
+/// passed along costs a scan.
+pub fn validate(text: &str) -> bool {
+    Parser::<false>::document(text).is_ok()
+}
+
+/// The one recursive-descent JSON grammar. With `BUILD` it assembles the
+/// [`JsonValue`] tree; without, every production still consumes exactly
+/// the same input but returns empty placeholders and error messages are
+/// not formatted (`String::new` and `Vec::new` do not allocate).
+struct Parser<'a, const BUILD: bool> {
+    text: &'a str,
     pos: usize,
     depth: usize,
 }
 
-impl<'a> Parser<'a> {
-    fn err(&self, msg: &str) -> JsonError {
-        JsonError { msg: msg.to_string(), at: self.pos }
+impl<'a, const BUILD: bool> Parser<'a, BUILD> {
+    fn document(text: &'a str) -> Result<JsonValue, JsonError> {
+        let mut p = Parser::<BUILD> { text, pos: 0, depth: 0 };
+        p.skip_ws();
+        let v = p.value()?;
+        p.skip_ws();
+        if p.pos != text.len() {
+            return Err(p.err("trailing characters after value"));
+        }
+        Ok(v)
+    }
+
+    fn err(&self, msg: impl std::fmt::Display) -> JsonError {
+        JsonError { msg: if BUILD { msg.to_string() } else { String::new() }, at: self.pos }
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -261,7 +277,7 @@ impl<'a> Parser<'a> {
             self.pos += 1;
             Ok(())
         } else {
-            Err(self.err(&format!("expected `{}`", c as char)))
+            Err(self.err(format_args!("expected `{}`", c as char)))
         }
     }
 
@@ -279,11 +295,11 @@ impl<'a> Parser<'a> {
     }
 
     fn literal(&mut self, word: &str, v: JsonValue) -> Result<JsonValue, JsonError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.text.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(v)
         } else {
-            Err(self.err(&format!("expected `{word}`")))
+            Err(self.err(format_args!("expected `{word}`")))
         }
     }
 
@@ -312,7 +328,9 @@ impl<'a> Parser<'a> {
             self.expect(b':')?;
             self.skip_ws();
             let v = self.value()?;
-            pairs.push((key, v));
+            if BUILD {
+                pairs.push((key, v));
+            }
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -338,7 +356,10 @@ impl<'a> Parser<'a> {
         }
         loop {
             self.skip_ws();
-            items.push(self.value()?);
+            let v = self.value()?;
+            if BUILD {
+                items.push(v);
+            }
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -356,48 +377,56 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut s = String::new();
         loop {
+            // A run of plain characters ends at the next `"` or `\`. Both
+            // are ASCII, so the run is sliced on char boundaries and
+            // multi-byte scalars pass through whole.
+            let run = self.pos;
+            while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                self.pos += 1;
+            }
+            if BUILD {
+                s.push_str(&self.text[run..self.pos]);
+            }
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(s);
                 }
-                Some(b'\\') => {
+                Some(_) => {
                     self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => s.push('"'),
-                        Some(b'\\') => s.push('\\'),
-                        Some(b'/') => s.push('/'),
-                        Some(b'b') => s.push('\u{8}'),
-                        Some(b'f') => s.push('\u{c}'),
-                        Some(b'n') => s.push('\n'),
-                        Some(b'r') => s.push('\r'),
-                        Some(b't') => s.push('\t'),
+                    let c = match self.peek() {
+                        Some(b'"') => '"',
+                        Some(b'\\') => '\\',
+                        Some(b'/') => '/',
+                        Some(b'b') => '\u{8}',
+                        Some(b'f') => '\u{c}',
+                        Some(b'n') => '\n',
+                        Some(b'r') => '\r',
+                        Some(b't') => '\t',
                         Some(b'u') => {
-                            if self.pos + 5 > self.bytes.len() {
+                            if self.pos + 5 > self.text.len() {
                                 return Err(self.err("truncated \\u escape"));
                             }
-                            let hex = std::str::from_utf8(&self.bytes[self.pos + 1..self.pos + 5])
-                                .map_err(|_| self.err("bad \\u escape"))?;
+                            // `get` refuses a range that splits a scalar.
+                            let hex = self
+                                .text
+                                .get(self.pos + 1..self.pos + 5)
+                                .ok_or_else(|| self.err("bad \\u escape"))?;
                             let code = u32::from_str_radix(hex, 16)
                                 .map_err(|_| self.err("bad \\u escape"))?;
+                            self.pos += 4;
                             // Surrogates are not recombined; they only
                             // appear for non-BMP chars, which the writer
                             // never escapes.
-                            s.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
+                            char::from_u32(code).unwrap_or('\u{fffd}')
                         }
                         _ => return Err(self.err("bad escape")),
+                    };
+                    if BUILD {
+                        s.push(c);
                     }
                     self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one whole UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = rest.chars().next().expect("nonempty");
-                    s.push(c);
-                    self.pos += c.len_utf8();
                 }
             }
         }
@@ -426,10 +455,11 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
-        text.parse::<f64>()
-            .map(JsonValue::Num)
-            .map_err(|_| JsonError { msg: format!("bad number `{text}`"), at: start })
+        let text = &self.text[start..self.pos];
+        text.parse::<f64>().map(JsonValue::Num).map_err(|_| JsonError {
+            msg: if BUILD { format!("bad number `{text}`") } else { String::new() },
+            at: start,
+        })
     }
 }
 
@@ -509,6 +539,38 @@ mod tests {
         assert!(parse(&at).is_ok());
         let past = format!("{}1{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
         assert!(parse(&past).is_err());
+    }
+
+    #[test]
+    fn validate_accepts_exactly_what_parse_accepts() {
+        let deep = |n: usize| format!("{}1{}", "[".repeat(n), "]".repeat(n));
+        let cases = [
+            // Canonical response frames.
+            "{\"id\":1,\"ok\":true,\"result\":{\"x\":[1,2.5e-3,\"s\\n\"]}}".to_string(),
+            "{\"id\":\"a-b\",\"ok\":false,\"error\":{\"code\":\"gate.upstream\"}}".to_string(),
+            "{\"id\":null,\"ok\":true,\"result\":\"\\u0041\\\\ caf\u{e9} \u{1f600}\"}".to_string(),
+            " [1, -2.5E3, [], {}, \"\"] ".to_string(),
+            deep(MAX_DEPTH),
+            // Damage in the shapes a faulty peer produces.
+            "{\"id\":1,\"ok\":true,\"result\":".to_string(),
+            "{\"id\":1,\"ok\":truX,\"result\":1}".to_string(),
+            "{\"id\":1,\"ok\":true,\"result\":1}}".to_string(),
+            "{\"id\":1,\"ok\":true,\"result\":\"\\u12G4\"}".to_string(),
+            "{\"id\":1,\"ok\":true,\"result\":\"\\u00\u{e9}1\"}".to_string(),
+            "{\"id\":1,\"ok\":true,\"result\":\"\\x\"}".to_string(),
+            "{\"id\":1,\"ok\":true,\"result\":1e}".to_string(),
+            "{\"id\":1,\"ok\":true \"result\":1}".to_string(),
+            "{\"id\":1,,\"ok\":true}".to_string(),
+            "{\"id\":1,\"ok\":true,\"result\":-}".to_string(),
+            "\"unterminated".to_string(),
+            "nul".to_string(),
+            String::new(),
+            deep(MAX_DEPTH + 1),
+        ];
+        for (i, case) in cases.iter().enumerate() {
+            assert_eq!(validate(case), parse(case).is_ok(), "{case:?}");
+            assert_eq!(validate(case), i < 5, "{case:?}");
+        }
     }
 
     #[test]

@@ -23,6 +23,11 @@
 //! * [`json`] — the dependency-free ordered JSON tree, writer and strict
 //!   parser the exporters (and the rest of the workspace) build on.
 //!
+//! As the zero-dependency leaf every other crate already reaches, it also
+//! owns the workspace's shared primitives, one of each: [`lru`] (the
+//! byte-bounded LRU), [`fnv`] (the stable content hash), [`rng`] (the
+//! seeded SplitMix64) and [`sync`] (poison-tolerant locking).
+//!
 //! # Examples
 //!
 //! ```
@@ -53,11 +58,19 @@
 
 pub mod chrome;
 pub mod event;
+pub mod fnv;
 pub mod hist;
 pub mod json;
+pub mod lru;
+pub mod rng;
 pub mod sink;
 pub mod summary;
+pub mod sync;
 
 pub use event::{PhaseCounters, PhaseKind, TraceEvent};
+pub use fnv::Fnv64;
 pub use hist::LogHistogram;
+pub use lru::Lru;
+pub use rng::SplitMix64;
 pub use sink::{NullSink, Recorder, TraceSink};
+pub use sync::lock_recover;

@@ -15,10 +15,8 @@
 
 use dae_governor::GovernorKind;
 use dae_power::{DvfsConfig, DvfsTable, FreqId};
-use dae_repro::trace::{chrome, json::JsonValue, NullSink, Recorder};
-use dae_runtime::{
-    run_workload, run_workload_governed, run_workload_traced, FreqPolicy, RuntimeConfig,
-};
+use dae_repro::trace::{chrome, json::JsonValue, Recorder};
+use dae_runtime::{run_workload, run_workload_with, FreqPolicy, RunHooks, RuntimeConfig};
 use dae_workloads::{Variant, Workload};
 use std::path::PathBuf;
 
@@ -85,8 +83,8 @@ fn main() {
         let policy = FreqPolicy::DaePhases { access, execute };
         let cfg = cfg_for(policy);
         let mut rec = Recorder::new(cfg.cores);
-        let r = run_workload_traced(&w.module, &w.tasks(Variant::AutoDae), &cfg, &mut rec)
-            .expect("run");
+        let hooks = RunHooks { sink: Some(&mut rec), ..Default::default() };
+        let r = run_workload_with(&w.module, &w.tasks(Variant::AutoDae), &cfg, hooks).expect("run");
         let (a_ghz, e_ghz) = (table.point(access).ghz, table.point(execute).ghz);
         print_row(&format!("Auto DAE exec @ {e_ghz:.1} GHz"), &r);
         let path = trace_dir().join(format!("{}_access{:.1}_exec{:.1}.json", w.name, a_ghz, e_ghz));
@@ -116,11 +114,21 @@ fn main() {
         let cfg = cfg_for(FreqPolicy::Governed(kind));
         let mut gov = kind.build(&cfg.table);
         for _ in 0..warmup {
-            run_workload_governed(&w.module, &tasks, &cfg, gov.as_mut(), &mut NullSink)
-                .expect("run");
-        }
-        let r = run_workload_governed(&w.module, &tasks, &cfg, gov.as_mut(), &mut NullSink)
+            run_workload_with(
+                &w.module,
+                &tasks,
+                &cfg,
+                RunHooks { governor: Some(gov.as_mut()), ..Default::default() },
+            )
             .expect("run");
+        }
+        let r = run_workload_with(
+            &w.module,
+            &tasks,
+            &cfg,
+            RunHooks { governor: Some(gov.as_mut()), ..Default::default() },
+        )
+        .expect("run");
         print_row(label, &r);
         if let Some(g) = &r.governor {
             let converged = g.classes.iter().filter(|c| c.converged).count();

@@ -52,11 +52,11 @@ use dae_repro::governor::{BanditConfig, BanditEdp, GovernorKind, TaskClass};
 use dae_repro::ir::{parse::parse_module, print_module, verify_module, CodedError, Function};
 use dae_repro::pgo::{store::DEFAULT_MAX_RECORDS, ProfileCollector, ProfileStore};
 use dae_repro::runtime::{
-    run_workload, run_workload_governed, run_workload_profiled, run_workload_traced, CompileStats,
-    FreqPolicy, RuntimeConfig, TaskInstance,
+    run_workload, run_workload_with, CompileStats, FreqPolicy, RunHooks, RuntimeConfig,
+    TaskInstance,
 };
 use dae_repro::sim::{EngineKind, Val};
-use dae_repro::trace::{chrome, json::JsonValue, summary, NullSink, Recorder};
+use dae_repro::trace::{chrome, json::JsonValue, summary, Recorder};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -348,7 +348,8 @@ fn run_main() -> Result<(), String> {
             .collect();
         let cfg = RuntimeConfig::paper_default().with_policy(args.policy).with_engine(args.engine);
         let mut col = ProfileCollector::new();
-        run_workload_profiled(&module, &insts, &cfg, &mut col).map_err(|e| e.to_string())?;
+        let hooks = RunHooks { collector: Some(&mut col), ..Default::default() };
+        run_workload_with(&module, &insts, &cfg, hooks).map_err(|e| e.to_string())?;
         for (func, p) in col.take() {
             if let Some(&key) = outcome.keys.get(&func) {
                 st.merge_record(key, &p);
@@ -410,8 +411,13 @@ fn run_main() -> Result<(), String> {
                 let dae = vec![TaskInstance::decoupled(*task, access, argv)];
                 let run_cfg = base.clone().with_policy(args.policy);
                 let r2 = match seeded.as_mut() {
-                    Some(gov) => run_workload_governed(&module, &dae, &run_cfg, gov, &mut NullSink)
-                        .map_err(|e| e.to_string())?,
+                    Some(gov) => run_workload_with(
+                        &module,
+                        &dae,
+                        &run_cfg,
+                        RunHooks { governor: Some(gov), ..Default::default() },
+                    )
+                    .map_err(|e| e.to_string())?,
                     None => run_workload(&module, &dae, &run_cfg).map_err(|e| e.to_string())?,
                 };
                 println!(
@@ -443,8 +449,9 @@ fn run_main() -> Result<(), String> {
         let cfg = RuntimeConfig::paper_default().with_policy(args.policy).with_engine(args.engine);
         let mut rec = Recorder::new(cfg.cores);
         emit_spans(&outcome.spans, rec.cores(), &mut rec);
+        let hooks = RunHooks { sink: Some(&mut rec), ..Default::default() };
         let mut report =
-            run_workload_traced(&module, &insts, &cfg, &mut rec).map_err(|e| e.to_string())?;
+            run_workload_with(&module, &insts, &cfg, hooks).map_err(|e| e.to_string())?;
         report.compile = Some(compile_stats(&outcome));
         let meta: Vec<(String, JsonValue)> = vec![
             ("source".to_string(), args.file.as_str().into()),

@@ -12,10 +12,9 @@
 use dae_repro::governor::GovernorKind;
 use dae_repro::ir::{FunctionBuilder, Module, Type, Value};
 use dae_repro::runtime::{
-    run_workload, run_workload_governed, FreqPolicy, RuntimeConfig, TaskInstance,
+    run_workload, run_workload_with, FreqPolicy, RunHooks, RuntimeConfig, TaskInstance,
 };
 use dae_repro::sim::Val;
-use dae_repro::trace::NullSink;
 use dae_repro::workloads::{all_benchmarks_small, Variant};
 
 /// Warm-up passes before the measured run. The bandit must sweep 6 arms
@@ -38,11 +37,22 @@ fn bandit_reaches_within_10_percent_of_the_oracle_edp() {
         // bounded, exactly how a long-running runtime would amortise it.
         let mut gov = GovernorKind::Bandit { seed: 0xace }.build(&cfg.table);
         for _ in 0..WARMUP_RUNS {
-            run_workload_governed(&w.module, &tasks, &cfg, gov.as_mut(), &mut NullSink).unwrap();
+            run_workload_with(
+                &w.module,
+                &tasks,
+                &cfg,
+                RunHooks { governor: Some(gov.as_mut()), ..Default::default() },
+            )
+            .unwrap();
         }
-        let governed = run_workload_governed(&w.module, &tasks, &cfg, gov.as_mut(), &mut NullSink)
-            .unwrap()
-            .edp();
+        let governed = run_workload_with(
+            &w.module,
+            &tasks,
+            &cfg,
+            RunHooks { governor: Some(gov.as_mut()), ..Default::default() },
+        )
+        .unwrap()
+        .edp();
 
         println!(
             "{}: bandit {governed:.3e} vs oracle {oracle:.3e} ({:+.1}%)",
@@ -123,10 +133,22 @@ fn heuristic_beats_dae_minmax_on_mixed_boundedness() {
 
     let mut gov = GovernorKind::Heuristic.build(&cfg.table);
     for _ in 0..3 {
-        run_workload_governed(&m, &tasks, &cfg, gov.as_mut(), &mut NullSink).unwrap();
+        run_workload_with(
+            &m,
+            &tasks,
+            &cfg,
+            RunHooks { governor: Some(gov.as_mut()), ..Default::default() },
+        )
+        .unwrap();
     }
-    let governed =
-        run_workload_governed(&m, &tasks, &cfg, gov.as_mut(), &mut NullSink).unwrap().edp();
+    let governed = run_workload_with(
+        &m,
+        &tasks,
+        &cfg,
+        RunHooks { governor: Some(gov.as_mut()), ..Default::default() },
+    )
+    .unwrap()
+    .edp();
 
     assert!(
         governed < minmax,

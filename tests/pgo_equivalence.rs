@@ -14,7 +14,7 @@
 use dae_repro::driver::{Driver, DriverConfig};
 use dae_repro::ir::{print_module, verify_module};
 use dae_repro::pgo::{ProfileCollector, ProfileSet};
-use dae_repro::runtime::{run_workload, run_workload_profiled, RuntimeConfig};
+use dae_repro::runtime::{run_workload, run_workload_with, RunHooks, RuntimeConfig};
 use dae_repro::workloads::{all_benchmarks_small, Variant, Workload};
 
 /// Builds a fresh copy of benchmark `i` (compilation mutates the module,
@@ -57,11 +57,11 @@ fn collect_profile(i: usize) -> ProfileSet {
     let outcome = driver.compile(&mut w.module, opts);
     w.install_auto(outcome.map);
     let mut col = ProfileCollector::new();
-    run_workload_profiled(
+    run_workload_with(
         &w.module,
         &w.tasks(Variant::AutoDae),
         &RuntimeConfig::paper_default(),
-        &mut col,
+        RunHooks { collector: Some(&mut col), ..Default::default() },
     )
     .unwrap_or_else(|e| panic!("{}: profiled run failed: {e}", w.name));
     let mut set = ProfileSet::default();

@@ -10,7 +10,7 @@ use dae_repro::ir::CodedError;
 use dae_repro::pgo::{PhaseAgg, PhaseProfile, ProfileStore};
 use dae_repro::serve::proto::parse_request;
 use dae_repro::serve::{codes, Engine, EngineConfig, Request, MAX_FRAME_BYTES};
-use dae_repro::trace::json::JsonValue;
+use dae_repro::trace::json::{parse, validate, JsonValue};
 use proptest::prelude::*;
 
 const STREAM: &str = "\
@@ -64,6 +64,24 @@ fn work_request(op: &str, ir: &str) -> Request {
     parse_request(&frame).expect("well-formed envelope")
 }
 
+/// A valid `compile` frame carrying [`STREAM`] — the seed the truncation
+/// and mutation generators damage.
+fn compile_frame() -> String {
+    JsonValue::obj([("id", 1u64.into()), ("op", "compile".into()), ("ir", STREAM.into())])
+        .to_json_string()
+}
+
+/// `frame` cut at (or just before) byte `cut`, on a char boundary: the
+/// wire is bytes but the test API takes &str, and a real reader would
+/// frame at the newline.
+fn truncated(frame: &str, cut: usize) -> &str {
+    let mut end = cut.min(frame.len());
+    while !frame.is_char_boundary(end) {
+        end -= 1;
+    }
+    &frame[..end]
+}
+
 /// The token pool for [`ir_token_soup_never_panics`]: real-looking IR
 /// fragments reassembled at random dig deeper into the parser and
 /// verifier than uniform byte noise can.
@@ -102,21 +120,32 @@ proptest! {
     /// Truncating a valid frame mid-way models a client dying mid-write.
     #[test]
     fn truncated_valid_frames_fail_structurally(cut in 0usize..1200) {
-        let frame = JsonValue::obj([
-            ("id", 1u64.into()),
-            ("op", "compile".into()),
-            ("ir", STREAM.into()),
-        ])
-        .to_json_string();
-        let cut = cut.min(frame.len());
-        // Cut on a char boundary; the wire is bytes but the test API
-        // takes &str, and a real reader would frame at the newline.
-        let mut end = cut;
-        while !frame.is_char_boundary(end) {
-            end -= 1;
-        }
         let engine = Engine::new(&EngineConfig::default());
-        feed(&engine, &frame[..end]);
+        feed(&engine, truncated(&compile_frame(), cut));
+    }
+
+    /// The gateway passes a backend's response through unparsed once
+    /// `validate` accepts it, so `validate` must accept exactly what the
+    /// client's `parse` will: it is the same parser building nothing, and
+    /// byte soup, truncation and single-byte damage must not tell the two
+    /// apart.
+    #[test]
+    fn validate_agrees_with_parse_on_hostile_frames(
+        bytes in proptest::collection::vec(any::<u8>(), 0..400),
+        cut in 0usize..1200,
+        pos in 0usize..1200,
+        byte in 0u8..127,
+    ) {
+        let frame = compile_frame();
+        let mut mutated = frame.clone().into_bytes();
+        let pos = pos % mutated.len();
+        mutated[pos] = byte;
+        // The frame is pure ASCII and so is the new byte: still valid UTF-8.
+        let mutated = String::from_utf8(mutated).expect("ascii stays ascii");
+        let soup = String::from_utf8_lossy(&bytes);
+        for text in [&*soup, truncated(&frame, cut), &mutated, &frame] {
+            prop_assert_eq!(validate(text), parse(text).is_ok(), "{:?}", text);
+        }
     }
 
     /// Mutating one byte of the IR text: the parser/verifier rejects or
