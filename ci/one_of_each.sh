@@ -11,11 +11,13 @@ cd "$(dirname "$0")/.."
 
 fail=0
 
-# check <what> <owner(s), |-separated regex> <grep -E pattern>
+# check <what> <owner(s), |-separated regex> <grep -E pattern> [<only under, regex>]
+# With a fourth argument the rule applies only to the files it matches.
 check() {
-    local what=$1 owners=$2 pattern=$3 hits
+    local what=$1 owners=$2 pattern=$3 only=${4:-.*} hits
     hits=$(grep -rnEi --include='*.rs' -e "$pattern" crates src tests examples \
         | grep -vE "^crates/(perf|workloads)/" \
+        | grep -E "^($only):" \
         | grep -vE "^($owners):")
     if [ -n "$hits" ]; then
         echo "one_of_each: $what outside $owners:"
@@ -45,6 +47,20 @@ check "a connection front end (struct Conn)" \
 check "a hand-rolled JSON scanner" \
     "crates/trace/src/json.rs" \
     "b'[{\\[]'|json_syntax_ok"
+
+# The tree-walker is the differential oracle: library fields reach it,
+# no binary, bench or example does. (`[E]`: so that a grep for the retired
+# variable's name over the repo does not hit this rule.)
+check "an engine selector" \
+    "crates/sim/src/.*|tests/.*" \
+    'DAE_SIM_[E]NGINE|EngineKind::(Tree|parse|from_env)'
+
+# Host wall-clock is measured by crates/perf only; dae-bench reports model
+# quantities and no production crate carries a bench harness.
+check "a stopwatch (the benchmark is crates/perf)" \
+    "crates/perf/.*" \
+    'Instant::now' \
+    'crates/bench/.*|crates/[^/]*/src/bench\.rs'
 
 if [ "$fail" -eq 0 ]; then
     echo "one_of_each: ok"

@@ -1,4 +1,4 @@
-//! # dae-bench — harness regenerating every table and figure of the paper
+//! # dae-bench — figure/table and EDP harnesses (model outputs)
 //!
 //! Shared machinery for the bench targets (`cargo bench -p dae-bench`):
 //!
@@ -17,7 +17,11 @@
 //! | `fig3` | Figure 3 a/b/c at 500 ns and the 0 ns projection |
 //! | `fig4` | Figure 4 a–f (per-frequency time/energy profiles) |
 //! | `ablations` | design-choice ablations from DESIGN.md |
-//! | `compiler_perf` | criterion benches of the compiler itself |
+//! | `governor` | online governors vs. the offline policies (EDP) |
+//! | `pgo` | static vs. profile-refined EDP |
+//!
+//! Every target reports model quantities (virtual time, energy, EDP).
+//! Host wall-clock is measured by `dae-perf` (`crates/perf`), nowhere here.
 
 #![warn(missing_docs)]
 

@@ -48,6 +48,17 @@ impl Default for CompilerOptions {
     }
 }
 
+impl CompilerOptions {
+    /// These options for task `f`, with `hints` as its parameter hints when
+    /// there is exactly one per parameter and zeros otherwise — the one
+    /// rule by which a module-wide `--hints` list reaches a task.
+    pub fn with_hints_for(self, f: &dae_ir::Function, hints: &[i64]) -> Self {
+        let n = f.params.len();
+        let param_hints = if hints.len() == n { hints.to_vec() } else { vec![0; n] };
+        CompilerOptions { param_hints, ..self }
+    }
+}
+
 /// Why no access version was generated for a task (§3.1 and §5.2.2 safety
 /// conditions).
 #[derive(Clone, Debug, PartialEq, Eq)]

@@ -23,8 +23,6 @@
 //!   (`dae-gate-stats/1`) and the stable `gate.*` error-code vocabulary.
 //! * [`fault`] — a deterministic in-process fault-injection proxy
 //!   (drop/delay/close/garble/truncate, seeded) for tests.
-//! * [`mod@bench`] — the gateway benchmark harness behind `dae-load --target`
-//!   producing `BENCH_gate_*.json`.
 //!
 //! # Contract
 //!
@@ -37,14 +35,12 @@
 #![warn(missing_docs)]
 
 pub mod backend;
-pub mod bench;
 pub mod fault;
 pub mod gateway;
 pub mod metrics;
 pub mod ring;
 
 pub use backend::{Backend, CallError, HealthState};
-pub use bench::{bench_gate, GateBenchConfig};
 pub use fault::{FaultKind, FaultPlan, FaultProxy};
 pub use gateway::{GateConfig, Gateway};
 pub use metrics::{codes, GateMetrics, GATE_HEALTH_SCHEMA, GATE_STATS_SCHEMA};

@@ -278,21 +278,11 @@ fn record_path(dir: &Path, key: u64) -> PathBuf {
 }
 
 fn record_to_json(key: u64, p: &PhaseProfile) -> JsonValue {
-    let mut pairs = vec![("key", JsonValue::from(format!("{key:016x}")))];
+    let mut pairs = vec![("key".to_string(), JsonValue::from(format!("{key:016x}")))];
     if let JsonValue::Obj(body) = p.to_json() {
-        for (k, v) in body {
-            // Field names come from PhaseProfile::to_json and are 'static
-            // in spirit; re-borrow through the known literal set.
-            let name: &'static str = match k.as_str() {
-                "runs" => "runs",
-                "access" => "access",
-                "execute" => "execute",
-                _ => continue,
-            };
-            pairs.push((name, v));
-        }
+        pairs.extend(body);
     }
-    JsonValue::obj(pairs)
+    JsonValue::Obj(pairs)
 }
 
 fn record_from_json(v: &JsonValue) -> Option<(u64, PhaseProfile)> {
@@ -360,6 +350,17 @@ mod tests {
         let _ = std::fs::remove_dir_all(&d);
         std::fs::create_dir_all(&d).unwrap();
         d
+    }
+
+    #[test]
+    fn a_record_keeps_every_field_of_its_profile() {
+        let p = profile(3);
+        let rec = record_to_json(0xfeed, &p);
+        assert_eq!(record_from_json(&rec), Some((0xfeed, p)));
+        let JsonValue::Obj(body) = p.to_json() else { panic!("profiles print as objects") };
+        for (k, v) in &body {
+            assert_eq!(rec.get(k), Some(v), "field `{k}` survives into the record");
+        }
     }
 
     #[test]

@@ -46,4 +46,4 @@ pub use config::{FreqPolicy, RuntimeConfig};
 pub use dae_governor::GovernorKind;
 pub use dae_sim::EngineKind;
 pub use report::{Breakdown, ClassReport, CompileStats, GovernorReport, RunReport};
-pub use sched::{run_workload, run_workload_with, RunHooks, TaskInstance};
+pub use sched::{argv_for, run_workload, run_workload_with, RunHooks, TaskInstance};

@@ -12,7 +12,7 @@
 use crate::config::{FreqPolicy, RuntimeConfig};
 use crate::report::{Breakdown, ClassReport, GovernorReport, RunReport};
 use dae_governor::{Governor, PhaseObs, TaskClass, TaskObs};
-use dae_ir::{FuncId, Module};
+use dae_ir::{FuncId, Function, Module, Type};
 use dae_mem::{CoreCaches, SharedLlc};
 use dae_pgo::{PhaseSample, ProfileCollector};
 use dae_power::{phase_energy_split_j, select_optimal_edp, DvfsTable, FreqId, FreqPoint};
@@ -51,6 +51,19 @@ impl TaskInstance {
         self.epoch = epoch;
         self
     }
+}
+
+/// Argument vector for one invocation of task `f`: integer `hints`
+/// positionally, zero for every float parameter and past the hints' end.
+pub fn argv_for(f: &Function, hints: &[i64]) -> Vec<Val> {
+    f.params
+        .iter()
+        .enumerate()
+        .map(|(i, t)| match t {
+            Type::F64 => Val::F(0.0),
+            _ => Val::I(hints.get(i).copied().unwrap_or(0)),
+        })
+        .collect()
 }
 
 struct CoreState {

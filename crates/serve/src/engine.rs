@@ -34,9 +34,9 @@ use dae_driver::{Driver, DriverConfig};
 use dae_ir::{parse::parse_module, print_module, verify_module, FuncId, Function, Module};
 use dae_pgo::{ProfileCollector, ProfileStore};
 use dae_runtime::{
-    run_workload, run_workload_with, FreqPolicy, RunHooks, RuntimeConfig, TaskInstance,
+    argv_for, run_workload, run_workload_with, FreqPolicy, RunHooks, RuntimeConfig, TaskInstance,
 };
-use dae_sim::{EngineKind, Val};
+use dae_sim::EngineKind;
 use dae_trace::json::JsonValue;
 use dae_trace::{lock_recover, Fnv64, Lru};
 
@@ -70,9 +70,9 @@ pub struct EngineConfig {
     /// default leaves honest workloads three orders of magnitude of
     /// headroom.
     pub max_steps: u64,
-    /// Execution engine for simulated phases. Responses are identical
-    /// either way (the engines are observationally equivalent), so the
-    /// choice does not participate in the response-cache key.
+    /// Execution engine for simulated phases; no `daed` option sets it.
+    /// Responses are identical either way (the engines are observationally
+    /// equivalent), so it does not participate in the response-cache key.
     pub engine: EngineKind,
 }
 
@@ -206,11 +206,6 @@ impl Engine {
         }
     }
 
-    /// The execution engine simulated `run` requests use.
-    pub fn kind(&self) -> EngineKind {
-        self.engine
-    }
-
     /// Response-cache counters only (hits, misses, bytes) — cheap enough
     /// for the `health` fast path: unlike [`Engine::cache_json`] it never
     /// touches the driver lock, so a health probe cannot stall behind a
@@ -274,18 +269,9 @@ impl Engine {
         if tasks.is_empty() {
             return Err(ErrorBody::new(codes::BAD_REQUEST, "module contains no `task fn`"));
         }
-        let hints = req.hints.clone();
-        let outcome = {
-            let mut driver = self.lock_driver();
-            driver.compile(&mut module, |_, f: &Function| CompilerOptions {
-                param_hints: if hints.len() == f.params.len() {
-                    hints.clone()
-                } else {
-                    vec![0; f.params.len()]
-                },
-                ..CompilerOptions::default()
-            })
-        };
+        let outcome = self.lock_driver().compile(&mut module, |_, f: &Function| {
+            CompilerOptions::default().with_hints_for(f, &req.hints)
+        });
         verify_module(&module).map_err(|e| ErrorBody::from_coded(&e))?;
         Ok((module, Compiled { tasks, outcome }))
     }
@@ -300,7 +286,9 @@ impl Engine {
         };
         // Per-task comparison: coupled baseline at fmax vs decoupled under
         // the requested policy — the service twin of `daec --run`.
+        let cfg = base.clone().with_policy(policy);
         let mut per_task = Vec::with_capacity(c.tasks.len());
+        let mut insts = Vec::with_capacity(c.tasks.len());
         for &task in &c.tasks {
             let f = module.func(task);
             let argv = argv_for(f, &req.hints);
@@ -313,15 +301,19 @@ impl Engine {
             match c.outcome.map.access(task) {
                 Some(access) => {
                     let dae = vec![TaskInstance::decoupled(task, access, argv)];
-                    let r2 = run_workload(module, &dae, &base.clone().with_policy(policy))
-                        .map_err(|e| ErrorBody::from_coded(&e))?;
+                    let r2 =
+                        run_workload(module, &dae, &cfg).map_err(|e| ErrorBody::from_coded(&e))?;
                     entry.push(("dae".to_string(), headline(&r2)));
                     entry.push((
                         "edp_delta_percent".to_string(),
                         ((r2.edp() / r1.edp() - 1.0) * 100.0).into(),
                     ));
+                    insts.extend(dae);
                 }
-                None => entry.push(("dae".to_string(), JsonValue::Null)),
+                None => {
+                    entry.push(("dae".to_string(), JsonValue::Null));
+                    insts.extend(cae);
+                }
             }
             per_task.push(JsonValue::Obj(entry));
         }
@@ -329,18 +321,6 @@ impl Engine {
         // access phase exists — reported in full (`RunReport::to_json`).
         // Compile/cache statistics are deliberately not attached: they
         // vary with cache temperature and the report must not.
-        let insts: Vec<TaskInstance> = c
-            .tasks
-            .iter()
-            .map(|&t| {
-                let argv = argv_for(module.func(t), &req.hints);
-                match c.outcome.map.access(t) {
-                    Some(a) => TaskInstance::decoupled(t, a, argv),
-                    None => TaskInstance::coupled(t, argv),
-                }
-            })
-            .collect();
-        let cfg = base.clone().with_policy(policy);
         // The whole-module run doubles as profile collection: the phase
         // counters ride along without changing the report (the collector
         // only observes), so the response bytes stay exactly what
@@ -414,19 +394,11 @@ impl Engine {
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 let mut module = parse_module(&m.ir).ok()?;
                 verify_module(&module).ok()?;
-                let hints = m.hints.clone();
                 // The snapshot is lent to this one compile, never installed:
                 // a panic in here cannot leave foreground compiles refined.
                 let outcome =
                     self.lock_driver().compile_with(&snapshot, &mut module, |_, f: &Function| {
-                        CompilerOptions {
-                            param_hints: if hints.len() == f.params.len() {
-                                hints.clone()
-                            } else {
-                                vec![0; f.params.len()]
-                            },
-                            ..CompilerOptions::default()
-                        }
+                        CompilerOptions::default().with_hints_for(f, &m.hints)
                     });
                 Some(outcome.refined)
             }));
@@ -584,19 +556,6 @@ fn headline(r: &dae_runtime::RunReport) -> JsonValue {
         ("energy_j", r.energy_j.into()),
         ("edp", r.edp().into()),
     ])
-}
-
-/// Argument vector for one task invocation: integer hints positionally,
-/// zero elsewhere (mirrors `daec`).
-fn argv_for(f: &Function, hints: &[i64]) -> Vec<Val> {
-    f.params
-        .iter()
-        .enumerate()
-        .map(|(i, t)| match t {
-            dae_ir::Type::F64 => Val::F(0.0),
-            _ => Val::I(hints.get(i).copied().unwrap_or(0)),
-        })
-        .collect()
 }
 
 /// Best-effort text of a panic payload.

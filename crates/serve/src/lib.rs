@@ -5,7 +5,7 @@
 //! `report`, `run` (the work ops), plus `stats`, `profiles` and `health`
 //! (control ops), with `shutdown` starting a graceful drain. Two binaries ship on
 //! top: `daed` (the daemon) and `dae-load` (a deterministic seeded load
-//! generator producing `BENCH_serve_*.json`).
+//! generator for a running daemon).
 //!
 //! The moving parts, one module each:
 //!
@@ -25,14 +25,13 @@
 //!   (control-op bodies, the response-cache fast path, the work function).
 //! * [`metrics`] — counters and log-bucketed latency histograms behind the
 //!   `stats` endpoint.
-//! * [`load`] — the seeded load generator and the multi-worker-count
-//!   benchmark harness.
+//! * [`load`] — the seeded load generator.
 //!
 //! # Protocol at a glance
 //!
 //! ```text
 //! $ printf '{"id":1,"op":"health"}\n' | nc 127.0.0.1 7777
-//! {"id":1,"ok":true,"result":{"schema":"dae-serve-health/3","status":"ok",...}}
+//! {"id":1,"ok":true,"result":{"schema":"dae-serve-health/4","status":"ok",...}}
 //! ```
 //!
 //! Work requests carry the IR inline and answer with either a `result`
@@ -55,7 +54,7 @@ pub use dae_sim::EngineKind;
 pub use dae_trace::Fnv64;
 pub use engine::{request_key, Engine, EngineConfig, PROFILES_SCHEMA};
 pub use front::{install_signal_drain, signal_drain_requested};
-pub use load::{bench_workers, run_load, LoadConfig, LoadReport, Mix};
+pub use load::{run_load, LoadConfig, LoadReport, Mix};
 pub use metrics::{Metrics, STATS_SCHEMA};
 pub use proto::{
     codes, err_response, ok_response, ok_response_raw, parse_request, ErrorBody, Op, Request,

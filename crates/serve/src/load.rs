@@ -7,11 +7,9 @@
 //! for. Two seeds, two runs, one machine → the same request sequence; only
 //! the measured latencies differ.
 //!
-//! [`bench_workers`] goes one step further for `BENCH_serve_*.json`: it
-//! spins up **in-process** servers at several worker counts, drives the
-//! same mix at each, and compares against a serial cold-engine baseline
-//! (a fresh [`Engine`] per request — the service equivalent of invoking
-//! `daec` once per program, cold cache every time).
+//! Throughput and latency *measurement* of the serving stack lives in
+//! `dae-perf` (`serve-hit`, `serve-miss`, `gate-fleet`), which replays
+//! these same streams through [`client_rng`] and [`request_frame`].
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -21,15 +19,8 @@ use dae_trace::json::JsonValue;
 use dae_trace::LogHistogram;
 use dae_trace::SplitMix64;
 
-use crate::engine::{Engine, EngineConfig};
-use crate::proto::parse_request;
-use crate::server::{Server, ServerConfig};
-use dae_sim::EngineKind;
-
 /// Schema tag of a load run's JSON report.
 pub const LOAD_SCHEMA: &str = "dae-serve-load/1";
-/// Schema tag of the multi-worker bench JSON.
-pub const BENCH_SCHEMA: &str = "dae-serve-bench/1";
 
 /// Distinct programs in the corpus; variants cycle through it.
 pub const CORPUS: usize = 8;
@@ -287,9 +278,9 @@ fn client_loop(cfg: &LoadConfig, client: u64, share: usize) -> std::io::Result<L
     Ok(report)
 }
 
-/// One seeded draw: which program, which op, which hint. Both the live
-/// clients and the serial baseline consume the rng in this exact order,
-/// so a seed names one reproducible workload everywhere.
+/// One seeded draw: which program, which op, which hint. The live clients
+/// and [`request_frame`] consume the rng in this exact order, so a seed
+/// names one reproducible workload everywhere.
 fn request_parts(mix: Mix, rng: &mut SplitMix64) -> (usize, &'static str, u64) {
     let variant = (rng.next_u64() % CORPUS as u64) as usize;
     let op = mix.op_for(rng.next_u64());
@@ -307,18 +298,17 @@ fn request_parts(mix: Mix, rng: &mut SplitMix64) -> (usize, &'static str, u64) {
 /// share. SplitMix64 advances its state by a fixed odd constant per draw,
 /// so seeding client `c` at `seed + c * 0x9e37` starts each client on its
 /// own arithmetic progression of states — distinct clients never collide,
-/// and any harness (the concurrent generator, the serial baseline, the
-/// gateway bench driving `--target gate`) that splits with this exact
-/// function replays byte-identical per-client request sequences for a
-/// given seed. Inlining the formula instead of calling this is how the
-/// streams drift apart.
+/// and any harness (the concurrent generator here, the `dae-perf`
+/// workloads) that splits with this exact function replays byte-identical
+/// per-client request sequences for a given seed. Inlining the formula
+/// instead of calling this is how the streams drift apart.
 pub fn client_rng(seed: u64, client: u64) -> SplitMix64 {
     SplitMix64::new(seed.wrapping_add(client.wrapping_mul(0x9e37)))
 }
 
 /// The `id`s encode client and sequence so responses are traceable in a
 /// packet capture; the rng picks the program and the op. Public so other
-/// harnesses (the gateway bench) can replay the identical stream: client
+/// harnesses (`dae-perf`) can replay the identical stream: client
 /// `c`'s rng is [`client_rng`]`(seed, c)` and its ids are
 /// `c * 1_000_000 + k`.
 pub fn request_frame(mix: Mix, rng: &mut SplitMix64, id: u64) -> JsonValue {
@@ -329,137 +319,6 @@ pub fn request_frame(mix: Mix, rng: &mut SplitMix64, id: u64) -> JsonValue {
         ("ir", corpus_program(variant).into()),
         ("hints", JsonValue::Arr(vec![hint.into()])),
     ])
-}
-
-/// Serial cold baseline: a **fresh engine per request** handles the same
-/// deterministic mix inline — no cache reuse, no concurrency. This is the
-/// denominator of the bench's speedup column.
-pub fn serial_cold_baseline(
-    requests: usize,
-    clients: usize,
-    seed: u64,
-    mix: Mix,
-    engine: EngineKind,
-) -> LoadReport {
-    let clients = clients.max(1);
-    let started = Instant::now();
-    let mut report =
-        LoadReport { sent: 0, ok: 0, failed: 0, shed: 0, wall_s: 0.0, hist: LogHistogram::new() };
-    // Replay the identical per-client streams, just serially.
-    for c in 0..clients {
-        let share = requests / clients + if c < requests % clients { 1 } else { 0 };
-        let mut rng = client_rng(seed, c as u64);
-        for k in 0..share {
-            let frame = request_frame(mix, &mut rng, (c * 1_000_000 + k) as u64);
-            let req = parse_request(&frame.to_json_string()).expect("generated frame is valid");
-            let engine = Engine::new(&EngineConfig { engine, ..EngineConfig::default() });
-            let t0 = Instant::now();
-            let res = engine.handle(&req);
-            report.hist.record(t0.elapsed().as_secs_f64());
-            report.sent += 1;
-            match res {
-                Ok(_) => report.ok += 1,
-                Err(_) => report.failed += 1,
-            }
-        }
-    }
-    report.wall_s = started.elapsed().as_secs_f64();
-    report
-}
-
-/// Runs the full bench: serial cold baseline, then an in-process server at
-/// each worker count (warmed with one pass over the corpus), all on the
-/// same seeded mix. Returns the `BENCH_serve_*.json` document.
-///
-/// Each measurement is the best of `trials` runs. Best-of, not mean-of:
-/// on a shared machine the noise is one-sided (a neighbour stealing the
-/// CPU only ever slows a trial down), so the fastest trial is the best
-/// estimate of what the code actually costs.
-#[allow(clippy::too_many_arguments)]
-pub fn bench_workers(
-    worker_counts: &[usize],
-    requests: usize,
-    clients: usize,
-    seed: u64,
-    mix: Mix,
-    trials: usize,
-    engine: EngineKind,
-) -> std::io::Result<JsonValue> {
-    let trials = trials.max(1);
-    let baseline = (0..trials)
-        .map(|_| serial_cold_baseline(requests, clients, seed, mix, engine))
-        .max_by(|a, b| a.throughput_rps().total_cmp(&b.throughput_rps()))
-        .expect("at least one trial");
-    let mut servers = Vec::new();
-    for &workers in worker_counts {
-        let server = Server::bind(&ServerConfig {
-            workers,
-            queue_depth: requests.max(64),
-            engine: EngineConfig { engine, ..EngineConfig::default() },
-            ..Default::default()
-        })?;
-        let addr = server.local_addr()?.to_string();
-        let handle = std::thread::spawn(move || server.run());
-        // Warm the shared cache: one compile of every corpus program.
-        warm(&addr)?;
-        let cfg = LoadConfig { addr: addr.clone(), requests, clients, seed, mix };
-        let mut report = run_load(&cfg)?;
-        for _ in 1..trials {
-            let again = run_load(&cfg)?;
-            if again.throughput_rps() > report.throughput_rps() {
-                report = again;
-            }
-        }
-        shutdown(&addr)?;
-        handle.join().expect("server thread").expect("server run");
-        let mut entry = match report.to_json() {
-            JsonValue::Obj(pairs) => pairs,
-            _ => unreachable!(),
-        };
-        entry.insert(1, ("workers".to_string(), workers.into()));
-        entry.push((
-            "speedup_vs_serial_cold".to_string(),
-            if baseline.throughput_rps() > 0.0 {
-                (report.throughput_rps() / baseline.throughput_rps()).into()
-            } else {
-                JsonValue::Null
-            },
-        ));
-        servers.push(JsonValue::Obj(entry));
-    }
-    Ok(JsonValue::obj([
-        ("schema", BENCH_SCHEMA.into()),
-        ("requests", requests.into()),
-        ("clients", clients.into()),
-        ("seed", seed.into()),
-        ("trials", trials.into()),
-        ("engine", engine.label().into()),
-        ("mix", mix.label().into()),
-        ("baseline", baseline.to_json()),
-        ("servers", JsonValue::Arr(servers)),
-    ]))
-}
-
-/// One `compile` of every corpus program, so the measured run hits warm.
-fn warm(addr: &str) -> std::io::Result<()> {
-    let stream = TcpStream::connect(addr)?;
-    stream.set_nodelay(true)?;
-    let mut writer = stream.try_clone()?;
-    let mut reader = BufReader::new(stream);
-    for v in 0..CORPUS {
-        let frame = JsonValue::obj([
-            ("id", (v as u64).into()),
-            ("op", "compile".into()),
-            ("ir", corpus_program(v).into()),
-            ("hints", JsonValue::Arr(vec![64u64.into()])),
-        ]);
-        let mut line = frame.to_json_string();
-        line.push('\n');
-        writer.write_all(line.as_bytes())?;
-        let mut resp = String::new();
-        reader.read_line(&mut resp)?;
-    }
-    Ok(())
 }
 
 /// Sends a `shutdown` request and waits for the acknowledgement.
@@ -507,6 +366,7 @@ mod tests {
 
     #[test]
     fn end_to_end_load_against_an_in_process_server() {
+        use crate::server::{Server, ServerConfig};
         let server =
             Server::bind(&ServerConfig { workers: 2, queue_depth: 64, ..Default::default() })
                 .unwrap();
@@ -523,13 +383,5 @@ mod tests {
         assert!(v.get("throughput_rps").unwrap().as_f64().unwrap() > 0.0);
         shutdown(&addr).unwrap();
         handle.join().unwrap().unwrap();
-    }
-
-    #[test]
-    fn serial_baseline_handles_the_same_mix() {
-        let r = serial_cold_baseline(6, 2, 3, Mix::Compile, EngineKind::default());
-        assert_eq!(r.sent, 6);
-        assert_eq!(r.ok, 6);
-        assert!(r.wall_s > 0.0);
     }
 }

@@ -15,9 +15,9 @@ use dae_trace::{lock_recover, LogHistogram};
 
 use crate::front::AdmissionCounters;
 
-/// Schema tag of the `stats` result object. `/2` added the engine kind;
-/// `/3` added the `pgo` section (profile records, recompile counters).
-pub const STATS_SCHEMA: &str = "dae-serve-stats/3";
+/// Schema tag of the `stats` result object. `/3` added the `pgo` section
+/// (profile records, recompile counters); `/4` dropped the `engine` key.
+pub const STATS_SCHEMA: &str = "dae-serve-stats/4";
 
 /// Work-operation index into the per-op histogram array.
 #[derive(Clone, Copy)]
@@ -76,14 +76,12 @@ impl Metrics {
         lock_recover(&self.service[op as usize]).record(service.as_secs_f64());
     }
 
-    /// The `stats` result object. `queue_depth`, the engine label and the
-    /// cache and pgo sections are sampled by the caller (they live outside
-    /// this struct).
+    /// The `stats` result object. `queue_depth` and the cache and pgo
+    /// sections are sampled by the caller (they live outside this struct).
     pub fn to_json(
         &self,
         queue_depth: usize,
         workers: usize,
-        engine: &str,
         cache: JsonValue,
         pgo: JsonValue,
     ) -> JsonValue {
@@ -99,7 +97,6 @@ impl Metrics {
             ("schema", STATS_SCHEMA.into()),
             ("uptime_s", self.started.elapsed().as_secs_f64().into()),
             ("workers", workers.into()),
-            ("engine", engine.into()),
             ("queue_depth", queue_depth.into()),
             (
                 "requests",
@@ -141,14 +138,12 @@ mod tests {
         let v = m.to_json(
             2,
             8,
-            "bytecode",
             JsonValue::obj([("mem_hits", 7u64.into())]),
             JsonValue::obj([("profile_records", 2u64.into())]),
         );
         assert_eq!(v.get("schema").unwrap().as_str(), Some(STATS_SCHEMA));
         assert_eq!(v.get("queue_depth").unwrap().as_f64(), Some(2.0));
         assert_eq!(v.get("workers").unwrap().as_f64(), Some(8.0));
-        assert_eq!(v.get("engine").unwrap().as_str(), Some("bytecode"));
         let r = v.get("requests").unwrap();
         assert_eq!(r.get("accepted").unwrap().as_f64(), Some(5.0));
         assert_eq!(r.get("shed").unwrap().as_f64(), Some(1.0));
@@ -168,7 +163,7 @@ mod tests {
         m.record(WorkOp::Compile, Duration::ZERO, Duration::from_millis(1));
         m.record(WorkOp::Compile, Duration::ZERO, Duration::from_millis(2));
         m.record(WorkOp::Report, Duration::ZERO, Duration::from_millis(1));
-        let v = m.to_json(0, 1, "tree", JsonValue::Null, JsonValue::Null);
+        let v = m.to_json(0, 1, JsonValue::Null, JsonValue::Null);
         let lat = v.get("latency").unwrap();
         assert_eq!(lat.get("compile").unwrap().get("count").unwrap().as_f64(), Some(2.0));
         assert_eq!(lat.get("report").unwrap().get("count").unwrap().as_f64(), Some(1.0));

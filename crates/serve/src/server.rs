@@ -17,10 +17,11 @@ use crate::metrics::{Metrics, WorkOp};
 use crate::proto::{codes, err_response, ok_response_raw, Op, Request};
 
 /// Schema tag of the `health` result object. `/2` added the routing
-/// inputs a gateway needs from one cheap probe: engine kind, queue
-/// depth/capacity, worker count and response-cache counters. `/3` added
-/// the `pgo` section (profile records held, recompile-worker counters).
-pub const HEALTH_SCHEMA: &str = "dae-serve-health/3";
+/// inputs a gateway needs from one cheap probe: queue depth/capacity,
+/// worker count and response-cache counters. `/3` added the `pgo` section
+/// (profile records held, recompile-worker counters); `/4` dropped the
+/// `engine` key.
+pub const HEALTH_SCHEMA: &str = "dae-serve-health/4";
 
 /// Daemon construction knobs.
 #[derive(Clone, Debug)]
@@ -117,14 +118,12 @@ impl Service for Daed {
             Op::Stats => self.metrics.to_json(
                 g.queue_depth,
                 g.workers,
-                engine.kind().label(),
                 engine.cache_json(),
                 engine.pgo_json(),
             ),
             Op::Health => JsonValue::obj([
                 ("schema", HEALTH_SCHEMA.into()),
                 ("status", if g.draining { "draining" } else { "ok" }.into()),
-                ("engine", engine.kind().label().into()),
                 ("workers", g.workers.into()),
                 ("queue_depth", g.queue_depth.into()),
                 ("queue_capacity", g.queue_capacity.into()),

@@ -48,56 +48,18 @@ mod lower;
 
 pub(crate) use exec::VmState;
 
-/// Which interpreter executes simulated phases.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+/// Which interpreter executes simulated phases. No binary can select
+/// [`EngineKind::Tree`]: it is reached only through the library fields
+/// that `tests/engine_equivalence.rs` and the benchmark's oracle set.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum EngineKind {
-    /// The reference tree-walking interpreter ([`crate::interp`]).
+    /// The reference tree-walking interpreter ([`crate::interp`]), kept
+    /// as the differential oracle.
     Tree,
     /// The pre-lowered bytecode engine (this module). Observationally
     /// identical to [`EngineKind::Tree`], several times faster.
+    #[default]
     Bytecode,
-}
-
-impl Default for EngineKind {
-    /// [`EngineKind::Bytecode`] unless the `DAE_SIM_ENGINE` environment
-    /// variable is set to `tree` (read once per process).
-    fn default() -> Self {
-        EngineKind::from_env()
-    }
-}
-
-impl EngineKind {
-    /// The process-wide default engine: `tree` if `DAE_SIM_ENGINE=tree`,
-    /// bytecode otherwise. The variable is read once and latched, so one
-    /// process never mixes defaults.
-    pub fn from_env() -> EngineKind {
-        static KIND: std::sync::OnceLock<EngineKind> = std::sync::OnceLock::new();
-        *KIND.get_or_init(|| match std::env::var("DAE_SIM_ENGINE").as_deref() {
-            Ok("tree") => EngineKind::Tree,
-            _ => EngineKind::Bytecode,
-        })
-    }
-
-    /// Parses `tree` or `bytecode` (the `--engine` CLI values).
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the accepted values for anything else.
-    pub fn parse(s: &str) -> Result<EngineKind, String> {
-        match s {
-            "tree" => Ok(EngineKind::Tree),
-            "bytecode" => Ok(EngineKind::Bytecode),
-            other => Err(format!("unknown engine `{other}` (tree or bytecode)")),
-        }
-    }
-
-    /// Stable lowercase name; `EngineKind::parse(k.label())` round-trips.
-    pub fn label(self) -> &'static str {
-        match self {
-            EngineKind::Tree => "tree",
-            EngineKind::Bytecode => "bytecode",
-        }
-    }
 }
 
 /// One function lowered to bytecode: what it cost and what came out.
@@ -115,17 +77,4 @@ pub struct LowerSpan {
     pub fused: u32,
     /// Host wall-clock spent lowering, in seconds.
     pub wall_s: f64,
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn engine_kind_parses_and_round_trips() {
-        for k in [EngineKind::Tree, EngineKind::Bytecode] {
-            assert_eq!(EngineKind::parse(k.label()), Ok(k));
-        }
-        assert!(EngineKind::parse("walker").is_err());
-    }
 }

@@ -1,172 +1,68 @@
-//! `dae-load` — deterministic seeded load generator for `daed` and `daeg`.
+//! `dae-load` — deterministic seeded load generator for a running `daed`
+//! or `daeg`.
 //!
-//! Replays a reproducible request mix (see `dae_serve::load`) and writes a
-//! `BENCH_serve_*.json` / `BENCH_gate_*.json` report with throughput and
-//! latency percentiles.
+//! Replays a reproducible request mix (see `dae_serve::load`) against
+//! `--addr` and writes a `dae-serve-load/1` report with throughput and
+//! latency percentiles. Exits non-zero if any request failed or was shed
+//! (pass `--allow-shed` when overload is the point); `serve.overloaded`
+//! and `gate.overloaded` both count as shed, so the same invocation
+//! drives a daemon or a gateway.
 //!
 //! ```text
-//! dae-load [--target serve|gate] [--addr HOST:PORT] [--requests N]
-//!          [--clients N] [--seed S] [--mix compile|run|mixed|warm]
-//!          [--workers 1,2,8] [--fleets 1,2,3] [--trials N]
-//!          [--engine tree|bytecode] [--out <file>] [--allow-shed]
+//! dae-load --addr HOST:PORT [--requests N] [--clients N] [--seed S]
+//!          [--mix compile|run|mixed|warm] [--out <file>] [--allow-shed]
 //! ```
 //!
-//! `--target serve` (the default) measures the daemon itself:
-//!
-//! * **`--addr`** — drive an already-running daemon; writes
-//!   `BENCH_serve_load.json`. Exits non-zero if any request failed or was
-//!   shed (pass `--allow-shed` when overload is the point).
-//! * **no `--addr`** — the self-contained benchmark: an in-process server
-//!   per `--workers` entry (default `1,2,8`), each warmed and driven with
-//!   the same seeded mix, compared against a serial cold-engine baseline;
-//!   writes `BENCH_serve_workers.json` with a `speedup_vs_serial_cold`
-//!   column. `--engine` selects the simulator execution engine for the
-//!   in-process servers and the baseline, making tree-vs-bytecode
-//!   throughput A/B runs one command each (in `--addr` mode the engine is
-//!   whatever the remote daemon was started with, so the flag is refused).
-//!
-//! `--target gate` measures the gateway:
-//!
-//! * **`--addr`** — drive an already-running `daeg`; writes
-//!   `BENCH_gate_load.json` (the protocol is identical, so the same mix
-//!   machinery applies; `gate.overloaded` counts as shed).
-//! * **no `--addr`** — the self-contained gateway benchmark: an in-process
-//!   fleet per `--fleets` entry (default `1,2,3`) behind one gateway, each
-//!   backend's response cache sized to *half* the probed working set so a
-//!   single backend must thrash, driven with the warm mix and compared
-//!   against a single direct `daed` baseline; writes
-//!   `BENCH_gate_workers.json` with a `speedup_vs_single_direct` column.
-//!
-//! Reports land in `target/repro/` unless `--out` says otherwise.
+//! The report lands in `target/repro/BENCH_serve_load.json` unless `--out`
+//! says otherwise. It is a smoke check, not a benchmark: the repo's
+//! performance numbers come from `dae-perf` (`crates/perf`).
 
-use dae_repro::gate::{bench_gate, GateBenchConfig};
-use dae_repro::serve::{bench_workers, run_load, EngineKind, LoadConfig, Mix};
-use dae_repro::trace::json::JsonValue;
+use dae_repro::serve::{run_load, LoadConfig, Mix};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
+const USAGE: &str = "usage: dae-load --addr HOST:PORT [--requests N] [--clients N] [--seed S] \
+                     [--mix compile|run|mixed|warm] [--out <file>] [--allow-shed]";
+
 struct Args {
-    target: Target,
-    addr: Option<String>,
-    requests: usize,
-    clients: usize,
-    seed: u64,
-    mix: Mix,
-    workers: Vec<usize>,
-    fleets: Vec<usize>,
-    trials: usize,
-    engine: Option<EngineKind>,
-    out: Option<PathBuf>,
+    load: LoadConfig,
+    out: PathBuf,
     allow_shed: bool,
 }
 
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Target {
-    Serve,
-    Gate,
-}
-
 fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        target: Target::Serve,
-        addr: None,
-        requests: 200,
-        clients: 4,
-        seed: 42,
-        mix: Mix::Compile,
-        workers: vec![1, 2, 8],
-        fleets: vec![1, 2, 3],
-        trials: 3,
-        engine: None,
-        out: None,
-        allow_shed: false,
-    };
+    let mut load = LoadConfig::default();
+    let mut out = PathBuf::from("target/repro/BENCH_serve_load.json");
+    let mut allow_shed = false;
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         let mut value = |what: &str| it.next().ok_or(format!("{what} needs a value"));
         match a.as_str() {
-            "--target" => {
-                args.target = match value("--target")?.as_str() {
-                    "serve" => Target::Serve,
-                    "gate" => Target::Gate,
-                    other => return Err(format!("unknown target `{other}` (serve or gate)")),
-                }
-            }
-            "--addr" => args.addr = Some(value("--addr")?),
+            "--addr" => load.addr = value("--addr")?,
             "--requests" => {
-                args.requests =
+                load.requests =
                     value("--requests")?.parse().map_err(|e| format!("bad request count: {e}"))?
             }
             "--clients" => {
-                args.clients =
+                load.clients =
                     value("--clients")?.parse().map_err(|e| format!("bad client count: {e}"))?;
-                if args.clients == 0 {
+                if load.clients == 0 {
                     return Err("--clients must be at least 1".into());
                 }
             }
             "--seed" => {
-                args.seed = value("--seed")?.parse().map_err(|e| format!("bad seed: {e}"))?
+                load.seed = value("--seed")?.parse().map_err(|e| format!("bad seed: {e}"))?
             }
-            "--mix" => args.mix = Mix::parse(&value("--mix")?)?,
-            "--workers" => {
-                args.workers = value("--workers")?
-                    .split(',')
-                    .map(|s| s.trim().parse::<usize>().map_err(|e| format!("bad workers: {e}")))
-                    .collect::<Result<_, _>>()?;
-                if args.workers.is_empty() || args.workers.contains(&0) {
-                    return Err("--workers needs positive counts, e.g. 1,2,8".into());
-                }
-            }
-            "--fleets" => {
-                args.fleets = value("--fleets")?
-                    .split(',')
-                    .map(|s| s.trim().parse::<usize>().map_err(|e| format!("bad fleets: {e}")))
-                    .collect::<Result<_, _>>()?;
-                if args.fleets.is_empty() || args.fleets.contains(&0) {
-                    return Err("--fleets needs positive counts, e.g. 1,2,3".into());
-                }
-            }
-            "--trials" => {
-                args.trials =
-                    value("--trials")?.parse().map_err(|e| format!("bad trial count: {e}"))?;
-                if args.trials == 0 {
-                    return Err("--trials must be at least 1".into());
-                }
-            }
-            "--engine" => args.engine = Some(EngineKind::parse(&value("--engine")?)?),
-            "--out" => args.out = Some(PathBuf::from(value("--out")?)),
-            "--allow-shed" => args.allow_shed = true,
-            other => {
-                return Err(format!(
-                    "unknown argument `{other}`\n\
-                     usage: dae-load [--target serve|gate] [--addr HOST:PORT] [--requests N] \
-                     [--clients N] [--seed S] [--mix compile|run|mixed|warm] [--workers 1,2,8] \
-                     [--fleets 1,2,3] [--trials N] [--engine tree|bytecode] [--out <file>] \
-                     [--allow-shed]"
-                ))
-            }
+            "--mix" => load.mix = Mix::parse(&value("--mix")?)?,
+            "--out" => out = PathBuf::from(value("--out")?),
+            "--allow-shed" => allow_shed = true,
+            other => return Err(format!("unknown argument `{other}`\n{USAGE}")),
         }
     }
-    if args.addr.is_some() && args.engine.is_some() {
-        return Err("--engine only applies to the self-contained bench mode (no --addr): \
-             a remote daemon's engine is fixed by its own --engine flag"
-            .into());
+    if load.addr.is_empty() {
+        return Err(format!("--addr is required\n{USAGE}"));
     }
-    if args.target == Target::Gate && args.engine.is_some() {
-        return Err("--engine is not supported with --target gate \
-             (the gateway bench always uses the default engine)"
-            .into());
-    }
-    Ok(args)
-}
-
-fn write_report(path: &PathBuf, doc: &JsonValue) -> Result<(), String> {
-    if let Some(dir) = path.parent() {
-        std::fs::create_dir_all(dir)
-            .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
-    }
-    std::fs::write(path, doc.to_json_string())
-        .map_err(|e| format!("cannot write {}: {e}", path.display()))
+    Ok(Args { load, out, allow_shed })
 }
 
 fn main() -> ExitCode {
@@ -180,130 +76,31 @@ fn main() -> ExitCode {
 }
 
 fn run_main() -> Result<(), String> {
-    let args = parse_args()?;
-    if args.target == Target::Gate && args.addr.is_none() {
-        return run_gate_bench(&args);
+    let Args { load, out, allow_shed } = parse_args()?;
+    let report = run_load(&load).map_err(|e| format!("load against {} failed: {e}", load.addr))?;
+    if let Some(dir) = out.parent() {
+        std::fs::create_dir_all(dir)
+            .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
     }
-    match &args.addr {
-        Some(addr) => {
-            let cfg = LoadConfig {
-                addr: addr.clone(),
-                requests: args.requests,
-                clients: args.clients,
-                seed: args.seed,
-                mix: args.mix,
-            };
-            let report = run_load(&cfg).map_err(|e| format!("load against {addr} failed: {e}"))?;
-            let default_out = match args.target {
-                Target::Serve => "target/repro/BENCH_serve_load.json",
-                Target::Gate => "target/repro/BENCH_gate_load.json",
-            };
-            let out = args.out.unwrap_or_else(|| PathBuf::from(default_out));
-            write_report(&out, &report.to_json())?;
-            println!(
-                "dae-load: {} sent, {} ok, {} failed, {} shed \
-                 | {:.1} req/s, p50 {:.2} ms, p99 {:.2} ms -> {}",
-                report.sent,
-                report.ok,
-                report.failed,
-                report.shed,
-                report.throughput_rps(),
-                report.hist.quantile_s(0.50) * 1e3,
-                report.hist.quantile_s(0.99) * 1e3,
-                out.display()
-            );
-            if report.failed > 0 {
-                return Err(format!("{} requests failed", report.failed));
-            }
-            if report.shed > 0 && !args.allow_shed {
-                return Err(format!(
-                    "{} requests shed (pass --allow-shed to tolerate)",
-                    report.shed
-                ));
-            }
-            Ok(())
-        }
-        None => {
-            let doc = bench_workers(
-                &args.workers,
-                args.requests,
-                args.clients,
-                args.seed,
-                args.mix,
-                args.trials,
-                args.engine.unwrap_or_default(),
-            )
-            .map_err(|e| format!("bench failed: {e}"))?;
-            let out =
-                args.out.unwrap_or_else(|| PathBuf::from("target/repro/BENCH_serve_workers.json"));
-            write_report(&out, &doc)?;
-            let base_rps = doc
-                .get("baseline")
-                .and_then(|b| b.get("throughput_rps"))
-                .and_then(JsonValue::as_f64)
-                .unwrap_or(0.0);
-            println!("dae-load: serial cold baseline {base_rps:.1} req/s");
-            if let Some(servers) = doc.get("servers").and_then(JsonValue::as_arr) {
-                for s in servers {
-                    println!(
-                        "dae-load: {} workers: {:.1} req/s ({:.1}x serial cold), p99 {:.2} ms",
-                        s.get("workers").and_then(JsonValue::as_f64).unwrap_or(0.0),
-                        s.get("throughput_rps").and_then(JsonValue::as_f64).unwrap_or(0.0),
-                        s.get("speedup_vs_serial_cold").and_then(JsonValue::as_f64).unwrap_or(0.0),
-                        s.get("latency")
-                            .and_then(|l| l.get("p99_s"))
-                            .and_then(JsonValue::as_f64)
-                            .unwrap_or(0.0)
-                            * 1e3,
-                    );
-                }
-            }
-            println!("dae-load: report -> {}", out.display());
-            Ok(())
-        }
-    }
-}
-
-/// The self-contained gateway benchmark (`--target gate`, no `--addr`).
-fn run_gate_bench(args: &Args) -> Result<(), String> {
-    let cfg = GateBenchConfig {
-        fleets: args.fleets.clone(),
-        requests: args.requests,
-        clients: args.clients,
-        seed: args.seed,
-        trials: args.trials,
-        ..GateBenchConfig::default()
-    };
-    let doc = bench_gate(&cfg).map_err(|e| format!("gate bench failed: {e}"))?;
-    let out =
-        args.out.clone().unwrap_or_else(|| PathBuf::from("target/repro/BENCH_gate_workers.json"));
-    write_report(&out, &doc)?;
-    let base_rps = doc
-        .get("baseline_direct")
-        .and_then(|b| b.get("throughput_rps"))
-        .and_then(JsonValue::as_f64)
-        .unwrap_or(0.0);
+    std::fs::write(&out, report.to_json().to_json_string())
+        .map_err(|e| format!("cannot write {}: {e}", out.display()))?;
     println!(
-        "dae-load: single direct daed baseline {base_rps:.1} req/s \
-         (cache budget {} KiB, working set {} KiB)",
-        doc.get("backend_cache_budget_bytes").and_then(JsonValue::as_f64).unwrap_or(0.0) / 1024.0,
-        doc.get("working_set_bytes").and_then(JsonValue::as_f64).unwrap_or(0.0) / 1024.0,
+        "dae-load: {} sent, {} ok, {} failed, {} shed \
+         | {:.1} req/s, p50 {:.2} ms, p99 {:.2} ms -> {}",
+        report.sent,
+        report.ok,
+        report.failed,
+        report.shed,
+        report.throughput_rps(),
+        report.hist.quantile_s(0.50) * 1e3,
+        report.hist.quantile_s(0.99) * 1e3,
+        out.display()
     );
-    if let Some(gateways) = doc.get("gateways").and_then(JsonValue::as_arr) {
-        for g in gateways {
-            println!(
-                "dae-load: gateway x{} backends: {:.1} req/s ({:.2}x single direct), p99 {:.2} ms",
-                g.get("backends").and_then(JsonValue::as_f64).unwrap_or(0.0),
-                g.get("throughput_rps").and_then(JsonValue::as_f64).unwrap_or(0.0),
-                g.get("speedup_vs_single_direct").and_then(JsonValue::as_f64).unwrap_or(0.0),
-                g.get("latency")
-                    .and_then(|l| l.get("p99_s"))
-                    .and_then(JsonValue::as_f64)
-                    .unwrap_or(0.0)
-                    * 1e3,
-            );
-        }
+    if report.failed > 0 {
+        return Err(format!("{} requests failed", report.failed));
     }
-    println!("dae-load: report -> {}", out.display());
+    if report.shed > 0 && !allow_shed {
+        return Err(format!("{} requests shed (pass --allow-shed to tolerate)", report.shed));
+    }
     Ok(())
 }

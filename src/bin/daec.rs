@@ -6,8 +6,7 @@
 //! ```text
 //! daec <file.dae> [--report] [--run] [--policy <spec>] [--hints a,b,c]
 //!      [--jobs N] [--cache-dir <dir>] [--cache-max-mb <mb>]
-//!      [--engine tree|bytecode] [--no-polyhedral] [--no-cfg-simplify]
-//!      [--line-dedup] [--prefetch-writes]
+//!      [--no-polyhedral] [--no-cfg-simplify] [--line-dedup] [--prefetch-writes]
 //!      [--profile-in <file>] [--profile-out <file>] [--profile-dir <dir>]
 //!      [--trace-out <file> [--trace-format chrome|summary]]
 //! ```
@@ -27,9 +26,6 @@
 //!   online with the dae-governor
 //! * `--hints` — representative parameter values for profitability counts
 //!   (applied to every task)
-//! * `--engine` — simulator execution engine for `--run`/`--trace-out`
-//!   (`bytecode` by default; `tree` is the reference interpreter — results
-//!   are identical, bytecode is several times faster)
 //! * `--profile-in` — load a phase-profile document and compile through
 //!   the profile-guided `refine` pass; with `--policy governed:bandit`
 //!   the profiles also warm-start the bandit's per-class priors
@@ -49,13 +45,12 @@
 use dae_repro::compiler::{CompilerOptions, Strategy};
 use dae_repro::driver::{emit_spans, CompileOutcome, Driver, DriverConfig};
 use dae_repro::governor::{BanditConfig, BanditEdp, GovernorKind, TaskClass};
-use dae_repro::ir::{parse::parse_module, print_module, verify_module, CodedError, Function};
+use dae_repro::ir::{parse::parse_module, print_module, verify_module, CodedError};
 use dae_repro::pgo::{store::DEFAULT_MAX_RECORDS, ProfileCollector, ProfileStore};
 use dae_repro::runtime::{
-    run_workload, run_workload_with, CompileStats, FreqPolicy, RunHooks, RuntimeConfig,
+    argv_for, run_workload, run_workload_with, CompileStats, FreqPolicy, RunHooks, RuntimeConfig,
     TaskInstance,
 };
-use dae_repro::sim::{EngineKind, Val};
 use dae_repro::trace::{chrome, json::JsonValue, summary, Recorder};
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -78,7 +73,6 @@ struct Args {
     jobs: usize,
     cache_dir: Option<PathBuf>,
     cache_max_mb: usize,
-    engine: EngineKind,
     profile_in: Option<String>,
     profile_out: Option<String>,
     profile_dir: Option<PathBuf>,
@@ -97,7 +91,6 @@ fn parse_args() -> Result<Option<Args>, String> {
     let mut jobs = 1usize;
     let mut cache_dir = None;
     let mut cache_max_mb = 64usize;
-    let mut engine = EngineKind::default();
     let mut profile_in = None;
     let mut profile_out = None;
     let mut profile_dir = None;
@@ -150,9 +143,6 @@ fn parse_args() -> Result<Option<Args>, String> {
                     return Err("--cache-max-mb must be at least 1".into());
                 }
             }
-            "--engine" => {
-                engine = EngineKind::parse(&it.next().ok_or("--engine needs a value")?)?;
-            }
             "--profile-in" => {
                 profile_in = Some(it.next().ok_or("--profile-in needs a path")?);
             }
@@ -184,7 +174,6 @@ fn parse_args() -> Result<Option<Args>, String> {
         jobs,
         cache_dir,
         cache_max_mb,
-        engine,
         profile_in,
         profile_out,
         profile_dir,
@@ -203,19 +192,6 @@ fn compile_stats(outcome: &CompileOutcome) -> CompileStats {
         misses: outcome.cache.misses,
         evictions: outcome.cache.evictions,
     }
-}
-
-/// Argument vector for one task invocation: integer hints positionally,
-/// zero elsewhere.
-fn argv_for(f: &Function, hints: &[i64]) -> Vec<Val> {
-    f.params
-        .iter()
-        .enumerate()
-        .map(|(i, t)| match t {
-            dae_repro::ir::Type::F64 => Val::F(0.0),
-            _ => Val::I(hints.get(i).copied().unwrap_or(0)),
-        })
-        .collect()
 }
 
 fn main() -> ExitCode {
@@ -242,9 +218,6 @@ fn run_main() -> Result<(), String> {
     if tasks.is_empty() {
         return Err("module contains no `task fn`".into());
     }
-
-    let hints = args.hints.clone();
-    let opts = args.opts.clone();
 
     // Profile store: `--profile-dir` opens the persistent per-record
     // store; `--profile-in`/`--profile-out` alone work on an in-memory
@@ -274,14 +247,8 @@ fn run_main() -> Result<(), String> {
     if let Some(store) = &store {
         driver.set_profiles(store.snapshot());
     }
-    let outcome = driver.compile(&mut module, |_, f| CompilerOptions {
-        param_hints: if hints.len() == f.params.len() {
-            hints.clone()
-        } else {
-            vec![0; f.params.len()]
-        },
-        ..opts.clone()
-    });
+    let outcome =
+        driver.compile(&mut module, |_, f| args.opts.clone().with_hints_for(f, &args.hints));
     let map = &outcome.map;
     verify_module(&module).map_err(|e| e.to_string())?;
 
@@ -346,7 +313,7 @@ fn run_main() -> Result<(), String> {
                 }
             })
             .collect();
-        let cfg = RuntimeConfig::paper_default().with_policy(args.policy).with_engine(args.engine);
+        let cfg = RuntimeConfig::paper_default().with_policy(args.policy);
         let mut col = ProfileCollector::new();
         let hooks = RunHooks { collector: Some(&mut col), ..Default::default() };
         run_workload_with(&module, &insts, &cfg, hooks).map_err(|e| e.to_string())?;
@@ -368,7 +335,7 @@ fn run_main() -> Result<(), String> {
     if args.run {
         println!();
         let hints = &args.hints;
-        let base = RuntimeConfig::paper_default().with_engine(args.engine);
+        let base = RuntimeConfig::paper_default();
         let plabel = args.policy.label(&base.table);
         // Warm-started bandit: measured phase boundedness from the
         // profile store seeds the per-class priors, so the governor
@@ -446,7 +413,7 @@ fn run_main() -> Result<(), String> {
                 }
             })
             .collect();
-        let cfg = RuntimeConfig::paper_default().with_policy(args.policy).with_engine(args.engine);
+        let cfg = RuntimeConfig::paper_default().with_policy(args.policy);
         let mut rec = Recorder::new(cfg.cores);
         emit_spans(&outcome.spans, rec.cores(), &mut rec);
         let hooks = RunHooks { sink: Some(&mut rec), ..Default::default() };

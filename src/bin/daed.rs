@@ -8,7 +8,7 @@
 //! ```text
 //! daed [--addr HOST:PORT] [--workers N] [--queue-depth N]
 //!      [--cache-dir <dir>] [--cache-max-mb <mb>] [--max-global-mb <mb>]
-//!      [--engine tree|bytecode] [--recompile-ms N]
+//!      [--recompile-ms N]
 //! ```
 //!
 //! * `--addr` — bind address (default `127.0.0.1:7777`; port 0 picks an
@@ -21,9 +21,6 @@
 //! * `--cache-max-mb` — in-memory artifact-cache byte budget (default 64)
 //! * `--max-global-mb` — refuse modules declaring more global data than
 //!   this, in MiB (default 256)
-//! * `--engine` — simulator execution engine for `run` requests
-//!   (`bytecode` by default; `tree` is the reference interpreter —
-//!   responses are identical either way)
 //! * `--recompile-ms` — period of the background profile-guided
 //!   recompile worker (0, the default, disables it). Each pass
 //!   recompiles recently-run modules against the profiles collected from
@@ -40,7 +37,7 @@
 
 use dae_repro::driver::DriverConfig;
 use dae_repro::serve::{
-    install_signal_drain, signal_drain_requested, EngineConfig, EngineKind, Server, ServerConfig,
+    install_signal_drain, signal_drain_requested, EngineConfig, Server, ServerConfig,
 };
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -78,7 +75,6 @@ struct Args {
     cache_dir: Option<PathBuf>,
     cache_max_mb: usize,
     max_global_mb: u64,
-    engine: EngineKind,
     recompile_ms: u64,
 }
 
@@ -90,7 +86,6 @@ fn parse_args() -> Result<Args, String> {
         cache_dir: None,
         cache_max_mb: 64,
         max_global_mb: 256,
-        engine: EngineKind::default(),
         recompile_ms: 0,
     };
     let mut it = std::env::args().skip(1);
@@ -129,7 +124,6 @@ fn parse_args() -> Result<Args, String> {
                     return Err("--max-global-mb must be at least 1".into());
                 }
             }
-            "--engine" => args.engine = EngineKind::parse(&value("--engine")?)?,
             "--recompile-ms" => {
                 args.recompile_ms = value("--recompile-ms")?
                     .parse()
@@ -140,7 +134,7 @@ fn parse_args() -> Result<Args, String> {
                     "unknown argument `{other}`\n\
                      usage: daed [--addr HOST:PORT] [--workers N] [--queue-depth N] \
                      [--cache-dir <dir>] [--cache-max-mb <mb>] [--max-global-mb <mb>] \
-                     [--engine tree|bytecode] [--recompile-ms N]"
+                     [--recompile-ms N]"
                 ))
             }
         }
@@ -171,7 +165,6 @@ fn run_main() -> Result<(), String> {
                 mem_max_bytes: args.cache_max_mb << 20,
             },
             max_global_bytes: args.max_global_mb << 20,
-            engine: args.engine,
             ..EngineConfig::default()
         },
     };
