@@ -62,6 +62,14 @@ check "a stopwatch (the benchmark is crates/perf)" \
     'Instant::now' \
     'crates/bench/.*|crates/[^/]*/src/bench\.rs'
 
+# NOrig is counted by rows (merged intervals over fixed-width records), not
+# by hashing one heap-allocated point per iteration. The brute-force point
+# set survives only as the oracle in crates/poly/tests.
+check "a hashed point set (counting is by rows)" \
+    "none" \
+    'HashSet<Vec<i64>>' \
+    'crates/(poly|core)/src/.*'
+
 if [ "$fail" -eq 0 ]; then
     echo "one_of_each: ok"
 fi

@@ -1,7 +1,6 @@
 //! Control-flow graph queries: successors, predecessors, orderings.
 
 use dae_ir::{BlockId, Function};
-use std::collections::HashSet;
 
 /// Predecessor/successor sets plus traversal orders for one function.
 ///
@@ -32,16 +31,16 @@ impl Cfg {
 
         // Postorder DFS from the entry.
         let mut post: Vec<BlockId> = Vec::with_capacity(n);
-        let mut visited: HashSet<BlockId> = HashSet::new();
+        let mut visited = vec![false; n];
         // Iterative DFS with an explicit state machine to avoid recursion.
         let mut stack: Vec<(BlockId, usize)> = vec![(func.entry, 0)];
-        visited.insert(func.entry);
+        visited[func.entry.0 as usize] = true;
         while let Some(&mut (bb, ref mut idx)) = stack.last_mut() {
             let s = &succs[bb.0 as usize];
             if *idx < s.len() {
                 let next = s[*idx];
                 *idx += 1;
-                if visited.insert(next) {
+                if !std::mem::replace(&mut visited[next.0 as usize], true) {
                     stack.push((next, 0));
                 }
             } else {

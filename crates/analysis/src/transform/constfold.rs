@@ -1,7 +1,6 @@
 //! Constant folding and algebraic simplification.
 
 use dae_ir::{BinOp, CmpOp, Function, InstKind, UnOp, Value};
-use std::collections::HashMap;
 
 fn eval_ibin(op: BinOp, a: i64, b: i64) -> Option<i64> {
     Some(match op {
@@ -117,48 +116,41 @@ fn fold_inst(kind: &InstKind) -> Option<Value> {
 /// change.
 pub fn fold_constants(func: &mut Function) -> bool {
     let mut changed_any = false;
+    // The folded value of each instruction, indexed by instruction id.
+    let mut repl: Vec<Option<Value>> = vec![None; func.num_insts()];
     loop {
-        let mut repl: HashMap<Value, Value> = HashMap::new();
+        repl.fill(None);
+        let mut folded = 0;
         for bb in func.block_ids() {
             for &inst in &func.block(bb).insts {
                 if let Some(v) = fold_inst(&func.inst(inst).kind) {
-                    repl.insert(Value::Inst(inst), v);
+                    repl[inst.0 as usize] = Some(v);
+                    folded += 1;
                 }
             }
         }
-        if repl.is_empty() {
+        if folded == 0 {
             return changed_any;
         }
         // Resolve chains (a → b → const).
         let resolve = |mut v: Value| -> Value {
             let mut hops = 0;
-            while let Some(&n) = repl.get(&v) {
+            while let Value::Inst(id) = v {
+                let Some(n) = repl[id.0 as usize] else { break };
                 v = n;
                 hops += 1;
-                if hops > repl.len() {
+                if hops > folded {
                     break;
                 }
             }
             v
         };
         let mut changed = false;
-        for bb in func.block_ids().collect::<Vec<_>>() {
-            let insts = func.block(bb).insts.clone();
-            for inst in insts {
-                func.inst_mut(inst).kind.map_operands(|v| {
-                    let n = resolve(v);
-                    changed |= n != v;
-                    n
-                });
-            }
-            if func.block(bb).term.is_some() {
-                func.terminator_mut(bb).map_operands(|v| {
-                    let n = resolve(v);
-                    changed |= n != v;
-                    n
-                });
-            }
-        }
+        super::map_all_operands(func, |v| {
+            let n = resolve(v);
+            changed |= n != v;
+            n
+        });
         changed_any |= changed;
         if !changed {
             return changed_any;

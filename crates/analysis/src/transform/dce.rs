@@ -7,15 +7,25 @@
 //! pass removes them, including loop-carried block parameters whose only use
 //! was feeding themselves around the back edge.
 
-use dae_ir::{BlockId, Function, InstId, Value};
-use std::collections::HashSet;
+use dae_ir::{BlockId, Function, Terminator, Value};
 
 /// Removes instructions whose results are unused and that have no side
-/// effects. Returns `true` if anything was removed.
-pub fn eliminate_dead_insts(func: &mut Function) -> bool {
-    // Liveness over instructions and block parameters.
-    let mut live_insts: HashSet<InstId> = HashSet::new();
-    let mut live_params: HashSet<(BlockId, u32)> = HashSet::new();
+/// effects, and block parameters nobody reads. Returns `true` if anything
+/// was removed.
+///
+/// Liveness is the closure of the roots (side effects, branch conditions,
+/// return values) under "operands of a live instruction" and "incoming
+/// edge arguments of a live parameter" — edge arguments are *not* roots —
+/// so a self-feeding dead cycle is never marked and one mark-and-sweep is
+/// already the fixpoint: removing dead code changes neither the roots nor
+/// the operands of anything live.
+pub fn dce_fixpoint(func: &mut Function) -> bool {
+    // Indexed by instruction id, and by block id then parameter index.
+    let mut live_insts = vec![false; func.num_insts()];
+    let mut live_params: Vec<Vec<bool>> =
+        func.block_ids().map(|bb| vec![false; func.block(bb).params.len()]).collect();
+    // The argument lists of the edges into each block.
+    let mut incoming: Vec<Vec<&[Value]>> = vec![Vec::new(); func.num_blocks()];
     let mut work: Vec<Value> = Vec::new();
 
     let touch = |v: Value, work: &mut Vec<Value>| {
@@ -24,39 +34,38 @@ pub fn eliminate_dead_insts(func: &mut Function) -> bool {
         }
     };
 
-    // Roots: side-effecting instructions and terminator conditions/returns.
-    // Edge arguments are *not* roots: they are live only if the target param
-    // is live.
     for bb in func.block_ids() {
         for &inst in &func.block(bb).insts {
             if func.inst(inst).kind.has_side_effects() {
-                live_insts.insert(inst);
+                live_insts[inst.0 as usize] = true;
                 func.inst(inst).kind.for_each_operand(|v| touch(v, &mut work));
             }
         }
-        match func.terminator(bb) {
-            dae_ir::Terminator::Branch { cond, .. } => touch(*cond, &mut work),
-            dae_ir::Terminator::Ret(Some(v)) => touch(*v, &mut work),
+        let term = func.terminator(bb);
+        match term {
+            Terminator::Branch { cond, .. } => touch(*cond, &mut work),
+            Terminator::Ret(Some(v)) => touch(*v, &mut work),
             _ => {}
+        }
+        for dest in term.successors() {
+            incoming[dest.block.0 as usize].push(&dest.args);
         }
     }
 
     while let Some(v) = work.pop() {
         match v {
-            Value::Inst(id) if live_insts.insert(id) => {
+            Value::Inst(id) if !std::mem::replace(&mut live_insts[id.0 as usize], true) => {
                 func.inst(id).kind.for_each_operand(|o| touch(o, &mut work));
             }
-            Value::BlockParam { block, index } if live_params.insert((block, index)) => {
-                // The matching argument on every incoming edge is live.
-                for pred in func.block_ids().collect::<Vec<_>>() {
-                    if func.block(pred).term.is_none() {
-                        continue;
-                    }
-                    for dest in func.terminator(pred).successors() {
-                        if dest.block == block {
-                            if let Some(a) = dest.args.get(index as usize) {
-                                touch(*a, &mut work);
-                            }
+            Value::BlockParam { block, index } => {
+                let Some(live) = live_params[block.0 as usize].get_mut(index as usize) else {
+                    continue;
+                };
+                if !std::mem::replace(live, true) {
+                    // The matching argument on every incoming edge is live.
+                    for args in &incoming[block.0 as usize] {
+                        if let Some(a) = args.get(index as usize) {
+                            touch(*a, &mut work);
                         }
                     }
                 }
@@ -66,96 +75,71 @@ pub fn eliminate_dead_insts(func: &mut Function) -> bool {
     }
 
     let mut changed = false;
-    for bb in func.block_ids().collect::<Vec<_>>() {
+    for bb in func.block_ids() {
         let before = func.block(bb).insts.len();
-        func.block_mut(bb).insts.retain(|i| live_insts.contains(i));
+        func.block_mut(bb).insts.retain(|i| live_insts[i.0 as usize]);
         changed |= func.block(bb).insts.len() != before;
     }
     changed |= remove_dead_params(func, &live_params);
     changed
 }
 
-/// Drops block parameters not in `live_params`, compacting indices and
-/// rewriting every use and every incoming edge.
-fn remove_dead_params(func: &mut Function, live_params: &HashSet<(BlockId, u32)>) -> bool {
-    // Per-block old-index → new-index maps (None = dropped).
-    let blocks: Vec<BlockId> = func.block_ids().collect();
-    let mut remap: Vec<Vec<Option<u32>>> = Vec::with_capacity(blocks.len());
-    let mut any = false;
-    for &bb in &blocks {
-        let n = func.block(bb).params.len();
-        let mut map = Vec::with_capacity(n);
-        let mut next = 0u32;
-        for i in 0..n {
-            if live_params.contains(&(bb, i as u32)) {
-                map.push(Some(next));
-                next += 1;
-            } else {
-                map.push(None);
-                any = true;
-            }
-        }
-        remap.push(map);
-    }
-    if !any {
+/// Drops block parameters not marked in `live_params`, compacting indices
+/// and rewriting every use and every incoming edge.
+fn remove_dead_params(func: &mut Function, live_params: &[Vec<bool>]) -> bool {
+    if live_params.iter().flatten().all(|&live| live) {
         return false;
     }
+    // Per-block old-index → new-index maps (None = dropped).
+    let remap: Vec<Vec<Option<u32>>> = live_params
+        .iter()
+        .map(|live| {
+            let mut next = 0u32;
+            live.iter()
+                .map(|&keep| {
+                    keep.then(|| {
+                        next += 1;
+                        next - 1
+                    })
+                })
+                .collect()
+        })
+        .collect();
+    let blocks: Vec<BlockId> = func.block_ids().collect();
 
     // Rewrite parameter lists.
-    for (k, &bb) in blocks.iter().enumerate() {
-        let old = func.block(bb).params.clone();
-        let new: Vec<_> = old
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| remap[k][*i].is_some())
-            .map(|(_, t)| *t)
-            .collect();
-        func.block_mut(bb).params = new;
-    }
-
-    // Rewrite uses of surviving params and edge argument lists.
-    let rewrite = |remap: &Vec<Vec<Option<u32>>>, v: Value| -> Value {
-        if let Value::BlockParam { block, index } = v {
-            if let Some(new_index) = remap[block.0 as usize][index as usize] {
-                return Value::BlockParam { block, index: new_index };
-            }
-            // Uses of dead params only survive inside dead instructions,
-            // which have already been removed; edges are rebuilt below.
-        }
-        v
-    };
     for &bb in &blocks {
-        let insts = func.block(bb).insts.clone();
-        for i in insts {
-            func.inst_mut(i).kind.map_operands(|v| rewrite(&remap, v));
-        }
-        if func.block(bb).term.is_some() {
-            // First drop dead edge args, then renumber param references.
-            let term = func.terminator_mut(bb);
-            for dest in term.successors_mut() {
-                let keep = &remap[dest.block.0 as usize];
-                let mut new_args = Vec::with_capacity(dest.args.len());
-                for (i, a) in dest.args.iter().enumerate() {
-                    if keep.get(i).copied().flatten().is_some() {
-                        new_args.push(*a);
-                    }
-                }
-                dest.args = new_args;
-            }
-            term.map_operands(|v| rewrite(&remap, v));
-        }
+        let keep = &remap[bb.0 as usize];
+        let mut i = 0;
+        func.block_mut(bb).params.retain(|_| {
+            i += 1;
+            keep[i - 1].is_some()
+        });
     }
-    true
-}
 
-/// Runs [`eliminate_dead_insts`] to a fixpoint (param removal can expose
-/// newly-dead instructions and vice versa).
-pub fn dce_fixpoint(func: &mut Function) -> bool {
-    let mut changed = false;
-    while eliminate_dead_insts(func) {
-        changed = true;
+    // Drop the edge arguments of dead params, then renumber the references
+    // to the surviving ones. (Uses of dead params only survived inside dead
+    // instructions, which are already gone.)
+    for &bb in &blocks {
+        if func.block(bb).term.is_some() {
+            for dest in func.terminator_mut(bb).successors_mut() {
+                let keep = &remap[dest.block.0 as usize];
+                let mut i = 0;
+                dest.args.retain(|_| {
+                    i += 1;
+                    keep.get(i - 1).copied().flatten().is_some()
+                });
+            }
+        }
     }
-    changed
+    super::map_all_operands(func, |v| match v {
+        Value::BlockParam { block, index } => {
+            let index = remap[block.0 as usize][index as usize].unwrap_or(index);
+            Value::BlockParam { block, index }
+        }
+        other => other,
+    });
+    true
 }
 
 #[cfg(test)]
@@ -251,6 +235,31 @@ mod tests {
         verify_function(&f, None).unwrap();
         let total_params: usize = f.block_ids().map(|bb| f.block(bb).params.len()).sum();
         assert_eq!(total_params, 1);
+    }
+
+    #[test]
+    fn one_sweep_is_the_fixpoint() {
+        // Dead chains, a dead carried parameter and a self-feeding cycle:
+        // everything goes in the first sweep, a second finds nothing.
+        let mut b = FunctionBuilder::new("f", vec![Type::I64], Type::I64);
+        let live = b.counted_loop_carried(
+            Value::i64(0),
+            Value::Arg(0),
+            Value::i64(1),
+            vec![Value::i64(0), Value::i64(5)],
+            |b, i, c| {
+                let dead = b.imul(i, 3i64);
+                let _deader = b.iadd(dead, c[1]);
+                vec![b.iadd(c[0], i), b.iadd(c[1], 1i64)]
+            },
+        );
+        b.ret(Some(live[0]));
+        let mut f = b.finish();
+        assert!(dce_fixpoint(&mut f));
+        verify_function(&f, None).unwrap();
+        let swept = dae_ir::print_function(&f, None);
+        assert!(!dce_fixpoint(&mut f));
+        assert_eq!(dae_ir::print_function(&f, None), swept);
     }
 
     #[test]

@@ -7,17 +7,35 @@ pub mod simplify;
 pub mod strength;
 
 pub use constfold::fold_constants;
-pub use dce::{dce_fixpoint, eliminate_dead_insts};
+pub use dce::dce_fixpoint;
 pub use inline::{inline_all, InlineError};
 pub use simplify::{compact, fold_constant_branches, merge_straightline, skip_trivial_blocks};
 pub use strength::{strength_reduce, strength_reduce_and_clean};
 
-use dae_ir::Function;
+use dae_ir::{Function, Value};
+
+/// Rewrites every operand of every placed instruction and terminator, in
+/// block and instruction order.
+pub(crate) fn map_all_operands(func: &mut Function, mut f: impl FnMut(Value) -> Value) {
+    for bb in func.block_ids() {
+        for i in 0..func.block(bb).insts.len() {
+            let inst = func.block(bb).insts[i];
+            func.inst_mut(inst).kind.map_operands(&mut f);
+        }
+        if func.block(bb).term.is_some() {
+            func.terminator_mut(bb).map_operands(&mut f);
+        }
+    }
+}
 
 /// The clean-up pipeline run on generated access phases — the stand-in for
 /// the paper's final `-O3` over the access version (§5.2.1): constant
 /// folding, branch folding, dead-code elimination, block merging and
 /// compaction, iterated to a fixpoint.
+///
+/// The result is always the output of [`compact`] (dense ids in reverse
+/// postorder): a round that changed nothing returns the previous round's
+/// compaction as it is instead of rebuilding it.
 pub fn optimize(func: &Function) -> Function {
     let mut f = compact(func);
     loop {
@@ -27,10 +45,10 @@ pub fn optimize(func: &Function) -> Function {
         changed |= skip_trivial_blocks(&mut f);
         changed |= dce_fixpoint(&mut f);
         changed |= merge_straightline(&mut f);
-        f = compact(&f);
         if !changed {
             return f;
         }
+        f = compact(&f);
     }
 }
 

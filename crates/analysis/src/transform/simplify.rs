@@ -2,7 +2,6 @@
 
 use crate::cfg::Cfg;
 use dae_ir::{BlockId, Function, InstId, InstKind, Terminator, Value};
-use std::collections::HashMap;
 
 /// Rewrites `br true/false, a, b` into an unconditional jump.
 /// Returns `true` on change.
@@ -51,25 +50,13 @@ pub fn merge_straightline(func: &mut Function) -> bool {
                 continue;
             }
             // Substitute s's params with the edge arguments everywhere.
-            let subst: HashMap<Value, Value> = dest
-                .args
-                .iter()
-                .enumerate()
-                .map(|(i, a)| (Value::BlockParam { block: s, index: i as u32 }, *a))
-                .collect();
-            if !subst.is_empty() {
-                for other in func.block_ids().collect::<Vec<_>>() {
-                    let insts = func.block(other).insts.clone();
-                    for inst in insts {
-                        func.inst_mut(inst)
-                            .kind
-                            .map_operands(|v| subst.get(&v).copied().unwrap_or(v));
+            if !dest.args.is_empty() {
+                super::map_all_operands(func, |v| match v {
+                    Value::BlockParam { block, index } if block == s => {
+                        dest.args.get(index as usize).copied().unwrap_or(v)
                     }
-                    if func.block(other).term.is_some() {
-                        func.terminator_mut(other)
-                            .map_operands(|v| subst.get(&v).copied().unwrap_or(v));
-                    }
-                }
+                    other => other,
+                });
             }
             let s_insts = func.block(s).insts.clone();
             let s_term = func.block_mut(s).term.take().expect("terminated");
@@ -98,45 +85,49 @@ pub fn compact(func: &Function) -> Function {
     let mut out = Function::new(func.name.clone(), func.params.clone(), func.ret);
     out.is_task = func.is_task;
 
-    let mut block_map: HashMap<BlockId, BlockId> = HashMap::new();
+    // Old id → new id, indexed by the old id; `None` for what is dropped.
+    let mut block_map: Vec<Option<BlockId>> = vec![None; func.num_blocks()];
     for (i, &bb) in cfg.rpo().iter().enumerate() {
         let nb = if i == 0 { out.entry } else { out.add_block() };
         for &ty in &func.block(bb).params {
             out.add_block_param(nb, ty);
         }
-        block_map.insert(bb, nb);
+        block_map[bb.0 as usize] = Some(nb);
     }
 
-    let mut inst_map: HashMap<InstId, InstId> = HashMap::new();
+    let mut inst_map: Vec<Option<InstId>> = vec![None; func.num_insts()];
     for &bb in cfg.rpo() {
         for &inst in &func.block(bb).insts {
             let ni = out
                 .create_inst(InstKind::Prefetch { addr: Value::ConstI64(0) }, func.inst(inst).ty);
-            inst_map.insert(inst, ni);
+            inst_map[inst.0 as usize] = Some(ni);
         }
     }
+    let new_block = |bb: BlockId| block_map[bb.0 as usize].expect("edge into a reachable block");
     let map_value = |v: Value| -> Value {
         match v {
-            Value::Inst(id) => Value::Inst(inst_map[&id]),
+            Value::Inst(id) => {
+                Value::Inst(inst_map[id.0 as usize].expect("operand placed in a reachable block"))
+            }
             Value::BlockParam { block, index } => {
-                Value::BlockParam { block: block_map[&block], index }
+                Value::BlockParam { block: new_block(block), index }
             }
             other => other,
         }
     };
     for &bb in cfg.rpo() {
-        let nb = block_map[&bb];
+        let nb = new_block(bb);
         for &inst in &func.block(bb).insts {
             let mut kind = func.inst(inst).kind.clone();
             kind.map_operands(map_value);
-            let ni = inst_map[&inst];
+            let ni = inst_map[inst.0 as usize].expect("mapped above");
             out.inst_mut(ni).kind = kind;
             out.append_inst(nb, ni);
         }
         let mut term = func.terminator(bb).clone();
         term.map_operands(map_value);
         for dest in term.successors_mut() {
-            dest.block = block_map[&dest.block];
+            dest.block = new_block(dest.block);
         }
         out.set_terminator(nb, term);
     }
@@ -149,7 +140,8 @@ pub fn compact(func: &Function) -> Function {
 pub fn skip_trivial_blocks(func: &mut Function) -> bool {
     // A trivial forwarder: no insts, terminator Jump(t, args) where args are
     // exactly its own params in order, and t != itself.
-    let mut forward: HashMap<BlockId, BlockId> = HashMap::new();
+    let mut forward: Vec<Option<BlockId>> = vec![None; func.num_blocks()];
+    let mut forwarders = 0;
     for bb in func.block_ids() {
         if bb == func.entry || !func.block(bb).insts.is_empty() {
             continue;
@@ -167,26 +159,27 @@ pub fn skip_trivial_blocks(func: &mut Function) -> bool {
                     .all(|(i, a)| *a == Value::BlockParam { block: bb, index: i as u32 })
                 && func.block(dest.block).params.len() == n;
             if forwards_params {
-                forward.insert(bb, dest.block);
+                forward[bb.0 as usize] = Some(dest.block);
+                forwarders += 1;
             }
         }
     }
-    if forward.is_empty() {
+    if forwarders == 0 {
         return false;
     }
     let resolve = |mut b: BlockId| -> BlockId {
         let mut hops = 0;
-        while let Some(&n) = forward.get(&b) {
+        while let Some(n) = forward[b.0 as usize] {
             b = n;
             hops += 1;
-            if hops > forward.len() {
+            if hops > forwarders {
                 break; // cycle of forwarders; leave as-is
             }
         }
         b
     };
     let mut changed = false;
-    for bb in func.block_ids().collect::<Vec<_>>() {
+    for bb in func.block_ids() {
         if func.block(bb).term.is_none() {
             continue;
         }

@@ -87,12 +87,30 @@ fn emit_affine(
 /// Only instructions directly computing an `imul`, or a `ptradd` whose
 /// offset contains a multiply, are rewritten — pure adds are already cheap.
 pub fn strength_reduce(func: &mut Function) -> bool {
+    // Nothing to rewrite without a multiply or a global-based ptradd, and
+    // nowhere to rewrite it without a cycle (which needs an edge into a
+    // block of no higher id): decide both before paying for dominators, the
+    // loop forest and scalar evolution.
+    let mut rewritable = false;
+    func.for_each_placed_inst(|_, inst| {
+        rewritable |= matches!(
+            func.inst(inst).kind,
+            InstKind::Binary { op: BinOp::IMul, .. }
+                | InstKind::PtrAdd { base: Value::Global(_), .. }
+        );
+    });
+    let retreats = |bb: BlockId| func.terminator(bb).successors().any(|d| d.block.0 <= bb.0);
+    if !rewritable || !func.block_ids().any(retreats) {
+        return false;
+    }
+
     // Analysis snapshot (invalidated by our edits; we gather all candidates
     // first, then rewrite).
     let analysis = FunctionAnalysis::run(func);
     let mut scev = analysis.scev();
 
-    // Counted-loop info per loop (header, iv value, init value, step).
+    // Counted-loop info per loop (header, init value, step), and the IV
+    // value of every counted loop = its recognised header parameter.
     struct LoopCtx {
         header: BlockId,
         entry_preds: Vec<BlockId>,
@@ -101,8 +119,10 @@ pub fn strength_reduce(func: &mut Function) -> bool {
         step: i64,
     }
     let mut loops: HashMap<LoopId, LoopCtx> = HashMap::new();
+    let mut iv_values: HashMap<LoopId, Value> = HashMap::new();
     for (id, l) in analysis.forest.loops() {
         if let Some(c) = recognize_counted(func, &analysis.cfg, &analysis.forest, id) {
+            iv_values.insert(id, c.iv);
             let Some(init_affine) = scev.affine_of(c.init) else { continue };
             let entry_preds: Vec<BlockId> = analysis
                 .cfg
@@ -186,14 +206,6 @@ pub fn strength_reduce(func: &mut Function) -> bool {
         return false;
     }
 
-    // IV value per loop = its recognised header parameter.
-    let mut iv_values: HashMap<LoopId, Value> = HashMap::new();
-    for (id, _) in analysis.forest.loops() {
-        if let Some(c) = recognize_counted(func, &analysis.cfg, &analysis.forest, id) {
-            iv_values.insert(id, c.iv);
-        }
-    }
-
     let mut changed = false;
     for cand in candidates {
         let ctx = &loops[&cand.lp];
@@ -262,15 +274,7 @@ pub fn strength_reduce(func: &mut Function) -> bool {
 
         // Redirect all uses of the original instruction to the derived IV.
         let target = Value::Inst(cand.inst);
-        for bb in func.block_ids().collect::<Vec<_>>() {
-            let insts = func.block(bb).insts.clone();
-            for i in insts {
-                func.inst_mut(i).kind.map_operands(|v| if v == target { dv } else { v });
-            }
-            if func.block(bb).term.is_some() {
-                func.terminator_mut(bb).map_operands(|v| if v == target { dv } else { v });
-            }
-        }
+        super::map_all_operands(func, |v| if v == target { dv } else { v });
         changed = true;
     }
     changed
@@ -282,13 +286,25 @@ pub fn strength_reduce_and_clean(func: &Function) -> Function {
     let mut f = crate::transform::compact(func);
     // One round is enough for the patterns the builder generates; a second
     // round catches derived IVs exposed by the first.
+    let mut settled = false; // `f` is the output of `optimize`, untouched since
     for _ in 0..2 {
-        if !strength_reduce(&mut f) {
+        let insts = f.num_insts();
+        let reduced = strength_reduce(&mut f);
+        // A candidate abandoned half-way leaves dead arithmetic behind even
+        // when the round reports no change.
+        settled &= f.num_insts() == insts;
+        if !reduced {
             break;
         }
         f = crate::transform::optimize(&f);
+        settled = true;
     }
-    crate::transform::optimize(&f)
+    // `optimize` is idempotent: nothing is left to do on its own output.
+    if settled {
+        f
+    } else {
+        crate::transform::optimize(&f)
+    }
 }
 
 #[cfg(test)]

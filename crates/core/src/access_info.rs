@@ -9,7 +9,7 @@
 use dae_analysis::scev::{Affine, AffineVar};
 use dae_analysis::{CountedLoop, FunctionAnalysis, LoopId, ScalarEvolution};
 use dae_ir::{CmpOp, Function, GlobalId, InstKind, Module, Value};
-use dae_poly::{LinExpr, Polyhedron, Space};
+use dae_poly::{AffineImage, LinExpr, Polyhedron, Space};
 use std::collections::HashMap;
 
 /// One subscript dimension of a delinearised access.
@@ -54,6 +54,17 @@ impl AffineAccess {
         (
             self.global,
             self.subscripts.iter().map(|s| (s.stride_elems, s.param_coeffs.clone())).collect(),
+        )
+    }
+
+    /// The cells this access touches within its class, at concrete
+    /// parameter values: the iteration domain with the parameters
+    /// substituted, mapped through the subscripts' residuals (the parameter
+    /// parts are the class signature and stay symbolic).
+    pub fn image(&self, param_values: &[i64]) -> AffineImage {
+        AffineImage::new(
+            self.domain.instantiate_params(param_values),
+            self.subscripts.iter().map(|s| s.residual.clone()).collect(),
         )
     }
 }

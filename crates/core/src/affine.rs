@@ -19,8 +19,8 @@ use crate::access_info::{AffineAccess, ClassKey, TaskAccessInfo};
 use crate::options::{AffineStats, CompilerOptions};
 use dae_ir::{Function, FunctionBuilder, GlobalId, Type, Value};
 use dae_poly::{
-    convex_hull, extract_loop_nest, try_count_union_distinct, AffineImage, LinExpr, LoopNestSpec,
-    Rat, Space,
+    convex_hull, extract_loop_nest, try_count_union_distinct, union_image_vertices, AffineImage,
+    LinExpr, LoopNestSpec, RowBudget, Space,
 };
 
 /// One access class: the unit of hull computation and codegen.
@@ -76,46 +76,22 @@ pub fn generate_affine_access(
         }
     }
 
-    // 2. per-class union, hull, counts
+    // 2. per-class union, hull, counts — all on one work budget
+    let mut budget = RowBudget::new();
     let mut classes: Vec<Class> = Vec::new();
     for ((global, _), accs) in class_keys.into_iter().zip(class_accs) {
         let target_dims = accs[0].subscripts.len();
-        let mut images: Vec<AffineImage> = Vec::new();
-        for acc in &accs {
-            // Lift residual subscripts into the access's domain space.
-            let dspace = acc.domain.space();
-            let map: Vec<LinExpr> = acc
-                .subscripts
-                .iter()
-                .map(|s| {
-                    let mut e = LinExpr::constant(dspace, s.residual.const_term());
-                    for d in 0..dspace.dims {
-                        let c = s.residual.dim_coeff(d);
-                        if c != 0 {
-                            e = e.add(&LinExpr::dim(dspace, d).scale(c));
-                        }
-                    }
-                    e
-                })
-                .collect();
-            images.push(AffineImage::new(acc.domain.clone(), map));
-        }
-        // An unbounded domain cannot be counted or scanned: refuse this
-        // task (skeleton fallback) instead of aborting compilation.
-        let n_orig = try_count_union_distinct(&images, hints).ok()?;
+        let images: Vec<AffineImage> = accs.iter().map(|acc| acc.image(hints)).collect();
+        // A domain that cannot be counted within the budget — unbounded,
+        // or a hostile trip count — cannot be scanned either: refuse this
+        // task (skeleton fallback) instead of aborting or stalling.
+        let n_orig = try_count_union_distinct(&images, &[], &mut budget).ok()?;
         if n_orig == 0 {
             continue; // empty domain: nothing to prefetch for this class
         }
-        let mut points: Vec<Vec<Rat>> = Vec::new();
-        for img in &images {
-            for v in img.image_vertices(hints) {
-                if !points.contains(&v) {
-                    points.push(v);
-                }
-            }
-        }
+        let points = union_image_vertices(&images, &[]);
         let hull = convex_hull(target_dims, &points);
-        let n_conv = hull.try_count_integer_points().ok()?;
+        let n_conv = hull.try_count_integer_points(&mut budget).ok()?;
         let nest = match extract_loop_nest(&hull) {
             Some(n) if n.is_unit() => n,
             _ => {
@@ -141,9 +117,9 @@ pub fn generate_affine_access(
     }
 
     // 3. profitability
-    let n_orig: u64 = classes.iter().map(|c| c.n_orig).sum();
-    let n_conv: u64 = classes.iter().map(|c| c.n_conv).sum();
-    if !opts.skip_hull_check && (n_conv as i64) - opts.hull_threshold > n_orig as i64 {
+    let n_orig = classes.iter().try_fold(0u64, |n, c| n.checked_add(c.n_orig))?;
+    let n_conv = classes.iter().try_fold(0u64, |n, c| n.checked_add(c.n_conv))?;
+    if !opts.skip_hull_check && n_conv as i128 - opts.hull_threshold as i128 > n_orig as i128 {
         return None;
     }
 
@@ -503,6 +479,22 @@ mod tests {
         let opts3 =
             CompilerOptions { param_hints: vec![16], hull_threshold: 2000, ..Default::default() };
         assert!(generate_affine_access(&f, &info, &opts3).is_some());
+    }
+
+    #[test]
+    fn extreme_hull_thresholds_compare_exactly() {
+        // `NconvUn − th` with th near i64::MIN used to overflow i64 (a panic
+        // in debug, a wrapped "profitable" in release); compared in i128
+        // it is simply a very unprofitable hull. th near i64::MAX admits.
+        let (m, f) = lu_like(16);
+        let info = analyze_task(&m, &f);
+        let with = |th| CompilerOptions {
+            param_hints: vec![16],
+            hull_threshold: th,
+            ..Default::default()
+        };
+        assert!(generate_affine_access(&f, &info, &with(i64::MIN)).is_none());
+        assert!(generate_affine_access(&f, &info, &with(i64::MAX)).is_some());
     }
 
     #[test]

@@ -11,7 +11,7 @@
 
 use crate::access_info::analyze_task;
 use dae_ir::{FuncId, Module};
-use dae_poly::try_count_union_distinct;
+use dae_poly::{try_count_union_distinct, RowBudget};
 use std::collections::HashMap;
 
 /// Exact working-set size in bytes of a fully affine task at the given
@@ -36,27 +36,13 @@ pub fn footprint_bytes(module: &Module, task: FuncId, param_values: &[i64]) -> O
     for acc in &info.affine {
         let key = acc.class_key();
         elem_of.insert(key.clone(), acc.elem_bytes);
-        let dspace = acc.domain.space();
-        let map: Vec<dae_poly::LinExpr> = acc
-            .subscripts
-            .iter()
-            .map(|s| {
-                let mut e = dae_poly::LinExpr::constant(dspace, s.residual.const_term());
-                for d in 0..dspace.dims {
-                    let c = s.residual.dim_coeff(d);
-                    if c != 0 {
-                        e = e.add(&dae_poly::LinExpr::dim(dspace, d).scale(c));
-                    }
-                }
-                e
-            })
-            .collect();
-        per_class.entry(key).or_default().push(dae_poly::AffineImage::new(acc.domain.clone(), map));
+        per_class.entry(key).or_default().push(acc.image(param_values));
     }
+    let mut budget = RowBudget::new();
     let mut total = 0u64;
     for (key, images) in per_class {
-        let cells = try_count_union_distinct(&images, param_values).ok()?;
-        total += cells * elem_of[&key].unsigned_abs();
+        let cells = try_count_union_distinct(&images, &[], &mut budget).ok()?;
+        total = total.checked_add(cells.checked_mul(elem_of[&key].unsigned_abs())?)?;
     }
     Some(total)
 }

@@ -9,7 +9,7 @@
 
 use crate::linexpr::{LinExpr, Space};
 use crate::polyhedron::Polyhedron;
-use crate::rat::Rat;
+use crate::rat::{gcd, Rat};
 
 /// Computes the convex hull of `points` (each of dimension `dims`) as a
 /// constraint-form polyhedron in a parameter-free space.
@@ -142,17 +142,6 @@ fn lcm(a: i128, b: i128) -> i128 {
     } else {
         (a / g) * b
     }
-}
-
-fn gcd(mut a: i128, mut b: i128) -> i128 {
-    a = a.abs();
-    b = b.abs();
-    while b != 0 {
-        let t = a % b;
-        a = b;
-        b = t;
-    }
-    a
 }
 
 #[cfg(test)]

@@ -29,7 +29,7 @@
 //! ```
 //! use dae_poly::linexpr::{LinExpr, Space};
 //! use dae_poly::polyhedron::Polyhedron;
-//! use dae_poly::map::{count_union_distinct, AffineImage};
+//! use dae_poly::map::{count_union_distinct, union_image_vertices, AffineImage};
 //! use dae_poly::hull::convex_hull;
 //!
 //! // domain { (i, j) | 0 <= i < 8, 0 <= j < 8 }
@@ -43,9 +43,7 @@
 //! let a2 = AffineImage::new(dom.clone(), vec![LinExpr::dim(s, 1), LinExpr::dim(s, 0)]);
 //!
 //! let n_orig = count_union_distinct(&[a1.clone(), a2.clone()], &[]);
-//! let mut pts = a1.image_vertices(&[]);
-//! pts.extend(a2.image_vertices(&[]));
-//! let hull = convex_hull(2, &pts);
+//! let hull = convex_hull(2, &union_image_vertices(&[a1, a2], &[]));
 //! let n_conv = hull.count_integer_points();
 //! assert_eq!(n_orig, 64);
 //! assert_eq!(n_conv, 64); // hull adds nothing: scan it
@@ -66,7 +64,9 @@ pub use codegen::{extract_loop_nest, Bound, DimBounds, LoopNestSpec};
 pub use count::{ehrhart_interpolate, lagrange, Poly};
 pub use hull::convex_hull;
 pub use linexpr::{LinExpr, Space};
-pub use map::{count_union_distinct, try_count_union_distinct, AffineImage};
-pub use polyhedron::{Constraint, ConstraintKind, Polyhedron, Unbounded};
+pub use map::{count_union_distinct, try_count_union_distinct, union_image_vertices, AffineImage};
+pub use polyhedron::{
+    rows_high_water, Constraint, ConstraintKind, Polyhedron, RowBudget, ScanError, ROW_BUDGET,
+};
 pub use rat::Rat;
 pub use vertex::vertices;

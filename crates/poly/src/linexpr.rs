@@ -1,6 +1,6 @@
 //! Linear expressions over a fixed variable space.
 
-use crate::rat::Rat;
+use crate::rat::{gcd, Rat};
 use std::fmt;
 
 /// The variable space of a polyhedron: `dims` set variables followed by
@@ -168,6 +168,31 @@ impl LinExpr {
         acc
     }
 
+    /// Evaluates a parameter-free expression with the leading dims set to
+    /// `dim_vals` and the remaining dims to zero; `None` when the sum
+    /// leaves `i128`.
+    pub fn checked_eval_prefix(&self, dim_vals: &[i64]) -> Option<i128> {
+        debug_assert_eq!(self.space.params, 0);
+        let mut acc = self.const_term();
+        for (c, v) in self.coeffs.iter().zip(dim_vals) {
+            acc = acc.checked_add(c.checked_mul(*v as i128)?)?;
+        }
+        Some(acc)
+    }
+
+    /// The same expression in a space without dimension `d` (whose term is
+    /// dropped); dims above `d` shift down.
+    pub fn without_dim(&self, d: usize) -> LinExpr {
+        let mut coeffs = self.coeffs.clone();
+        coeffs.remove(self.space.dim_col(d));
+        LinExpr { space: Space::new(self.space.dims - 1, self.space.params), coeffs }
+    }
+
+    /// Exchanges the roles of dimensions `a` and `b`.
+    pub fn swap_dims(&mut self, a: usize, b: usize) {
+        self.coeffs.swap(self.space.dim_col(a), self.space.dim_col(b));
+    }
+
     /// Rewrites into a space with the same layout but with parameters
     /// substituted by concrete values (result has zero params).
     pub fn instantiate_params(&self, values: &[i64]) -> LinExpr {
@@ -189,17 +214,6 @@ impl LinExpr {
     pub fn is_param_only(&self) -> bool {
         (0..self.space.dims).all(|d| self.dim_coeff(d) == 0)
     }
-}
-
-fn gcd(mut a: i128, mut b: i128) -> i128 {
-    a = a.abs();
-    b = b.abs();
-    while b != 0 {
-        let t = a % b;
-        a = b;
-        b = t;
-    }
-    a
 }
 
 impl fmt::Debug for LinExpr {

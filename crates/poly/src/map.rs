@@ -4,18 +4,18 @@
 //! set of array cells it touches is the image of its iteration domain under
 //! the affine subscript map. The paper's `NOrig` is the number of *distinct*
 //! points in the union of these images (a union of Z-polytopes, counted in
-//! the paper with Ehrhart polynomials; counted here by exact enumeration for
-//! instantiated parameters, with Ehrhart interpolation available in
-//! [`crate::count`] for parametric counts).
+//! the paper with Ehrhart polynomials; counted here exactly for
+//! instantiated parameters, row by row — see [`try_count_union_distinct`] —
+//! with Ehrhart interpolation available in [`crate::count`] for parametric
+//! counts).
 
 use crate::linexpr::LinExpr;
-use crate::polyhedron::{Polyhedron, Unbounded};
+use crate::polyhedron::{row_len, to_i64, Polyhedron, RowBudget, ScanError};
 use crate::rat::Rat;
 use crate::vertex::vertices;
-use std::collections::HashSet;
 
 /// The image of an iteration domain under an affine subscript map.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct AffineImage {
     /// Iteration domain (dims = loop counters; params allowed).
     pub domain: Polyhedron,
@@ -38,49 +38,106 @@ impl AffineImage {
         self.map.len()
     }
 
+    /// The parameter-free image at concrete parameter values.
+    pub fn instantiate(&self, params: &[i64]) -> AffineImage {
+        AffineImage {
+            domain: self.domain.instantiate_params(params),
+            map: self.map.iter().map(|e| e.instantiate_params(params)).collect(),
+        }
+    }
+
+    /// The same set of target points from a domain without the dims no
+    /// subscript reads, as far as [`Polyhedron::project_unit_dim`] can drop
+    /// them exactly: the image of `A[j][k]` under `i < j, i < k` needs no
+    /// scan over `i`.
+    pub fn without_unread_dims(mut self) -> AffineImage {
+        for d in (0..self.domain.space().dims).rev() {
+            if self.map.iter().any(|e| e.dim_coeff(d) != 0) {
+                continue;
+            }
+            if let Some(projected) = self.domain.project_unit_dim(d) {
+                self.domain = projected;
+                self.map = self.map.iter().map(|e| e.without_dim(d)).collect();
+            }
+        }
+        self
+    }
+
+    /// Appends one record `[other coordinates…, lo, hi]` per run of target
+    /// points of this parameter-free image: the points that agree on every
+    /// coordinate but the last, where they cover `lo..=hi`. The domain is
+    /// scanned with a dim innermost that moves only the last coordinate, by
+    /// one cell per step, if there is one (`A[j][i]` is scanned `j`-major);
+    /// then a whole domain row is one run. Otherwise every point is its
+    /// own run (and is charged to `budget`).
+    fn push_runs(mut self, budget: &mut RowBudget, runs: &mut Vec<i64>) -> Result<(), ScanError> {
+        let dims = self.domain.space().dims;
+        let moves_last_only = |d: usize| {
+            let (last, keys) = self.map.split_last().expect("a target coordinate");
+            last.dim_coeff(d).abs() == 1 && keys.iter().all(|e| e.dim_coeff(d) == 0)
+        };
+        let Some(run_dim) = (0..dims).rev().find(|&d| moves_last_only(d)) else {
+            return self.domain.try_for_each_integer_point(budget, |pt| self.push_point(pt, runs));
+        };
+        let inner = dims - 1;
+        self.domain.swap_dims(run_dim, inner);
+        self.map.iter_mut().for_each(|e| e.swap_dims(run_dim, inner));
+        let (last, keys) = self.map.split_last().expect("a target coordinate");
+        let step = last.dim_coeff(inner);
+        self.domain.try_for_each_row(budget, |_, prefix, lo, hi| {
+            for e in keys {
+                runs.push(to_i64(e.checked_eval_prefix(prefix))?);
+            }
+            let at_zero = last.checked_eval_prefix(prefix);
+            let end = |x: i64| to_i64(at_zero.and_then(|v| v.checked_add(step * x as i128)));
+            let (a, b) = (end(lo)?, end(hi)?);
+            runs.extend([a.min(b), a.max(b)]);
+            Ok(())
+        })
+    }
+
+    /// Appends the single-point run of the domain point `point`.
+    fn push_point(&self, point: &[i64], runs: &mut Vec<i64>) -> Result<(), ScanError> {
+        for e in &self.map {
+            runs.push(to_i64(e.checked_eval_prefix(point))?);
+        }
+        runs.extend_from_within(runs.len() - 1..); // lo == hi
+        Ok(())
+    }
+
     /// Enumerates the distinct integer target points for concrete parameter
-    /// values, or [`Unbounded`] when the instantiated domain cannot be
-    /// scanned.
-    pub fn try_enumerate(&self, params: &[i64]) -> Result<HashSet<Vec<i64>>, Unbounded> {
-        let dom = self.domain.instantiate_params(params);
-        let maps: Vec<LinExpr> = self.map.iter().map(|e| e.instantiate_params(params)).collect();
-        let mut out = HashSet::new();
-        dom.try_for_each_integer_point(|pt| {
-            let img: Vec<i64> = maps.iter().map(|e| e.eval_int(pt, &[]) as i64).collect();
-            out.insert(img);
+    /// values, sorted, or a [`ScanError`] when the instantiated domain
+    /// cannot be scanned within one [`RowBudget`].
+    pub fn try_enumerate(&self, params: &[i64]) -> Result<Vec<Vec<i64>>, ScanError> {
+        let inst = self.instantiate(params);
+        let mut out: Vec<Vec<i64>> = Vec::new();
+        inst.domain.try_for_each_integer_point(&mut RowBudget::new(), |pt| {
+            let image = inst.map.iter().map(|e| to_i64(e.checked_eval_prefix(pt)));
+            out.push(image.collect::<Result<_, _>>()?);
+            Ok(())
         })?;
+        out.sort_unstable();
+        out.dedup();
         Ok(out)
     }
 
     /// Enumerates the distinct integer target points for concrete parameter
-    /// values.
+    /// values, sorted.
     ///
     /// # Panics
     ///
-    /// Panics if the instantiated domain is unbounded; compiler paths use
-    /// [`AffineImage::try_enumerate`] and refuse instead.
-    pub fn enumerate(&self, params: &[i64]) -> HashSet<Vec<i64>> {
-        self.try_enumerate(params).expect("bounded image domain")
+    /// Panics if the instantiated domain cannot be scanned; compiler paths
+    /// count with [`try_count_union_distinct`] and refuse instead.
+    pub fn enumerate(&self, params: &[i64]) -> Vec<Vec<i64>> {
+        self.try_enumerate(params).expect("scannable image domain")
     }
 
-    /// The rational vertices of the image for concrete parameter values:
-    /// the images of the domain's vertices (exact for affine maps — the
-    /// image of a convex hull is the convex hull of the vertex images).
-    pub fn image_vertices(&self, params: &[i64]) -> Vec<Vec<Rat>> {
-        let dom = self.domain.instantiate_params(params);
-        let maps: Vec<LinExpr> = self.map.iter().map(|e| e.instantiate_params(params)).collect();
+    /// The distinct images of rational domain points under this
+    /// parameter-free map, in first-appearance order.
+    fn map_points(&self, points: &[Vec<Rat>]) -> Vec<Vec<Rat>> {
         let mut out: Vec<Vec<Rat>> = Vec::new();
-        for v in vertices(&dom) {
-            let img: Vec<Rat> = maps
-                .iter()
-                .map(|e| {
-                    let mut acc = Rat::int(e.const_term());
-                    for (d, val) in v.iter().enumerate() {
-                        acc = acc + *val * Rat::int(e.dim_coeff(d));
-                    }
-                    acc
-                })
-                .collect();
+        for v in points {
+            let img: Vec<Rat> = self.map.iter().map(|e| e.eval(v, &[])).collect();
             if !out.contains(&img) {
                 out.push(img);
             }
@@ -89,16 +146,86 @@ impl AffineImage {
     }
 }
 
-/// Counts the distinct points in the union of several images for concrete
-/// parameter values (the paper's `NOrig`), or [`Unbounded`] when some
-/// image's domain cannot be scanned — the caller should refuse generation
-/// rather than abort.
-pub fn try_count_union_distinct(images: &[AffineImage], params: &[i64]) -> Result<u64, Unbounded> {
-    let mut all: HashSet<Vec<i64>> = HashSet::new();
-    for img in images {
-        all.extend(img.try_enumerate(params)?);
+/// The distinct rational vertices of several images for concrete parameter
+/// values, in first-appearance order — the point set whose convex hull the
+/// §5.1 generator scans. An image's vertices are the images of its domain's
+/// vertices (the image of a convex hull is the hull of the vertex images);
+/// the vertices of a domain are computed once however many images share it
+/// (the accesses of a loop body all do).
+pub fn union_image_vertices(images: &[AffineImage], params: &[i64]) -> Vec<Vec<Rat>> {
+    let images: Vec<AffineImage> = images.iter().map(|i| i.instantiate(params)).collect();
+    let mut domains: Vec<(&Polyhedron, Vec<Vec<Rat>>)> = Vec::new();
+    let mut out: Vec<Vec<Rat>> = Vec::new();
+    for img in &images {
+        let known = domains.iter().position(|(d, _)| *d == &img.domain).unwrap_or_else(|| {
+            domains.push((&img.domain, vertices(&img.domain)));
+            domains.len() - 1
+        });
+        for v in img.map_points(&domains[known].1) {
+            if !out.contains(&v) {
+                out.push(v);
+            }
+        }
     }
-    Ok(all.len() as u64)
+    out
+}
+
+/// Counts the distinct points in the union of several images for concrete
+/// parameter values (the paper's `NOrig`), or a [`ScanError`] when some
+/// image's domain cannot be scanned within `budget` — the caller should
+/// refuse generation rather than abort.
+///
+/// The cost follows the number of domain *rows*, not points: identical
+/// images are counted once, dims no subscript reads are projected away
+/// ([`AffineImage::without_unread_dims`]), each remaining row contributes
+/// one interval of the last coordinate where the map allows it (the scan
+/// order is chosen per image so that it does), and the union is the merged
+/// length of the sorted intervals.
+pub fn try_count_union_distinct(
+    images: &[AffineImage],
+    params: &[i64],
+    budget: &mut RowBudget,
+) -> Result<u64, ScanError> {
+    let mut distinct: Vec<AffineImage> = Vec::new();
+    for img in images {
+        assert_eq!(img.target_dims(), images[0].target_dims(), "one target space per union");
+        let mut inst = img.instantiate(params);
+        if inst.map.is_empty() {
+            // No coordinates: every domain point maps to the one point `()`.
+            inst.map.push(LinExpr::zero(inst.domain.space()));
+        }
+        if !distinct.contains(&inst) {
+            distinct.push(inst);
+        }
+    }
+    // Fixed-width records `[key…, lo, hi]`, `width - 2` key coordinates.
+    let width = distinct.first().map_or(2, |i| i.target_dims() + 1);
+    let mut runs: Vec<i64> = Vec::new();
+    for img in distinct {
+        img.without_unread_dims().push_runs(budget, &mut runs)?;
+    }
+    let run = |i: u32| &runs[i as usize * width..][..width];
+    // Each record was charged to the budget, so the index fits `u32`.
+    let mut order: Vec<u32> = (0..(runs.len() / width) as u32).collect();
+    order.sort_unstable_by(|&a, &b| run(a).cmp(run(b)));
+
+    // Sorted by (key, lo): a run adds what lies beyond `covered`, the
+    // highest cell counted so far under the same key.
+    let mut total = 0u64;
+    let mut prev: Option<(&[i64], i64)> = None;
+    for &i in &order {
+        let (key, ends) = run(i).split_at(width - 2);
+        let (mut lo, hi) = (ends[0], ends[1]);
+        if let Some((_, covered)) = prev.filter(|(k, _)| *k == key) {
+            if hi <= covered {
+                continue;
+            }
+            lo = lo.max(covered + 1);
+        }
+        total = row_len(lo, hi).and_then(|n| total.checked_add(n)).ok_or(ScanError::Overflow)?;
+        prev = Some((key, hi));
+    }
+    Ok(total)
 }
 
 /// Counts the distinct points in the union of several images for concrete
@@ -106,10 +233,11 @@ pub fn try_count_union_distinct(images: &[AffineImage], params: &[i64]) -> Resul
 ///
 /// # Panics
 ///
-/// Panics if some image's domain is unbounded; compiler paths use
+/// Panics if some image's domain cannot be scanned; compiler paths use
 /// [`try_count_union_distinct`] and refuse instead.
 pub fn count_union_distinct(images: &[AffineImage], params: &[i64]) -> u64 {
-    try_count_union_distinct(images, params).expect("bounded image domains")
+    try_count_union_distinct(images, params, &mut RowBudget::new())
+        .expect("scannable image domains")
 }
 
 #[cfg(test)]
@@ -167,7 +295,7 @@ mod tests {
             square_domain(),
             vec![LinExpr::dim(s, 0).with_dim(1, 1), LinExpr::dim(s, 1)],
         );
-        let vs = img.image_vertices(&[3]);
+        let vs = union_image_vertices(&[img], &[3]);
         assert_eq!(vs.len(), 4);
         assert!(vs.contains(&vec![Rat::int(0), Rat::int(0)]));
         assert!(vs.contains(&vec![Rat::int(4), Rat::int(2)]));
@@ -185,5 +313,63 @@ mod tests {
         assert_eq!(pts.len(), 6);
         assert!(pts.contains(&vec![10]));
         assert!(!pts.contains(&vec![9]));
+        assert_eq!(count_union_distinct(&[img], &[6]), 6);
+    }
+
+    #[test]
+    fn a_stream_of_any_length_is_one_run() {
+        // A[i] and A[i + 5] over 0 <= i < 10^9: two rows, two runs.
+        let s = Space::new(1, 1);
+        let mut dom = Polyhedron::universe(s);
+        dom.add_ge0(LinExpr::dim(s, 0));
+        dom.add_ge0(LinExpr::dim(s, 0).scale(-1).with_param(0, 1).with_const(-1));
+        let a = AffineImage::new(dom.clone(), vec![LinExpr::dim(s, 0)]);
+        let b = AffineImage::new(dom, vec![LinExpr::dim(s, 0).with_const(5)]);
+        let mut budget = RowBudget::new();
+        let n = 1_000_000_000;
+        assert_eq!(try_count_union_distinct(&[a, b], &[n], &mut budget), Ok(n as u64 + 5));
+        assert_eq!(budget.visited(), 2);
+    }
+
+    #[test]
+    fn unread_dims_are_projected_and_transposed_runs_merge() {
+        // The LU inner body over { 0 <= i < n, i < j < n, i < k < n }:
+        // A[j][k] and A[i][k] never read j resp. i, A[j][i] never reads k.
+        let s = Space::new(3, 1);
+        let mut dom = Polyhedron::universe(s);
+        dom.add_ge0(LinExpr::dim(s, 0));
+        dom.add_ge0(LinExpr::dim(s, 0).scale(-1).with_param(0, 1).with_const(-1));
+        for d in [1, 2] {
+            dom.add_ge0(LinExpr::dim(s, d).with_dim(0, -1).with_const(-1));
+            dom.add_ge0(LinExpr::dim(s, d).scale(-1).with_param(0, 1).with_const(-1));
+        }
+        let image =
+            |r, c| AffineImage::new(dom.clone(), vec![LinExpr::dim(s, r), LinExpr::dim(s, c)]);
+        let images = [image(1, 2), image(1, 0), image(0, 2)];
+        for img in &images {
+            assert_eq!(img.instantiate(&[8]).without_unread_dims().domain.space().dims, 2);
+        }
+        // Every cell of the 8×8 block but the diagonal below (0, 0)… by
+        // brute force: the union of the three enumerations.
+        let mut cells: Vec<Vec<i64>> = images.iter().flat_map(|i| i.enumerate(&[8])).collect();
+        cells.sort_unstable();
+        cells.dedup();
+        assert_eq!(count_union_distinct(&images, &[8]), cells.len() as u64);
+    }
+
+    #[test]
+    fn coordinates_beyond_i64_are_refused_not_truncated() {
+        // i -> i64::MAX·i over 0 <= i <= 2: the third point is not an i64.
+        // The old `as i64` cast folded it onto a wrapped cell.
+        let s = Space::new(1, 0);
+        let mut dom = Polyhedron::universe(s);
+        dom.bound_dim(0, 0, 2);
+        let far = AffineImage::new(dom.clone(), vec![LinExpr::dim(s, 0).scale(i64::MAX as i128)]);
+        assert_eq!(far.try_enumerate(&[]), Err(ScanError::Overflow));
+        let mut budget = RowBudget::new();
+        assert_eq!(try_count_union_distinct(&[far], &[], &mut budget), Err(ScanError::Overflow));
+        // …while a run that ends exactly at i64::MAX counts.
+        let edge = AffineImage::new(dom, vec![LinExpr::dim(s, 0).with_const(i64::MAX as i128 - 2)]);
+        assert_eq!(try_count_union_distinct(&[edge], &[], &mut budget), Ok(3));
     }
 }

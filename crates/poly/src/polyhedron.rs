@@ -3,6 +3,7 @@
 
 use crate::linexpr::{LinExpr, Space};
 use crate::rat::Rat;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Constraint sense.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -38,30 +39,108 @@ impl Constraint {
 /// `(coeff, expr)` with `coeff·d + expr >= 0`.
 pub type DimBound = (i128, LinExpr);
 
-/// Integer-point enumeration found no finite lower or upper bound for a
-/// dimension: the polyhedron is unbounded and cannot be scanned. Callers
-/// in the compiler treat this as a refusal (§5.1 profitability demands a
-/// finite cell count) and fall back to the skeleton strategy.
+/// Why the integer points of a polyhedron could not be counted or
+/// enumerated. Callers in the compiler treat every variant as a refusal
+/// (§5.1 profitability demands a finite, affordable cell count) and fall
+/// back to the skeleton strategy.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Unbounded {
-    /// The first dimension (in scanning order) with a missing bound.
-    pub dim: usize,
+pub enum ScanError {
+    /// Some dimension has no finite lower or upper bound.
+    Unbounded {
+        /// The first dimension (in scanning order) with a missing bound.
+        dim: usize,
+    },
+    /// The scan would visit more than [`ROW_BUDGET`] rows or points.
+    OverBudget,
+    /// A bound, coordinate or count does not fit its integer type.
+    Overflow,
 }
 
-impl std::fmt::Display for Unbounded {
+impl std::fmt::Display for ScanError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "polyhedron unbounded in dim {}", self.dim)
+        match self {
+            ScanError::Unbounded { dim } => write!(f, "polyhedron unbounded in dim {dim}"),
+            ScanError::OverBudget => write!(f, "scan exceeds {ROW_BUDGET} rows"),
+            ScanError::Overflow => write!(f, "bound or count overflows"),
+        }
     }
 }
 
-impl std::error::Error for Unbounded {}
+impl std::error::Error for ScanError {}
 
-impl Unbounded {
+impl ScanError {
     /// Stable machine-readable error code (the zero-dependency mirror of
     /// `dae_ir::CodedError`, same `<layer>.<class>` namespace).
     pub fn code(&self) -> &'static str {
-        "poly.unbounded"
+        match self {
+            ScanError::Unbounded { .. } => "poly.unbounded",
+            ScanError::OverBudget => "poly.over_budget",
+            ScanError::Overflow => "poly.overflow",
+        }
     }
+}
+
+/// Scan nodes (rows, outer-loop iterations and, on per-point paths, points)
+/// one [`RowBudget`] admits. Trip counts come from untrusted IR, so the
+/// work spent counting them is capped; the full-size corpus peaks near
+/// 200 nodes per generated access phase.
+pub const ROW_BUDGET: u64 = 1 << 20;
+
+static ROWS_HIGH_WATER: AtomicU64 = AtomicU64::new(0);
+
+/// The most nodes any single [`RowBudget`] of this process has visited so
+/// far (recorded when a budget is dropped). Never exceeds [`ROW_BUDGET`].
+pub fn rows_high_water() -> u64 {
+    ROWS_HIGH_WATER.load(Ordering::Relaxed)
+}
+
+/// The work allowance of one counting session — in the compiler, one
+/// `generate_affine_access` call. Every `try_*` scan charges it.
+#[derive(Debug, Default)]
+pub struct RowBudget {
+    visited: u64,
+}
+
+impl RowBudget {
+    /// A fresh allowance of [`ROW_BUDGET`] nodes.
+    pub fn new() -> RowBudget {
+        RowBudget::default()
+    }
+
+    /// Nodes visited so far.
+    pub fn visited(&self) -> u64 {
+        self.visited
+    }
+
+    /// Accounts for one visited node.
+    pub fn charge(&mut self) -> Result<(), ScanError> {
+        if self.visited == ROW_BUDGET {
+            return Err(ScanError::OverBudget);
+        }
+        self.visited += 1;
+        Ok(())
+    }
+}
+
+impl Drop for RowBudget {
+    fn drop(&mut self) {
+        // A statistic: publishes no other data.
+        ROWS_HIGH_WATER.fetch_max(self.visited, Ordering::Relaxed);
+    }
+}
+
+/// The bounds of one scanning depth, derived once per scan: `lowers` and
+/// `uppers` as in [`Polyhedron::dim_bounds`], and the constraints of the
+/// projection onto dims `0..=depth` that do not mention dim `depth`.
+struct Level {
+    lowers: Vec<DimBound>,
+    uppers: Vec<DimBound>,
+    guards: Vec<Constraint>,
+}
+
+/// A checked `i128` result as a coordinate, or [`ScanError::Overflow`].
+pub(crate) fn to_i64(v: Option<i128>) -> Result<i64, ScanError> {
+    v.and_then(|v| i64::try_from(v).ok()).ok_or(ScanError::Overflow)
 }
 
 /// A convex polyhedron `{ x | A·x + B·n + c >= 0, E·x + F·n + g == 0 }`
@@ -158,15 +237,7 @@ impl Polyhedron {
     pub fn eliminate_dim(&self, d: usize) -> Polyhedron {
         assert!(d < self.space.dims);
         let new_space = Space::new(self.space.dims - 1, self.space.params);
-        let drop_col = |e: &LinExpr| -> LinExpr {
-            let mut coeffs = Vec::with_capacity(new_space.width());
-            for (i, &c) in e.coeffs.iter().enumerate() {
-                if i != d {
-                    coeffs.push(c);
-                }
-            }
-            LinExpr { space: new_space, coeffs }
-        };
+        let drop_col = |e: &LinExpr| e.without_dim(d);
 
         // If an equality involves d, use it to substitute d away exactly.
         if let Some(eq_pos) = self
@@ -321,124 +392,199 @@ impl Polyhedron {
         (lowers, uppers)
     }
 
-    /// Enumerates all integer points of a **parameter-free, bounded**
-    /// polyhedron in lexicographic order, invoking `f` on each.
+    /// Exchanges the roles of dimensions `a` and `b` (a relabelling: the
+    /// same point set with two coordinates swapped).
+    pub fn swap_dims(&mut self, a: usize, b: usize) {
+        for c in &mut self.constraints {
+            c.expr.swap_dims(a, b);
+        }
+    }
+
+    /// Integer-exact projection: eliminates dimension `d` when every
+    /// constraint that mentions it does so with coefficient ±1 and bounds it
+    /// on both sides. Then each bound of `d` is an integer at every integer
+    /// point of the other dims, so Fourier–Motzkin's rational shadow *is*
+    /// the integer shadow. `None` when the guard fails (a `2·d` term, or a
+    /// missing bound, which must stay visible as [`ScanError::Unbounded`]).
+    pub fn project_unit_dim(&self, d: usize) -> Option<Polyhedron> {
+        let (mut lower, mut upper) = (false, false);
+        for c in &self.constraints {
+            let k = c.expr.dim_coeff(d);
+            if k.abs() > 1 {
+                return None;
+            }
+            let eq = c.kind == ConstraintKind::EqZero;
+            lower |= k > 0 || (eq && k != 0);
+            upper |= k < 0 || (eq && k != 0);
+        }
+        (lower && upper).then(|| self.eliminate_dim(d))
+    }
+
+    /// The per-depth bounds of a scan in dimension order: the
+    /// Fourier–Motzkin projections onto the leading dims, each reduced to
+    /// the bounds of its last dim and the guards that do not mention it.
+    fn levels(&self) -> Vec<Level> {
+        assert_eq!(self.space.params, 0, "instantiate parameters before enumerating");
+        // projs[k] = projection of self onto its first `dims - k` dims.
+        let mut projs: Vec<Polyhedron> = vec![self.clone()];
+        for d in (1..self.space.dims).rev() {
+            projs.push(projs.last().expect("nonempty").eliminate_dim(d));
+        }
+        projs
+            .iter()
+            .rev()
+            .enumerate()
+            .map(|(depth, p)| {
+                let (lowers, uppers) = p.dim_bounds(depth);
+                let guards = p
+                    .constraints
+                    .iter()
+                    .filter(|c| c.expr.dim_coeff(depth) == 0)
+                    .cloned()
+                    .collect();
+                Level { lowers, uppers, guards }
+            })
+            .collect()
+    }
+
+    /// Scans a **parameter-free** polyhedron with at least one dimension by
+    /// *rows*: for every integer assignment `prefix` of the leading
+    /// `dims − 1` dimensions (in lexicographic order) whose innermost range
+    /// is non-empty, calls `f(budget, prefix, lo, hi)` — the points
+    /// `(prefix, lo) ..= (prefix, hi)` are exactly the polyhedron's integer
+    /// points on that row. Bounds are derived once per depth; the scan
+    /// itself does not allocate. Every visited node (row or outer
+    /// iteration) is charged to `budget`; `f` charges what it does per
+    /// point.
     ///
-    /// Returns [`Unbounded`] when some dimension has no finite lower or
-    /// upper bound, so callers can refuse generation instead of aborting.
+    /// # Panics
+    ///
+    /// Panics if the polyhedron has parameters or no dimensions.
+    pub fn try_for_each_row(
+        &self,
+        budget: &mut RowBudget,
+        mut f: impl FnMut(&mut RowBudget, &[i64], i64, i64) -> Result<(), ScanError>,
+    ) -> Result<(), ScanError> {
+        assert!(self.space.dims > 0, "a row needs an innermost dimension");
+        let levels = self.levels();
+        let mut point = vec![0i64; self.space.dims];
+        fn recurse(
+            levels: &[Level],
+            point: &mut [i64],
+            depth: usize,
+            budget: &mut RowBudget,
+            f: &mut impl FnMut(&mut RowBudget, &[i64], i64, i64) -> Result<(), ScanError>,
+        ) -> Result<(), ScanError> {
+            budget.charge()?;
+            let level = &levels[depth];
+            let eval = |e: &LinExpr| e.checked_eval_prefix(&point[..depth]);
+            // A guard that fails (e.g. `-1 >= 0` produced by FM from an
+            // empty polyhedron) empties this subtree, whatever the bounds.
+            for g in &level.guards {
+                let v = eval(&g.expr).ok_or(ScanError::Overflow)?;
+                let holds = match g.kind {
+                    ConstraintKind::GeZero => v >= 0,
+                    ConstraintKind::EqZero => v == 0,
+                };
+                if !holds {
+                    return Ok(());
+                }
+            }
+            if level.lowers.is_empty() || level.uppers.is_empty() {
+                return Err(ScanError::Unbounded { dim: depth });
+            }
+            // k·d + rest >= 0 => d >= ceil(-rest / k); k·d <= rest => d <= floor(rest / k).
+            let (mut lo, mut hi) = (i64::MIN, i64::MAX);
+            for (k, rest) in &level.lowers {
+                lo = lo.max(to_i64(eval(rest).and_then(|v| v.div_euclid(*k).checked_neg()))?);
+            }
+            for (k, rest) in &level.uppers {
+                hi = hi.min(to_i64(eval(rest).map(|v| v.div_euclid(*k)))?);
+            }
+            if lo > hi {
+                return Ok(());
+            }
+            if depth + 1 == levels.len() {
+                return f(budget, &point[..depth], lo, hi);
+            }
+            for v in lo..=hi {
+                point[depth] = v;
+                recurse(levels, point, depth + 1, budget, f)?;
+            }
+            Ok(())
+        }
+        recurse(&levels, &mut point, 0, budget, &mut f)
+    }
+
+    /// Enumerates all integer points of a **parameter-free** polyhedron in
+    /// lexicographic order, invoking `f` on each (an error from `f` ends
+    /// the scan) and charging `budget` per point.
+    ///
+    /// Returns a [`ScanError`] when some dimension has no finite bound, the
+    /// budget runs out or a bound overflows, so callers can refuse
+    /// generation instead of aborting.
     ///
     /// # Panics
     ///
     /// Panics if the polyhedron still has parameters.
-    pub fn try_for_each_integer_point(&self, mut f: impl FnMut(&[i64])) -> Result<(), Unbounded> {
-        assert_eq!(self.space.params, 0, "instantiate parameters before enumerating");
-        // projs[k] = projection of self onto its first k dims.
-        let mut projs: Vec<Polyhedron> = vec![self.clone()];
-        for _ in 0..self.space.dims {
-            let last = projs.last().unwrap();
-            let d = last.space.dims - 1;
-            projs.push(last.eliminate_dim(d));
-        }
-        projs.reverse(); // projs[k] has k dims
-
-        let dims = self.space.dims;
-        let mut point = vec![0i64; dims];
-        fn recurse(
-            projs: &[Polyhedron],
-            full: &Polyhedron,
-            point: &mut Vec<i64>,
-            depth: usize,
-            f: &mut impl FnMut(&[i64]),
-        ) -> Result<(), Unbounded> {
-            let dims = point.len();
-            if depth == dims {
-                if full.contains_int(point, &[]) {
-                    f(point);
-                }
-                return Ok(());
-            }
-            let p = &projs[depth + 1]; // polyhedron over dims 0..=depth
-            let (lowers, uppers) = p.dim_bounds(depth);
-            // `rest` lives in a (depth+1)-dim space with a zero coefficient
-            // at dim `depth`; pad the evaluation point accordingly.
-            let mut vals: Vec<i64> = point[..depth].to_vec();
-            vals.push(0);
-            // A contradictory projection (e.g. `-1 >= 0` produced by FM from
-            // an empty polyhedron) has no bounds on this dim; bail out early
-            // instead of reporting unboundedness.
-            let contradicted = p.constraints.iter().any(|c| {
-                if c.expr.dim_coeff(depth) != 0 {
-                    return false;
-                }
-                let v = c.expr.eval_int(&vals, &[]);
-                match c.kind {
-                    ConstraintKind::GeZero => v < 0,
-                    ConstraintKind::EqZero => v != 0,
-                }
-            });
-            if contradicted {
-                point[depth] = 0;
-                return Ok(());
-            }
-            let mut lo: Option<i64> = None;
-            let mut hi: Option<i64> = None;
-            for (k, rest) in &lowers {
-                // k*d + rest >= 0  =>  d >= ceil(-rest / k)
-                let rest_v = rest.eval_int(&vals, &[]);
-                let bound = Rat::new(-rest_v, *k).ceil() as i64;
-                lo = Some(lo.map_or(bound, |c| c.max(bound)));
-            }
-            for (k, rest) in &uppers {
-                let rest_v = rest.eval_int(&vals, &[]);
-                let bound = Rat::new(rest_v, *k).floor() as i64;
-                hi = Some(hi.map_or(bound, |c| c.min(bound)));
-            }
-            let (lo, hi) = match (lo, hi) {
-                (Some(l), Some(h)) => (l, h),
-                _ => return Err(Unbounded { dim: depth }),
-            };
+    pub fn try_for_each_integer_point(
+        &self,
+        budget: &mut RowBudget,
+        mut f: impl FnMut(&[i64]) -> Result<(), ScanError>,
+    ) -> Result<(), ScanError> {
+        let Some(inner) = self.space.dims.checked_sub(1) else {
+            budget.charge()?;
+            return if self.contains_int(&[], &[]) { f(&[]) } else { Ok(()) };
+        };
+        let mut point = vec![0i64; self.space.dims];
+        self.try_for_each_row(budget, |budget, prefix, lo, hi| {
+            point[..inner].copy_from_slice(prefix);
             for v in lo..=hi {
-                point[depth] = v;
-                recurse(projs, full, point, depth + 1, f)?;
+                budget.charge()?;
+                point[inner] = v;
+                // Every constraint bounds or guards the dim of its highest
+                // variable, so the scan needs no membership filter.
+                debug_assert!(self.contains_int(&point, &[]));
+                f(&point)?;
             }
-            point[depth] = 0;
             Ok(())
-        }
-        recurse(&projs, self, &mut point, 0, &mut f)
+        })
     }
 
-    /// Infallible [`Polyhedron::try_for_each_integer_point`] for polyhedra
-    /// that are bounded by construction.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the polyhedron has parameters or is unbounded.
-    pub fn for_each_integer_point(&self, f: impl FnMut(&[i64])) {
-        self.try_for_each_integer_point(f).expect("bounded polyhedron");
-    }
-
-    /// Collects all integer points, or [`Unbounded`] when they cannot be
+    /// Collects all integer points, or a [`ScanError`] when they cannot be
     /// enumerated (see [`Polyhedron::try_for_each_integer_point`]).
-    pub fn try_integer_points(&self) -> Result<Vec<Vec<i64>>, Unbounded> {
+    pub fn try_integer_points(&self, budget: &mut RowBudget) -> Result<Vec<Vec<i64>>, ScanError> {
         let mut out = Vec::new();
-        self.try_for_each_integer_point(|p| out.push(p.to_vec()))?;
+        self.try_for_each_integer_point(budget, |p| {
+            out.push(p.to_vec());
+            Ok(())
+        })?;
         Ok(out)
     }
 
-    /// Collects all integer points (see [`Polyhedron::for_each_integer_point`]).
+    /// Collects all integer points of a polyhedron that is bounded and small
+    /// by construction.
     ///
     /// # Panics
     ///
-    /// Panics if the polyhedron has parameters or is unbounded.
+    /// Panics if the polyhedron has parameters or cannot be scanned.
     pub fn integer_points(&self) -> Vec<Vec<i64>> {
-        self.try_integer_points().expect("bounded polyhedron")
+        self.try_integer_points(&mut RowBudget::new()).expect("scannable polyhedron")
     }
 
-    /// Counts integer points of a parameter-free polyhedron, or
-    /// [`Unbounded`] when the count is infinite.
-    pub fn try_count_integer_points(&self) -> Result<u64, Unbounded> {
+    /// Counts the integer points of a parameter-free polyhedron row by row
+    /// (`hi − lo + 1` each, no point is visited), or a [`ScanError`] when
+    /// the count is infinite, unaffordable or leaves `u64`.
+    pub fn try_count_integer_points(&self, budget: &mut RowBudget) -> Result<u64, ScanError> {
+        if self.space.dims == 0 {
+            budget.charge()?;
+            return Ok(self.contains_int(&[], &[]) as u64);
+        }
         let mut n = 0u64;
-        self.try_for_each_integer_point(|_| n += 1)?;
+        self.try_for_each_row(budget, |_, _, lo, hi| {
+            n = row_len(lo, hi).and_then(|len| n.checked_add(len)).ok_or(ScanError::Overflow)?;
+            Ok(())
+        })?;
         Ok(n)
     }
 
@@ -446,10 +592,17 @@ impl Polyhedron {
     ///
     /// # Panics
     ///
-    /// Panics if the polyhedron has parameters or is unbounded.
+    /// Panics if the polyhedron has parameters or cannot be scanned.
     pub fn count_integer_points(&self) -> u64 {
-        self.try_count_integer_points().expect("bounded polyhedron")
+        self.try_count_integer_points(&mut RowBudget::new()).expect("scannable polyhedron")
     }
+}
+
+/// Number of integers in the non-empty interval `[lo, hi]`; `None` for the
+/// one interval (all of `i64`) whose length leaves `u64`.
+pub(crate) fn row_len(lo: i64, hi: i64) -> Option<u64> {
+    debug_assert!(lo <= hi);
+    u64::try_from(hi as i128 - lo as i128 + 1).ok()
 }
 
 #[cfg(test)]
@@ -472,15 +625,83 @@ mod tests {
         let s = Space::new(1, 0);
         let mut p = Polyhedron::universe(s);
         p.add_ge0(LinExpr::dim(s, 0));
-        assert_eq!(p.try_count_integer_points(), Err(Unbounded { dim: 0 }));
-        assert_eq!(p.try_integer_points(), Err(Unbounded { dim: 0 }));
+        let mut b = RowBudget::new();
+        assert_eq!(p.try_count_integer_points(&mut b), Err(ScanError::Unbounded { dim: 0 }));
+        assert_eq!(p.try_integer_points(&mut b), Err(ScanError::Unbounded { dim: 0 }));
 
         // Unbounded in an inner dimension only: { (x, y) | 0<=x<4, y>=x }.
         let s2 = Space::new(2, 0);
         let mut q = Polyhedron::universe(s2);
         q.bound_dim(0, 0, 3);
         q.add_ge0(LinExpr::dim(s2, 1).with_dim(0, -1));
-        assert_eq!(q.try_count_integer_points(), Err(Unbounded { dim: 1 }));
+        assert_eq!(q.try_count_integer_points(&mut b), Err(ScanError::Unbounded { dim: 1 }));
+    }
+
+    #[test]
+    fn counting_is_by_rows_and_bounded_by_the_budget() {
+        // A 1-D stream of any length is one row.
+        let s = Space::new(1, 0);
+        let mut stream = Polyhedron::universe(s);
+        stream.bound_dim(0, 0, 999_999_999);
+        let mut b = RowBudget::new();
+        assert_eq!(stream.try_count_integer_points(&mut b), Ok(1_000_000_000));
+        assert_eq!(b.visited(), 1);
+        // …but visiting its points is not affordable.
+        assert_eq!(stream.try_integer_points(&mut b), Err(ScanError::OverBudget));
+        assert_eq!(b.visited(), ROW_BUDGET);
+
+        // 2^21 rows of one point each: refused after ROW_BUDGET nodes.
+        let s2 = Space::new(2, 0);
+        let mut tall = Polyhedron::universe(s2);
+        tall.bound_dim(0, 0, (1 << 21) - 1);
+        tall.bound_dim(1, 0, 0);
+        let mut b = RowBudget::new();
+        assert_eq!(tall.try_count_integer_points(&mut b), Err(ScanError::OverBudget));
+        assert_eq!(b.visited(), ROW_BUDGET);
+        drop(b);
+        assert_eq!(rows_high_water(), ROW_BUDGET);
+    }
+
+    #[test]
+    fn bounds_beyond_i64_are_refused_not_truncated() {
+        // { x | 2^100 <= x <= 2^100 + 5 }: six points, none an i64. The old
+        // `as i64` casts scanned a wrapped range instead.
+        let s = Space::new(1, 0);
+        let big = 1i128 << 100;
+        let mut p = Polyhedron::universe(s);
+        p.bound_dim(0, big, big + 5);
+        assert_eq!(p.try_count_integer_points(&mut RowBudget::new()), Err(ScanError::Overflow));
+        // All of i64 is a legal row whose length is not a u64.
+        let mut all = Polyhedron::universe(s);
+        all.bound_dim(0, i64::MIN as i128, i64::MAX as i128);
+        assert_eq!(all.try_count_integer_points(&mut RowBudget::new()), Err(ScanError::Overflow));
+        all.bound_dim(0, 1, i64::MAX as i128);
+        assert_eq!(all.try_count_integer_points(&mut RowBudget::new()), Ok(i64::MAX as u64));
+    }
+
+    #[test]
+    fn unit_projection_guard() {
+        // { (i, j) | 0 <= i <= 3, i + 1 <= j <= 5 }: both dims are unit.
+        let s = Space::new(2, 0);
+        let mut p = Polyhedron::universe(s);
+        p.bound_dim(0, 0, 3);
+        p.add_ge0(LinExpr::dim(s, 1).with_dim(0, -1).with_const(-1));
+        p.add_ge0(LinExpr::dim(s, 1).scale(-1).with_const(5));
+        assert_eq!(p.project_unit_dim(0).expect("unit").integer_points().len(), 5); // j in 1..=5
+        assert_eq!(p.project_unit_dim(1).expect("unit").count_integer_points(), 4);
+        // 2i <= j: i has a non-unit coefficient; its rational shadow in j
+        // would keep j = 1 for { 1 <= 2i <= j }, which no integer i reaches.
+        let mut q = Polyhedron::universe(s);
+        q.bound_dim(1, 0, 5);
+        q.add_ge0(LinExpr::dim(s, 0).scale(2).with_const(-1));
+        q.add_ge0(LinExpr::dim(s, 1).with_dim(0, -2));
+        assert!(q.project_unit_dim(0).is_none());
+        assert!(q.project_unit_dim(1).is_some());
+        // A dim without an upper bound stays, so the scan still reports it.
+        let mut r = Polyhedron::universe(s);
+        r.bound_dim(0, 0, 3);
+        r.add_ge0(LinExpr::dim(s, 1));
+        assert!(r.project_unit_dim(1).is_none());
     }
 
     #[test]

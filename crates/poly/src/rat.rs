@@ -18,15 +18,22 @@ pub struct Rat {
     den: i128,
 }
 
-fn gcd(mut a: i128, mut b: i128) -> i128 {
-    a = a.abs();
-    b = b.abs();
-    while b != 0 {
-        let t = a % b;
-        a = b;
-        b = t;
+/// Greatest common divisor of `|a|` and `|b|` (`gcd(0, 0) == 0`) — the
+/// crate's one Euclid loop. Loop bounds and strides fit machine words, so
+/// the common case runs on hardware `u64` division; `i128 %` is a library
+/// call.
+pub(crate) fn gcd(a: i128, b: i128) -> i128 {
+    let (mut a, mut b) = (a.unsigned_abs(), b.unsigned_abs());
+    if let (Ok(mut x), Ok(mut y)) = (u64::try_from(a), u64::try_from(b)) {
+        while y != 0 {
+            (x, y) = (y, x % y);
+        }
+        return x as i128;
     }
-    a
+    while b != 0 {
+        (a, b) = (b, a % b);
+    }
+    a as i128
 }
 
 impl Rat {
@@ -126,6 +133,9 @@ impl Add for Rat {
     // a/b + c/d needs cross-multiplication.
     #[allow(clippy::suspicious_arithmetic_impl)]
     fn add(self, o: Rat) -> Rat {
+        if self.den == 1 && o.den == 1 {
+            return Rat::int(self.num.checked_add(o.num).expect("rat overflow"));
+        }
         Rat::new(
             self.num
                 .checked_mul(o.den)
@@ -146,6 +156,9 @@ impl Sub for Rat {
 impl Mul for Rat {
     type Output = Rat;
     fn mul(self, o: Rat) -> Rat {
+        if self.den == 1 && o.den == 1 {
+            return Rat::int(self.num.checked_mul(o.num).expect("rat overflow"));
+        }
         Rat::new(self.num.checked_mul(o.num).expect("rat overflow"), self.den * o.den)
     }
 }

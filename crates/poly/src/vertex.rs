@@ -10,45 +10,38 @@ use crate::linexpr::LinExpr;
 use crate::polyhedron::{ConstraintKind, Polyhedron};
 use crate::rat::Rat;
 
-/// Solves the square rational system `rows · x = rhs` by Gaussian
-/// elimination. Returns `None` if singular.
-#[allow(clippy::needless_range_loop)] // pivot/target rows alias the same matrix
-fn solve(rows: &[Vec<Rat>], rhs: &[Rat]) -> Option<Vec<Rat>> {
-    let n = rows.len();
-    let mut a: Vec<Vec<Rat>> = rows
-        .iter()
-        .zip(rhs)
-        .map(|(r, b)| {
-            let mut row = r.clone();
-            row.push(*b);
-            row
-        })
-        .collect();
+/// Solves the square rational system held in `a` — `n` augmented rows
+/// `[coefficients…, rhs]`, row-major — by Gaussian elimination in place.
+/// Returns `None` if singular.
+fn solve(a: &mut [Rat], n: usize) -> Option<Vec<Rat>> {
+    let w = n + 1;
     for col in 0..n {
         // Find pivot.
-        let pivot = (col..n).find(|&r| !a[r][col].is_zero())?;
-        a.swap(col, pivot);
-        let p = a[col][col];
-        for c in col..=n {
-            a[col][c] = a[col][c] / p;
+        let pivot = (col..n).find(|&r| !a[r * w + col].is_zero())?;
+        for c in 0..w {
+            a.swap(col * w + c, pivot * w + c);
+        }
+        let p = a[col * w + col];
+        for c in col..w {
+            a[col * w + c] = a[col * w + c] / p;
         }
         for r in 0..n {
-            if r != col && !a[r][col].is_zero() {
-                let factor = a[r][col];
-                for c in col..=n {
-                    a[r][c] = a[r][c] - factor * a[col][c];
+            let factor = a[r * w + col];
+            if r != col && !factor.is_zero() {
+                for c in col..w {
+                    a[r * w + c] = a[r * w + c] - factor * a[col * w + c];
                 }
             }
         }
     }
-    Some((0..n).map(|r| a[r][n]).collect())
+    Some((0..n).map(|r| a[r * w + n]).collect())
 }
 
-fn expr_row(e: &LinExpr) -> (Vec<Rat>, Rat) {
+/// The augmented row of an active constraint: `expr = Σ ci·xi + c` is
+/// active when `expr == 0`, i.e. `Σ ci·xi = -c`.
+fn expr_row(e: &LinExpr) -> Vec<Rat> {
     let d = e.space.dims;
-    let row: Vec<Rat> = (0..d).map(|i| Rat::int(e.dim_coeff(i))).collect();
-    // expr = Σ ci·xi + c ; active means expr == 0, i.e. Σ ci·xi = -c.
-    (row, Rat::int(-e.const_term()))
+    (0..d).map(|i| e.dim_coeff(i)).chain([-e.const_term()]).map(Rat::int).collect()
 }
 
 /// Enumerates the vertices of a parameter-free polyhedron.
@@ -60,40 +53,24 @@ fn expr_row(e: &LinExpr) -> (Vec<Rat>, Rat) {
 pub fn vertices(p: &Polyhedron) -> Vec<Vec<Rat>> {
     assert_eq!(p.space().params, 0, "instantiate parameters before vertex enumeration");
     let d = p.space().dims;
-    let eqs: Vec<&LinExpr> = p
-        .constraints()
-        .iter()
-        .filter(|c| c.kind == ConstraintKind::EqZero)
-        .map(|c| &c.expr)
-        .collect();
-    let ineqs: Vec<&LinExpr> = p
-        .constraints()
-        .iter()
-        .filter(|c| c.kind == ConstraintKind::GeZero)
-        .map(|c| &c.expr)
-        .collect();
+    let rows_of = |kind: ConstraintKind| -> Vec<Vec<Rat>> {
+        p.constraints().iter().filter(|c| c.kind == kind).map(|c| expr_row(&c.expr)).collect()
+    };
+    let mut eqs = rows_of(ConstraintKind::EqZero);
+    eqs.truncate(d);
+    let ineqs = rows_of(ConstraintKind::GeZero);
 
-    let need = d.saturating_sub(eqs.len().min(d));
+    let need = d - eqs.len();
     let mut out: Vec<Vec<Rat>> = Vec::new();
-
+    // The active system of one basis: all equalities plus `need`
+    // inequalities, copied into one scratch matrix and solved there.
+    let mut system: Vec<Rat> = Vec::with_capacity(d * (d + 1));
     for choice in combinations(ineqs.len(), need) {
-        // Assemble the active system: all equalities plus `need` inequalities.
-        let mut rows: Vec<Vec<Rat>> = Vec::with_capacity(d);
-        let mut rhs: Vec<Rat> = Vec::with_capacity(d);
-        for e in eqs.iter().take(d) {
-            let (r, b) = expr_row(e);
-            rows.push(r);
-            rhs.push(b);
+        system.clear();
+        for row in eqs.iter().chain(choice.iter().map(|&i| &ineqs[i])) {
+            system.extend_from_slice(row);
         }
-        for &i in &choice {
-            let (r, b) = expr_row(ineqs[i]);
-            rows.push(r);
-            rhs.push(b);
-        }
-        if rows.len() != d {
-            continue;
-        }
-        if let Some(x) = solve(&rows, &rhs) {
+        if let Some(x) = solve(&mut system, d) {
             if p.contains_rat(&x, &[]) && !out.contains(&x) {
                 out.push(x);
             }
@@ -194,8 +171,11 @@ mod tests {
 
     #[test]
     fn solve_rejects_singular() {
-        let rows = vec![vec![Rat::int(1), Rat::int(2)], vec![Rat::int(2), Rat::int(4)]];
-        let rhs = vec![Rat::int(1), Rat::int(2)];
-        assert!(solve(&rows, &rhs).is_none());
+        // x + 2y = 1, 2x + 4y = 2
+        let mut system = [1, 2, 1, 2, 4, 2].map(Rat::int);
+        assert!(solve(&mut system, 2).is_none());
+        // x + 2y = 5, 3x + 4y = 6  =>  (-4, 9/2)
+        let mut system = [1, 2, 5, 3, 4, 6].map(Rat::int);
+        assert_eq!(solve(&mut system, 2), Some(vec![Rat::int(-4), Rat::new(9, 2)]));
     }
 }

@@ -1,7 +1,11 @@
 //! Property-based tests of the polyhedral substrate's invariants.
 
-use dae_poly::{convex_hull, lagrange, LinExpr, Polyhedron, Rat, Space};
+use dae_poly::{
+    convex_hull, lagrange, try_count_union_distinct, AffineImage, LinExpr, Polyhedron, Rat,
+    RowBudget, Space,
+};
 use proptest::prelude::*;
+use std::collections::HashSet;
 
 fn rat() -> impl Strategy<Value = Rat> {
     (-50i128..50, 1i128..10).prop_map(|(n, d)| Rat::new(n, d))
@@ -154,6 +158,180 @@ proptest! {
         prop_assert_eq!(vs.len(), 4);
         for v in vs {
             prop_assert!(p.contains_rat(&v, &[]));
+        }
+    }
+}
+
+// ---- differential oracle for the row-granular counts -------------------
+//
+// The compiler's `NOrig`/`NconvUn` come from `try_count_union_distinct`
+// and `try_count_integer_points`, which never visit a point. The oracle
+// here does nothing else: it scans a bounding box, filters by
+// `contains_int` and collects mapped points in a hash set.
+
+/// Every generated domain lies in `[-BOX, BOX]^dims`.
+const BOX: i64 = 8;
+
+/// One extra constraint: dim coefficients, parameter coefficient, constant,
+/// equality?
+type RawConstraint = (Vec<i128>, i128, i128, bool);
+
+/// A domain over `1..=3` dims and one parameter: a box (possibly empty:
+/// width −1) cut by up to two half-planes or equalities with coefficients
+/// in `-3..=3` — triangles `i + 1 <= j`, bands, strided lattices `i == 2k`.
+fn domain() -> impl Strategy<Value = Polyhedron> {
+    let coeff = || -3i128..4;
+    let extra = (proptest::collection::vec(coeff(), 3..4), -1i128..2, -6i128..7, 0u8..4)
+        .prop_map(|(c, p, k, eq)| (c, p, k, eq == 0));
+    (
+        1usize..4,
+        proptest::collection::vec((-3i128..3, -1i128..5), 3..4),
+        proptest::collection::vec(extra, 0..3),
+    )
+        .prop_map(|(dims, sides, extras): (usize, Vec<(i128, i128)>, Vec<RawConstraint>)| {
+            let s = Space::new(dims, 1);
+            let mut p = Polyhedron::universe(s);
+            for (d, (lo, w)) in sides.iter().take(dims).enumerate() {
+                p.bound_dim(d, *lo, lo + w);
+            }
+            for (c, param, k, eq) in extras {
+                let mut e = LinExpr::constant(s, k).with_param(0, param);
+                for (d, c) in c.iter().take(dims).enumerate() {
+                    e = e.with_dim(d, *c);
+                }
+                if eq {
+                    p.add_eq0(e);
+                } else {
+                    p.add_ge0(e);
+                }
+            }
+            p
+        })
+}
+
+/// `targets` subscripts over `domain`: mostly 0/±1 coefficients (dropped,
+/// permuted, shifted, collapsed `i + j` dims), some strides 2–3.
+fn image(targets: usize) -> impl Strategy<Value = AffineImage> {
+    let subscript = (proptest::collection::vec(0usize..8, 3..4), -3i128..4);
+    (domain(), proptest::collection::vec(subscript, 3..4)).prop_map(move |(dom, subs)| {
+        let s = dom.space();
+        let map = subs
+            .iter()
+            .take(targets)
+            .map(|(coeffs, k)| {
+                let mut e = LinExpr::constant(s, *k);
+                for (d, c) in coeffs.iter().take(s.dims).enumerate() {
+                    e = e.with_dim(d, [0, 0, 0, 1, 1, -1, 2, 3][*c]);
+                }
+                e
+            })
+            .collect();
+        AffineImage::new(dom, map)
+    })
+}
+
+/// The integer points of `p` at parameter `n`, by box scan.
+fn brute_points(p: &Polyhedron, n: i64) -> Vec<Vec<i64>> {
+    let dims = p.space().dims;
+    let mut out = Vec::new();
+    let mut pt = vec![-BOX; dims];
+    loop {
+        if p.contains_int(&pt, &[n]) {
+            out.push(pt.clone());
+        }
+        let Some(d) = (0..dims).rev().find(|&d| pt[d] < BOX) else { return out };
+        pt[d] += 1;
+        pt[d + 1..].fill(-BOX);
+    }
+}
+
+fn cases() -> ProptestConfig {
+    ProptestConfig::with_cases(ProptestConfig::default().cases.max(256))
+}
+
+proptest! {
+    #![proptest_config(cases())]
+
+    /// `NOrig`: the row/run count of a union of images equals the size of
+    /// the brute-force point set, whichever of the projection, run and
+    /// per-point paths each image takes.
+    #[test]
+    fn union_count_matches_point_set(
+        targets in 1usize..4,
+        images in proptest::collection::vec(image(3), 1..5),
+        n in 0i64..4,
+    ) {
+        let images: Vec<AffineImage> = images
+            .into_iter()
+            .map(|i| AffineImage::new(i.domain, i.map[..targets].to_vec()))
+            .collect();
+        let mut cells: HashSet<Vec<i64>> = HashSet::new();
+        for img in &images {
+            for pt in brute_points(&img.domain, n) {
+                cells.insert(img.map.iter().map(|e| e.eval_int(&pt, &[n]) as i64).collect());
+            }
+        }
+        let mut budget = RowBudget::new();
+        prop_assert_eq!(
+            try_count_union_distinct(&images, &[n], &mut budget),
+            Ok(cells.len() as u64),
+            "{:?}", images
+        );
+        // …and one image's sorted enumeration is that image's cells.
+        let mut first: Vec<Vec<i64>> = brute_points(&images[0].domain, n)
+            .iter()
+            .map(|pt| images[0].map.iter().map(|e| e.eval_int(pt, &[n]) as i64).collect())
+            .collect();
+        first.sort_unstable();
+        first.dedup();
+        prop_assert_eq!(images[0].try_enumerate(&[n]), Ok(first));
+    }
+
+    /// Row enumeration and row counting equal a box scan filtered by
+    /// `contains_int` — so the scan needs no per-leaf membership filter.
+    #[test]
+    fn rows_match_box_scan(dom in domain(), n in 0i64..4) {
+        let p = dom.instantiate_params(&[n]);
+        let brute = brute_points(&dom, n);
+        let mut budget = RowBudget::new();
+        prop_assert_eq!(p.try_count_integer_points(&mut budget), Ok(brute.len() as u64), "{:?}", p);
+        prop_assert_eq!(p.try_integer_points(&mut budget), Ok(brute.clone()), "{:?}", p);
+        let mut from_rows = Vec::new();
+        p.try_for_each_row(&mut budget, |_, prefix, lo, hi| {
+            assert!(lo <= hi, "empty row reported");
+            from_rows.extend((lo..=hi).map(|x| [prefix, &[x]].concat()));
+            Ok(())
+        })
+        .unwrap();
+        prop_assert_eq!(from_rows, brute);
+    }
+
+    /// The projection fast path is taken exactly when the unit-coefficient
+    /// guard holds, and then drops the dim from every integer point — no
+    /// more, no fewer.
+    #[test]
+    fn unit_projection_is_the_integer_shadow(dom in domain(), n in 0i64..4, pick in 0usize..3) {
+        let p = dom.instantiate_params(&[n]);
+        let d = pick % p.space().dims;
+        let coeffs = || p.constraints().iter().map(|c| c.expr.dim_coeff(d));
+        // (The box always bounds `d` on both sides, with ±1 coefficients.)
+        let guard = coeffs().all(|k| k.abs() <= 1);
+        let projected = p.project_unit_dim(d);
+        prop_assert_eq!(projected.is_some(), guard, "{:?} dim {}", p, d);
+        if let Some(q) = projected {
+            let shadow: HashSet<Vec<i64>> = brute_points(&dom, n)
+                .into_iter()
+                .map(|mut pt| {
+                    pt.remove(d);
+                    pt
+                })
+                .collect();
+            if q.space().dims == 0 {
+                prop_assert_eq!(q.contains_int(&[], &[]), !shadow.is_empty(), "{:?}", p);
+            } else {
+                let got: HashSet<Vec<i64>> = q.integer_points().into_iter().collect();
+                prop_assert_eq!(got, shadow, "{:?} dim {}", p, d);
+            }
         }
     }
 }

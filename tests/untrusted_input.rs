@@ -8,6 +8,8 @@
 
 use dae_repro::ir::CodedError;
 use dae_repro::pgo::{PhaseAgg, PhaseProfile, ProfileStore};
+use dae_repro::poly::{rows_high_water, ROW_BUDGET};
+use dae_repro::serve::load::corpus_program;
 use dae_repro::serve::proto::parse_request;
 use dae_repro::serve::{codes, Engine, EngineConfig, Request, MAX_FRAME_BYTES};
 use dae_repro::trace::json::{parse, validate, JsonValue};
@@ -325,4 +327,63 @@ fn runaway_programs_hit_the_step_limit() {
         Err(e) => assert_structured(&e.code),
         Ok(_) => panic!("an infinite loop cannot succeed"),
     }
+}
+
+/// Sends `ir` as `compile` and as `run`: each must come back as a result
+/// or a dotted code — and, whatever the trip counts say, after no more
+/// counting work than one row budget per generated access phase. The
+/// counter is asserted, not wall time: on the commit before row-granular
+/// counting these requests pinned a worker for minutes.
+fn compile_and_run_within_the_row_budget(engine: &Engine, ir: &str) {
+    for op in ["compile", "run"] {
+        if let Err(e) = engine.handle(&work_request(op, ir)) {
+            assert_structured(&e.code);
+        }
+        assert!(rows_high_water() <= ROW_BUDGET, "{op}: {} rows visited", rows_high_water());
+    }
+}
+
+#[test]
+fn a_billion_trip_stream_compiles_in_one_row() {
+    // A 400-byte request: corpus program 0 with its trip count 512
+    // replaced by 10^9. One row per access, whatever the length.
+    let ir = corpus_program(0).replace("icmp lt bb1p0, 512", "icmp lt bb1p0, 1000000000");
+    assert_ne!(ir, corpus_program(0), "the corpus program changed shape");
+    let engine = Engine::new(&EngineConfig::default());
+    compile_and_run_within_the_row_budget(&engine, &ir);
+    engine.handle(&work_request("compile", &ir)).expect("a long stream still compiles");
+}
+
+#[test]
+fn a_hundred_thousand_squared_nest_is_counted_by_rows_or_refused() {
+    // for i < 10^5, j < 10^5: a[i + j] is 10^5 row intervals (affordable);
+    // a[3i + 2j + 1] does not delinearise (the 1 fits neither stride) and
+    // has no unit-stride dim to run along, so every one of the 10^10 points
+    // is its own run: the budget refuses, the skeleton path answers.
+    let nest = |subscript: &str| {
+        format!(
+            "global g0 a : 400000 x f64\n\n\
+             task fn nest() {{\nbb0:\n  jump bb1(0)\n\
+             bb1(bb1p0: i64):\n  v0: bool = icmp lt bb1p0, 100000\n  br v0, bb2, bb5\n\
+             bb2:\n  jump bb3(0)\n\
+             bb3(bb3p0: i64):\n  v1: bool = icmp lt bb3p0, 100000\n  br v1, bb4, bb6\n\
+             bb4:\n{subscript}  v4: i64 = imul v3, 8\n  v5: ptr = ptradd @g0, v4\n\
+             \x20 v6: f64 = load v5\n  v7: f64 = fmul v6, 2.0\n  store v5, v7\n\
+             \x20 v8: i64 = iadd bb3p0, 1\n  jump bb3(v8)\n\
+             bb6:\n  v9: i64 = iadd bb1p0, 1\n  jump bb1(v9)\n\
+             bb5:\n  ret\n}}\n"
+        )
+    };
+    let engine = Engine::new(&EngineConfig::default());
+    let by_rows = nest("  v3: i64 = iadd bb1p0, bb3p0\n");
+    compile_and_run_within_the_row_budget(&engine, &by_rows);
+    engine.handle(&work_request("compile", &by_rows)).expect("10^5 rows are affordable");
+    assert!(rows_high_water() < ROW_BUDGET, "a[i + j] must be counted by rows");
+    let by_points = nest(
+        "  v2: i64 = imul bb3p0, 2\n  v10: i64 = imul bb1p0, 3\n  v11: i64 = iadd v2, v10\n\
+         \x20 v3: i64 = iadd v11, 1\n",
+    );
+    compile_and_run_within_the_row_budget(&engine, &by_points);
+    assert_eq!(rows_high_water(), ROW_BUDGET, "10^10 points must exhaust the budget");
+    engine.handle(&work_request("compile", &by_points)).expect("refusal falls back, not fails");
 }
