@@ -70,6 +70,15 @@ check "a hashed point set (counting is by rows)" \
     'HashSet<Vec<i64>>' \
     'crates/(poly|core)/src/.*'
 
+# A run leases its cache hierarchy from the thread (reset == new); a second
+# construction site in the production crates would be a per-request rebuild
+# coming back. dae-sim, dae-core and the workloads build their own for
+# single-phase probes and tests.
+check "cache-model state built per run (runs lease it)" \
+    "crates/runtime/src/lease.rs" \
+    '(SharedLlc|CoreCaches)::new' \
+    'crates/(runtime|serve|driver|gate|pgo|governor)/src/.*|src/.*'
+
 if [ "$fail" -eq 0 ]; then
     echo "one_of_each: ok"
 fi

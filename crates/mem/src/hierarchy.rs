@@ -44,6 +44,7 @@ impl Default for HierarchyConfig {
 
 /// The shared last-level cache.
 #[derive(Clone, Debug)]
+#[cfg_attr(test, derive(PartialEq))]
 pub struct SharedLlc {
     cache: Cache,
 }
@@ -63,6 +64,11 @@ impl SharedLlc {
     pub fn flush(&mut self) {
         self.cache.flush();
     }
+
+    /// Returns the LLC to the state [`SharedLlc::new`] gives.
+    pub fn reset(&mut self) {
+        self.cache.reset();
+    }
 }
 
 /// A simple per-core stream detector modelling the L2 hardware
@@ -70,6 +76,7 @@ impl SharedLlc {
 /// ascending/descending miss stream is considered covered (the line was
 /// fetched ahead of use).
 #[derive(Clone, Debug, Default)]
+#[cfg_attr(test, derive(PartialEq))]
 pub struct StreamPrefetcher {
     /// Ring buffer of the last [`StreamPrefetcher::TRACKED`] miss lines
     /// (coverage only asks set membership, so order inside is irrelevant —
@@ -100,6 +107,7 @@ impl StreamPrefetcher {
 
 /// The private caches of one core, accessing a shared LLC.
 #[derive(Clone, Debug)]
+#[cfg_attr(test, derive(PartialEq))]
 pub struct CoreCaches {
     l1: Cache,
     l2: Cache,
@@ -202,6 +210,14 @@ impl CoreCaches {
     pub fn flush(&mut self) {
         self.l1.flush();
         self.l2.flush();
+    }
+
+    /// Returns the core to the state [`CoreCaches::new`] gives: both levels
+    /// empty, counters zero, no stream tracked.
+    pub fn reset(&mut self) {
+        self.l1.reset();
+        self.l2.reset();
+        self.streams = StreamPrefetcher::default();
     }
 
     /// Capacity of L1 + L2 in bytes (the paper's task working-set target).
@@ -341,5 +357,147 @@ mod writeback_tests {
         let (level, wb) = core.access_write(&mut llc, 8);
         assert_eq!(level, HitLevel::L1);
         assert_eq!(wb, 0);
+    }
+}
+
+/// The lease invariant: a hierarchy that ran one workload and was `reset`
+/// is, to the next workload, the hierarchy `new` would have built.
+#[cfg(test)]
+mod reset_tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// Tiny, the default Sandybridge-like one, and one whose three set
+    /// counts (3, 6, 12) are not powers of two.
+    fn geometry(g: usize) -> HierarchyConfig {
+        let level = |size_bytes, assoc| CacheConfig { size_bytes, assoc, line_bytes: 64 };
+        match g {
+            0 => HierarchyConfig { l1: level(256, 2), l2: level(1024, 4), llc: level(4096, 8) },
+            1 => HierarchyConfig::default(),
+            _ => HierarchyConfig { l1: level(384, 2), l2: level(1536, 4), llc: level(6144, 8) },
+        }
+    }
+
+    /// Two cores over one LLC.
+    #[derive(Clone, PartialEq)]
+    struct Machine {
+        llc: SharedLlc,
+        cores: [CoreCaches; 2],
+    }
+
+    impl Machine {
+        fn new(cfg: &HierarchyConfig) -> Machine {
+            Machine {
+                llc: SharedLlc::new(cfg.llc),
+                cores: [CoreCaches::new(cfg), CoreCaches::new(cfg)],
+            }
+        }
+
+        fn reset(&mut self) {
+            self.llc.reset();
+            self.cores.iter_mut().for_each(CoreCaches::reset);
+        }
+
+        /// Runs `stream`, returning per access the serving level, the
+        /// stream detector's verdict (demand reads) and the DRAM write-backs
+        /// (stores).
+        fn feed(&mut self, stream: &[Op]) -> Vec<(HitLevel, bool, u64)> {
+            let sets = self.cores[0].l1.config().num_sets();
+            stream
+                .iter()
+                .map(|&(core, kind, line, conflict, offset)| {
+                    let addr = line * if conflict { sets } else { 1 } * 64 + offset;
+                    let core = &mut self.cores[core];
+                    match kind {
+                        0 => {
+                            let (level, covered) = core.access_demand(&mut self.llc, addr);
+                            (level, covered, 0)
+                        }
+                        1 => {
+                            let (level, writebacks) = core.access_write(&mut self.llc, addr);
+                            (level, false, writebacks)
+                        }
+                        _ => (core.access(&mut self.llc, addr), false, 0),
+                    }
+                })
+                .collect()
+        }
+
+        /// Counters and residency of every level, and whether each line a
+        /// stream could have named is resident in each.
+        fn observe(&self) -> (Vec<(CacheStats, usize)>, Vec<bool>) {
+            let levels = [
+                &self.cores[0].l1,
+                &self.cores[0].l2,
+                &self.cores[1].l1,
+                &self.cores[1].l2,
+                &self.llc.cache,
+            ];
+            let sets = self.cores[0].l1.config().num_sets();
+            let probes = levels
+                .iter()
+                .flat_map(|c| {
+                    (0..LINES).flat_map(move |l| [c.probe(l * 64), c.probe(l * sets * 64)])
+                })
+                .collect();
+            (levels.iter().map(|c| (c.stats(), c.resident_lines())).collect(), probes)
+        }
+    }
+
+    const LINES: u64 = 160;
+
+    /// `(core, kind, line, conflict, offset)`: kind 0 is a demand read, 1 a
+    /// store, 2 a prefetch; a conflicting access multiplies its line by the
+    /// L1 set count, so those lines collide in every level whose set count
+    /// that divides. Unit-stride runs of plain lines train the detector.
+    type Op = (usize, u8, u64, bool, u64);
+
+    fn ops() -> impl Strategy<Value = Vec<Op>> {
+        proptest::collection::vec((0usize..2, 0u8..3, 0u64..LINES, any::<bool>(), 0u64..64), 0..300)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: ProptestConfig::default().cases.max(256) })]
+
+        #[test]
+        fn reset_then_a_stream_equals_a_fresh_hierarchy(
+            g in 0usize..3, first in ops(), second in ops(),
+        ) {
+            let cfg = geometry(g);
+            let mut leased = Machine::new(&cfg);
+            leased.feed(&first);
+            leased.reset();
+            let mut fresh = Machine::new(&cfg);
+            prop_assert!(leased == fresh, "reset state differs from new");
+            prop_assert_eq!(leased.feed(&second), fresh.feed(&second));
+            prop_assert!(leased.observe() == fresh.observe(), "counters or residency differ");
+            prop_assert!(leased == fresh, "state differs after the second stream");
+        }
+
+        /// Flushing some of the parts (bit 0: core 0, bit 1: core 1, bit 2:
+        /// the LLC) empties them as the whole-array fill did; the other
+        /// parts, every counter and the stream detectors carry over.
+        #[test]
+        fn a_partial_flush_equals_the_whole_array_model(
+            g in 0usize..3, parts in 1u8..8, first in ops(), second in ops(),
+        ) {
+            let mut m = Machine::new(&geometry(g));
+            m.feed(&first);
+            let mut model = m.clone();
+            for (i, core) in m.cores.iter_mut().enumerate() {
+                if parts & (1 << i) != 0 {
+                    core.flush();
+                    model.cores[i].l1.flush_whole_array();
+                    model.cores[i].l2.flush_whole_array();
+                }
+            }
+            if parts & 4 != 0 {
+                m.llc.flush();
+                model.llc.cache.flush_whole_array();
+            }
+            prop_assert_eq!(m.feed(&second), model.feed(&second));
+            prop_assert!(m.observe() == model.observe(), "counters or residency differ");
+            prop_assert!(m == model, "state differs from the model");
+        }
     }
 }

@@ -39,6 +39,7 @@
 #![warn(missing_docs)]
 
 pub mod config;
+mod lease;
 pub mod report;
 pub mod sched;
 

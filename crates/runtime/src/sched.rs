@@ -10,10 +10,10 @@
 //! profiled execution) is exact rather than sampled.
 
 use crate::config::{FreqPolicy, RuntimeConfig};
+use crate::lease::Hierarchy;
 use crate::report::{Breakdown, ClassReport, GovernorReport, RunReport};
 use dae_governor::{Governor, PhaseObs, TaskClass, TaskObs};
 use dae_ir::{FuncId, Function, Module, Type};
-use dae_mem::{CoreCaches, SharedLlc};
 use dae_pgo::{PhaseSample, ProfileCollector};
 use dae_power::{phase_energy_split_j, select_optimal_edp, DvfsTable, FreqId, FreqPoint};
 use dae_sim::{CachePort, InterpError, Machine, PhaseTrace, Val};
@@ -67,7 +67,6 @@ pub fn argv_for(f: &Function, hints: &[i64]) -> Vec<Val> {
 }
 
 struct CoreState {
-    caches: CoreCaches,
     clock_s: f64,
     freq: FreqId,
     busy_s: f64,
@@ -138,12 +137,28 @@ pub fn run_workload(
 ///
 /// The sink and the collector only observe: with either attached the
 /// reported numbers are bit-identical to [`run_workload`] on the same
-/// inputs.
+/// inputs. The simulated cache hierarchy is leased from the calling thread
+/// and parked, reset, on return — a run never sees an earlier run's lines
+/// or counters.
 ///
 /// # Errors
 ///
 /// Propagates interpreter traps ([`InterpError`]).
 pub fn run_workload_with(
+    module: &Module,
+    tasks: &[TaskInstance],
+    cfg: &RuntimeConfig,
+    hooks: RunHooks<'_>,
+) -> Result<RunReport, InterpError> {
+    let mut caches = Hierarchy::lease(cfg);
+    let report = run_on(&mut caches, module, tasks, cfg, hooks);
+    caches.park();
+    report
+}
+
+/// [`run_workload_with`] on a cache hierarchy in its initial state.
+fn run_on(
+    caches: &mut Hierarchy,
     module: &Module,
     tasks: &[TaskInstance],
     cfg: &RuntimeConfig,
@@ -165,14 +180,8 @@ pub fn run_workload_with(
     let mut machine = Machine::new(module);
     machine.config.max_steps = cfg.max_steps;
     machine.config.engine = cfg.engine;
-    let mut llc = SharedLlc::new(cfg.hierarchy.llc);
     let mut cores: Vec<CoreState> = (0..cfg.cores)
-        .map(|_| CoreState {
-            caches: CoreCaches::new(&cfg.hierarchy),
-            clock_s: 0.0,
-            freq: cfg.table.max(),
-            busy_s: 0.0,
-        })
+        .map(|_| CoreState { clock_s: 0.0, freq: cfg.table.max(), busy_s: 0.0 })
         .collect();
 
     let mut energy_j = 0.0;
@@ -218,7 +227,7 @@ pub fn run_workload_with(
             let task = &tasks[task_idx];
             run_task(
                 &mut machine,
-                &mut llc,
+                &mut CachePort { core: &mut caches.cores[c], llc: &mut caches.llc },
                 &mut cores[c],
                 cfg,
                 task,
@@ -276,7 +285,7 @@ pub fn run_workload_with(
 #[allow(clippy::too_many_arguments)]
 fn run_task<'g>(
     machine: &mut Machine<'_>,
-    llc: &mut SharedLlc,
+    port: &mut CachePort<'_>,
     core: &mut CoreState,
     cfg: &RuntimeConfig,
     task: &TaskInstance,
@@ -337,12 +346,7 @@ fn run_task<'g>(
     if decoupled {
         let access = task.access.expect("checked");
         let mut a_trace = PhaseTrace::default();
-        machine.run(
-            access,
-            &task.args,
-            &mut CachePort { core: &mut core.caches, llc },
-            &mut a_trace,
-        )?;
+        machine.run(access, &task.args, port, &mut a_trace)?;
         emit_lower_spans(machine, sink, core_id, core.clock_s);
         let a_freq = match &decision {
             Some((_, d)) => d.access,
@@ -384,12 +388,7 @@ fn run_task<'g>(
 
     // Execute phase (or the whole task when coupled).
     let mut e_trace = PhaseTrace::default();
-    machine.run(
-        task.func,
-        &task.args,
-        &mut CachePort { core: &mut core.caches, llc },
-        &mut e_trace,
-    )?;
+    machine.run(task.func, &task.args, port, &mut e_trace)?;
     emit_lower_spans(machine, sink, core_id, core.clock_s);
     let e_freq = match &decision {
         Some((_, d)) => d.execute,
@@ -1015,5 +1014,66 @@ mod tests {
             .unwrap();
         assert!(opt.energy_j <= max.energy_j * 1.001);
         assert!(opt.edp() <= max.edp() * 1.001);
+    }
+
+    /// Accepts `left` events, then panics.
+    struct FailingSink {
+        left: u32,
+    }
+
+    impl TraceSink for FailingSink {
+        fn is_enabled(&self) -> bool {
+            true
+        }
+
+        fn record(&mut self, _event: TraceEvent) {
+            assert!(self.left > 0, "sink failed");
+            self.left -= 1;
+        }
+    }
+
+    #[test]
+    fn a_thread_s_earlier_runs_leave_nothing_behind_on_any_exit_path() {
+        use crate::lease::parked;
+        let (m, exec, access) = stream_module(8192, 512);
+        let tasks = tasks_for(exec, access, 8192, 512);
+        let a = RuntimeConfig::paper_default().with_policy(FreqPolicy::DaeOptimal);
+        let first = run_workload(&m, &tasks, &a).unwrap().to_json_string();
+        assert!(parked());
+        let again = |after: &str| {
+            let report = run_workload(&m, &tasks, &a).unwrap().to_json_string();
+            assert_eq!(report, first, "after {after}");
+        };
+        again("a run of the same configuration");
+
+        // Another geometry and core count: built fresh, parked in place of
+        // the first.
+        let level = |size_bytes, assoc| dae_mem::CacheConfig { size_bytes, assoc, line_bytes: 64 };
+        let mut b = a.clone();
+        b.cores = 2;
+        b.hierarchy.l1 = level(384, 2);
+        b.hierarchy.l2 = level(1536, 4);
+        b.hierarchy.llc = level(6144, 8);
+        let other = run_workload(&m, &tasks, &b).unwrap().to_json_string();
+        assert_ne!(other, first, "a different machine reports differently");
+        again("another geometry");
+        assert_eq!(run_workload(&m, &tasks, &b).unwrap().to_json_string(), other);
+        again("another geometry, leased");
+
+        // The budget runs out in the first execute phase, after its access
+        // phase has filled lines.
+        let e = run_workload(&m, &tasks, &a.clone().with_max_steps(1000)).unwrap_err();
+        assert_eq!(e, InterpError::StepLimit);
+        assert!(parked(), "the error path parks");
+        again("a step-limit");
+
+        let mut sink = FailingSink { left: 8 };
+        let hooks = RunHooks { sink: Some(&mut sink), ..Default::default() };
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_workload_with(&m, &tasks, &a, hooks)
+        }));
+        assert!(unwound.is_err());
+        assert!(!parked(), "a run that unwinds parks nothing");
+        again("a panic");
     }
 }

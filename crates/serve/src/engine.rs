@@ -287,6 +287,15 @@ impl Engine {
         // Per-task comparison: coupled baseline at fmax vs decoupled under
         // the requested policy — the service twin of `daec --run`.
         let cfg = base.clone().with_policy(policy);
+        // Profile collection rides along on one run: the collector only
+        // observes, so the report is exactly what `run_workload` produces.
+        let mut col = ProfileCollector::new();
+        let collected = |insts: &[TaskInstance], col: &mut ProfileCollector| {
+            let hooks = RunHooks { collector: Some(col), ..Default::default() };
+            run_workload_with(module, insts, &cfg, hooks).map_err(|e| ErrorBody::from_coded(&e))
+        };
+        let one_task = c.tasks.len() == 1;
+        let mut whole = None;
         let mut per_task = Vec::with_capacity(c.tasks.len());
         let mut insts = Vec::with_capacity(c.tasks.len());
         for &task in &c.tasks {
@@ -301,14 +310,21 @@ impl Engine {
             match c.outcome.map.access(task) {
                 Some(access) => {
                     let dae = vec![TaskInstance::decoupled(task, access, argv)];
-                    let r2 =
-                        run_workload(module, &dae, &cfg).map_err(|e| ErrorBody::from_coded(&e))?;
+                    // A module's only task: this run is the whole-module
+                    // run below (same module, same one-instance list, same
+                    // config), so it is simulated once and reported twice.
+                    let r2 = if one_task {
+                        collected(&dae, &mut col)?
+                    } else {
+                        run_workload(module, &dae, &cfg).map_err(|e| ErrorBody::from_coded(&e))?
+                    };
                     entry.push(("dae".to_string(), headline(&r2)));
                     entry.push((
                         "edp_delta_percent".to_string(),
                         ((r2.edp() / r1.edp() - 1.0) * 100.0).into(),
                     ));
                     insts.extend(dae);
+                    whole = one_task.then_some(r2);
                 }
                 None => {
                     entry.push(("dae".to_string(), JsonValue::Null));
@@ -321,14 +337,10 @@ impl Engine {
         // access phase exists — reported in full (`RunReport::to_json`).
         // Compile/cache statistics are deliberately not attached: they
         // vary with cache temperature and the report must not.
-        // The whole-module run doubles as profile collection: the phase
-        // counters ride along without changing the report (the collector
-        // only observes), so the response bytes stay exactly what
-        // `run_workload` would produce.
-        let mut col = ProfileCollector::new();
-        let hooks = RunHooks { collector: Some(&mut col), ..Default::default() };
-        let report = run_workload_with(module, &insts, &cfg, hooks)
-            .map_err(|e| ErrorBody::from_coded(&e))?;
+        let report = match whole {
+            Some(report) => report,
+            None => collected(&insts, &mut col)?,
+        };
         self.absorb_profiles(req, c, col);
         Ok(JsonValue::obj([
             ("policy", cfg.policy.label(&cfg.table).into()),
@@ -357,12 +369,15 @@ impl Engine {
                 st.store.merge_record(key, &p);
             }
         }
-        st.recent.retain(|m| m.key != mkey);
-        st.recent.push_front(RecentModule {
+        // A module seen before moves to the front; its text is copied only
+        // the first time.
+        let seen = st.recent.iter().position(|m| m.key == mkey);
+        let entry = seen.and_then(|i| st.recent.remove(i)).unwrap_or_else(|| RecentModule {
             key: mkey,
             ir: req.ir.clone(),
             hints: req.hints.clone(),
         });
+        st.recent.push_front(entry);
         st.recent.truncate(RECENT_MODULES_CAP);
     }
 
@@ -645,13 +660,80 @@ bb3:
     #[test]
     fn engine_responses_match_a_fresh_engine_per_request() {
         let shared = Engine::new(&EngineConfig::default());
-        for op in ["compile", "report", "run"] {
-            let warmup = shared.handle(&run_req(op)).unwrap();
-            let again = shared.handle(&run_req(op)).unwrap();
-            let fresh = Engine::new(&EngineConfig::default()).handle(&run_req(op)).unwrap();
+        // Requests that end a simulation early, each leaving a partly used
+        // cache model behind on this thread: the step budget running out,
+        // a trap, and a load far outside the globals (a handler panic).
+        let failing = [
+            ("task fn spin() {\nbb0:\n  jump bb1\nbb1:\n  jump bb1\n}\n", "sim.step-limit"),
+            (
+                "global g0 a : 64 x i64\n\ntask fn div(arg0: i64) {\nbb0:\n  v0: ptr = ptradd @g0, 0\n  \
+                 v1: i64 = load v0\n  v2: i64 = idiv arg0, v1\n  store v0, v2\n  ret\n}\n",
+                "sim.trap",
+            ),
+            (
+                "global g0 a : 64 x f64\n\ntask fn wild(arg0: i64) {\nbb0:\n  v0: ptr = ptradd @g0, 0\n  \
+                 v1: f64 = load v0\n  v2: ptr = ptradd @g0, 1099511627776\n  v3: f64 = load v2\n  \
+                 store v0, v3\n  ret\n}\n",
+                codes::INTERNAL,
+            ),
+        ];
+        let fail = |ir: &str, code: &str| {
+            let frame =
+                JsonValue::obj([("id", 1u64.into()), ("op", "run".into()), ("ir", ir.into())]);
+            let e = shared.handle(&req(&frame.to_json_string())).unwrap_err();
+            assert_eq!(e.code, code);
+        };
+        for (round, op) in ["compile", "report", "run", "run"].into_iter().enumerate() {
+            // The second `run` round differs from the first in a hint, so it
+            // is simulated (not answered from the response cache) on state
+            // the failures before it have used.
+            let frame = JsonValue::obj([
+                ("id", 1u64.into()),
+                ("op", op.into()),
+                ("ir", STREAM.into()),
+                ("hints", JsonValue::Arr(vec![(64 + round as u64).into()])),
+            ]);
+            let request = req(&frame.to_json_string());
+            let warmup = shared.handle(&request).unwrap();
+            for (ir, code) in failing {
+                fail(ir, code);
+            }
+            let again = shared.handle(&request).unwrap();
+            let fresh = Engine::new(&EngineConfig::default()).handle(&request).unwrap();
             assert_eq!(warmup.to_json_string(), fresh.to_json_string(), "op {op} cold == shared");
             assert_eq!(again.to_json_string(), fresh.to_json_string(), "op {op} warm == cold");
         }
+    }
+
+    #[test]
+    fn a_repeated_module_is_remembered_once_most_recent_first() {
+        let engine = Engine::new(&EngineConfig::default());
+        let run = |hint: u64, policy: String| {
+            let frame = JsonValue::obj([
+                ("id", 1u64.into()),
+                ("op", "run".into()),
+                ("ir", STREAM.into()),
+                ("hints", JsonValue::Arr(vec![hint.into()])),
+                ("policy", policy.into()),
+            ]);
+            engine.handle_raw(&req(&frame.to_json_string())).unwrap();
+        };
+        let recent = || -> Vec<i64> {
+            lock_recover(&engine.pgo).recent.iter().map(|m| m.hints[0]).collect()
+        };
+        // The policy is not part of a module's identity but is part of the
+        // request's: every spelling misses the response cache and runs.
+        for k in 0..100 {
+            run(64, format!("dae-phases:2.0,3.{k:03}"));
+        }
+        assert_eq!(recent(), [64]);
+        run(128, "dae-minmax".to_string());
+        run(192, "dae-minmax".to_string());
+        assert_eq!(recent(), [192, 128, 64]);
+        run(128, "coupled-max".to_string());
+        assert_eq!(recent(), [128, 192, 64]);
+        run(64, "coupled-max".to_string());
+        assert_eq!(recent(), [64, 128, 192]);
     }
 
     #[test]
