@@ -79,6 +79,27 @@ check "cache-model state built per run (runs lease it)" \
     '(SharedLlc|CoreCaches)::new' \
     'crates/(runtime|serve|driver|gate|pgo|governor)/src/.*|src/.*'
 
+# Step accounting has one owner per engine. The dispatch loop carries the
+# budget (`fuel`) and `n_addr` and derives `instrs` from them; a per-op
+# `n_instrs += 1` is the second copy of that count coming back. The budget
+# runs out in the tree-walker's block loop and in the VM's `step!` macro,
+# nowhere else.
+check "a per-op instruction counter in the dispatch loop (instrs is derived from fuel)" \
+    "none" \
+    'n_instrs *\+= *1' \
+    'crates/sim/src/vm/exec\.rs'
+
+check "a step-limit exit" \
+    "crates/sim/src/interp.rs|crates/sim/src/vm/exec.rs" \
+    'Err\(InterpError::StepLimit\)' \
+    'crates/[^/]*/src/.*|src/.*'
+
+n=$(grep -c 'InterpError::StepLimit' crates/sim/src/vm/exec.rs)
+if [ "$n" -ne 1 ]; then
+    echo "one_of_each: InterpError::StepLimit appears $n times in crates/sim/src/vm/exec.rs (only step! raises it)"
+    fail=1
+fi
+
 if [ "$fail" -eq 0 ]; then
     echo "one_of_each: ok"
 fi

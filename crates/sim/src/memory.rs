@@ -191,8 +191,11 @@ impl Memory {
 
     #[inline]
     fn check(&self, addr: u64, len: u64) {
+        // `checked_add`: near `u64::MAX` the sum would wrap (release builds)
+        // and a wild pointer would pass as a low address.
         assert!(
-            addr >= GLOBALS_BASE && addr + len <= self.bytes.len() as u64,
+            addr >= GLOBALS_BASE
+                && addr.checked_add(len).is_some_and(|end| end <= self.bytes.len() as u64),
             "memory access out of bounds: addr={addr:#x} len={len}"
         );
     }
@@ -310,6 +313,42 @@ mod tests {
         let m = Module::new();
         let mem = Memory::for_module(&m);
         let _ = mem.read(Type::I64, 0);
+    }
+
+    /// An address so high that `addr + len` wraps must fail the bounds
+    /// check with its documented message, on every access path.
+    #[test]
+    fn accesses_that_wrap_the_address_space_are_out_of_bounds() {
+        let mut m = Module::new();
+        m.add_global("g", Type::F64, 4);
+        let wild = u64::MAX - 3;
+        let message = |r: std::thread::Result<()>| -> String {
+            let payload = r.expect_err("a wild access panics");
+            payload.downcast_ref::<String>().cloned().expect("formatted panic message")
+        };
+        type Access = fn(&mut Memory, u64);
+        let accesses: [(&str, Access); 6] = [
+            ("read_u64", |mem, a| _ = mem.read_u64(a)),
+            ("write_u64", |mem, a| mem.write_u64(a, 7)),
+            ("try_read f64", |mem, a| _ = mem.try_read(Type::F64, a)),
+            ("write i64", |mem, a| mem.write(a, Val::I(1))),
+            ("try_read bool", |mem, a| _ = mem.try_read(Type::Bool, a)),
+            ("write bool", |mem, a| mem.write(a, Val::B(true))),
+        ];
+        for (name, access) in accesses {
+            // The one-byte `Bool` paths wrap only at the very top.
+            for addr in [wild, u64::MAX] {
+                let mut mem = Memory::for_module(&m);
+                let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    access(&mut mem, addr)
+                }));
+                let msg = message(r);
+                assert!(
+                    msg.starts_with("memory access out of bounds"),
+                    "{name} at {addr:#x}: {msg}"
+                );
+            }
+        }
     }
 
     #[test]

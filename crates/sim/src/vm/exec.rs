@@ -8,10 +8,11 @@
 //!
 //! The frame stack is threaded through as a plain `&mut Vec` (taken out of
 //! [`VmState`] for the duration of a run) rather than accessed through
-//! `self`: the dispatch loop's slot reads then go through a `noalias`
-//! reference the optimiser can keep in registers across the opaque cache
-//! and memory calls. The step budget likewise lives in a local for the
-//! duration of one frame, synced at call boundaries.
+//! `self`, and each activation slices its own frame out of it once, so
+//! the dispatch loop's slot accesses index a `noalias` slice whose base
+//! the optimiser keeps in a register across the opaque cache and memory
+//! calls. The step budget is one local (`fuel`) that is also the
+//! instruction count — see "Step accounting" on `vm_exec`.
 
 use std::rc::Rc;
 use std::time::Instant;
@@ -21,7 +22,7 @@ use crate::interp::{
 };
 use crate::memory::Val;
 use crate::timing::{level_index, DemandMiss, PhaseTrace, TimingConfig};
-use dae_ir::{BlockId, FuncId, UnOp};
+use dae_ir::{BlockId, CmpOp, FuncId, UnOp};
 use dae_mem::HitLevel;
 
 use super::lower::{lower, CompiledFunc, Op};
@@ -103,7 +104,8 @@ impl Machine<'_> {
         self.vm.lower_spans.push(LowerSpan {
             func: cf.name.clone(),
             ops: cf.ops.len() as u32,
-            fused: cf.fused,
+            fused: cf.fused_by_op.iter().sum(),
+            fused_by_op: cf.fused_by_op,
             wall_s: t0.elapsed().as_secs_f64(),
         });
         self.vm.compiled[ix] = Some(Rc::clone(&cf));
@@ -173,10 +175,19 @@ impl Machine<'_> {
     /// was lowered: frame indices are `< frame_len`, targets are
     /// `< ops.len()`, pool ranges lie inside their pools, and the program
     /// cannot fall off the end (the final op is a terminator, so every
-    /// fall-through op has a successor). `vm_invoke` grew the stack to at
-    /// least `base + frame_len` before entry, and the stack never shrinks
-    /// (high-water discipline), so `base + i` is in bounds for every
-    /// validated `i` throughout the frame's lifetime.
+    /// fall-through op has a successor). `frame` is the checked slice
+    /// `stack[base..base + frame_len]`, so every validated index is inside
+    /// it.
+    ///
+    /// # Step accounting
+    ///
+    /// Every dynamic instruction and terminator takes one unit of `fuel`
+    /// and bumps exactly one of `instrs` / `addr_ops`, here and in every
+    /// callee, so `instrs + addr_ops + fuel` never changes during a run.
+    /// The loop therefore carries only `fuel` and `n_addr` and derives
+    /// `instrs` from that sum wherever it is observed: when the counters
+    /// are flushed to the trace and when a demand miss records its
+    /// position.
     #[allow(clippy::too_many_arguments)]
     fn vm_exec(
         &mut self,
@@ -189,37 +200,40 @@ impl Machine<'_> {
         depth: usize,
         mut profile: Option<&mut BranchProfile>,
     ) -> Result<Option<Slot>, InterpError> {
-        debug_assert!(stack.len() >= base + f.frame_len);
         let cfg_extra = TimingConfig::default();
         let ops: &[Op] = &f.ops;
         let mut pc = f.entry_pc as usize;
-        // The budget lives in a register for the duration of the frame,
-        // synced back around calls and on every exit. The four per-op trace
-        // counters likewise accumulate in locals (one register add instead
-        // of a read-modify-write through the `&mut PhaseTrace` on every
-        // dispatched op) and are flushed by `sync!` on every exit path, so
-        // an error-path trace is indistinguishable from the tree-walker's.
-        let mut steps = *steps_left;
-        let mut n_instrs = trace.instrs;
+        // This activation's frame, sliced once so that operand accesses
+        // index off a register-held base instead of going through the
+        // `Vec` header each time. A `Call` hands `stack` to the callee,
+        // which may grow (reallocate) it: the slice is taken again after.
+        let mut frame: &mut [Slot] = &mut stack[base..base + f.frame_len];
+        // The budget and the per-op trace counters live in locals for the
+        // duration of the frame (a register add instead of a
+        // read-modify-write through `&mut` on every dispatched op); `sync!`
+        // flushes them around calls and on every exit, so an error-path
+        // trace is indistinguishable from the tree-walker's.
+        let mut fuel = *steps_left;
         let mut n_addr = trace.addr_ops;
         let mut n_branches = trace.branches;
         let mut n_fp = trace.fp_ops;
-        /// Flushes the local counters back into the trace.
+        // Wrapping: a `u64::MAX` budget is legal, and the identity holds
+        // modulo 2^64 with a true value that fits.
+        let steps_sum = trace.instrs.wrapping_add(n_addr).wrapping_add(fuel);
+        /// `trace.instrs` as of now (see "Step accounting").
+        macro_rules! instrs {
+            () => {
+                steps_sum.wrapping_sub(fuel).wrapping_sub(n_addr)
+            };
+        }
+        /// Flushes the budget and the local counters.
         macro_rules! sync {
             () => {
-                trace.instrs = n_instrs;
+                *steps_left = fuel;
+                trace.instrs = instrs!();
                 trace.addr_ops = n_addr;
                 trace.branches = n_branches;
                 trace.fp_ops = n_fp;
-            };
-        }
-        /// Reloads the local counters after a callee mutated the trace.
-        macro_rules! reload {
-            () => {
-                n_instrs = trace.instrs;
-                n_addr = trace.addr_ops;
-                n_branches = trace.branches;
-                n_fp = trace.fp_ops;
             };
         }
         /// `?`, flushing the local counters on the error path first.
@@ -235,36 +249,41 @@ impl Machine<'_> {
             };
         }
         /// Budget check-and-decrement preceding every dynamic instruction
-        /// and terminator, exactly like the tree-walker's block loop.
+        /// and terminator, exactly like the tree-walker's block loop. A
+        /// step counts as an `instr` unless the op also bumps `n_addr`.
         macro_rules! step {
             () => {
-                if steps == 0 {
+                if fuel == 0 {
                     sync!();
-                    *steps_left = 0;
                     return Err(InterpError::StepLimit);
                 }
-                steps -= 1;
+                fuel -= 1;
             };
         }
-        /// Reads frame slot `$i` (validated `< frame_len` at lower time).
+        /// Reads frame slot `$i`.
         macro_rules! slot {
             ($i:expr) => {{
-                debug_assert!(($i as usize) < f.frame_len);
-                unsafe { *stack.get_unchecked(base + $i as usize) }
+                debug_assert!(($i as usize) < frame.len());
+                // SAFETY: `lower::validate` checked `$i < frame_len`, the
+                // length `frame` was sliced to.
+                unsafe { *frame.get_unchecked($i as usize) }
             }};
         }
-        /// Writes frame slot `$i` (validated `< frame_len` at lower time).
+        /// Writes frame slot `$i`.
         macro_rules! set {
             ($i:expr, $v:expr) => {{
-                debug_assert!(($i as usize) < f.frame_len);
+                debug_assert!(($i as usize) < frame.len());
                 let v = $v;
-                unsafe { *stack.get_unchecked_mut(base + $i as usize) = v };
+                // SAFETY: as in `slot!`.
+                unsafe { *frame.get_unchecked_mut($i as usize) = v };
             }};
         }
         macro_rules! moves {
             ($r:expr) => {
                 let (s, l) = $r;
                 debug_assert!((s + l) as usize <= f.moves.len());
+                // SAFETY: `lower::validate` checked the range against
+                // `moves`.
                 for m in unsafe { f.moves.get_unchecked(s as usize..(s + l) as usize) } {
                     set!(m.dst, slot!(m.src));
                 }
@@ -273,9 +292,14 @@ impl Machine<'_> {
         /// A specialised integer binop: same operand evaluation and error
         /// order as `exec_binop`, without its per-execution op dispatch.
         macro_rules! ibin {
-            ($a:expr, $b:expr, $dst:expr, $f:expr) => {{
+            ($a:expr, $b:expr, $dst:expr, $f:expr) => {
+                ibin!($a, $b, $dst, $f, false)
+            };
+            ($a:expr, $b:expr, $dst:expr, $f:expr, $folded:expr) => {{
                 step!();
-                n_instrs += 1;
+                if $folded {
+                    n_addr += 1;
+                }
                 let (av, ta) = slot!($a);
                 let (bv, tb) = slot!($b);
                 let v = Val::I($f(tryv!(av.try_i()), tryv!(bv.try_i())));
@@ -287,7 +311,6 @@ impl Machine<'_> {
         macro_rules! fbin {
             ($a:expr, $b:expr, $dst:expr, $f:expr) => {{
                 step!();
-                n_instrs += 1;
                 let (av, ta) = slot!($a);
                 let (bv, tb) = slot!($b);
                 let v = Val::F($f(tryv!(av.try_f()), tryv!(bv.try_f())));
@@ -296,15 +319,74 @@ impl Machine<'_> {
                 pc += 1;
             }};
         }
-        /// The demand-load core for the type-specialised load ops:
-        /// identical cache/trace modelling to `load!`, with the value
-        /// produced by `$read` (a closure over the checked address) instead
-        /// of a generic `try_read`.
-        macro_rules! load_as {
-            ($read:expr, $addr:expr, $taint:expr, $dst:expr) => {
-                let a: u64 = $addr;
+        /// A compare. The integer case — every loop bound of the corpus —
+        /// is decided here; the other type pairs (and the mismatches) go
+        /// through the tree-walker's `exec_cmp`.
+        macro_rules! cmp {
+            ($op:expr, $a:expr, $b:expr, $dst:expr) => {{
+                step!();
+                let (av, ta) = slot!($a);
+                let (bv, tb) = slot!($b);
+                let r = match (av, bv) {
+                    (Val::I(x), Val::I(y)) => icmp($op, x, y),
+                    // Read again, so that the hot case above does not hold
+                    // whole `Val`s across the out-of-line call.
+                    _ => tryv!(exec_cmp($op, slot!($a).0, slot!($b).0)),
+                };
+                set!($dst, (Val::B(r), ta || tb));
+                r
+            }};
+        }
+        /// A conditional branch on the already-checked `$taken`. The two
+        /// edges stay two code paths: a host branch the predictor sees,
+        /// not a select feeding the next dispatch.
+        macro_rules! branch {
+            ($taken:expr, $block:expr, $then:expr, $else:expr) => {{
+                step!();
+                n_branches += 1;
+                let taken = $taken;
+                if let Some(p) = profile.as_deref_mut() {
+                    p.record(BlockId($block), taken);
+                }
+                if taken {
+                    let (target, mv) = $then;
+                    moves!(mv);
+                    pc = target as usize;
+                } else {
+                    let (target, mv) = $else;
+                    moves!(mv);
+                    pc = target as usize;
+                }
+            }};
+        }
+        /// A folded scale multiply and the `ptradd` taking it as offset:
+        /// two `addr_ops`, the product written to `$mul_dst` before the
+        /// base is read, the address (returned with its taint) to `$dst`.
+        /// The offset is a fresh `i64`, so only the index and the base can
+        /// fail their type checks, in that order.
+        macro_rules! scale_add {
+            ($idx:expr, $shift:expr, $mul_dst:expr, $base:expr, $dst:expr) => {{
+                step!();
+                n_addr += 1;
+                let (iv, ti) = slot!($idx);
+                let scaled = tryv!(iv.try_i()) << $shift;
+                set!($mul_dst, (Val::I(scaled), ti));
+                step!();
+                n_addr += 1;
+                let (bv, tb) = slot!($base);
+                let p = (tryv!(bv.try_p()) as i64).wrapping_add(scaled) as u64;
+                set!($dst, (Val::P(p), tb || ti));
+                (p, tb || ti)
+            }};
+        }
+        /// A demand load of address `$addr` (carrying `$taint`) into
+        /// `$dst`; `$read` produces the value from the address `$a`.
+        macro_rules! load {
+            ($addr:expr, $taint:expr, $dst:expr, |$a:ident| $read:expr) => {{
+                step!();
+                let $a: u64 = $addr;
                 trace.loads += 1;
-                let (level, hw_covered) = caches.core.access_demand(caches.llc, a);
+                let (level, hw_covered) = caches.core.access_demand(caches.llc, $a);
                 let missed = level == HitLevel::Memory;
                 if missed && hw_covered {
                     trace.hw_prefetch_lines += 1;
@@ -313,46 +395,37 @@ impl Machine<'_> {
                     if missed {
                         trace
                             .demand_misses
-                            .push(DemandMiss { instr_idx: n_instrs, dependent: $taint });
+                            .push(DemandMiss { instr_idx: instrs!(), dependent: $taint });
                     }
                 }
-                let v = $read(a);
+                let v = $read;
                 set!($dst, (v, missed && !hw_covered));
+                pc += 1;
+            }};
+        }
+        macro_rules! read_f {
+            ($a:expr) => {
+                Val::F(f64::from_bits(self.memory.read_u64($a)))
             };
         }
-        /// The demand-load core shared by `Load` and `PtrAddLoad`.
-        macro_rules! load {
-            ($ty:expr, $addr:expr, $taint:expr, $dst:expr) => {
-                let a: u64 = $addr;
-                trace.loads += 1;
-                let (level, hw_covered) = caches.core.access_demand(caches.llc, a);
-                let missed = level == HitLevel::Memory;
-                if missed && hw_covered {
-                    trace.hw_prefetch_lines += 1;
-                } else {
-                    trace.demand_hits[level_index(level)] += 1;
-                    if missed {
-                        trace
-                            .demand_misses
-                            .push(DemandMiss { instr_idx: n_instrs, dependent: $taint });
-                    }
-                }
-                let v = tryv!(self.memory.try_read($ty, a));
-                set!($dst, (v, missed && !hw_covered));
+        macro_rules! read_i {
+            ($a:expr) => {
+                Val::I(self.memory.read_u64($a) as i64)
             };
         }
         loop {
             debug_assert!(pc < ops.len());
             // Matched by reference on purpose: dereferencing would copy the
             // whole `Op` (up to 9 words for `CmpBr`) on every dispatch.
+            // SAFETY: `pc` is the validated entry, a validated target, or
+            // the successor of a fall-through op, which `lower::validate`
+            // showed to exist.
             #[allow(clippy::match_ref_pats)]
             match unsafe { ops.get_unchecked(pc) } {
                 &Op::Bin { op, a, b, dst, folded } => {
                     step!();
                     if folded {
                         n_addr += 1;
-                    } else {
-                        n_instrs += 1;
                     }
                     let (av, ta) = slot!(a);
                     let (bv, tb) = slot!(b);
@@ -372,19 +445,7 @@ impl Machine<'_> {
                 }
                 &Op::IAdd { a, b, dst } => ibin!(a, b, dst, i64::wrapping_add),
                 &Op::ISub { a, b, dst } => ibin!(a, b, dst, i64::wrapping_sub),
-                &Op::IMul { a, b, dst, folded } => {
-                    step!();
-                    if folded {
-                        n_addr += 1;
-                    } else {
-                        n_instrs += 1;
-                    }
-                    let (av, ta) = slot!(a);
-                    let (bv, tb) = slot!(b);
-                    let v = Val::I(tryv!(av.try_i()).wrapping_mul(tryv!(bv.try_i())));
-                    set!(dst, (v, ta || tb));
-                    pc += 1;
-                }
+                &Op::IMul { a, b, dst, folded } => ibin!(a, b, dst, i64::wrapping_mul, folded),
                 &Op::IAnd { a, b, dst } => ibin!(a, b, dst, |x, y| x & y),
                 &Op::IOr { a, b, dst } => ibin!(a, b, dst, |x, y| x | y),
                 &Op::IXor { a, b, dst } => ibin!(a, b, dst, |x, y| x ^ y),
@@ -395,7 +456,6 @@ impl Machine<'_> {
                 &Op::FMul { a, b, dst } => fbin!(a, b, dst, |x, y| x * y),
                 &Op::Un { op, a, dst } => {
                     step!();
-                    n_instrs += 1;
                     let (av, t) = slot!(a);
                     if matches!(op, UnOp::FSqrt) {
                         n_fp += 1;
@@ -405,16 +465,11 @@ impl Machine<'_> {
                     pc += 1;
                 }
                 &Op::Cmp { op, a, b, dst } => {
-                    step!();
-                    n_instrs += 1;
-                    let (av, ta) = slot!(a);
-                    let (bv, tb) = slot!(b);
-                    set!(dst, (Val::B(tryv!(exec_cmp(op, av, bv))), ta || tb));
+                    cmp!(op, a, b, dst);
                     pc += 1;
                 }
                 &Op::Select { cond, then_s, else_s, dst } => {
                     step!();
-                    n_instrs += 1;
                     let (c, tc) = slot!(cond);
                     let (v, tv) = if tryv!(c.try_b()) { slot!(then_s) } else { slot!(else_s) };
                     set!(dst, (v, tc || tv));
@@ -425,43 +480,24 @@ impl Machine<'_> {
                     n_addr += 1;
                     let (bv, tb) = slot!(pb);
                     let (ov, to) = slot!(offset);
-                    set!(
-                        dst,
-                        (
-                            Val::P(
-                                (tryv!(bv.try_p()) as i64).wrapping_add(tryv!(ov.try_i())) as u64
-                            ),
-                            tb || to
-                        )
-                    );
+                    let p = (tryv!(bv.try_p()) as i64).wrapping_add(tryv!(ov.try_i())) as u64;
+                    set!(dst, (Val::P(p), tb || to));
                     pc += 1;
                 }
                 &Op::Load { ty, addr, dst } => {
-                    step!();
-                    n_instrs += 1;
                     let (av, taint) = slot!(addr);
-                    load!(ty, tryv!(av.try_p()), taint, dst);
-                    pc += 1;
+                    load!(tryv!(av.try_p()), taint, dst, |a| tryv!(self.memory.try_read(ty, a)))
                 }
                 &Op::LoadF { addr, dst } => {
-                    step!();
-                    n_instrs += 1;
                     let (av, taint) = slot!(addr);
-                    let rd = |a| Val::F(f64::from_bits(self.memory.read_u64(a)));
-                    load_as!(rd, tryv!(av.try_p()), taint, dst);
-                    pc += 1;
+                    load!(tryv!(av.try_p()), taint, dst, |a| read_f!(a))
                 }
                 &Op::LoadI { addr, dst } => {
-                    step!();
-                    n_instrs += 1;
                     let (av, taint) = slot!(addr);
-                    let rd = |a| Val::I(self.memory.read_u64(a) as i64);
-                    load_as!(rd, tryv!(av.try_p()), taint, dst);
-                    pc += 1;
+                    load!(tryv!(av.try_p()), taint, dst, |a| read_i!(a))
                 }
                 &Op::Store { addr, value } => {
                     step!();
-                    n_instrs += 1;
                     let (av, _) = slot!(addr);
                     let a = tryv!(av.try_p());
                     let (v, _) = slot!(value);
@@ -476,7 +512,6 @@ impl Machine<'_> {
                 }
                 &Op::Prefetch { addr } => {
                     step!();
-                    n_instrs += 1;
                     let (av, _) = slot!(addr);
                     trace.prefetches += 1;
                     let p = tryv!(av.try_p());
@@ -488,11 +523,11 @@ impl Machine<'_> {
                 }
                 &Op::Call { callee, args: (s, l), dst } => {
                     step!();
-                    n_instrs += 1;
                     debug_assert!((s + l) as usize <= f.call_args.len());
+                    // SAFETY: `lower::validate` checked the range against
+                    // `call_args`.
                     let idxs = unsafe { f.call_args.get_unchecked(s as usize..(s + l) as usize) };
                     sync!();
-                    *steps_left = steps;
                     let r = self.vm_invoke(
                         callee,
                         ArgSrc::Frame { caller_base: base, idxs },
@@ -504,8 +539,14 @@ impl Machine<'_> {
                         depth + 1,
                         None,
                     )?;
-                    steps = *steps_left;
-                    reload!();
+                    // The callee kept the step identity, so `steps_sum`
+                    // stands; everything else is read back.
+                    fuel = *steps_left;
+                    n_addr = trace.addr_ops;
+                    n_branches = trace.branches;
+                    n_fp = trace.fp_ops;
+                    debug_assert_eq!(trace.instrs, instrs!());
+                    frame = &mut stack[base..base + f.frame_len];
                     if let Some(slot) = r {
                         set!(dst, slot);
                     }
@@ -513,37 +554,29 @@ impl Machine<'_> {
                 }
                 &Op::Jump { target, moves: mv } => {
                     step!();
-                    n_instrs += 1;
                     n_branches += 1;
                     moves!(mv);
                     pc = target as usize;
                 }
-                &Op::Branch { cond, block, then_target, then_moves, else_target, else_moves } => {
-                    step!();
-                    n_instrs += 1;
-                    n_branches += 1;
-                    let (c, _) = slot!(cond);
-                    let taken = tryv!(c.try_b());
-                    if let Some(p) = profile.as_deref_mut() {
-                        p.record(BlockId(block), taken);
-                    }
-                    if taken {
-                        moves!(then_moves);
-                        pc = then_target as usize;
-                    } else {
-                        moves!(else_moves);
-                        pc = else_target as usize;
-                    }
+                // The two branching ops bind their fields by reference: each
+                // is loaded where it is used (the not-taken edge never), not
+                // all ten up front across the compare.
+                Op::Branch { cond, block, then_target, then_moves, else_target, else_moves } => {
+                    let (c, _) = slot!(*cond);
+                    branch!(
+                        tryv!(c.try_b()),
+                        *block,
+                        (*then_target, *then_moves),
+                        (*else_target, *else_moves)
+                    );
                 }
                 &Op::Ret { val } => {
                     step!();
-                    n_instrs += 1;
                     n_branches += 1;
                     sync!();
-                    *steps_left = steps;
                     return Ok(val.map(|i| slot!(i)));
                 }
-                &Op::CmpBr {
+                Op::CmpBr {
                     op,
                     a,
                     b,
@@ -554,88 +587,82 @@ impl Machine<'_> {
                     else_target,
                     else_moves,
                 } => {
-                    // Constituent 1: the compare (step + instr + result).
-                    step!();
-                    n_instrs += 1;
-                    let (av, ta) = slot!(a);
-                    let (bv, tb) = slot!(b);
-                    let taken = tryv!(exec_cmp(op, av, bv));
-                    set!(dst, (Val::B(taken), ta || tb));
-                    // Constituent 2: the branch (fresh bool, no try_b).
-                    step!();
-                    n_instrs += 1;
-                    n_branches += 1;
-                    if let Some(p) = profile.as_deref_mut() {
-                        p.record(BlockId(block), taken);
-                    }
-                    if taken {
-                        moves!(then_moves);
-                        pc = then_target as usize;
-                    } else {
-                        moves!(else_moves);
-                        pc = else_target as usize;
-                    }
-                }
-                &Op::PtrAddLoad { base: pb, offset, ptr_dst, ty, dst } => {
-                    // Constituent 1: the folded address compute.
-                    step!();
-                    n_addr += 1;
-                    let (bv, tb) = slot!(pb);
-                    let (ov, to) = slot!(offset);
-                    let p = (tryv!(bv.try_p()) as i64).wrapping_add(tryv!(ov.try_i())) as u64;
-                    let pt = tb || to;
-                    set!(ptr_dst, (Val::P(p), pt));
-                    // Constituent 2: the load (the address is a fresh
-                    // pointer, so the tree-walker's try_p cannot fail).
-                    step!();
-                    n_instrs += 1;
-                    load!(ty, p, pt, dst);
-                    pc += 1;
-                }
-                &Op::PtrAddLoadF { base: pb, offset, ptr_dst, dst } => {
-                    step!();
-                    n_addr += 1;
-                    let (bv, tb) = slot!(pb);
-                    let (ov, to) = slot!(offset);
-                    let p = (tryv!(bv.try_p()) as i64).wrapping_add(tryv!(ov.try_i())) as u64;
-                    let pt = tb || to;
-                    set!(ptr_dst, (Val::P(p), pt));
-                    step!();
-                    n_instrs += 1;
-                    let rd = |a| Val::F(f64::from_bits(self.memory.read_u64(a)));
-                    load_as!(rd, p, pt, dst);
-                    pc += 1;
-                }
-                &Op::PtrAddLoadI { base: pb, offset, ptr_dst, dst } => {
-                    step!();
-                    n_addr += 1;
-                    let (bv, tb) = slot!(pb);
-                    let (ov, to) = slot!(offset);
-                    let p = (tryv!(bv.try_p()) as i64).wrapping_add(tryv!(ov.try_i())) as u64;
-                    let pt = tb || to;
-                    set!(ptr_dst, (Val::P(p), pt));
-                    step!();
-                    n_instrs += 1;
-                    let rd = |a| Val::I(self.memory.read_u64(a) as i64);
-                    load_as!(rd, p, pt, dst);
-                    pc += 1;
+                    // The compare, then the branch on its fresh bool (the
+                    // tree-walker's try_b cannot fail).
+                    let taken = cmp!(*op, *a, *b, *dst);
+                    branch!(
+                        taken,
+                        *block,
+                        (*then_target, *then_moves),
+                        (*else_target, *else_moves)
+                    );
                 }
                 &Op::AddJump { a, b, dst, target, moves: mv } => {
                     // Constituent 1: the integer add.
                     step!();
-                    n_instrs += 1;
                     let (av, ta) = slot!(a);
                     let (bv, tb) = slot!(b);
                     let v = Val::I(tryv!(av.try_i()).wrapping_add(tryv!(bv.try_i())));
                     set!(dst, (v, ta || tb));
                     // Constituent 2: the back-edge jump.
                     step!();
-                    n_instrs += 1;
                     n_branches += 1;
                     moves!(mv);
                     pc = target as usize;
                 }
+                &Op::ScaleAdd { idx, shift, mul_dst, base: pb, dst } => {
+                    scale_add!(idx, shift, mul_dst, pb, dst);
+                    pc += 1;
+                }
+                &Op::ScaleAddLoadF { idx, shift, mul_dst, base: pb, ptr_dst, dst } => {
+                    let (p, pt) = scale_add!(idx, shift, mul_dst, pb, ptr_dst);
+                    load!(p, pt, dst, |a| read_f!(a))
+                }
+                &Op::ScaleAddLoadI { idx, shift, mul_dst, base: pb, ptr_dst, dst } => {
+                    let (p, pt) = scale_add!(idx, shift, mul_dst, pb, ptr_dst);
+                    load!(p, pt, dst, |a| read_i!(a))
+                }
+                &Op::MulAdd { a, b, mul_dst, c, dst, folded } => {
+                    // Constituent 1: the multiply, stored before the add
+                    // reads `c` (which is `mul_dst` for `iadd %m, %m`).
+                    step!();
+                    if folded {
+                        n_addr += 1;
+                    }
+                    let (av, ta) = slot!(a);
+                    let (bv, tb) = slot!(b);
+                    let m = tryv!(av.try_i()).wrapping_mul(tryv!(bv.try_i()));
+                    set!(mul_dst, (Val::I(m), ta || tb));
+                    // Constituent 2: the add. The product is a fresh i64,
+                    // so `c` is the only operand that can fail.
+                    step!();
+                    let (cv, tc) = slot!(c);
+                    let v = Val::I(m.wrapping_add(tryv!(cv.try_i())));
+                    set!(dst, (v, ta || tb || tc));
+                    pc += 1;
+                }
             }
         }
     }
+}
+
+/// The `(i64, i64)` case of [`exec_cmp`], without a branch on `op`: the
+/// ordering of `x` and `y` is one of three bits, and each predicate is
+/// the set of orderings it accepts.
+#[inline(always)]
+fn icmp(op: CmpOp, x: i64, y: i64) -> bool {
+    const LT: u8 = 1;
+    const EQ: u8 = 2;
+    const GT: u8 = 4;
+    let accepts = match op {
+        CmpOp::Eq => EQ,
+        CmpOp::Ne => LT | GT,
+        CmpOp::Lt => LT,
+        CmpOp::Le => LT | EQ,
+        CmpOp::Gt => GT,
+        CmpOp::Ge => GT | EQ,
+    };
+    // `Ordering` is -1, 0, 1: shift it onto LT, EQ, GT.
+    let ordering = 1u8 << (x.cmp(&y) as i8 + 1);
+    accepts & ordering != 0
 }

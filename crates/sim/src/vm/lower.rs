@@ -22,16 +22,45 @@
 //! dynamic instruction: whether an op folds into an addressing mode
 //! (`ptradd`, power-of-two-scale `imul`), which trace counters it bumps,
 //! and in which order its operands fail on type errors. Fused super-ops
-//! carry both constituents' accounting and perform both step-budget
-//! checks, so a run that exhausts its budget *between* the halves stops at
-//! exactly the same step as the tree-walker.
+//! carry every constituent's accounting and perform every constituent's
+//! step-budget check, so a run that exhausts its budget *between* the
+//! parts stops at exactly the same step as the tree-walker.
+//!
+//! # Super-ops
+//!
+//! A super-op is a chain of *adjacent* instructions of one block, chosen
+//! from the corpus's measured dynamic op pairs (EXPERIMENTS.md,
+//! "Dispatch-loop components"), matched with one look at the next
+//! instruction:
+//!
+//! | super-op | constituents | steps | counters |
+//! |---|---|---|---|
+//! | `CmpBr` | `cmp` → the block's own `br` on it | 2 | 2 `instrs`, 1 `branches` |
+//! | `AddJump` | `iadd` (last in block) → `jump` | 2 | 2 `instrs`, 1 `branches` |
+//! | `ScaleAdd` | `imul x, 1/2/4/8` → `ptradd base, %mul` | 2 | 2 `addr_ops` |
+//! | `ScaleAddLoadF/I` | … → `load` f64/i64 of that address | 3 | 2 `addr_ops`, 1 `instrs`, 1 `loads` |
+//! | `MulAdd` | `imul` → `iadd` with it as an operand | 2 | 2 `instrs` (1 `addr_ops` + 1 `instrs` when the multiply folds) |
+//!
+//! Every intermediate result is still written to its own slot (later
+//! code may read it), in program order: a fused form reads an operand
+//! only after the constituents before it have stored theirs. The
+//! operand-failure order is the tree-walker's because the value handed
+//! from one constituent to the next is always fresh and of the right
+//! type — only the *other* operands can fail, one per constituent.
+//! Shapes that look alike but are not listed stay unfused on purpose: a
+//! multiply used as the `ptradd`'s *base* (an integer where a pointer
+//! must be — the plain `PtrAdd` reports it), a consumer that is not the
+//! next instruction, a multiply that does not fold, an `iadd` that is its
+//! block's `AddJump`, loads of `ptr`/`bool` (generic `Load`).
 
 use std::collections::HashMap;
 
+use super::LowerSpan;
 use crate::interp::Slot;
 use crate::memory::{Memory, Val};
 use dae_ir::{
-    BinOp, BlockCall, BlockId, CmpOp, FuncId, Function, InstKind, Terminator, Type, UnOp, Value,
+    BinOp, BlockCall, BlockId, CmpOp, FuncId, Function, InstId, InstKind, Terminator, Type, UnOp,
+    Value,
 };
 
 /// A pooled parallel-move step: `frame[dst] = frame[src]`.
@@ -128,16 +157,63 @@ pub(crate) enum Op {
         else_target: u32,
         else_moves: PoolRange,
     },
-    /// Fused address-compute+load: a `ptradd` immediately consumed by the
-    /// next instruction's load. Still writes the address to `ptr_dst`.
-    PtrAddLoad { base: u32, offset: u32, ptr_dst: u32, ty: Type, dst: u32 },
-    /// Specialised `PtrAddLoad` of an `F64`.
-    PtrAddLoadF { base: u32, offset: u32, ptr_dst: u32, dst: u32 },
-    /// Specialised `PtrAddLoad` of an `I64`.
-    PtrAddLoadI { base: u32, offset: u32, ptr_dst: u32, dst: u32 },
     /// Fused counter-increment+back-edge: an integer add as the block's
     /// final instruction, followed by an unconditional jump.
     AddJump { a: u32, b: u32, dst: u32, target: u32, moves: PoolRange },
+    /// Fused element address: a folded scale multiply (`idx * 1/2/4/8`,
+    /// held as `idx << shift`) immediately consumed as the *offset* of the
+    /// next instruction's `ptradd`. Writes the product to `mul_dst` and the
+    /// address to `dst`; both constituents count as `addr_ops`.
+    ScaleAdd { idx: u32, shift: u32, mul_dst: u32, base: u32, dst: u32 },
+    /// `ScaleAdd` whose address (`ptr_dst`) the third instruction loads as
+    /// an `F64`: three constituents, three step checks.
+    ScaleAddLoadF { idx: u32, shift: u32, mul_dst: u32, base: u32, ptr_dst: u32, dst: u32 },
+    /// `ScaleAddLoadF` for an `I64` load.
+    ScaleAddLoadI { idx: u32, shift: u32, mul_dst: u32, base: u32, ptr_dst: u32, dst: u32 },
+    /// Fused multiply+add: an `imul` (result in `mul_dst`) immediately
+    /// consumed by the next instruction's `iadd`, whose other operand is
+    /// `c` (`mul_dst` itself for `iadd %m, %m`). `folded` as in `IMul`.
+    MulAdd { a: u32, b: u32, mul_dst: u32, c: u32, dst: u32, folded: bool },
+}
+
+impl Op {
+    /// Index into [`LowerSpan::FUSED_OPS`] when this is a super-op.
+    /// Exhaustive on purpose: a new variant must say which it is.
+    fn fused_kind(&self) -> Option<usize> {
+        match self {
+            Op::CmpBr { .. } => Some(0),
+            Op::AddJump { .. } => Some(1),
+            Op::ScaleAdd { .. } => Some(2),
+            Op::ScaleAddLoadF { .. } => Some(3),
+            Op::ScaleAddLoadI { .. } => Some(4),
+            Op::MulAdd { .. } => Some(5),
+            Op::Bin { .. }
+            | Op::IAdd { .. }
+            | Op::ISub { .. }
+            | Op::IMul { .. }
+            | Op::IAnd { .. }
+            | Op::IOr { .. }
+            | Op::IXor { .. }
+            | Op::IShl { .. }
+            | Op::IAShr { .. }
+            | Op::FAdd { .. }
+            | Op::FSub { .. }
+            | Op::FMul { .. }
+            | Op::Un { .. }
+            | Op::Cmp { .. }
+            | Op::Select { .. }
+            | Op::PtrAdd { .. }
+            | Op::Load { .. }
+            | Op::LoadF { .. }
+            | Op::LoadI { .. }
+            | Op::Store { .. }
+            | Op::Prefetch { .. }
+            | Op::Call { .. }
+            | Op::Jump { .. }
+            | Op::Branch { .. }
+            | Op::Ret { .. } => None,
+        }
+    }
 }
 
 /// One function lowered to bytecode. Immutable once built; shared by
@@ -161,8 +237,9 @@ pub(crate) struct CompiledFunc {
     pub(crate) moves: Vec<Move>,
     /// Pooled call-argument frame indices, referenced by [`PoolRange`]s.
     pub(crate) call_args: Vec<u32>,
-    /// Fused super-ops emitted (telemetry).
-    pub(crate) fused: u32,
+    /// Fused super-ops emitted, per [`LowerSpan::FUSED_OPS`] entry
+    /// (telemetry).
+    pub(crate) fused_by_op: [u32; LowerSpan::FUSED_OPS.len()],
 }
 
 /// Mirrors the tree-walker's x86 addressing-mode folding test: `ptradd`
@@ -170,13 +247,27 @@ pub(crate) struct CompiledFunc {
 fn is_folded(kind: &InstKind) -> bool {
     match kind {
         InstKind::PtrAdd { .. } => true,
-        InstKind::Binary { op: BinOp::IMul, lhs, rhs } => {
-            let scale = |v: &Value| matches!(v.as_i64(), Some(1) | Some(2) | Some(4) | Some(8));
-            scale(lhs) || scale(rhs)
-        }
+        InstKind::Binary { op: BinOp::IMul, lhs, rhs } => scaled_index(*lhs, *rhs).is_some(),
         _ => false,
     }
 }
+
+/// A folded scale multiply as `(index, shift)`: the operand that is not
+/// the constant 1, 2, 4 or 8, and that constant's log2. The constant
+/// operand is an `i64` by construction, so the index is the only operand
+/// whose type check can fail at run time.
+fn scaled_index(lhs: Value, rhs: Value) -> Option<(Value, u32)> {
+    let shift = |v: Value| match v.as_i64() {
+        Some(k @ (1 | 2 | 4 | 8)) => Some(k.trailing_zeros()),
+        _ => None,
+    };
+    shift(rhs).map(|s| (lhs, s)).or_else(|| shift(lhs).map(|s| (rhs, s)))
+}
+
+/// Constant pools up to this size are searched linearly (the corpus's hot
+/// functions pool 5–9 constants); a larger one gets a hash index, so a
+/// hostile function of n distinct constants still lowers in O(n).
+const LINEAR_POOL: usize = 32;
 
 struct Lowerer<'f> {
     func: &'f Function,
@@ -187,13 +278,16 @@ struct Lowerer<'f> {
     temp: u32,
     const_base: u32,
     consts: Vec<Slot>,
+    /// The `Value` behind each pooled constant, parallel to `consts`.
+    const_vals: Vec<Value>,
+    /// Pool positions by value; empty until the pool outgrows
+    /// [`LINEAR_POOL`].
     const_ix: HashMap<Value, u32>,
     ops: Vec<Op>,
     moves: Vec<Move>,
     call_args: Vec<u32>,
     /// Instruction offset of each block (targets are patched from this).
     block_pc: Vec<u32>,
-    fused: u32,
 }
 
 /// Lowers `func` against the machine's memory (whose global layout is
@@ -218,17 +312,21 @@ pub(crate) fn lower(func: &Function, memory: &Memory) -> CompiledFunc {
         temp,
         const_base,
         consts: Vec::new(),
+        const_vals: Vec::new(),
         const_ix: HashMap::new(),
-        ops: Vec::new(),
+        ops: Vec::with_capacity(func.num_insts() + func.num_blocks()),
         moves: Vec::new(),
         call_args: Vec::new(),
         block_pc: vec![0; func.num_blocks()],
-        fused: 0,
     };
     for b in 0..func.num_blocks() {
         l.lower_block(BlockId(b as u32));
     }
     l.patch_targets();
+    let mut fused_by_op = [0; LowerSpan::FUSED_OPS.len()];
+    for k in l.ops.iter().filter_map(Op::fused_kind) {
+        fused_by_op[k] += 1;
+    }
     let cf = CompiledFunc {
         name: func.name.clone(),
         params: func.params.len(),
@@ -239,7 +337,7 @@ pub(crate) fn lower(func: &Function, memory: &Memory) -> CompiledFunc {
         ops: l.ops,
         moves: l.moves,
         call_args: l.call_args,
-        fused: l.fused,
+        fused_by_op,
     };
     validate(&cf);
     cf
@@ -360,12 +458,27 @@ fn validate(cf: &CompiledFunc) {
                 pool(then_moves, cf.moves.len());
                 pool(else_moves, cf.moves.len());
             }
-            Op::PtrAddLoad { base, offset, ptr_dst, dst, .. }
-            | Op::PtrAddLoadF { base, offset, ptr_dst, dst }
-            | Op::PtrAddLoadI { base, offset, ptr_dst, dst } => {
+            Op::ScaleAdd { idx, shift, mul_dst, base, dst } => {
+                assert!(shift <= 3, "{}: scale shift {shift} out of range", cf.name);
+                slot(idx);
+                slot(mul_dst);
                 slot(base);
-                slot(offset);
+                slot(dst);
+            }
+            Op::ScaleAddLoadF { idx, shift, mul_dst, base, ptr_dst, dst }
+            | Op::ScaleAddLoadI { idx, shift, mul_dst, base, ptr_dst, dst } => {
+                assert!(shift <= 3, "{}: scale shift {shift} out of range", cf.name);
+                slot(idx);
+                slot(mul_dst);
+                slot(base);
                 slot(ptr_dst);
+                slot(dst);
+            }
+            Op::MulAdd { a, b, mul_dst, c, dst, .. } => {
+                slot(a);
+                slot(b);
+                slot(mul_dst);
+                slot(c);
                 slot(dst);
             }
             Op::AddJump { a, b, dst, target: t, moves } => {
@@ -387,8 +500,13 @@ impl Lowerer<'_> {
             Value::BlockParam { block, index } => self.param_base[block.0 as usize] + index,
             Value::Inst(id) => self.inst_base + id.0,
             c => {
-                if let Some(&ix) = self.const_ix.get(&c) {
-                    return ix;
+                let pooled = if self.const_vals.len() <= LINEAR_POOL {
+                    self.const_vals.iter().position(|&k| k == c).map(|i| i as u32)
+                } else {
+                    self.const_ix.get(&c).copied()
+                };
+                if let Some(i) = pooled {
+                    return self.const_base + i;
                 }
                 let slot = match c {
                     Value::ConstI64(x) => (Val::I(x), false),
@@ -397,123 +515,154 @@ impl Lowerer<'_> {
                     Value::Global(g) => (Val::P(self.memory.global_addr(g)), false),
                     _ => unreachable!("non-constant handled above"),
                 };
-                let ix = self.const_base + self.consts.len() as u32;
+                let i = self.consts.len() as u32;
                 self.consts.push(slot);
-                self.const_ix.insert(c, ix);
-                ix
+                self.const_vals.push(c);
+                if self.const_vals.len() == LINEAR_POOL + 1 {
+                    self.const_ix =
+                        self.const_vals.iter().enumerate().map(|(i, &k)| (k, i as u32)).collect();
+                } else if self.const_vals.len() > LINEAR_POOL {
+                    self.const_ix.insert(c, i);
+                }
+                self.const_base + i
             }
         }
     }
 
     fn lower_block(&mut self, b: BlockId) {
         self.block_pc[b.0 as usize] = self.ops.len() as u32;
-        let insts = &self.func.block(b).insts;
-        let term = self.func.terminator(b);
-        let mut term_fused = false;
+        let func = self.func;
+        let insts = &func.block(b).insts;
+        let term = func.terminator(b);
         let mut i = 0;
         while i < insts.len() {
             let id = insts[i];
-            let data = self.func.inst(id);
+            let data = func.inst(id);
             let dst = self.inst_base + id.0;
-            let last = i + 1 == insts.len();
-            // Super-op: compare feeding the block's own branch.
-            if last {
-                if let (
-                    InstKind::Cmp { op, lhs, rhs },
-                    Terminator::Branch { cond, then_dest, else_dest },
-                ) = (&data.kind, term)
-                {
-                    if *cond == Value::Inst(id) {
-                        let (op, lhs, rhs) = (*op, *lhs, *rhs);
-                        let a = self.slot_of(lhs);
-                        let bb = self.slot_of(rhs);
-                        let (then_target, then_moves) = self.lower_edge(then_dest);
-                        let (else_target, else_moves) = self.lower_edge(else_dest);
-                        self.ops.push(Op::CmpBr {
-                            op,
-                            a,
-                            b: bb,
-                            dst,
-                            block: b.0,
-                            then_target,
-                            then_moves,
-                            else_target,
-                            else_moves,
+            let Some(&next) = insts.get(i + 1) else {
+                if self.fuse_with_terminator(b, id, term) {
+                    return;
+                }
+                let op = self.lower_inst(&data.kind, data.ty, dst);
+                self.ops.push(op);
+                break;
+            };
+            // Super-ops are chains of *adjacent* instructions, so one look
+            // at the next instruction decides (the compiler schedules an
+            // element address as multiply, ptradd, access back to back).
+            let ndata = func.inst(next);
+            let ndst = self.inst_base + next.0;
+            let me = Value::Inst(id);
+            match (&data.kind, &ndata.kind) {
+                // Element address: folded scale multiply taken as the
+                // ptradd's offset (as its base it is an integer where a
+                // pointer must be: left to fail in the plain `PtrAdd`).
+                (
+                    InstKind::Binary { op: BinOp::IMul, lhs, rhs },
+                    InstKind::PtrAdd { base, offset },
+                ) if *offset == me && *base != me => {
+                    if let Some((index, shift)) = scaled_index(*lhs, *rhs) {
+                        let idx = self.slot_of(index);
+                        let base = self.slot_of(*base);
+                        let (mul_dst, ptr_dst) = (dst, ndst);
+                        // ... and the typed load of that address, if it
+                        // comes third.
+                        let load = insts.get(i + 2).and_then(|&l| {
+                            let d = func.inst(l);
+                            matches!(d.kind, InstKind::Load { addr } if addr == Value::Inst(next))
+                                .then_some((self.inst_base + l.0, d.ty))
                         });
-                        self.fused += 1;
-                        term_fused = true;
-                        break;
+                        let (op, len) = match load {
+                            Some((dst, Type::F64)) => {
+                                (Op::ScaleAddLoadF { idx, shift, mul_dst, base, ptr_dst, dst }, 3)
+                            }
+                            Some((dst, Type::I64)) => {
+                                (Op::ScaleAddLoadI { idx, shift, mul_dst, base, ptr_dst, dst }, 3)
+                            }
+                            _ => (Op::ScaleAdd { idx, shift, mul_dst, base, dst: ptr_dst }, 2),
+                        };
+                        self.ops.push(op);
+                        i += len;
+                        continue;
                     }
                 }
-                // Super-op: counter increment feeding the back-edge.
-                if let (InstKind::Binary { op: BinOp::IAdd, lhs, rhs }, Terminator::Jump(dest)) =
-                    (&data.kind, term)
+                // Multiply consumed by the adjacent add — unless that add
+                // is the block's counter-increment+back-edge.
+                (
+                    InstKind::Binary { op: BinOp::IMul, lhs, rhs },
+                    InstKind::Binary { op: BinOp::IAdd, lhs: l2, rhs: r2 },
+                ) if (*l2 == me || *r2 == me)
+                    && !(i + 2 == insts.len() && matches!(term, Terminator::Jump(_))) =>
                 {
-                    let (lhs, rhs) = (*lhs, *rhs);
-                    let a = self.slot_of(lhs);
-                    let bb = self.slot_of(rhs);
-                    let (target, moves) = self.lower_edge(dest);
-                    self.ops.push(Op::AddJump { a, b: bb, dst, target, moves });
-                    self.fused += 1;
-                    term_fused = true;
-                    break;
+                    let other = if *l2 == me { *r2 } else { *l2 };
+                    let op = Op::MulAdd {
+                        a: self.slot_of(*lhs),
+                        b: self.slot_of(*rhs),
+                        mul_dst: dst,
+                        c: self.slot_of(other),
+                        dst: ndst,
+                        folded: is_folded(&data.kind),
+                    };
+                    self.ops.push(op);
+                    i += 2;
+                    continue;
                 }
-            }
-            // Super-op: address compute consumed by the adjacent load.
-            if !last {
-                if let InstKind::PtrAdd { base, offset } = &data.kind {
-                    let next = insts[i + 1];
-                    if let InstKind::Load { addr } = &self.func.inst(next).kind {
-                        if *addr == Value::Inst(id) {
-                            let (base, offset) = (*base, *offset);
-                            let ty = self.func.inst(next).ty;
-                            let b_s = self.slot_of(base);
-                            let o_s = self.slot_of(offset);
-                            let (ptr_dst, ld) = (dst, self.inst_base + next.0);
-                            self.ops.push(match ty {
-                                Type::F64 => {
-                                    Op::PtrAddLoadF { base: b_s, offset: o_s, ptr_dst, dst: ld }
-                                }
-                                Type::I64 => {
-                                    Op::PtrAddLoadI { base: b_s, offset: o_s, ptr_dst, dst: ld }
-                                }
-                                ty => {
-                                    Op::PtrAddLoad { base: b_s, offset: o_s, ptr_dst, ty, dst: ld }
-                                }
-                            });
-                            self.fused += 1;
-                            i += 2;
-                            continue;
-                        }
-                    }
-                }
+                _ => {}
             }
             let op = self.lower_inst(&data.kind, data.ty, dst);
             self.ops.push(op);
             i += 1;
         }
-        if !term_fused {
-            let op = match term {
-                Terminator::Jump(d) => {
-                    let (target, moves) = self.lower_edge(d);
-                    Op::Jump { target, moves }
-                }
-                Terminator::Branch { cond, then_dest, else_dest } => {
-                    let cond = self.slot_of(*cond);
-                    let (then_target, then_moves) = self.lower_edge(then_dest);
-                    let (else_target, else_moves) = self.lower_edge(else_dest);
-                    Op::Branch {
-                        cond,
-                        block: b.0,
-                        then_target,
-                        then_moves,
-                        else_target,
-                        else_moves,
-                    }
-                }
-                Terminator::Ret(v) => Op::Ret { val: v.map(|v| self.slot_of(v)) },
-            };
-            self.ops.push(op);
+        let op = match term {
+            Terminator::Jump(d) => {
+                let (target, moves) = self.lower_edge(d);
+                Op::Jump { target, moves }
+            }
+            Terminator::Branch { cond, then_dest, else_dest } => {
+                let cond = self.slot_of(*cond);
+                let (then_target, then_moves) = self.lower_edge(then_dest);
+                let (else_target, else_moves) = self.lower_edge(else_dest);
+                Op::Branch { cond, block: b.0, then_target, then_moves, else_target, else_moves }
+            }
+            Terminator::Ret(v) => Op::Ret { val: v.map(|v| self.slot_of(v)) },
+        };
+        self.ops.push(op);
+    }
+
+    /// Emits the block's last instruction `id` and its terminator as one
+    /// super-op when they form one: a compare feeding the block's own
+    /// branch, or an integer add in front of an unconditional jump (the
+    /// counter increment and back-edge of a loop).
+    fn fuse_with_terminator(&mut self, b: BlockId, id: InstId, term: &Terminator) -> bool {
+        let dst = self.inst_base + id.0;
+        let func = self.func;
+        match (&func.inst(id).kind, term) {
+            (InstKind::Cmp { op, lhs, rhs }, Terminator::Branch { cond, then_dest, else_dest })
+                if *cond == Value::Inst(id) =>
+            {
+                let (a, bb) = (self.slot_of(*lhs), self.slot_of(*rhs));
+                let (then_target, then_moves) = self.lower_edge(then_dest);
+                let (else_target, else_moves) = self.lower_edge(else_dest);
+                self.ops.push(Op::CmpBr {
+                    op: *op,
+                    a,
+                    b: bb,
+                    dst,
+                    block: b.0,
+                    then_target,
+                    then_moves,
+                    else_target,
+                    else_moves,
+                });
+                true
+            }
+            (InstKind::Binary { op: BinOp::IAdd, lhs, rhs }, Terminator::Jump(dest)) => {
+                let (a, bb) = (self.slot_of(*lhs), self.slot_of(*rhs));
+                let (target, moves) = self.lower_edge(dest);
+                self.ops.push(Op::AddJump { a, b: bb, dst, target, moves });
+                true
+            }
+            _ => false,
         }
     }
 
@@ -642,6 +791,147 @@ fn sequentialize(mut pending: Vec<Move>, temp: u32, out: &mut Vec<Move>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dae_ir::{FunctionBuilder, Module};
+
+    /// Lowers `main(i: i64)` of a module with one 64-element `f64` global
+    /// `g`, built by `body`.
+    fn lowered(body: impl FnOnce(&mut FunctionBuilder, Value)) -> Vec<Op> {
+        let mut m = Module::new();
+        let g = m.add_global("g", Type::F64, 64);
+        let mut b = FunctionBuilder::new("main", vec![Type::I64], Type::Void);
+        body(&mut b, Value::Global(g));
+        b.ret(None);
+        let f = m.add_function(b.finish());
+        // `lower` validates every index of what it emits (and panics).
+        lower(m.func(f), &Memory::for_module(&m)).ops
+    }
+
+    /// The variant names of `ops`, in order.
+    fn kinds(ops: &[Op]) -> Vec<String> {
+        let name = |op| format!("{op:?}").split([' ', '{']).next().expect("variant name").into();
+        ops.iter().map(name).collect()
+    }
+
+    #[test]
+    fn element_addresses_fuse_with_their_typed_load() {
+        let i = Value::Arg(0);
+        let ops = lowered(|b, g| {
+            let p = b.elem_addr(g, i, Type::F64);
+            let _ = b.load(Type::F64, p);
+            let scaled = b.imul(4i64, i);
+            let q = b.ptr_add(g, scaled);
+            let _ = b.load(Type::I64, q);
+            let r = b.elem_addr(g, i, Type::F64);
+            b.prefetch(r);
+        });
+        assert_eq!(kinds(&ops), ["ScaleAddLoadF", "ScaleAddLoadI", "ScaleAdd", "Prefetch", "Ret"]);
+        assert!(matches!(ops[0], Op::ScaleAddLoadF { shift: 3, .. }), "{ops:?}");
+        assert!(matches!(ops[1], Op::ScaleAddLoadI { shift: 2, .. }), "{ops:?}");
+    }
+
+    #[test]
+    fn near_misses_of_the_element_address_stay_plain() {
+        let i = Value::Arg(0);
+        // The multiply as the ptradd's base (alone, and on both sides).
+        let ops = lowered(|b, _| {
+            let scaled = b.imul(i, 8i64);
+            let p = b.ptr_add(scaled, i);
+            b.prefetch(p);
+            let scaled = b.imul(i, 8i64);
+            let q = b.ptr_add(scaled, scaled);
+            b.prefetch(q);
+        });
+        assert_eq!(
+            kinds(&ops),
+            ["IMul", "PtrAdd", "Prefetch", "IMul", "PtrAdd", "Prefetch", "Ret"]
+        );
+        // A consumer that is not adjacent.
+        let ops = lowered(|b, g| {
+            let scaled = b.imul(i, 8i64);
+            let _ = b.xor(i, 1i64);
+            let p = b.ptr_add(g, scaled);
+            b.prefetch(p);
+        });
+        assert_eq!(kinds(&ops), ["IMul", "IXor", "PtrAdd", "Prefetch", "Ret"]);
+        // A multiply that does not fold into an addressing mode.
+        let ops = lowered(|b, g| {
+            let scaled = b.imul(i, 3i64);
+            let p = b.ptr_add(g, scaled);
+            let _ = b.load(Type::F64, p);
+        });
+        assert_eq!(kinds(&ops), ["IMul", "PtrAdd", "LoadF", "Ret"]);
+        assert!(matches!(ops[0], Op::IMul { folded: false, .. }), "{ops:?}");
+        // Loads of the rarer types: the address fuses, the load does not.
+        for ty in [Type::Ptr, Type::Bool] {
+            let ops = lowered(|b, g| {
+                let p = b.elem_addr(g, i, Type::F64);
+                let _ = b.load(ty, p);
+            });
+            assert_eq!(kinds(&ops), ["ScaleAdd", "Load", "Ret"]);
+        }
+        // A load of some other pointer behind the address.
+        let ops = lowered(|b, g| {
+            let _ = b.elem_addr(g, i, Type::F64);
+            let _ = b.load(Type::F64, g);
+        });
+        assert_eq!(kinds(&ops), ["ScaleAdd", "LoadF", "Ret"]);
+    }
+
+    #[test]
+    fn multiply_add_fuses_unless_the_add_closes_a_loop() {
+        let i = Value::Arg(0);
+        let ops = lowered(|b, _| {
+            let t = b.imul(i, i);
+            let _ = b.iadd(t, 1i64);
+            let u = b.imul(i, 2i64);
+            let _ = b.iadd(i, u);
+            let v = b.imul(i, 5i64);
+            let _ = b.iadd(v, v);
+            let w = b.imul(i, 7i64);
+            let _ = b.isub(w, 1i64);
+        });
+        assert_eq!(kinds(&ops), ["MulAdd", "MulAdd", "MulAdd", "IMul", "ISub", "Ret"]);
+        assert!(matches!(ops[0], Op::MulAdd { folded: false, .. }), "{ops:?}");
+        assert!(matches!(ops[1], Op::MulAdd { folded: true, .. }), "{ops:?}");
+        // `iadd %v, %v` reads the product back through its own slot.
+        assert!(matches!(ops[2], Op::MulAdd { c, mul_dst, .. } if c == mul_dst), "{ops:?}");
+        // The add in front of a back edge is the counter increment.
+        let ops = lowered(|b, _| {
+            let _ = b.while_loop(
+                vec![Value::i64(1)],
+                |b, c| b.cmp(CmpOp::Lt, c[0], 50i64),
+                |b, c| {
+                    let t = b.imul(c[0], 3i64);
+                    vec![b.iadd(t, 1i64)]
+                },
+            );
+        });
+        assert_eq!(kinds(&ops), ["Jump", "CmpBr", "IMul", "AddJump", "Ret"]);
+    }
+
+    #[test]
+    fn constants_are_pooled_once_on_both_sides_of_the_index_threshold() {
+        for distinct in [3, LINEAR_POOL, LINEAR_POOL + 1, 4 * LINEAR_POOL] {
+            let mut m = Module::new();
+            let mut b = FunctionBuilder::new("main", vec![Type::I64], Type::Void);
+            // Every constant twice, the second round in reverse order.
+            let ks = (0..distinct as i64).chain((0..distinct as i64).rev());
+            for k in ks {
+                let _ = b.xor(Value::Arg(0), k * 1000 + 17);
+            }
+            b.ret(None);
+            let f = m.add_function(b.finish());
+            let cf = lower(m.func(f), &Memory::for_module(&m));
+            assert_eq!(cf.consts.len(), distinct);
+            let b_slot = |op: &Op| match *op {
+                Op::IXor { b, .. } => b,
+                ref other => panic!("expected an xor, got {other:?}"),
+            };
+            let firsts = cf.ops[..distinct].iter().map(b_slot);
+            let seconds = cf.ops[distinct..2 * distinct].iter().rev().map(b_slot);
+            assert!(firsts.eq(seconds), "{:?}", cf.ops);
+        }
+    }
 
     /// Applies `moves` to a register file, for checking sequentialisation.
     fn apply(moves: &[Move], regs: &mut [i64]) {

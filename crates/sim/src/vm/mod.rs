@@ -16,9 +16,16 @@
 //!   frame once per call;
 //! * branch targets are instruction offsets, block arguments are explicit
 //!   pre-sequentialised parallel-move lists;
-//! * the dominant instruction pairs are fused into super-ops
-//!   (compare+branch, address-compute+load, counter-increment+back-edge)
-//!   that keep per-constituent step accounting intact.
+//! * the instruction chains that dominate the corpus's dynamic op pairs
+//!   are fused into super-ops — compare+branch, counter-increment+
+//!   back-edge, the element address (scale-multiply+`ptradd`, with its
+//!   typed load when that comes third) and multiply+add — that keep
+//!   per-constituent step accounting intact
+//!   ([`LowerSpan::FUSED_OPS`]; `tests/superops.rs` requires each to be
+//!   emitted for some corpus function);
+//! * the dispatch loop pays per dispatched op, not per simulated step:
+//!   one `fuel` register is the whole step account (`instrs` is derived
+//!   from it), and operands index a frame slice held in a register.
 //!
 //! # Identity contract
 //!
@@ -75,6 +82,14 @@ pub struct LowerSpan {
     pub ops: u32,
     /// Fused super-ops among them.
     pub fused: u32,
+    /// `fused` split by super-op, in the order of [`LowerSpan::FUSED_OPS`].
+    pub fused_by_op: [u32; LowerSpan::FUSED_OPS.len()],
     /// Host wall-clock spent lowering, in seconds.
     pub wall_s: f64,
+}
+
+impl LowerSpan {
+    /// The fused super-ops the lowering can emit (`lower::Op` variants).
+    pub const FUSED_OPS: [&'static str; 6] =
+        ["CmpBr", "AddJump", "ScaleAdd", "ScaleAddLoadF", "ScaleAddLoadI", "MulAdd"];
 }
