@@ -94,6 +94,15 @@ check "a step-limit exit" \
     'Err\(InterpError::StepLimit\)' \
     'crates/[^/]*/src/.*|src/.*'
 
+# The LRU update has one owner: the two-way probe and the walk that shifts
+# as it searches (`Cache::front`/`walk`). A find-then-rotate second pass,
+# and the memmove it costs, survives only as the model the tests compare
+# against.
+check "a find-then-rotate LRU update (the walk shifts as it searches)" \
+    "crates/mem/src/model.rs" \
+    'rotate_right|\.position\(' \
+    'crates/mem/src/.*'
+
 n=$(grep -c 'InterpError::StepLimit' crates/sim/src/vm/exec.rs)
 if [ "$n" -ne 1 ]; then
     echo "one_of_each: InterpError::StepLimit appears $n times in crates/sim/src/vm/exec.rs (only step! raises it)"

@@ -28,5 +28,5 @@
 pub mod cache;
 pub mod hierarchy;
 
-pub use cache::{Cache, CacheConfig, CacheStats};
+pub use cache::{Cache, CacheConfig};
 pub use hierarchy::{CoreCaches, HierarchyConfig, HitLevel, SharedLlc};
