@@ -23,7 +23,7 @@ use dae_core::{AffineStats, RefuseReason, Strategy, TaskAccessInfo};
 use dae_ir::parse::parse_module;
 use dae_ir::{print_function, Function};
 use dae_trace::json::{parse, JsonValue};
-use dae_trace::Lru;
+use dae_trace::{write_atomic, Lru};
 
 /// Schema tag of on-disk artifacts. Bump on any layout change — the tag is
 /// part of the pipeline fingerprint, so old artifacts simply stop matching.
@@ -362,31 +362,6 @@ impl Cache {
     pub fn stats(&self) -> CacheStats {
         self.stats
     }
-}
-
-/// Writes `bytes` to `path` via a unique temp file in the same directory
-/// followed by a rename — the rename is the atomicity barrier, so
-/// concurrent readers only ever observe absent-or-complete artifacts.
-fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
-    use std::io::Write as _;
-    use std::sync::atomic::{AtomicU64, Ordering};
-    static SEQ: AtomicU64 = AtomicU64::new(0);
-    let dir = path.parent().unwrap_or_else(|| Path::new("."));
-    let base = path.file_name().and_then(|n| n.to_str()).unwrap_or("artifact");
-    let tmp = dir.join(format!(
-        ".{base}.{}.{}.tmp",
-        std::process::id(),
-        SEQ.fetch_add(1, Ordering::Relaxed)
-    ));
-    let result = (|| {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(bytes)?;
-        std::fs::rename(&tmp, path)
-    })();
-    if result.is_err() {
-        let _ = std::fs::remove_file(&tmp);
-    }
-    result
 }
 
 #[cfg(test)]

@@ -110,7 +110,7 @@ pub struct Backend {
     /// Consecutive failures (probes and requests both count; any success
     /// resets it).
     pub consecutive_failures: AtomicU32,
-    /// Requests forwarded (attempts, including retries and hedges).
+    /// Requests forwarded (attempts, including retries).
     pub sent: AtomicU64,
     /// Attempts that returned a valid response frame.
     pub ok: AtomicU64,

@@ -1,7 +1,7 @@
 //! `daeg`: the routing [`Service`] behind the shared `dae-serve` front
 //! end ([`dae_serve::front`]) — the same readers, admission queue and
 //! worker pool as `daed`, with routers for workers:
-//! pop → pick backend (ring walk) → forward (retry, hedge) → respond.
+//! pop → pick backend (ring walk) → forward (retry) → respond.
 //!
 //! The gateway speaks the exact `daed` wire protocol on both sides. A work
 //! frame is re-serialised once (canonically, with its deadline budget
@@ -16,8 +16,7 @@
 //! fleet's cache capacity adds up instead of overlapping.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{channel, RecvTimeoutError};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use dae_serve::front::{AdmissionCounters, Front, Gauges, Job, Service, Wording};
@@ -61,9 +60,6 @@ pub struct GateConfig {
     pub retry_base_ms: u64,
     /// Backoff ceiling.
     pub retry_cap_ms: u64,
-    /// Launch a hedge on the next backend if the primary has not answered
-    /// after this long (0 disables hedging).
-    pub hedge_after_ms: u64,
     /// Record `GateRoute`/`BackendEject` trace events (unbounded memory
     /// under sustained load; meant for short diagnostic runs).
     pub trace: bool,
@@ -86,7 +82,6 @@ impl Default for GateConfig {
             max_retries: 2,
             retry_base_ms: 10,
             retry_cap_ms: 200,
-            hedge_after_ms: 0,
             trace: false,
         }
     }
@@ -101,7 +96,7 @@ pub struct Gateway {
 /// What `daeg` plugs into the front end: the routing state shared by
 /// readers, routers and the probe thread.
 struct Shared {
-    fleet: Arc<Vec<Backend>>,
+    fleet: Vec<Backend>,
     ring: Ring,
     metrics: GateMetrics,
     started: Instant,
@@ -120,7 +115,6 @@ struct RouteCfg {
     max_retries: u32,
     retry_base_ms: u64,
     retry_cap_ms: u64,
-    hedge_after: Option<Duration>,
 }
 
 impl Gateway {
@@ -134,7 +128,7 @@ impl Gateway {
             .collect();
         let ring = Ring::new(&config.backends, config.vnodes);
         let shared = Shared {
-            fleet: Arc::new(fleet),
+            fleet,
             ring,
             metrics: GateMetrics::new(),
             started: Instant::now(),
@@ -146,8 +140,6 @@ impl Gateway {
                 max_retries: config.max_retries,
                 retry_base_ms: config.retry_base_ms,
                 retry_cap_ms: config.retry_cap_ms.max(config.retry_base_ms),
-                hedge_after: (config.hedge_after_ms > 0)
-                    .then(|| Duration::from_millis(config.hedge_after_ms)),
             },
             recorder: config.trace.then(|| Mutex::new(Recorder::new(config.backends.len().max(1)))),
             probe_id: AtomicU64::new(0),
@@ -266,9 +258,8 @@ impl Service for Shared {
 }
 
 /// Routes one work request: candidate walk, bounded-load spill, retries
-/// with capped exponential backoff, optional hedging. Returns the
-/// response line (backend bytes verbatim on success) and whether it is a
-/// success frame.
+/// with capped exponential backoff. Returns the response line (backend
+/// bytes verbatim on success) and whether it is a success frame.
 fn route(shared: &Shared, job: &Job) -> (String, bool) {
     let cfg = shared.cfg;
     let key = dae_serve::request_key(&job.req);
@@ -309,146 +300,53 @@ fn route(shared: &Shared, job: &Job) -> (String, bool) {
     let route_start_s = shared.now_s();
     let t0 = Instant::now();
 
-    // Fast path: without hedging there is never more than one attempt in
-    // flight, so the attempt loop runs inline in this router thread —
-    // `Backend::call` already enforces the per-attempt timeout through
-    // socket deadlines. The channel-and-thread machinery below exists
-    // only for concurrent hedged attempts; spawning a thread per
-    // forwarded request costs more than the forward itself on the warm
-    // path.
-    if cfg.hedge_after.is_none() {
-        let mut attempts: u32 = 0;
-        loop {
-            let backend_idx = order[attempts as usize % order.len()];
-            let rebuilt;
-            let line: &str = match job.deadline {
-                None => &job.raw,
-                Some(_) => {
-                    rebuilt = forward_line(&job.req, job.deadline);
-                    &rebuilt
-                }
-            };
-            let timeout = attempt_timeout(cfg, job.deadline);
-            attempts += 1;
-            match shared.fleet[backend_idx].call(line, &id_json, timeout) {
-                Ok(resp) => {
-                    note_route_success(shared, backend_idx);
-                    shared.record(TraceEvent::GateRoute {
-                        core: backend_idx as u32,
-                        key,
-                        backend: shared.fleet[backend_idx].addr.clone(),
-                        attempts,
-                        hedged: false,
-                        spilled,
-                        start_s: route_start_s,
-                        dur_s: t0.elapsed().as_secs_f64(),
-                    });
-                    return (resp, true);
-                }
-                Err(err) => {
-                    note_route_failure(shared, backend_idx, &err);
-                    if attempts <= cfg.max_retries && !job.expired() && order.len() > 1 {
-                        let backoff = retry_backoff(cfg, attempts);
-                        if !backoff.is_zero() {
-                            std::thread::sleep(backoff);
-                        }
-                        shared.metrics.retries.fetch_add(1, Ordering::Relaxed);
-                        continue;
-                    }
-                    return route_failed(job, shared, attempts, &err.describe());
-                }
+    // One attempt in flight at a time, inline in this router thread:
+    // `Backend::call` enforces the per-attempt timeout through socket
+    // deadlines.
+    let mut attempts: u32 = 0;
+    loop {
+        let backend_idx = order[attempts as usize % order.len()];
+        let rebuilt;
+        let line: &str = match job.deadline {
+            None => &job.raw,
+            Some(_) => {
+                rebuilt = forward_line(&job.req, job.deadline);
+                &rebuilt
             }
-        }
-    }
-
-    let (tx, rx) = channel::<(usize, Result<String, CallError>)>();
-    let launch = |slot: usize| {
-        let backend_idx = order[slot % order.len()];
-        let line = match job.deadline {
-            None => job.raw.clone(),
-            Some(_) => forward_line(&job.req, job.deadline),
         };
         let timeout = attempt_timeout(cfg, job.deadline);
-        let fleet = Arc::clone(&shared.fleet);
-        let id_json = id_json.clone();
-        let tx = tx.clone();
-        std::thread::spawn(move || {
-            let result = fleet[backend_idx].call(&line, &id_json, timeout);
-            let _ = tx.send((backend_idx, result));
-        });
-    };
-
-    let mut attempts: u32 = 1;
-    let mut hedged = false;
-    let mut outstanding = 1usize;
-    let mut next_slot = 1usize;
-    let mut last_error = String::new();
-    launch(0);
-    loop {
-        let wait = match (cfg.hedge_after, hedged) {
-            (Some(h), false) => h,
-            _ => cfg.attempt_timeout + Duration::from_millis(100),
-        };
-        match rx.recv_timeout(wait) {
-            Ok((backend_idx, Ok(resp))) => {
+        attempts += 1;
+        match shared.fleet[backend_idx].call(line, &id_json, timeout) {
+            Ok(resp) => {
                 note_route_success(shared, backend_idx);
-                if hedged && backend_idx != order[0] {
-                    shared.metrics.hedge_wins.fetch_add(1, Ordering::Relaxed);
-                }
                 shared.record(TraceEvent::GateRoute {
                     core: backend_idx as u32,
                     key,
                     backend: shared.fleet[backend_idx].addr.clone(),
                     attempts,
-                    hedged,
                     spilled,
                     start_s: route_start_s,
                     dur_s: t0.elapsed().as_secs_f64(),
                 });
                 return (resp, true);
             }
-            Ok((backend_idx, Err(err))) => {
-                outstanding -= 1;
-                last_error = err.describe();
+            Err(err) => {
                 note_route_failure(shared, backend_idx, &err);
                 // A backend-origin failure is retryable on another
                 // backend: every work op is deterministic, so a second
                 // execution is safe (idempotent).
-                let retries_left = attempts <= cfg.max_retries;
-                if retries_left && !job.expired() && order.len() > 1 {
+                if attempts <= cfg.max_retries && !job.expired() && order.len() > 1 {
                     let backoff = retry_backoff(cfg, attempts);
                     if !backoff.is_zero() {
                         std::thread::sleep(backoff);
                     }
                     shared.metrics.retries.fetch_add(1, Ordering::Relaxed);
-                    attempts += 1;
-                    launch(next_slot);
-                    next_slot += 1;
-                    outstanding += 1;
-                } else if outstanding == 0 {
-                    break;
+                    continue;
                 }
+                return route_failed(job, shared, attempts, &err.describe());
             }
-            Err(RecvTimeoutError::Timeout) => {
-                if let (Some(_), false) = (cfg.hedge_after, hedged) {
-                    hedged = true;
-                    if order.len() > 1 && !job.expired() {
-                        shared.metrics.hedges.fetch_add(1, Ordering::Relaxed);
-                        attempts += 1;
-                        launch(next_slot);
-                        next_slot += 1;
-                        outstanding += 1;
-                    }
-                } else if outstanding == 0 {
-                    break;
-                }
-                // With attempts still outstanding, keep waiting: each has
-                // a hard per-attempt timeout and will report back.
-            }
-            Err(RecvTimeoutError::Disconnected) => break,
         }
     }
-    route_failed(job, shared, attempts, &last_error)
 }
 
 /// The terminal failure response of a route: `gate.deadline` if the
@@ -699,7 +597,6 @@ mod tests {
             max_retries: 8,
             retry_base_ms: 10,
             retry_cap_ms: 80,
-            hedge_after: None,
         };
         assert_eq!(retry_backoff(cfg, 1), Duration::from_millis(10));
         assert_eq!(retry_backoff(cfg, 2), Duration::from_millis(20));

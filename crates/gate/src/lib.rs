@@ -17,10 +17,9 @@
 //! * [`gateway`] — the daemon: reader threads, a bounded admission queue
 //!   (shed with `gate.overloaded`, drain with `gate.draining`), router
 //!   threads doing bounded-load spill, capped-exponential-backoff retries
-//!   on a *different* backend, optional hedged requests and deadline-
-//!   budget propagation.
+//!   on a *different* backend and deadline-budget propagation.
 //! * [`metrics`] — aggregate counters/histograms behind `stats`
-//!   (`dae-gate-stats/1`) and the stable `gate.*` error-code vocabulary.
+//!   (`dae-gate-stats/2`) and the stable `gate.*` error-code vocabulary.
 //! * [`fault`] — a deterministic in-process fault-injection proxy
 //!   (drop/delay/close/garble/truncate, seeded) for tests.
 //!
@@ -29,7 +28,7 @@
 //! Successful responses pass through from the backend **verbatim** — a
 //! fleet behind `daeg` is byte-identical to one fresh engine. Failures
 //! the gateway absorbs (crashed backend, garbled frame, timeout) surface
-//! only as retries/hedges in `stats`; failures it cannot absorb answer
+//! only as retries in `stats`; failures it cannot absorb answer
 //! with a stable dotted `gate.*` code, never silence.
 
 #![warn(missing_docs)]

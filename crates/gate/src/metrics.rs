@@ -2,7 +2,7 @@
 //!
 //! Everything here is either atomic or behind a short-lived mutex so the
 //! hot path never blocks on stats readers. The JSON shape is versioned
-//! (`dae-gate-stats/1`) like the serving layer's, and per-backend detail
+//! (`dae-gate-stats/2`) like the serving layer's, and per-backend detail
 //! comes from [`crate::backend::Backend::to_json`] — this module only owns
 //! the aggregate view.
 
@@ -15,7 +15,7 @@ use dae_trace::json::JsonValue;
 use dae_trace::{lock_recover, LogHistogram};
 
 /// Stable schema tag for the gateway `stats` response body.
-pub const GATE_STATS_SCHEMA: &str = "dae-gate-stats/1";
+pub const GATE_STATS_SCHEMA: &str = "dae-gate-stats/2";
 
 /// Stable schema tag for the gateway `health` response body.
 pub const GATE_HEALTH_SCHEMA: &str = "dae-gate-health/1";
@@ -50,12 +50,8 @@ pub struct GateMetrics {
     /// Routed requests answered with an error frame (gate- or
     /// backend-origin).
     pub failed: AtomicU64,
-    /// Forwarding attempts beyond the first, excluding hedges.
+    /// Forwarding attempts beyond the first.
     pub retries: AtomicU64,
-    /// Hedge attempts launched.
-    pub hedges: AtomicU64,
-    /// Hedge attempts that produced the winning response.
-    pub hedge_wins: AtomicU64,
     /// Requests routed off their home backend by the bounded-load rule.
     pub spills: AtomicU64,
     /// Backend ejections (consecutive-failure trips and failed trials).
@@ -112,8 +108,6 @@ impl GateMetrics {
             ("deadline_expired", c(&a.deadline_expired)),
             ("bad_requests", c(&a.bad_requests)),
             ("retries", c(&self.retries)),
-            ("hedges", c(&self.hedges)),
-            ("hedge_wins", c(&self.hedge_wins)),
             ("spills", c(&self.spills)),
             ("ejects", c(&self.ejects)),
             ("readmits", c(&self.readmits)),

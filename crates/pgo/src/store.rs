@@ -20,11 +20,10 @@
 //! good records around it.
 
 use std::collections::BTreeMap;
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use dae_trace::json::{self, JsonValue};
+use dae_trace::write_atomic;
 
 use crate::{codes, PgoError, PhaseProfile, ProfileSet, PROFILE_SCHEMA};
 
@@ -293,30 +292,6 @@ fn record_from_json(v: &JsonValue) -> Option<(u64, PhaseProfile)> {
     let key = u64::from_str_radix(key_str, 16).ok()?;
     let profile = PhaseProfile::from_json(v)?;
     Some((key, profile))
-}
-
-/// Writes `bytes` to `path` via a unique temp file in the same directory
-/// followed by a rename, so readers only ever observe absent-or-complete
-/// files even if the writer is killed mid-write.
-fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
-    static SEQ: AtomicU64 = AtomicU64::new(0);
-    let dir = path.parent().unwrap_or_else(|| Path::new("."));
-    let base = path.file_name().and_then(|n| n.to_str()).unwrap_or("record");
-    let tmp = dir.join(format!(
-        ".{base}.{}.{}.tmp",
-        std::process::id(),
-        SEQ.fetch_add(1, Ordering::Relaxed)
-    ));
-    let result = (|| {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(bytes)?;
-        f.sync_all().ok(); // best-effort durability; rename is the atomicity barrier
-        std::fs::rename(&tmp, path)
-    })();
-    if result.is_err() {
-        let _ = std::fs::remove_file(&tmp);
-    }
-    result
 }
 
 #[cfg(test)]

@@ -142,13 +142,12 @@ fn span_event(ev: &TraceEvent) -> JsonValue {
                 ("wall_s", (*wall_s).into()),
             ]),
         ),
-        TraceEvent::GateRoute { key, backend, attempts, hedged, spilled, .. } => (
+        TraceEvent::GateRoute { key, backend, attempts, spilled, .. } => (
             format!("route [{backend}]"),
             JsonValue::obj([
                 ("key", format!("{key:016x}").into()),
                 ("backend", backend.as_str().into()),
                 ("attempts", (*attempts).into()),
-                ("hedged", (*hedged).into()),
                 ("spilled", (*spilled).into()),
             ]),
         ),

@@ -204,8 +204,6 @@ pub enum TraceEvent {
         backend: String,
         /// Attempts it took (1 = first try; >1 means retries/failover).
         attempts: u32,
-        /// True when a hedge request was launched for the tail.
-        hedged: bool,
         /// True when bounded-load routing spilled the request off its
         /// home ring node because that backend was at its in-flight cap.
         spilled: bool,
@@ -388,7 +386,6 @@ mod tests {
                 key: 0xdead_beef,
                 backend: "127.0.0.1:7777".into(),
                 attempts: 2,
-                hedged: true,
                 spilled: false,
                 start_s: 3.0,
                 dur_s: 0.002,

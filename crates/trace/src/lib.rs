@@ -26,7 +26,8 @@
 //! As the zero-dependency leaf every other crate already reaches, it also
 //! owns the workspace's shared primitives, one of each: [`lru`] (the
 //! byte-bounded LRU), [`fnv`] (the stable content hash), [`rng`] (the
-//! seeded SplitMix64) and [`sync`] (poison-tolerant locking).
+//! seeded SplitMix64), [`sync`] (poison-tolerant locking) and [`fs`] (the
+//! atomic temp-file-and-rename write).
 //!
 //! # Examples
 //!
@@ -59,6 +60,7 @@
 pub mod chrome;
 pub mod event;
 pub mod fnv;
+pub mod fs;
 pub mod hist;
 pub mod json;
 pub mod lru;
@@ -69,6 +71,7 @@ pub mod sync;
 
 pub use event::{PhaseCounters, PhaseKind, TraceEvent};
 pub use fnv::Fnv64;
+pub use fs::write_atomic;
 pub use hist::LogHistogram;
 pub use lru::Lru;
 pub use rng::SplitMix64;

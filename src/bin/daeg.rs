@@ -3,16 +3,15 @@
 //! Fronts a fleet of `daed` backends with the same newline-delimited-JSON
 //! protocol the backends speak: consistent-hash routing on the request's
 //! cache key, health probing with ejection and re-admission, bounded-load
-//! spill, retries with capped exponential backoff, optional hedging, and
-//! deadline-budget propagation. A `shutdown` request or SIGTERM/SIGINT
-//! starts a graceful drain.
+//! spill, retries with capped exponential backoff, and deadline-budget
+//! propagation. A `shutdown` request or SIGTERM/SIGINT starts a graceful
+//! drain.
 //!
 //! ```text
 //! daeg --backends HOST:PORT,HOST:PORT,... [--addr HOST:PORT]
 //!      [--routers N] [--queue-depth N] [--vnodes N] [--inflight-cap N]
 //!      [--eject-after N] [--readmit-ms MS] [--probe-ms MS]
-//!      [--attempt-timeout-ms MS] [--retries N] [--hedge-ms MS]
-//!      [--trace <file>]
+//!      [--attempt-timeout-ms MS] [--retries N] [--trace <file>]
 //! ```
 //!
 //! * `--backends` — comma-separated `daed` addresses (required)
@@ -32,8 +31,6 @@
 //!   (default 10000)
 //! * `--retries` — extra attempts on another backend after a failure
 //!   (default 2)
-//! * `--hedge-ms` — hedge a slow request on the next backend after this
-//!   long; 0 disables hedging (default 0)
 //! * `--trace` — write a Chrome-trace JSON of `GateRoute`/`BackendEject`
 //!   events to this file on drain
 //!
@@ -113,7 +110,6 @@ fn parse_args() -> Result<Args, String> {
                 }
             }
             "--retries" => config.max_retries = parse_u64("--retries", value("--retries")?)? as u32,
-            "--hedge-ms" => config.hedge_after_ms = parse_u64("--hedge-ms", value("--hedge-ms")?)?,
             "--trace" => {
                 trace_out = Some(PathBuf::from(value("--trace")?));
                 config.trace = true;
@@ -124,7 +120,7 @@ fn parse_args() -> Result<Args, String> {
                      usage: daeg --backends HOST:PORT,... [--addr HOST:PORT] [--routers N] \
                      [--queue-depth N] [--vnodes N] [--inflight-cap N] [--eject-after N] \
                      [--readmit-ms MS] [--probe-ms MS] [--attempt-timeout-ms MS] [--retries N] \
-                     [--hedge-ms MS] [--trace <file>]"
+                     [--trace <file>]"
                 ))
             }
         }

@@ -28,6 +28,10 @@
 //! | [`trace`] | event-level tracing: Perfetto/Chrome-trace + summary JSON |
 //! | [`workloads`] | the seven evaluation benchmarks |
 //!
+//! [`model`] regenerates the paper's evaluation (Table 1, Figs. 3–4,
+//! ablations, governor and PGO studies) as one `dae-model/1` document —
+//! the `dae-repro` binary.
+//!
 //! See `README.md` for a guided tour, `DESIGN.md` for the system inventory
 //! and `EXPERIMENTS.md` for paper-vs-measured numbers.
 //!
@@ -58,6 +62,8 @@
 //! ```
 
 #![warn(missing_docs)]
+
+pub mod model;
 
 pub use dae_analysis as analysis;
 pub use dae_core as compiler;
