@@ -73,6 +73,14 @@ check "a second model-output harness" \
     "none" \
     'DAE_BENCH_[S]MOKE|harness *= *[f]alse|fn write_csv'
 
+# One profile-guided path: dae-pgo's measure → refine → recompile loop.
+# The simulator has one `run` and counts no branches; the access generator
+# takes no branch profile. (`[B]`, `[r]`, `[H]`, `[g]`: so that a grep for
+# the retired names over the repo does not hit this rule.)
+check "a second profile-guided path (branch profiles, hot-path skeletons)" \
+    "none" \
+    '[B]ranchProfile|[r]un_with_profile|[H]otPathConfig|[g]enerate_skeleton_access_profiled'
+
 # Durable records (driver artifacts, profiles) are written by one
 # temp-file-and-rename.
 check "an atomic file write" \

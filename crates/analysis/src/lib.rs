@@ -10,7 +10,6 @@
 //!   [`loops::recognize_counted`] for `for`-style loops,
 //! * [`scev::ScalarEvolution`] — affine forms of values and addresses (the
 //!   ScalarEvolution stand-in used to classify tasks as affine/non-affine),
-//! * [`usedef::UseDefs`] — def-use chains for the §5.2 mark/sweep slice,
 //! * [`effects`] — side-effect summaries and the paper's safety conditions,
 //! * [`transform`] — inlining, DCE (instructions *and* block parameters),
 //!   CFG simplification, constant folding, and the [`transform::optimize`]
@@ -58,14 +57,12 @@ pub mod loops;
 pub mod scev;
 pub mod ssa_verify;
 pub mod transform;
-pub mod usedef;
 
 pub use cfg::Cfg;
 pub use dom::DomTree;
 pub use loops::{CountedLoop, LoopForest, LoopId};
 pub use scev::{Affine, AffineVar, PtrAffine, ScalarEvolution};
 pub use ssa_verify::{verify_ssa, SsaError};
-pub use usedef::{UseDefs, UseSite};
 
 /// Bundle of the standard analyses for one function, built in dependency
 /// order. Most passes want all of them.

@@ -98,52 +98,6 @@ pub fn transform_module(
     map
 }
 
-/// Builds the LU interior-update task used by sibling test modules.
-#[cfg(test)]
-pub(crate) fn tests_support_lu_inner() -> (Module, FuncId, i64) {
-    use dae_ir::{FunctionBuilder, Type, Value};
-    let n = 64i64;
-    let blk = 8i64;
-    let mut m = Module::new();
-    let a = m.add_global("A", Type::F64, (n * n) as u64);
-    let mut b = FunctionBuilder::new("lu_inner", vec![Type::I64, Type::I64, Type::I64], Type::Void);
-    b.set_task();
-    let (k0, i0, j0) = (Value::Arg(0), Value::Arg(1), Value::Arg(2));
-    b.counted_loop(Value::i64(0), Value::i64(blk), Value::i64(1), |b, i| {
-        b.counted_loop(Value::i64(0), Value::i64(blk), Value::i64(1), |b, j| {
-            let gi = b.iadd(i0, i);
-            let gj = b.iadd(j0, j);
-            let r = b.imul(gi, n);
-            let x = b.iadd(r, gj);
-            let dst = b.elem_addr(Value::Global(a), x, Type::F64);
-            let init = b.load(Type::F64, dst);
-            let acc = b.counted_loop_carried(
-                Value::i64(0),
-                Value::i64(blk),
-                Value::i64(1),
-                vec![init],
-                |b, p, c| {
-                    let gp = b.iadd(k0, p);
-                    let r1 = b.imul(gi, n);
-                    let x1 = b.iadd(r1, gp);
-                    let lip = b.elem_addr(Value::Global(a), x1, Type::F64);
-                    let r2 = b.imul(gp, n);
-                    let x2 = b.iadd(r2, gj);
-                    let upj = b.elem_addr(Value::Global(a), x2, Type::F64);
-                    let vl = b.load(Type::F64, lip);
-                    let vu = b.load(Type::F64, upj);
-                    let t = b.fmul(vl, vu);
-                    vec![b.fsub(c[0], t)]
-                },
-            );
-            b.store(dst, acc[0]);
-        });
-    });
-    b.ret(None);
-    let t = m.add_function(b.finish());
-    (m, t, blk)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

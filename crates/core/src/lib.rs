@@ -57,15 +57,11 @@ pub mod access_info;
 pub mod affine;
 pub mod dedup;
 pub mod generate;
-pub mod granularity;
 pub mod options;
-pub mod profile;
 pub mod skeleton;
 
 pub use access_info::{analyze_task, AffineAccess, SubScript, TaskAccessInfo};
 pub use affine::{generate_affine_access, AffineResult};
 pub use generate::{generate_access, transform_module, DaeMap, GeneratedAccess};
-pub use granularity::suggest_granularity;
 pub use options::{AffineStats, CompilerOptions, RefuseReason, Strategy};
-pub use profile::{inlined_clone, profile_task, HotPathConfig};
-pub use skeleton::{generate_skeleton_access, generate_skeleton_access_profiled};
+pub use skeleton::generate_skeleton_access;

@@ -35,27 +35,6 @@ pub fn generate_skeleton_access(
     task: FuncId,
     opts: &CompilerOptions,
 ) -> Result<Function, RefuseReason> {
-    generate_skeleton_access_profiled(module, task, opts, None)
-}
-
-/// The §5.2 pipeline with an optional branch profile for hot-path
-/// specialisation (§5.2.2's "specifically tailored access version"): an
-/// in-loop conditional whose taken-fraction reaches
-/// [`crate::profile::HotPathConfig::hot_threshold`] keeps its hot edge —
-/// and thereby its reads — instead of being dropped.
-///
-/// The profile must come from [`crate::profile::profile_task`] on the same
-/// module/task (its block ids refer to the canonical inlined clone).
-///
-/// # Errors
-///
-/// Refuses per the paper's safety conditions; see [`RefuseReason`].
-pub fn generate_skeleton_access_profiled(
-    module: &Module,
-    task: FuncId,
-    opts: &CompilerOptions,
-    profile: Option<(&dae_sim::BranchProfile, crate::profile::HotPathConfig)>,
-) -> Result<Function, RefuseReason> {
     // 1–2. inline into a private clone
     let inlined = inline_all(module, task)
         .map_err(|_| RefuseReason::NonInlinableCall(module.func(task).name.clone()))?;
@@ -67,9 +46,9 @@ pub fn generate_skeleton_access_profiled(
     f.name = format!("{}__access", module.func(task).name);
     f.is_task = false;
 
-    // 3. simplified CFG (profile-aware when a profile is supplied)
+    // 3. simplified CFG
     if opts.cfg_simplify {
-        simplify_in_loop_conditionals(&mut f, profile);
+        simplify_in_loop_conditionals(&mut f);
         f = compact(&f);
     }
 
@@ -109,14 +88,9 @@ pub fn generate_skeleton_access_profiled(
 
 /// §5.2.2: rewrites conditional branches whose both targets stay inside the
 /// same loop into unconditional jumps, eliminating data-dependent control
-/// flow while preserving loop control. Without a profile the false edge is
-/// taken (for builder-generated `if-then` diamonds that is the skip edge);
-/// with a profile, a branch whose taken-fraction reaches the hot threshold
-/// follows its hot (then) edge instead, keeping the hot path's reads.
-fn simplify_in_loop_conditionals(
-    f: &mut Function,
-    profile: Option<(&dae_sim::BranchProfile, crate::profile::HotPathConfig)>,
-) {
+/// flow while preserving loop control. The false edge is taken (for
+/// builder-generated `if-then` diamonds that is the skip edge).
+fn simplify_in_loop_conditionals(f: &mut Function) {
     let analysis = FunctionAnalysis::run(f);
     let mut rewrites: Vec<(BlockId, Terminator)> = Vec::new();
     for bb in f.block_ids() {
@@ -135,11 +109,7 @@ fn simplify_in_loop_conditionals(
             // maintain the loop's control flow — keep those.
             let is_header = analysis.forest.get(lp).header == bb;
             if both_inside && !is_header {
-                let hot_then = profile
-                    .and_then(|(p, cfg)| p.taken_fraction(bb).map(|fr| fr >= cfg.hot_threshold))
-                    .unwrap_or(false);
-                let dest = if hot_then { then_dest.clone() } else { else_dest.clone() };
-                rewrites.push((bb, Terminator::Jump(dest)));
+                rewrites.push((bb, Terminator::Jump(else_dest.clone())));
             }
         }
     }

@@ -98,13 +98,8 @@ pub struct Driver {
 impl Driver {
     /// A driver running [`Pipeline::standard`] under `config`.
     pub fn new(config: &DriverConfig) -> Driver {
-        Driver::with_pipeline(Pipeline::standard(), config)
-    }
-
-    /// A driver running a custom pipeline.
-    pub fn with_pipeline(pipeline: Pipeline, config: &DriverConfig) -> Driver {
         Driver {
-            pipeline,
+            pipeline: Pipeline::standard(),
             cache: Cache::new(config.mem_max_bytes, config.cache_dir.as_deref()),
             jobs: config.jobs.max(1),
             profiles: ProfileSet::new(),
@@ -123,11 +118,6 @@ impl Driver {
     /// The installed profile set.
     pub fn profiles(&self) -> &ProfileSet {
         &self.profiles
-    }
-
-    /// The driver's pipeline.
-    pub fn pipeline(&self) -> &Pipeline {
-        &self.pipeline
     }
 
     /// Cache counters accumulated over the driver's lifetime.

@@ -14,11 +14,8 @@
 //! overshoots the overhead budget fall back to the paper's min/max
 //! assignment and stay there).
 //!
-//! Three [`Governor`] implementations:
+//! Two [`Governor`] implementations:
 //!
-//! * [`StaticGovernor`] — a fixed per-phase assignment; wraps today's
-//!   table-driven policies so static and learned selection share one
-//!   interface;
 //! * [`MissRatioHeuristic`] — classifies each phase memory- vs
 //!   compute-bound from its counters (the §3 intuition made operational)
 //!   and maps boundedness onto the DVFS table;
@@ -56,7 +53,6 @@ pub mod cache;
 pub mod class;
 pub mod heuristic;
 pub mod obs;
-pub mod statik;
 
 pub use bandit::{BanditConfig, BanditEdp};
 pub use cache::{CacheConfig, ClassEntry, DecisionCache};
@@ -64,7 +60,6 @@ pub use class::TaskClass;
 pub use dae_trace::SplitMix64;
 pub use heuristic::{HeuristicConfig, MissRatioHeuristic};
 pub use obs::{PhaseObs, TaskObs};
-pub use statik::StaticGovernor;
 
 use dae_power::{DvfsTable, FreqId};
 
@@ -109,7 +104,7 @@ pub struct ClassSnapshot {
 /// keyed by the task's [`TaskClass`]. Implementations must be
 /// deterministic: the same call sequence always yields the same decisions.
 pub trait Governor {
-    /// Stable lowercase name ("static", "heuristic", "bandit").
+    /// Stable lowercase name ("heuristic", "bandit").
     fn name(&self) -> &'static str;
 
     /// Chooses the operating points for the next task of `class`.

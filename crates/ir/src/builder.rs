@@ -59,11 +59,6 @@ impl FunctionBuilder {
         self.func
     }
 
-    /// The block new instructions are appended to.
-    pub fn current_block(&self) -> BlockId {
-        self.cur
-    }
-
     /// Moves the insertion point.
     pub fn switch_to(&mut self, block: BlockId) {
         self.cur = block;

@@ -148,11 +148,6 @@ impl Function {
         self.insts.len()
     }
 
-    /// Iterates over all allocated instruction ids.
-    pub fn inst_ids(&self) -> impl Iterator<Item = InstId> + 'static {
-        self.insts.keys()
-    }
-
     /// The type of any value in the context of this function.
     pub fn value_type(&self, value: Value) -> Type {
         match value {

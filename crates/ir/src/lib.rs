@@ -45,7 +45,6 @@
 #[macro_use]
 pub mod entity;
 pub mod builder;
-pub mod dot;
 pub mod error;
 pub mod function;
 pub mod inst;
@@ -57,7 +56,6 @@ pub mod value;
 pub mod verify;
 
 pub use builder::FunctionBuilder;
-pub use dot::cfg_to_dot;
 pub use error::CodedError;
 pub use function::{BlockData, Function, InstData};
 pub use inst::{BinOp, BlockCall, CmpOp, InstKind, Terminator, UnOp};

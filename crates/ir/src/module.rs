@@ -81,11 +81,6 @@ impl Module {
         &self.globals[id]
     }
 
-    /// Mutable access to a global.
-    pub fn global_mut(&mut self, id: GlobalId) -> &mut GlobalData {
-        &mut self.globals[id]
-    }
-
     /// Looks a function up by name.
     pub fn func_by_name(&self, name: &str) -> Option<FuncId> {
         self.funcs.iter().find(|(_, f)| f.name == name).map(|(id, _)| id)

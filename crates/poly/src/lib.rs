@@ -15,8 +15,6 @@
 //! * [`hull::convex_hull`] — convex hulls of point sets (exact in 1-D/2-D),
 //! * [`map::AffineImage`] — Z-polytopes as affine images of domains, with
 //!   distinct-point counting for the paper's `NOrig`,
-//! * [`count::ehrhart_interpolate`] — parametric counting by Ehrhart
-//!   interpolation,
 //! * [`codegen::extract_loop_nest`] — scanning loop bounds for a polyhedron
 //!   (the "loop nest of minimal depth" generation).
 //!
@@ -52,7 +50,6 @@
 #![warn(missing_docs)]
 
 pub mod codegen;
-pub mod count;
 pub mod hull;
 pub mod linexpr;
 pub mod map;
@@ -61,7 +58,6 @@ pub mod rat;
 pub mod vertex;
 
 pub use codegen::{extract_loop_nest, Bound, DimBounds, LoopNestSpec};
-pub use count::{ehrhart_interpolate, lagrange, Poly};
 pub use hull::convex_hull;
 pub use linexpr::{LinExpr, Space};
 pub use map::{count_union_distinct, try_count_union_distinct, union_image_vertices, AffineImage};

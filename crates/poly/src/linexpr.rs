@@ -209,11 +209,6 @@ impl LinExpr {
         e.coeffs[new_space.const_col()] = c;
         e
     }
-
-    /// True if every dimension coefficient is zero.
-    pub fn is_param_only(&self) -> bool {
-        (0..self.space.dims).all(|d| self.dim_coeff(d) == 0)
-    }
 }
 
 impl fmt::Debug for LinExpr {

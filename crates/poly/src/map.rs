@@ -5,9 +5,7 @@
 //! the affine subscript map. The paper's `NOrig` is the number of *distinct*
 //! points in the union of these images (a union of Z-polytopes, counted in
 //! the paper with Ehrhart polynomials; counted here exactly for
-//! instantiated parameters, row by row — see [`try_count_union_distinct`] —
-//! with Ehrhart interpolation available in [`crate::count`] for parametric
-//! counts).
+//! instantiated parameters, row by row — see [`try_count_union_distinct`]).
 
 use crate::linexpr::LinExpr;
 use crate::polyhedron::{row_len, to_i64, Polyhedron, RowBudget, ScanError};

@@ -305,50 +305,6 @@ impl Polyhedron {
         out
     }
 
-    /// Eliminates all dimensions, leaving constraints over parameters only.
-    pub fn eliminate_all_dims(&self) -> Polyhedron {
-        let mut p = self.clone();
-        while p.space.dims > 0 {
-            p = p.eliminate_dim(p.space.dims - 1);
-        }
-        p
-    }
-
-    /// Exact rational emptiness test (ignores integrality).
-    ///
-    /// With parameters present, answers "is the polyhedron empty for **all**
-    /// parameter values" — i.e. returns `true` only if the constraint system
-    /// is contradictory independent of parameters.
-    pub fn is_empty_rational(&self) -> bool {
-        // Eliminate dims, then params, then inspect constant constraints.
-        let mut p = self.eliminate_all_dims();
-        // Reinterpret params as dims so FM can eliminate them too.
-        p = Polyhedron {
-            space: Space::new(p.space.params, 0),
-            constraints: p
-                .constraints
-                .into_iter()
-                .map(|c| Constraint {
-                    expr: LinExpr {
-                        space: Space::new(c.expr.space.params, 0),
-                        coeffs: c.expr.coeffs,
-                    },
-                    kind: c.kind,
-                })
-                .collect(),
-        };
-        while p.space.dims > 0 {
-            p = p.eliminate_dim(p.space.dims - 1);
-        }
-        p.constraints.iter().any(|c| {
-            let v = c.expr.const_term();
-            match c.kind {
-                ConstraintKind::GeZero => v < 0,
-                ConstraintKind::EqZero => v != 0,
-            }
-        })
-    }
-
     /// Lower and upper bounds of dimension `d` as functions of dimensions
     /// `< d` and the parameters, obtained by eliminating all dimensions
     /// `> d` first.
@@ -756,19 +712,6 @@ mod tests {
         assert!(q.contains_int(&[0], &[]));
         assert!(q.contains_int(&[3], &[]));
         assert!(!q.contains_int(&[4], &[]));
-    }
-
-    #[test]
-    fn emptiness() {
-        let s = Space::new(1, 0);
-        let mut p = Polyhedron::universe(s);
-        p.add_ge0(LinExpr::dim(s, 0).with_const(-10)); // x >= 10
-        p.add_ge0(LinExpr::dim(s, 0).scale(-1).with_const(5)); // x <= 5
-        assert!(p.is_empty_rational());
-
-        let mut q = Polyhedron::universe(s);
-        q.bound_dim(0, 0, 0);
-        assert!(!q.is_empty_rational());
     }
 
     #[test]

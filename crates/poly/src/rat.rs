@@ -39,8 +39,6 @@ pub(crate) fn gcd(a: i128, b: i128) -> i128 {
 impl Rat {
     /// Zero.
     pub const ZERO: Rat = Rat { num: 0, den: 1 };
-    /// One.
-    pub const ONE: Rat = Rat { num: 1, den: 1 };
 
     /// Creates `num/den`.
     ///
@@ -105,20 +103,6 @@ impl Rat {
     /// Panics if the value is zero.
     pub fn recip(self) -> Rat {
         Rat::new(self.den, self.num)
-    }
-
-    /// Converts to `f64` (test/diagnostic use only).
-    pub fn to_f64(self) -> f64 {
-        self.num as f64 / self.den as f64
-    }
-
-    /// The integer value, if [`Rat::is_integer`].
-    pub fn as_integer(self) -> Option<i128> {
-        if self.is_integer() {
-            Some(self.num)
-        } else {
-            None
-        }
     }
 }
 
@@ -264,7 +248,5 @@ mod tests {
     fn integer_queries() {
         assert!(Rat::int(3).is_integer());
         assert!(!Rat::new(1, 2).is_integer());
-        assert_eq!(Rat::int(3).as_integer(), Some(3));
-        assert_eq!(Rat::new(1, 2).as_integer(), None);
     }
 }

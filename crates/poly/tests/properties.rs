@@ -1,8 +1,7 @@
 //! Property-based tests of the polyhedral substrate's invariants.
 
 use dae_poly::{
-    convex_hull, lagrange, try_count_union_distinct, AffineImage, LinExpr, Polyhedron, Rat,
-    RowBudget, Space,
+    convex_hull, try_count_union_distinct, AffineImage, LinExpr, Polyhedron, Rat, RowBudget, Space,
 };
 use proptest::prelude::*;
 use std::collections::HashSet;
@@ -129,19 +128,6 @@ proptest! {
         p.add_ge0(LinExpr::dim(s, 0).scale(-1).with_param(0, 1).with_const(-1));
         let inst = p.instantiate_params(&[n]);
         prop_assert_eq!(p.contains_int(&[x], &[n]), inst.contains_int(&[x], &[]));
-    }
-
-    // ---- interpolation ---------------------------------------------------
-
-    /// Lagrange interpolation reproduces its sample points exactly.
-    #[test]
-    fn lagrange_reproduces_samples(ys in proptest::collection::vec(-30i64..30, 1..6)) {
-        let pts: Vec<(i64, i64)> =
-            ys.iter().enumerate().map(|(i, y)| (i as i64, *y)).collect();
-        let poly = lagrange(&pts);
-        for (x, y) in &pts {
-            prop_assert_eq!(poly.eval(*x), Rat::from(*y));
-        }
     }
 
     /// Vertex enumeration returns points satisfying all constraints.

@@ -94,7 +94,11 @@ impl DvfsTable {
     /// The operating point closest in frequency to `ghz` (ties go to the
     /// slower point). Useful for mapping a continuous frequency target —
     /// e.g. a governor's interpolated choice — onto the discrete table.
+    /// A target beyond either end of the table maps to that end.
     pub fn nearest(&self, ghz: f64) -> FreqId {
+        // Clamped first: at ±1e300 every distance below rounds to the same
+        // value, and the search would return the first point.
+        let ghz = ghz.clamp(self.points[0].ghz, self.points[self.points.len() - 1].ghz);
         let mut best = 0;
         for (i, p) in self.points.iter().enumerate() {
             if (p.ghz - ghz).abs() < (self.points[best].ghz - ghz).abs() {
@@ -143,6 +147,11 @@ mod tests {
         let t = DvfsTable::sandybridge();
         assert_eq!(t.nearest(0.1), t.min());
         assert_eq!(t.nearest(99.0), t.max());
+        assert_eq!(t.nearest(1e300), t.max());
+        assert_eq!(t.nearest(f64::MAX), t.max());
+        assert_eq!(t.nearest(f64::INFINITY), t.max());
+        assert_eq!(t.nearest(-1e300), t.min());
+        assert_eq!(t.nearest(f64::NEG_INFINITY), t.min());
         assert_eq!(t.nearest(2.0), FreqId(1));
         // Ties go to the slower point: 1.8 is equidistant from 1.6 and 2.0.
         assert_eq!(t.nearest(1.8), FreqId(0));

@@ -47,7 +47,8 @@ impl FreqPolicy {
     }
 
     /// Parses a policy spec as accepted by `daec --policy`. Frequencies
-    /// are given in GHz and snapped to the nearest point of `table`.
+    /// are given in GHz and snapped to the nearest point of `table`; a
+    /// non-finite frequency (`nan`, `inf`, `1e999`) is an error.
     ///
     /// Accepted forms: `coupled-max`, `coupled-fixed:<ghz>`,
     /// `coupled-optimal`, `dae-minmax`, `dae-optimal`,
@@ -55,7 +56,11 @@ impl FreqPolicy {
     /// `governed[:heuristic|bandit[:<seed>]]`.
     pub fn parse(spec: &str, table: &DvfsTable) -> Result<FreqPolicy, String> {
         let ghz = |s: &str| -> Result<FreqId, String> {
-            s.parse::<f64>().map(|g| table.nearest(g)).map_err(|e| format!("bad GHz `{s}`: {e}"))
+            match s.parse::<f64>() {
+                Ok(g) if g.is_finite() => Ok(table.nearest(g)),
+                Ok(_) => Err(format!("bad GHz `{s}`: not a finite number")),
+                Err(e) => Err(format!("bad GHz `{s}`: {e}")),
+            }
         };
         match spec {
             "coupled-max" => Ok(FreqPolicy::CoupledMax),
@@ -250,6 +255,22 @@ mod tests {
         assert!(FreqPolicy::parse("dae-phases:1.6", &t).is_err());
         assert!(FreqPolicy::parse("coupled-fixed:fast", &t).is_err());
         assert!(FreqPolicy::parse("governed:oracle", &t).is_err());
+        // Non-finite frequencies are refused, not snapped to the first point.
+        for spec in ["coupled-fixed:nan", "coupled-fixed:inf", "coupled-fixed:1e999"] {
+            let e = FreqPolicy::parse(spec, &t).unwrap_err();
+            assert!(e.starts_with("bad GHz"), "{spec}: {e}");
+        }
+        assert!(FreqPolicy::parse("dae-phases:NaN,-inf", &t).is_err());
+        assert!(FreqPolicy::parse("dae-phases:1.6,-inf", &t).is_err());
+        // Finite but huge frequencies snap to the end of the table they lie beyond.
+        assert_eq!(
+            FreqPolicy::parse("coupled-fixed:1e300", &t),
+            Ok(FreqPolicy::CoupledFixed(t.max()))
+        );
+        assert_eq!(
+            FreqPolicy::parse("dae-phases:-1e300,99", &t),
+            Ok(FreqPolicy::DaePhases { access: t.min(), execute: t.max() })
+        );
         // The help text mentions every accepted form.
         for form in ["coupled-max", "coupled-fixed", "dae-minmax", "dae-optimal", "governed"] {
             assert!(FreqPolicy::help().contains(form), "help must list {form}");

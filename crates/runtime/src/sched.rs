@@ -45,12 +45,6 @@ impl TaskInstance {
     pub fn decoupled(func: FuncId, access: FuncId, args: Vec<Val>) -> Self {
         TaskInstance { func, access: Some(access), args, epoch: 0 }
     }
-
-    /// Moves the task to a barrier epoch (builder style).
-    pub fn in_epoch(mut self, epoch: u32) -> Self {
-        self.epoch = epoch;
-        self
-    }
 }
 
 /// Argument vector for one invocation of task `f`: integer `hints`

@@ -745,14 +745,18 @@ bb3:
             .handle(&req(r#"{"id":1,"op":"compile","ir":"fn helper() {\nbb0:\n  ret\n}\n"}"#))
             .unwrap_err();
         assert_eq!(e.code, codes::BAD_REQUEST, "no tasks");
-        let frame = JsonValue::obj([
-            ("id", 1u64.into()),
-            ("op", "run".into()),
-            ("ir", STREAM.into()),
-            ("policy", "warp-speed".into()),
-        ]);
-        let e = engine.handle(&req(&frame.to_json_string())).unwrap_err();
-        assert_eq!(e.code, codes::BAD_REQUEST, "bad policy");
+        for policy in
+            ["warp-speed", "coupled-fixed:nan", "coupled-fixed:1e999", "dae-phases:NaN,-inf"]
+        {
+            let frame = JsonValue::obj([
+                ("id", 1u64.into()),
+                ("op", "run".into()),
+                ("ir", STREAM.into()),
+                ("policy", policy.into()),
+            ]);
+            let e = engine.handle(&req(&frame.to_json_string())).unwrap_err();
+            assert_eq!(e.code, codes::BAD_REQUEST, "bad policy `{policy}`");
+        }
     }
 
     #[test]

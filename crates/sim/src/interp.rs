@@ -81,47 +81,6 @@ impl From<TypeError> for InterpError {
     }
 }
 
-/// Per-block branch statistics of one function, collected by
-/// [`Machine::run_with_profile`]: how often each conditional branch was
-/// taken vs not taken. Input to profile-guided access generation.
-#[derive(Clone, Debug, Default)]
-pub struct BranchProfile {
-    /// `(taken, not_taken)` counts of the branch terminating each block,
-    /// indexed by block id (block ids are dense). Blocks past the last
-    /// recorded branch are simply absent; blocks without a conditional
-    /// branch stay `(0, 0)`.
-    pub counts: Vec<(u64, u64)>,
-}
-
-impl BranchProfile {
-    /// Records one execution of the branch at `block`, growing the table
-    /// on first contact.
-    pub fn record(&mut self, block: BlockId, taken: bool) {
-        let i = block.0 as usize;
-        if self.counts.len() <= i {
-            self.counts.resize(i + 1, (0, 0));
-        }
-        let e = &mut self.counts[i];
-        if taken {
-            e.0 += 1;
-        } else {
-            e.1 += 1;
-        }
-    }
-
-    /// Fraction of executions in which the branch at `block` was taken;
-    /// `None` if it never executed.
-    pub fn taken_fraction(&self, block: BlockId) -> Option<f64> {
-        let (t, n) = self.counts.get(block.0 as usize)?;
-        let total = t + n;
-        if total == 0 {
-            None
-        } else {
-            Some(*t as f64 / total as f64)
-        }
-    }
-}
-
 /// The cache side of one core, borrowed for the duration of a run.
 pub struct CachePort<'c> {
     /// Private L1/L2 of the executing core.
@@ -188,39 +147,14 @@ impl<'m> Machine<'m> {
         trace: &mut PhaseTrace,
     ) -> Result<Option<Val>, InterpError> {
         if self.config.engine == EngineKind::Bytecode {
-            return self.vm_run(func, args, caches, trace, None);
+            return self.vm_run(func, args, caches, trace);
         }
         let mut steps_left = self.config.max_steps;
         let slots: Vec<Slot> = args.iter().map(|v| (*v, false)).collect();
-        let r = self.run_frame(func, slots, caches, trace, &mut steps_left, 0, None)?;
+        let r = self.run_frame(func, slots, caches, trace, &mut steps_left, 0)?;
         Ok(r.map(|(v, _)| v))
     }
 
-    /// Like [`Machine::run`], additionally recording per-branch taken
-    /// counts of the **top-level** function into `profile` (callee branches
-    /// are not recorded — profile the inlined clone to see everything).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`InterpError`] on traps or exhausted budgets.
-    pub fn run_with_profile(
-        &mut self,
-        func: FuncId,
-        args: &[Val],
-        caches: &mut CachePort<'_>,
-        trace: &mut PhaseTrace,
-        profile: &mut BranchProfile,
-    ) -> Result<Option<Val>, InterpError> {
-        if self.config.engine == EngineKind::Bytecode {
-            return self.vm_run(func, args, caches, trace, Some(profile));
-        }
-        let mut steps_left = self.config.max_steps;
-        let slots: Vec<Slot> = args.iter().map(|v| (*v, false)).collect();
-        let r = self.run_frame(func, slots, caches, trace, &mut steps_left, 0, Some(profile))?;
-        Ok(r.map(|(v, _)| v))
-    }
-
-    #[allow(clippy::too_many_arguments)]
     fn run_frame(
         &mut self,
         func_id: FuncId,
@@ -229,7 +163,6 @@ impl<'m> Machine<'m> {
         trace: &mut PhaseTrace,
         steps_left: &mut u64,
         depth: usize,
-        mut profile: Option<&mut BranchProfile>,
     ) -> Result<Option<Slot>, InterpError> {
         if depth > self.config.max_call_depth {
             return Err(InterpError::Trap("call depth exceeded".into()));
@@ -281,11 +214,7 @@ impl<'m> Machine<'m> {
                 Terminator::Jump(d) => d,
                 Terminator::Branch { cond, then_dest, else_dest } => {
                     let (c, _) = eval(&frame, *cond);
-                    let taken = c.try_b()?;
-                    if let Some(p) = profile.as_deref_mut() {
-                        p.record(block, taken);
-                    }
-                    if taken {
+                    if c.try_b()? {
                         then_dest
                     } else {
                         else_dest
@@ -419,7 +348,7 @@ impl<'m> Machine<'m> {
             }
             InstKind::Call { callee, args } => {
                 let slots: Vec<Slot> = args.iter().map(|a| eval(frame, *a)).collect();
-                self.run_frame(*callee, slots, caches, trace, steps_left, depth + 1, None)?
+                self.run_frame(*callee, slots, caches, trace, steps_left, depth + 1)?
             }
         };
         if let Some(slot) = result {

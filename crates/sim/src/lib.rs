@@ -55,7 +55,7 @@ pub mod memory;
 pub mod timing;
 pub mod vm;
 
-pub use interp::{BranchProfile, CachePort, InterpConfig, InterpError, Machine};
+pub use interp::{CachePort, InterpConfig, InterpError, Machine};
 pub use memory::{Memory, TypeError, Val};
 pub use timing::{DemandMiss, PhaseTrace, TimingConfig};
 pub use vm::{EngineKind, LowerSpan};

@@ -17,12 +17,10 @@
 use std::rc::Rc;
 use std::time::Instant;
 
-use crate::interp::{
-    exec_binop, exec_cmp, exec_unop, BranchProfile, CachePort, InterpError, Machine, Slot,
-};
+use crate::interp::{exec_binop, exec_cmp, exec_unop, CachePort, InterpError, Machine, Slot};
 use crate::memory::Val;
 use crate::timing::{level_index, DemandMiss, PhaseTrace, TimingConfig};
-use dae_ir::{BlockId, CmpOp, FuncId, UnOp};
+use dae_ir::{CmpOp, FuncId, UnOp};
 use dae_mem::HitLevel;
 
 use super::lower::{lower, CompiledFunc, Op};
@@ -62,14 +60,13 @@ impl Machine<'_> {
         std::mem::take(&mut self.vm.lower_spans)
     }
 
-    /// Bytecode-engine twin of the tree-walking `run`/`run_with_profile`.
+    /// Bytecode-engine twin of the tree-walking `run`.
     pub(crate) fn vm_run(
         &mut self,
         func: FuncId,
         args: &[Val],
         caches: &mut CachePort<'_>,
         trace: &mut PhaseTrace,
-        profile: Option<&mut BranchProfile>,
     ) -> Result<Option<Val>, InterpError> {
         let mut steps_left = self.config.max_steps;
         let mut stack = std::mem::take(&mut self.vm.stack);
@@ -82,7 +79,6 @@ impl Machine<'_> {
             trace,
             &mut steps_left,
             0,
-            profile,
         );
         self.vm.stack = stack;
         Ok(r?.map(|(v, _)| v))
@@ -132,7 +128,6 @@ impl Machine<'_> {
         trace: &mut PhaseTrace,
         steps_left: &mut u64,
         depth: usize,
-        profile: Option<&mut BranchProfile>,
     ) -> Result<Option<Slot>, InterpError> {
         if depth > self.config.max_call_depth {
             return Err(InterpError::Trap("call depth exceeded".into()));
@@ -163,7 +158,7 @@ impl Machine<'_> {
                 }
             }
         }
-        self.vm_exec(&f, base, stack, caches, trace, steps_left, depth, profile)
+        self.vm_exec(&f, base, stack, caches, trace, steps_left, depth)
     }
 
     /// The dispatch loop over one frame.
@@ -198,7 +193,6 @@ impl Machine<'_> {
         trace: &mut PhaseTrace,
         steps_left: &mut u64,
         depth: usize,
-        mut profile: Option<&mut BranchProfile>,
     ) -> Result<Option<Slot>, InterpError> {
         let cfg_extra = TimingConfig::default();
         let ops: &[Op] = &f.ops;
@@ -341,14 +335,10 @@ impl Machine<'_> {
         /// edges stay two code paths: a host branch the predictor sees,
         /// not a select feeding the next dispatch.
         macro_rules! branch {
-            ($taken:expr, $block:expr, $then:expr, $else:expr) => {{
+            ($taken:expr, $then:expr, $else:expr) => {{
                 step!();
                 n_branches += 1;
-                let taken = $taken;
-                if let Some(p) = profile.as_deref_mut() {
-                    p.record(BlockId($block), taken);
-                }
-                if taken {
+                if $taken {
                     let (target, mv) = $then;
                     moves!(mv);
                     pc = target as usize;
@@ -537,7 +527,6 @@ impl Machine<'_> {
                         trace,
                         steps_left,
                         depth + 1,
-                        None,
                     )?;
                     // The callee kept the step identity, so `steps_sum`
                     // stands; everything else is read back.
@@ -560,12 +549,11 @@ impl Machine<'_> {
                 }
                 // The two branching ops bind their fields by reference: each
                 // is loaded where it is used (the not-taken edge never), not
-                // all ten up front across the compare.
-                Op::Branch { cond, block, then_target, then_moves, else_target, else_moves } => {
+                // all nine up front across the compare.
+                Op::Branch { cond, then_target, then_moves, else_target, else_moves } => {
                     let (c, _) = slot!(*cond);
                     branch!(
                         tryv!(c.try_b()),
-                        *block,
                         (*then_target, *then_moves),
                         (*else_target, *else_moves)
                     );
@@ -576,26 +564,11 @@ impl Machine<'_> {
                     sync!();
                     return Ok(val.map(|i| slot!(i)));
                 }
-                Op::CmpBr {
-                    op,
-                    a,
-                    b,
-                    dst,
-                    block,
-                    then_target,
-                    then_moves,
-                    else_target,
-                    else_moves,
-                } => {
+                Op::CmpBr { op, a, b, dst, then_target, then_moves, else_target, else_moves } => {
                     // The compare, then the branch on its fresh bool (the
                     // tree-walker's try_b cannot fail).
                     let taken = cmp!(*op, *a, *b, *dst);
-                    branch!(
-                        taken,
-                        *block,
-                        (*then_target, *then_moves),
-                        (*else_target, *else_moves)
-                    );
+                    branch!(taken, (*then_target, *then_moves), (*else_target, *else_moves));
                 }
                 &Op::AddJump { a, b, dst, target, moves: mv } => {
                     // Constituent 1: the integer add.

@@ -131,11 +131,9 @@ pub(crate) enum Op {
     Call { callee: FuncId, args: PoolRange, dst: u32 },
     /// An unconditional jump: apply `moves`, continue at `target`.
     Jump { target: u32, moves: PoolRange },
-    /// A conditional branch. `block` is the source block id (for branch
-    /// profiling).
+    /// A conditional branch on the bool in `cond`.
     Branch {
         cond: u32,
-        block: u32,
         then_target: u32,
         then_moves: PoolRange,
         else_target: u32,
@@ -151,7 +149,6 @@ pub(crate) enum Op {
         a: u32,
         b: u32,
         dst: u32,
-        block: u32,
         then_target: u32,
         then_moves: PoolRange,
         else_target: u32,
@@ -540,7 +537,7 @@ impl Lowerer<'_> {
             let data = func.inst(id);
             let dst = self.inst_base + id.0;
             let Some(&next) = insts.get(i + 1) else {
-                if self.fuse_with_terminator(b, id, term) {
+                if self.fuse_with_terminator(id, term) {
                     return;
                 }
                 let op = self.lower_inst(&data.kind, data.ty, dst);
@@ -622,7 +619,7 @@ impl Lowerer<'_> {
                 let cond = self.slot_of(*cond);
                 let (then_target, then_moves) = self.lower_edge(then_dest);
                 let (else_target, else_moves) = self.lower_edge(else_dest);
-                Op::Branch { cond, block: b.0, then_target, then_moves, else_target, else_moves }
+                Op::Branch { cond, then_target, then_moves, else_target, else_moves }
             }
             Terminator::Ret(v) => Op::Ret { val: v.map(|v| self.slot_of(v)) },
         };
@@ -633,22 +630,21 @@ impl Lowerer<'_> {
     /// super-op when they form one: a compare feeding the block's own
     /// branch, or an integer add in front of an unconditional jump (the
     /// counter increment and back-edge of a loop).
-    fn fuse_with_terminator(&mut self, b: BlockId, id: InstId, term: &Terminator) -> bool {
+    fn fuse_with_terminator(&mut self, id: InstId, term: &Terminator) -> bool {
         let dst = self.inst_base + id.0;
         let func = self.func;
         match (&func.inst(id).kind, term) {
             (InstKind::Cmp { op, lhs, rhs }, Terminator::Branch { cond, then_dest, else_dest })
                 if *cond == Value::Inst(id) =>
             {
-                let (a, bb) = (self.slot_of(*lhs), self.slot_of(*rhs));
+                let (a, b) = (self.slot_of(*lhs), self.slot_of(*rhs));
                 let (then_target, then_moves) = self.lower_edge(then_dest);
                 let (else_target, else_moves) = self.lower_edge(else_dest);
                 self.ops.push(Op::CmpBr {
                     op: *op,
                     a,
-                    b: bb,
+                    b,
                     dst,
-                    block: b.0,
                     then_target,
                     then_moves,
                     else_target,
@@ -657,9 +653,9 @@ impl Lowerer<'_> {
                 true
             }
             (InstKind::Binary { op: BinOp::IAdd, lhs, rhs }, Terminator::Jump(dest)) => {
-                let (a, bb) = (self.slot_of(*lhs), self.slot_of(*rhs));
+                let (a, b) = (self.slot_of(*lhs), self.slot_of(*rhs));
                 let (target, moves) = self.lower_edge(dest);
-                self.ops.push(Op::AddJump { a, b: bb, dst, target, moves });
+                self.ops.push(Op::AddJump { a, b, dst, target, moves });
                 true
             }
             _ => false,

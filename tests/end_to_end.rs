@@ -196,96 +196,6 @@ fn runtime_balances_heterogeneous_tasks() {
     assert!(utilization > 0.7, "work stealing should keep cores busy: {utilization:.2}");
 }
 
-/// Profile-guided hot-path specialisation (§5.2.2 / §7 future work): when a
-/// conditional is almost always taken, the profiled access version keeps
-/// the hot arm's prefetches and warms strictly more of the execute phase's
-/// data than the default (drop-all-conditionals) version.
-#[test]
-fn profile_guided_access_warms_hot_path() {
-    use dae_repro::compiler::{generate_skeleton_access_profiled, profile_task, HotPathConfig};
-    let n = 4096i64;
-    let mut module = Module::new();
-    let data = module.add_global_init(dae_repro::ir::GlobalData {
-        name: "data".into(),
-        elem_ty: Type::F64,
-        len: n as u64,
-        // 97% positive: the conditional is hot.
-        init: dae_repro::ir::GlobalInit::Words(
-            (0..n).map(|k| (if k % 32 == 0 { -1.0f64 } else { 1.0 }).to_bits()).collect(),
-        ),
-    });
-    let extra = module.add_global("extra", Type::F64, n as u64);
-    let out = module.add_global("out", Type::F64, n as u64);
-    let mut b = FunctionBuilder::new("hot_cond", vec![], Type::Void);
-    b.set_task();
-    b.counted_loop(Value::i64(0), Value::i64(n), Value::i64(1), |b, i| {
-        let da = b.elem_addr(Value::Global(data), i, Type::F64);
-        let d = b.load(Type::F64, da);
-        let c = b.cmp(dae_repro::ir::CmpOp::Gt, d, 0.0f64);
-        b.if_then(c, |b| {
-            let ea = b.elem_addr(Value::Global(extra), i, Type::F64);
-            let e = b.load(Type::F64, ea);
-            let oa = b.elem_addr(Value::Global(out), i, Type::F64);
-            b.store(oa, e);
-        });
-    });
-    b.ret(None);
-    let task = module.add_function(b.finish());
-
-    let opts = CompilerOptions::default();
-    let plain = dae_repro::compiler::generate_skeleton_access(&module, task, &opts).unwrap();
-    let profile = profile_task(&module, task, &[vec![]]).unwrap();
-    let profiled = generate_skeleton_access_profiled(
-        &module,
-        task,
-        &opts,
-        Some((&profile, HotPathConfig::default())),
-    )
-    .unwrap();
-
-    let count_prefetch = |f: &dae_repro::ir::Function| {
-        let mut k = 0;
-        f.for_each_placed_inst(|_, i| {
-            k += matches!(f.inst(i).kind, dae_repro::ir::InstKind::Prefetch { .. }) as usize;
-        });
-        k
-    };
-    assert_eq!(count_prefetch(&plain), 1, "default drops the conditional arm");
-    assert_eq!(count_prefetch(&profiled), 2, "profiled keeps the hot arm");
-
-    // The profiled version warms strictly more of the execute phase.
-    let mut m1 = module.clone();
-    let a1 = m1.add_function(plain);
-    let mut m2 = module.clone();
-    let a2 = m2.add_function(profiled);
-    let misses_after = |m: &Module, access| {
-        let hc = HierarchyConfig::default();
-        let mut llc = SharedLlc::new(hc.llc);
-        let mut core = CoreCaches::new(&hc);
-        let mut machine = Machine::new(m);
-        let mut t = PhaseTrace::default();
-        machine
-            .run(access, &[], &mut CachePort { core: &mut core, llc: &mut llc }, &mut t)
-            .unwrap();
-        let mut te = PhaseTrace::default();
-        machine
-            .run(
-                m.func_by_name("hot_cond").unwrap(),
-                &[],
-                &mut CachePort { core: &mut core, llc: &mut llc },
-                &mut te,
-            )
-            .unwrap();
-        te.demand_hits[3] + te.hw_prefetch_lines
-    };
-    let plain_misses = misses_after(&m1, a1);
-    let profiled_misses = misses_after(&m2, a2);
-    assert!(
-        profiled_misses < plain_misses / 4,
-        "profiled access should warm the hot arm: {profiled_misses} vs {plain_misses}"
-    );
-}
-
 /// Results computed *through the runtime scheduler* (work stealing, four
 /// cores, barrier epochs) match the straight sequential execution — the
 /// epochs correctly encode the benchmarks' task-graph dependencies.

@@ -15,7 +15,7 @@
 use dae_repro::ir::{BinOp, CmpOp, FuncId, FunctionBuilder, Module, Type, UnOp, Value};
 use dae_repro::mem::{CoreCaches, HierarchyConfig, SharedLlc};
 use dae_repro::runtime::{run_workload, FreqPolicy, RuntimeConfig};
-use dae_repro::sim::{BranchProfile, CachePort, EngineKind, InterpError, Machine, PhaseTrace, Val};
+use dae_repro::sim::{CachePort, EngineKind, InterpError, Machine, PhaseTrace, Val};
 use dae_repro::workloads::{self, Variant};
 use proptest::prelude::*;
 
@@ -24,7 +24,6 @@ use proptest::prelude::*;
 struct Observation {
     result: Result<Option<Val>, InterpError>,
     trace: PhaseTrace,
-    profile: Vec<(u64, u64)>,
     memory: Vec<u64>,
 }
 
@@ -50,13 +49,11 @@ fn observe(
     (0..runs)
         .map(|_| {
             let mut trace = PhaseTrace::default();
-            let mut profile = BranchProfile::default();
-            let result = machine.run_with_profile(
+            let result = machine.run(
                 func,
                 args,
                 &mut CachePort { core: &mut core, llc: &mut llc },
                 &mut trace,
-                &mut profile,
             );
             let mut memory = Vec::new();
             for (g, data) in m.globals() {
@@ -65,7 +62,7 @@ fn observe(
                     memory.push(machine.memory.read_u64(base + k * 8));
                 }
             }
-            Observation { result, trace, profile: profile.counts, memory }
+            Observation { result, trace, memory }
         })
         .collect()
 }
@@ -127,7 +124,7 @@ fn corpus_run_reports_are_byte_identical() {
 }
 
 #[test]
-fn corpus_traces_and_profiles_match_cold_and_warm() {
+fn corpus_traces_match_cold_and_warm() {
     for mut w in workloads::all_benchmarks_small() {
         w.compile_auto();
         let tasks = w.tasks(Variant::Cae);
@@ -476,8 +473,8 @@ fn error_paths_are_identical() {
 }
 
 // ---------------------------------------------------------------------------
-// Randomly generated programs (proptest): results, traces, branch
-// profiles, memory images and exact step-limit boundaries.
+// Randomly generated programs (proptest): results, traces, memory images
+// and exact step-limit boundaries.
 // ---------------------------------------------------------------------------
 
 #[derive(Clone, Debug)]
@@ -509,6 +506,11 @@ enum GenOp {
     /// A compare of two i64 / f64 / ptr / bool values feeding its own
     /// block's branch.
     CmpBranch { ty: u8, op: u8, a: usize, c: usize },
+    /// A branch on a bool that is not its block's final compare, so it
+    /// lowers to a plain `Branch`: a pooled bool (constant, loaded, or a
+    /// compare of an earlier block) or, with `late_cmp`, a fresh compare
+    /// with an integer add scheduled between it and the branch.
+    BoolBranch { a: usize, late_cmp: bool },
     /// One of the fusable shapes with a wrongly-typed operand. Never
     /// produced by [`gen_op`] (the module does not verify and the run
     /// fails); see [`gen_ill_typed`].
@@ -542,6 +544,7 @@ fn gen_op() -> impl Strategy<Value = GenOp> {
             a,
             c
         }),
+        (0usize..32, any::<bool>()).prop_map(|(a, late_cmp)| GenOp::BoolBranch { a, late_cmp }),
     ]
 }
 
@@ -698,6 +701,18 @@ fn build_random(ops: &[GenOp]) -> Module {
                         bools.push(cond);
                         b.if_then(cond, |b| b.prefetch(Value::Global(data)));
                     }
+                    GenOp::BoolBranch { a, late_cmp } => {
+                        let cond = if *late_cmp {
+                            let x = ints[a % ints.len()];
+                            let cond = b.cmp(CmpOp::Lt, x, 16i64);
+                            ints.push(b.iadd(x, 1i64));
+                            bools.push(cond);
+                            cond
+                        } else {
+                            bools[a % bools.len()]
+                        };
+                        b.if_then(cond, |b| b.prefetch(Value::Global(data)));
+                    }
                     GenOp::IllTyped { shape, a } => {
                         let x = ints[a % ints.len()];
                         let fl = floats[a % floats.len()];
@@ -761,8 +776,7 @@ fn build_random(ops: &[GenOp]) -> Module {
                     }
                 }
             }
-            // Unconditional observable effect + a data-dependent branch so
-            // the profile is never empty.
+            // Unconditional observable effect + a data-dependent branch.
             let row = b.imul(gi, n);
             let cell = b.iadd(row, j);
             let oa = b.elem_addr(Value::Global(out), cell, Type::F64);
@@ -785,8 +799,8 @@ proptest! {
     // through `PROPTEST_CASES`, which the default configuration reads.
     #![proptest_config(ProptestConfig::default())]
 
-    /// Random programs: identical result, trace, branch profile and final
-    /// memory image — cold and warm — plus the exact step-limit boundary.
+    /// Random programs: identical result, trace and final memory image —
+    /// cold and warm — plus the exact step-limit boundary.
     #[test]
     fn random_programs_are_engine_invariant(ops in proptest::collection::vec(gen_op(), 1..14)) {
         let m = build_random(&ops);
