@@ -135,6 +135,29 @@ check "a find-then-rotate LRU update (the walk shifts as it searches)" \
     'rotate_right|\.position\(' \
     'crates/mem/src/.*'
 
+# IR text costs a copy and a byte scan. The printer appends to one buffer
+# (`print_function_into`); cache keys and the memory tier's sizes print into
+# a reused buffer, never into a String of their own; the parser's symbol
+# maps borrow their names from the input.
+check "a per-instruction String in the printer" \
+    "none" \
+    'format!|Vec<String>' \
+    'crates/ir/src/print\.rs'
+
+check "a printed String per cache key" \
+    "none" \
+    'print_function\(' \
+    'crates/driver/src/hash\.rs'
+
+check "printing to measure a size" \
+    "none" \
+    'print_function\([^)]*\)\.len\(\)'
+
+check "an owned-name symbol map in the parser" \
+    "none" \
+    'HashMap<String' \
+    'crates/ir/src/parse\.rs'
+
 n=$(grep -c 'InterpError::StepLimit' crates/sim/src/vm/exec.rs)
 if [ "$n" -ne 1 ]; then
     echo "one_of_each: InterpError::StepLimit appears $n times in crates/sim/src/vm/exec.rs (only step! raises it)"

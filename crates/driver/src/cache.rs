@@ -21,7 +21,7 @@ use std::path::{Path, PathBuf};
 
 use dae_core::{AffineStats, RefuseReason, Strategy, TaskAccessInfo};
 use dae_ir::parse::parse_module;
-use dae_ir::{print_function, Function};
+use dae_ir::{print_function, print_function_into, Function};
 use dae_trace::json::{parse, JsonValue};
 use dae_trace::{write_atomic, Lru};
 
@@ -257,13 +257,15 @@ impl CacheStats {
 /// same text the disk tier stores — plus a fixed allowance for the parsed
 /// structure. "Approximate" is the contract: the bound protects a
 /// long-running server from unbounded growth, it is not an allocator
-/// audit.
-pub fn artifact_approx_bytes(artifact: &Artifact) -> usize {
+/// audit. The text is printed into `scratch` (cleared first), which a
+/// caller sizing many artifacts reuses.
+pub fn artifact_approx_bytes(artifact: &Artifact, scratch: &mut String) -> usize {
     const FIXED: usize = 128;
     match artifact {
         Artifact::Generated { func, .. } => {
-            // Printed text once on insert; generation itself dwarfs this.
-            FIXED + 2 * print_function(func, None).len()
+            scratch.clear();
+            print_function_into(scratch, func, None);
+            FIXED + 2 * scratch.len()
         }
         Artifact::Refused { reason } => {
             FIXED
@@ -284,6 +286,8 @@ pub struct Cache {
     mem: Lru<Artifact>,
     dir: Option<PathBuf>,
     stats: CacheStats,
+    /// The buffer [`artifact_approx_bytes`] prints into.
+    scratch: String,
 }
 
 impl Cache {
@@ -294,6 +298,7 @@ impl Cache {
             mem: Lru::new(mem_max_bytes),
             dir: dir.map(Path::to_path_buf),
             stats: CacheStats::default(),
+            scratch: String::new(),
         }
     }
 
@@ -354,7 +359,7 @@ impl Cache {
 
     /// Puts an artifact in the memory tier; returns the evictions forced.
     fn remember(&mut self, key: u64, artifact: Artifact) -> u64 {
-        let bytes = artifact_approx_bytes(&artifact);
+        let bytes = artifact_approx_bytes(&artifact, &mut self.scratch);
         self.mem.insert(key, artifact, bytes)
     }
 
@@ -402,6 +407,16 @@ mod tests {
         assert_eq!(rt, r2.to_json().to_json_string());
     }
 
+    /// The memory tier's accounting of a fixed artifact, recorded before
+    /// the printer wrote into a reused buffer: the size is the printed
+    /// length, not a property of how the printer gets there.
+    #[test]
+    fn approx_bytes_are_pinned() {
+        assert_eq!(artifact_approx_bytes(&generated_artifact(), &mut String::new()), 610);
+        let r = Artifact::Refused { reason: RefuseReason::NonInlinableCall("helper".into()) };
+        assert_eq!(artifact_approx_bytes(&r, &mut String::new()), 134);
+    }
+
     #[test]
     fn wrong_schema_is_rejected() {
         let mut v = generated_artifact().to_json();
@@ -415,7 +430,7 @@ mod tests {
     fn lru_evicts_least_recently_used() {
         let a = || Artifact::Refused { reason: RefuseReason::NothingToPrefetch };
         // A refusal is ~128 approximate bytes; budget exactly two of them.
-        let two = 2 * artifact_approx_bytes(&a());
+        let two = 2 * artifact_approx_bytes(&a(), &mut String::new());
         let mut c = Cache::new(two, None);
         c.insert(1, a());
         c.insert(2, a());
@@ -432,7 +447,7 @@ mod tests {
     #[test]
     fn byte_budget_bounds_the_memory_tier() {
         let g = generated_artifact();
-        let bytes = artifact_approx_bytes(&g);
+        let bytes = artifact_approx_bytes(&g, &mut String::new());
         assert!(bytes > 128, "generated artifacts account their printed IR");
         // Budget for ~3 generated artifacts: inserting 10 distinct keys
         // keeps usage under the budget and evicts the rest.

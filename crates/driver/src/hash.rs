@@ -5,7 +5,8 @@
 //!
 //! * the **printed IR** of the task function and of every function it
 //!   (transitively) calls — the printer is deterministic and captures the
-//!   full structure, so any semantic change changes the key;
+//!   full structure, so any semantic change changes the key. Each function
+//!   is printed into one reused buffer, never into a `String` of its own;
 //! * the module's **global declarations** (id, name, length, element type)
 //!   — delinearisation and address generation read them; initial *values*
 //!   are excluded because generation never does;
@@ -17,8 +18,10 @@
 //! The digest is [`dae_trace::Fnv64`], not `std::hash::Hasher`: these keys
 //! name on-disk artifacts that must survive toolchain upgrades.
 
+use std::fmt::Write;
+
 use dae_core::CompilerOptions;
-use dae_ir::{print_function, FuncId, InstKind, Module};
+use dae_ir::{print_function_into, FuncId, InstKind, Module};
 use dae_trace::Fnv64;
 
 /// Functions reachable from `root` through `call` instructions, `root`
@@ -76,15 +79,21 @@ pub fn task_key(
     let mut h = Fnv64::new();
     h.write_str("dae-driver-key/1");
     h.write_u64(pipeline_fingerprint);
+    // One buffer for every printed function and global id.
+    let mut text = String::new();
     for f in reachable_funcs(module, task) {
-        h.write_str(&print_function(module.func(f), Some(module)));
+        text.clear();
+        print_function_into(&mut text, module.func(f), Some(module));
+        h.write_str(&text);
     }
     h.write_u64(module.num_globals() as u64);
     for (id, g) in module.globals() {
-        h.write_str(&format!("{id}"));
+        text.clear();
+        let _ = write!(text, "{id}");
+        h.write_str(&text);
         h.write_str(&g.name);
         h.write_u64(g.len);
-        h.write_str(&format!("{}", g.elem_ty));
+        h.write_str(g.elem_ty.name());
     }
     write_options(&mut h, opts);
     h.finish()
@@ -107,7 +116,7 @@ pub fn refined_key(base: u64, profile_hash: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dae_ir::{FunctionBuilder, Type, Value};
+    use dae_ir::{FunctionBuilder, Type, UnOp, Value};
 
     fn module_with_task(scale: i64) -> (Module, FuncId) {
         let mut m = Module::new();
@@ -138,28 +147,68 @@ mod tests {
         assert_ne!(k1, task_key(&m1, t1, &other, 7), "different options, different key");
     }
 
+    /// A task calling a leaf function, over one global of `glen` floats.
+    fn module_with_callee(leaf_scale: i64, glen: u64) -> (Module, FuncId) {
+        let mut m = Module::new();
+        let a = m.add_global("a", Type::F64, glen);
+        let mut lb = FunctionBuilder::new("leaf", vec![Type::I64], Type::I64);
+        let v = lb.imul(Value::Arg(0), leaf_scale);
+        lb.ret(Some(v));
+        let leaf = m.add_function(lb.finish());
+        let mut b = FunctionBuilder::new("t", vec![Type::I64], Type::Void);
+        b.set_task();
+        let x = b.call(leaf, vec![Value::Arg(0)], Type::I64).expect("non-void call");
+        let p = b.elem_addr(Value::Global(a), x, Type::F64);
+        let _ = b.load(Type::F64, p);
+        b.ret(None);
+        let t = m.add_function(b.finish());
+        (m, t)
+    }
+
+    /// A gather `a[idx[i]] = -a[idx[i]]` over four globals of every
+    /// storable type, more than ten of them so ids reach two digits.
+    fn module_with_globals() -> (Module, FuncId) {
+        let mut m = Module::new();
+        let a = m.add_global("a", Type::F64, 4096);
+        let idx = m.add_global("idx", Type::I64, 512);
+        m.add_global("flag", Type::Bool, 1);
+        m.add_global("next", Type::Ptr, 64);
+        for k in 0..8 {
+            m.add_global(format!("pad{k}"), Type::I64, 1 << k);
+        }
+        let mut b = FunctionBuilder::new("gather", vec![Type::I64], Type::Void);
+        b.set_task();
+        b.counted_loop(Value::i64(0), Value::Arg(0), Value::i64(1), |b, i| {
+            let pi = b.elem_addr(Value::Global(idx), i, Type::I64);
+            let j = b.load(Type::I64, pi);
+            let pa = b.elem_addr(Value::Global(a), j, Type::F64);
+            let x = b.load(Type::F64, pa);
+            let y = b.unary(UnOp::FNeg, x);
+            b.store(pa, y);
+        });
+        b.ret(None);
+        let t = m.add_function(b.finish());
+        (m, t)
+    }
+
+    /// The keys name on-disk artifacts and stored profiles: the bytes they
+    /// hash may not drift. Values recorded when each key still printed
+    /// into a `String` of its own.
+    #[test]
+    fn keys_are_pinned() {
+        let opts = CompilerOptions { param_hints: vec![64], ..Default::default() };
+        let (m, t) = module_with_callee(3, 128);
+        assert_eq!(task_key(&m, t, &opts, 7), 0x79eb_7edd_4040_e0f4);
+        let (m, t) = module_with_globals();
+        assert_eq!(task_key(&m, t, &opts, 7), 0xf5ba_046a_06b5_29f4);
+    }
+
     #[test]
     fn key_covers_callees_and_globals() {
-        let build = |leaf_scale: i64, glen: u64| {
-            let mut m = Module::new();
-            let a = m.add_global("a", Type::F64, glen);
-            let mut lb = FunctionBuilder::new("leaf", vec![Type::I64], Type::I64);
-            let v = lb.imul(Value::Arg(0), leaf_scale);
-            lb.ret(Some(v));
-            let leaf = m.add_function(lb.finish());
-            let mut b = FunctionBuilder::new("t", vec![Type::I64], Type::Void);
-            b.set_task();
-            let x = b.call(leaf, vec![Value::Arg(0)], Type::I64).expect("non-void call");
-            let p = b.elem_addr(Value::Global(a), x, Type::F64);
-            let _ = b.load(Type::F64, p);
-            b.ret(None);
-            let t = m.add_function(b.finish());
-            (m, t)
-        };
         let opts = CompilerOptions::default();
-        let (m1, t1) = build(1, 128);
-        let (m2, t2) = build(2, 128);
-        let (m3, t3) = build(1, 256);
+        let (m1, t1) = module_with_callee(1, 128);
+        let (m2, t2) = module_with_callee(2, 128);
+        let (m3, t3) = module_with_callee(1, 256);
         assert_ne!(
             task_key(&m1, t1, &opts, 0),
             task_key(&m2, t2, &opts, 0),

@@ -36,7 +36,7 @@ pub struct InstData {
 ///
 /// Functions marked [`Function::is_task`] are the units the DAE runtime
 /// schedules and the units the compiler generates access phases for.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Function {
     /// Symbol name, unique within a module.
     pub name: String,

@@ -11,7 +11,8 @@
 //! * functions markable as **tasks** — the unit the DAE runtime schedules,
 //! * a [`FunctionBuilder`] with structured-loop helpers used to express the
 //!   seven evaluation benchmarks,
-//! * a printer ([`print_function`], [`print_module`]), a text parser
+//! * a printer ([`print_function_into`], and its [`print_function`] and
+//!   [`print_module`] wrappers), a text parser
 //!   ([`parse::parse_module`]) and a structural verifier
 //!   ([`verify_function`], [`verify_module`]).
 //!
@@ -60,7 +61,7 @@ pub use error::CodedError;
 pub use function::{BlockData, Function, InstData};
 pub use inst::{BinOp, BlockCall, CmpOp, InstKind, Terminator, UnOp};
 pub use module::{GlobalData, GlobalInit, Module};
-pub use print::{print_function, print_module};
+pub use print::{print_function, print_function_into, print_module};
 pub use types::Type;
 pub use value::{BlockId, FuncId, GlobalId, InstId, Value};
 pub use verify::{verify_function, verify_module, VerifyError};

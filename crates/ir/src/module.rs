@@ -39,7 +39,7 @@ impl GlobalData {
 }
 
 /// A compilation unit: functions plus globals.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Module {
     funcs: PrimaryMap<FuncId, Function>,
     globals: PrimaryMap<GlobalId, GlobalData>,

@@ -2,16 +2,38 @@
 //!
 //! The grammar is line-oriented and mirrors the printer exactly, so
 //! `parse_module(&print_module(&m))` round-trips every module this workspace
-//! produces. The parser exists for golden tests and for writing small IR
-//! snippets by hand in integration tests.
+//! produces. Besides golden tests and hand-written snippets, the parser reads
+//! every module a client sends `daed` and every artifact the driver's disk
+//! tier stores, so it is built to cost little more than a scan of the bytes:
+//!
+//! * **One scan.** Lines are cut from the text as the parse advances
+//!   (ASCII-trimmed, blank and `//` lines skipped); no line is visited twice
+//!   and no list of lines is built.
+//! * **Ids in textual order.** Every definition — a block header, a named
+//!   result, a void instruction, a function header — takes the next id when
+//!   its line is read. A compacted function numbers its instructions in
+//!   placement order, so this keeps `parse(print(f)) == f`: the invariant the
+//!   driver's on-disk artifact cache relies on for bit-identical warm
+//!   recompiles.
+//! * **Borrowed names.** Names resolve through maps keyed by `&str` slices of
+//!   the input; nothing is copied to look a name up. A use that precedes its
+//!   definition (a branch to a later block, a value defined further down, a
+//!   call to a later function) takes a placeholder id and is patched when
+//!   the function (for callees: the module) ends; a name that never gets
+//!   defined is an error at the line of its first use. Nothing is sized by
+//!   the number inside a name.
+//! * **Duplicates are errors.** A second definition of a value, block,
+//!   function or global name fails at its line instead of rebinding the name.
 
 use crate::function::Function;
 use crate::inst::{BinOp, BlockCall, CmpOp, InstKind, Terminator, UnOp};
 use crate::module::{GlobalData, GlobalInit, Module};
 use crate::types::Type;
 use crate::value::{BlockId, FuncId, GlobalId, InstId, Value};
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasher, Hasher};
 
 /// A parse failure with a 1-based line number.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -43,6 +65,13 @@ fn parse_type(line: usize, s: &str) -> Result<Type, ParseError> {
         "void" => Ok(Type::Void),
         other => Err(perr(line, format!("unknown type `{other}`"))),
     }
+}
+
+/// The type after the `:` of a `name: ty` parameter.
+fn param_type(line: usize, part: &str) -> Result<Type, ParseError> {
+    let ty =
+        part.split(':').nth(1).ok_or_else(|| perr(line, format!("malformed param `{part}`")))?;
+    parse_type(line, ty.trim_ascii())
 }
 
 fn binop_from_mnemonic(s: &str) -> Option<BinOp> {
@@ -95,50 +124,231 @@ fn cmpop_from_mnemonic(line: usize, s: &str) -> Result<CmpOp, ParseError> {
     })
 }
 
-/// Per-function symbol environment built in the first pass.
-struct FuncEnv {
-    blocks: HashMap<String, BlockId>,
-    insts: HashMap<String, InstId>,
+/// `s` split around its first `byte`. A plain loop: the strings of one line
+/// are too short for `memchr`'s set-up to pay off.
+fn split_at_byte(s: &str, byte: u8) -> Option<(&str, &str)> {
+    let i = s.bytes().position(|b| b == byte)?;
+    Some((&s[..i], &s[i + 1..]))
+}
+
+/// The lines of a text, numbered from 1, ASCII-trimmed, with blank and `//`
+/// lines skipped.
+struct Lines<'a> {
+    rest: &'a str,
+    line: usize,
+}
+
+impl<'a> Iterator for Lines<'a> {
+    type Item = (usize, &'a str);
+
+    fn next(&mut self) -> Option<(usize, &'a str)> {
+        while !self.rest.is_empty() {
+            let (raw, rest) = split_at_byte(self.rest, b'\n').unwrap_or((self.rest, ""));
+            self.rest = rest;
+            self.line += 1;
+            let l = raw.trim_ascii();
+            if !l.is_empty() && !l.starts_with("//") {
+                return Some((self.line, l));
+            }
+        }
+        None
+    }
+}
+
+/// The trimmed top-level parts of a comma-separated list that may contain
+/// parenthesised sub-lists; an empty last part is dropped, so `""` has none.
+struct Operands<'a> {
+    rest: Option<&'a str>,
+}
+
+impl<'a> Operands<'a> {
+    fn new(s: &'a str) -> Self {
+        Operands { rest: Some(s) }
+    }
+
+    /// Exactly `N` parts, or `None`.
+    fn exactly<const N: usize>(s: &'a str) -> Option<[&'a str; N]> {
+        let mut it = Operands::new(s);
+        let mut parts = [""; N];
+        for part in &mut parts {
+            *part = it.next()?;
+        }
+        it.next().is_none().then_some(parts)
+    }
+}
+
+impl<'a> Iterator for Operands<'a> {
+    type Item = &'a str;
+
+    fn next(&mut self) -> Option<&'a str> {
+        let s = self.rest?;
+        let mut depth = 0usize;
+        for (i, b) in s.bytes().enumerate() {
+            match b {
+                b'(' => depth += 1,
+                b')' => depth = depth.saturating_sub(1),
+                b',' if depth == 0 => {
+                    self.rest = Some(&s[i + 1..]);
+                    return Some(s[..i].trim_ascii());
+                }
+                _ => {}
+            }
+        }
+        self.rest = None;
+        Some(s.trim_ascii()).filter(|last| !last.is_empty())
+    }
+}
+
+/// Places the instructions with ids `first..` — all those created since
+/// `bb`'s header — in `bb`, in id order.
+fn place(func: &mut Function, bb: BlockId, first: usize) {
+    func.block_mut(bb).insts = (first..func.num_insts()).map(|i| InstId(i as u32)).collect();
+}
+
+/// Hashes names for the symbol maps: a multiply-fold over 8-byte words,
+/// started from a per-parse random seed. Names are a few bytes long, where
+/// this costs a third of SipHash, and a client that cannot see the seed
+/// cannot pick names that collide.
+struct NameHasher(u64);
+
+impl NameHasher {
+    fn mix(&mut self, word: u64) {
+        let p = u128::from(self.0 ^ word) * 0x517c_c1b7_2722_0a95;
+        self.0 = (p as u64) ^ ((p >> 64) as u64);
+    }
+}
+
+impl Hasher for NameHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            self.mix(u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
+        }
+        let mut tail = [0u8; 8];
+        tail[..words.remainder().len()].copy_from_slice(words.remainder());
+        self.mix(u64::from_le_bytes(tail));
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// The seed every [`NameHasher`] of one parse starts from.
+#[derive(Clone, Copy)]
+struct NameHash(u64);
+
+impl BuildHasher for NameHash {
+    type Hasher = NameHasher;
+
+    fn build_hasher(&self) -> NameHasher {
+        NameHasher(self.0)
+    }
+}
+
+/// A symbol map keyed by names borrowed from the input.
+type Names<'a, V> = HashMap<&'a str, V, NameHash>;
+
+/// Empties a map of one function's names for the next function. A clear
+/// costs the map's capacity, so a map that a large function grew is dropped
+/// instead: otherwise every small function after it would pay for it again.
+fn reset<V>(map: &mut Names<'_, V>) {
+    if map.capacity() > 4 * map.len() + 64 {
+        *map = HashMap::with_hasher(*map.hasher());
+    } else {
+        map.clear();
+    }
+}
+
+/// Ids at or above this are placeholders for names used before their
+/// definition: placeholder `PENDING + k` stands for the `k`-th entry of a
+/// pending list. Every definition and every use takes at least one byte of
+/// text, and [`parse_module`] refuses texts of `PENDING` bytes or more, so
+/// no real id or pending index gets there.
+const PENDING: u32 = 1 << 31;
+
+/// Names used before their definition, in order of use, with the line of
+/// each use.
+#[derive(Default)]
+struct Pending<'a>(Vec<(&'a str, usize)>);
+
+impl<'a> Pending<'a> {
+    /// Records a use of `name`; returns the placeholder index.
+    fn push(&mut self, name: &'a str, line: usize) -> u32 {
+        self.0.push((name, line));
+        PENDING + (self.0.len() - 1) as u32
+    }
+
+    /// Looks every pending name up in `defs`; fails on the first that is
+    /// still undefined, naming it as `what`.
+    fn resolve<V: Copy>(&self, defs: &Names<'a, V>, what: &str) -> Result<Vec<V>, ParseError> {
+        self.0
+            .iter()
+            .map(|&(name, line)| {
+                defs.get(name)
+                    .copied()
+                    .ok_or_else(|| perr(line, format!("unknown {what} `{name}`")))
+            })
+            .collect()
+    }
+}
+
+/// Resolves a placeholder index into the list [`Pending::resolve`] built.
+fn resolved<V: Copy>(ids: &[V], placeholder: u32) -> V {
+    ids[(placeholder - PENDING) as usize]
 }
 
 struct Parser<'a> {
-    lines: Vec<(usize, &'a str)>,
-    pos: usize,
-    func_names: HashMap<String, FuncId>,
-    global_names: HashMap<String, GlobalId>,
+    funcs: Names<'a, FuncId>,
+    globals: Names<'a, GlobalId>,
+    pending_funcs: Pending<'a>,
+    /// The current function's blocks, named results and uses before
+    /// definition.
+    blocks: Names<'a, BlockId>,
+    insts: Names<'a, InstId>,
+    pending_blocks: Pending<'a>,
+    pending_insts: Pending<'a>,
 }
 
 impl<'a> Parser<'a> {
-    fn new(text: &'a str) -> Self {
-        let lines = text
-            .lines()
-            .enumerate()
-            .map(|(i, l)| (i + 1, l.trim()))
-            .filter(|(_, l)| !l.is_empty() && !l.starts_with("//"))
-            .collect();
-        Parser { lines, pos: 0, func_names: HashMap::new(), global_names: HashMap::new() }
-    }
-
-    fn peek(&self) -> Option<(usize, &'a str)> {
-        self.lines.get(self.pos).copied()
-    }
-
-    fn next(&mut self) -> Option<(usize, &'a str)> {
-        let l = self.peek();
-        self.pos += 1;
-        l
-    }
-
-    fn parse_value(&self, env: &FuncEnv, line: usize, tok: &str) -> Result<Value, ParseError> {
-        let tok = tok.trim();
-        if tok == "true" {
-            return Ok(Value::ConstBool(true));
+    fn new() -> Self {
+        let hash = NameHash(RandomState::new().hash_one(0u8));
+        Parser {
+            funcs: HashMap::with_hasher(hash),
+            globals: HashMap::with_hasher(hash),
+            pending_funcs: Pending::default(),
+            blocks: HashMap::with_hasher(hash),
+            insts: HashMap::with_hasher(hash),
+            pending_blocks: Pending::default(),
+            pending_insts: Pending::default(),
         }
-        if tok == "false" {
-            return Ok(Value::ConstBool(false));
+    }
+
+    fn block_ref(&mut self, line: usize, name: &'a str) -> BlockId {
+        match self.blocks.get(name) {
+            Some(&b) => b,
+            None => BlockId(self.pending_blocks.push(name, line)),
+        }
+    }
+
+    fn value(&mut self, line: usize, tok: &'a str) -> Result<Value, ParseError> {
+        let tok = tok.trim_ascii();
+        if tok.starts_with('v') {
+            return Ok(Value::Inst(match self.insts.get(tok) {
+                Some(&id) => id,
+                None => InstId(self.pending_insts.push(tok, line)),
+            }));
+        }
+        // Block params print as `bbNpM`.
+        if tok.starts_with("bb") {
+            if let Some((block, index)) = tok.rsplit_once('p') {
+                if let Ok(index) = index.parse::<u32>() {
+                    return Ok(Value::BlockParam { block: self.block_ref(line, block), index });
+                }
+            }
         }
         if let Some(rest) = tok.strip_prefix('@') {
-            if let Some(&g) = self.global_names.get(rest) {
+            if let Some(&g) = self.globals.get(rest) {
                 return Ok(Value::Global(g));
             }
             if let Some(num) = rest.strip_prefix('g').and_then(|n| n.parse::<u32>().ok()) {
@@ -146,24 +356,13 @@ impl<'a> Parser<'a> {
             }
             return Err(perr(line, format!("unknown global `{tok}`")));
         }
-        if let Some(rest) = tok.strip_prefix("arg") {
-            if let Ok(i) = rest.parse::<u32>() {
-                return Ok(Value::Arg(i));
-            }
+        if let Some(i) = tok.strip_prefix("arg").and_then(|n| n.parse::<u32>().ok()) {
+            return Ok(Value::Arg(i));
         }
-        if tok.starts_with('v') {
-            if let Some(&id) = env.insts.get(tok) {
-                return Ok(Value::Inst(id));
-            }
-        }
-        // Block params print as `bbNpM`.
-        if tok.starts_with("bb") {
-            if let Some(p) = tok.rfind('p') {
-                let (bname, pidx) = tok.split_at(p);
-                if let (Some(&b), Ok(i)) = (env.blocks.get(bname), pidx[1..].parse::<u32>()) {
-                    return Ok(Value::BlockParam { block: b, index: i });
-                }
-            }
+        match tok {
+            "true" => return Ok(Value::ConstBool(true)),
+            "false" => return Ok(Value::ConstBool(false)),
+            _ => {}
         }
         if let Ok(i) = tok.parse::<i64>() {
             return Ok(Value::ConstI64(i));
@@ -174,56 +373,317 @@ impl<'a> Parser<'a> {
         Err(perr(line, format!("cannot parse value `{tok}`")))
     }
 
-    fn parse_block_call(
-        &self,
-        env: &FuncEnv,
+    /// `N` values from a list of exactly `N` operands.
+    fn values<const N: usize>(
+        &mut self,
         line: usize,
-        tok: &str,
-    ) -> Result<BlockCall, ParseError> {
-        let tok = tok.trim();
-        if let Some(open) = tok.find('(') {
-            let name = &tok[..open];
-            let inner = tok[open + 1..]
-                .strip_suffix(')')
-                .ok_or_else(|| perr(line, format!("unterminated edge args in `{tok}`")))?;
-            let block = *env
-                .blocks
-                .get(name)
-                .ok_or_else(|| perr(line, format!("unknown block `{name}`")))?;
-            let mut args = Vec::new();
-            for a in split_top_level(inner) {
-                args.push(self.parse_value(env, line, a)?);
-            }
-            Ok(BlockCall::with_args(block, args))
-        } else {
-            let block =
-                *env.blocks.get(tok).ok_or_else(|| perr(line, format!("unknown block `{tok}`")))?;
-            Ok(BlockCall::new(block))
+        list: &'a str,
+        expects: impl FnOnce() -> String,
+    ) -> Result<[Value; N], ParseError> {
+        let parts = Operands::exactly::<N>(list).ok_or_else(|| perr(line, expects()))?;
+        let mut out = [Value::ConstBool(false); N];
+        for (v, part) in out.iter_mut().zip(parts) {
+            *v = self.value(line, part)?;
         }
+        Ok(out)
     }
-}
 
-/// Splits a comma-separated list that may contain parenthesised sub-lists.
-fn split_top_level(s: &str) -> Vec<&str> {
-    let mut out = Vec::new();
-    let mut depth = 0usize;
-    let mut start = 0usize;
-    for (i, c) in s.char_indices() {
-        match c {
-            '(' => depth += 1,
-            ')' => depth = depth.saturating_sub(1),
-            ',' if depth == 0 => {
-                out.push(s[start..i].trim());
-                start = i + 1;
+    /// Every value of an operand list.
+    fn value_list(&mut self, line: usize, list: &'a str) -> Result<Vec<Value>, ParseError> {
+        Operands::new(list).map(|a| self.value(line, a)).collect()
+    }
+
+    fn block_call(&mut self, line: usize, tok: &'a str) -> Result<BlockCall, ParseError> {
+        let tok = tok.trim_ascii();
+        match split_at_byte(tok, b'(') {
+            Some((name, args)) => {
+                let args = args
+                    .strip_suffix(')')
+                    .ok_or_else(|| perr(line, format!("unterminated edge args in `{tok}`")))?;
+                let block = self.block_ref(line, name);
+                Ok(BlockCall::with_args(block, self.value_list(line, args)?))
             }
-            _ => {}
+            None => Ok(BlockCall::new(self.block_ref(line, tok))),
         }
     }
-    let last = s[start..].trim();
-    if !last.is_empty() {
-        out.push(last);
+
+    /// `global gN NAME : LEN x TY`
+    fn global(
+        &mut self,
+        module: &mut Module,
+        line: usize,
+        rest: &'a str,
+    ) -> Result<(), ParseError> {
+        let mut parts = rest.split_ascii_whitespace();
+        let _id = parts.next().ok_or_else(|| perr(line, "missing global id"))?;
+        let name = parts.next().ok_or_else(|| perr(line, "missing global name"))?;
+        if parts.next() != Some(":") {
+            return Err(perr(line, "expected `:` in global"));
+        }
+        let len: u64 = parts
+            .next()
+            .and_then(|s| s.parse().ok())
+            .ok_or_else(|| perr(line, "bad global length"))?;
+        if parts.next() != Some("x") {
+            return Err(perr(line, "expected `x` in global"));
+        }
+        let ty = parse_type(line, parts.next().ok_or_else(|| perr(line, "missing elem type"))?)?;
+        let id = GlobalId(module.num_globals() as u32);
+        if self.globals.insert(name, id).is_some() {
+            return Err(perr(line, format!("duplicate global `{name}`")));
+        }
+        module.add_global_init(GlobalData {
+            name: name.to_string(),
+            elem_ty: ty,
+            len,
+            init: GlobalInit::Zero,
+        });
+        Ok(())
     }
-    out
+
+    /// Parses one function, from its header line through its closing `}`.
+    fn function(
+        &mut self,
+        lines: &mut Lines<'a>,
+        id: FuncId,
+        hln: usize,
+        header: &'a str,
+    ) -> Result<Function, ParseError> {
+        let (is_task, header) = match header.strip_prefix("task ") {
+            Some(h) => (true, h),
+            None => (false, header),
+        };
+        let header = header.strip_prefix("fn ").ok_or_else(|| perr(hln, "expected `fn`"))?;
+        let (name, sig) = header.split_once('(').ok_or_else(|| perr(hln, "missing `(`"))?;
+        let name = name.trim_ascii();
+        let (params_text, after) = sig.split_once(')').ok_or_else(|| perr(hln, "missing `)`"))?;
+        let params =
+            Operands::new(params_text).map(|p| param_type(hln, p)).collect::<Result<_, _>>()?;
+        let ret = match after.trim_ascii().strip_prefix("->") {
+            Some(r) => parse_type(hln, r.trim_end_matches('{').trim_ascii())?,
+            None => Type::Void,
+        };
+        if self.funcs.insert(name, id).is_some() {
+            return Err(perr(hln, format!("duplicate function `{name}`")));
+        }
+        let mut func = Function::new(name, params, ret);
+        func.is_task = is_task;
+
+        reset(&mut self.blocks);
+        reset(&mut self.insts);
+        self.pending_blocks.0.clear();
+        self.pending_insts.0.clear();
+        // The open block and the id of its first instruction: ids are
+        // textual, so a block's instructions are the ids read since its
+        // header, placed in one go when the next header (or `}`) closes it.
+        let mut cur: Option<(BlockId, usize)> = None;
+        loop {
+            let (ln, l) = lines.next().ok_or_else(|| perr(hln, "unterminated function body"))?;
+            if l == "}" {
+                break;
+            }
+            if l.starts_with("bb") && l.ends_with(':') {
+                let bb = match cur {
+                    None => func.entry,
+                    Some((open, first)) => {
+                        place(&mut func, open, first);
+                        func.add_block()
+                    }
+                };
+                self.block_header(&mut func, bb, ln, l)?;
+                cur = Some((bb, func.num_insts()));
+                continue;
+            }
+            let (bb, _) = cur.ok_or_else(|| perr(ln, "statement before first block header"))?;
+            if let Some(term) = self.terminator(ln, l)? {
+                func.set_terminator(bb, term);
+            } else if l.starts_with('v') {
+                // `vN: ty = op ...`; no void instruction starts with a `v`.
+                let (vname, rest) =
+                    split_at_byte(l, b':').ok_or_else(|| perr(ln, "missing result type"))?;
+                let (ty, rhs) = split_at_byte(rest, b'=').ok_or_else(|| perr(ln, "missing `=`"))?;
+                let vname = vname.trim_ascii();
+                let ty = parse_type(ln, ty.trim_ascii())?;
+                let kind = self.inst_kind(ln, rhs)?;
+                let inst = func.create_inst(kind, ty);
+                if self.insts.insert(vname, inst).is_some() {
+                    return Err(perr(ln, format!("duplicate value `{vname}`")));
+                }
+            } else {
+                // A void instruction: store, prefetch, call.
+                let kind = self.inst_kind(ln, l)?;
+                func.create_inst(kind, Type::Void);
+            }
+        }
+        if let Some((open, first)) = cur {
+            place(&mut func, open, first);
+        }
+        self.resolve_function(&mut func)?;
+        Ok(func)
+    }
+
+    /// `jump`, `br` or `ret`; `None` for any other line.
+    fn terminator(&mut self, ln: usize, l: &'a str) -> Result<Option<Terminator>, ParseError> {
+        Ok(Some(if let Some(rest) = l.strip_prefix("jump ") {
+            Terminator::Jump(self.block_call(ln, rest)?)
+        } else if let Some(rest) = l.strip_prefix("br ") {
+            let [cond, then_dest, else_dest] = Operands::exactly::<3>(rest)
+                .ok_or_else(|| perr(ln, "br expects cond and two targets"))?;
+            Terminator::Branch {
+                cond: self.value(ln, cond)?,
+                then_dest: self.block_call(ln, then_dest)?,
+                else_dest: self.block_call(ln, else_dest)?,
+            }
+        } else if l == "ret" {
+            Terminator::Ret(None)
+        } else if let Some(rest) = l.strip_prefix("ret ") {
+            Terminator::Ret(Some(self.value(ln, rest)?))
+        } else {
+            return Ok(None);
+        }))
+    }
+
+    /// `bbN:` or `bbN(bbNp0: ty, ...):`, naming `bb`.
+    fn block_header(
+        &mut self,
+        func: &mut Function,
+        bb: BlockId,
+        line: usize,
+        l: &'a str,
+    ) -> Result<(), ParseError> {
+        let l = l.trim_end_matches(':');
+        let (name, params) = match split_at_byte(l, b'(') {
+            Some((name, params)) => (name, params.trim_end_matches(')')),
+            None => (l, ""),
+        };
+        if self.blocks.insert(name, bb).is_some() {
+            return Err(perr(line, format!("duplicate block `{name}`")));
+        }
+        for part in Operands::new(params) {
+            func.add_block_param(bb, param_type(line, part)?);
+        }
+        Ok(())
+    }
+
+    /// Patches the current function's placeholders with the blocks and
+    /// values defined after their uses.
+    fn resolve_function(&self, func: &mut Function) -> Result<(), ParseError> {
+        if self.pending_insts.0.is_empty() && self.pending_blocks.0.is_empty() {
+            return Ok(());
+        }
+        // Report the earliest use of an undefined name, whichever kind.
+        let (insts, blocks) = match (
+            self.pending_insts.resolve(&self.insts, "value"),
+            self.pending_blocks.resolve(&self.blocks, "block"),
+        ) {
+            (Ok(i), Ok(b)) => (i, b),
+            (Err(e), Ok(_)) | (Ok(_), Err(e)) => return Err(e),
+            (Err(a), Err(b)) => return Err(if a.line <= b.line { a } else { b }),
+        };
+        let value = |v: Value| match v {
+            Value::Inst(id) if id.0 >= PENDING => Value::Inst(resolved(&insts, id.0)),
+            Value::BlockParam { block, index } if block.0 >= PENDING => {
+                Value::BlockParam { block: resolved(&blocks, block.0), index }
+            }
+            other => other,
+        };
+        let edge = |dest: &mut BlockCall| {
+            if dest.block.0 >= PENDING {
+                dest.block = resolved(&blocks, dest.block.0);
+            }
+            for a in &mut dest.args {
+                *a = value(*a);
+            }
+        };
+        for i in 0..func.num_insts() {
+            func.inst_mut(InstId(i as u32)).kind.map_operands(value);
+        }
+        for bb in func.block_ids() {
+            match &mut func.block_mut(bb).term {
+                Some(Terminator::Jump(dest)) => edge(dest),
+                Some(Terminator::Branch { cond, then_dest, else_dest }) => {
+                    *cond = value(*cond);
+                    edge(then_dest);
+                    edge(else_dest);
+                }
+                Some(Terminator::Ret(Some(v))) => *v = value(*v),
+                Some(Terminator::Ret(None)) | None => {}
+            }
+        }
+        Ok(())
+    }
+
+    /// Patches calls to functions defined after the caller.
+    fn resolve_callees(&self, module: &mut Module) -> Result<(), ParseError> {
+        if self.pending_funcs.0.is_empty() {
+            return Ok(());
+        }
+        let callees = self.pending_funcs.resolve(&self.funcs, "callee")?;
+        for f in 0..module.num_funcs() {
+            let func = module.func_mut(FuncId(f as u32));
+            for i in 0..func.num_insts() {
+                if let InstKind::Call { callee, .. } = &mut func.inst_mut(InstId(i as u32)).kind {
+                    if callee.0 >= PENDING {
+                        *callee = resolved(&callees, callee.0);
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    fn inst_kind(&mut self, ln: usize, text: &'a str) -> Result<InstKind, ParseError> {
+        let text = text.trim_ascii();
+        let (op, rest) = match split_at_byte(text, b' ') {
+            Some((op, rest)) => (op, rest.trim_ascii()),
+            None => (text, ""),
+        };
+        if let Some(op) = binop_from_mnemonic(op) {
+            let [lhs, rhs] = self.values(ln, rest, || format!("`{op}` expects two operands"))?;
+            return Ok(InstKind::Binary { op, lhs, rhs });
+        }
+        if let Some(op) = unop_from_mnemonic(op) {
+            return Ok(InstKind::Unary { op, operand: self.value(ln, rest)? });
+        }
+        Ok(match op {
+            "icmp" => {
+                let (pred, rest) =
+                    split_at_byte(rest, b' ').ok_or_else(|| perr(ln, "icmp expects predicate"))?;
+                let op = cmpop_from_mnemonic(ln, pred)?;
+                let [lhs, rhs] = self.values(ln, rest, || "icmp expects two operands".into())?;
+                InstKind::Cmp { op, lhs, rhs }
+            }
+            "select" => {
+                let [cond, then_value, else_value] =
+                    self.values(ln, rest, || "select expects three operands".into())?;
+                InstKind::Select { cond, then_value, else_value }
+            }
+            "ptradd" => {
+                let [base, offset] =
+                    self.values(ln, rest, || "ptradd expects two operands".into())?;
+                InstKind::PtrAdd { base, offset }
+            }
+            "load" => InstKind::Load { addr: self.value(ln, rest)? },
+            "store" => {
+                let [addr, value] =
+                    self.values(ln, rest, || "store expects two operands".into())?;
+                InstKind::Store { addr, value }
+            }
+            "prefetch" => InstKind::Prefetch { addr: self.value(ln, rest)? },
+            "call" => {
+                let (name, args) =
+                    split_at_byte(rest, b'(').ok_or_else(|| perr(ln, "call expects `(`"))?;
+                let name = name.trim_ascii();
+                let args = args.strip_suffix(')').ok_or_else(|| perr(ln, "call expects `)`"))?;
+                let callee = match self.funcs.get(name) {
+                    Some(&f) => f,
+                    None => FuncId(self.pending_funcs.push(name, ln)),
+                };
+                InstKind::Call { callee, args: self.value_list(ln, args)? }
+            }
+            other => return Err(perr(ln, format!("unknown instruction `{other}`"))),
+        })
+    }
 }
 
 /// Parses a module in the textual format of [`crate::print::print_module`].
@@ -250,312 +710,25 @@ fn split_top_level(s: &str) -> Vec<&str> {
 /// # Ok::<(), dae_ir::parse::ParseError>(())
 /// ```
 pub fn parse_module(text: &str) -> Result<Module, ParseError> {
-    let mut p = Parser::new(text);
-    let mut module = Module::new();
-
-    // Pass 0: pre-scan function names so calls can reference later functions.
-    {
-        let mut order = 0u32;
-        for &(ln, l) in &p.lines {
-            if let Some(rest) = l.strip_prefix("task fn ").or_else(|| l.strip_prefix("fn ")) {
-                let name = rest
-                    .split('(')
-                    .next()
-                    .ok_or_else(|| perr(ln, "malformed fn header"))?
-                    .trim()
-                    .to_string();
-                p.func_names.insert(name, FuncId(order));
-                order += 1;
-            }
-        }
+    if text.len() >= PENDING as usize {
+        return Err(perr(1, "module text of 2 GiB or more"));
     }
-
-    while let Some((ln, l)) = p.peek() {
+    let mut p = Parser::new();
+    let mut lines = Lines { rest: text, line: 0 };
+    let mut module = Module::new();
+    while let Some((ln, l)) = lines.next() {
         if let Some(rest) = l.strip_prefix("global ") {
-            p.next();
-            // global g0 NAME : LEN x TY
-            let mut parts = rest.split_whitespace();
-            let _id = parts.next().ok_or_else(|| perr(ln, "missing global id"))?;
-            let name = parts.next().ok_or_else(|| perr(ln, "missing global name"))?;
-            let colon = parts.next();
-            if colon != Some(":") {
-                return Err(perr(ln, "expected `:` in global"));
-            }
-            let len: u64 = parts
-                .next()
-                .and_then(|s| s.parse().ok())
-                .ok_or_else(|| perr(ln, "bad global length"))?;
-            if parts.next() != Some("x") {
-                return Err(perr(ln, "expected `x` in global"));
-            }
-            let ty = parse_type(ln, parts.next().ok_or_else(|| perr(ln, "missing elem type"))?)?;
-            let g = module.add_global_init(GlobalData {
-                name: name.to_string(),
-                elem_ty: ty,
-                len,
-                init: GlobalInit::Zero,
-            });
-            p.global_names.insert(name.to_string(), g);
+            p.global(&mut module, ln, rest)?;
         } else if l.starts_with("fn ") || l.starts_with("task fn ") {
-            let func = parse_function(&mut p)?;
+            let id = FuncId(module.num_funcs() as u32);
+            let func = p.function(&mut lines, id, ln, l)?;
             module.add_function(func);
         } else {
             return Err(perr(ln, format!("unexpected line `{l}`")));
         }
     }
+    p.resolve_callees(&mut module)?;
     Ok(module)
-}
-
-fn parse_function(p: &mut Parser<'_>) -> Result<Function, ParseError> {
-    let (hln, header) = p.next().expect("caller checked");
-    let is_task = header.starts_with("task ");
-    let header = header.strip_prefix("task ").unwrap_or(header);
-    let header = header.strip_prefix("fn ").ok_or_else(|| perr(hln, "expected `fn`"))?;
-    let open = header.find('(').ok_or_else(|| perr(hln, "missing `(`"))?;
-    let name = header[..open].trim().to_string();
-    let close = header.find(')').ok_or_else(|| perr(hln, "missing `)`"))?;
-    let mut params = Vec::new();
-    for part in split_top_level(&header[open + 1..close]) {
-        let ty_s = part
-            .split(':')
-            .nth(1)
-            .ok_or_else(|| perr(hln, format!("malformed param `{part}`")))?
-            .trim();
-        params.push(parse_type(hln, ty_s)?);
-    }
-    let after = header[close + 1..].trim();
-    let ret = if let Some(r) = after.strip_prefix("->") {
-        parse_type(hln, r.trim_end_matches('{').trim())?
-    } else {
-        Type::Void
-    };
-
-    // First pass over the body: collect blocks (with params) and value names.
-    let body_start = p.pos;
-    let mut env = FuncEnv { blocks: HashMap::new(), insts: HashMap::new() };
-    let mut func = Function::new(name, params, ret);
-    func.is_task = is_task;
-    let mut block_order: Vec<(String, Vec<Type>)> = Vec::new();
-    // One entry per instruction in appearance order: `Some(name)` for value
-    // definitions, `None` for void instructions (store/prefetch/void call).
-    // Allocating both kinds in this order keeps instruction ids identical to
-    // a compacted function's placement order, so `parse(print(f)) == f` for
-    // everything the transform pipeline emits — the invariant the driver's
-    // on-disk artifact cache relies on for bit-identical warm recompiles.
-    let mut inst_order: Vec<Option<String>> = Vec::new();
-    let mut depth = 1usize;
-    while let Some((ln, l)) = p.next() {
-        if l == "}" {
-            depth -= 1;
-            if depth == 0 {
-                break;
-            }
-            continue;
-        }
-        if l.ends_with(':') || (l.contains("):") && l.starts_with("bb")) {
-            // block header: `bb0:` or `bb1(bb1p0: i64, ...):`
-            let l = l.trim_end_matches(':');
-            if let Some(open) = l.find('(') {
-                let name = l[..open].to_string();
-                let inner = l[open + 1..].trim_end_matches(')');
-                let mut tys = Vec::new();
-                for part in split_top_level(inner) {
-                    let ty_s = part
-                        .split(':')
-                        .nth(1)
-                        .ok_or_else(|| perr(ln, format!("malformed block param `{part}`")))?
-                        .trim();
-                    tys.push(parse_type(ln, ty_s)?);
-                }
-                block_order.push((name, tys));
-            } else {
-                block_order.push((l.to_string(), vec![]));
-            }
-        } else if let Some(eq) = l.find('=') {
-            if l.contains(": ") && l.starts_with('v') {
-                let name = l[..l.find(':').unwrap()].trim().to_string();
-                let _ = eq;
-                inst_order.push(Some(name));
-            }
-        } else if !(l.starts_with("jump ")
-            || l.starts_with("br ")
-            || l == "ret"
-            || l.starts_with("ret "))
-        {
-            inst_order.push(None);
-        }
-    }
-    if depth != 0 {
-        return Err(perr(hln, "unterminated function body"));
-    }
-    let end_pos = p.pos;
-
-    // Allocate blocks: first block header reuses the entry block.
-    for (i, (bname, tys)) in block_order.iter().enumerate() {
-        let bb = if i == 0 { func.entry } else { func.add_block() };
-        for ty in tys {
-            func.add_block_param(bb, *ty);
-        }
-        env.blocks.insert(bname.clone(), bb);
-    }
-    // Allocate instruction slots in appearance order; void-instruction ids
-    // queue up for the second pass to consume in the same order.
-    let mut void_ids: std::collections::VecDeque<InstId> = std::collections::VecDeque::new();
-    for iname in &inst_order {
-        // Placeholder kind/type, patched in the second pass.
-        let id = func.create_inst(InstKind::Prefetch { addr: Value::ConstI64(0) }, Type::Void);
-        match iname {
-            Some(name) => {
-                env.insts.insert(name.clone(), id);
-            }
-            None => void_ids.push_back(id),
-        }
-    }
-
-    // Second pass: fill instructions and terminators.
-    p.pos = body_start;
-    let mut cur: Option<BlockId> = None;
-    while p.pos < end_pos {
-        let (ln, l) = p.next().expect("bounded by end_pos");
-        if l == "}" {
-            continue;
-        }
-        if l.ends_with(':') && (l.starts_with("bb")) {
-            let name = l.trim_end_matches(':');
-            let name = name.split('(').next().unwrap();
-            cur = Some(env.blocks[name]);
-            continue;
-        }
-        let bb = cur.ok_or_else(|| perr(ln, "statement before first block header"))?;
-        if let Some(rest) = l.strip_prefix("jump ") {
-            let dest = p.parse_block_call(&env, ln, rest)?;
-            func.set_terminator(bb, Terminator::Jump(dest));
-        } else if let Some(rest) = l.strip_prefix("br ") {
-            let parts = split_top_level(rest);
-            if parts.len() != 3 {
-                return Err(perr(ln, "br expects cond and two targets"));
-            }
-            let cond = p.parse_value(&env, ln, parts[0])?;
-            let then_dest = p.parse_block_call(&env, ln, parts[1])?;
-            let else_dest = p.parse_block_call(&env, ln, parts[2])?;
-            func.set_terminator(bb, Terminator::Branch { cond, then_dest, else_dest });
-        } else if l == "ret" {
-            func.set_terminator(bb, Terminator::Ret(None));
-        } else if let Some(rest) = l.strip_prefix("ret ") {
-            let v = p.parse_value(&env, ln, rest)?;
-            func.set_terminator(bb, Terminator::Ret(Some(v)));
-        } else if let Some(eq) = l.find(" = ") {
-            // `vN: ty = op ...`
-            let lhs = &l[..eq];
-            let colon = lhs.find(':').ok_or_else(|| perr(ln, "missing result type"))?;
-            let vname = lhs[..colon].trim();
-            let ty = parse_type(ln, lhs[colon + 1..].trim())?;
-            let id = *env.insts.get(vname).ok_or_else(|| perr(ln, "unknown result name"))?;
-            let kind = parse_inst_kind(p, &env, ln, &l[eq + 3..])?;
-            *func.inst_mut(id) = crate::function::InstData { kind, ty };
-            func.append_inst(bb, id);
-        } else {
-            // void instruction: store / prefetch / call
-            let kind = parse_inst_kind(p, &env, ln, l)?;
-            let id = void_ids
-                .pop_front()
-                .ok_or_else(|| perr(ln, "internal: unallocated void instruction"))?;
-            *func.inst_mut(id) = crate::function::InstData { kind, ty: Type::Void };
-            func.append_inst(bb, id);
-        }
-    }
-    Ok(func)
-}
-
-fn parse_inst_kind(
-    p: &Parser<'_>,
-    env: &FuncEnv,
-    ln: usize,
-    text: &str,
-) -> Result<InstKind, ParseError> {
-    let text = text.trim();
-    let (op, rest) = match text.find(' ') {
-        Some(i) => (&text[..i], text[i + 1..].trim()),
-        None => (text, ""),
-    };
-    if let Some(b) = binop_from_mnemonic(op) {
-        let parts = split_top_level(rest);
-        if parts.len() != 2 {
-            return Err(perr(ln, format!("`{op}` expects two operands")));
-        }
-        return Ok(InstKind::Binary {
-            op: b,
-            lhs: p.parse_value(env, ln, parts[0])?,
-            rhs: p.parse_value(env, ln, parts[1])?,
-        });
-    }
-    if let Some(u) = unop_from_mnemonic(op) {
-        return Ok(InstKind::Unary { op: u, operand: p.parse_value(env, ln, rest)? });
-    }
-    match op {
-        "icmp" => {
-            let (pred, rest2) =
-                rest.split_once(' ').ok_or_else(|| perr(ln, "icmp expects predicate"))?;
-            let parts = split_top_level(rest2);
-            if parts.len() != 2 {
-                return Err(perr(ln, "icmp expects two operands"));
-            }
-            Ok(InstKind::Cmp {
-                op: cmpop_from_mnemonic(ln, pred)?,
-                lhs: p.parse_value(env, ln, parts[0])?,
-                rhs: p.parse_value(env, ln, parts[1])?,
-            })
-        }
-        "select" => {
-            let parts = split_top_level(rest);
-            if parts.len() != 3 {
-                return Err(perr(ln, "select expects three operands"));
-            }
-            Ok(InstKind::Select {
-                cond: p.parse_value(env, ln, parts[0])?,
-                then_value: p.parse_value(env, ln, parts[1])?,
-                else_value: p.parse_value(env, ln, parts[2])?,
-            })
-        }
-        "ptradd" => {
-            let parts = split_top_level(rest);
-            if parts.len() != 2 {
-                return Err(perr(ln, "ptradd expects two operands"));
-            }
-            Ok(InstKind::PtrAdd {
-                base: p.parse_value(env, ln, parts[0])?,
-                offset: p.parse_value(env, ln, parts[1])?,
-            })
-        }
-        "load" => Ok(InstKind::Load { addr: p.parse_value(env, ln, rest)? }),
-        "store" => {
-            let parts = split_top_level(rest);
-            if parts.len() != 2 {
-                return Err(perr(ln, "store expects two operands"));
-            }
-            Ok(InstKind::Store {
-                addr: p.parse_value(env, ln, parts[0])?,
-                value: p.parse_value(env, ln, parts[1])?,
-            })
-        }
-        "prefetch" => Ok(InstKind::Prefetch { addr: p.parse_value(env, ln, rest)? }),
-        "call" => {
-            let open = rest.find('(').ok_or_else(|| perr(ln, "call expects `(`"))?;
-            let name = rest[..open].trim();
-            let inner =
-                rest[open + 1..].strip_suffix(')').ok_or_else(|| perr(ln, "call expects `)`"))?;
-            let callee = *p
-                .func_names
-                .get(name)
-                .ok_or_else(|| perr(ln, format!("unknown callee `{name}`")))?;
-            let mut args = Vec::new();
-            for a in split_top_level(inner) {
-                args.push(p.parse_value(env, ln, a)?);
-            }
-            Ok(InstKind::Call { callee, args })
-        }
-        other => Err(perr(ln, format!("unknown instruction `{other}`"))),
-    }
 }
 
 #[cfg(test)]
@@ -665,5 +838,127 @@ bb0:
 ";
         let m = parse_module(text).unwrap();
         crate::verify::verify_module(&m).unwrap();
+    }
+
+    /// The error of parsing `text`, which must fail.
+    fn error(text: &str) -> ParseError {
+        parse_module(text).expect_err("must not parse")
+    }
+
+    #[test]
+    fn duplicate_global_names_are_rejected() {
+        let text = "global g0 a : 8 x i64\nglobal g1 a : 16 x f64\n\n\
+                    task fn t() {\nbb0:\n  v0: ptr = ptradd @a, 8\n  ret\n}\n";
+        let e = error(text);
+        assert_eq!(e.line, 2, "{e}");
+        assert!(e.message.contains("duplicate global `a`"), "{e}");
+    }
+
+    #[test]
+    fn duplicate_function_names_are_rejected() {
+        let text = "fn f() -> i64 {\nbb0:\n  ret 1\n}\n\nfn f() -> i64 {\nbb0:\n  ret 2\n}\n\n\
+                    task fn t() {\nbb0:\n  v0: i64 = call f()\n  ret\n}\n";
+        let e = error(text);
+        assert_eq!(e.line, 6, "{e}");
+        assert!(e.message.contains("duplicate function `f`"), "{e}");
+    }
+
+    #[test]
+    fn duplicate_value_names_are_rejected() {
+        let text =
+            "fn f() -> i64 {\nbb0:\n  v0: i64 = iadd 1, 2\n  v0: i64 = iadd v0, 3\n  ret v0\n}\n";
+        let e = error(text);
+        assert_eq!(e.line, 4, "{e}");
+        assert!(e.message.contains("duplicate value `v0`"), "{e}");
+    }
+
+    #[test]
+    fn duplicate_block_names_are_rejected() {
+        let text = "fn f() {\nbb0:\n  jump bb1\nbb1:\n  jump bb1\nbb1:\n  ret\n}\n";
+        let e = error(text);
+        assert_eq!(e.line, 6, "{e}");
+        assert!(e.message.contains("duplicate block `bb1`"), "{e}");
+    }
+
+    #[test]
+    fn uses_may_precede_definitions() {
+        // bb2 is printed before the block defining v1 and the param it
+        // reads, and `t` calls `leaf`, which is defined after it.
+        let text = "task fn t(arg0: i64) -> i64 {\nbb0:\n  jump bb1(arg0)\n\
+                    bb2:\n  v2: i64 = call leaf(v1, bb1p0)\n  ret v2\n\
+                    bb1(bb1p0: i64):\n  v1: i64 = iadd bb1p0, 1\n  jump bb2\n}\n\n\
+                    fn leaf(arg0: i64, arg1: i64) -> i64 {\nbb0:\n  ret arg1\n}\n";
+        let m = parse_module(text).unwrap();
+        crate::verify::verify_module(&m).unwrap();
+        let t = m.func(m.func_by_name("t").unwrap());
+        let call = t.inst(t.block(BlockId(1)).insts[0]);
+        let InstKind::Call { callee, args } = &call.kind else { panic!("{call:?}") };
+        assert_eq!(*callee, m.func_by_name("leaf").unwrap());
+        let bb1p0 = Value::BlockParam { block: BlockId(2), index: 0 };
+        assert_eq!(args, &[Value::Inst(InstId(1)), bb1p0]);
+        assert_eq!(
+            t.inst(InstId(1)).kind,
+            InstKind::Binary { op: BinOp::IAdd, lhs: bb1p0, rhs: Value::i64(1) }
+        );
+    }
+
+    #[test]
+    fn undefined_names_fail_at_their_first_use() {
+        let e = error("fn f() {\nbb0:\n  jump bb9\n}\n");
+        assert_eq!((e.line, e.message.as_str()), (3, "unknown block `bb9`"));
+        let e =
+            error("fn f() -> i64 {\nbb0:\n  v0: i64 = iadd v7, 1\n  jump bb8\nbb1:\n  ret v0\n}\n");
+        assert_eq!((e.line, e.message.as_str()), (3, "unknown value `v7`"));
+        let e = error("fn f() {\nbb0:\n  call g()\n  ret\n}\n");
+        assert_eq!((e.line, e.message.as_str()), (3, "unknown callee `g`"));
+    }
+
+    #[test]
+    fn huge_numbers_in_names_are_only_names() {
+        let text = "fn f() -> i64 {\nbb0:\n  jump bb18446744073709551615(7)\n\
+                    bb18446744073709551615(bb18446744073709551615p0: i64):\n\
+                    \x20 v4294967295: i64 = iadd bb18446744073709551615p0, 1\n  ret v4294967295\n}\n";
+        let m = parse_module(text).unwrap();
+        crate::verify::verify_module(&m).unwrap();
+        let f = m.func(FuncId(0));
+        assert_eq!((f.num_blocks(), f.num_insts()), (2, 1));
+        assert!(error("fn f() {\nbb0:\n  prefetch @g99999999999\n  ret\n}\n")
+            .message
+            .contains("unknown global"));
+    }
+
+    #[test]
+    fn operand_lists_split_at_top_level_commas() {
+        let parts: Vec<&str> = Operands::new(" a, bb1(x, y) ,c, ").collect();
+        assert_eq!(parts, ["a", "bb1(x, y)", "c"]);
+        assert_eq!(Operands::new("").count(), 0);
+        assert_eq!(Operands::new(", a").collect::<Vec<_>>(), ["", "a"]);
+        assert_eq!(Operands::exactly::<2>("a, b"), Some(["a", "b"]));
+        assert_eq!(Operands::exactly::<2>("a, b, c"), None);
+        assert_eq!(Operands::exactly::<2>("a"), None);
+    }
+
+    #[test]
+    fn malformed_headers_fail_without_panicking() {
+        for text in ["fn f)x( {\n}\n", "fn f( {\n}\n", "fn f() {\nbb0:\n  ret\n", "bb0:\n"] {
+            let _ = error(text);
+        }
+    }
+
+    #[test]
+    fn a_large_function_leaves_no_large_map_behind() {
+        let names: Vec<String> = (0..1000).map(|i| format!("v{i}")).collect();
+        let mut map: Names<'_, usize> = HashMap::with_hasher(NameHash(0));
+        map.extend(names.iter().enumerate().map(|(i, n)| (n.as_str(), i)));
+        // The large function's own clear costs what the function did; the
+        // small function after it drops the map rather than clear it again.
+        reset(&mut map);
+        map.insert("v0", 0);
+        reset(&mut map);
+        assert!(map.is_empty() && map.capacity() < 64, "capacity {}", map.capacity());
+        map.insert("v0", 0);
+        let capacity = map.capacity();
+        reset(&mut map);
+        assert!(map.is_empty() && map.capacity() == capacity, "a small map is cleared in place");
     }
 }

@@ -22,6 +22,17 @@ pub enum Type {
 }
 
 impl Type {
+    /// The type's name in the textual IR.
+    pub fn name(self) -> &'static str {
+        match self {
+            Type::I64 => "i64",
+            Type::F64 => "f64",
+            Type::Bool => "bool",
+            Type::Ptr => "ptr",
+            Type::Void => "void",
+        }
+    }
+
     /// Size in bytes of a value of this type when stored in simulated memory.
     ///
     /// # Panics
@@ -53,14 +64,7 @@ impl Type {
 
 impl fmt::Display for Type {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            Type::I64 => "i64",
-            Type::F64 => "f64",
-            Type::Bool => "bool",
-            Type::Ptr => "ptr",
-            Type::Void => "void",
-        };
-        f.write_str(s)
+        f.write_str(self.name())
     }
 }
 

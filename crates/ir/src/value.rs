@@ -74,17 +74,12 @@ impl Value {
     }
 }
 
+/// The spelling of the textual IR.
 impl fmt::Debug for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Value::Inst(id) => write!(f, "{id}"),
-            Value::BlockParam { block, index } => write!(f, "{block}p{index}"),
-            Value::Arg(i) => write!(f, "arg{i}"),
-            Value::ConstI64(v) => write!(f, "{v}"),
-            Value::ConstF64(bits) => write!(f, "{:?}", f64::from_bits(*bits)),
-            Value::ConstBool(b) => write!(f, "{b}"),
-            Value::Global(g) => write!(f, "@{g}"),
-        }
+        let mut text = String::new();
+        crate::print::push_value(&mut text, *self);
+        f.write_str(&text)
     }
 }
 
@@ -147,6 +142,15 @@ mod tests {
         assert_eq!(Value::BlockParam { block: BlockId(2), index: 0 }.to_string(), "bb2p0");
         assert_eq!(Value::i64(-4).to_string(), "-4");
         assert_eq!(Value::Global(GlobalId(5)).to_string(), "@g5");
+        assert_eq!(Value::Inst(InstId(u32::MAX)).to_string(), "v4294967295");
+        assert_eq!(Value::i64(i64::MIN).to_string(), "-9223372036854775808");
+        assert_eq!(Value::i64(i64::MAX).to_string(), "9223372036854775807");
+        assert_eq!(Value::i64(0).to_string(), "0");
+        let floats = [(0.1, "0.1"), (-0.0, "-0.0"), (f64::INFINITY, "inf"), (f64::NAN, "NaN")];
+        for (x, text) in floats.into_iter().chain([(5e-324, "5e-324"), (1e300, "1e300")]) {
+            assert_eq!(Value::f64(x).to_string(), text);
+        }
+        assert_eq!(Value::ConstBool(false).to_string(), "false");
     }
 
     #[test]

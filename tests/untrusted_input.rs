@@ -104,6 +104,12 @@ const TOKENS: &[&str] = &[
     "  jump bb1(v6)",
     "  ret",
     "  v9: i64 = idiv v1, 0",
+    // Names are looked up, never used as sizes or indices; a second
+    // `bb0:` is a duplicate block.
+    "  v4294967295: i64 = iadd arg0, 1",
+    "  v5: i64 = iadd bb18446744073709551615p0, 1",
+    "  v2: ptr = ptradd @g99999999999, 8",
+    "bb0:",
     "\u{0}",
     "",
 ];
@@ -306,6 +312,32 @@ fn unknown_ops_and_wrong_types_are_bad_requests() {
     ] {
         let (_, e) = parse_request(frame).expect_err(frame);
         assert_eq!(e.code, codes::BAD_REQUEST, "{frame}");
+    }
+}
+
+#[test]
+fn duplicate_names_are_parse_errors() {
+    // Each second definition used to rebind the name (or surface as a
+    // verifier error about its symptom); now it fails where it stands.
+    let cases = [
+        ("global g0 a : 8 x i64\nglobal g1 a : 16 x f64\n", 2, "duplicate global `a`"),
+        ("fn f() {\nbb0:\n  ret\n}\nfn f() {\nbb0:\n  ret\n}\n", 5, "duplicate function `f`"),
+        (
+            "task fn t() {\nbb0:\n  v0: i64 = iadd 1, 2\n  v0: i64 = iadd 3, 4\n  ret\n}\n",
+            4,
+            "duplicate value `v0`",
+        ),
+        (
+            "task fn t() {\nbb0:\n  jump bb1\nbb1:\n  ret\nbb1:\n  ret\n}\n",
+            6,
+            "duplicate block `bb1`",
+        ),
+    ];
+    let engine = Engine::new(&EngineConfig::default());
+    for (ir, line, what) in cases {
+        let e = engine.handle(&work_request("compile", ir)).expect_err(what);
+        assert_eq!(e.code, "ir.parse", "{ir}");
+        assert!(e.message.contains(&format!("line {line}: {what}")), "{}", e.message);
     }
 }
 
