@@ -158,6 +158,20 @@ check "an owned-name symbol map in the parser" \
     'HashMap<String' \
     'crates/ir/src/parse\.rs'
 
+# Access generation is one sequence, `dae_core::generate_access_with`
+# (inline → optimize → refine → analyze → generate); the driver fills its
+# refine step and times its stages. No pass trait, slot map, second copy of
+# the Table 1 counts or settable refine gates beside it.
+check "a pass framework (access generation is one sequence)" \
+    "none" \
+    'trait Pass\b|impl Pass for|dyn Pass|TaskState|InfoSummary|RefineThresholds'
+
+# Each task is inlined once, by that sequence; the skeleton generator takes
+# the inlined body it already holds.
+check "a second inline of a task" \
+    "crates/core/src/generate\.rs|crates/analysis/.*" \
+    'inline_all\('
+
 n=$(grep -c 'InterpError::StepLimit' crates/sim/src/vm/exec.rs)
 if [ "$n" -ne 1 ]; then
     echo "one_of_each: InterpError::StepLimit appears $n times in crates/sim/src/vm/exec.rs (only step! raises it)"

@@ -69,11 +69,13 @@ impl AffineAccess {
     }
 }
 
-/// Result of scanning one task for affine accesses.
-#[derive(Debug, Default)]
-pub struct TaskAccessInfo {
-    /// Loads with a complete affine description.
-    pub affine: Vec<AffineAccess>,
+/// Table 1's counts for one task: what [`GeneratedAccess`] and
+/// [`DaeMap::info_of`] report, and what the driver's cache stores.
+///
+/// [`GeneratedAccess`]: crate::GeneratedAccess
+/// [`DaeMap::info_of`]: crate::DaeMap::info_of
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct AccessCounts {
     /// Total loads encountered.
     pub total_loads: usize,
     /// Loads that could not be described (indirect, non-counted loops, …).
@@ -89,13 +91,23 @@ pub struct TaskAccessInfo {
     pub has_data_dependent_cf: bool,
 }
 
-impl TaskAccessInfo {
+impl AccessCounts {
     /// True when the whole task is analysable by the polyhedral path: every
     /// load affine and every branch a counted-loop exit test (static
     /// control flow).
     pub fn fully_affine(&self) -> bool {
         self.total_loads > 0 && self.non_affine_loads == 0 && !self.has_data_dependent_cf
     }
+}
+
+/// Result of scanning one task for affine accesses.
+#[derive(Debug, Default)]
+pub struct TaskAccessInfo {
+    /// Loads with a complete affine description (read by the §5.1
+    /// generator only).
+    pub affine: Vec<AffineAccess>,
+    /// The task's Table 1 counts.
+    pub counts: AccessCounts,
 }
 
 /// Converts a scalar-evolution [`Affine`] into a polyhedral [`LinExpr`] over
@@ -295,7 +307,8 @@ pub fn analyze_task(module: &Module, task: &Function) -> TaskAccessInfo {
     let _ = module;
     let analysis = FunctionAnalysis::run(task);
     let mut scev = analysis.scev();
-    let mut info = TaskAccessInfo { loops_total: analysis.forest.len(), ..Default::default() };
+    let mut affine = Vec::new();
+    let mut counts = AccessCounts { loops_total: analysis.forest.len(), ..Default::default() };
 
     // Track per-loop affineness: a loop counts as affine if all loads in it
     // (transitively) are affine.
@@ -309,12 +322,12 @@ pub fn analyze_task(module: &Module, task: &Function) -> TaskAccessInfo {
             InstKind::Load { addr } => *addr,
             _ => continue,
         };
-        info.total_loads += 1;
+        counts.total_loads += 1;
         let described = describe_load(task, &analysis, &mut scev, bb, addr);
         match described {
-            Some(acc) => info.affine.push(acc),
+            Some(acc) => affine.push(acc),
             None => {
-                info.non_affine_loads += 1;
+                counts.non_affine_loads += 1;
                 for lp in analysis.forest.nest_of(bb) {
                     loop_has_nonaffine.insert(lp, true);
                 }
@@ -335,7 +348,7 @@ pub fn analyze_task(module: &Module, task: &Function) -> TaskAccessInfo {
                 .map(|lp| scev.counted(lp).is_some())
                 .unwrap_or(false);
             if !is_counted_header {
-                info.has_data_dependent_cf = true;
+                counts.has_data_dependent_cf = true;
                 // Loops containing the irregular branch are not affine.
                 for lp in analysis.forest.nest_of(bb) {
                     loop_has_nonaffine.insert(lp, true);
@@ -344,14 +357,14 @@ pub fn analyze_task(module: &Module, task: &Function) -> TaskAccessInfo {
         }
     }
 
-    info.loops_affine = analysis
+    counts.loops_affine = analysis
         .forest
         .loops()
         .filter(|(id, _)| {
             !loop_has_nonaffine.get(id).copied().unwrap_or(false) && scev.counted(*id).is_some()
         })
         .count();
-    info
+    TaskAccessInfo { affine, counts }
 }
 
 fn describe_load(
@@ -487,11 +500,11 @@ mod tests {
     fn lu_is_fully_affine() {
         let (m, f) = lu_task(16);
         let info = analyze_task(&m, &f);
-        assert_eq!(info.total_loads, 5);
-        assert_eq!(info.non_affine_loads, 0);
-        assert!(info.fully_affine());
-        assert_eq!(info.loops_total, 3);
-        assert_eq!(info.loops_affine, 3);
+        assert_eq!(info.counts.total_loads, 5);
+        assert_eq!(info.counts.non_affine_loads, 0);
+        assert!(info.counts.fully_affine());
+        assert_eq!(info.counts.loops_total, 3);
+        assert_eq!(info.counts.loops_affine, 3);
     }
 
     #[test]
@@ -545,11 +558,11 @@ mod tests {
         b.ret(None);
         let f = b.finish();
         let info = analyze_task(&m, &f);
-        assert_eq!(info.total_loads, 2);
-        assert_eq!(info.non_affine_loads, 1); // a[idx[i]] rejected
+        assert_eq!(info.counts.total_loads, 2);
+        assert_eq!(info.counts.non_affine_loads, 1); // a[idx[i]] rejected
         assert_eq!(info.affine.len(), 1); // idx[i] itself is affine
-        assert!(!info.fully_affine());
-        assert_eq!(info.loops_affine, 0, "loop contains a non-affine load");
+        assert!(!info.counts.fully_affine());
+        assert_eq!(info.counts.loops_affine, 0, "loop contains a non-affine load");
     }
 
     #[test]
@@ -615,7 +628,7 @@ mod tests {
         let f = b.finish();
         let info = analyze_task(&m, &f);
         assert_eq!(info.affine.len(), 0);
-        assert_eq!(info.non_affine_loads, 1);
+        assert_eq!(info.counts.non_affine_loads, 1);
     }
 
     #[test]

@@ -52,7 +52,7 @@ pub fn generate_affine_access(
     info: &TaskAccessInfo,
     opts: &CompilerOptions,
 ) -> Option<AffineResult> {
-    if !opts.enable_polyhedral || !info.fully_affine() || info.affine.is_empty() {
+    if !opts.enable_polyhedral || !info.counts.fully_affine() || info.affine.is_empty() {
         return None;
     }
     let n_params = task.params.len();

@@ -1,10 +1,11 @@
 //! Top-level orchestration: per-task strategy selection and module
 //! transformation.
 
-use crate::access_info::{analyze_task, TaskAccessInfo};
+use crate::access_info::{analyze_task, AccessCounts};
 use crate::affine::generate_affine_access;
 use crate::options::{CompilerOptions, RefuseReason, Strategy};
 use crate::skeleton::generate_skeleton_access;
+use dae_analysis::transform::{inline_all, optimize};
 use dae_ir::{FuncId, Function, Module};
 use std::collections::HashMap;
 
@@ -15,9 +16,13 @@ pub struct GeneratedAccess {
     pub func: Function,
     /// Which §5 path produced it.
     pub strategy: Strategy,
-    /// The task's access-analysis summary (Table 1's loop statistics).
-    pub info: TaskAccessInfo,
+    /// The task's Table 1 counts.
+    pub info: AccessCounts,
 }
+
+/// The stages of [`generate_access_with`], in the order they run and
+/// report to its `on_stage` callback.
+pub const STAGES: [&str; 5] = ["inline", "optimize", "refine", "analyze", "generate"];
 
 /// Generates the access phase for one task: polyhedral when the task is
 /// fully affine and profitable (§5.1), otherwise the optimized skeleton
@@ -31,23 +36,55 @@ pub fn generate_access(
     task: FuncId,
     opts: &CompilerOptions,
 ) -> Result<GeneratedAccess, RefuseReason> {
+    generate_access_with(module, task, opts.clone(), |_| Ok(()), |_| {})
+}
+
+/// [`generate_access`] with one step a caller can fill and a report after
+/// every stage.
+///
+/// The stages are [`STAGES`]. `adjust` is the `refine` stage: it runs after
+/// the cleanup, may change the options analysis and generation use, and
+/// may refuse the task (profile-guided refinement does both). `on_stage`
+/// is called with each stage's name as the stage ends, including a stage
+/// that refuses; no stage runs after a refusal.
+///
+/// # Errors
+///
+/// Returns the paper's refusal conditions, or the refusal of `adjust`.
+pub fn generate_access_with(
+    module: &Module,
+    task: FuncId,
+    mut opts: CompilerOptions,
+    adjust: impl FnOnce(&mut CompilerOptions) -> Result<(), RefuseReason>,
+    mut on_stage: impl FnMut(&'static str),
+) -> Result<GeneratedAccess, RefuseReason> {
     // Inline first so the affine analysis sees through calls, exactly like
     // the paper generates the access version "after applying traditional
-    // compiler optimizations to the original (execute) code".
-    let inlined = dae_analysis::transform::inline_all(module, task)
-        .map_err(|_| RefuseReason::NonInlinableCall(module.func(task).name.clone()))?;
-    let inlined = dae_analysis::transform::optimize(&inlined);
-    let info = analyze_task(module, &inlined);
+    // compiler optimizations to the original (execute) code". The raw
+    // inlined body is kept: the skeleton path starts from it.
+    let inlined = inline_task(module, task);
+    on_stage("inline");
+    let inlined = inlined?;
+    let body = optimize(&inlined);
+    on_stage("optimize");
+    let adjusted = adjust(&mut opts);
+    on_stage("refine");
+    adjusted?;
+    let info = analyze_task(module, &body);
+    on_stage("analyze");
+    let generated = match generate_affine_access(&body, &info, &opts) {
+        Some(affine) => Ok((affine.func, Strategy::Polyhedral(affine.stats))),
+        None => generate_skeleton_access(&inlined, &opts).map(|f| (f, Strategy::Skeleton)),
+    };
+    on_stage("generate");
+    let (func, strategy) = generated?;
+    Ok(GeneratedAccess { func, strategy, info: info.counts })
+}
 
-    if let Some(affine) = generate_affine_access(&inlined, &info, opts) {
-        return Ok(GeneratedAccess {
-            func: affine.func,
-            strategy: Strategy::Polyhedral(affine.stats),
-            info,
-        });
-    }
-    let func = generate_skeleton_access(module, task, opts)?;
-    Ok(GeneratedAccess { func, strategy: Strategy::Skeleton, info })
+/// `task` with every call inlined; a recursive call graph refuses it.
+pub(crate) fn inline_task(module: &Module, task: FuncId) -> Result<Function, RefuseReason> {
+    inline_all(module, task)
+        .map_err(|_| RefuseReason::NonInlinableCall(module.func(task).name.clone()))
 }
 
 /// The result of transforming a whole module: access functions registered
@@ -62,8 +99,8 @@ pub struct DaeMap {
     /// task → refusal reason, for tasks where generation was refused (those
     /// run coupled, as in the paper).
     pub refused: HashMap<FuncId, RefuseReason>,
-    /// task → analysis summary.
-    pub info_of: HashMap<FuncId, TaskAccessInfo>,
+    /// task → Table 1 counts.
+    pub info_of: HashMap<FuncId, AccessCounts>,
 }
 
 impl DaeMap {
@@ -197,5 +234,54 @@ mod tests {
         assert_eq!(map.info_of[&stream].loops_total, 1);
         assert_eq!(map.info_of[&gather].loops_affine, 0);
         assert_eq!(map.info_of[&gather].loops_total, 1);
+    }
+
+    fn stages_of(
+        m: &Module,
+        task: FuncId,
+        adjust: impl FnOnce(&mut CompilerOptions) -> Result<(), RefuseReason>,
+    ) -> (Result<GeneratedAccess, RefuseReason>, Vec<&'static str>) {
+        let mut seen = Vec::new();
+        let opts = CompilerOptions { param_hints: vec![64], ..Default::default() };
+        let r = generate_access_with(m, task, opts, adjust, |s| seen.push(s));
+        (r, seen)
+    }
+
+    #[test]
+    fn every_stage_reports_in_order() {
+        let m = module_with_two_tasks();
+        for name in ["stream", "gather"] {
+            let (r, seen) = stages_of(&m, m.func_by_name(name).unwrap(), |_| Ok(()));
+            assert!(r.is_ok(), "{name}");
+            assert_eq!(seen, STAGES, "{name}");
+        }
+    }
+
+    #[test]
+    fn a_refusing_stage_reports_and_ends_the_sequence() {
+        let mut m = module_with_two_tasks();
+        let stream = m.func_by_name("stream").unwrap();
+        let (r, seen) = stages_of(&m, stream, |_| Err(RefuseReason::NothingToPrefetch));
+        assert_eq!(r.unwrap_err(), RefuseReason::NothingToPrefetch);
+        assert_eq!(seen, STAGES[..3]);
+
+        let mut b = FunctionBuilder::new("r", vec![], Type::Void);
+        b.call(FuncId(m.num_funcs() as u32), vec![], Type::Void);
+        b.ret(None);
+        let r = m.add_function(b.finish());
+        let (res, seen) = stages_of(&m, r, |_| panic!("no stage runs after a refusal"));
+        assert_eq!(res.unwrap_err(), RefuseReason::NonInlinableCall("r".into()));
+        assert_eq!(seen, STAGES[..1]);
+    }
+
+    #[test]
+    fn adjusted_options_reach_generation() {
+        let m = module_with_two_tasks();
+        let stream = m.func_by_name("stream").unwrap();
+        let (r, _) = stages_of(&m, stream, |o| {
+            o.enable_polyhedral = false;
+            Ok(())
+        });
+        assert_eq!(r.unwrap().strategy, Strategy::Skeleton);
     }
 }

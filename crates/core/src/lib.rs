@@ -16,9 +16,14 @@
 //!   `NconvUn <= NOrig` profitability check, parameter classes, nest
 //!   merging, and emits a *minimal-depth* prefetch loop nest.
 //! * [`skeleton::generate_skeleton_access`] (§5.2) — for everything else:
-//!   inline, clone, simplify the CFG (drop in-loop conditionals), accompany
-//!   loads with prefetches, discard stores, and let DCE slice the task down
-//!   to address computation and loop control.
+//!   clone the inlined task, simplify the CFG (drop in-loop conditionals),
+//!   accompany loads with prefetches, discard stores, and let DCE slice the
+//!   task down to address computation and loop control.
+//!
+//! [`generate_access`] is the one sequence that picks between them, in the
+//! stages [`STAGES`] names: inline the task once, run the `-O3`-style
+//! cleanup, `refine` (a caller's step: [`generate_access_with`] takes it,
+//! and the driver fills it from a measured profile), analyze, generate.
 //!
 //! The paper's safety conditions are enforced: non-inlinable (recursive)
 //! calls refuse generation, as does access-phase control flow that would
@@ -60,8 +65,10 @@ pub mod generate;
 pub mod options;
 pub mod skeleton;
 
-pub use access_info::{analyze_task, AffineAccess, SubScript, TaskAccessInfo};
+pub use access_info::{analyze_task, AccessCounts, AffineAccess, SubScript, TaskAccessInfo};
 pub use affine::{generate_affine_access, AffineResult};
-pub use generate::{generate_access, transform_module, DaeMap, GeneratedAccess};
+pub use generate::{
+    generate_access, generate_access_with, transform_module, DaeMap, GeneratedAccess, STAGES,
+};
 pub use options::{AffineStats, CompilerOptions, RefuseReason, Strategy};
 pub use skeleton::generate_skeleton_access;

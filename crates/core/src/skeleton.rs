@@ -3,6 +3,8 @@
 //! The algorithm of §5.2.2, step by step:
 //!
 //! 1. **Inline** all calls; refuse the task if any call is non-inlinable.
+//!    [`crate::generate_access`] does this once per task and hands the
+//!    inlined body over.
 //! 2. **Clone** the task (all SSA state is thereby privatised).
 //! 3. **Simplified CFG** (§5.2.2): conditionals embedded in loop bodies that
 //!    do not maintain the loop's control flow are eliminated — the branch is
@@ -20,30 +22,27 @@
 
 use crate::options::{CompilerOptions, RefuseReason};
 use dae_analysis::effects;
-use dae_analysis::transform::{compact, inline_all, optimize};
+use dae_analysis::transform::{compact, optimize};
 use dae_analysis::FunctionAnalysis;
-use dae_ir::{BlockId, FuncId, Function, InstId, InstKind, Module, Terminator, Type, Value};
+use dae_ir::{BlockId, Function, InstId, InstKind, Terminator, Type, Value};
 use std::collections::HashSet;
 
-/// Runs the §5.2 pipeline on `task`.
+/// Runs the §5.2 pipeline (steps 2–7) on `inlined`, a task with every
+/// call already inlined.
 ///
 /// # Errors
 ///
 /// Refuses per the paper's safety conditions; see [`RefuseReason`].
 pub fn generate_skeleton_access(
-    module: &Module,
-    task: FuncId,
+    inlined: &Function,
     opts: &CompilerOptions,
 ) -> Result<Function, RefuseReason> {
-    // 1–2. inline into a private clone
-    let inlined = inline_all(module, task)
-        .map_err(|_| RefuseReason::NonInlinableCall(module.func(task).name.clone()))?;
-
     // Side effects of the *original* task, for the step-7 safety check.
-    let original_effects = effects::summarize(&inlined);
+    let original_effects = effects::summarize(inlined);
 
-    let mut f = compact(&inlined);
-    f.name = format!("{}__access", module.func(task).name);
+    // 2. a private clone
+    let mut f = compact(inlined);
+    f.name = format!("{}__access", inlined.name);
     f.is_task = false;
 
     // 3. simplified CFG
@@ -216,7 +215,16 @@ fn control_depends_on_writes(f: &Function, orig: &effects::EffectSummary) -> boo
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dae_ir::{verify_function, CmpOp, FunctionBuilder};
+    use dae_ir::{verify_function, CmpOp, FuncId, FunctionBuilder, Module};
+
+    /// The skeleton of `task`, from the body `generate_access` inlines.
+    fn skeleton(
+        m: &Module,
+        task: FuncId,
+        opts: &CompilerOptions,
+    ) -> Result<Function, RefuseReason> {
+        generate_skeleton_access(&crate::generate::inline_task(m, task)?, opts)
+    }
 
     fn count_kind(f: &Function, pred: impl Fn(&InstKind) -> bool) -> usize {
         let mut n = 0;
@@ -254,7 +262,7 @@ mod tests {
     #[test]
     fn gather_skeleton_keeps_index_load_drops_data_math() {
         let (m, task) = gather_module();
-        let f = generate_skeleton_access(&m, task, &CompilerOptions::default()).expect("generated");
+        let f = skeleton(&m, task, &CompilerOptions::default()).expect("generated");
         verify_function(&f, None).unwrap();
         // The col[j] load survives (feeds the x address); its prefetch and
         // the x/y prefetches exist; the fadd and store are gone.
@@ -293,7 +301,7 @@ mod tests {
         b.ret(None);
         let task = m.add_function(b.finish());
 
-        let f = generate_skeleton_access(&m, task, &CompilerOptions::default()).unwrap();
+        let f = skeleton(&m, task, &CompilerOptions::default()).unwrap();
         verify_function(&f, None).unwrap();
         let text = dae_ir::print_function(&f, None);
         // Only data[i] is prefetched; the conditional extra[i] is gone.
@@ -302,7 +310,7 @@ mod tests {
         // Without cfg_simplify the conditional structure (and both
         // prefetches) survive.
         let keep = CompilerOptions { cfg_simplify: false, ..Default::default() };
-        let f2 = generate_skeleton_access(&m, task, &keep).unwrap();
+        let f2 = skeleton(&m, task, &keep).unwrap();
         assert_eq!(count_kind(&f2, |k| matches!(k, InstKind::Prefetch { .. })), 2);
     }
 
@@ -323,7 +331,7 @@ mod tests {
         b.ret(None);
         let task = m.add_function(b.finish());
 
-        let f = generate_skeleton_access(&m, task, &CompilerOptions::default()).unwrap();
+        let f = skeleton(&m, task, &CompilerOptions::default()).unwrap();
         verify_function(&f, None).unwrap();
         assert_eq!(count_kind(&f, |k| matches!(k, InstKind::Call { .. })), 0);
         assert_eq!(count_kind(&f, |k| matches!(k, InstKind::Prefetch { .. })), 1);
@@ -336,7 +344,7 @@ mod tests {
         b.call(FuncId(0), vec![], Type::Void);
         b.ret(None);
         let r = m.add_function(b.finish());
-        let e = generate_skeleton_access(&m, r, &CompilerOptions::default()).unwrap_err();
+        let e = skeleton(&m, r, &CompilerOptions::default()).unwrap_err();
         assert!(matches!(e, RefuseReason::NonInlinableCall(_)));
     }
 
@@ -356,7 +364,7 @@ mod tests {
         b.store(p, out[0]);
         b.ret(None);
         let task = m.add_function(b.finish());
-        let e = generate_skeleton_access(&m, task, &CompilerOptions::default()).unwrap_err();
+        let e = skeleton(&m, task, &CompilerOptions::default()).unwrap_err();
         assert_eq!(e, RefuseReason::NothingToPrefetch);
     }
 
@@ -387,7 +395,7 @@ mod tests {
         );
         b.ret(None);
         let task = m.add_function(b.finish());
-        let e = generate_skeleton_access(&m, task, &CompilerOptions::default()).unwrap_err();
+        let e = skeleton(&m, task, &CompilerOptions::default()).unwrap_err();
         assert_eq!(e, RefuseReason::ControlDependsOnTaskWrites);
     }
 
@@ -414,7 +422,7 @@ mod tests {
         );
         b.ret(Some(out[1]));
         let task = m.add_function(b.finish());
-        let f = generate_skeleton_access(&m, task, &CompilerOptions::default()).unwrap();
+        let f = skeleton(&m, task, &CompilerOptions::default()).unwrap();
         verify_function(&f, None).unwrap();
         // Both loads prefetched; the `next` load itself must survive (it
         // feeds the address chain).
@@ -438,7 +446,7 @@ mod tests {
         });
         b.ret(None);
         let task = m.add_function(b.finish());
-        let f = generate_skeleton_access(&m, task, &CompilerOptions::default()).unwrap();
+        let f = skeleton(&m, task, &CompilerOptions::default()).unwrap();
         assert_eq!(count_kind(&f, |k| matches!(k, InstKind::Prefetch { .. })), 1);
     }
 }

@@ -19,7 +19,7 @@
 
 use std::path::{Path, PathBuf};
 
-use dae_core::{AffineStats, RefuseReason, Strategy, TaskAccessInfo};
+use dae_core::{AccessCounts, AffineStats, RefuseReason, Strategy};
 use dae_ir::parse::parse_module;
 use dae_ir::{print_function, print_function_into, Function};
 use dae_trace::json::{parse, JsonValue};
@@ -29,67 +29,25 @@ use dae_trace::{write_atomic, Lru};
 /// part of the pipeline fingerprint, so old artifacts simply stop matching.
 pub const ARTIFACT_SCHEMA: &str = "dae-driver-artifact/1";
 
-/// The cacheable part of a task's access analysis: every scalar from
-/// [`TaskAccessInfo`] except the per-access descriptors, which only the
-/// generator itself consumes (and it has already run).
-#[derive(Clone, Debug, PartialEq)]
-pub struct InfoSummary {
-    /// Total loads encountered.
-    pub total_loads: usize,
-    /// Loads without a complete affine description.
-    pub non_affine_loads: usize,
-    /// Loops in the task, total.
-    pub loops_total: usize,
-    /// Loops in which every contained load is affine.
-    pub loops_affine: usize,
-    /// True when the task has data-dependent control flow.
-    pub has_data_dependent_cf: bool,
+fn counts_to_json(c: &AccessCounts) -> JsonValue {
+    JsonValue::obj([
+        ("total_loads", c.total_loads.into()),
+        ("non_affine_loads", c.non_affine_loads.into()),
+        ("loops_total", c.loops_total.into()),
+        ("loops_affine", c.loops_affine.into()),
+        ("has_data_dependent_cf", c.has_data_dependent_cf.into()),
+    ])
 }
 
-impl InfoSummary {
-    /// The cacheable summary of a full analysis.
-    pub fn of(info: &TaskAccessInfo) -> InfoSummary {
-        InfoSummary {
-            total_loads: info.total_loads,
-            non_affine_loads: info.non_affine_loads,
-            loops_total: info.loops_total,
-            loops_affine: info.loops_affine,
-            has_data_dependent_cf: info.has_data_dependent_cf,
-        }
-    }
-
-    /// Rehydrates a [`TaskAccessInfo`] (with empty per-access descriptors).
-    pub fn into_info(self) -> TaskAccessInfo {
-        TaskAccessInfo {
-            affine: Vec::new(),
-            total_loads: self.total_loads,
-            non_affine_loads: self.non_affine_loads,
-            loops_total: self.loops_total,
-            loops_affine: self.loops_affine,
-            has_data_dependent_cf: self.has_data_dependent_cf,
-        }
-    }
-
-    fn to_json(&self) -> JsonValue {
-        JsonValue::obj([
-            ("total_loads", (self.total_loads).into()),
-            ("non_affine_loads", (self.non_affine_loads).into()),
-            ("loops_total", (self.loops_total).into()),
-            ("loops_affine", (self.loops_affine).into()),
-            ("has_data_dependent_cf", self.has_data_dependent_cf.into()),
-        ])
-    }
-
-    fn from_json(v: &JsonValue) -> Option<InfoSummary> {
-        let usize_of = |k: &str| v.get(k)?.as_f64().map(|f| f as usize);
-        Some(InfoSummary {
-            total_loads: usize_of("total_loads")?,
-            non_affine_loads: usize_of("non_affine_loads")?,
-            loops_total: usize_of("loops_total")?,
-            loops_affine: usize_of("loops_affine")?,
-            has_data_dependent_cf: v.get("has_data_dependent_cf")?.as_bool()?,
-        })
-    }
+fn counts_from_json(v: &JsonValue) -> Option<AccessCounts> {
+    let usize_of = |k: &str| v.get(k)?.as_f64().map(|f| f as usize);
+    Some(AccessCounts {
+        total_loads: usize_of("total_loads")?,
+        non_affine_loads: usize_of("non_affine_loads")?,
+        loops_total: usize_of("loops_total")?,
+        loops_affine: usize_of("loops_affine")?,
+        has_data_dependent_cf: v.get("has_data_dependent_cf")?.as_bool()?,
+    })
 }
 
 /// One cached compilation result: either the generated access function or
@@ -102,8 +60,8 @@ pub enum Artifact {
         func: Function,
         /// Which §5 path produced it.
         strategy: Strategy,
-        /// Scalars of the task's access analysis.
-        info: InfoSummary,
+        /// The task's Table 1 counts.
+        info: AccessCounts,
     },
     /// Generation was refused; the task runs coupled.
     Refused {
@@ -142,7 +100,7 @@ impl Artifact {
                     }
                     Strategy::Skeleton => pairs.push(("strategy", "skeleton".into())),
                 }
-                pairs.push(("info", info.to_json()));
+                pairs.push(("info", counts_to_json(info)));
                 JsonValue::obj(pairs)
             }
             Artifact::Refused { reason } => {
@@ -199,7 +157,7 @@ impl Artifact {
                 Some(Artifact::Generated {
                     func: func.clone(),
                     strategy,
-                    info: InfoSummary::from_json(v.get("info")?)?,
+                    info: counts_from_json(v.get("info")?)?,
                 })
             }
             "refused" => {
@@ -390,7 +348,7 @@ mod tests {
         let t = m.add_function(b.finish());
         let opts = CompilerOptions { param_hints: vec![64], ..Default::default() };
         let g = generate_access(&m, t, &opts).expect("generates");
-        Artifact::Generated { func: g.func, strategy: g.strategy, info: InfoSummary::of(&g.info) }
+        Artifact::Generated { func: g.func, strategy: g.strategy, info: g.info }
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! The parallel compilation executor with deterministic merge.
 //!
 //! [`Driver::compile`] replaces [`dae_core::transform_module`]: it compiles
-//! every task in the module through a [`Pipeline`], consulting the
-//! incremental [`Cache`] first and fanning the misses out over a
-//! `std::thread::scope` worker pool. The output is **bit-identical at any
-//! thread count** — and to the sequential `transform_module` path — by
-//! construction:
+//! every task in the module through [`dae_core::generate_access_with`],
+//! consulting the incremental [`Cache`] first and fanning the misses out
+//! over the calling thread and `std::thread::scope` workers. The output is
+//! **bit-identical at any thread count** — and to the sequential
+//! `transform_module` path — by construction:
 //!
 //! * workers only *read* the module (a shared `&Module` snapshot) and
 //!   return their generated functions; nothing mutates shared state off
@@ -25,14 +25,30 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
-use dae_core::{CompilerOptions, DaeMap, GeneratedAccess, RefuseReason};
+use dae_core::{generate_access_with, CompilerOptions, DaeMap, GeneratedAccess, RefuseReason};
 use dae_ir::{FuncId, Function, Module};
-use dae_pgo::{PhaseProfile, ProfileSet};
+use dae_pgo::{plan_refinement, PhaseProfile, ProfileSet};
 use dae_trace::{TraceEvent, TraceSink};
 
-use crate::cache::{Artifact, Cache, CacheStats, InfoSummary};
-use crate::hash::{refined_key, task_key};
-use crate::pass::{PassSpan, Pipeline};
+use crate::cache::{Artifact, Cache, CacheStats};
+use crate::hash::{refined_key, task_key, Pipeline};
+
+/// The timed record of one compilation stage (or one cache probe).
+#[derive(Clone, Debug, PartialEq)]
+pub struct PassSpan {
+    /// Worker lane that ran the stage (0 for the calling thread).
+    pub worker: u32,
+    /// Stage name, one of [`dae_core::STAGES`] or `"cache"`.
+    pub pass: &'static str,
+    /// Name of the task function being compiled.
+    pub func: String,
+    /// Start, in host seconds since the driver run's origin.
+    pub start_s: f64,
+    /// Duration, in host seconds.
+    pub dur_s: f64,
+    /// True when the result came from the incremental cache.
+    pub cached: bool,
+}
 
 /// Driver construction knobs.
 #[derive(Clone, Debug)]
@@ -86,20 +102,18 @@ enum Slot {
     Work(usize),
 }
 
-/// The pipeline manager: compiles modules through a [`Pipeline`] with
-/// incremental caching and a parallel executor.
+/// Compiles modules through [`dae_core::generate_access_with`] with
+/// incremental caching, profile-guided refinement and a parallel executor.
 pub struct Driver {
-    pipeline: Pipeline,
     cache: Cache,
     jobs: usize,
     profiles: ProfileSet,
 }
 
 impl Driver {
-    /// A driver running [`Pipeline::standard`] under `config`.
+    /// A driver under `config`.
     pub fn new(config: &DriverConfig) -> Driver {
         Driver {
-            pipeline: Pipeline::standard(),
             cache: Cache::new(config.mem_max_bytes, config.cache_dir.as_deref()),
             jobs: config.jobs.max(1),
             profiles: ProfileSet::new(),
@@ -107,8 +121,8 @@ impl Driver {
     }
 
     /// Installs the profile set consulted by subsequent [`Driver::compile`]
-    /// calls. A task whose **base** key has a profile compiles through the
-    /// `refine` pass under a profile-folded cache key; every other task —
+    /// calls. A task whose **base** key has a profile is refined by it (the
+    /// `refine` stage) under a profile-folded cache key; every other task —
     /// and every task when the set is empty — stays on the static path,
     /// byte-identical, same cache keys. Returns the previous set.
     pub fn set_profiles(&mut self, profiles: ProfileSet) -> ProfileSet {
@@ -140,12 +154,12 @@ impl Driver {
         module: &mut Module,
         opts_for: impl FnMut(FuncId, &Function) -> CompilerOptions,
     ) -> CompileOutcome {
-        compile_tasks(&self.pipeline, &mut self.cache, self.jobs, &self.profiles, module, opts_for)
+        compile_tasks(&mut self.cache, self.jobs, &self.profiles, module, opts_for)
     }
 
     /// [`Driver::compile`] against `profiles` instead of the installed
     /// set, which is neither read nor written — so nothing is left to
-    /// restore, and a panic mid-compile (an options closure, a pass)
+    /// restore, and a panic mid-compile (an options closure, a stage)
     /// cannot leave a temporary profile set installed on a shared driver.
     pub fn compile_with(
         &mut self,
@@ -153,14 +167,13 @@ impl Driver {
         module: &mut Module,
         opts_for: impl FnMut(FuncId, &Function) -> CompilerOptions,
     ) -> CompileOutcome {
-        compile_tasks(&self.pipeline, &mut self.cache, self.jobs, profiles, module, opts_for)
+        compile_tasks(&mut self.cache, self.jobs, profiles, module, opts_for)
     }
 }
 
 /// The body of [`Driver::compile`], over the driver's parts so the
 /// profile set can be borrowed from anywhere.
 fn compile_tasks(
-    pipeline: &Pipeline,
     cache: &mut Cache,
     jobs: usize,
     profiles: &ProfileSet,
@@ -169,7 +182,7 @@ fn compile_tasks(
 ) -> CompileOutcome {
     let origin = Instant::now();
     let before = cache.stats();
-    let fingerprint = pipeline.fingerprint();
+    let fingerprint = Pipeline::standard().fingerprint();
     let tasks = module.task_ids();
 
     // Probe phase (main thread, task order): resolve each task to a
@@ -213,52 +226,35 @@ fn compile_tasks(
         }
     }
 
-    // Compile phase: run the pipeline over every miss. Workers see a
-    // read-only module snapshot and return results keyed by work index.
+    // Compile phase: every miss through `generate_access_with`. The
+    // calling thread is worker 0; workers 1.. are spawned only when there
+    // is more than one job and more than one miss. Workers see a read-only
+    // module snapshot and take the next work index until none is left.
     type TaskResult = (Result<GeneratedAccess, RefuseReason>, Vec<PassSpan>);
+    let snapshot: &Module = module;
+    let next = AtomicUsize::new(0);
+    let worker = |w: u32| {
+        let mut out: Vec<(usize, TaskResult)> = Vec::new();
+        loop {
+            let k = next.fetch_add(1, Ordering::Relaxed);
+            let Some((task, opts, _, profile)) = work.get(k) else { break out };
+            out.push((k, compile_one(snapshot, *task, opts.clone(), profile.as_ref(), origin, w)));
+        }
+    };
+    let done = std::thread::scope(|scope| {
+        let worker = &worker;
+        let spawned: Vec<_> =
+            (1..jobs.min(work.len())).map(|w| scope.spawn(move || worker(w as u32))).collect();
+        let mut done = worker(0);
+        for h in spawned {
+            done.extend(h.join().expect("worker panicked"));
+        }
+        done
+    });
     let mut results: Vec<Option<TaskResult>> = Vec::with_capacity(work.len());
     results.resize_with(work.len(), || None);
-    if jobs == 1 || work.len() <= 1 {
-        for (k, (task, opts, _, profile)) in work.iter().enumerate() {
-            let mut spans = Vec::new();
-            let res =
-                pipeline.run_task(module, *task, opts.clone(), *profile, origin, 0, &mut spans);
-            results[k] = Some((res, spans));
-        }
-    } else {
-        let snapshot: &Module = module;
-        let next = AtomicUsize::new(0);
-        let worker_results = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..jobs.min(work.len()))
-                .map(|w| {
-                    let work = &work;
-                    let next = &next;
-                    scope.spawn(move || {
-                        let mut out: Vec<(usize, TaskResult)> = Vec::new();
-                        loop {
-                            let k = next.fetch_add(1, Ordering::Relaxed);
-                            let Some((task, opts, _, profile)) = work.get(k) else { break };
-                            let mut spans = Vec::new();
-                            let res = pipeline.run_task(
-                                snapshot,
-                                *task,
-                                opts.clone(),
-                                *profile,
-                                origin,
-                                w as u32,
-                                &mut spans,
-                            );
-                            out.push((k, (res, spans)));
-                        }
-                        out
-                    })
-                })
-                .collect();
-            handles.into_iter().flat_map(|h| h.join().expect("worker panicked")).collect::<Vec<_>>()
-        });
-        for (k, r) in worker_results {
-            results[k] = Some(r);
-        }
+    for (k, r) in done {
+        results[k] = Some(r);
     }
 
     // Merge phase (main thread, task order): identical add_function
@@ -285,7 +281,7 @@ fn compile_tasks(
                         let access_id = module.add_function(func);
                         map.access_of.insert(task, access_id);
                         map.strategy_of.insert(task, strategy);
-                        map.info_of.insert(task, info.into_info());
+                        map.info_of.insert(task, info);
                     }
                     Artifact::Refused { reason } => {
                         outcome.refused += 1;
@@ -305,7 +301,7 @@ fn compile_tasks(
                             Artifact::Generated {
                                 func: g.func.clone(),
                                 strategy: g.strategy.clone(),
-                                info: InfoSummary::of(&g.info),
+                                info: g.info,
                             },
                         );
                         let access_id = module.add_function(g.func);
@@ -326,6 +322,65 @@ fn compile_tasks(
     outcome.cache = cache.stats().delta(&before);
     outcome.spans = task_spans.into_iter().flatten().collect();
     outcome
+}
+
+/// Compiles one task on `worker`, one [`PassSpan`] per stage run. A
+/// profile refines the options in the `refine` stage.
+fn compile_one(
+    module: &Module,
+    task: FuncId,
+    opts: CompilerOptions,
+    profile: Option<&PhaseProfile>,
+    origin: Instant,
+    worker: u32,
+) -> (Result<GeneratedAccess, RefuseReason>, Vec<PassSpan>) {
+    let func = &module.func(task).name;
+    let mut spans = Vec::with_capacity(dae_core::STAGES.len());
+    let mut start_s = origin.elapsed().as_secs_f64();
+    let result = generate_access_with(
+        module,
+        task,
+        opts,
+        |opts| refine(profile, module.func(task).params.len(), opts),
+        |pass| {
+            let end_s = origin.elapsed().as_secs_f64();
+            spans.push(PassSpan {
+                worker,
+                pass,
+                func: func.clone(),
+                start_s,
+                dur_s: end_s - start_s,
+                cached: false,
+            });
+            start_s = end_s;
+        },
+    );
+    (result, spans)
+}
+
+/// The `refine` stage: applies what a task's measured profile justifies
+/// ([`plan_refinement`]) to its options, or refuses the task. Without a
+/// profile it changes nothing, so the static path stays byte-identical.
+fn refine(
+    profile: Option<&PhaseProfile>,
+    params: usize,
+    opts: &mut CompilerOptions,
+) -> Result<(), RefuseReason> {
+    let Some(profile) = profile else { return Ok(()) };
+    let plan = plan_refinement(profile, opts.param_hints.iter().any(|&h| h != 0));
+    if plan.drop_access_phase {
+        // Measured coverage says the access phase fetches nothing execute
+        // would miss on: running it is pure overhead, so the task runs
+        // coupled like any other refusal.
+        return Err(RefuseReason::NothingToPrefetch);
+    }
+    opts.line_dedup |= plan.line_dedup;
+    opts.skip_hull_check |= plan.force_profitable;
+    if let Some(trips) = plan.trip_hint {
+        // The measured trip count stands in for absent caller hints.
+        opts.param_hints = vec![trips; params];
+    }
+    Ok(())
 }
 
 /// Forwards pass spans to a trace sink as
@@ -514,24 +569,140 @@ mod tests {
         assert_eq!(out.from_cache, 1);
     }
 
-    /// A profile set giving `stream1` useless prefetch coverage, so the
-    /// refine pass refuses it. `statics` is a static compile of `m`.
-    fn useless_stream1_profile(statics: &CompileOutcome, m: &Module) -> ProfileSet {
-        use dae_pgo::PhaseSample;
+    /// A profile set holding `profile` for `stream1` alone. `statics` is a
+    /// static compile of `m`.
+    fn stream1_profile(statics: &CompileOutcome, m: &Module, profile: PhaseProfile) -> ProfileSet {
         let stream1 = *statics
             .keys
             .iter()
             .find(|(&f, _)| m.func(f).name == "stream1")
             .map(|(_, k)| k)
             .expect("stream1 compiled");
-        let mut useless = PhaseProfile::default();
-        useless.absorb(
-            Some(&PhaseSample { instrs: 100, prefetches: 64, ..Default::default() }),
-            &PhaseSample { instrs: 400, loads: 64, dram_misses: 64, ..Default::default() },
-        );
         let mut set = ProfileSet::new();
-        set.insert(stream1, useless);
+        set.insert(stream1, profile);
         set
+    }
+
+    /// One decoupled run of `stream1`: the access phase issued 64
+    /// prefetches that fetched `fetched` DRAM lines, and execute then
+    /// missed DRAM `missed` times.
+    fn one_run(fetched: u64, missed: u64) -> PhaseProfile {
+        use dae_pgo::PhaseSample;
+        let mut p = PhaseProfile::default();
+        p.absorb(
+            Some(&PhaseSample {
+                instrs: 100,
+                prefetches: 64,
+                prefetch_dram_lines: fetched,
+                ..Default::default()
+            }),
+            &PhaseSample { instrs: 400, loads: 64, dram_misses: missed, ..Default::default() },
+        );
+        p
+    }
+
+    /// A profile set giving `stream1` useless prefetch coverage, so the
+    /// `refine` stage refuses it. `statics` is a static compile of `m`.
+    fn useless_stream1_profile(statics: &CompileOutcome, m: &Module) -> ProfileSet {
+        stream1_profile(statics, m, one_run(0, 64))
+    }
+
+    /// The spans of `out`, one run of consecutive spans per task.
+    fn spans_per_task(out: &CompileOutcome) -> Vec<Vec<&PassSpan>> {
+        let mut per_task: Vec<Vec<&PassSpan>> = Vec::new();
+        for s in &out.spans {
+            match per_task.last_mut() {
+                Some(run) if run[0].func == s.func => run.push(s),
+                _ => per_task.push(vec![s]),
+            }
+        }
+        per_task
+    }
+
+    #[test]
+    fn a_compiled_task_reports_its_five_stages_in_order() {
+        let out = Driver::new(&DriverConfig::default()).compile(&mut test_module(), opts_for);
+        for run in spans_per_task(&out) {
+            let names: Vec<_> = run.iter().map(|s| s.pass).collect();
+            assert_eq!(names, Pipeline::standard().pass_names(), "{}", run[0].func);
+        }
+    }
+
+    #[test]
+    fn stage_spans_do_not_overlap() {
+        let out = Driver::new(&DriverConfig::default()).compile(&mut test_module(), opts_for);
+        for w in out.spans.windows(2) {
+            assert!(w[1].start_s >= w[0].start_s + w[0].dur_s - 1e-9, "{w:?}");
+        }
+    }
+
+    #[test]
+    fn a_task_runs_all_its_stages_on_one_worker() {
+        for jobs in [1, 4] {
+            let out = Driver::new(&DriverConfig { jobs, ..Default::default() })
+                .compile(&mut affine_module(8), opts_for);
+            for run in spans_per_task(&out) {
+                assert!(
+                    run.iter().all(|s| s.worker == run[0].worker && (s.worker as usize) < jobs),
+                    "jobs={jobs}: {run:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_refusing_stage_still_reports_its_span() {
+        let mut d = Driver::new(&DriverConfig::default());
+        let mut m = test_module();
+        let statics = d.compile(&mut m, opts_for);
+        let writeonly = spans_per_task(&statics).pop().expect("writeonly is the last task");
+        assert_eq!(writeonly.last().map(|s| s.pass), Some("generate"), "refused in `generate`");
+        let refined =
+            d.compile_with(&useless_stream1_profile(&statics, &m), &mut test_module(), opts_for);
+        let stream1 = spans_per_task(&refined).remove(0);
+        let names: Vec<_> = stream1.iter().map(|s| s.pass).collect();
+        assert_eq!(names, ["inline", "optimize", "refine"], "refused in `refine`");
+    }
+
+    #[test]
+    fn a_cache_hit_reports_one_cache_span() {
+        let mut d = Driver::new(&DriverConfig::default());
+        d.compile(&mut test_module(), opts_for);
+        // New hints miss for the three tasks with a parameter; `writeonly`
+        // has none and hits.
+        let out = d.compile(&mut test_module(), |_, f| CompilerOptions {
+            param_hints: vec![128; f.params.len()],
+            ..Default::default()
+        });
+        let hits: Vec<_> = out.spans.iter().filter(|s| s.pass == "cache").collect();
+        assert_eq!(hits.len(), out.from_cache, "{hits:?}");
+    }
+
+    #[test]
+    fn a_profile_that_plans_nothing_leaves_the_bytes_unchanged() {
+        let mut d = Driver::new(&DriverConfig::default());
+        let mut statics = test_module();
+        let out = d.compile(&mut statics, opts_for);
+        // 60 of 64 prefetches fetched a line and execute missed 4 times:
+        // accurate, covering, decoupled and hinted.
+        let healthy = stream1_profile(&out, &statics, one_run(60, 4));
+        let mut refined = test_module();
+        d.compile_with(&healthy, &mut refined, opts_for);
+        assert_eq!(print_module(&refined), print_module(&statics));
+    }
+
+    #[test]
+    fn the_same_profile_always_gives_the_same_bytes() {
+        let mut statics = test_module();
+        let out = Driver::new(&DriverConfig::default()).compile(&mut statics, opts_for);
+        // 8 of 64 prefetches fetched a line: the plan re-steps by line.
+        let redundant = stream1_profile(&out, &statics, one_run(8, 4));
+        let compile = || {
+            let mut m = test_module();
+            Driver::new(&DriverConfig::default()).compile_with(&redundant, &mut m, opts_for);
+            print_module(&m)
+        };
+        assert_eq!(compile(), compile());
     }
 
     #[test]

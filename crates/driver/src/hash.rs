@@ -11,8 +11,8 @@
 //!   — delinearisation and address generation read them; initial *values*
 //!   are excluded because generation never does;
 //! * every field of the [`CompilerOptions`] in a fixed order;
-//! * the **pipeline fingerprint** ([`crate::pass::Pipeline::fingerprint`]),
-//!   so artifacts produced by a different pass sequence (or a future
+//! * the **pipeline fingerprint** ([`Pipeline::fingerprint`]), so
+//!   artifacts produced by a different stage sequence (or a future
 //!   artifact-schema revision) never alias.
 //!
 //! The digest is [`dae_trace::Fnv64`], not `std::hash::Hasher`: these keys
@@ -20,9 +20,44 @@
 
 use std::fmt::Write;
 
-use dae_core::CompilerOptions;
+use dae_core::{CompilerOptions, STAGES};
 use dae_ir::{print_function_into, FuncId, InstKind, Module};
 use dae_trace::Fnv64;
+
+/// The identity of the sequence the driver compiles every task through,
+/// [`dae_core::generate_access_with`]: its stages ([`dae_core::STAGES`])
+/// under the name `dae-access`. Stateless; it exists for its
+/// [`Pipeline::fingerprint`], which is part of every cache key.
+#[derive(Clone, Copy, Debug)]
+pub struct Pipeline;
+
+impl Pipeline {
+    /// The driver's sequence: `inline → optimize → refine → analyze →
+    /// generate`.
+    pub fn standard() -> Pipeline {
+        Pipeline
+    }
+
+    /// The stage names, in execution order (the names of the driver's
+    /// [`PassSpan`](crate::PassSpan)s).
+    pub fn pass_names(&self) -> Vec<&'static str> {
+        STAGES.to_vec()
+    }
+
+    /// A stable digest of the pipeline identity (name, stage sequence, and
+    /// the on-disk artifact schema revision). Part of every cache key:
+    /// artifacts from a different pipeline or schema never alias.
+    pub fn fingerprint(&self) -> u64 {
+        let mut h = Fnv64::new();
+        h.write_str(crate::cache::ARTIFACT_SCHEMA);
+        h.write_str("dae-access");
+        h.write_u64(STAGES.len() as u64);
+        for stage in STAGES {
+            h.write_str(stage);
+        }
+        h.finish()
+    }
+}
 
 /// Functions reachable from `root` through `call` instructions, `root`
 /// first, then callees in deterministic first-encounter (pre-order) order.
@@ -131,6 +166,18 @@ mod tests {
         b.ret(None);
         let t = m.add_function(b.finish());
         (m, t)
+    }
+
+    /// The fingerprint every disk artifact and stored profile was keyed
+    /// under since the artifact schema's last revision: a change here
+    /// orphans all of them.
+    #[test]
+    fn fingerprint_is_pinned() {
+        assert_eq!(Pipeline::standard().fingerprint(), 0x3c1c_a4c4_a3a1_95fb);
+        assert_eq!(
+            Pipeline::standard().pass_names(),
+            ["inline", "optimize", "refine", "analyze", "generate"]
+        );
     }
 
     #[test]

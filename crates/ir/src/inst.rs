@@ -320,11 +320,6 @@ impl InstKind {
         }
     }
 
-    /// True if the instruction touches simulated memory.
-    pub fn is_memory(&self) -> bool {
-        matches!(self, InstKind::Load { .. } | InstKind::Store { .. } | InstKind::Prefetch { .. })
-    }
-
     /// True if removing this instruction can change observable behaviour
     /// even when its result is unused.
     pub fn has_side_effects(&self) -> bool {
@@ -494,7 +489,6 @@ mod tests {
         assert!(InstKind::Store { addr: Value::i64(0), value: Value::i64(0) }.has_side_effects());
         assert!(InstKind::Prefetch { addr: Value::i64(0) }.has_side_effects());
         assert!(!InstKind::Load { addr: Value::i64(0) }.has_side_effects());
-        assert!(InstKind::Load { addr: Value::i64(0) }.is_memory());
     }
 
     #[test]

@@ -24,6 +24,11 @@
 //!   the number inside a name.
 //! * **Duplicates are errors.** A second definition of a value, block,
 //!   function or global name fails at its line instead of rebinding the name.
+//! * **`@gN` is global N.** The printer spells every global reference by
+//!   id, so `@g<digits>` always means that id, even where some global is
+//!   *named* `g<digits>`; only other spellings are looked up by name. A
+//!   declaration must carry the id of its position (`global g0 …`,
+//!   `global g1 …`, …).
 
 use crate::function::Function;
 use crate::inst::{BinOp, BlockCall, CmpOp, InstKind, Terminator, UnOp};
@@ -122,6 +127,11 @@ fn cmpop_from_mnemonic(line: usize, s: &str) -> Result<CmpOp, ParseError> {
         "ge" => CmpOp::Ge,
         other => return Err(perr(line, format!("unknown cmp predicate `{other}`"))),
     })
+}
+
+/// The digits of `g<digits>`, the printer's spelling of a global id.
+fn global_id_digits(name: &str) -> Option<&str> {
+    name.strip_prefix('g').filter(|n| !n.is_empty() && n.bytes().all(|b| b.is_ascii_digit()))
 }
 
 /// `s` split around its first `byte`. A plain loop: the strings of one line
@@ -348,13 +358,13 @@ impl<'a> Parser<'a> {
             }
         }
         if let Some(rest) = tok.strip_prefix('@') {
-            if let Some(&g) = self.globals.get(rest) {
-                return Ok(Value::Global(g));
-            }
-            if let Some(num) = rest.strip_prefix('g').and_then(|n| n.parse::<u32>().ok()) {
-                return Ok(Value::Global(GlobalId(num)));
-            }
-            return Err(perr(line, format!("unknown global `{tok}`")));
+            let global = match global_id_digits(rest) {
+                Some(digits) => digits.parse().ok().map(GlobalId),
+                None => self.globals.get(rest).copied(),
+            };
+            return global
+                .map(Value::Global)
+                .ok_or_else(|| perr(line, format!("unknown global `{tok}`")));
         }
         if let Some(i) = tok.strip_prefix("arg").and_then(|n| n.parse::<u32>().ok()) {
             return Ok(Value::Arg(i));
@@ -415,7 +425,13 @@ impl<'a> Parser<'a> {
         rest: &'a str,
     ) -> Result<(), ParseError> {
         let mut parts = rest.split_ascii_whitespace();
-        let _id = parts.next().ok_or_else(|| perr(line, "missing global id"))?;
+        let id_tok = parts.next().ok_or_else(|| perr(line, "missing global id"))?;
+        let id = GlobalId(module.num_globals() as u32);
+        let canonical = global_id_digits(id_tok)
+            .is_some_and(|n| n.parse() == Ok(id.0) && (n == "0" || !n.starts_with('0')));
+        if !canonical {
+            return Err(perr(line, format!("global `{id_tok}` declared as global {}", id.0)));
+        }
         let name = parts.next().ok_or_else(|| perr(line, "missing global name"))?;
         if parts.next() != Some(":") {
             return Err(perr(line, "expected `:` in global"));
@@ -428,7 +444,6 @@ impl<'a> Parser<'a> {
             return Err(perr(line, "expected `x` in global"));
         }
         let ty = parse_type(line, parts.next().ok_or_else(|| perr(line, "missing elem type"))?)?;
-        let id = GlobalId(module.num_globals() as u32);
         if self.globals.insert(name, id).is_some() {
             return Err(perr(line, format!("duplicate global `{name}`")));
         }
@@ -852,6 +867,46 @@ bb0:
         let e = error(text);
         assert_eq!(e.line, 2, "{e}");
         assert!(e.message.contains("duplicate global `a`"), "{e}");
+    }
+
+    #[test]
+    fn global_ids_win_over_global_names() {
+        // Global 0 is *named* `g1`; `@g1` is still global 1, and the name
+        // `g1` is only reachable as the id it spells.
+        let text = "global g0 g1 : 8 x i64\nglobal g1 a : 8 x i64\n\n\
+                    task fn t() {\nbb0:\n  prefetch @g1\n  prefetch @a\n  prefetch @g0\n  ret\n}\n";
+        let m = parse_module(text).expect("parses");
+        let t = m.func(FuncId(0));
+        let addrs: Vec<Value> = t
+            .block(BlockId(0))
+            .insts
+            .iter()
+            .map(|&i| match t.inst(i).kind {
+                InstKind::Prefetch { addr } => addr,
+                ref k => panic!("{k:?}"),
+            })
+            .collect();
+        assert_eq!(
+            addrs,
+            [Value::Global(GlobalId(1)), Value::Global(GlobalId(1)), Value::Global(GlobalId(0))]
+        );
+        let printed = crate::print::print_module(&m);
+        let again = parse_module(&printed).expect("re-parses");
+        assert_eq!(crate::print::print_module(&again), printed, "print → parse is a fixed point");
+    }
+
+    #[test]
+    fn a_global_declared_under_another_id_is_rejected() {
+        for (decl, line) in [
+            ("global g1 a : 8 x i64\n", 1),
+            ("global g0 a : 8 x i64\nglobal g0 b : 8 x i64\n", 2),
+            ("global g0 a : 8 x i64\nglobal g01 b : 8 x i64\n", 2),
+            ("global b a : 8 x i64\n", 1),
+        ] {
+            let e = error(decl);
+            assert_eq!(e.line, line, "{decl}: {e}");
+            assert!(e.message.contains("declared as global"), "{decl}: {e}");
+        }
     }
 
     #[test]

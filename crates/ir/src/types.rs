@@ -46,19 +46,9 @@ impl Type {
         }
     }
 
-    /// True if the type is an integer-like type usable in address arithmetic.
-    pub fn is_integral(self) -> bool {
-        matches!(self, Type::I64 | Type::Bool)
-    }
-
     /// True for [`Type::F64`].
     pub fn is_float(self) -> bool {
         matches!(self, Type::F64)
-    }
-
-    /// True for [`Type::Ptr`].
-    pub fn is_ptr(self) -> bool {
-        matches!(self, Type::Ptr)
     }
 }
 
@@ -94,10 +84,6 @@ mod tests {
 
     #[test]
     fn predicates() {
-        assert!(Type::I64.is_integral());
-        assert!(Type::Bool.is_integral());
         assert!(Type::F64.is_float());
-        assert!(Type::Ptr.is_ptr());
-        assert!(!Type::F64.is_integral());
     }
 }

@@ -192,9 +192,14 @@ enum Shape {
 
 /// Builds `helper`, `sink` and the task `generated` over `steps`.
 fn build_module(steps: &[Step], shape: Shape) -> Module {
+    build_module_named(steps, shape, ["data", "idx"])
+}
+
+/// [`build_module`] with its two globals named `names`.
+fn build_module_named(steps: &[Step], shape: Shape, names: [&str; 2]) -> Module {
     let mut m = Module::new();
-    let data = m.add_global("data", Type::F64, 256);
-    m.add_global("idx", Type::I64, 16);
+    let data = m.add_global(names[0], Type::F64, 256);
+    let idx = m.add_global(names[1], Type::I64, 16);
 
     let mut h = FunctionBuilder::new("helper", vec![Type::I64, Type::F64], Type::F64);
     let x = h.itof(Value::Arg(0));
@@ -209,6 +214,7 @@ fn build_module(steps: &[Step], shape: Shape) -> Module {
 
     let mut b = FunctionBuilder::new("generated", vec![Type::I64, Type::F64], Type::Void);
     b.set_task();
+    b.prefetch(Value::Global(idx));
     match shape {
         Shape::Straight => {
             let mut pools = Pools::new(Value::i64(3), Value::Arg(1), data);
@@ -308,5 +314,23 @@ proptest! {
         let parsed2 = parse_module(&text2).expect("re-parses");
         prop_assert_eq!(print_module(&parsed2), text2.clone(), "normalised form must be a fixpoint");
         prop_assert!(parsed2 == parsed1, "parse(print(f)) != f for a parsed f:\n{}", text2);
+    }
+
+    /// Globals named like ids (`gK`: the other global's id, their own, or
+    /// one past the end) print every reference as `@gN`, which parses back
+    /// to global N: `parse(print(m)) == m`.
+    #[test]
+    fn globals_named_like_ids_round_trip(
+        steps in proptest::collection::vec(step(), 0..40),
+        carried: bool,
+        k in 0u32..4,
+        d in 1u32..5,
+    ) {
+        let names = [format!("g{k}"), format!("g{}", (k + d) % 5)];
+        let shape = if carried { Shape::Carried } else { Shape::Straight };
+        let m = build_module_named(&steps, shape, [&names[0], &names[1]]);
+        let text = print_module(&m);
+        let parsed = parse_module(&text).unwrap_or_else(|e| panic!("{e}\n{text}"));
+        prop_assert!(parsed == m, "parse(print(m)) != m:\n{}", text);
     }
 }

@@ -228,11 +228,6 @@ impl CoreCaches {
         self.flush();
         self.streams = StreamPrefetcher::default();
     }
-
-    /// Capacity of L1 + L2 in bytes (the paper's task working-set target).
-    pub fn private_capacity(&self) -> u64 {
-        self.l1.config().size_bytes + self.l2.config().size_bytes
-    }
 }
 
 #[cfg(test)]
@@ -292,13 +287,6 @@ mod tests {
         c0.access(&mut llc, 0); // memory; fills LLC
                                 // Other core: private miss, but LLC hit.
         assert_eq!(c1.access(&mut llc, 0), HitLevel::Llc);
-    }
-
-    #[test]
-    fn private_capacity_matches_config() {
-        let cfg = small_cfg();
-        let core = CoreCaches::new(&cfg);
-        assert_eq!(core.private_capacity(), 256 + 1024);
     }
 
     #[test]

@@ -14,13 +14,14 @@
 //! * [`store`] — the corruption-tolerant, versioned on-disk store keyed
 //!   by the driver's `task_key`: a malformed record is skipped and
 //!   counted, never a panic; an in-memory LRU mirror bounds residency.
-//! * [`refine`] — the pure decision function behind the driver's
-//!   `refine` pass: given a profile it prunes redundant prefetches
-//!   (line-granularity dedup when measured accuracy is low), drops
-//!   access phases whose measured coverage shows them useless, flips the
-//!   §5.1 profitability verdict when measured boundedness contradicts
-//!   the static estimate, and synthesises trip-count hints for unhinted
-//!   parameters. Deterministic given the same profile.
+//! * [`refine`] — the pure decision function behind the `refine` stage of
+//!   the driver's access-generation sequence: given a profile it prunes
+//!   redundant prefetches (line-granularity dedup when measured accuracy
+//!   is low), drops access phases whose measured coverage shows them
+//!   useless, flips the §5.1 profitability verdict when measured
+//!   boundedness contradicts the static estimate, and synthesises
+//!   trip-count hints for unhinted parameters. Deterministic given the
+//!   same profile.
 //!
 //! Everything is content-addressed: [`PhaseProfile::content_hash`] folds
 //! into the driver's cache key, so a refined artifact can never go stale
@@ -34,7 +35,7 @@ pub mod refine;
 pub mod store;
 
 pub use profile::{PhaseAgg, PhaseProfile, PhaseSample, ProfileCollector, ProfileSet};
-pub use refine::{plan_refinement, RefinePlan, RefineThresholds};
+pub use refine::{plan_refinement, RefinePlan};
 pub use store::{ProfileStore, StoreStats};
 
 /// Stable schema tag of every profile document this crate reads or writes.

@@ -273,7 +273,7 @@ fn ratio(num: u64, den: u64) -> f64 {
 }
 
 /// An immutable, deterministic profile view keyed by the driver's base
-/// `task_key` — what the driver's `refine` pass consults during a
+/// `task_key` — what the driver's `refine` stage consults during a
 /// compile. Cloning is cheap enough for per-compile snapshots.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ProfileSet {

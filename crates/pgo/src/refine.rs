@@ -1,31 +1,31 @@
-//! The pure decision function behind the driver's `refine` pass.
+//! The pure decision function behind the `refine` stage of the driver's
+//! access-generation sequence.
 //!
 //! [`plan_refinement`] maps one task's measured [`PhaseProfile`] to a
 //! [`RefinePlan`] — a small set of orthogonal knob changes the driver
 //! applies to its `CompilerOptions` before analysis and generation. The
-//! function is **pure and deterministic**: the same profile and
-//! thresholds always yield the same plan, and no profile (or one with
-//! too few runs) yields [`RefinePlan::none`], which the driver treats as
-//! "leave the static pipeline byte-identical".
+//! function is **pure and deterministic**: the same profile always yields
+//! the same plan, and an empty profile (no runs) yields
+//! [`RefinePlan::none`], which the driver treats as "leave the static
+//! sequence byte-identical".
 //!
 //! The four rules, in the order a reader should trust them:
 //!
-//! 1. **Prefetch pruning (accuracy)** — if fewer than
-//!    [`RefineThresholds::accuracy_floor`] of issued prefetches actually
-//!    fetched a DRAM line, the access phase is re-touching lines it
-//!    already brought in (the classic unit-stride 8-per-cache-line
+//! 1. **Prefetch pruning (accuracy)** — if fewer than [`ACCURACY_FLOOR`]
+//!    of issued prefetches actually fetched a DRAM line, the access phase
+//!    is re-touching lines it already brought in (the classic unit-stride 8-per-cache-line
 //!    pattern scores 1/8). Plan: line-granularity dedup, which the
 //!    affine generator implements by stepping the prefetch loop a cache
 //!    line at a time.
 //! 2. **Phase dropping (coverage)** — if the access phase fetched under
-//!    [`RefineThresholds::coverage_floor`] of the task's DRAM line
-//!    traffic ahead of execute, it is pure overhead. Plan: refuse
+//!    [`COVERAGE_FLOOR`] of the task's DRAM line traffic ahead of
+//!    execute, it is pure overhead. Plan: refuse
 //!    decoupling for the task (it runs coupled, like any other refusal).
 //! 3. **Profitability flip (measured boundedness)** — §5.1's static
 //!    `NconvUn` gate can reject a scan whose measured execute phase is
 //!    in fact memory-bound. When measured boundedness is at least
-//!    [`RefineThresholds::membound_force`], plan: skip the hull
-//!    instruction-count check and let the scan through.
+//!    [`MEMBOUND_FORCE`], plan: skip the hull instruction-count check
+//!    and let the scan through.
 //! 4. **Hint synthesis (trip counts)** — when the caller provided no
 //!    parameter hints, the measured mean branch count stands in for the
 //!    trip count, giving the affine granularity logic a real bound
@@ -33,31 +33,15 @@
 
 use crate::profile::PhaseProfile;
 
-/// Tunable gates for [`plan_refinement`]. [`Default`] is the benchmarked
-/// configuration.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct RefineThresholds {
-    /// Minimum aggregated runs before any rule may fire.
-    pub min_runs: u64,
-    /// Prefetch accuracy below this enables line-granularity dedup.
-    pub accuracy_floor: f64,
-    /// Prefetch coverage below this drops the access phase entirely.
-    pub coverage_floor: f64,
-    /// Measured execute memory-bound fraction at or above this forces
-    /// the §5.1 profitability verdict to "decouple".
-    pub membound_force: f64,
-}
+/// Prefetch accuracy below this enables line-granularity dedup (rule 1).
+pub const ACCURACY_FLOOR: f64 = 0.60;
 
-impl Default for RefineThresholds {
-    fn default() -> Self {
-        RefineThresholds {
-            min_runs: 1,
-            accuracy_floor: 0.60,
-            coverage_floor: 0.02,
-            membound_force: 0.50,
-        }
-    }
-}
+/// Prefetch coverage below this drops the access phase entirely (rule 2).
+pub const COVERAGE_FLOOR: f64 = 0.02;
+
+/// Measured execute memory-bound fraction at or above this forces the
+/// §5.1 profitability verdict to "decouple" (rule 3).
+pub const MEMBOUND_FORCE: f64 = 0.50;
 
 /// The knob changes a profile justifies for one task. All fields default
 /// to "change nothing"; the driver applies them to its options.
@@ -94,13 +78,9 @@ impl RefinePlan {
 ///
 /// `hints_present` must be true when the caller supplied any non-zero
 /// parameter hint — rule 4 never overrides a real hint with a guess.
-pub fn plan_refinement(
-    profile: &PhaseProfile,
-    hints_present: bool,
-    t: &RefineThresholds,
-) -> RefinePlan {
+pub fn plan_refinement(profile: &PhaseProfile, hints_present: bool) -> RefinePlan {
     let mut plan = RefinePlan::none();
-    if profile.runs < t.min_runs.max(1) {
+    if profile.runs == 0 {
         return plan;
     }
 
@@ -108,13 +88,13 @@ pub fn plan_refinement(
 
     // Rule 2 first: a useless access phase makes the other access-shape
     // rules moot for this task.
-    if ran_decoupled && profile.prefetch_coverage() < t.coverage_floor {
+    if ran_decoupled && profile.prefetch_coverage() < COVERAGE_FLOOR {
         plan.drop_access_phase = true;
         return plan;
     }
 
     // Rule 1: redundant prefetches ⇒ line-granularity dedup.
-    if profile.access.prefetches > 0 && profile.prefetch_accuracy() < t.accuracy_floor {
+    if profile.access.prefetches > 0 && profile.prefetch_accuracy() < ACCURACY_FLOOR {
         plan.line_dedup = true;
     }
 
@@ -123,7 +103,7 @@ pub fn plan_refinement(
     // already passed the gate), and only when execute actually misses.
     if !ran_decoupled
         && profile.execute.dram_misses > 0
-        && profile.execute_mem_bound() >= t.membound_force
+        && profile.execute_mem_bound() >= MEMBOUND_FORCE
     {
         plan.force_profitable = true;
     }
@@ -167,39 +147,32 @@ mod tests {
 
     #[test]
     fn empty_or_thin_profiles_plan_nothing() {
-        let t = RefineThresholds::default();
-        assert!(plan_refinement(&PhaseProfile::default(), false, &t).is_noop());
-        let p = decoupled(800, 100, 10);
-        let strict = RefineThresholds { min_runs: 5, ..t };
-        assert!(plan_refinement(&p, false, &strict).is_noop());
+        assert!(plan_refinement(&PhaseProfile::default(), false).is_noop());
     }
 
     #[test]
     fn low_accuracy_plans_line_dedup() {
-        let t = RefineThresholds::default();
         // 100/800 = 0.125 accuracy, coverage 100/110 — healthy phase,
         // redundant prefetches.
-        let plan = plan_refinement(&decoupled(800, 100, 10), true, &t);
+        let plan = plan_refinement(&decoupled(800, 100, 10), true);
         assert!(plan.line_dedup);
         assert!(!plan.drop_access_phase);
         assert!(!plan.force_profitable);
         // Accurate prefetches are left alone.
-        let plan = plan_refinement(&decoupled(100, 95, 10), true, &t);
+        let plan = plan_refinement(&decoupled(100, 95, 10), true);
         assert!(plan.is_noop());
     }
 
     #[test]
     fn useless_coverage_drops_the_access_phase_and_preempts_other_rules() {
-        let t = RefineThresholds::default();
         // 1 DRAM line fetched vs 1000 execute misses ⇒ coverage ≈ 0.001.
-        let plan = plan_refinement(&decoupled(800, 1, 1_000), true, &t);
+        let plan = plan_refinement(&decoupled(800, 1, 1_000), true);
         assert!(plan.drop_access_phase);
         assert!(!plan.line_dedup, "drop preempts dedup");
     }
 
     #[test]
     fn measured_boundedness_flips_profitability_only_for_coupled_tasks() {
-        let t = RefineThresholds::default();
         let mut coupled = PhaseProfile::default();
         coupled.absorb(
             None,
@@ -211,12 +184,12 @@ mod tests {
                 ..Default::default()
             },
         );
-        let plan = plan_refinement(&coupled, true, &t);
+        let plan = plan_refinement(&coupled, true);
         assert!(plan.force_profitable);
         // The same boundedness on an already-decoupled task changes nothing.
         let mut dec = decoupled(100, 95, 10);
         dec.execute.mem_bound_ppm_sum = 700_000;
-        assert!(!plan_refinement(&dec, true, &t).force_profitable);
+        assert!(!plan_refinement(&dec, true).force_profitable);
         // A compute-bound coupled task stays coupled.
         let mut cb = PhaseProfile::default();
         cb.absorb(
@@ -229,24 +202,22 @@ mod tests {
                 ..Default::default()
             },
         );
-        assert!(plan_refinement(&cb, true, &t).is_noop());
+        assert!(plan_refinement(&cb, true).is_noop());
     }
 
     #[test]
     fn trip_hints_only_fill_an_absent_hint() {
-        let t = RefineThresholds::default();
         let p = decoupled(100, 95, 10); // otherwise healthy
-        assert_eq!(plan_refinement(&p, false, &t).trip_hint, Some(128));
-        assert_eq!(plan_refinement(&p, true, &t).trip_hint, None);
+        assert_eq!(plan_refinement(&p, false).trip_hint, Some(128));
+        assert_eq!(plan_refinement(&p, true).trip_hint, None);
     }
 
     #[test]
     fn planning_is_deterministic() {
-        let t = RefineThresholds::default();
         let p = decoupled(800, 100, 10);
-        let a = plan_refinement(&p, false, &t);
+        let a = plan_refinement(&p, false);
         for _ in 0..8 {
-            assert_eq!(plan_refinement(&p, false, &t), a);
+            assert_eq!(plan_refinement(&p, false), a);
         }
     }
 }

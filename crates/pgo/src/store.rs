@@ -241,7 +241,7 @@ impl ProfileStore {
     }
 
     /// An immutable snapshot of every resident record, keyed by
-    /// `task_key` — what the driver's `refine` pass consumes.
+    /// `task_key` — what the driver's `refine` stage consumes.
     pub fn snapshot(&self) -> ProfileSet {
         let mut set = ProfileSet::new();
         for (&k, r) in &self.records {

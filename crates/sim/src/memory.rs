@@ -121,26 +121,6 @@ impl Val {
     pub fn as_f(self) -> f64 {
         self.try_f().unwrap_or_else(|e| panic!("{e}"))
     }
-
-    /// The boolean payload.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the value is not a boolean (test helper; execution paths
-    /// use [`Val::try_b`]).
-    pub fn as_b(self) -> bool {
-        self.try_b().unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// The pointer payload.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the value is not a pointer (test helper; execution paths
-    /// use [`Val::try_p`]).
-    pub fn as_p(self) -> u64 {
-        self.try_p().unwrap_or_else(|e| panic!("{e}"))
-    }
 }
 
 /// Base address of the first global; leaves page zero unmapped so that a
@@ -355,8 +335,6 @@ mod tests {
     fn val_accessors() {
         assert_eq!(Val::I(3).as_i(), 3);
         assert_eq!(Val::F(2.5).as_f(), 2.5);
-        assert!(Val::B(true).as_b());
-        assert_eq!(Val::P(0x40).as_p(), 0x40);
     }
 
     #[test]

@@ -27,7 +27,7 @@
 //! * `--hints` — representative parameter values for profitability counts
 //!   (applied to every task)
 //! * `--profile-in` — load a phase-profile document and compile through
-//!   the profile-guided `refine` pass; with `--policy governed:bandit`
+//!   the profile-guided `refine` stage; with `--policy governed:bandit`
 //!   the profiles also warm-start the bandit's per-class priors
 //! * `--profile-out` — run every task once after compiling and write the
 //!   collected phase profiles to `<file>` (merging with `--profile-in`)
