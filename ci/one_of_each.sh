@@ -172,6 +172,34 @@ check "a second inline of a task" \
     "crates/core/src/generate\.rs|crates/analysis/.*" \
     'inline_all\('
 
+# A task's phases are run, priced and charged by one scheduler routine
+# (`Run::phase`) over one run state; a routine that needs a pile of
+# arguments is a second copy of that sequence coming back.
+check "a scheduler routine that needs too many arguments (a phase is run and charged by one routine)" \
+    "none" \
+    'too_many_arguments' \
+    'crates/runtime/src/.*'
+
+# Random inputs come from dae_trace::SplitMix64; no manifest names an RNG
+# crate.
+check "a second RNG crate" \
+    "none" \
+    '^rand[. ]' \
+    '(crates/[^/]*/)?Cargo\.toml'
+
+# §6.1 prices a DVFS transition at the per-core static share
+# (`PowerModel::core_static_w`), billed by the scheduler's phase routine.
+check "a second price for a DVFS transition" \
+    "none" \
+    'fn transition_cost'
+
+# The runtime runs the Optimal-f search in one place, `policy_freq`.
+n=$(grep -ro 'select_optimal_edp(' crates/runtime/src | wc -l)
+if [ "$n" -ne 1 ]; then
+    echo "one_of_each: select_optimal_edp( appears $n times under crates/runtime/src (only policy_freq calls it)"
+    fail=1
+fi
+
 n=$(grep -c 'InterpError::StepLimit' crates/sim/src/vm/exec.rs)
 if [ "$n" -ne 1 ]; then
     echo "one_of_each: InterpError::StepLimit appears $n times in crates/sim/src/vm/exec.rs (only step! raises it)"

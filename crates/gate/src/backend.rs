@@ -36,6 +36,9 @@ use std::time::{Duration, Instant};
 use dae_trace::json::JsonValue;
 use dae_trace::{lock_recover, LogHistogram};
 
+/// Idle connections pooled per backend.
+const POOL_CAP: usize = 8;
+
 /// Routability of a backend, as decided by probes and request outcomes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum HealthState {
@@ -103,7 +106,6 @@ pub struct Backend {
     /// Index in the gateway's fleet (the trace lane).
     pub index: usize,
     pool: Mutex<Vec<TcpStream>>,
-    pool_cap: usize,
     health: Mutex<Health>,
     /// Requests currently being exchanged with this backend.
     pub inflight: AtomicUsize,
@@ -125,12 +127,11 @@ pub struct Backend {
 
 impl Backend {
     /// A backend starting `Up` with an empty pool.
-    pub fn new(addr: String, index: usize, pool_cap: usize) -> Backend {
+    pub fn new(addr: String, index: usize) -> Backend {
         Backend {
             addr,
             index,
             pool: Mutex::new(Vec::new()),
-            pool_cap: pool_cap.max(1),
             health: Mutex::new(Health {
                 state: HealthState::Up,
                 since: Instant::now(),
@@ -315,7 +316,7 @@ impl Backend {
 
     fn checkin(&self, stream: TcpStream) {
         let mut pool = lock_recover(&self.pool);
-        if pool.len() < self.pool_cap {
+        if pool.len() < POOL_CAP {
             pool.push(stream);
         }
     }
@@ -389,7 +390,7 @@ mod tests {
 
     #[test]
     fn state_machine_ejects_cools_down_and_readmits() {
-        let b = Backend::new("127.0.0.1:1".into(), 0, 4);
+        let b = Backend::new("127.0.0.1:1".into(), 0);
         assert_eq!(b.state(READMIT), HealthState::Up);
         assert!(b.note_failure(3).is_none());
         assert!(b.note_failure(3).is_none());
@@ -407,7 +408,7 @@ mod tests {
 
     #[test]
     fn failed_trial_restarts_the_cooldown() {
-        let b = Backend::new("127.0.0.1:1".into(), 0, 4);
+        let b = Backend::new("127.0.0.1:1".into(), 0);
         for _ in 0..2 {
             b.note_failure(2);
         }
@@ -420,7 +421,7 @@ mod tests {
 
     #[test]
     fn draining_is_not_routable_but_recovers_on_success() {
-        let b = Backend::new("127.0.0.1:1".into(), 0, 4);
+        let b = Backend::new("127.0.0.1:1".into(), 0);
         assert!(b.note_draining());
         assert!(!b.note_draining(), "transition reported once");
         assert!(!b.admit(READMIT));
@@ -442,7 +443,7 @@ mod tests {
                 writer.write_all(b"{\"id\":7,\"ok\":true,\"result\":{}}\n").unwrap();
             }
         });
-        let b = Backend::new(addr.to_string(), 0, 4);
+        let b = Backend::new(addr.to_string(), 0);
         let resp =
             b.call(r#"{"id":7,"op":"health"}"#, "7", Duration::from_secs(2)).expect("first call");
         assert!(resp.contains("\"ok\":true"));
@@ -463,7 +464,7 @@ mod tests {
             reader.read_line(&mut line).unwrap();
             writer.write_all(b"{\"id\":999,\"ok\":true}\n").unwrap();
         });
-        let b = Backend::new(addr.to_string(), 0, 4);
+        let b = Backend::new(addr.to_string(), 0);
         let err = b.call(r#"{"id":7,"op":"health"}"#, "7", Duration::from_secs(2)).unwrap_err();
         assert!(matches!(err, CallError::Garbled(_)), "{err:?}");
         assert_eq!(b.pooled(), 0, "garbled exchange must not pool the connection");
@@ -476,7 +477,7 @@ mod tests {
             let l = TcpListener::bind("127.0.0.1:0").unwrap();
             l.local_addr().unwrap().to_string()
         };
-        let b = Backend::new(addr, 0, 4);
+        let b = Backend::new(addr, 0);
         let err = b.call(r#"{"id":1,"op":"health"}"#, "1", Duration::from_millis(500)).unwrap_err();
         assert!(matches!(err, CallError::Connect(_)), "{err:?}");
         assert_eq!(b.failed.load(Ordering::Relaxed), 1);

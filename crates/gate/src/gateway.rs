@@ -44,8 +44,6 @@ pub struct GateConfig {
     /// Per-backend in-flight cap: a home backend at the cap spills the
     /// request to the next ring candidate (bounded load).
     pub inflight_cap: usize,
-    /// Idle connections pooled per backend.
-    pub pool_cap: usize,
     /// Consecutive failures before a backend is ejected.
     pub eject_after: u32,
     /// Cooldown before an ejected backend goes half-open.
@@ -74,7 +72,6 @@ impl Default for GateConfig {
             queue_depth: 128,
             vnodes: 128,
             inflight_cap: 32,
-            pool_cap: 8,
             eject_after: 3,
             readmit_ms: 500,
             probe_interval_ms: 100,
@@ -124,7 +121,7 @@ impl Gateway {
             .backends
             .iter()
             .enumerate()
-            .map(|(i, addr)| Backend::new(addr.clone(), i, config.pool_cap))
+            .map(|(i, addr)| Backend::new(addr.clone(), i))
             .collect();
         let ring = Ring::new(&config.backends, config.vnodes);
         let shared = Shared {

@@ -16,7 +16,7 @@
 //! Exploration is deterministic: each class derives a SplitMix64 stream
 //! from the configured seed and its own identity, so a fixed seed yields a
 //! bit-reproducible run. Arms are first swept systematically
-//! ([`BanditConfig::min_pulls`] each, slowest first), then ε-greedy with a
+//! (one pull each, slowest first), then ε-greedy with a
 //! decaying ε takes over; once decisions stabilise the class freezes
 //! (exploration stops) until the safety guard or fresh feedback says
 //! otherwise.
@@ -40,8 +40,6 @@ pub struct BanditConfig {
     pub epsilon: f64,
     /// Observation count over which ε decays to half its initial value.
     pub epsilon_decay: f64,
-    /// Samples per arm taken by the initial systematic sweep.
-    pub min_pulls: u64,
 }
 
 impl Default for BanditConfig {
@@ -51,7 +49,6 @@ impl Default for BanditConfig {
             seed: crate::DEFAULT_BANDIT_SEED,
             epsilon: 0.1,
             epsilon_decay: 12.0,
-            min_pulls: 1,
         }
     }
 }
@@ -76,9 +73,10 @@ impl Role {
         }
     }
 
-    /// The next arm of the systematic sweep, slowest first.
-    fn unswept(&self, min_pulls: u64) -> Option<usize> {
-        self.arms.iter().position(|a| a.pulls < min_pulls)
+    /// The next arm of the systematic sweep (one pull per arm), slowest
+    /// first.
+    fn unswept(&self) -> Option<usize> {
+        self.arms.iter().position(|a| a.pulls == 0)
     }
 
     /// Greedy choice: lowest mean EDP; ties go to the slower point (the
@@ -139,7 +137,7 @@ impl BanditEdp {
     /// shaped as a V around the boundedness-implied operating point —
     /// fully memory-bound phases point at the slowest arm, compute-bound
     /// ones at the fastest. The synthetic pulls satisfy the systematic
-    /// sweep (at the default `min_pulls = 1`), so a profiled class skips
+    /// sweep (one pull per arm), so a profiled class skips
     /// straight to greedy exploitation of the prior and real observations
     /// immediately start correcting it (each arm's next credit halves the
     /// prior's weight). `access_mem_bound = None` leaves the access
@@ -200,7 +198,7 @@ impl Governor for BanditEdp {
                 return default;
             }
             role.ensure(n);
-            if let Some(arm) = role.unswept(cfg.min_pulls) {
+            if let Some(arm) = role.unswept() {
                 explore = true;
                 return arm;
             }

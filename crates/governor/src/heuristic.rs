@@ -19,20 +19,15 @@ use crate::obs::{PhaseObs, TaskObs};
 use crate::{ClassSnapshot, Decision, Governor};
 use dae_power::{DvfsTable, FreqId};
 
+/// EMA smoothing factor for the boundedness score (weight of the newest
+/// observation).
+const EMA_ALPHA: f64 = 0.3;
+
 /// Tuning of [`MissRatioHeuristic`].
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct HeuristicConfig {
     /// Decision-cache and safety-guard knobs.
     pub cache: CacheConfig,
-    /// EMA smoothing factor for the boundedness score (weight of the
-    /// newest observation).
-    pub ema_alpha: f64,
-}
-
-impl Default for HeuristicConfig {
-    fn default() -> Self {
-        HeuristicConfig { cache: CacheConfig::default(), ema_alpha: 0.3 }
-    }
 }
 
 /// Learned per-class state: smoothed boundedness per phase.
@@ -96,11 +91,10 @@ impl Governor for MissRatioHeuristic {
     }
 
     fn observe(&mut self, class: TaskClass, obs: &TaskObs) {
-        let alpha = self.cfg.ema_alpha;
         let e = self.cache.observe_common(class, obs);
         let blend = |old: Option<f64>, new: f64| match old {
             None => Some(new),
-            Some(o) => Some(o + alpha * (new - o)),
+            Some(o) => Some(o + EMA_ALPHA * (new - o)),
         };
         if let Some(a) = &obs.access {
             e.state.access_bound = blend(e.state.access_bound, Self::score(a));
@@ -221,7 +215,6 @@ mod tests {
         let t = DvfsTable::sandybridge();
         let cfg = HeuristicConfig {
             cache: CacheConfig { access_budget: 0.1, guard_min_obs: 1, ..Default::default() },
-            ..Default::default()
         };
         let mut g = MissRatioHeuristic::new(t.clone(), cfg);
         // Access dominates the task (1e-6 vs 4e-6 is 20% — push harder).

@@ -8,7 +8,7 @@
 //! the merged record is independent of the order profiles arrive in, and
 //! a hostile file full of `u64::MAX` cannot overflow into a panic.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 use dae_ir::FuncId;
 use dae_trace::fnv::{self, fnv1a};
@@ -362,6 +362,17 @@ impl ProfileCollector {
     pub fn take(&mut self) -> BTreeMap<FuncId, PhaseProfile> {
         std::mem::take(&mut self.map)
     }
+
+    /// Drains the collected profiles under the driver's base task keys, in
+    /// function order; a function `keys` does not name (no task key) is
+    /// dropped. This is the one mapping from a run's profiles to the keys
+    /// the store and the `refine` stage look them up by.
+    pub fn drain_keyed<'a>(
+        &mut self,
+        keys: &'a HashMap<FuncId, u64>,
+    ) -> impl Iterator<Item = (u64, PhaseProfile)> + 'a {
+        self.take().into_iter().filter_map(|(func, p)| Some((*keys.get(&func)?, p)))
+    }
 }
 
 #[cfg(test)]
@@ -470,5 +481,17 @@ mod tests {
         assert_ne!(s1.content_hash(), s2.content_hash());
         s2.insert(7, profiles[&FuncId(3)]);
         assert_eq!(s1.content_hash(), s2.content_hash());
+    }
+
+    #[test]
+    fn drain_keyed_maps_functions_to_task_keys_and_drops_the_unkeyed() {
+        let mut col = ProfileCollector::new();
+        col.record(FuncId(9), None, &sample(2));
+        col.record(FuncId(3), Some(&sample(1)), &sample(1));
+        col.record(FuncId(5), None, &sample(1));
+        let keys = HashMap::from([(FuncId(3), 30), (FuncId(9), 90)]);
+        let drained: Vec<(u64, u64)> = col.drain_keyed(&keys).map(|(k, p)| (k, p.runs)).collect();
+        assert_eq!(drained, [(30, 1), (90, 1)], "function order; FuncId(5) has no key");
+        assert!(col.is_empty());
     }
 }

@@ -3,9 +3,10 @@
 //! Implements the power methodology of §3.2 of the CGO 2014 DAE paper: the
 //! measured Sandybridge model of Koukos et al. (ICS'13) with
 //! `Ceff = 0.19·IPC + 1.64`, `Pdyn = Ceff·f·V²`, static power linear in
-//! `V·f` per active core, plus DVFS transition accounting (static energy
-//! only during the transition) and the exhaustive *Optimal-f* EDP search
-//! used in the evaluation.
+//! `V·f` per active core, the per-core static share
+//! ([`PowerModel::core_static_w`]) that is also the whole price of a DVFS
+//! transition (§6.1: static energy only, no instructions run), and the
+//! exhaustive *Optimal-f* EDP search used in the evaluation.
 //!
 //! # Examples
 //!
@@ -28,7 +29,4 @@ pub mod freq;
 pub mod model;
 
 pub use freq::{DvfsTable, FreqId, FreqPoint};
-pub use model::{
-    edp, energy_j, phase_energy_split_j, select_optimal_edp, transition_cost, DvfsConfig,
-    PowerModel,
-};
+pub use model::{edp, energy_j, phase_energy_split_j, select_optimal_edp, DvfsConfig, PowerModel};

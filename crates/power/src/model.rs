@@ -53,6 +53,15 @@ impl PowerModel {
                 * (self.static_per_core_w + self.static_vf_slope_w * point.volts * point.ghz)
     }
 
+    /// One active core's share of static power in watts: everything of
+    /// [`PowerModel::static_power_w`] except the chip-level base, which a
+    /// run charges once over its makespan. It is also the whole price of a
+    /// DVFS transition, per second of it: no instructions execute, so only
+    /// static energy is counted (§6.1).
+    pub fn core_static_w(&self, point: FreqPoint) -> f64 {
+        self.static_power_w(point, 1) - self.static_base_w
+    }
+
     /// Total power of a single core plus its share of static power.
     pub fn total_power_w(&self, point: FreqPoint, ipc: f64, active_cores: usize) -> f64 {
         self.dynamic_power_w(point, ipc) + self.static_power_w(point, active_cores)
@@ -89,26 +98,10 @@ impl DvfsConfig {
     }
 }
 
-/// Cost of one DVFS transition: it takes [`DvfsConfig::transition_s`] and
-/// burns **static energy only** ("During each DVFS transition we count only
-/// the static energy, since no instructions are executed", §6.1).
-pub fn transition_cost(
-    model: &PowerModel,
-    cfg: &DvfsConfig,
-    at: FreqPoint,
-    active_cores: usize,
-) -> (f64, f64) {
-    let t = cfg.transition_s;
-    let p = model.static_power_w(at, active_cores);
-    (t, t * p)
-}
-
 /// Splits one core's energy over a phase of `time_s` seconds at `point`
 /// into `(dynamic_j, static_j)`.
 ///
-/// The static share is the per-core slice of the model — everything except
-/// the chip-level base, which the runtime charges once over the makespan.
-/// This is the split the tracing subsystem attaches to phase events so
+/// The static share is [`PowerModel::core_static_w`]. This is the split the tracing subsystem attaches to phase events so
 /// energy counter tracks can be reconstructed per phase.
 pub fn phase_energy_split_j(
     model: &PowerModel,
@@ -117,7 +110,7 @@ pub fn phase_energy_split_j(
     time_s: f64,
 ) -> (f64, f64) {
     let dyn_j = model.dynamic_power_w(point, ipc) * time_s;
-    let static_j = (model.static_power_w(point, 1) - model.static_base_w) * time_s;
+    let static_j = model.core_static_w(point) * time_s;
     (dyn_j, static_j)
 }
 
@@ -188,18 +181,6 @@ mod tests {
         let p = 10.0;
         let e = energy_j(t, p);
         assert_eq!(edp(t, e), t * t * p);
-    }
-
-    #[test]
-    fn transition_burns_static_energy_only() {
-        let m = model();
-        let t = DvfsTable::sandybridge();
-        let cfg = DvfsConfig::latency_500ns();
-        let (time, e) = transition_cost(&m, &cfg, t.point(t.min()), 4);
-        assert_eq!(time, 500e-9);
-        assert!((e - time * m.static_power_w(t.point(t.min()), 4)).abs() < 1e-18);
-        let (t0, e0) = transition_cost(&m, &DvfsConfig::instant(), t.point(t.min()), 4);
-        assert_eq!((t0, e0), (0.0, 0.0));
     }
 
     #[test]

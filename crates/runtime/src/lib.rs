@@ -8,6 +8,11 @@
 //! accounting, and the O.S.I. (overhead / sequential / idle) bookkeeping
 //! that Figure 4 stacks.
 //!
+//! One routine runs, prices and charges every phase and returns one charge
+//! record, which governor feedback and PGO samples read; debug builds
+//! assert time and energy conservation at the end of every run.
+//! [`module_instances`] is the whole-module task list `daec` and `daed` run.
+//!
 //! Every run can stream event-level evidence — task/phase spans, DVFS
 //! transitions, per-core idle gaps — into a [`dae_trace::TraceSink`]
 //! passed in [`RunHooks`] to [`run_workload_with`], the one scheduler
@@ -47,4 +52,4 @@ pub use config::{FreqPolicy, RuntimeConfig};
 pub use dae_governor::GovernorKind;
 pub use dae_sim::EngineKind;
 pub use report::{Breakdown, ClassReport, CompileStats, GovernorReport, RunReport};
-pub use sched::{argv_for, run_workload, run_workload_with, RunHooks, TaskInstance};
+pub use sched::{module_instances, run_workload, run_workload_with, RunHooks, TaskInstance};

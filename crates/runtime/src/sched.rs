@@ -12,8 +12,8 @@
 use crate::config::{FreqPolicy, RuntimeConfig};
 use crate::lease::Hierarchy;
 use crate::report::{Breakdown, ClassReport, GovernorReport, RunReport};
-use dae_governor::{Governor, PhaseObs, TaskClass, TaskObs};
-use dae_ir::{FuncId, Function, Module, Type};
+use dae_governor::{Decision, Governor, PhaseObs, TaskClass, TaskObs};
+use dae_ir::{FuncId, Module, Type};
 use dae_pgo::{PhaseSample, ProfileCollector};
 use dae_power::{phase_energy_split_j, select_optimal_edp, DvfsTable, FreqId, FreqPoint};
 use dae_sim::{CachePort, InterpError, Machine, PhaseTrace, Val};
@@ -47,15 +47,24 @@ impl TaskInstance {
     }
 }
 
-/// Argument vector for one invocation of task `f`: integer `hints`
-/// positionally, zero for every float parameter and past the hints' end.
-pub fn argv_for(f: &Function, hints: &[i64]) -> Vec<Val> {
-    f.params
+/// The whole-module instance list: one epoch-0 instance of every task in
+/// `tasks`, in order, decoupled where `access` names its access phase. Its
+/// arguments are the integer `hints` positionally, zero for every float
+/// parameter and past the hints' end.
+pub fn module_instances(
+    module: &Module,
+    tasks: &[FuncId],
+    hints: &[i64],
+    access: impl Fn(FuncId) -> Option<FuncId>,
+) -> Vec<TaskInstance> {
+    tasks
         .iter()
-        .enumerate()
-        .map(|(i, t)| match t {
-            Type::F64 => Val::F(0.0),
-            _ => Val::I(hints.get(i).copied().unwrap_or(0)),
+        .map(|&func| {
+            let args = module.func(func).params.iter().enumerate().map(|(i, t)| match t {
+                Type::F64 => Val::F(0.0),
+                _ => Val::I(hints.get(i).copied().unwrap_or(0)),
+            });
+            TaskInstance { func, access: access(func), args: args.collect(), epoch: 0 }
         })
         .collect()
 }
@@ -64,12 +73,6 @@ struct CoreState {
     clock_s: f64,
     freq: FreqId,
     busy_s: f64,
-}
-
-/// Per-core static power share (W): everything of the model except the
-/// chip-level base, which is charged once over the makespan.
-fn core_static_w(cfg: &RuntimeConfig, point: FreqPoint) -> f64 {
-    cfg.power.static_power_w(point, 1) - cfg.power.static_base_w
 }
 
 /// End-of-run snapshot of the governor, with class labels resolved
@@ -158,11 +161,10 @@ fn run_on(
     cfg: &RuntimeConfig,
     hooks: RunHooks<'_>,
 ) -> Result<RunReport, InterpError> {
-    let RunHooks { sink, governor, mut collector } = hooks;
+    let RunHooks { sink, governor, collector } = hooks;
     let mut null = NullSink;
-    let sink = sink.unwrap_or(&mut null);
     let mut built;
-    let mut gov = match (governor, cfg.policy) {
+    let gov = match (governor, cfg.policy) {
         (Some(g), _) => Some(g),
         (None, FreqPolicy::Governed(kind)) => {
             built = kind.build(&cfg.table);
@@ -170,18 +172,24 @@ fn run_on(
         }
         (None, _) => None,
     };
-
     let mut machine = Machine::new(module);
     machine.config.max_steps = cfg.max_steps;
     machine.config.engine = cfg.engine;
-    let mut cores: Vec<CoreState> = (0..cfg.cores)
-        .map(|_| CoreState { clock_s: 0.0, freq: cfg.table.max(), busy_s: 0.0 })
-        .collect();
-
-    let mut energy_j = 0.0;
-    let mut breakdown = Breakdown::default();
-    let mut access_trace = PhaseTrace::default();
-    let mut execute_trace = PhaseTrace::default();
+    let mut run = Run {
+        cfg,
+        machine,
+        caches,
+        cores: (0..cfg.cores)
+            .map(|_| CoreState { clock_s: 0.0, freq: cfg.table.max(), busy_s: 0.0 })
+            .collect(),
+        sink: sink.unwrap_or(&mut null),
+        gov,
+        collector,
+        energy_j: 0.0,
+        breakdown: Breakdown::default(),
+        access_trace: PhaseTrace::default(),
+        execute_trace: PhaseTrace::default(),
+    };
 
     // Process barrier epochs in order; work stealing operates within an
     // epoch (the unit of task-graph independence).
@@ -195,12 +203,9 @@ fn run_on(
         {
             deques[slot % cfg.cores].push_back(i);
         }
-        loop {
-            let remaining: usize = deques.iter().map(VecDeque::len).sum();
-            if remaining == 0 {
-                break;
-            }
+        while deques.iter().any(|d| !d.is_empty()) {
             // The least-loaded core runs next.
+            let cores = &run.cores;
             let c = (0..cfg.cores)
                 .min_by(|&a, &b| cores[a].clock_s.partial_cmp(&cores[b].clock_s).expect("finite"))
                 .expect("at least one core");
@@ -211,57 +216,55 @@ fn run_on(
                     let victim = (0..cfg.cores)
                         .filter(|&v| v != c)
                         .max_by_key(|&v| deques[v].len())
-                        .expect("other cores exist when remaining > 0");
+                        .expect("other cores exist when work remains");
                     match deques[victim].pop_back() {
                         Some(t) => t,
                         None => continue,
                     }
                 }
             };
-            let task = &tasks[task_idx];
-            run_task(
-                &mut machine,
-                &mut CachePort { core: &mut caches.cores[c], llc: &mut caches.llc },
-                &mut cores[c],
-                cfg,
-                task,
-                task_idx as u32,
-                &mut energy_j,
-                &mut breakdown,
-                &mut access_trace,
-                &mut execute_trace,
-                gov.as_deref_mut(),
-                sink,
-                c as u32,
-                collector.as_deref_mut(),
-            )?;
+            run.task(c, task_idx as u32, &tasks[task_idx])?;
         }
         // Barrier: every core waits for the epoch's slowest (counts as idle
         // via the final makespan accounting).
-        let barrier = cores.iter().map(|c| c.clock_s).fold(0.0, f64::max);
-        if sink.is_enabled() {
-            for (i, c) in cores.iter().enumerate() {
-                let gap = barrier - c.clock_s;
-                if gap > 0.0 {
-                    sink.record(TraceEvent::Idle {
-                        core: i as u32,
-                        start_s: c.clock_s,
-                        dur_s: gap,
-                    });
-                }
+        let barrier = run.cores.iter().map(|c| c.clock_s).fold(0.0, f64::max);
+        for (i, c) in run.cores.iter_mut().enumerate() {
+            let gap = barrier - c.clock_s;
+            if gap > 0.0 && run.sink.is_enabled() {
+                run.sink.record(TraceEvent::Idle {
+                    core: i as u32,
+                    start_s: c.clock_s,
+                    dur_s: gap,
+                });
             }
-        }
-        for c in cores.iter_mut() {
             c.clock_s = barrier;
         }
     }
 
+    let Run { cores, gov, mut energy_j, mut breakdown, access_trace, execute_trace, .. } = run;
     let time_s = cores.iter().map(|c| c.clock_s).fold(0.0, f64::max);
     // Chip-level static energy over the makespan; idle cores are in sleep
     // states and contribute nothing else.
     energy_j += cfg.power.static_base_w * time_s;
     let busy_total: f64 = cores.iter().map(|c| c.busy_s).sum();
     breakdown.idle_s = (time_s * cfg.cores as f64 - busy_total).max(0.0);
+
+    // Conservation: every busy second is one of access, execute or
+    // overhead; no core is busy longer than the makespan; the chip base is
+    // a floor under the energy.
+    let charged = breakdown.access_s + breakdown.execute_s + breakdown.overhead_s;
+    debug_assert!(
+        (busy_total - charged).abs() <= 1e-9 * busy_total.max(charged),
+        "busy {busy_total} s vs charged {charged} s"
+    );
+    debug_assert!(
+        cores.iter().all(|c| c.busy_s <= time_s * (1.0 + 1e-9)),
+        "a core is busy past the makespan {time_s} s"
+    );
+    debug_assert!(
+        energy_j.is_finite() && energy_j >= cfg.power.static_base_w * time_s,
+        "energy {energy_j} J below the chip base over {time_s} s"
+    );
 
     let governor = gov.map(|g| governor_report(g, module, &cfg.table));
     Ok(RunReport {
@@ -276,313 +279,273 @@ fn run_on(
     })
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run_task<'g>(
-    machine: &mut Machine<'_>,
-    port: &mut CachePort<'_>,
-    core: &mut CoreState,
-    cfg: &RuntimeConfig,
-    task: &TaskInstance,
-    task_idx: u32,
-    energy_j: &mut f64,
-    breakdown: &mut Breakdown,
-    access_trace: &mut PhaseTrace,
-    execute_trace: &mut PhaseTrace,
-    mut gov: Option<&mut (dyn Governor + 'g)>,
-    sink: &mut dyn TraceSink,
-    core_id: u32,
-    collector: Option<&mut ProfileCollector>,
-) -> Result<(), InterpError> {
-    // Runtime overhead for dequeuing/scheduling this task.
-    let oh = cfg.task_overhead_s;
-    let oh_start = core.clock_s;
-    let oh_energy = core_static_w(cfg, cfg.table.point(core.freq)) * oh;
-    core.clock_s += oh;
-    core.busy_s += oh;
-    breakdown.overhead_s += oh;
-    *energy_j += oh_energy;
-    if sink.is_enabled() {
-        sink.record(TraceEvent::Overhead {
-            core: core_id,
-            task: task_idx,
-            start_s: oh_start,
-            dur_s: oh,
-            energy_j: oh_energy,
-        });
-    }
-
-    // Governor decision, made up front from the task class alone — an
-    // online governor cannot look at the phase it is about to run. The
-    // frequencies it picks are applied below exactly where the static
-    // policies would pick theirs.
-    let decision = gov.as_deref_mut().map(|g| {
-        let class = TaskClass::of(task.func, &task.args);
-        let d = g.decide(class);
-        if sink.is_enabled() {
-            sink.record(TraceEvent::GovernorDecision {
-                core: core_id,
-                task: task_idx,
-                class: format!("{}#{}", machine.module().func(task.func).name, class.sig_hex()),
-                start_s: core.clock_s,
-                access_ghz: cfg.table.point(d.access).ghz,
-                execute_ghz: cfg.table.point(d.execute).ghz,
-                explore: d.explore,
-                guarded: d.guarded,
-            });
-        }
-        (class, d)
-    });
-
-    let decoupled = (decision.is_some() || cfg.policy.is_decoupled()) && task.access.is_some();
-
-    let mut a_obs = None;
-    let mut a_sample: Option<PhaseSample> = None;
-    if decoupled {
-        let access = task.access.expect("checked");
-        let mut a_trace = PhaseTrace::default();
-        machine.run(access, &task.args, port, &mut a_trace)?;
-        emit_lower_spans(machine, sink, core_id, core.clock_s);
-        let a_freq = match &decision {
-            Some((_, d)) => d.access,
-            None => match cfg.policy {
-                FreqPolicy::DaeMinMax => cfg.table.min(),
-                FreqPolicy::DaePhases { access, .. } => access,
-                FreqPolicy::DaeOptimal => select_optimal_edp(&cfg.table, &cfg.power, 1, |id| {
-                    let f = cfg.table.point(id).hz();
-                    (a_trace.time_s(f, &cfg.timing), a_trace.ipc(f, &cfg.timing))
-                }),
-                _ => unreachable!("coupled policy in decoupled path"),
-            },
-        };
-        let a_switched = core.freq != a_freq;
-        let (a_time, a_ipc) = charge_phase(
-            core,
-            cfg,
-            &a_trace,
-            a_freq,
-            energy_j,
-            breakdown,
-            true,
-            &mut PhaseEmit {
-                sink: &mut *sink,
-                core_id,
-                task_idx,
-                func: access,
-                machine: &*machine,
-            },
-        );
-        if decision.is_some() {
-            a_obs = Some(phase_obs(cfg, &a_trace, a_freq, a_time, a_ipc, a_switched));
-        }
-        if collector.is_some() {
-            a_sample = Some(phase_sample(cfg, &a_trace));
-        }
-        access_trace.merge(&a_trace);
-    }
-
-    // Execute phase (or the whole task when coupled).
-    let mut e_trace = PhaseTrace::default();
-    machine.run(task.func, &task.args, port, &mut e_trace)?;
-    emit_lower_spans(machine, sink, core_id, core.clock_s);
-    let e_freq = match &decision {
-        Some((_, d)) => d.execute,
-        None => match cfg.policy {
-            FreqPolicy::CoupledMax => cfg.table.max(),
-            FreqPolicy::CoupledFixed(f) => f,
-            FreqPolicy::CoupledOptimal => select_optimal_edp(&cfg.table, &cfg.power, 1, |id| {
+/// The frequency a static policy runs a phase of `kind` at: every policy
+/// but [`FreqPolicy::Governed`], whose frequencies come from the governor.
+/// The one place the runtime runs the *Optimal-f* search.
+fn policy_freq(cfg: &RuntimeConfig, kind: PhaseKind, trace: &PhaseTrace) -> FreqId {
+    let access = kind == PhaseKind::Access;
+    match cfg.policy {
+        FreqPolicy::CoupledMax => cfg.table.max(),
+        FreqPolicy::CoupledFixed(f) => f,
+        FreqPolicy::DaeMinMax if access => cfg.table.min(),
+        FreqPolicy::DaeMinMax => cfg.table.max(),
+        FreqPolicy::DaePhases { access: f, .. } if access => f,
+        FreqPolicy::DaePhases { execute: f, .. } => f,
+        FreqPolicy::CoupledOptimal | FreqPolicy::DaeOptimal => {
+            select_optimal_edp(&cfg.table, &cfg.power, 1, |id| {
                 let f = cfg.table.point(id).hz();
-                (e_trace.time_s(f, &cfg.timing), e_trace.ipc(f, &cfg.timing))
-            }),
-            FreqPolicy::DaeMinMax => cfg.table.max(),
-            FreqPolicy::DaePhases { execute, .. } => execute,
-            FreqPolicy::DaeOptimal => select_optimal_edp(&cfg.table, &cfg.power, 1, |id| {
-                let f = cfg.table.point(id).hz();
-                (e_trace.time_s(f, &cfg.timing), e_trace.ipc(f, &cfg.timing))
-            }),
-            FreqPolicy::Governed(_) => unreachable!("governed policy without governor state"),
-        },
-    };
-    let e_switched = core.freq != e_freq;
-    let (e_time, e_ipc) = charge_phase(
-        core,
-        cfg,
-        &e_trace,
-        e_freq,
-        energy_j,
-        breakdown,
-        false,
-        &mut PhaseEmit { sink: &mut *sink, core_id, task_idx, func: task.func, machine: &*machine },
-    );
-    if let (Some(g), Some((class, _))) = (gov, &decision) {
-        let obs = TaskObs {
-            access: a_obs,
-            execute: phase_obs(cfg, &e_trace, e_freq, e_time, e_ipc, e_switched),
-        };
-        g.observe(*class, &obs);
-    }
-    if let Some(col) = collector {
-        // Keyed by the *execute* function: that is the task identity the
-        // driver's base `task_key` names. Collection never perturbs the
-        // charged times or energies — it only reads the traces.
-        col.record(task.func, a_sample.as_ref(), &phase_sample(cfg, &e_trace));
-    }
-    execute_trace.merge(&e_trace);
-    Ok(())
-}
-
-/// Condenses one phase's simulator counters into a [`PhaseSample`].
-///
-/// DRAM-level hits index 3 of the hit arrays; memory-level parallelism is
-/// the interval model's proxy (DRAM misses per serialised miss cluster,
-/// a cluster being one memory latency of demand stall); boundedness is
-/// measured at fmax so stored profiles do not drift with whatever
-/// frequency the run happened to pick.
-fn phase_sample(cfg: &RuntimeConfig, trace: &PhaseTrace) -> PhaseSample {
-    let dram = trace.demand_hits[3];
-    let clusters =
-        (trace.demand_stall_ns(&cfg.timing) / cfg.timing.mem_latency_ns).round().max(0.0);
-    let mlp = if clusters > 0.0 { dram as f64 / clusters } else { 0.0 };
-    let fmax = cfg.table.point(cfg.table.max()).hz();
-    let mem_bound = trace.memory_bound_fraction(fmax, &cfg.timing);
-    PhaseSample {
-        instrs: trace.instrs,
-        loads: trace.loads,
-        dram_misses: dram,
-        prefetches: trace.prefetches,
-        prefetch_dram_lines: trace.prefetch_hits[3],
-        branches: trace.branches,
-        mlp_x100: (mlp * 100.0).round() as u64,
-        mem_bound_ppm: (mem_bound * 1e6).round().clamp(0.0, 1e6) as u64,
-    }
-}
-
-/// Forwards the machine's pending bytecode-lowering spans to the sink:
-/// instantaneous on the virtual timeline (lowering is host-side work),
-/// with the wall-clock cost carried as metadata.
-fn emit_lower_spans(machine: &mut Machine<'_>, sink: &mut dyn TraceSink, core_id: u32, now_s: f64) {
-    for s in machine.take_lower_spans() {
-        if sink.is_enabled() {
-            sink.record(TraceEvent::BytecodeLower {
-                core: core_id,
-                func: s.func,
-                ops: s.ops,
-                fused: s.fused,
-                start_s: now_s,
-                wall_s: s.wall_s,
-            });
+                (trace.time_s(f, &cfg.timing), trace.ipc(f, &cfg.timing))
+            })
         }
+        FreqPolicy::Governed(_) => unreachable!("governed policy without governor state"),
     }
 }
 
-/// Condenses one charged phase into governor feedback. Time and energy are
-/// evaluated at the frequency the phase ran at — energy with the *full*
-/// power model (`total_power_w`), the same objective [`select_optimal_edp`]
-/// minimises — **plus** the DVFS transition this phase triggered
-/// (`switched`), exactly as [`charge_phase`] billed it. The oracle is
-/// blind to transitions; including them here is what lets an online
-/// governor learn that, for short tasks, keeping both phases at one
-/// operating point beats per-phase switching. Boundedness is measured at
-/// fmax so the classification does not drift with whatever frequency was
-/// chosen.
-fn phase_obs(
-    cfg: &RuntimeConfig,
-    trace: &PhaseTrace,
-    freq: FreqId,
+/// One phase as [`Run::phase`] charged it.
+struct Charge {
+    trace: PhaseTrace,
+    point: FreqPoint,
     time_s: f64,
     ipc: f64,
-    switched: bool,
-) -> PhaseObs {
-    let point = cfg.table.point(freq);
-    let fmax_hz = cfg.table.point(cfg.table.max()).hz();
-    let (tr_s, tr_j) = if switched {
-        let t = cfg.dvfs.transition_s;
-        (t, core_static_w(cfg, point) * t)
-    } else {
-        (0.0, 0.0)
-    };
-    PhaseObs {
-        time_s: time_s + tr_s,
-        energy_j: cfg.power.total_power_w(point, ipc, 1) * time_s + tr_j,
-        ipc,
-        mem_bound_frac: trace.memory_bound_fraction(fmax_hz, &cfg.timing),
-        miss_ratio: trace.miss_ratio(),
+    /// The DVFS transition the phase triggered; zero when the core was
+    /// already at `point`.
+    transition_s: f64,
+    transition_j: f64,
+}
+
+impl Charge {
+    /// Governor feedback. Time and energy are the phase's at the point it
+    /// ran at — energy with the *full* power model (`total_power_w`), the
+    /// objective [`select_optimal_edp`] minimises — **plus** the transition
+    /// it triggered, as billed. The oracle is blind to transitions;
+    /// including them is what lets an online governor learn that, for
+    /// short tasks, keeping both phases at one operating point beats
+    /// per-phase switching. Boundedness is measured at fmax so the
+    /// classification does not drift with whatever frequency was chosen.
+    fn obs(&self, cfg: &RuntimeConfig) -> PhaseObs {
+        let fmax_hz = cfg.table.point(cfg.table.max()).hz();
+        PhaseObs {
+            time_s: self.time_s + self.transition_s,
+            energy_j: cfg.power.total_power_w(self.point, self.ipc, 1) * self.time_s
+                + self.transition_j,
+            ipc: self.ipc,
+            mem_bound_frac: self.trace.memory_bound_fraction(fmax_hz, &cfg.timing),
+            miss_ratio: self.trace.miss_ratio(),
+        }
+    }
+
+    /// The phase's counters as a PGO [`PhaseSample`].
+    ///
+    /// DRAM-level hits index 3 of the hit arrays; memory-level parallelism
+    /// is the interval model's proxy (DRAM misses per serialised miss
+    /// cluster, a cluster being one memory latency of demand stall);
+    /// boundedness is measured at fmax so stored profiles do not drift with
+    /// whatever frequency the run happened to pick.
+    fn sample(&self, cfg: &RuntimeConfig) -> PhaseSample {
+        let trace = &self.trace;
+        let dram = trace.demand_hits[3];
+        let clusters =
+            (trace.demand_stall_ns(&cfg.timing) / cfg.timing.mem_latency_ns).round().max(0.0);
+        let mlp = if clusters > 0.0 { dram as f64 / clusters } else { 0.0 };
+        let fmax = cfg.table.point(cfg.table.max()).hz();
+        let mem_bound = trace.memory_bound_fraction(fmax, &cfg.timing);
+        PhaseSample {
+            instrs: trace.instrs,
+            loads: trace.loads,
+            dram_misses: dram,
+            prefetches: trace.prefetches,
+            prefetch_dram_lines: trace.prefetch_hits[3],
+            branches: trace.branches,
+            mlp_x100: (mlp * 100.0).round() as u64,
+            mem_bound_ppm: (mem_bound * 1e6).round().clamp(0.0, 1e6) as u64,
+        }
     }
 }
 
-/// Everything [`charge_phase`] needs to describe the phase it is charging
-/// to the trace sink.
-struct PhaseEmit<'a, 'm> {
-    sink: &'a mut dyn TraceSink,
-    core_id: u32,
-    task_idx: u32,
-    func: FuncId,
-    machine: &'a Machine<'m>,
+/// The state of one run: the machine, the cores, the sink, the hooks and
+/// the running totals.
+struct Run<'r, 'h> {
+    cfg: &'r RuntimeConfig,
+    machine: Machine<'r>,
+    caches: &'r mut Hierarchy,
+    cores: Vec<CoreState>,
+    sink: &'r mut (dyn TraceSink + 'h),
+    gov: Option<&'r mut (dyn Governor + 'h)>,
+    collector: Option<&'r mut ProfileCollector>,
+    energy_j: f64,
+    breakdown: Breakdown,
+    access_trace: PhaseTrace,
+    execute_trace: PhaseTrace,
 }
 
-/// Applies DVFS transition cost (static energy only, §6.1), then charges the
-/// phase's time and energy at the chosen operating point. Returns the
-/// phase's `(time_s, ipc)` at that point, for governor feedback.
-#[allow(clippy::too_many_arguments)]
-fn charge_phase(
-    core: &mut CoreState,
-    cfg: &RuntimeConfig,
-    trace: &PhaseTrace,
-    freq: FreqId,
-    energy_j: &mut f64,
-    breakdown: &mut Breakdown,
-    is_access: bool,
-    emit: &mut PhaseEmit<'_, '_>,
-) -> (f64, f64) {
-    let point = cfg.table.point(freq);
-    if core.freq != freq {
-        let t_tr = cfg.dvfs.transition_s;
-        let tr_start = core.clock_s;
-        let tr_energy = core_static_w(cfg, point) * t_tr;
-        core.clock_s += t_tr;
-        core.busy_s += t_tr;
-        breakdown.overhead_s += t_tr;
-        *energy_j += tr_energy;
-        if emit.sink.is_enabled() {
-            emit.sink.record(TraceEvent::DvfsTransition {
-                core: emit.core_id,
-                start_s: tr_start,
-                dur_s: t_tr,
-                from_ghz: cfg.table.point(core.freq).ghz,
-                to_ghz: point.ghz,
-                energy_j: tr_energy,
+impl Run<'_, '_> {
+    /// Runs `task` on core `c`: the dispatch overhead, the governor's
+    /// decision, the access phase when the task runs decoupled, then the
+    /// execute phase; the governor and the collector read the two charges.
+    fn task(&mut self, c: usize, idx: u32, task: &TaskInstance) -> Result<(), InterpError> {
+        let cfg = self.cfg;
+        // Runtime overhead for dequeuing/scheduling this task.
+        let core = &mut self.cores[c];
+        let oh = cfg.task_overhead_s;
+        let oh_start = core.clock_s;
+        let oh_energy = cfg.power.core_static_w(cfg.table.point(core.freq)) * oh;
+        core.clock_s += oh;
+        core.busy_s += oh;
+        self.breakdown.overhead_s += oh;
+        self.energy_j += oh_energy;
+        if self.sink.is_enabled() {
+            self.sink.record(TraceEvent::Overhead {
+                core: c as u32,
+                task: idx,
+                start_s: oh_start,
+                dur_s: oh,
+                energy_j: oh_energy,
             });
         }
-        core.freq = freq;
-    }
-    let f_hz = point.hz();
-    let time = trace.time_s(f_hz, &cfg.timing);
-    let ipc = trace.ipc(f_hz, &cfg.timing);
-    let power = cfg.power.dynamic_power_w(point, ipc) + core_static_w(cfg, point);
-    let start = core.clock_s;
-    core.clock_s += time;
-    core.busy_s += time;
-    *energy_j += power * time;
-    if is_access {
-        breakdown.access_s += time;
-    } else {
-        breakdown.execute_s += time;
-    }
-    if emit.sink.is_enabled() {
-        let (dyn_j, static_j) = phase_energy_split_j(&cfg.power, point, ipc, time);
-        emit.sink.record(TraceEvent::Phase {
-            core: emit.core_id,
-            task: emit.task_idx,
-            name: emit.machine.module().func(emit.func).name.clone(),
-            kind: if is_access { PhaseKind::Access } else { PhaseKind::Execute },
-            start_s: start,
-            dur_s: time,
-            freq_ghz: point.ghz,
-            dyn_energy_j: dyn_j,
-            static_energy_j: static_j,
-            counters: trace.counters(),
+
+        // Governor decision, made up front from the task class alone — an
+        // online governor cannot look at the phase it is about to run.
+        let decision = self.gov.as_deref_mut().map(|g| {
+            let class = TaskClass::of(task.func, &task.args);
+            let d = g.decide(class);
+            if self.sink.is_enabled() {
+                self.sink.record(TraceEvent::GovernorDecision {
+                    core: c as u32,
+                    task: idx,
+                    class: format!(
+                        "{}#{}",
+                        self.machine.module().func(task.func).name,
+                        class.sig_hex()
+                    ),
+                    start_s: self.cores[c].clock_s,
+                    access_ghz: cfg.table.point(d.access).ghz,
+                    execute_ghz: cfg.table.point(d.execute).ghz,
+                    explore: d.explore,
+                    guarded: d.guarded,
+                });
+            }
+            (class, d)
         });
+
+        // A task with an access phase runs it under a decoupled policy or a
+        // governor.
+        let d = decision.map(|(_, d)| d);
+        let access = match task.access {
+            Some(_) if d.is_some() || cfg.policy.is_decoupled() => {
+                Some(self.phase(c, idx, task, PhaseKind::Access, d)?)
+            }
+            _ => None,
+        };
+        let execute = self.phase(c, idx, task, PhaseKind::Execute, d)?;
+        if let (Some(g), Some((class, _))) = (self.gov.as_deref_mut(), decision) {
+            let obs =
+                TaskObs { access: access.as_ref().map(|a| a.obs(cfg)), execute: execute.obs(cfg) };
+            g.observe(class, &obs);
+        }
+        if let Some(col) = self.collector.as_deref_mut() {
+            // Keyed by the *execute* function: that is the task identity the
+            // driver's base `task_key` names.
+            col.record(task.func, access.map(|a| a.sample(cfg)).as_ref(), &execute.sample(cfg));
+        }
+        Ok(())
     }
-    (time, ipc)
+
+    /// Runs one phase of `task` on core `c` and charges it. The frequency
+    /// is the governor's `decision`, else [`policy_freq`]'s. A change of
+    /// operating point first bills one DVFS transition — `transition_s` at
+    /// the target point's per-core static power, since no instructions run
+    /// (§6.1) — then the phase is charged its time and energy at that
+    /// point. Every event of the charge goes to the sink.
+    fn phase(
+        &mut self,
+        c: usize,
+        idx: u32,
+        task: &TaskInstance,
+        kind: PhaseKind,
+        decision: Option<Decision>,
+    ) -> Result<Charge, InterpError> {
+        let cfg = self.cfg;
+        let func = match kind {
+            PhaseKind::Access => task.access.expect("a decoupled task has an access phase"),
+            PhaseKind::Execute => task.func,
+        };
+        let mut trace = PhaseTrace::default();
+        let mut port = CachePort { core: &mut self.caches.cores[c], llc: &mut self.caches.llc };
+        self.machine.run(func, &task.args, &mut port, &mut trace)?;
+        let core = &mut self.cores[c];
+        // Bytecode lowering is host-side work: instantaneous on the virtual
+        // timeline, its wall-clock cost carried as metadata.
+        for s in self.machine.take_lower_spans() {
+            if self.sink.is_enabled() {
+                self.sink.record(TraceEvent::BytecodeLower {
+                    core: c as u32,
+                    func: s.func,
+                    ops: s.ops,
+                    fused: s.fused,
+                    start_s: core.clock_s,
+                    wall_s: s.wall_s,
+                });
+            }
+        }
+
+        let freq = match (decision, kind) {
+            (Some(d), PhaseKind::Access) => d.access,
+            (Some(d), PhaseKind::Execute) => d.execute,
+            (None, _) => policy_freq(cfg, kind, &trace),
+        };
+        let point = cfg.table.point(freq);
+        let static_w = cfg.power.core_static_w(point);
+        let (mut transition_s, mut transition_j) = (0.0, 0.0);
+        if core.freq != freq {
+            transition_s = cfg.dvfs.transition_s;
+            transition_j = static_w * transition_s;
+            if self.sink.is_enabled() {
+                self.sink.record(TraceEvent::DvfsTransition {
+                    core: c as u32,
+                    start_s: core.clock_s,
+                    dur_s: transition_s,
+                    from_ghz: cfg.table.point(core.freq).ghz,
+                    to_ghz: point.ghz,
+                    energy_j: transition_j,
+                });
+            }
+            core.clock_s += transition_s;
+            core.busy_s += transition_s;
+            self.breakdown.overhead_s += transition_s;
+            self.energy_j += transition_j;
+            core.freq = freq;
+        }
+
+        let f_hz = point.hz();
+        let time_s = trace.time_s(f_hz, &cfg.timing);
+        let ipc = trace.ipc(f_hz, &cfg.timing);
+        let start_s = core.clock_s;
+        core.clock_s += time_s;
+        core.busy_s += time_s;
+        self.energy_j += (cfg.power.dynamic_power_w(point, ipc) + static_w) * time_s;
+        let (spent_s, total) = match kind {
+            PhaseKind::Access => (&mut self.breakdown.access_s, &mut self.access_trace),
+            PhaseKind::Execute => (&mut self.breakdown.execute_s, &mut self.execute_trace),
+        };
+        *spent_s += time_s;
+        total.merge(&trace);
+        if self.sink.is_enabled() {
+            let (dyn_j, static_j) = phase_energy_split_j(&cfg.power, point, ipc, time_s);
+            self.sink.record(TraceEvent::Phase {
+                core: c as u32,
+                task: idx,
+                name: self.machine.module().func(func).name.clone(),
+                kind,
+                start_s,
+                dur_s: time_s,
+                freq_ghz: point.ghz,
+                dyn_energy_j: dyn_j,
+                static_energy_j: static_j,
+                counters: trace.counters(),
+            });
+        }
+        Ok(Charge { trace, point, time_s, ipc, transition_s, transition_j })
+    }
 }
 
 #[cfg(test)]
@@ -768,8 +731,8 @@ mod tests {
 
         // Energy: per-core static at the target point for each transition,
         // plus chip base static over the lengthened makespan.
-        let w_min = core_static_w(&cfg, cfg.table.point(cfg.table.min()));
-        let w_max = core_static_w(&cfg, cfg.table.point(cfg.table.max()));
+        let w_min = cfg.power.core_static_w(cfg.table.point(cfg.table.min()));
+        let w_max = cfg.power.core_static_w(cfg.table.point(cfg.table.max()));
         let expected_e =
             tasks.len() as f64 * t_tr * (w_min + w_max) + cfg.power.static_base_w * n as f64 * t_tr;
         let extra_e = with_lat.energy_j - no_lat.energy_j;

@@ -34,7 +34,8 @@ use dae_driver::{Driver, DriverConfig};
 use dae_ir::{parse::parse_module, print_module, verify_module, FuncId, Function, Module};
 use dae_pgo::{ProfileCollector, ProfileStore};
 use dae_runtime::{
-    argv_for, run_workload, run_workload_with, FreqPolicy, RunHooks, RuntimeConfig, TaskInstance,
+    module_instances, run_workload, run_workload_with, FreqPolicy, RunHooks, RuntimeConfig,
+    TaskInstance,
 };
 use dae_sim::EngineKind;
 use dae_trace::json::JsonValue;
@@ -294,42 +295,35 @@ impl Engine {
             let hooks = RunHooks { collector: Some(col), ..Default::default() };
             run_workload_with(module, insts, &cfg, hooks).map_err(|e| ErrorBody::from_coded(&e))
         };
-        let one_task = c.tasks.len() == 1;
+        let insts = module_instances(module, &c.tasks, &req.hints, |t| c.outcome.map.access(t));
+        let one_task = insts.len() == 1;
         let mut whole = None;
-        let mut per_task = Vec::with_capacity(c.tasks.len());
-        let mut insts = Vec::with_capacity(c.tasks.len());
-        for &task in &c.tasks {
-            let f = module.func(task);
-            let argv = argv_for(f, &req.hints);
-            let cae = vec![TaskInstance::coupled(task, argv.clone())];
+        let mut per_task = Vec::with_capacity(insts.len());
+        for inst in &insts {
+            let cae = [TaskInstance::coupled(inst.func, inst.args.clone())];
             let r1 = run_workload(module, &cae, &base).map_err(|e| ErrorBody::from_coded(&e))?;
             let mut entry = vec![
-                ("task".to_string(), JsonValue::from(f.name.as_str())),
+                ("task".to_string(), JsonValue::from(module.func(inst.func).name.as_str())),
                 ("cae".to_string(), headline(&r1)),
             ];
-            match c.outcome.map.access(task) {
-                Some(access) => {
-                    let dae = vec![TaskInstance::decoupled(task, access, argv)];
-                    // A module's only task: this run is the whole-module
-                    // run below (same module, same one-instance list, same
-                    // config), so it is simulated once and reported twice.
-                    let r2 = if one_task {
-                        collected(&dae, &mut col)?
-                    } else {
-                        run_workload(module, &dae, &cfg).map_err(|e| ErrorBody::from_coded(&e))?
-                    };
-                    entry.push(("dae".to_string(), headline(&r2)));
-                    entry.push((
-                        "edp_delta_percent".to_string(),
-                        ((r2.edp() / r1.edp() - 1.0) * 100.0).into(),
-                    ));
-                    insts.extend(dae);
-                    whole = one_task.then_some(r2);
-                }
-                None => {
-                    entry.push(("dae".to_string(), JsonValue::Null));
-                    insts.extend(cae);
-                }
+            if inst.access.is_some() {
+                let dae = std::slice::from_ref(inst);
+                // A module's only task: this run is the whole-module run
+                // below (same module, same one-instance list, same config),
+                // so it is simulated once and reported twice.
+                let r2 = if one_task {
+                    collected(dae, &mut col)?
+                } else {
+                    run_workload(module, dae, &cfg).map_err(|e| ErrorBody::from_coded(&e))?
+                };
+                entry.push(("dae".to_string(), headline(&r2)));
+                entry.push((
+                    "edp_delta_percent".to_string(),
+                    ((r2.edp() / r1.edp() - 1.0) * 100.0).into(),
+                ));
+                whole = one_task.then_some(r2);
+            } else {
+                entry.push(("dae".to_string(), JsonValue::Null));
             }
             per_task.push(JsonValue::Obj(entry));
         }
@@ -364,10 +358,8 @@ impl Engine {
         }
         let mkey = mkey.finish();
         let mut st = lock_recover(&self.pgo);
-        for (func, p) in col.take() {
-            if let Some(&key) = c.outcome.keys.get(&func) {
-                st.store.merge_record(key, &p);
-            }
+        for (key, p) in col.drain_keyed(&c.outcome.keys) {
+            st.store.merge_record(key, &p);
         }
         // A module seen before moves to the front; its text is copied only
         // the first time.

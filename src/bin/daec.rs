@@ -35,7 +35,8 @@
 //!   record before compiling and writes collected records through
 //! * `--trace-out` — run every task once (decoupled where possible, under
 //!   the selected `--policy`) with event tracing on and write the trace to
-//!   `<file>`
+//!   `<file>`; with `--profile-out`/`--profile-dir` the same run also
+//!   collects the profiles (the module is simulated once)
 //! * `--trace-format` — `chrome` (default; open in
 //!   <https://ui.perfetto.dev> or `chrome://tracing`) or `summary`
 //!   (compact aggregate JSON)
@@ -48,10 +49,10 @@ use dae_repro::governor::{BanditConfig, BanditEdp, GovernorKind, TaskClass};
 use dae_repro::ir::{parse::parse_module, print_module, verify_module, CodedError};
 use dae_repro::pgo::{store::DEFAULT_MAX_RECORDS, ProfileCollector, ProfileStore};
 use dae_repro::runtime::{
-    argv_for, run_workload, run_workload_with, CompileStats, FreqPolicy, RunHooks, RuntimeConfig,
-    TaskInstance,
+    module_instances, run_workload, run_workload_with, CompileStats, FreqPolicy, RunHooks,
+    RuntimeConfig, TaskInstance,
 };
-use dae_repro::trace::{chrome, json::JsonValue, summary, Recorder};
+use dae_repro::trace::{chrome, json::JsonValue, summary, Recorder, TraceSink};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -297,30 +298,33 @@ fn run_main() -> Result<(), String> {
         print!("{}", print_module(&module));
     }
 
-    // Profile collection: one run of every task (decoupled where an
-    // access phase was generated) with the phase counters on, merged
-    // into the store under the task's *base* compile key so the next
-    // compile finds them regardless of refinement.
+    // One run of the whole module — every task fn as one instance,
+    // decoupled where an access phase was generated, under the selected
+    // policy — when profiles are collected (merged into the store under
+    // each task's *base* compile key, so the next compile finds them
+    // regardless of refinement) or a trace is written. Both hooks only
+    // observe, so one run serves both.
+    let insts = module_instances(&module, &tasks, &args.hints, |t| map.access(t));
+    let cfg = RuntimeConfig::paper_default().with_policy(args.policy);
     let collecting = args.profile_out.is_some() || args.profile_dir.is_some();
-    if let Some(st) = store.as_mut().filter(|_| collecting) {
-        let insts: Vec<TaskInstance> = tasks
-            .iter()
-            .map(|t| {
-                let argv = argv_for(module.func(*t), &args.hints);
-                match map.access(*t) {
-                    Some(a) => TaskInstance::decoupled(*t, a, argv),
-                    None => TaskInstance::coupled(*t, argv),
-                }
-            })
-            .collect();
-        let cfg = RuntimeConfig::paper_default().with_policy(args.policy);
-        let mut col = ProfileCollector::new();
-        let hooks = RunHooks { collector: Some(&mut col), ..Default::default() };
-        run_workload_with(&module, &insts, &cfg, hooks).map_err(|e| e.to_string())?;
-        for (func, p) in col.take() {
-            if let Some(&key) = outcome.keys.get(&func) {
-                st.merge_record(key, &p);
-            }
+    let mut col = collecting.then(ProfileCollector::new);
+    let mut traced = None;
+    if col.is_some() || args.trace_out.is_some() {
+        let mut rec = args.trace_out.as_ref().map(|_| Recorder::new(cfg.cores));
+        if let Some(rec) = rec.as_mut() {
+            emit_spans(&outcome.spans, rec.cores(), rec);
+        }
+        let hooks = RunHooks {
+            sink: rec.as_mut().map(|r| r as &mut dyn TraceSink),
+            collector: col.as_mut(),
+            ..Default::default()
+        };
+        let report = run_workload_with(&module, &insts, &cfg, hooks).map_err(|e| e.to_string())?;
+        traced = rec.map(|rec| (rec, report));
+    }
+    if let (Some(st), Some(col)) = (store.as_mut(), col.as_mut()) {
+        for (key, p) in col.drain_keyed(&outcome.keys) {
+            st.merge_record(key, &p);
         }
         if let Some(path) = &args.profile_out {
             st.save_file(path).map_err(|e| format!("{}: {e}", e.code()))?;
@@ -334,9 +338,8 @@ fn run_main() -> Result<(), String> {
 
     if args.run {
         println!();
-        let hints = &args.hints;
         let base = RuntimeConfig::paper_default();
-        let plabel = args.policy.label(&base.table);
+        let plabel = cfg.policy.label(&cfg.table);
         // Warm-started bandit: measured phase boundedness from the
         // profile store seeds the per-class priors, so the governor
         // starts greedy near the measured optimum instead of sweeping.
@@ -347,9 +350,8 @@ fn run_main() -> Result<(), String> {
                     BanditConfig { seed: *seed, ..Default::default() },
                 );
                 let mut any = false;
-                for task in &tasks {
-                    let f = module.func(*task);
-                    let p = match outcome.keys.get(task).and_then(|k| st.get(*k)) {
+                for inst in &insts {
+                    let p = match outcome.keys.get(&inst.func).and_then(|k| st.get(*k)) {
                         Some(p) if p.runs > 0 => p,
                         _ => continue,
                     };
@@ -357,7 +359,7 @@ fn run_main() -> Result<(), String> {
                         (p.access.mem_bound_ppm_sum as f64 / p.runs as f64 / 1e6).clamp(0.0, 1.0)
                     });
                     gov.seed_prior(
-                        TaskClass::of(*task, &argv_for(f, hints)),
+                        TaskClass::of(inst.func, &inst.args),
                         access_mb,
                         p.execute_mem_bound(),
                     );
@@ -367,26 +369,16 @@ fn run_main() -> Result<(), String> {
             }
             _ => None,
         };
-        for task in &tasks {
-            let f = module.func(*task);
-            let argv = argv_for(f, hints);
-            let name = f.name.clone();
-            let cae = vec![TaskInstance::coupled(*task, argv.clone())];
+        for inst in &insts {
+            let name = &module.func(inst.func).name;
+            let cae = [TaskInstance::coupled(inst.func, inst.args.clone())];
             let r1 = run_workload(&module, &cae, &base).map_err(|e| e.to_string())?;
             print!("{name:<20} CAE@fmax {:>9.3}us {:>9.3}uJ", r1.time_s * 1e6, r1.energy_j * 1e6);
-            if let Some(access) = map.access(*task) {
-                let dae = vec![TaskInstance::decoupled(*task, access, argv)];
-                let run_cfg = base.clone().with_policy(args.policy);
-                let r2 = match seeded.as_mut() {
-                    Some(gov) => run_workload_with(
-                        &module,
-                        &dae,
-                        &run_cfg,
-                        RunHooks { governor: Some(gov), ..Default::default() },
-                    )
-                    .map_err(|e| e.to_string())?,
-                    None => run_workload(&module, &dae, &run_cfg).map_err(|e| e.to_string())?,
-                };
+            if inst.access.is_some() {
+                let dae = std::slice::from_ref(inst);
+                let hooks =
+                    RunHooks { governor: seeded.as_mut().map(|g| g as _), ..Default::default() };
+                let r2 = run_workload_with(&module, dae, &cfg, hooks).map_err(|e| e.to_string())?;
                 println!(
                     "   DAE {plabel} {:>9.3}us {:>9.3}uJ   EDP {:+.1}%",
                     r2.time_s * 1e6,
@@ -399,26 +391,7 @@ fn run_main() -> Result<(), String> {
         }
     }
 
-    if let Some(path) = &args.trace_out {
-        // One traced run of the whole module: every task fn as one
-        // instance, decoupled where an access phase was generated, under
-        // the selected frequency policy.
-        let insts: Vec<TaskInstance> = tasks
-            .iter()
-            .map(|t| {
-                let argv = argv_for(module.func(*t), &args.hints);
-                match map.access(*t) {
-                    Some(a) => TaskInstance::decoupled(*t, a, argv),
-                    None => TaskInstance::coupled(*t, argv),
-                }
-            })
-            .collect();
-        let cfg = RuntimeConfig::paper_default().with_policy(args.policy);
-        let mut rec = Recorder::new(cfg.cores);
-        emit_spans(&outcome.spans, rec.cores(), &mut rec);
-        let hooks = RunHooks { sink: Some(&mut rec), ..Default::default() };
-        let mut report =
-            run_workload_with(&module, &insts, &cfg, hooks).map_err(|e| e.to_string())?;
+    if let (Some(path), Some((rec, mut report))) = (&args.trace_out, traced) {
         report.compile = Some(compile_stats(&outcome));
         let meta: Vec<(String, JsonValue)> = vec![
             ("source".to_string(), args.file.as_str().into()),

@@ -604,15 +604,12 @@ fn pgo(smoke: bool) -> Vec<Table> {
     for (i, name) in corpus(smoke).iter().map(|w| w.name).enumerate() {
         let (w_static, keys, _) = build(corpus(smoke).remove(i), None);
         let s = edp(&w_static, RunHooks::default());
-        // One profiled replay, keyed by the driver's base task keys —
-        // the mapping `daec --profile-out` performs.
+        // One profiled replay, keyed by the driver's base task keys.
         let mut col = ProfileCollector::new();
         edp(&w_static, RunHooks { collector: Some(&mut col), ..Default::default() });
         let mut profiles = ProfileSet::default();
-        for (func, profile) in col.take() {
-            if let Some(&key) = keys.get(&func) {
-                profiles.insert(key, profile);
-            }
+        for (key, profile) in col.drain_keyed(&keys) {
+            profiles.insert(key, profile);
         }
         let (w_refined, _, refined_tasks) = build(corpus(smoke).remove(i), Some(&profiles));
         let r = edp(&w_refined, RunHooks::default());

@@ -251,3 +251,106 @@ fn parse_errors_carry_line_numbers() {
     assert!(!ok);
     assert!(stderr.contains("line 3"), "{stderr}");
 }
+
+/// A fresh scratch directory for one test.
+fn scratch(name: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("daec_cli_{name}_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+/// The one record of a `--profile-out` document.
+fn only_record(path: &std::path::Path) -> JsonValue {
+    let v = parse(&std::fs::read_to_string(path).unwrap()).expect("valid JSON");
+    assert_eq!(v.get("schema").unwrap().as_str(), Some("dae-pgo-profile/1"));
+    let records = v.get("records").unwrap().as_arr().unwrap();
+    assert_eq!(records.len(), 1, "one task, one record");
+    records[0].clone()
+}
+
+/// The `EDP {:+.1}%` figure of the first `--run` line.
+fn edp_delta(stdout: &str) -> f64 {
+    let line = stdout.lines().find(|l| l.contains("EDP")).expect("a --run line");
+    let pct = line.rsplit("EDP").next().unwrap().trim().trim_end_matches('%');
+    pct.parse().unwrap_or_else(|e| panic!("`{line}`: {e}"))
+}
+
+#[test]
+fn profile_out_writes_a_document_that_profile_in_reads_back() {
+    let dir = scratch("profile_out");
+    let doc = dir.join("p.json");
+    let (ok, stdout, stderr) =
+        daec(&[&example("stream.dae"), "--profile-out", doc.to_str().unwrap()]);
+    assert!(ok, "{stderr}");
+    assert!(stdout.contains("profile: 1 records resident (1 merged, 0 skipped"), "{stdout}");
+    let record = only_record(&doc);
+    assert_eq!(record.get("runs").unwrap().as_f64(), Some(1.0));
+
+    let (ok, stdout, stderr) =
+        daec(&[&example("stream.dae"), "--profile-in", doc.to_str().unwrap(), "--report"]);
+    assert!(ok, "{stderr}");
+    assert!(stdout.contains("compile: 1 tasks, 1 generated"), "{stdout}");
+    assert!(!stdout.contains("profile:"), "--profile-in alone collects nothing: {stdout}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn profile_dir_merges_across_invocations() {
+    let dir = scratch("profile_dir");
+    let (stream, store) = (example("stream.dae"), dir.join("store"));
+    let args = [stream.as_str(), "--report", "--profile-dir", store.to_str().unwrap()];
+    let (ok, stdout, stderr) = daec(&args);
+    assert!(ok, "{stderr}");
+    assert!(stdout.contains("profile: 1 records resident (1 merged"), "{stdout}");
+    let (ok, stdout, stderr) = daec(&args);
+    assert!(ok, "{stderr}");
+    assert!(stdout.contains("profile: 1 records resident (2 merged"), "{stdout}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn profile_out_and_trace_out_observe_one_run() {
+    let dir = scratch("profile_and_trace");
+    let (doc, trace) = (dir.join("p.json"), dir.join("t.json"));
+    let (ok, stdout, stderr) = daec(&[
+        &example("stream.dae"),
+        "--profile-out",
+        doc.to_str().unwrap(),
+        "--trace-out",
+        trace.to_str().unwrap(),
+        "--trace-format",
+        "summary",
+    ]);
+    assert!(ok, "{stderr}");
+    let (p, t) = (stdout.find("profile: 1 records").unwrap(), stdout.find("trace: ").unwrap());
+    assert!(p < t, "the profile line comes first: {stdout}");
+
+    // The profile's counters are the traced run's counters.
+    let record = only_record(&doc);
+    let v = parse(&std::fs::read_to_string(&trace).unwrap()).expect("valid JSON");
+    let report = v.get("report").unwrap();
+    let count =
+        |v: &JsonValue, phase: &str, k: &str| v.get(phase).unwrap().get(k).unwrap().as_f64();
+    assert_eq!(count(&record, "execute", "instrs"), count(report, "execute_trace", "instrs"));
+    assert_eq!(count(&record, "access", "prefetches"), count(report, "access_trace", "prefetches"));
+    assert!(count(&record, "access", "prefetches").unwrap() > 0.0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn profile_in_warm_starts_the_bandit() {
+    let dir = scratch("warm_bandit");
+    let (stream, doc) = (example("stream.dae"), dir.join("p.json"));
+    let doc = doc.to_str().unwrap();
+    let (ok, _, stderr) = daec(&[&stream, "--profile-out", doc]);
+    assert!(ok, "{stderr}");
+    let (ok, cold, stderr) = daec(&[&stream, "--run", "--policy", "governed:bandit:7"]);
+    assert!(ok, "{stderr}");
+    let (ok, warm, stderr) =
+        daec(&[&stream, "--profile-in", doc, "--run", "--policy", "governed:bandit:7"]);
+    assert!(ok, "{stderr}");
+    let (cold, warm) = (edp_delta(&cold), edp_delta(&warm));
+    assert!(warm < cold, "the profiled prior lowers EDP: warm {warm}% vs cold {cold}%");
+    let _ = std::fs::remove_dir_all(&dir);
+}
