@@ -9,13 +9,17 @@ the hot-swap contract end to end over real TCP:
 2. the background worker completes at least one recompile pass over
    that profile (observed via the `profiles` op's counters);
 3. the identical request afterwards answers with *identical bytes* —
-   the swap of refined artifacts is client-invisible.
+   the swap of refined artifacts is client-invisible;
+4. the same IR under another policy is answered from the coupled-baseline
+   memo: its `tasks[0].cae` object is byte-identical to the first
+   response's, and `stats` counts at least one baseline hit.
 
 Usage: recompile_smoke.py HOST:PORT
 Exits non-zero (with a message on stderr) on any violated step.
 """
 
 import json
+import re
 import socket
 import sys
 import time
@@ -96,6 +100,21 @@ def main():
     after = roundtrip(conn, work)
     if after != before:
         sys.exit(f"hot swap changed served bytes:\n  {before!r}\n  {after!r}")
+
+    # The baseline does not depend on the policy, and a hot swap cannot
+    # change it: a new policy reuses the memoised `cae` pair. The object
+    # is flat, so its first occurrence is `tasks[0].cae`, compared as the
+    # bytes the daemon wrote.
+    phases = roundtrip(conn, dict(work, id="phases", policy="dae-phases:1.6,3.4"))
+    if json.loads(phases).get("ok") is not True:
+        sys.exit(f"dae-phases run failed: {phases!r}")
+    cae = [re.search(rb'"cae":(\{[^{}]*\})', line) for line in (before, phases)]
+    if None in cae or cae[0].group(1) != cae[1].group(1):
+        sys.exit(f"baseline changed across policies:\n  {before!r}\n  {phases!r}")
+    stats = json.loads(roundtrip(conn, {"id": "s", "op": "stats"}))
+    cache = stats.get("result", {}).get("cache", {})
+    if cache.get("baseline_hits", 0) < 1:
+        sys.exit(f"the dae-phases run missed the baseline memo: {stats}")
     print("recompile hot-swap smoke: ok")
 
 

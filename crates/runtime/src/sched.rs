@@ -893,6 +893,40 @@ mod tests {
     }
 
     #[test]
+    fn trace_span_energy_reconciles_with_the_report() {
+        // Every joule the report bills is on some span, except the chip
+        // base, which is charged over the makespan: Σ span energy +
+        // static_base_w × time_s = energy_j, under every static policy and
+        // a governor.
+        let (m, exec, access) = stream_module(16384, 512);
+        let tasks = tasks_for(exec, access, 16384, 512);
+        let base = RuntimeConfig::paper_default();
+        let (fmin, fmax) = (base.table.min(), base.table.max());
+        let policies = [
+            FreqPolicy::CoupledMax,
+            FreqPolicy::CoupledFixed(fmin),
+            FreqPolicy::CoupledOptimal,
+            FreqPolicy::DaeMinMax,
+            FreqPolicy::DaeOptimal,
+            FreqPolicy::DaePhases { access: fmax, execute: fmin },
+            FreqPolicy::Governed(dae_governor::GovernorKind::Bandit { seed: 7 }),
+        ];
+        for policy in policies {
+            let cfg = base.clone().with_policy(policy);
+            let mut rec = dae_trace::Recorder::new(cfg.cores);
+            let hooks = RunHooks { sink: Some(&mut rec), ..Default::default() };
+            let r = run_workload_with(&m, &tasks, &cfg, hooks).unwrap();
+            let spans: f64 = rec.events().iter().map(|e| e.energy_j()).sum();
+            let total = spans + cfg.power.static_base_w * r.time_s;
+            assert!(
+                (total - r.energy_j).abs() <= 1e-9 * r.energy_j,
+                "{policy:?}: spans {spans} J + base vs report {} J",
+                r.energy_j
+            );
+        }
+    }
+
+    #[test]
     fn governed_run_reports_learned_classes() {
         let (m, exec, access) = stream_module(16384, 512);
         let tasks = tasks_for(exec, access, 16384, 512);

@@ -50,6 +50,15 @@ pub const PROFILES_SCHEMA: &str = "dae-serve-profiles/1";
 /// deduplicated by content).
 const RECENT_MODULES_CAP: usize = 32;
 
+/// Byte budget of the coupled-baseline memo: 4096 (module, hints, task)
+/// baselines at [`BASELINE_ENTRY_BYTES`] each, so `Mix::Warm`'s 2048
+/// (program, hint) keys fit with room to spare.
+const BASELINE_MAX_BYTES: usize = 256 << 10;
+
+/// Charge per baseline entry: the `(time_s, energy_j)` pair plus the
+/// LRU's key, stamp and map overhead, rounded up.
+const BASELINE_ENTRY_BYTES: usize = 64;
+
 /// Engine construction knobs.
 #[derive(Clone, Debug)]
 pub struct EngineConfig {
@@ -98,6 +107,13 @@ pub struct Engine {
     resp: Mutex<Lru<Arc<String>>>,
     resp_hits: AtomicU64,
     resp_misses: AtomicU64,
+    /// `(time_s, energy_j)` of each task's coupled run at fmax, keyed by
+    /// [`ModuleKey::task`]. The baseline does not depend on the policy, so
+    /// a `run` that differs from an earlier one only in its policy
+    /// simulates only the decoupled runs. Only successes are stored.
+    baseline: Mutex<Lru<(f64, f64)>>,
+    baseline_hits: AtomicU64,
+    baseline_misses: AtomicU64,
     pgo: Mutex<PgoState>,
     recompiles_started: AtomicU64,
     recompiles_completed: AtomicU64,
@@ -121,7 +137,7 @@ struct PgoState {
 /// One remembered module: everything a background recompile needs.
 #[derive(Clone)]
 struct RecentModule {
-    /// Fnv64 over `ir` + `hints` — the dedup key.
+    /// [`ModuleKey::module`] of `ir` + `hints` — the dedup key.
     key: u64,
     ir: String,
     hints: Vec<i64>,
@@ -136,6 +152,9 @@ impl Engine {
             resp: Mutex::new(Lru::new(config.resp_max_bytes)),
             resp_hits: AtomicU64::new(0),
             resp_misses: AtomicU64::new(0),
+            baseline: Mutex::new(Lru::new(BASELINE_MAX_BYTES)),
+            baseline_hits: AtomicU64::new(0),
+            baseline_misses: AtomicU64::new(0),
             pgo: Mutex::new(PgoState {
                 store: ProfileStore::new(),
                 recent: VecDeque::new(),
@@ -222,6 +241,7 @@ impl Engine {
     /// Lifetime cache counters and memory-tier occupancy, for `stats`.
     pub fn cache_json(&self) -> JsonValue {
         let resp_used = lock_recover(&self.resp).used_bytes();
+        let baseline_used = lock_recover(&self.baseline).used_bytes();
         let driver = self.lock_driver();
         let s = driver.cache_stats();
         JsonValue::obj([
@@ -233,6 +253,9 @@ impl Engine {
             ("resp_hits", self.resp_hits.load(Ordering::Relaxed).into()),
             ("resp_misses", self.resp_misses.load(Ordering::Relaxed).into()),
             ("resp_used_bytes", resp_used.into()),
+            ("baseline_hits", self.baseline_hits.load(Ordering::Relaxed).into()),
+            ("baseline_misses", self.baseline_misses.load(Ordering::Relaxed).into()),
+            ("baseline_used_bytes", baseline_used.into()),
         ])
     }
 
@@ -295,16 +318,16 @@ impl Engine {
             let hooks = RunHooks { collector: Some(col), ..Default::default() };
             run_workload_with(module, insts, &cfg, hooks).map_err(|e| ErrorBody::from_coded(&e))
         };
+        let mkey = ModuleKey::of(req);
         let insts = module_instances(module, &c.tasks, &req.hints, |t| c.outcome.map.access(t));
         let one_task = insts.len() == 1;
         let mut whole = None;
         let mut per_task = Vec::with_capacity(insts.len());
-        for inst in &insts {
-            let cae = [TaskInstance::coupled(inst.func, inst.args.clone())];
-            let r1 = run_workload(module, &cae, &base).map_err(|e| ErrorBody::from_coded(&e))?;
+        for (index, inst) in insts.iter().enumerate() {
+            let (cae_t, cae_e) = self.baseline(mkey.task(index), module, inst, &base)?;
             let mut entry = vec![
                 ("task".to_string(), JsonValue::from(module.func(inst.func).name.as_str())),
-                ("cae".to_string(), headline(&r1)),
+                ("cae".to_string(), headline(cae_t, cae_e)),
             ];
             if inst.access.is_some() {
                 let dae = std::slice::from_ref(inst);
@@ -316,10 +339,10 @@ impl Engine {
                 } else {
                     run_workload(module, dae, &cfg).map_err(|e| ErrorBody::from_coded(&e))?
                 };
-                entry.push(("dae".to_string(), headline(&r2)));
+                entry.push(("dae".to_string(), headline(r2.time_s, r2.energy_j)));
                 entry.push((
                     "edp_delta_percent".to_string(),
-                    ((r2.edp() / r1.edp() - 1.0) * 100.0).into(),
+                    ((r2.edp() / (cae_t * cae_e) - 1.0) * 100.0).into(),
                 ));
                 whole = one_task.then_some(r2);
             } else {
@@ -335,7 +358,7 @@ impl Engine {
             Some(report) => report,
             None => collected(&insts, &mut col)?,
         };
-        self.absorb_profiles(req, c, col);
+        self.absorb_profiles(req, mkey.module(), c, col);
         Ok(JsonValue::obj([
             ("policy", cfg.policy.label(&cfg.table).into()),
             ("tasks", JsonValue::Arr(per_task)),
@@ -343,20 +366,43 @@ impl Engine {
         ]))
     }
 
+    /// `(time_s, energy_j)` of one task's coupled run at fmax — the `cae`
+    /// headline every `run` scores its policy against, and the only place
+    /// a `run` simulates it.
+    ///
+    /// The run covers the task and its callees over zero-initialised
+    /// globals, with arguments from the hints, under the engine-wide
+    /// `base` configuration; the driver only adds access functions. So it
+    /// is a function of the module text, the hints and the task's index,
+    /// which is what `key` hashes: no policy, and no profile a background
+    /// recompile installs, can change it. A miss simulates and stores the
+    /// pair; errors and panics store nothing, so they recur identically.
+    fn baseline(
+        &self,
+        key: u64,
+        module: &Module,
+        inst: &TaskInstance,
+        base: &RuntimeConfig,
+    ) -> Result<(f64, f64), ErrorBody> {
+        if let Some(&pair) = lock_recover(&self.baseline).get(key) {
+            self.baseline_hits.fetch_add(1, Ordering::Relaxed);
+            return Ok(pair);
+        }
+        self.baseline_misses.fetch_add(1, Ordering::Relaxed);
+        let cae = [TaskInstance::coupled(inst.func, inst.args.clone())];
+        let r = run_workload(module, &cae, base).map_err(|e| ErrorBody::from_coded(&e))?;
+        let pair = (r.time_s, r.energy_j);
+        lock_recover(&self.baseline).insert(key, pair, BASELINE_ENTRY_BYTES);
+        Ok(pair)
+    }
+
     /// Folds one run's collected profiles into the store (keyed by the
-    /// task's *base* compile key) and remembers the module for the
-    /// background recompile worker.
-    fn absorb_profiles(&self, req: &Request, c: &Compiled, mut col: ProfileCollector) {
+    /// task's *base* compile key) and remembers the module, under its
+    /// module key `mkey`, for the background recompile worker.
+    fn absorb_profiles(&self, req: &Request, mkey: u64, c: &Compiled, mut col: ProfileCollector) {
         if col.is_empty() {
             return;
         }
-        let mut mkey = Fnv64::new();
-        mkey.write_str(&req.ir);
-        mkey.write_u64(req.hints.len() as u64);
-        for &v in &req.hints {
-            mkey.write_i64(v);
-        }
-        let mkey = mkey.finish();
         let mut st = lock_recover(&self.pgo);
         for (key, p) in col.drain_keyed(&c.outcome.keys) {
             st.store.merge_record(key, &p);
@@ -493,6 +539,36 @@ pub fn request_key(req: &Request) -> u64 {
     h.finish()
 }
 
+/// Fnv64 state over a `run` request's module text and hints, hashed once
+/// per request: the identity of a module for the recompile worker and,
+/// extended by a task's index, of that task's coupled baseline.
+#[derive(Clone, Copy)]
+struct ModuleKey(Fnv64);
+
+impl ModuleKey {
+    fn of(req: &Request) -> ModuleKey {
+        let mut h = Fnv64::new();
+        h.write_str(&req.ir);
+        h.write_u64(req.hints.len() as u64);
+        for &v in &req.hints {
+            h.write_i64(v);
+        }
+        ModuleKey(h)
+    }
+
+    /// The module's key ([`RecentModule::key`]).
+    fn module(self) -> u64 {
+        self.0.finish()
+    }
+
+    /// The baseline key of the module's `index`-th task.
+    fn task(self, index: usize) -> u64 {
+        let mut h = self.0;
+        h.write_u64(index as u64);
+        h.finish()
+    }
+}
+
 /// A compiled module's task list and driver outcome.
 struct Compiled {
     tasks: Vec<FuncId>,
@@ -556,12 +632,13 @@ impl Compiled {
     }
 }
 
-/// Headline metrics of one run: the stable triple every client wants.
-fn headline(r: &dae_runtime::RunReport) -> JsonValue {
+/// Headline metrics of one run: the stable triple every client wants
+/// (`edp` is [`dae_runtime::RunReport::edp`]'s product).
+fn headline(time_s: f64, energy_j: f64) -> JsonValue {
     JsonValue::obj([
-        ("time_s", r.time_s.into()),
-        ("energy_j", r.energy_j.into()),
-        ("edp", r.edp().into()),
+        ("time_s", time_s.into()),
+        ("energy_j", energy_j.into()),
+        ("edp", (time_s * energy_j).into()),
     ])
 }
 
@@ -603,6 +680,24 @@ bb3:
   ret
 }
 ";
+
+    /// Modules whose every simulation ends early, each leaving a partly
+    /// used cache model behind on its thread: the step budget running out,
+    /// a trap, and a load far outside the globals (a handler panic).
+    const FAILING: [(&str, &str); 3] = [
+        ("task fn spin() {\nbb0:\n  jump bb1\nbb1:\n  jump bb1\n}\n", "sim.step-limit"),
+        (
+            "global g0 a : 64 x i64\n\ntask fn div(arg0: i64) {\nbb0:\n  v0: ptr = ptradd @g0, 0\n  \
+             v1: i64 = load v0\n  v2: i64 = idiv arg0, v1\n  store v0, v2\n  ret\n}\n",
+            "sim.trap",
+        ),
+        (
+            "global g0 a : 64 x f64\n\ntask fn wild(arg0: i64) {\nbb0:\n  v0: ptr = ptradd @g0, 0\n  \
+             v1: f64 = load v0\n  v2: ptr = ptradd @g0, 1099511627776\n  v3: f64 = load v2\n  \
+             store v0, v3\n  ret\n}\n",
+            codes::INTERNAL,
+        ),
+    ];
 
     fn req(json: &str) -> Request {
         parse_request(json).expect("valid request")
@@ -652,23 +747,6 @@ bb3:
     #[test]
     fn engine_responses_match_a_fresh_engine_per_request() {
         let shared = Engine::new(&EngineConfig::default());
-        // Requests that end a simulation early, each leaving a partly used
-        // cache model behind on this thread: the step budget running out,
-        // a trap, and a load far outside the globals (a handler panic).
-        let failing = [
-            ("task fn spin() {\nbb0:\n  jump bb1\nbb1:\n  jump bb1\n}\n", "sim.step-limit"),
-            (
-                "global g0 a : 64 x i64\n\ntask fn div(arg0: i64) {\nbb0:\n  v0: ptr = ptradd @g0, 0\n  \
-                 v1: i64 = load v0\n  v2: i64 = idiv arg0, v1\n  store v0, v2\n  ret\n}\n",
-                "sim.trap",
-            ),
-            (
-                "global g0 a : 64 x f64\n\ntask fn wild(arg0: i64) {\nbb0:\n  v0: ptr = ptradd @g0, 0\n  \
-                 v1: f64 = load v0\n  v2: ptr = ptradd @g0, 1099511627776\n  v3: f64 = load v2\n  \
-                 store v0, v3\n  ret\n}\n",
-                codes::INTERNAL,
-            ),
-        ];
         let fail = |ir: &str, code: &str| {
             let frame =
                 JsonValue::obj([("id", 1u64.into()), ("op", "run".into()), ("ir", ir.into())]);
@@ -687,7 +765,7 @@ bb3:
             ]);
             let request = req(&frame.to_json_string());
             let warmup = shared.handle(&request).unwrap();
-            for (ir, code) in failing {
+            for (ir, code) in FAILING {
                 fail(ir, code);
             }
             let again = shared.handle(&request).unwrap();
@@ -785,6 +863,120 @@ bb3:
                 "op {op} after swap == fresh engine"
             );
         }
+    }
+
+    /// Two tasks over separate globals: a polyhedral stream and a
+    /// skeleton gather.
+    const TWO_TASKS: &str = "\
+global g0 a : 4096 x f64
+global g1 x : 8192 x f64
+global g2 idx : 2048 x i64
+
+task fn stream(arg0: i64) {
+bb0:
+  jump bb1(0)
+bb1(bb1p0: i64):
+  v0: bool = icmp lt bb1p0, 512
+  br v0, bb2, bb3
+bb2:
+  v1: i64 = iadd arg0, bb1p0
+  v2: i64 = imul v1, 8
+  v3: ptr = ptradd @g0, v2
+  v4: f64 = load v3
+  v5: f64 = fmul v4, 2.0
+  store v3, v5
+  v6: i64 = iadd bb1p0, 1
+  jump bb1(v6)
+bb3:
+  ret
+}
+
+task fn gather(arg0: i64) {
+bb0:
+  jump bb1(0)
+bb1(bb1p0: i64):
+  v0: bool = icmp lt bb1p0, arg0
+  br v0, bb2, bb3
+bb2:
+  v1: i64 = imul bb1p0, 8
+  v2: ptr = ptradd @g2, v1
+  v3: i64 = load v2
+  v4: i64 = imul v3, 8
+  v5: ptr = ptradd @g1, v4
+  v6: f64 = load v5
+  v7: ptr = ptradd @g1, v1
+  store v7, v6
+  v8: i64 = iadd bb1p0, 1
+  jump bb1(v8)
+bb3:
+  ret
+}
+";
+
+    fn run_frame(ir: &str, hints: &[u64], policy: Option<&str>) -> Request {
+        let mut fields = vec![
+            ("id", 1u64.into()),
+            ("op", "run".into()),
+            ("ir", ir.into()),
+            ("hints", JsonValue::Arr(hints.iter().map(|&h| h.into()).collect())),
+        ];
+        if let Some(p) = policy {
+            fields.push(("policy", p.into()));
+        }
+        req(&JsonValue::obj(fields).to_json_string())
+    }
+
+    fn counter(engine: &Engine, name: &str) -> f64 {
+        engine.cache_json().get(name).and_then(JsonValue::as_f64).expect("cache counter")
+    }
+
+    #[test]
+    fn the_coupled_baseline_is_simulated_once_per_module_hints_and_task() {
+        const GHZ: [&str; 6] = ["1.6", "2.0", "2.4", "2.8", "3.2", "3.4"];
+        let mut policies: Vec<Option<String>> = GHZ
+            .iter()
+            .flat_map(|a| GHZ.iter().map(move |e| Some(format!("dae-phases:{a},{e}"))))
+            .collect();
+        policies.push(None);
+        policies.extend(["dae-minmax", "coupled-max", "governed:bandit:7"].map(|p| Some(p.into())));
+        assert_eq!(policies.len(), 40);
+        let shared = Engine::new(&EngineConfig::default());
+        let (mut task_runs, mut keys) = (0, 0);
+        // Policy-major, so every (module, hints) pair is revisited after the
+        // others have run in between.
+        for policy in &policies {
+            for (ir, tasks) in [(STREAM, 1), (TWO_TASKS, 2)] {
+                for hint in [64, 128] {
+                    let request = run_frame(ir, &[hint], policy.as_deref());
+                    let got = shared.handle(&request).unwrap().to_json_string();
+                    let fresh = Engine::new(&EngineConfig::default());
+                    let want = fresh.handle(&request).unwrap().to_json_string();
+                    assert_eq!(got, want, "policy {policy:?}, hint {hint}: memo == fresh engine");
+                    assert_eq!(counter(&fresh, "baseline_misses"), tasks as f64);
+                    task_runs += tasks;
+                    if policy == &policies[0] {
+                        keys += tasks;
+                    }
+                }
+            }
+        }
+        assert_eq!(keys, 6, "tasks × distinct (text, hints)");
+        assert_eq!(counter(&shared, "baseline_misses"), keys as f64);
+        assert_eq!(counter(&shared, "baseline_hits"), (task_runs - keys) as f64);
+        let used = counter(&shared, "baseline_used_bytes");
+        assert_eq!(used, (keys * BASELINE_ENTRY_BYTES) as f64);
+        // A baseline that fails or panics stores nothing: every policy
+        // simulates it again and fails the same way.
+        for (ir, code) in FAILING {
+            let misses = counter(&shared, "baseline_misses");
+            for policy in ["dae-minmax", "coupled-max"] {
+                let e = shared.handle(&run_frame(ir, &[], Some(policy))).unwrap_err();
+                assert_eq!(e.code, code, "{policy}");
+            }
+            assert_eq!(counter(&shared, "baseline_misses"), misses + 2.0, "{code}: two misses");
+            assert_eq!(counter(&shared, "baseline_used_bytes"), used, "{code}: nothing stored");
+        }
+        assert_eq!(counter(&shared, "baseline_hits"), (task_runs - keys) as f64);
     }
 
     #[test]
