@@ -158,6 +158,19 @@ check "an owned-name symbol map in the parser" \
     'HashMap<String' \
     'crates/ir/src/parse\.rs'
 
+# The access-phase clean-up allocates per function, not per edge or per
+# merge: a terminator yields its successors from the edges it holds, and the
+# CFG keeps every block's predecessors and successors in two flat arrays.
+check "a heap successor list" \
+    "none" \
+    'vec!\[then_dest, else_dest\]|-> Vec<&(mut )?BlockCall>' \
+    'crates/ir/src/inst\.rs'
+
+check "a per-block Vec CFG" \
+    "none" \
+    'Vec<Vec<BlockId>>' \
+    'crates/analysis/src/.*'
+
 # Access generation is one sequence, `dae_core::generate_access_with`
 # (inline → optimize → refine → analyze → generate); the driver fills its
 # refine step and times its stages. No pass trait, slot map, second copy of

@@ -5,11 +5,17 @@ use dae_ir::{BlockId, Function};
 /// Predecessor/successor sets plus traversal orders for one function.
 ///
 /// The graph is computed once from the terminators; rebuild after mutating
-/// control flow.
+/// control flow. Both edge lists are stored flat, one run per block
+/// delimited by an offset table, so building a graph costs a fixed handful
+/// of allocations whatever the function's size.
 #[derive(Clone, Debug)]
 pub struct Cfg {
-    preds: Vec<Vec<BlockId>>,
-    succs: Vec<Vec<BlockId>>,
+    /// Successors of block `b` are `succs[succ_at[b]..succ_at[b + 1]]`.
+    succ_at: Vec<u32>,
+    succs: Vec<BlockId>,
+    /// Predecessors of block `b` are `preds[pred_at[b]..pred_at[b + 1]]`.
+    pred_at: Vec<u32>,
+    preds: Vec<BlockId>,
     /// Blocks reachable from the entry, in reverse postorder.
     rpo: Vec<BlockId>,
     /// `rpo_index[b] == Some(i)` iff `rpo[i] == b`.
@@ -20,50 +26,73 @@ impl Cfg {
     /// Builds the CFG of `func`.
     pub fn new(func: &Function) -> Self {
         let n = func.num_blocks();
-        let mut preds = vec![Vec::new(); n];
-        let mut succs = vec![Vec::new(); n];
+        let mut succ_at = Vec::with_capacity(n + 1);
+        let mut succs = Vec::with_capacity(2 * n);
+        // In-degrees, shifted one slot up for the prefix sum below.
+        let mut pred_at = vec![0u32; n + 1];
         for bb in func.block_ids() {
+            succ_at.push(succs.len() as u32);
             for dest in func.terminator(bb).successors() {
-                succs[bb.0 as usize].push(dest.block);
-                preds[dest.block.0 as usize].push(bb);
+                succs.push(dest.block);
+                pred_at[dest.block.0 as usize + 1] += 1;
             }
         }
+        succ_at.push(succs.len() as u32);
+        for b in 0..n {
+            pred_at[b + 1] += pred_at[b];
+        }
+        // Fill each run in block order (predecessors with multiplicity),
+        // using `pred_at[b]` as block `b`'s cursor…
+        let mut preds = vec![func.entry; succs.len()];
+        for bb in 0..n {
+            for &s in &succs[succ_at[bb] as usize..succ_at[bb + 1] as usize] {
+                let cursor = &mut pred_at[s.0 as usize];
+                preds[*cursor as usize] = BlockId(bb as u32);
+                *cursor += 1;
+            }
+        }
+        // …which leaves every cursor at its run's end: shift back.
+        pred_at.copy_within(0..n, 1);
+        pred_at[0] = 0;
 
-        // Postorder DFS from the entry.
-        let mut post: Vec<BlockId> = Vec::with_capacity(n);
-        let mut visited = vec![false; n];
-        // Iterative DFS with an explicit state machine to avoid recursion.
-        let mut stack: Vec<(BlockId, usize)> = vec![(func.entry, 0)];
-        visited[func.entry.0 as usize] = true;
-        while let Some(&mut (bb, ref mut idx)) = stack.last_mut() {
-            let s = &succs[bb.0 as usize];
-            if *idx < s.len() {
-                let next = s[*idx];
-                *idx += 1;
-                if !std::mem::replace(&mut visited[next.0 as usize], true) {
-                    stack.push((next, 0));
+        // Postorder DFS from the entry; `rpo_index` doubles as the visited
+        // set until the order is known.
+        let mut rpo: Vec<BlockId> = Vec::with_capacity(n);
+        let mut rpo_index = vec![None; n];
+        // Iterative DFS with an explicit state machine to avoid recursion:
+        // each frame holds its block's next successor slot.
+        let mut stack: Vec<(BlockId, u32)> = vec![(func.entry, succ_at[func.entry.0 as usize])];
+        rpo_index[func.entry.0 as usize] = Some(u32::MAX);
+        while let Some(&mut (bb, ref mut at)) = stack.last_mut() {
+            if *at < succ_at[bb.0 as usize + 1] {
+                let next = succs[*at as usize];
+                *at += 1;
+                if rpo_index[next.0 as usize].replace(u32::MAX).is_none() {
+                    stack.push((next, succ_at[next.0 as usize]));
                 }
             } else {
-                post.push(bb);
+                rpo.push(bb);
                 stack.pop();
             }
         }
-        let rpo: Vec<BlockId> = post.into_iter().rev().collect();
-        let mut rpo_index = vec![None; n];
+        rpo.reverse();
         for (i, &bb) in rpo.iter().enumerate() {
             rpo_index[bb.0 as usize] = Some(i as u32);
         }
-        Cfg { preds, succs, rpo, rpo_index }
+        Cfg { succ_at, succs, pred_at, preds, rpo, rpo_index }
     }
 
-    /// Predecessors of `bb` (with multiplicity for duplicate edges).
+    /// Predecessors of `bb` (with multiplicity for duplicate edges), in
+    /// block order.
     pub fn preds(&self, bb: BlockId) -> &[BlockId] {
-        &self.preds[bb.0 as usize]
+        let b = bb.0 as usize;
+        &self.preds[self.pred_at[b] as usize..self.pred_at[b + 1] as usize]
     }
 
-    /// Successors of `bb`.
+    /// Successors of `bb`, in terminator order.
     pub fn succs(&self, bb: BlockId) -> &[BlockId] {
-        &self.succs[bb.0 as usize]
+        let b = bb.0 as usize;
+        &self.succs[self.succ_at[b] as usize..self.succ_at[b + 1] as usize]
     }
 
     /// Reachable blocks in reverse postorder (entry first).

@@ -46,18 +46,14 @@ impl LoopForest {
     /// its source) is ignored — such edges never arise from the structured
     /// builder, and the DAE compiler refuses tasks it cannot analyse anyway.
     pub fn new(func: &Function, cfg: &Cfg, dom: &DomTree) -> Self {
-        // Collect back edges grouped by header.
-        let mut headers: Vec<BlockId> = Vec::new();
-        let mut latches_of: Vec<Vec<BlockId>> = Vec::new();
+        // Collect back edges grouped by header: `(header, latches)`.
+        let mut back_edges: Vec<(BlockId, Vec<BlockId>)> = Vec::new();
         for &bb in cfg.rpo() {
             for &succ in cfg.succs(bb) {
                 if dom.dominates(succ, bb) {
-                    match headers.iter().position(|&h| h == succ) {
-                        Some(i) => latches_of[i].push(bb),
-                        None => {
-                            headers.push(succ);
-                            latches_of.push(vec![bb]);
-                        }
+                    match back_edges.iter_mut().find(|(h, _)| *h == succ) {
+                        Some((_, latches)) => latches.push(bb),
+                        None => back_edges.push((succ, vec![bb])),
                     }
                 }
             }
@@ -65,8 +61,8 @@ impl LoopForest {
 
         // Body of each loop: header plus everything that reaches a latch
         // without passing through the header.
-        let mut loops: Vec<Loop> = Vec::new();
-        for (header, latches) in headers.into_iter().zip(latches_of) {
+        let mut loops: Vec<Loop> = Vec::with_capacity(back_edges.len());
+        for (header, latches) in back_edges {
             let mut blocks: HashSet<BlockId> = HashSet::new();
             blocks.insert(header);
             let mut work: Vec<BlockId> = latches.clone();

@@ -14,8 +14,8 @@
 use crate::cfg::Cfg;
 use crate::dom::DomTree;
 use crate::loops::{recognize_counted, CountedLoop, LoopForest, LoopId};
-use dae_ir::{BinOp, Function, GlobalId, InstKind, UnOp, Value};
-use std::collections::{BTreeMap, HashMap};
+use dae_ir::{BinOp, Function, GlobalId, InstId, InstKind, UnOp, Value};
+use std::borrow::Cow;
 use std::fmt;
 
 /// A symbolic variable of an affine form.
@@ -28,25 +28,28 @@ pub enum AffineVar {
 }
 
 /// An affine integer expression `constant + Σ coeff·var`.
+///
+/// The terms are a short vector sorted by variable with no zero
+/// coefficient, so every combination is one merge into one allocation and
+/// equal expressions compare equal.
 #[derive(Clone, Debug, PartialEq, Eq, Default)]
 pub struct Affine {
     /// Constant term.
     pub constant: i64,
-    /// Per-variable integer coefficients (zero coefficients are not stored).
-    pub terms: BTreeMap<AffineVar, i64>,
+    /// `(variable, coefficient)` pairs sorted by variable; zero
+    /// coefficients are not stored.
+    terms: Vec<(AffineVar, i64)>,
 }
 
 impl Affine {
     /// The constant expression `c`.
     pub fn constant(c: i64) -> Self {
-        Affine { constant: c, terms: BTreeMap::new() }
+        Affine { constant: c, terms: Vec::new() }
     }
 
     /// The expression `1·var`.
     pub fn var(v: AffineVar) -> Self {
-        let mut terms = BTreeMap::new();
-        terms.insert(v, 1);
-        Affine { constant: 0, terms }
+        Affine { constant: 0, terms: vec![(v, 1)] }
     }
 
     /// True if the expression has no variable terms.
@@ -65,38 +68,79 @@ impl Affine {
 
     /// Coefficient of `v` (zero if absent).
     pub fn coeff(&self, v: AffineVar) -> i64 {
-        self.terms.get(&v).copied().unwrap_or(0)
+        self.terms.binary_search_by_key(&v, |t| t.0).map_or(0, |i| self.terms[i].1)
+    }
+
+    /// The expression plus `c·v`, in place.
+    pub fn add_term(mut self, v: AffineVar, c: i64) -> Affine {
+        match self.terms.binary_search_by_key(&v, |t| t.0) {
+            Ok(i) => {
+                let sum = self.terms[i].1.wrapping_add(c);
+                if sum == 0 {
+                    self.terms.remove(i);
+                } else {
+                    self.terms[i].1 = sum;
+                }
+            }
+            Err(i) if c != 0 => self.terms.insert(i, (v, c)),
+            Err(_) => {}
+        }
+        self
+    }
+
+    /// `self + k·other`, every coefficient wrapping, built in one pass: no
+    /// scaled copy of `other` is made.
+    pub fn add_scaled(&self, k: i64, other: &Affine) -> Affine {
+        self.merge(None, k, other)
+    }
+
+    /// [`Affine::add_scaled`] with the term of `skip` in `self` left out.
+    fn merge(&self, skip: Option<AffineVar>, k: i64, other: &Affine) -> Affine {
+        let mut terms = Vec::with_capacity(self.terms.len() + other.terms.len());
+        let mine = self.terms.iter().filter(|t| Some(t.0) != skip);
+        let (mut a, mut b) = (mine.peekable(), other.terms.iter().peekable());
+        loop {
+            let (v, c) = match (a.peek(), b.peek()) {
+                (Some(&&(va, ca)), Some(&&(vb, _))) if va < vb => {
+                    a.next();
+                    (va, ca)
+                }
+                (Some(&&(va, ca)), Some(&&(vb, cb))) if va == vb => {
+                    a.next();
+                    b.next();
+                    (va, ca.wrapping_add(cb.wrapping_mul(k)))
+                }
+                (_, Some(&&(vb, cb))) => {
+                    b.next();
+                    (vb, cb.wrapping_mul(k))
+                }
+                (Some(&&(va, ca)), None) => {
+                    a.next();
+                    (va, ca)
+                }
+                (None, None) => break,
+            };
+            if c != 0 {
+                terms.push((v, c));
+            }
+        }
+        Affine { constant: self.constant.wrapping_add(other.constant.wrapping_mul(k)), terms }
     }
 
     /// Sum of two affine expressions.
     pub fn add(&self, other: &Affine) -> Affine {
-        let mut out = self.clone();
-        out.constant = out.constant.wrapping_add(other.constant);
-        for (v, c) in &other.terms {
-            let e = out.terms.entry(*v).or_insert(0);
-            *e = e.wrapping_add(*c);
-            if *e == 0 {
-                out.terms.remove(v);
-            }
-        }
-        out
+        self.add_scaled(1, other)
     }
 
     /// Difference of two affine expressions.
     pub fn sub(&self, other: &Affine) -> Affine {
-        self.add(&other.scale(-1))
+        self.add_scaled(-1, other)
     }
 
-    /// The expression multiplied by a constant.
+    /// The expression multiplied by a constant. A coefficient whose product
+    /// wraps to zero is dropped, like any other zero.
     pub fn scale(&self, k: i64) -> Affine {
-        if k == 0 {
-            return Affine::constant(0);
-        }
-        let mut out = Affine::constant(self.constant.wrapping_mul(k));
-        for (v, c) in &self.terms {
-            out.terms.insert(*v, c.wrapping_mul(k));
-        }
-        out
+        Affine::constant(0).add_scaled(k, self)
     }
 
     /// Product, defined only when at least one side is constant.
@@ -111,33 +155,35 @@ impl Affine {
     /// Substitutes `var := repl` (used to rewrite IVs into normalized loop
     /// counters).
     pub fn substitute(&self, var: AffineVar, repl: &Affine) -> Affine {
-        let c = self.coeff(var);
-        if c == 0 {
-            return self.clone();
+        match self.coeff(var) {
+            0 => self.clone(),
+            c => self.merge(Some(var), c, repl),
         }
-        let mut out = self.clone();
-        out.terms.remove(&var);
-        out.add(&repl.scale(c))
     }
 
-    /// All variables appearing with non-zero coefficient.
+    /// All variables appearing with non-zero coefficient, in order.
     pub fn vars(&self) -> impl Iterator<Item = AffineVar> + '_ {
-        self.terms.keys().copied()
+        self.terms.iter().map(|t| t.0)
+    }
+
+    /// `(variable, coefficient)` for every non-zero term, in variable order.
+    pub fn terms(&self) -> impl Iterator<Item = (AffineVar, i64)> + '_ {
+        self.terms.iter().copied()
     }
 }
 
 impl fmt::Display for Affine {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mut first = true;
-        for (v, c) in &self.terms {
+        for &(v, c) in &self.terms {
             if first {
-                if *c == 1 {
+                if c == 1 {
                     write!(f, "{v:?}")?;
                 } else {
                     write!(f, "{c}*{v:?}")?;
                 }
                 first = false;
-            } else if *c >= 0 {
+            } else if c >= 0 {
                 write!(f, " + {}*{v:?}", c)?;
             } else {
                 write!(f, " - {}*{v:?}", -c)?;
@@ -166,37 +212,38 @@ pub struct PtrAffine {
 
 /// Scalar-evolution engine for one function.
 ///
-/// Construction runs counted-loop recognition for every loop; affine queries
-/// are memoised.
+/// Construction runs counted-loop recognition for every loop; the affine
+/// forms of instructions are memoised in tables indexed by instruction id,
+/// and an operand's form is read from the table in place, never copied.
 pub struct ScalarEvolution<'f> {
     func: &'f Function,
-    counted: HashMap<LoopId, CountedLoop>,
+    /// Indexed by loop id.
+    counted: Vec<Option<CountedLoop>>,
     forest: &'f LoopForest,
-    int_memo: HashMap<Value, Option<Affine>>,
-    ptr_memo: HashMap<Value, Option<PtrAffine>>,
+    /// Indexed by instruction id: `None` until computed, then the form
+    /// (`Some(None)` while it is being computed, which cuts cycles through
+    /// malformed IR).
+    int_memo: Vec<Option<Option<Affine>>>,
+    ptr_memo: Vec<Option<Option<PtrAffine>>>,
 }
 
 impl<'f> ScalarEvolution<'f> {
     /// Builds the engine; `cfg`, `dom` and `forest` must describe `func`.
     pub fn new(func: &'f Function, cfg: &Cfg, _dom: &DomTree, forest: &'f LoopForest) -> Self {
-        let mut counted = HashMap::new();
-        for (id, _) in forest.loops() {
-            if let Some(c) = recognize_counted(func, cfg, forest, id) {
-                counted.insert(id, c);
-            }
-        }
+        let counted =
+            forest.loops().map(|(id, _)| recognize_counted(func, cfg, forest, id)).collect();
         ScalarEvolution {
             func,
             counted,
             forest,
-            int_memo: HashMap::new(),
-            ptr_memo: HashMap::new(),
+            int_memo: vec![None; func.num_insts()],
+            ptr_memo: vec![None; func.num_insts()],
         }
     }
 
     /// The recognised counted loop for `id`, if recognition succeeded.
     pub fn counted(&self, id: LoopId) -> Option<&CountedLoop> {
-        self.counted.get(&id)
+        self.counted.get(id.0 as usize)?.as_ref()
     }
 
     /// The loop forest the engine was built from.
@@ -206,88 +253,102 @@ impl<'f> ScalarEvolution<'f> {
 
     /// Affine form of an integer value, if one exists.
     pub fn affine_of(&mut self, v: Value) -> Option<Affine> {
-        if let Some(hit) = self.int_memo.get(&v) {
-            return hit.clone();
-        }
-        // Insert a tentative None to cut cycles through malformed IR.
-        self.int_memo.insert(v, None);
-        let result = self.affine_uncached(v);
-        self.int_memo.insert(v, result.clone());
-        result
+        self.memoise(v);
+        self.affine_in_place(v).map(Cow::into_owned)
     }
 
-    fn affine_uncached(&mut self, v: Value) -> Option<Affine> {
+    /// Computes and records the affine form of `v` if it is an
+    /// instruction not seen yet.
+    fn memoise(&mut self, v: Value) {
+        let Value::Inst(id) = v else { return };
+        let i = id.0 as usize;
+        if self.int_memo[i].is_none() {
+            self.int_memo[i] = Some(None);
+            let form = self.affine_of_inst(id);
+            self.int_memo[i] = Some(form);
+        }
+    }
+
+    /// The affine form of `v`, borrowed from the memo for an instruction
+    /// (which [`ScalarEvolution::memoise`] has recorded).
+    fn affine_in_place(&self, v: Value) -> Option<Cow<'_, Affine>> {
         match v {
-            Value::ConstI64(c) => Some(Affine::constant(c)),
+            Value::Inst(id) => self.int_memo[id.0 as usize].as_ref()?.as_ref().map(Cow::Borrowed),
+            Value::ConstI64(c) => Some(Cow::Owned(Affine::constant(c))),
             Value::ConstBool(_) | Value::ConstF64(_) | Value::Global(_) => None,
-            Value::Arg(i) => Some(Affine::var(AffineVar::Param(i))),
+            Value::Arg(i) => Some(Cow::Owned(Affine::var(AffineVar::Param(i)))),
             Value::BlockParam { block, index } => {
                 // Is this the IV of a recognised counted loop?
                 let lp = self.forest.loop_with_header(block)?;
-                let c = self.counted.get(&lp)?;
-                if c.iv_index == index {
-                    Some(Affine::var(AffineVar::Iv(lp)))
-                } else {
-                    None
-                }
+                let c = self.counted(lp)?;
+                (c.iv_index == index).then(|| Cow::Owned(Affine::var(AffineVar::Iv(lp))))
             }
-            Value::Inst(id) => {
-                let kind = self.func.inst(id).kind.clone();
-                match kind {
-                    InstKind::Binary { op, lhs, rhs } => {
-                        let l = self.affine_of(lhs)?;
-                        let r = self.affine_of(rhs)?;
-                        match op {
-                            BinOp::IAdd => Some(l.add(&r)),
-                            BinOp::ISub => Some(l.sub(&r)),
-                            BinOp::IMul => l.mul(&r),
-                            BinOp::Shl => {
-                                let k = r.as_const()?;
-                                if (0..63).contains(&k) {
-                                    Some(l.scale(1i64 << k))
-                                } else {
-                                    None
-                                }
-                            }
-                            _ => None,
+        }
+    }
+
+    fn affine_of_inst(&mut self, id: InstId) -> Option<Affine> {
+        match self.func.inst(id).kind {
+            InstKind::Binary { op, lhs, rhs } => {
+                self.memoise(lhs);
+                self.memoise(rhs);
+                let (l, r) = (self.affine_in_place(lhs)?, self.affine_in_place(rhs)?);
+                match op {
+                    BinOp::IAdd => Some(l.add(&r)),
+                    BinOp::ISub => Some(l.sub(&r)),
+                    BinOp::IMul => l.mul(&r),
+                    BinOp::Shl => {
+                        let k = r.as_const()?;
+                        if (0..63).contains(&k) {
+                            Some(l.scale(1i64 << k))
+                        } else {
+                            None
                         }
-                    }
-                    InstKind::Unary { op: UnOp::INeg, operand } => {
-                        Some(self.affine_of(operand)?.scale(-1))
                     }
                     _ => None,
                 }
             }
+            InstKind::Unary { op: UnOp::INeg, operand } => {
+                self.memoise(operand);
+                Some(self.affine_in_place(operand)?.scale(-1))
+            }
+            _ => None,
         }
     }
 
     /// Affine pointer form of a `ptr` value, if one exists.
     pub fn pointer_of(&mut self, v: Value) -> Option<PtrAffine> {
-        if let Some(hit) = self.ptr_memo.get(&v) {
-            return hit.clone();
-        }
-        self.ptr_memo.insert(v, None);
-        let result = self.pointer_uncached(v);
-        self.ptr_memo.insert(v, result.clone());
-        result
+        self.memoise_pointer(v);
+        self.pointer_in_place(v).map(Cow::into_owned)
     }
 
-    fn pointer_uncached(&mut self, v: Value) -> Option<PtrAffine> {
+    /// [`ScalarEvolution::memoise`] for pointer forms.
+    fn memoise_pointer(&mut self, v: Value) {
+        let Value::Inst(id) = v else { return };
+        let i = id.0 as usize;
+        if self.ptr_memo[i].is_none() {
+            self.ptr_memo[i] = Some(None);
+            let form = self.pointer_of_inst(id);
+            self.ptr_memo[i] = Some(form);
+        }
+    }
+
+    /// [`ScalarEvolution::affine_in_place`] for pointer forms.
+    fn pointer_in_place(&self, v: Value) -> Option<Cow<'_, PtrAffine>> {
         match v {
-            Value::Global(g) => Some(PtrAffine { base: g, offset: Affine::constant(0) }),
-            Value::Inst(id) => {
-                let kind = self.func.inst(id).kind.clone();
-                match kind {
-                    InstKind::PtrAdd { base, offset } => {
-                        let b = self.pointer_of(base)?;
-                        let o = self.affine_of(offset)?;
-                        Some(PtrAffine { base: b.base, offset: b.offset.add(&o) })
-                    }
-                    _ => None,
-                }
+            Value::Global(g) => {
+                Some(Cow::Owned(PtrAffine { base: g, offset: Affine::constant(0) }))
             }
+            Value::Inst(id) => self.ptr_memo[id.0 as usize].as_ref()?.as_ref().map(Cow::Borrowed),
             _ => None,
         }
+    }
+
+    fn pointer_of_inst(&mut self, id: InstId) -> Option<PtrAffine> {
+        let InstKind::PtrAdd { base, offset } = self.func.inst(id).kind else { return None };
+        self.memoise_pointer(base);
+        self.memoise(offset);
+        let (b, o) = (self.pointer_in_place(base)?, self.affine_in_place(offset)?);
+        Some(PtrAffine { base: b.base, offset: b.offset.add(&o) })
     }
 }
 

@@ -20,12 +20,27 @@ use dae_ir::{BlockId, Function, Terminator, Value};
 /// already the fixpoint: removing dead code changes neither the roots nor
 /// the operands of anything live.
 pub fn dce_fixpoint(func: &mut Function) -> bool {
-    // Indexed by instruction id, and by block id then parameter index.
+    let n = func.num_blocks();
+    // Block `b`'s parameters are slots `param_at[b]..param_at[b + 1]` of
+    // `live_params`; the argument lists of the edges into it are
+    // `incoming[in_at[b]..in_at[b + 1]]`.
+    let mut param_at = Vec::with_capacity(n + 1);
+    let mut in_at = vec![0u32; n + 1];
+    let mut slots = 0u32;
+    for bb in func.block_ids() {
+        param_at.push(slots);
+        slots += func.block(bb).params.len() as u32;
+        for dest in func.terminator(bb).successors() {
+            in_at[dest.block.0 as usize + 1] += 1;
+        }
+    }
+    param_at.push(slots);
+    for b in 0..n {
+        in_at[b + 1] += in_at[b];
+    }
+    let mut live_params = vec![false; slots as usize];
     let mut live_insts = vec![false; func.num_insts()];
-    let mut live_params: Vec<Vec<bool>> =
-        func.block_ids().map(|bb| vec![false; func.block(bb).params.len()]).collect();
-    // The argument lists of the edges into each block.
-    let mut incoming: Vec<Vec<&[Value]>> = vec![Vec::new(); func.num_blocks()];
+    let mut incoming: Vec<&[Value]> = vec![&[]; in_at[n] as usize];
     let mut work: Vec<Value> = Vec::new();
 
     let touch = |v: Value, work: &mut Vec<Value>| {
@@ -47,10 +62,15 @@ pub fn dce_fixpoint(func: &mut Function) -> bool {
             Terminator::Ret(Some(v)) => touch(*v, &mut work),
             _ => {}
         }
+        // `in_at[b]` is block `b`'s fill cursor; shifted back below.
         for dest in term.successors() {
-            incoming[dest.block.0 as usize].push(&dest.args);
+            let cursor = &mut in_at[dest.block.0 as usize];
+            incoming[*cursor as usize] = &dest.args;
+            *cursor += 1;
         }
     }
+    in_at.copy_within(0..n, 1);
+    in_at[0] = 0;
 
     while let Some(v) = work.pop() {
         match v {
@@ -58,15 +78,17 @@ pub fn dce_fixpoint(func: &mut Function) -> bool {
                 func.inst(id).kind.for_each_operand(|o| touch(o, &mut work));
             }
             Value::BlockParam { block, index } => {
-                let Some(live) = live_params[block.0 as usize].get_mut(index as usize) else {
+                let b = block.0 as usize;
+                let slot = param_at[b] + index;
+                if slot >= param_at[b + 1]
+                    || std::mem::replace(&mut live_params[slot as usize], true)
+                {
                     continue;
-                };
-                if !std::mem::replace(live, true) {
-                    // The matching argument on every incoming edge is live.
-                    for args in &incoming[block.0 as usize] {
-                        if let Some(a) = args.get(index as usize) {
-                            touch(*a, &mut work);
-                        }
+                }
+                // The matching argument on every incoming edge is live.
+                for args in &incoming[in_at[b] as usize..in_at[b + 1] as usize] {
+                    if let Some(a) = args.get(index as usize) {
+                        touch(*a, &mut work);
                     }
                 }
             }
@@ -80,61 +102,62 @@ pub fn dce_fixpoint(func: &mut Function) -> bool {
         func.block_mut(bb).insts.retain(|i| live_insts[i.0 as usize]);
         changed |= func.block(bb).insts.len() != before;
     }
-    changed |= remove_dead_params(func, &live_params);
+    changed |= remove_dead_params(func, &param_at, &live_params);
     changed
 }
 
-/// Drops block parameters not marked in `live_params`, compacting indices
-/// and rewriting every use and every incoming edge.
-fn remove_dead_params(func: &mut Function, live_params: &[Vec<bool>]) -> bool {
-    if live_params.iter().flatten().all(|&live| live) {
+/// Drops block parameters not marked in `live` (block `b`'s slots are
+/// `param_at[b]..param_at[b + 1]`), compacting indices and rewriting every
+/// use and every incoming edge.
+fn remove_dead_params(func: &mut Function, param_at: &[u32], live: &[bool]) -> bool {
+    if live.iter().all(|&l| l) {
         return false;
     }
-    // Per-block old-index → new-index maps (None = dropped).
-    let remap: Vec<Vec<Option<u32>>> = live_params
-        .iter()
-        .map(|live| {
-            let mut next = 0u32;
-            live.iter()
-                .map(|&keep| {
-                    keep.then(|| {
-                        next += 1;
-                        next - 1
-                    })
-                })
-                .collect()
-        })
-        .collect();
-    let blocks: Vec<BlockId> = func.block_ids().collect();
+    // Per-slot new index within its block (`None` = dropped).
+    let mut remap: Vec<Option<u32>> = Vec::with_capacity(live.len());
+    for bb in func.block_ids() {
+        let b = bb.0 as usize;
+        let mut next = 0u32;
+        for &keep in &live[param_at[b] as usize..param_at[b + 1] as usize] {
+            remap.push(keep.then(|| {
+                next += 1;
+                next - 1
+            }));
+        }
+    }
+    let slot = |block: BlockId, index: usize| -> Option<Option<u32>> {
+        let b = block.0 as usize;
+        let at = param_at[b] as usize + index;
+        (at < param_at[b + 1] as usize).then(|| remap[at])
+    };
 
     // Rewrite parameter lists.
-    for &bb in &blocks {
-        let keep = &remap[bb.0 as usize];
+    for bb in func.block_ids() {
         let mut i = 0;
         func.block_mut(bb).params.retain(|_| {
             i += 1;
-            keep[i - 1].is_some()
+            slot(bb, i - 1).flatten().is_some()
         });
     }
 
     // Drop the edge arguments of dead params, then renumber the references
     // to the surviving ones. (Uses of dead params only survived inside dead
     // instructions, which are already gone.)
-    for &bb in &blocks {
+    for bb in func.block_ids() {
         if func.block(bb).term.is_some() {
             for dest in func.terminator_mut(bb).successors_mut() {
-                let keep = &remap[dest.block.0 as usize];
                 let mut i = 0;
+                let to = dest.block;
                 dest.args.retain(|_| {
                     i += 1;
-                    keep.get(i - 1).copied().flatten().is_some()
+                    slot(to, i - 1).flatten().is_some()
                 });
             }
         }
     }
     super::map_all_operands(func, |v| match v {
         Value::BlockParam { block, index } => {
-            let index = remap[block.0 as usize][index as usize].unwrap_or(index);
+            let index = slot(block, index as usize).flatten().unwrap_or(index);
             Value::BlockParam { block, index }
         }
         other => other,

@@ -3,6 +3,8 @@
 pub mod constfold;
 pub mod dce;
 pub mod inline;
+#[cfg(test)]
+mod model;
 pub mod simplify;
 pub mod strength;
 
@@ -37,6 +39,12 @@ pub(crate) fn map_all_operands(func: &mut Function, mut f: impl FnMut(Value) -> 
 /// postorder): a round that changed nothing returns the previous round's
 /// compaction as it is instead of rebuilding it.
 pub fn optimize(func: &Function) -> Function {
+    optimized(func.clone())
+}
+
+/// [`optimize`] of a function the caller gives up, whose storage the
+/// compactions reuse.
+pub(crate) fn optimized(func: Function) -> Function {
     let mut f = compact(func);
     loop {
         let mut changed = false;
@@ -48,7 +56,7 @@ pub fn optimize(func: &Function) -> Function {
         if !changed {
             return f;
         }
-        f = compact(&f);
+        f = compact(f);
     }
 }
 

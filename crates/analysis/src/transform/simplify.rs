@@ -1,29 +1,27 @@
 //! CFG simplification: constant-branch folding, block merging, compaction.
 
 use crate::cfg::Cfg;
-use dae_ir::{BlockId, Function, InstId, InstKind, Terminator, Value};
+use dae_ir::{BlockCall, BlockId, Function, InstId, InstKind, Terminator, Value};
 
 /// Rewrites `br true/false, a, b` into an unconditional jump.
 /// Returns `true` on change.
 pub fn fold_constant_branches(func: &mut Function) -> bool {
     let mut changed = false;
-    for bb in func.block_ids().collect::<Vec<_>>() {
-        if func.block(bb).term.is_none() {
-            continue;
-        }
-        let new = match func.terminator(bb) {
-            Terminator::Branch { cond: Value::ConstBool(true), then_dest, .. } => {
-                Some(Terminator::Jump(then_dest.clone()))
+    for bb in func.block_ids() {
+        let term = &mut func.block_mut(bb).term;
+        let taken = match term {
+            Some(Terminator::Branch { cond: Value::ConstBool(c), then_dest, else_dest }) => {
+                if *c {
+                    then_dest
+                } else {
+                    else_dest
+                }
             }
-            Terminator::Branch { cond: Value::ConstBool(false), else_dest, .. } => {
-                Some(Terminator::Jump(else_dest.clone()))
-            }
-            _ => None,
+            _ => continue,
         };
-        if let Some(t) = new {
-            func.set_terminator(bb, t);
-            changed = true;
-        }
+        let taken = BlockCall { block: taken.block, args: std::mem::take(&mut taken.args) };
+        *term = Some(Terminator::Jump(taken));
+        changed = true;
     }
     changed
 }
@@ -32,75 +30,87 @@ pub fn fold_constant_branches(func: &mut Function) -> bool {
 /// unconditional jump: `s`'s parameters are substituted by the jump
 /// arguments, its instructions appended to `b`, and `b` takes `s`'s
 /// terminator. Returns `true` on change.
+///
+/// One graph serves the whole call. A merge swaps one predecessor for
+/// another (`s`'s successors now come from `b`), so every predecessor count
+/// stays exact; a chain's head precedes its links in reverse postorder, so
+/// visiting that order merges each chain into its head in one sweep. The
+/// parameter substitutions are recorded as they happen and applied in one
+/// operand rewrite at the end, each use resolved through the chain of
+/// substitutions it meets.
 pub fn merge_straightline(func: &mut Function) -> bool {
-    let mut changed = false;
-    loop {
-        let cfg = Cfg::new(func);
-        let mut merged = false;
-        for &bb in cfg.rpo() {
-            let dest = match func.terminator(bb) {
-                Terminator::Jump(d) => d.clone(),
-                _ => continue,
-            };
+    let cfg = Cfg::new(func);
+    // `subst[at..at + len]` replaces the parameters of a merged block with
+    // `subst_at[s] == (at, len)`; `len == 0` for a block that keeps them.
+    let mut subst_at = vec![(0u32, 0u32); func.num_blocks()];
+    let mut subst: Vec<Value> = Vec::new();
+    let mut merges = 0;
+    for &bb in cfg.rpo() {
+        while let Terminator::Jump(dest) = func.terminator(bb) {
             let s = dest.block;
-            if s == bb || s == func.entry {
-                continue;
+            if s == bb || s == func.entry || cfg.preds(s).len() != 1 {
+                break;
             }
-            if cfg.preds(s).len() != 1 {
-                continue;
-            }
-            // Substitute s's params with the edge arguments everywhere.
-            if !dest.args.is_empty() {
-                super::map_all_operands(func, |v| match v {
-                    Value::BlockParam { block, index } if block == s => {
-                        dest.args.get(index as usize).copied().unwrap_or(v)
-                    }
-                    other => other,
-                });
-            }
-            let s_insts = func.block(s).insts.clone();
-            let s_term = func.block_mut(s).term.take().expect("terminated");
-            func.block_mut(s).insts.clear();
-            func.block_mut(s).params.clear();
-            // Park the emptied block on a self-loop… no: leave it
-            // unreachable with a trivial terminator; compaction drops it.
-            func.set_terminator(s, Terminator::Ret(None));
-            func.block_mut(bb).insts.extend(s_insts);
+            subst_at[s.0 as usize] = (subst.len() as u32, dest.args.len() as u32);
+            subst.extend_from_slice(&dest.args);
+            // Leave `s` emptied and unreachable behind a trivial
+            // terminator; compaction drops it.
+            let s_data = func.block_mut(s);
+            let mut s_insts = std::mem::take(&mut s_data.insts);
+            let s_term = s_data.term.replace(Terminator::Ret(None)).expect("terminated");
+            s_data.params.clear();
+            func.block_mut(bb).insts.append(&mut s_insts);
             func.set_terminator(bb, s_term);
-            merged = true;
-            changed = true;
-            break; // CFG changed; recompute
-        }
-        if !merged {
-            return changed;
+            merges += 1;
         }
     }
+    if !subst.is_empty() {
+        super::map_all_operands(func, |mut v| {
+            // A chain meets each merged block at most once; the bound only
+            // stops a malformed self-referencing argument from spinning.
+            for _ in 0..merges {
+                let Value::BlockParam { block, index } = v else { break };
+                let (at, len) = subst_at[block.0 as usize];
+                if index >= len {
+                    break;
+                }
+                v = subst[(at + index) as usize];
+            }
+            v
+        });
+    }
+    merges > 0
 }
 
 /// Rebuilds the function keeping only blocks reachable from the entry and
 /// only placed instructions, renumbering both densely (in reverse
-/// postorder). Returns the compacted function.
-pub fn compact(func: &Function) -> Function {
-    let cfg = Cfg::new(func);
-    let mut out = Function::new(func.name.clone(), func.params.clone(), func.ret);
+/// postorder). Returns the compacted function: its two arenas are
+/// allocated once at their final sizes, and everything else — parameter
+/// and instruction lists, instruction kinds, terminators with their edge
+/// arguments — moves across from `func` instead of being copied.
+pub fn compact(mut func: Function) -> Function {
+    let cfg = Cfg::new(&func);
+    let (name, params) = (std::mem::take(&mut func.name), std::mem::take(&mut func.params));
+    let mut out = Function::new(name, params, func.ret);
     out.is_task = func.is_task;
 
     // Old id → new id, indexed by the old id; `None` for what is dropped.
     let mut block_map: Vec<Option<BlockId>> = vec![None; func.num_blocks()];
+    let placed: usize = cfg.rpo().iter().map(|&bb| func.block(bb).insts.len()).sum();
+    out.reserve(cfg.rpo().len() - 1, placed);
     for (i, &bb) in cfg.rpo().iter().enumerate() {
         let nb = if i == 0 { out.entry } else { out.add_block() };
-        for &ty in &func.block(bb).params {
-            out.add_block_param(nb, ty);
-        }
+        out.block_mut(nb).params = std::mem::take(&mut func.block_mut(bb).params);
         block_map[bb.0 as usize] = Some(nb);
     }
 
+    // A placeholder per placed instruction first, so that an operand can
+    // be mapped before its definition is moved.
+    const PLACEHOLDER: InstKind = InstKind::Prefetch { addr: Value::ConstI64(0) };
     let mut inst_map: Vec<Option<InstId>> = vec![None; func.num_insts()];
     for &bb in cfg.rpo() {
         for &inst in &func.block(bb).insts {
-            let ni = out
-                .create_inst(InstKind::Prefetch { addr: Value::ConstI64(0) }, func.inst(inst).ty);
-            inst_map[inst.0 as usize] = Some(ni);
+            inst_map[inst.0 as usize] = Some(out.create_inst(PLACEHOLDER, func.inst(inst).ty));
         }
     }
     let new_block = |bb: BlockId| block_map[bb.0 as usize].expect("edge into a reachable block");
@@ -115,16 +125,19 @@ pub fn compact(func: &Function) -> Function {
             other => other,
         }
     };
+    // Instruction kinds, instruction lists and terminators move across,
+    // rewritten in place.
     for &bb in cfg.rpo() {
         let nb = new_block(bb);
-        for &inst in &func.block(bb).insts {
-            let mut kind = func.inst(inst).kind.clone();
+        let mut insts = std::mem::take(&mut func.block_mut(bb).insts);
+        for inst in &mut insts {
+            let mut kind = std::mem::replace(&mut func.inst_mut(*inst).kind, PLACEHOLDER);
             kind.map_operands(map_value);
-            let ni = inst_map[inst.0 as usize].expect("mapped above");
-            out.inst_mut(ni).kind = kind;
-            out.append_inst(nb, ni);
+            *inst = inst_map[inst.0 as usize].expect("mapped above");
+            out.inst_mut(*inst).kind = kind;
         }
-        let mut term = func.terminator(bb).clone();
+        out.block_mut(nb).insts = insts;
+        let mut term = func.block_mut(bb).term.take().expect("block not terminated");
         term.map_operands(map_value);
         for dest in term.successors_mut() {
             dest.block = new_block(dest.block);
@@ -141,7 +154,7 @@ pub fn skip_trivial_blocks(func: &mut Function) -> bool {
     // A trivial forwarder: no insts, terminator Jump(t, args) where args are
     // exactly its own params in order, and t != itself.
     let mut forward: Vec<Option<BlockId>> = vec![None; func.num_blocks()];
-    let mut forwarders = 0;
+    let (mut forwarders, mut with_params) = (0, false);
     for bb in func.block_ids() {
         if bb == func.entry || !func.block(bb).insts.is_empty() {
             continue;
@@ -161,11 +174,30 @@ pub fn skip_trivial_blocks(func: &mut Function) -> bool {
             if forwards_params {
                 forward[bb.0 as usize] = Some(dest.block);
                 forwarders += 1;
+                with_params |= n > 0;
             }
         }
     }
     if forwarders == 0 {
         return false;
+    }
+    // A forwarder's parameters may feed only its own jump: a use anywhere
+    // else (in a block it dominates) would dangle once every edge bypasses
+    // it, so such a forwarder keeps its edges.
+    if with_params {
+        for bb in func.block_ids() {
+            let mut keep = |v: Value| {
+                if let Value::BlockParam { block, .. } = v {
+                    if block != bb {
+                        forward[block.0 as usize] = None;
+                    }
+                }
+            };
+            for &inst in &func.block(bb).insts {
+                func.inst(inst).kind.for_each_operand(&mut keep);
+            }
+            func.terminator(bb).for_each_operand(&mut keep);
+        }
     }
     let resolve = |mut b: BlockId| -> BlockId {
         let mut hops = 0;
@@ -212,7 +244,7 @@ mod tests {
         b.ret(Some(v[0]));
         let mut f = b.finish();
         assert!(fold_constant_branches(&mut f));
-        let f = compact(&f);
+        let f = compact(f);
         verify_function(&f, None).unwrap();
         // else arm unreachable and dropped
         assert_eq!(f.num_blocks(), 3);
@@ -230,9 +262,9 @@ mod tests {
         b.ret(Some(v[0]));
         let mut f = b.finish();
         fold_constant_branches(&mut f);
-        let mut f = compact(&f);
+        let mut f = compact(f);
         assert!(merge_straightline(&mut f));
-        let f = compact(&f);
+        let f = compact(f);
         verify_function(&f, None).unwrap();
         assert_eq!(f.num_blocks(), 1, "{}", dae_ir::print_function(&f, None));
         match f.terminator(f.entry) {
@@ -249,7 +281,7 @@ mod tests {
         b.switch_to(dead);
         b.ret(None);
         let f = b.finish();
-        let f = compact(&f);
+        let f = compact(f);
         assert_eq!(f.num_blocks(), 1);
         verify_function(&f, None).unwrap();
     }
@@ -266,7 +298,7 @@ mod tests {
         );
         b.ret(Some(out[0]));
         let f = b.finish();
-        let g = compact(&f);
+        let g = compact(f.clone());
         verify_function(&g, None).unwrap();
         assert_eq!(g.num_blocks(), 4);
         assert_eq!(g.placed_inst_count(), f.placed_inst_count());
@@ -289,6 +321,28 @@ mod tests {
     }
 
     #[test]
+    fn a_forwarder_whose_parameters_are_read_downstream_keeps_its_edges() {
+        // entry -> fwd(x) -> target(y), and target reads x: bypassing fwd
+        // would leave that use naming a parameter of an unreachable block.
+        let mut b = FunctionBuilder::new("f", vec![Type::I64], Type::I64);
+        let fwd = b.create_block();
+        let target = b.create_block();
+        let x = b.block_param(fwd, Type::I64);
+        let y = b.block_param(target, Type::I64);
+        b.jump(fwd, vec![Value::Arg(0)]);
+        b.switch_to(fwd);
+        b.jump(target, vec![x]);
+        b.switch_to(target);
+        let sum = b.iadd(x, y);
+        b.ret(Some(sum));
+        let mut f = b.finish();
+        assert!(!skip_trivial_blocks(&mut f));
+        let f = compact(f);
+        verify_function(&f, None).unwrap();
+        assert_eq!(f.num_blocks(), 3);
+    }
+
+    #[test]
     fn skip_trivial_blocks_reroutes() {
         let mut b = FunctionBuilder::new("f", vec![Type::I64], Type::Void);
         // entry -> fwd -> target; fwd is empty.
@@ -301,7 +355,7 @@ mod tests {
         b.ret(None);
         let mut f = b.finish();
         assert!(skip_trivial_blocks(&mut f));
-        let f = compact(&f);
+        let f = compact(f);
         assert_eq!(f.num_blocks(), 2);
         verify_function(&f, None).unwrap();
     }

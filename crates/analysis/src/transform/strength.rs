@@ -86,7 +86,36 @@ fn emit_affine(
 ///
 /// Only instructions directly computing an `imul`, or a `ptradd` whose
 /// offset contains a multiply, are rewritten — pure adds are already cheap.
+///
+/// Each rewritten instruction's uses move to its derived induction
+/// variable. The redirects are recorded in a table indexed by instruction
+/// id and applied in one operand rewrite once every candidate is placed: a
+/// replacement is always a fresh block parameter, never another candidate,
+/// so the order they apply in does not matter.
 pub fn strength_reduce(func: &mut Function) -> bool {
+    let mut redirect: Vec<Option<Value>> = Vec::new();
+    let changed = reduce_loops(func, |func, inst, dv| {
+        if redirect.is_empty() {
+            redirect.resize(func.num_insts(), None);
+        }
+        redirect[inst.0 as usize] = Some(dv);
+    });
+    if changed {
+        super::map_all_operands(func, |v| match v {
+            Value::Inst(i) => redirect.get(i.0 as usize).copied().flatten().unwrap_or(v),
+            other => other,
+        });
+    }
+    changed
+}
+
+/// The body of [`strength_reduce`]: places every candidate's derived
+/// induction variable and hands `redirect` each `(instruction, derived IV)`
+/// whose uses must move.
+pub(crate) fn reduce_loops(
+    func: &mut Function,
+    mut redirect: impl FnMut(&mut Function, InstId, Value),
+) -> bool {
     // Nothing to rewrite without a multiply or a global-based ptradd, and
     // nowhere to rewrite it without a cycle (which needs an edge into a
     // block of no higher id): decide both before paying for dominators, the
@@ -192,9 +221,9 @@ pub fn strength_reduce(func: &mut Function) -> bool {
             }
             // Every *other* IV in the form must belong to an enclosing loop
             // (so its header param is in scope at the preheader).
-            let nest = analysis.forest.nest_of(bb);
+            let nest = std::iter::successors(Some(lp), |&l| analysis.forest.get(l).parent);
             if !affine.vars().all(|v| match v {
-                AffineVar::Iv(l) => nest.contains(&l),
+                AffineVar::Iv(l) => nest.clone().any(|n| n == l),
                 AffineVar::Param(_) => true,
             }) {
                 continue;
@@ -272,9 +301,8 @@ pub fn strength_reduce(func: &mut Function) -> bool {
             }
         }
 
-        // Redirect all uses of the original instruction to the derived IV.
-        let target = Value::Inst(cand.inst);
-        super::map_all_operands(func, |v| if v == target { dv } else { v });
+        // All uses of the original instruction move to the derived IV.
+        redirect(func, cand.inst, dv);
         changed = true;
     }
     changed
@@ -283,7 +311,7 @@ pub fn strength_reduce(func: &mut Function) -> bool {
 /// Convenience: strength reduction followed by the standard clean-up
 /// pipeline (drops the now-dead multiplies).
 pub fn strength_reduce_and_clean(func: &Function) -> Function {
-    let mut f = crate::transform::compact(func);
+    let mut f = super::compact(func.clone());
     // One round is enough for the patterns the builder generates; a second
     // round catches derived IVs exposed by the first.
     let mut settled = false; // `f` is the output of `optimize`, untouched since
@@ -296,14 +324,14 @@ pub fn strength_reduce_and_clean(func: &Function) -> Function {
         if !reduced {
             break;
         }
-        f = crate::transform::optimize(&f);
+        f = super::optimized(f);
         settled = true;
     }
     // `optimize` is idempotent: nothing is left to do on its own output.
     if settled {
         f
     } else {
-        crate::transform::optimize(&f)
+        super::optimized(f)
     }
 }
 

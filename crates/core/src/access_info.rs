@@ -116,20 +116,17 @@ pub struct TaskAccessInfo {
 /// coefficient overflows the polyhedral range.
 fn to_linexpr(space: Space, iv_dim: &HashMap<LoopId, usize>, a: &Affine) -> Option<LinExpr> {
     let mut e = LinExpr::constant(space, a.constant as i128);
-    for v in a.vars() {
-        let c = a.coeff(v) as i128;
-        match v {
-            AffineVar::Iv(lp) => {
-                let d = *iv_dim.get(&lp)?;
-                e = e.add(&LinExpr::dim(space, d).scale(c));
-            }
+    for (v, c) in a.terms() {
+        let col = match v {
+            AffineVar::Iv(lp) => space.dim_col(*iv_dim.get(&lp)?),
             AffineVar::Param(p) => {
                 if (p as usize) >= space.params {
                     return None;
                 }
-                e = e.add(&LinExpr::param(space, p as usize).scale(c));
+                space.param_col(p as usize)
             }
-        }
+        };
+        e.coeffs[col] += c as i128;
     }
     Some(e)
 }
@@ -139,15 +136,11 @@ fn to_linexpr(space: Space, iv_dim: &HashMap<LoopId, usize>, a: &Affine) -> Opti
 /// is the zero-based normalised counter of its loop.
 fn normalize_affine(a: &Affine, subst: &HashMap<LoopId, Affine>) -> Option<Affine> {
     let mut out = Affine::constant(a.constant);
-    for v in a.vars() {
-        let c = a.coeff(v);
-        match v {
-            AffineVar::Param(_) => out = out.add(&Affine::var(v).scale(c)),
-            AffineVar::Iv(l) => {
-                let repl = subst.get(&l)?;
-                out = out.add(&repl.scale(c));
-            }
-        }
+    for (v, c) in a.terms() {
+        out = match v {
+            AffineVar::Param(_) => out.add_term(v, c),
+            AffineVar::Iv(l) => out.add_scaled(c, subst.get(&l)?),
+        };
     }
     Some(out)
 }
@@ -192,15 +185,15 @@ fn build_domain(
         let dim_v = LinExpr::dim(space, k);
         if init_has_params {
             // Normalise: iv = init + step·k, 0 <= k < trip count.
-            subst.insert(*lp, init.add(&Affine::var(AffineVar::Iv(*lp)).scale(counted.step)));
+            subst.insert(*lp, init.add_term(AffineVar::Iv(*lp), counted.step));
             dom.add_ge0(dim_v.clone()); // k >= 0
-            let diff = if counted.step == 1 { bound_e.sub(&init_e) } else { init_e.sub(&bound_e) };
+            let diff = if counted.step == 1 { bound_e - &init_e } else { init_e - &bound_e };
             match (counted.step, counted.cmp) {
                 (1, CmpOp::Lt) | (1, CmpOp::Ne) | (-1, CmpOp::Gt) | (-1, CmpOp::Ne) => {
-                    dom.add_ge0(diff.sub(&dim_v).add(&LinExpr::constant(space, -1)));
+                    dom.add_ge0((diff - &dim_v).add_const(-1));
                 }
                 (1, CmpOp::Le) | (-1, CmpOp::Ge) => {
-                    dom.add_ge0(diff.sub(&dim_v));
+                    dom.add_ge0(diff - &dim_v);
                 }
                 _ => return None,
             }
@@ -208,21 +201,17 @@ fn build_domain(
             // Natural coordinates: the dim is the IV itself.
             subst.insert(*lp, Affine::var(AffineVar::Iv(*lp)));
             if counted.step == 1 {
-                dom.add_ge0(dim_v.sub(&init_e)); // iv >= init
+                dom.add_ge0(dim_v.clone() - &init_e); // iv >= init
                 match counted.cmp {
-                    CmpOp::Lt | CmpOp::Ne => {
-                        dom.add_ge0(bound_e.sub(&dim_v).add(&LinExpr::constant(space, -1)))
-                    }
-                    CmpOp::Le => dom.add_ge0(bound_e.sub(&dim_v)),
+                    CmpOp::Lt | CmpOp::Ne => dom.add_ge0((bound_e - &dim_v).add_const(-1)),
+                    CmpOp::Le => dom.add_ge0(bound_e - &dim_v),
                     _ => return None,
                 }
             } else {
-                dom.add_ge0(init_e.sub(&dim_v)); // iv <= init
+                dom.add_ge0(init_e - &dim_v); // iv <= init
                 match counted.cmp {
-                    CmpOp::Gt | CmpOp::Ne => {
-                        dom.add_ge0(dim_v.sub(&bound_e).add(&LinExpr::constant(space, -1)))
-                    }
-                    CmpOp::Ge => dom.add_ge0(dim_v.sub(&bound_e)),
+                    CmpOp::Gt | CmpOp::Ne => dom.add_ge0((dim_v - &bound_e).add_const(-1)),
+                    CmpOp::Ge => dom.add_ge0(dim_v - &bound_e),
                     _ => return None,
                 }
             }
@@ -404,8 +393,8 @@ fn describe_load(
         && ptr_offset.vars().all(|v| ptr_offset.coeff(v) % elem == 0);
     let (elem_bytes, offset_elems) = if divisible {
         let mut o = Affine::constant(ptr_offset.constant / elem);
-        for v in ptr_offset.vars() {
-            o = o.add(&Affine::var(v).scale(ptr_offset.coeff(v) / elem));
+        for (v, c) in ptr_offset.terms() {
+            o = o.add_term(v, c / elem);
         }
         (elem, o)
     } else {
@@ -431,8 +420,7 @@ fn describe_load(
                 })
                 .or_else(|| subscripts.iter().position(|s| c % s.stride_elems == 0))?;
             let stride = subscripts[k].stride_elems;
-            subscripts[k].residual =
-                subscripts[k].residual.add(&LinExpr::dim(res_space, d).scale((c / stride) as i128));
+            subscripts[k].residual.coeffs[res_space.dim_col(d)] += (c / stride) as i128;
         }
     }
 

@@ -41,14 +41,14 @@ pub fn generate_skeleton_access(
     let original_effects = effects::summarize(inlined);
 
     // 2. a private clone
-    let mut f = compact(inlined);
+    let mut f = compact(inlined.clone());
     f.name = format!("{}__access", inlined.name);
     f.is_task = false;
 
     // 3. simplified CFG
     if opts.cfg_simplify {
         simplify_in_loop_conditionals(&mut f);
-        f = compact(&f);
+        f = compact(f);
     }
 
     // 4–5. prefetch insertion + store discarding

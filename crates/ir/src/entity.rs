@@ -83,6 +83,11 @@ impl<K: EntityId, V> PrimaryMap<K, V> {
         self.items.len()
     }
 
+    /// Makes room for `additional` more entities without reallocating.
+    pub fn reserve(&mut self, additional: usize) {
+        self.items.reserve_exact(additional);
+    }
+
     /// True when no entity has been allocated.
     pub fn is_empty(&self) -> bool {
         self.items.is_empty()

@@ -68,6 +68,14 @@ impl Function {
         }
     }
 
+    /// Makes room for `blocks` more blocks and `insts` more instructions, so
+    /// a caller that knows the final size fills the arenas without growing
+    /// them.
+    pub fn reserve(&mut self, blocks: usize, insts: usize) {
+        self.blocks.reserve(blocks);
+        self.insts.reserve(insts);
+    }
+
     /// Appends a fresh, empty block and returns its id.
     pub fn add_block(&mut self) -> BlockId {
         self.blocks.push(BlockData::new())

@@ -411,23 +411,26 @@ impl Terminator {
         }
     }
 
-    /// Iterates over successor edges.
+    /// Iterates over successor edges (then before else), without
+    /// allocating.
     pub fn successors(&self) -> impl Iterator<Item = &BlockCall> {
-        let slice: Vec<&BlockCall> = match self {
-            Terminator::Jump(d) => vec![d],
-            Terminator::Branch { then_dest, else_dest, .. } => vec![then_dest, else_dest],
-            Terminator::Ret(_) => vec![],
+        let (first, second) = match self {
+            Terminator::Jump(d) => (Some(d), None),
+            Terminator::Branch { then_dest, else_dest, .. } => (Some(then_dest), Some(else_dest)),
+            Terminator::Ret(_) => (None, None),
         };
-        slice.into_iter()
+        first.into_iter().chain(second)
     }
 
-    /// Mutable access to successor edges.
-    pub fn successors_mut(&mut self) -> Vec<&mut BlockCall> {
-        match self {
-            Terminator::Jump(d) => vec![d],
-            Terminator::Branch { then_dest, else_dest, .. } => vec![then_dest, else_dest],
-            Terminator::Ret(_) => vec![],
-        }
+    /// Mutable access to successor edges, in [`Terminator::successors`]
+    /// order.
+    pub fn successors_mut(&mut self) -> impl Iterator<Item = &mut BlockCall> {
+        let (first, second) = match self {
+            Terminator::Jump(d) => (Some(d), None),
+            Terminator::Branch { then_dest, else_dest, .. } => (Some(then_dest), Some(else_dest)),
+            Terminator::Ret(_) => (None, None),
+        };
+        first.into_iter().chain(second)
     }
 }
 

@@ -209,6 +209,19 @@ impl<'a> Iterator for Operands<'a> {
     }
 }
 
+/// Estimated `(blocks, instructions)` of the function body at the start of
+/// `rest`, from byte counts up to its closing `}`: a block is a header line
+/// ending in `:` plus a terminator line, every other line one instruction.
+/// Only arena capacities depend on it, so a comment or an odd layout costs
+/// a reallocation at worst.
+fn body_size(rest: &str) -> (usize, usize) {
+    let body = rest.find('}').map_or(rest, |end| &rest[..end]).as_bytes();
+    let lines = body.iter().filter(|&&b| b == b'\n').count();
+    let ends = body.iter().zip(body.iter().skip(1));
+    let blocks = ends.filter(|&(&a, &b)| a == b':' && b == b'\n').count();
+    (blocks, lines.saturating_sub(2 * blocks))
+}
+
 /// Places the instructions with ids `first..` — all those created since
 /// `bb`'s header — in `bb`, in id order.
 fn place(func: &mut Function, bb: BlockId, first: usize) {
@@ -483,6 +496,8 @@ impl<'a> Parser<'a> {
         }
         let mut func = Function::new(name, params, ret);
         func.is_task = is_task;
+        let (blocks, insts) = body_size(lines.rest);
+        func.reserve(blocks.saturating_sub(1), insts);
 
         reset(&mut self.blocks);
         reset(&mut self.insts);
@@ -858,6 +873,20 @@ bb0:
     /// The error of parsing `text`, which must fail.
     fn error(text: &str) -> ParseError {
         parse_module(text).expect_err("must not parse")
+    }
+
+    #[test]
+    fn bodies_of_any_shape_size_the_arenas_without_failing() {
+        // An empty body, a body cut off before its `}`, and a header line
+        // without its newline: the size estimate reads whatever is there.
+        assert_eq!(body_size("}\n"), (0, 0));
+        assert_eq!(body_size(""), (0, 0));
+        assert_eq!(body_size("bb0:\n  ret\n}\n"), (1, 0));
+        assert_eq!(body_size("bb0:\n  v0: i64 = iadd 1, 2\n  ret\n"), (1, 1));
+        // Neither text panics; the empty body is the verifier's to refuse.
+        let empty = parse_module("fn f() {\n}\n").expect("parses");
+        assert!(crate::verify::verify_module(&empty).is_err());
+        assert!(parse_module("fn f() {\nbb0:").is_err());
     }
 
     #[test]

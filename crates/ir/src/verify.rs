@@ -11,7 +11,6 @@ use crate::inst::{InstKind, Terminator};
 use crate::module::Module;
 use crate::types::Type;
 use crate::value::{BlockId, Value};
-use std::collections::HashSet;
 use std::fmt;
 
 /// A verification failure.
@@ -41,11 +40,13 @@ fn err(func: &Function, message: impl Into<String>) -> VerifyError {
 ///
 /// Returns the first violated invariant found.
 pub fn verify_function(func: &Function, module: Option<&Module>) -> Result<(), VerifyError> {
-    let mut placed: HashSet<crate::value::InstId> = HashSet::new();
+    // Indexed by instruction id; an unallocated id is `verify_inst`'s to
+    // report.
+    let mut placed = vec![false; func.num_insts()];
     for bb in func.block_ids() {
         let data = func.block(bb);
         for &inst in &data.insts {
-            if !placed.insert(inst) {
+            if placed.get_mut(inst.0 as usize).is_some_and(|p| std::mem::replace(p, true)) {
                 return Err(err(func, format!("instruction {inst} placed more than once")));
             }
             verify_inst(func, module, bb, inst)?;
@@ -245,7 +246,10 @@ fn verify_terminator(func: &Function, bb: BlockId, term: &Terminator) -> Result<
             ));
         }
         for (i, (a, want)) in dest.args.iter().zip(params).enumerate() {
-            expect_type(func, bb, &format!("edge arg {i} to {}", dest.block), *a, *want)?;
+            // The description is formatted only for an error.
+            if func.value_type(*a) != *want {
+                expect_type(func, bb, &format!("edge arg {i} to {}", dest.block), *a, *want)?;
+            }
         }
     }
     Ok(())

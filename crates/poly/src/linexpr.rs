@@ -1,7 +1,7 @@
 //! Linear expressions over a fixed variable space.
 
 use crate::rat::{gcd, Rat};
-use std::fmt;
+use std::{fmt, ops};
 
 /// The variable space of a polyhedron: `dims` set variables followed by
 /// `params` symbolic parameters.
@@ -113,33 +113,41 @@ impl LinExpr {
         self
     }
 
-    /// Pointwise sum.
-    pub fn add(&self, o: &LinExpr) -> LinExpr {
+    /// `self + k·o`, in place: no scaled copy of `o` is built.
+    pub fn add_scaled(mut self, k: i128, o: &LinExpr) -> LinExpr {
         assert_eq!(self.space, o.space);
-        let coeffs = self.coeffs.iter().zip(&o.coeffs).map(|(a, b)| a + b).collect();
-        LinExpr { space: self.space, coeffs }
+        for (a, b) in self.coeffs.iter_mut().zip(&o.coeffs) {
+            *a += b * k;
+        }
+        self
     }
 
-    /// Pointwise difference.
-    pub fn sub(&self, o: &LinExpr) -> LinExpr {
-        self.add(&o.scale(-1))
+    /// The expression plus the constant `c`.
+    pub fn add_const(mut self, c: i128) -> LinExpr {
+        self.coeffs[self.space.const_col()] += c;
+        self
     }
 
     /// Scaled by an integer.
-    pub fn scale(&self, k: i128) -> LinExpr {
-        LinExpr { space: self.space, coeffs: self.coeffs.iter().map(|c| c * k).collect() }
+    pub fn scale(mut self, k: i128) -> LinExpr {
+        for c in &mut self.coeffs {
+            *c *= k;
+        }
+        self
     }
 
     /// Divides all coefficients by their (positive) gcd; no-op for zero.
-    pub fn normalize(&self) -> LinExpr {
+    pub fn normalize(mut self) -> LinExpr {
         let mut g: i128 = 0;
         for &c in &self.coeffs {
             g = gcd(g, c);
         }
-        if g <= 1 {
-            return self.clone();
+        if g > 1 {
+            for c in &mut self.coeffs {
+                *c /= g;
+            }
         }
-        LinExpr { space: self.space, coeffs: self.coeffs.iter().map(|c| c / g).collect() }
+        self
     }
 
     /// Evaluates at rational dimension values with integer parameter values.
@@ -182,10 +190,9 @@ impl LinExpr {
 
     /// The same expression in a space without dimension `d` (whose term is
     /// dropped); dims above `d` shift down.
-    pub fn without_dim(&self, d: usize) -> LinExpr {
-        let mut coeffs = self.coeffs.clone();
-        coeffs.remove(self.space.dim_col(d));
-        LinExpr { space: Space::new(self.space.dims - 1, self.space.params), coeffs }
+    pub fn without_dim(mut self, d: usize) -> LinExpr {
+        self.coeffs.remove(self.space.dim_col(d));
+        LinExpr { space: Space::new(self.space.dims - 1, self.space.params), coeffs: self.coeffs }
     }
 
     /// Exchanges the roles of dimensions `a` and `b`.
@@ -208,6 +215,15 @@ impl LinExpr {
         }
         e.coeffs[new_space.const_col()] = c;
         e
+    }
+}
+
+/// Pointwise difference, in place.
+impl ops::Sub<&LinExpr> for LinExpr {
+    type Output = LinExpr;
+
+    fn sub(self, o: &LinExpr) -> LinExpr {
+        self.add_scaled(-1, o)
     }
 }
 

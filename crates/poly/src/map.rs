@@ -55,7 +55,8 @@ impl AffineImage {
             }
             if let Some(projected) = self.domain.project_unit_dim(d) {
                 self.domain = projected;
-                self.map = self.map.iter().map(|e| e.without_dim(d)).collect();
+                self.map =
+                    std::mem::take(&mut self.map).into_iter().map(|e| e.without_dim(d)).collect();
             }
         }
         self

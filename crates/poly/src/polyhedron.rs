@@ -3,6 +3,7 @@
 
 use crate::linexpr::{LinExpr, Space};
 use crate::rat::Rat;
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Constraint sense.
@@ -237,7 +238,6 @@ impl Polyhedron {
     pub fn eliminate_dim(&self, d: usize) -> Polyhedron {
         assert!(d < self.space.dims);
         let new_space = Space::new(self.space.dims - 1, self.space.params);
-        let drop_col = |e: &LinExpr| e.without_dim(d);
 
         // If an equality involves d, use it to substitute d away exactly.
         if let Some(eq_pos) = self
@@ -258,11 +258,9 @@ impl Polyhedron {
                 } else {
                     // a*c.expr - b*eq has zero coefficient at d; keep the
                     // inequality direction by multiplying with |a| signs.
-                    let scaled_c = c.expr.scale(a.abs());
-                    let scaled_eq = eq.scale(b * a.signum());
-                    scaled_c.sub(&scaled_eq)
+                    c.expr.clone().scale(a.abs()).add_scaled(-(b * a.signum()), eq)
                 };
-                let e = drop_col(&combined);
+                let e = combined.without_dim(d);
                 match c.kind {
                     ConstraintKind::GeZero => out.add_ge0(e),
                     ConstraintKind::EqZero => out.add_eq0(e),
@@ -287,7 +285,7 @@ impl Polyhedron {
         }
         let mut out = Polyhedron::universe(new_space);
         for c in free {
-            let e = drop_col(&c.expr);
+            let e = c.expr.clone().without_dim(d);
             match c.kind {
                 ConstraintKind::GeZero => out.add_ge0(e),
                 ConstraintKind::EqZero => out.add_eq0(e),
@@ -298,8 +296,8 @@ impl Polyhedron {
                 let a = lo.dim_coeff(d); // > 0
                 let b = -up.dim_coeff(d); // > 0
                                           // b*lo + a*up has zero coeff at d and stays >= 0.
-                let combined = lo.scale(b).add(&up.scale(a));
-                out.add_ge0(drop_col(&combined));
+                let combined = (*lo).clone().scale(b).add_scaled(a, up);
+                out.add_ge0(combined.without_dim(d));
             }
         }
         out
@@ -315,9 +313,9 @@ impl Polyhedron {
     /// `d <= floor(expr / |coeff|)`; `expr` has zero coefficients for dims
     /// `>= d`.
     pub fn dim_bounds(&self, d: usize) -> (Vec<DimBound>, Vec<DimBound>) {
-        let mut p = self.clone();
+        let mut p = Cow::Borrowed(self);
         while p.space.dims > d + 1 {
-            p = p.eliminate_dim(p.space.dims - 1);
+            p = Cow::Owned(p.eliminate_dim(p.space.dims - 1));
         }
         let mut lowers = Vec::new();
         let mut uppers = Vec::new();
@@ -339,7 +337,7 @@ impl Polyhedron {
                         // acts as both a lower bound (|k|·d + sign·rest >= 0)
                         // and an upper bound (d <= -sign·rest / |k|).
                         let sign = k.signum();
-                        lowers.push((k * sign, rest.scale(sign)));
+                        lowers.push((k * sign, rest.clone().scale(sign)));
                         uppers.push((k * sign, rest.scale(-sign)));
                     }
                 }
@@ -381,14 +379,17 @@ impl Polyhedron {
     /// the bounds of its last dim and the guards that do not mention it.
     fn levels(&self) -> Vec<Level> {
         assert_eq!(self.space.params, 0, "instantiate parameters before enumerating");
-        // projs[k] = projection of self onto its first `dims - k` dims.
-        let mut projs: Vec<Polyhedron> = vec![self.clone()];
+        // projs[k] = projection of self onto its first `dims - 1 - k` dims;
+        // the deepest level reads `self` itself.
+        let mut projs: Vec<Polyhedron> = Vec::with_capacity(self.space.dims);
         for d in (1..self.space.dims).rev() {
-            projs.push(projs.last().expect("nonempty").eliminate_dim(d));
+            let next = projs.last().unwrap_or(self).eliminate_dim(d);
+            projs.push(next);
         }
         projs
             .iter()
             .rev()
+            .chain([self])
             .enumerate()
             .map(|(depth, p)| {
                 let (lowers, uppers) = p.dim_bounds(depth);

@@ -12,12 +12,14 @@ use crate::rat::Rat;
 
 /// Solves the square rational system held in `a` — `n` augmented rows
 /// `[coefficients…, rhs]`, row-major — by Gaussian elimination in place.
-/// Returns `None` if singular.
-fn solve(a: &mut [Rat], n: usize) -> Option<Vec<Rat>> {
+/// Returns `false` if singular, else `true` with the solution in `x`.
+fn solve(a: &mut [Rat], n: usize, x: &mut Vec<Rat>) -> bool {
     let w = n + 1;
     for col in 0..n {
         // Find pivot.
-        let pivot = (col..n).find(|&r| !a[r * w + col].is_zero())?;
+        let Some(pivot) = (col..n).find(|&r| !a[r * w + col].is_zero()) else {
+            return false;
+        };
         for c in 0..w {
             a.swap(col * w + c, pivot * w + c);
         }
@@ -34,7 +36,9 @@ fn solve(a: &mut [Rat], n: usize) -> Option<Vec<Rat>> {
             }
         }
     }
-    Some((0..n).map(|r| a[r * w + n]).collect())
+    x.clear();
+    x.extend((0..n).map(|r| a[r * w + n]));
+    true
 }
 
 /// The augmented row of an active constraint: `expr = Σ ci·xi + c` is
@@ -65,40 +69,37 @@ pub fn vertices(p: &Polyhedron) -> Vec<Vec<Rat>> {
     // The active system of one basis: all equalities plus `need`
     // inequalities, copied into one scratch matrix and solved there.
     let mut system: Vec<Rat> = Vec::with_capacity(d * (d + 1));
-    for choice in combinations(ineqs.len(), need) {
+    let mut x: Vec<Rat> = Vec::with_capacity(d);
+    if need > ineqs.len() {
+        return out;
+    }
+    let mut choice: Vec<usize> = (0..need).collect();
+    loop {
         system.clear();
         for row in eqs.iter().chain(choice.iter().map(|&i| &ineqs[i])) {
             system.extend_from_slice(row);
         }
-        if let Some(x) = solve(&mut system, d) {
-            if p.contains_rat(&x, &[]) && !out.contains(&x) {
-                out.push(x);
-            }
+        if solve(&mut system, d, &mut x) && p.contains_rat(&x, &[]) && !out.contains(&x) {
+            out.push(x.clone());
+        }
+        if !next_combination(&mut choice, ineqs.len()) {
+            return out;
         }
     }
-    out
 }
 
-/// All `k`-element subsets of `0..n`, in lexicographic order.
-fn combinations(n: usize, k: usize) -> Vec<Vec<usize>> {
-    let mut out = Vec::new();
-    if k > n {
-        return out;
+/// Advances `cur`, a `k`-element subset of `0..n` in increasing order, to
+/// the next subset in lexicographic order; `false` after the last.
+fn next_combination(cur: &mut [usize], n: usize) -> bool {
+    let k = cur.len();
+    let Some(i) = (0..k).rev().find(|&i| cur[i] < n - k + i) else {
+        return false;
+    };
+    cur[i] += 1;
+    for j in i + 1..k {
+        cur[j] = cur[j - 1] + 1;
     }
-    let mut cur: Vec<usize> = Vec::with_capacity(k);
-    fn rec(n: usize, k: usize, start: usize, cur: &mut Vec<usize>, out: &mut Vec<Vec<usize>>) {
-        if cur.len() == k {
-            out.push(cur.clone());
-            return;
-        }
-        for i in start..n {
-            cur.push(i);
-            rec(n, k, i + 1, cur, out);
-            cur.pop();
-        }
-    }
-    rec(n, k, 0, &mut cur, &mut out);
-    out
+    true
 }
 
 #[cfg(test)]
@@ -173,9 +174,22 @@ mod tests {
     fn solve_rejects_singular() {
         // x + 2y = 1, 2x + 4y = 2
         let mut system = [1, 2, 1, 2, 4, 2].map(Rat::int);
-        assert!(solve(&mut system, 2).is_none());
+        let mut x = Vec::new();
+        assert!(!solve(&mut system, 2, &mut x));
         // x + 2y = 5, 3x + 4y = 6  =>  (-4, 9/2)
         let mut system = [1, 2, 5, 3, 4, 6].map(Rat::int);
-        assert_eq!(solve(&mut system, 2), Some(vec![Rat::int(-4), Rat::new(9, 2)]));
+        assert!(solve(&mut system, 2, &mut x));
+        assert_eq!(x, vec![Rat::int(-4), Rat::new(9, 2)]);
+    }
+
+    #[test]
+    fn combinations_run_in_lexicographic_order() {
+        let mut cur = vec![0, 1];
+        let mut seen = vec![cur.clone()];
+        while next_combination(&mut cur, 4) {
+            seen.push(cur.clone());
+        }
+        assert_eq!(seen, [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]);
+        assert!(!next_combination(&mut [], 3), "the one empty subset is the last");
     }
 }
