@@ -81,6 +81,20 @@ check "a second profile-guided path (branch profiles, hot-path skeletons)" \
     "none" \
     '[B]ranchProfile|[r]un_with_profile|[H]otPathConfig|[g]enerate_skeleton_access_profiled'
 
+# Profiles feed compiles offline only (`daec --profile-in/--profile-dir`,
+# `dae-repro pgo`); the serving path probes base keys, so a daemon-side
+# recompile would publish refined artifacts nothing reads. Scanned over
+# every file, CI scripts and workflows included; this rule is the one place
+# the names may appear.
+hits=$(grep -rnE 'recompile_pass|RecentModule|recompile-ms|compile_with\(' \
+    Cargo.toml crates src tests examples ci .github \
+    | grep -vE '^(crates/perf/|ci/one_of_each\.sh:)')
+if [ -n "$hits" ]; then
+    echo "one_of_each: a write-only background recompile (refined artifacts no serving compile probes):"
+    echo "$hits" | sed 's/^/    /'
+    fail=1
+fi
+
 # Durable records (driver artifacts, profiles) are written by one
 # temp-file-and-rename.
 check "an atomic file write" \

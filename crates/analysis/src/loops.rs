@@ -191,8 +191,6 @@ impl LoopForest {
 /// A recognised counted loop `for (iv = init; iv <cmp> bound; iv += step)`.
 #[derive(Clone, Debug)]
 pub struct CountedLoop {
-    /// The loop this description belongs to.
-    pub loop_id: LoopId,
     /// The induction variable (a header block parameter).
     pub iv: Value,
     /// Position of the IV among the header's parameters.
@@ -324,7 +322,7 @@ pub fn recognize_counted(
     }
     let init = init?;
 
-    Some(CountedLoop { loop_id: lp, iv, iv_index, init, step, bound, cmp })
+    Some(CountedLoop { iv, iv_index, init, step, bound, cmp })
 }
 
 #[cfg(test)]

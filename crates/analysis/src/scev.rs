@@ -246,11 +246,6 @@ impl<'f> ScalarEvolution<'f> {
         self.counted.get(id.0 as usize)?.as_ref()
     }
 
-    /// The loop forest the engine was built from.
-    pub fn forest(&self) -> &LoopForest {
-        self.forest
-    }
-
     /// Affine form of an integer value, if one exists.
     pub fn affine_of(&mut self, v: Value) -> Option<Affine> {
         self.memoise(v);

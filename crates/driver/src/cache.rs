@@ -192,11 +192,6 @@ pub struct CacheStats {
 }
 
 impl CacheStats {
-    /// Total hits across both tiers.
-    pub fn hits(&self) -> u64 {
-        self.mem_hits + self.disk_hits
-    }
-
     /// The counter increments since `earlier` (a previous snapshot).
     pub fn delta(&self, earlier: &CacheStats) -> CacheStats {
         CacheStats {

@@ -129,11 +129,6 @@ impl Driver {
         std::mem::replace(&mut self.profiles, profiles)
     }
 
-    /// The installed profile set.
-    pub fn profiles(&self) -> &ProfileSet {
-        &self.profiles
-    }
-
     /// Cache counters accumulated over the driver's lifetime.
     pub fn cache_stats(&self) -> CacheStats {
         self.cache.stats()
@@ -152,176 +147,155 @@ impl Driver {
     pub fn compile(
         &mut self,
         module: &mut Module,
-        opts_for: impl FnMut(FuncId, &Function) -> CompilerOptions,
+        mut opts_for: impl FnMut(FuncId, &Function) -> CompilerOptions,
     ) -> CompileOutcome {
-        compile_tasks(&mut self.cache, self.jobs, &self.profiles, module, opts_for)
-    }
+        let (cache, jobs, profiles) = (&mut self.cache, self.jobs, &self.profiles);
+        let origin = Instant::now();
+        let before = cache.stats();
+        let fingerprint = Pipeline::standard().fingerprint();
+        let tasks = module.task_ids();
 
-    /// [`Driver::compile`] against `profiles` instead of the installed
-    /// set, which is neither read nor written — so nothing is left to
-    /// restore, and a panic mid-compile (an options closure, a stage)
-    /// cannot leave a temporary profile set installed on a shared driver.
-    pub fn compile_with(
-        &mut self,
-        profiles: &ProfileSet,
-        module: &mut Module,
-        opts_for: impl FnMut(FuncId, &Function) -> CompilerOptions,
-    ) -> CompileOutcome {
-        compile_tasks(&mut self.cache, self.jobs, profiles, module, opts_for)
-    }
-}
-
-/// The body of [`Driver::compile`], over the driver's parts so the
-/// profile set can be borrowed from anywhere.
-fn compile_tasks(
-    cache: &mut Cache,
-    jobs: usize,
-    profiles: &ProfileSet,
-    module: &mut Module,
-    mut opts_for: impl FnMut(FuncId, &Function) -> CompilerOptions,
-) -> CompileOutcome {
-    let origin = Instant::now();
-    let before = cache.stats();
-    let fingerprint = Pipeline::standard().fingerprint();
-    let tasks = module.task_ids();
-
-    // Probe phase (main thread, task order): resolve each task to a
-    // cached artifact or a work-list slot. A task with a profile is
-    // keyed under `refined_key(base, profile_hash)` so refined
-    // artifacts never alias static ones and a profile change re-keys.
-    let mut slots: Vec<Slot> = Vec::with_capacity(tasks.len());
-    let mut task_spans: Vec<Vec<PassSpan>> = vec![Vec::new(); tasks.len()];
-    let mut work: Vec<(FuncId, CompilerOptions, u64, Option<PhaseProfile>)> = Vec::new();
-    let mut base_keys: HashMap<FuncId, u64> = HashMap::with_capacity(tasks.len());
-    let mut refined = 0usize;
-    for (i, &task) in tasks.iter().enumerate() {
-        let opts = opts_for(task, module.func(task));
-        let base = task_key(module, task, &opts, fingerprint);
-        base_keys.insert(task, base);
-        let profile = profiles.get(base).copied().filter(|p| p.runs > 0);
-        let key = match &profile {
-            Some(p) => {
-                refined += 1;
-                refined_key(base, p.content_hash())
+        // Probe phase (main thread, task order): resolve each task to a
+        // cached artifact or a work-list slot. A task with a profile is
+        // keyed under `refined_key(base, profile_hash)` so refined
+        // artifacts never alias static ones and a profile change re-keys.
+        let mut slots: Vec<Slot> = Vec::with_capacity(tasks.len());
+        let mut task_spans: Vec<Vec<PassSpan>> = vec![Vec::new(); tasks.len()];
+        let mut work: Vec<(FuncId, CompilerOptions, u64, Option<PhaseProfile>)> = Vec::new();
+        let mut base_keys: HashMap<FuncId, u64> = HashMap::with_capacity(tasks.len());
+        let mut refined = 0usize;
+        for (i, &task) in tasks.iter().enumerate() {
+            let opts = opts_for(task, module.func(task));
+            let base = task_key(module, task, &opts, fingerprint);
+            base_keys.insert(task, base);
+            let profile = profiles.get(base).copied().filter(|p| p.runs > 0);
+            let key = match &profile {
+                Some(p) => {
+                    refined += 1;
+                    refined_key(base, p.content_hash())
+                }
+                None => base,
+            };
+            let start_s = origin.elapsed().as_secs_f64();
+            match cache.lookup(key) {
+                Some(artifact) => {
+                    task_spans[i].push(PassSpan {
+                        worker: 0,
+                        pass: "cache",
+                        func: module.func(task).name.clone(),
+                        start_s,
+                        dur_s: origin.elapsed().as_secs_f64() - start_s,
+                        cached: true,
+                    });
+                    slots.push(Slot::Ready(artifact));
+                }
+                None => {
+                    slots.push(Slot::Work(work.len()));
+                    work.push((task, opts, key, profile));
+                }
             }
-            None => base,
+        }
+
+        // Compile phase: every miss through `generate_access_with`. The
+        // calling thread is worker 0; workers 1.. are spawned only when there
+        // is more than one job and more than one miss. Workers see a read-only
+        // module snapshot and take the next work index until none is left.
+        type TaskResult = (Result<GeneratedAccess, RefuseReason>, Vec<PassSpan>);
+        let snapshot: &Module = module;
+        let next = AtomicUsize::new(0);
+        let worker = |w: u32| {
+            let mut out: Vec<(usize, TaskResult)> = Vec::new();
+            loop {
+                let k = next.fetch_add(1, Ordering::Relaxed);
+                let Some((task, opts, _, profile)) = work.get(k) else { break out };
+                out.push((
+                    k,
+                    compile_one(snapshot, *task, opts.clone(), profile.as_ref(), origin, w),
+                ));
+            }
         };
-        let start_s = origin.elapsed().as_secs_f64();
-        match cache.lookup(key) {
-            Some(artifact) => {
-                task_spans[i].push(PassSpan {
-                    worker: 0,
-                    pass: "cache",
-                    func: module.func(task).name.clone(),
-                    start_s,
-                    dur_s: origin.elapsed().as_secs_f64() - start_s,
-                    cached: true,
-                });
-                slots.push(Slot::Ready(artifact));
+        let done = std::thread::scope(|scope| {
+            let worker = &worker;
+            let spawned: Vec<_> =
+                (1..jobs.min(work.len())).map(|w| scope.spawn(move || worker(w as u32))).collect();
+            let mut done = worker(0);
+            for h in spawned {
+                done.extend(h.join().expect("worker panicked"));
             }
-            None => {
-                slots.push(Slot::Work(work.len()));
-                work.push((task, opts, key, profile));
-            }
+            done
+        });
+        let mut results: Vec<Option<TaskResult>> = Vec::with_capacity(work.len());
+        results.resize_with(work.len(), || None);
+        for (k, r) in done {
+            results[k] = Some(r);
         }
-    }
 
-    // Compile phase: every miss through `generate_access_with`. The
-    // calling thread is worker 0; workers 1.. are spawned only when there
-    // is more than one job and more than one miss. Workers see a read-only
-    // module snapshot and take the next work index until none is left.
-    type TaskResult = (Result<GeneratedAccess, RefuseReason>, Vec<PassSpan>);
-    let snapshot: &Module = module;
-    let next = AtomicUsize::new(0);
-    let worker = |w: u32| {
-        let mut out: Vec<(usize, TaskResult)> = Vec::new();
-        loop {
-            let k = next.fetch_add(1, Ordering::Relaxed);
-            let Some((task, opts, _, profile)) = work.get(k) else { break out };
-            out.push((k, compile_one(snapshot, *task, opts.clone(), profile.as_ref(), origin, w)));
-        }
-    };
-    let done = std::thread::scope(|scope| {
-        let worker = &worker;
-        let spawned: Vec<_> =
-            (1..jobs.min(work.len())).map(|w| scope.spawn(move || worker(w as u32))).collect();
-        let mut done = worker(0);
-        for h in spawned {
-            done.extend(h.join().expect("worker panicked"));
-        }
-        done
-    });
-    let mut results: Vec<Option<TaskResult>> = Vec::with_capacity(work.len());
-    results.resize_with(work.len(), || None);
-    for (k, r) in done {
-        results[k] = Some(r);
-    }
-
-    // Merge phase (main thread, task order): identical add_function
-    // order — and therefore identical FuncIds — at any job count.
-    let mut map = DaeMap::default();
-    let mut outcome = CompileOutcome {
-        map: DaeMap::default(),
-        tasks: tasks.len(),
-        generated: 0,
-        refused: 0,
-        from_cache: 0,
-        refined,
-        cache: CacheStats::default(),
-        spans: Vec::new(),
-        keys: base_keys,
-    };
-    for (i, (&task, slot)) in tasks.iter().zip(slots).enumerate() {
-        match slot {
-            Slot::Ready(artifact) => {
-                outcome.from_cache += 1;
-                match artifact {
-                    Artifact::Generated { func, strategy, info } => {
-                        outcome.generated += 1;
-                        let access_id = module.add_function(func);
-                        map.access_of.insert(task, access_id);
-                        map.strategy_of.insert(task, strategy);
-                        map.info_of.insert(task, info);
-                    }
-                    Artifact::Refused { reason } => {
-                        outcome.refused += 1;
-                        map.refused.insert(task, reason);
+        // Merge phase (main thread, task order): identical add_function
+        // order — and therefore identical FuncIds — at any job count.
+        let mut map = DaeMap::default();
+        let mut outcome = CompileOutcome {
+            map: DaeMap::default(),
+            tasks: tasks.len(),
+            generated: 0,
+            refused: 0,
+            from_cache: 0,
+            refined,
+            cache: CacheStats::default(),
+            spans: Vec::new(),
+            keys: base_keys,
+        };
+        for (i, (&task, slot)) in tasks.iter().zip(slots).enumerate() {
+            match slot {
+                Slot::Ready(artifact) => {
+                    outcome.from_cache += 1;
+                    match artifact {
+                        Artifact::Generated { func, strategy, info } => {
+                            outcome.generated += 1;
+                            let access_id = module.add_function(func);
+                            map.access_of.insert(task, access_id);
+                            map.strategy_of.insert(task, strategy);
+                            map.info_of.insert(task, info);
+                        }
+                        Artifact::Refused { reason } => {
+                            outcome.refused += 1;
+                            map.refused.insert(task, reason);
+                        }
                     }
                 }
-            }
-            Slot::Work(k) => {
-                let (res, spans) = results[k].take().expect("every work item was compiled");
-                task_spans[i] = spans;
-                let key = work[k].2;
-                match res {
-                    Ok(g) => {
-                        outcome.generated += 1;
-                        cache.insert(
-                            key,
-                            Artifact::Generated {
-                                func: g.func.clone(),
-                                strategy: g.strategy.clone(),
-                                info: g.info,
-                            },
-                        );
-                        let access_id = module.add_function(g.func);
-                        map.access_of.insert(task, access_id);
-                        map.strategy_of.insert(task, g.strategy);
-                        map.info_of.insert(task, g.info);
-                    }
-                    Err(reason) => {
-                        outcome.refused += 1;
-                        cache.insert(key, Artifact::Refused { reason: reason.clone() });
-                        map.refused.insert(task, reason);
+                Slot::Work(k) => {
+                    let (res, spans) = results[k].take().expect("every work item was compiled");
+                    task_spans[i] = spans;
+                    let key = work[k].2;
+                    match res {
+                        Ok(g) => {
+                            outcome.generated += 1;
+                            cache.insert(
+                                key,
+                                Artifact::Generated {
+                                    func: g.func.clone(),
+                                    strategy: g.strategy.clone(),
+                                    info: g.info,
+                                },
+                            );
+                            let access_id = module.add_function(g.func);
+                            map.access_of.insert(task, access_id);
+                            map.strategy_of.insert(task, g.strategy);
+                            map.info_of.insert(task, g.info);
+                        }
+                        Err(reason) => {
+                            outcome.refused += 1;
+                            cache.insert(key, Artifact::Refused { reason: reason.clone() });
+                            map.refused.insert(task, reason);
+                        }
                     }
                 }
             }
         }
+        outcome.map = map;
+        outcome.cache = cache.stats().delta(&before);
+        outcome.spans = task_spans.into_iter().flatten().collect();
+        outcome
     }
-    outcome.map = map;
-    outcome.cache = cache.stats().delta(&before);
-    outcome.spans = task_spans.into_iter().flatten().collect();
-    outcome
 }
 
 /// Compiles one task on `worker`, one [`PassSpan`] per stage run. A
@@ -657,8 +631,8 @@ mod tests {
         let statics = d.compile(&mut m, opts_for);
         let writeonly = spans_per_task(&statics).pop().expect("writeonly is the last task");
         assert_eq!(writeonly.last().map(|s| s.pass), Some("generate"), "refused in `generate`");
-        let refined =
-            d.compile_with(&useless_stream1_profile(&statics, &m), &mut test_module(), opts_for);
+        d.set_profiles(useless_stream1_profile(&statics, &m));
+        let refined = d.compile(&mut test_module(), opts_for);
         let stream1 = spans_per_task(&refined).remove(0);
         let names: Vec<_> = stream1.iter().map(|s| s.pass).collect();
         assert_eq!(names, ["inline", "optimize", "refine"], "refused in `refine`");
@@ -687,7 +661,8 @@ mod tests {
         // accurate, covering, decoupled and hinted.
         let healthy = stream1_profile(&out, &statics, one_run(60, 4));
         let mut refined = test_module();
-        d.compile_with(&healthy, &mut refined, opts_for);
+        d.set_profiles(healthy);
+        d.compile(&mut refined, opts_for);
         assert_eq!(print_module(&refined), print_module(&statics));
     }
 
@@ -699,7 +674,9 @@ mod tests {
         let redundant = stream1_profile(&out, &statics, one_run(8, 4));
         let compile = || {
             let mut m = test_module();
-            Driver::new(&DriverConfig::default()).compile_with(&redundant, &mut m, opts_for);
+            let mut d = Driver::new(&DriverConfig::default());
+            d.set_profiles(redundant.clone());
+            d.compile(&mut m, opts_for);
             print_module(&m)
         };
         assert_eq!(compile(), compile());
@@ -731,34 +708,6 @@ mod tests {
         assert_eq!(again.refined, 0);
         assert_eq!(again.from_cache, 4);
         assert_eq!(print_module(&back), print_module(&m));
-    }
-
-    #[test]
-    fn a_panicking_compile_with_leaves_the_installed_profiles_alone() {
-        let mut d = Driver::new(&DriverConfig::default());
-        let mut m = test_module();
-        let statics = d.compile(&mut m, opts_for);
-        let set = useless_stream1_profile(&statics, &m);
-        // The options closure blows up on the second task, mid-compile.
-        let mut calls = 0;
-        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            d.compile_with(&set, &mut test_module(), |id, f| {
-                calls += 1;
-                assert!(calls < 2, "options closure panics");
-                opts_for(id, f)
-            })
-        }));
-        assert!(unwound.is_err());
-        assert!(d.profiles().is_empty(), "the borrowed set was never installed");
-        // Later plain compiles are static: same bytes, nothing refined.
-        let mut back = test_module();
-        let again = d.compile(&mut back, opts_for);
-        assert_eq!((again.refined, again.from_cache), (0, 4));
-        assert_eq!(print_module(&back), print_module(&m));
-        // Without the panic the borrowed set refines, and is still not kept.
-        let refined = d.compile_with(&set, &mut test_module(), opts_for);
-        assert_eq!((refined.refined, refined.refused), (1, 2));
-        assert!(d.profiles().is_empty());
     }
 
     #[test]

@@ -434,14 +434,12 @@ fn forward_line(req: &Request, deadline: Option<Instant>) -> String {
 }
 
 /// Fans a `profiles` request out to every routable backend and merges
-/// the answers: per-backend bodies verbatim plus fleet-wide totals
-/// (profile records held, recompile-worker counters) summed from them.
+/// the answers: per-backend bodies verbatim plus the fleet-wide count of
+/// profile records held, summed from them. Schema `dae-gate-profiles/2`
+/// dropped the recompile-worker totals.
 fn aggregate_profiles(shared: &Shared) -> JsonValue {
     let mut backends = Vec::with_capacity(shared.fleet.len());
     let mut records = 0.0f64;
-    let mut started = 0.0f64;
-    let mut completed = 0.0f64;
-    let mut swapped = 0.0f64;
     for b in shared.fleet.iter() {
         if b.state(shared.cfg.readmit) != HealthState::Up {
             backends.push(JsonValue::obj([
@@ -460,13 +458,11 @@ fn aggregate_profiles(shared: &Shared) -> JsonValue {
                     .ok()
                     .and_then(|v| v.get("result").cloned())
                     .unwrap_or(JsonValue::Null);
-                let num = |v: &JsonValue, path: [&str; 2]| {
-                    v.get(path[0]).and_then(|s| s.get(path[1])).and_then(JsonValue::as_f64)
-                };
-                records += num(&result, ["store", "resident"]).unwrap_or(0.0);
-                started += num(&result, ["recompiles", "started"]).unwrap_or(0.0);
-                completed += num(&result, ["recompiles", "completed"]).unwrap_or(0.0);
-                swapped += num(&result, ["recompiles", "swapped"]).unwrap_or(0.0);
+                records += result
+                    .get("store")
+                    .and_then(|s| s.get("resident"))
+                    .and_then(JsonValue::as_f64)
+                    .unwrap_or(0.0);
                 backends.push(JsonValue::obj([
                     ("addr", b.addr.as_str().into()),
                     ("ok", true.into()),
@@ -481,16 +477,8 @@ fn aggregate_profiles(shared: &Shared) -> JsonValue {
         }
     }
     JsonValue::obj([
-        ("schema", "dae-gate-profiles/1".into()),
-        (
-            "totals",
-            JsonValue::obj([
-                ("profile_records", records.into()),
-                ("recompiles_started", started.into()),
-                ("recompiles_completed", completed.into()),
-                ("recompiles_swapped", swapped.into()),
-            ]),
-        ),
+        ("schema", "dae-gate-profiles/2".into()),
+        ("totals", JsonValue::obj([("profile_records", records.into())])),
         ("backends", JsonValue::Arr(backends)),
     ])
 }
@@ -514,8 +502,8 @@ fn probe_fleet(shared: &Shared) {
                     .and_then(JsonValue::as_str)
                     .map(|s| s == "draining")
                     .unwrap_or(false);
-                // Ride-along scrape: `/3` health bodies carry the
-                // backend's profile/recompile counters for `stats`.
+                // Ride-along scrape: health bodies carry the backend's
+                // profile counters for `stats`.
                 if let Some(pgo) = result.as_ref().and_then(|r| r.get("pgo")) {
                     b.note_pgo(pgo.clone());
                 }

@@ -55,11 +55,6 @@ impl Ring {
         Ring { points, backends: addrs.len() }
     }
 
-    /// Number of backends the ring was built over.
-    pub fn backends(&self) -> usize {
-        self.backends
-    }
-
     /// The ordered candidate list for `key`: the owning backend first,
     /// then each remaining backend in the order the clockwise walk first
     /// meets them. Deterministic per key; different keys interleave the

@@ -130,10 +130,6 @@ impl FunctionBuilder {
     pub fn xor(&mut self, a: impl Into<Value>, b: impl Into<Value>) -> Value {
         self.binary(BinOp::Xor, a, b)
     }
-    /// Left shift.
-    pub fn shl(&mut self, a: impl Into<Value>, b: impl Into<Value>) -> Value {
-        self.binary(BinOp::Shl, a, b)
-    }
     /// Float add.
     pub fn fadd(&mut self, a: impl Into<Value>, b: impl Into<Value>) -> Value {
         self.binary(BinOp::FAdd, a, b)

@@ -73,13 +73,6 @@ impl LinExpr {
         e
     }
 
-    /// The expression `1·p`.
-    pub fn param(space: Space, p: usize) -> LinExpr {
-        let mut e = LinExpr::zero(space);
-        e.coeffs[space.param_col(p)] = 1;
-        e
-    }
-
     /// Coefficient of dimension `d`.
     pub fn dim_coeff(&self, d: usize) -> i128 {
         self.coeffs[self.space.dim_col(d)]

@@ -187,14 +187,6 @@ impl Polyhedron {
         self.add_ge0(LinExpr::dim(s, d).scale(-1).with_const(hi)); // hi - d >= 0
     }
 
-    /// Intersection (same space).
-    pub fn intersect(&self, other: &Polyhedron) -> Polyhedron {
-        assert_eq!(self.space, other.space);
-        let mut out = self.clone();
-        out.constraints.extend(other.constraints.iter().cloned());
-        out
-    }
-
     /// True if the given integer point (dims) with parameters satisfies all
     /// constraints.
     pub fn contains_int(&self, point: &[i64], params: &[i64]) -> bool {

@@ -25,7 +25,6 @@
 //! a given request are identical cold or warm, which is what the e2e suite
 //! checks against a fresh single-use engine.
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -44,11 +43,9 @@ use dae_trace::{lock_recover, Fnv64, Lru};
 use crate::proto::{codes, ErrorBody, Op, Request};
 
 /// Schema tag of the `profiles` result object.
-pub const PROFILES_SCHEMA: &str = "dae-serve-profiles/1";
-
-/// Modules remembered for background recompilation (most recent first;
-/// deduplicated by content).
-const RECENT_MODULES_CAP: usize = 32;
+/// `/2` dropped the recompile worker's `recent_modules` and `recompiles`
+/// keys.
+pub const PROFILES_SCHEMA: &str = "dae-serve-profiles/2";
 
 /// Byte budget of the coupled-baseline memo: 4096 (module, hints, task)
 /// baselines at [`BASELINE_ENTRY_BYTES`] each, so `Mix::Warm`'s 2048
@@ -114,33 +111,12 @@ pub struct Engine {
     baseline: Mutex<Lru<(f64, f64)>>,
     baseline_hits: AtomicU64,
     baseline_misses: AtomicU64,
-    pgo: Mutex<PgoState>,
-    recompiles_started: AtomicU64,
-    recompiles_completed: AtomicU64,
-    recompiles_swapped: AtomicU64,
+    /// Phase profiles collected from `run` requests, keyed by each task's
+    /// base compile key; read back by the `profiles` op.
+    pgo: Mutex<ProfileStore>,
     max_global_bytes: u64,
     max_steps: u64,
     engine: EngineKind,
-}
-
-/// Profile state accumulated from `run` requests: the in-memory store
-/// (keyed by base compile key) plus the modules worth recompiling when
-/// the profile picture changes.
-struct PgoState {
-    store: ProfileStore,
-    recent: VecDeque<RecentModule>,
-    /// Content hash of the store the last recompile pass saw; an
-    /// unchanged hash makes the next pass a no-op.
-    last_hash: u64,
-}
-
-/// One remembered module: everything a background recompile needs.
-#[derive(Clone)]
-struct RecentModule {
-    /// [`ModuleKey::module`] of `ir` + `hints` — the dedup key.
-    key: u64,
-    ir: String,
-    hints: Vec<i64>,
 }
 
 impl Engine {
@@ -155,14 +131,7 @@ impl Engine {
             baseline: Mutex::new(Lru::new(BASELINE_MAX_BYTES)),
             baseline_hits: AtomicU64::new(0),
             baseline_misses: AtomicU64::new(0),
-            pgo: Mutex::new(PgoState {
-                store: ProfileStore::new(),
-                recent: VecDeque::new(),
-                last_hash: 0,
-            }),
-            recompiles_started: AtomicU64::new(0),
-            recompiles_completed: AtomicU64::new(0),
-            recompiles_swapped: AtomicU64::new(0),
+            pgo: Mutex::new(ProfileStore::new()),
             max_global_bytes: config.max_global_bytes,
             max_steps: config.max_steps,
             engine: config.engine,
@@ -358,7 +327,7 @@ impl Engine {
             Some(report) => report,
             None => collected(&insts, &mut col)?,
         };
-        self.absorb_profiles(req, mkey.module(), c, col);
+        self.absorb_profiles(c, col);
         Ok(JsonValue::obj([
             ("policy", cfg.policy.label(&cfg.table).into()),
             ("tasks", JsonValue::Arr(per_task)),
@@ -374,9 +343,9 @@ impl Engine {
     /// globals, with arguments from the hints, under the engine-wide
     /// `base` configuration; the driver only adds access functions. So it
     /// is a function of the module text, the hints and the task's index,
-    /// which is what `key` hashes: no policy, and no profile a background
-    /// recompile installs, can change it. A miss simulates and stores the
-    /// pair; errors and panics store nothing, so they recur identically.
+    /// which is what `key` hashes: no policy can change it. A miss
+    /// simulates and stores the pair; errors and panics store nothing, so
+    /// they recur identically.
     fn baseline(
         &self,
         key: u64,
@@ -396,97 +365,32 @@ impl Engine {
         Ok(pair)
     }
 
-    /// Folds one run's collected profiles into the store (keyed by the
-    /// task's *base* compile key) and remembers the module, under its
-    /// module key `mkey`, for the background recompile worker.
-    fn absorb_profiles(&self, req: &Request, mkey: u64, c: &Compiled, mut col: ProfileCollector) {
+    /// Folds one run's collected profiles into the store, keyed by each
+    /// task's *base* compile key.
+    fn absorb_profiles(&self, c: &Compiled, mut col: ProfileCollector) {
         if col.is_empty() {
             return;
         }
-        let mut st = lock_recover(&self.pgo);
+        let mut store = lock_recover(&self.pgo);
         for (key, p) in col.drain_keyed(&c.outcome.keys) {
-            st.store.merge_record(key, &p);
+            store.merge_record(key, &p);
         }
-        // A module seen before moves to the front; its text is copied only
-        // the first time.
-        let seen = st.recent.iter().position(|m| m.key == mkey);
-        let entry = seen.and_then(|i| st.recent.remove(i)).unwrap_or_else(|| RecentModule {
-            key: mkey,
-            ir: req.ir.clone(),
-            hints: req.hints.clone(),
-        });
-        st.recent.push_front(entry);
-        st.recent.truncate(RECENT_MODULES_CAP);
     }
 
-    /// One background recompile pass: if the profile picture changed since
-    /// the last pass, recompile every remembered module with the profiles
-    /// applied. Refined artifacts land in the shared incremental cache
-    /// under their *refined* keys — publication is one `Cache::insert`, so
-    /// the serving path (which probes base keys) never observes a torn
-    /// swap and responses stay byte-identical throughout.
-    ///
-    /// Returns the number of tasks that compiled against a profile.
-    pub fn recompile_pass(&self) -> usize {
-        let (snapshot, jobs) = {
-            let mut st = lock_recover(&self.pgo);
-            let snap = st.store.snapshot();
-            if snap.is_empty() {
-                return 0;
-            }
-            let hash = snap.content_hash();
-            if hash == st.last_hash {
-                return 0;
-            }
-            st.last_hash = hash;
-            (snap, st.recent.iter().cloned().collect::<Vec<_>>())
-        };
-        let mut refined_tasks = 0usize;
-        for m in jobs {
-            self.recompiles_started.fetch_add(1, Ordering::Relaxed);
-            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let mut module = parse_module(&m.ir).ok()?;
-                verify_module(&module).ok()?;
-                // The snapshot is lent to this one compile, never installed:
-                // a panic in here cannot leave foreground compiles refined.
-                let outcome =
-                    self.lock_driver().compile_with(&snapshot, &mut module, |_, f: &Function| {
-                        CompilerOptions::default().with_hints_for(f, &m.hints)
-                    });
-                Some(outcome.refined)
-            }));
-            if let Ok(Some(refined)) = result {
-                self.recompiles_completed.fetch_add(1, Ordering::Relaxed);
-                self.recompiles_swapped.fetch_add(refined as u64, Ordering::Relaxed);
-                refined_tasks += refined;
-            }
-        }
-        refined_tasks
-    }
-
-    /// Compact profile/recompile counters for `health` and `stats` — no
-    /// driver lock, so probes never stall behind a compile.
+    /// Compact profile counters for `health` and `stats` — no driver
+    /// lock, so probes never stall behind a compile.
     pub fn pgo_json(&self) -> JsonValue {
-        let (records, recent) = {
-            let st = lock_recover(&self.pgo);
-            (st.store.len(), st.recent.len())
-        };
-        JsonValue::obj([
-            ("profile_records", records.into()),
-            ("recent_modules", recent.into()),
-            ("recompiles_started", self.recompiles_started.load(Ordering::Relaxed).into()),
-            ("recompiles_completed", self.recompiles_completed.load(Ordering::Relaxed).into()),
-            ("recompiles_swapped", self.recompiles_swapped.load(Ordering::Relaxed).into()),
-        ])
+        let records = lock_recover(&self.pgo).len();
+        JsonValue::obj([("profile_records", records.into())])
     }
 
     /// The `profiles` result object: every resident profile record
-    /// (derived metrics included) plus store and recompile counters.
+    /// (derived metrics included) plus store counters.
     pub fn profiles_json(&self) -> JsonValue {
-        let st = lock_recover(&self.pgo);
+        let store = lock_recover(&self.pgo);
         let records: Vec<JsonValue> =
-            st.store.snapshot().iter().map(|(&k, p)| p.summary_json(k)).collect();
-        let s = st.store.stats();
+            store.snapshot().iter().map(|(&k, p)| p.summary_json(k)).collect();
+        let s = store.stats();
         JsonValue::obj([
             ("schema", PROFILES_SCHEMA.into()),
             ("records", JsonValue::Arr(records)),
@@ -499,24 +403,14 @@ impl Engine {
                     ("evicted", s.evicted.into()),
                 ]),
             ),
-            ("recent_modules", st.recent.len().into()),
-            (
-                "recompiles",
-                JsonValue::obj([
-                    ("started", self.recompiles_started.load(Ordering::Relaxed).into()),
-                    ("completed", self.recompiles_completed.load(Ordering::Relaxed).into()),
-                    ("swapped", self.recompiles_swapped.load(Ordering::Relaxed).into()),
-                ]),
-            ),
         ])
     }
 
     fn lock_driver(&self) -> std::sync::MutexGuard<'_, Driver> {
-        // A panic inside `handle` or a recompile is already converted to
-        // an error; the only driver state a compile mutates is its cache
-        // — `Cache::insert`, atomic per artifact, and monotonic counters
-        // (the installed profile set is never touched after construction)
-        // — so recovering the poisoned lock is safe.
+        // A panic inside `handle` is already converted to an error; the
+        // only driver state a compile mutates is its cache —
+        // `Cache::insert`, atomic per artifact, and monotonic counters —
+        // so recovering the poisoned lock is safe.
         lock_recover(&self.driver)
     }
 }
@@ -540,8 +434,8 @@ pub fn request_key(req: &Request) -> u64 {
 }
 
 /// Fnv64 state over a `run` request's module text and hints, hashed once
-/// per request: the identity of a module for the recompile worker and,
-/// extended by a task's index, of that task's coupled baseline.
+/// per request; extended by a task's index, it keys that task's coupled
+/// baseline.
 #[derive(Clone, Copy)]
 struct ModuleKey(Fnv64);
 
@@ -554,11 +448,6 @@ impl ModuleKey {
             h.write_i64(v);
         }
         ModuleKey(h)
-    }
-
-    /// The module's key ([`RecentModule::key`]).
-    fn module(self) -> u64 {
-        self.0.finish()
     }
 
     /// The baseline key of the module's `index`-th task.
@@ -776,37 +665,6 @@ bb3:
     }
 
     #[test]
-    fn a_repeated_module_is_remembered_once_most_recent_first() {
-        let engine = Engine::new(&EngineConfig::default());
-        let run = |hint: u64, policy: String| {
-            let frame = JsonValue::obj([
-                ("id", 1u64.into()),
-                ("op", "run".into()),
-                ("ir", STREAM.into()),
-                ("hints", JsonValue::Arr(vec![hint.into()])),
-                ("policy", policy.into()),
-            ]);
-            engine.handle_raw(&req(&frame.to_json_string())).unwrap();
-        };
-        let recent = || -> Vec<i64> {
-            lock_recover(&engine.pgo).recent.iter().map(|m| m.hints[0]).collect()
-        };
-        // The policy is not part of a module's identity but is part of the
-        // request's: every spelling misses the response cache and runs.
-        for k in 0..100 {
-            run(64, format!("dae-phases:2.0,3.{k:03}"));
-        }
-        assert_eq!(recent(), [64]);
-        run(128, "dae-minmax".to_string());
-        run(192, "dae-minmax".to_string());
-        assert_eq!(recent(), [192, 128, 64]);
-        run(128, "coupled-max".to_string());
-        assert_eq!(recent(), [128, 192, 64]);
-        run(64, "coupled-max".to_string());
-        assert_eq!(recent(), [64, 128, 192]);
-    }
-
-    #[test]
     fn layer_errors_surface_with_stable_codes() {
         let engine = Engine::new(&EngineConfig::default());
         let e = engine.handle(&req(r#"{"id":1,"op":"compile","ir":"task fn"}"#)).unwrap_err();
@@ -830,39 +688,19 @@ bb3:
     }
 
     #[test]
-    fn run_requests_feed_profiles_and_recompiles_stay_invisible() {
+    fn run_requests_feed_profiles() {
         let engine = Engine::new(&EngineConfig::default());
-        // No runs yet: empty store, recompile pass is a no-op.
-        assert_eq!(engine.recompile_pass(), 0);
+        // No runs yet: empty store.
         let p = engine.profiles_json();
         assert_eq!(p.get("schema").unwrap().as_str(), Some(PROFILES_SCHEMA));
         assert!(p.get("records").unwrap().as_arr().unwrap().is_empty());
         // A run request collects one profile record per task.
-        let before = engine.handle(&run_req("run")).unwrap().to_json_string();
+        engine.handle(&run_req("run")).unwrap();
         let p = engine.profiles_json();
         assert_eq!(p.get("records").unwrap().as_arr().unwrap().len(), 1);
         let rec = &p.get("records").unwrap().as_arr().unwrap()[0];
         assert!(rec.get("runs").unwrap().as_f64().unwrap() >= 1.0);
-        // The recompile pass sees the changed profile picture once.
-        let refined = engine.recompile_pass();
-        assert!(refined >= 1, "the profiled module should recompile refined");
-        assert_eq!(engine.recompile_pass(), 0, "unchanged profiles are a no-op");
-        let pg = engine.pgo_json();
-        assert_eq!(pg.get("recompiles_started").unwrap().as_f64(), Some(1.0));
-        assert_eq!(pg.get("recompiles_completed").unwrap().as_f64(), Some(1.0));
-        assert!(pg.get("recompiles_swapped").unwrap().as_f64().unwrap() >= 1.0);
-        // Hot swap is client-invisible: the same requests answer with the
-        // same bytes as before the swap and as a fresh engine.
-        let after = engine.handle(&run_req("run")).unwrap().to_json_string();
-        assert_eq!(before, after, "swap must not change run responses");
-        let fresh = Engine::new(&EngineConfig::default());
-        for op in ["compile", "report", "run"] {
-            assert_eq!(
-                engine.handle(&run_req(op)).unwrap().to_json_string(),
-                fresh.handle(&run_req(op)).unwrap().to_json_string(),
-                "op {op} after swap == fresh engine"
-            );
-        }
+        assert_eq!(engine.pgo_json().get("profile_records").unwrap().as_f64(), Some(1.0));
     }
 
     /// Two tasks over separate globals: a polyhedral stream and a

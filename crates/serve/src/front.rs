@@ -159,7 +159,7 @@ pub trait Service: Send + Sync + 'static {
 struct Shared<S> {
     service: S,
     queue: Queue<Job>,
-    drain: Arc<AtomicBool>,
+    drain: AtomicBool,
     workers: usize,
 }
 
@@ -181,7 +181,7 @@ impl<S: Service> Front<S> {
         let shared = Shared {
             service,
             queue: Queue::new(queue_depth),
-            drain: Arc::new(AtomicBool::new(false)),
+            drain: AtomicBool::new(false),
             workers: workers.max(1),
         };
         Ok(Front { listener: TcpListener::bind(addr)?, shared: Arc::new(shared) })
@@ -197,13 +197,7 @@ impl<S: Service> Front<S> {
         &self.shared.service
     }
 
-    /// The drain flag: set it (from any thread) to begin a graceful
-    /// shutdown, exactly as a `shutdown` request would.
-    pub fn drain_flag(&self) -> Arc<AtomicBool> {
-        Arc::clone(&self.shared.drain)
-    }
-
-    /// True once a drain was requested, by flag, frame or signal.
+    /// True once a drain was requested, by frame or signal.
     pub fn draining(&self) -> bool {
         self.shared.drain.load(Ordering::SeqCst) || signal_drain_requested()
     }
@@ -380,7 +374,7 @@ impl<S: Service> Shared<S> {
 static SIGNAL_DRAIN: AtomicBool = AtomicBool::new(false);
 
 /// True once a SIGTERM/SIGINT arrived after [`install_signal_drain`].
-pub fn signal_drain_requested() -> bool {
+fn signal_drain_requested() -> bool {
     SIGNAL_DRAIN.load(Ordering::SeqCst)
 }
 

@@ -31,7 +31,7 @@
 //!
 //! ```text
 //! $ printf '{"id":1,"op":"health"}\n' | nc 127.0.0.1 7777
-//! {"id":1,"ok":true,"result":{"schema":"dae-serve-health/4","status":"ok",...}}
+//! {"id":1,"ok":true,"result":{"schema":"dae-serve-health/5","status":"ok",...}}
 //! ```
 //!
 //! Work requests carry the IR inline and answer with either a `result`
@@ -53,7 +53,7 @@ pub mod server;
 pub use dae_sim::EngineKind;
 pub use dae_trace::Fnv64;
 pub use engine::{request_key, Engine, EngineConfig, PROFILES_SCHEMA};
-pub use front::{install_signal_drain, signal_drain_requested};
+pub use front::install_signal_drain;
 pub use load::{run_load, LoadConfig, LoadReport, Mix};
 pub use metrics::{Metrics, STATS_SCHEMA};
 pub use proto::{

@@ -18,8 +18,9 @@ use crate::front::AdmissionCounters;
 /// Schema tag of the `stats` result object. `/3` added the `pgo` section
 /// (profile records, recompile counters); `/4` dropped the `engine` key;
 /// `/5` added the coupled-baseline memo's counters to `cache`
-/// (`baseline_hits`, `baseline_misses`, `baseline_used_bytes`).
-pub const STATS_SCHEMA: &str = "dae-serve-stats/5";
+/// (`baseline_hits`, `baseline_misses`, `baseline_used_bytes`); `/6`
+/// dropped the recompile worker's counters from `pgo`.
+pub const STATS_SCHEMA: &str = "dae-serve-stats/6";
 
 /// Work-operation index into the per-op histogram array.
 #[derive(Clone, Copy)]

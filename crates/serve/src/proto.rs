@@ -54,7 +54,7 @@ pub enum Op {
     Run,
     /// Live server counters, latency histograms and cache statistics.
     Stats,
-    /// Phase-profile store summary plus recompile-worker counters.
+    /// Phase-profile store: resident records plus store counters.
     Profiles,
     /// Liveness/readiness probe.
     Health,

@@ -5,8 +5,7 @@
 //! incremental cache); a response-cache hit is answered on the reader
 //! thread, so the queue hop is only paid by requests that need work.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
 use dae_trace::json::JsonValue;
@@ -20,8 +19,8 @@ use crate::proto::{codes, err_response, ok_response_raw, Op, Request};
 /// inputs a gateway needs from one cheap probe: queue depth/capacity,
 /// worker count and response-cache counters. `/3` added the `pgo` section
 /// (profile records held, recompile-worker counters); `/4` dropped the
-/// `engine` key.
-pub const HEALTH_SCHEMA: &str = "dae-serve-health/4";
+/// `engine` key; `/5` dropped the recompile worker's counters from `pgo`.
+pub const HEALTH_SCHEMA: &str = "dae-serve-health/5";
 
 /// Daemon construction knobs.
 #[derive(Clone, Debug)]
@@ -54,32 +53,20 @@ pub struct Server {
 
 /// What `daed` plugs into the front end.
 struct Daed {
-    engine: Arc<Engine>,
+    engine: Engine,
     metrics: Metrics,
 }
 
 impl Server {
     /// Binds the listener; the accept loop starts with [`Server::run`].
     pub fn bind(config: &ServerConfig) -> std::io::Result<Server> {
-        let daed = Daed { engine: Arc::new(Engine::new(&config.engine)), metrics: Metrics::new() };
+        let daed = Daed { engine: Engine::new(&config.engine), metrics: Metrics::new() };
         Ok(Server { front: Front::bind(&config.addr, config.workers, config.queue_depth, daed)? })
     }
 
     /// The bound address (the actual port when `addr` asked for port 0).
     pub fn local_addr(&self) -> std::io::Result<std::net::SocketAddr> {
         self.front.local_addr()
-    }
-
-    /// The drain flag: set it (from any thread) to begin a graceful
-    /// shutdown, exactly as a `shutdown` request would.
-    pub fn drain_flag(&self) -> Arc<AtomicBool> {
-        self.front.drain_flag()
-    }
-
-    /// The shared engine, for background workers (`daed`'s recompile
-    /// loop calls [`Engine::recompile_pass`] through this).
-    pub fn engine(&self) -> Arc<Engine> {
-        Arc::clone(&self.front.service().engine)
     }
 
     /// Serves until a drain is requested, then completes all admitted work

@@ -6,7 +6,7 @@
 //! ```text
 //! daec <file.dae> [--report] [--run] [--policy <spec>] [--hints a,b,c]
 //!      [--jobs N] [--cache-dir <dir>] [--cache-max-mb <mb>]
-//!      [--no-polyhedral] [--no-cfg-simplify] [--line-dedup] [--prefetch-writes]
+//!      [--no-polyhedral]
 //!      [--profile-in <file>] [--profile-out <file>] [--profile-dir <dir>]
 //!      [--trace-out <file> [--trace-format chrome|summary]]
 //! ```
@@ -154,9 +154,6 @@ fn parse_args() -> Result<Option<Args>, String> {
                 profile_dir = Some(PathBuf::from(it.next().ok_or("--profile-dir needs a path")?));
             }
             "--no-polyhedral" => opts.enable_polyhedral = false,
-            "--no-cfg-simplify" => opts.cfg_simplify = false,
-            "--line-dedup" => opts.line_dedup = true,
-            "--prefetch-writes" => opts.prefetch_writes = true,
             other if !other.starts_with('-') && file.is_none() => file = Some(other.to_string()),
             other => return Err(format!("unknown argument `{other}`")),
         }

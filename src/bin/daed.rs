@@ -8,7 +8,6 @@
 //! ```text
 //! daed [--addr HOST:PORT] [--workers N] [--queue-depth N]
 //!      [--cache-dir <dir>] [--cache-max-mb <mb>] [--max-global-mb <mb>]
-//!      [--recompile-ms N]
 //! ```
 //!
 //! * `--addr` — bind address (default `127.0.0.1:7777`; port 0 picks an
@@ -21,12 +20,10 @@
 //! * `--cache-max-mb` — in-memory artifact-cache byte budget (default 64)
 //! * `--max-global-mb` — refuse modules declaring more global data than
 //!   this, in MiB (default 256)
-//! * `--recompile-ms` — period of the background profile-guided
-//!   recompile worker (0, the default, disables it). Each pass
-//!   recompiles recently-run modules against the profiles collected from
-//!   `run` requests, publishing refined artifacts into the shared
-//!   incremental cache; responses stay byte-identical throughout (watch
-//!   progress via the `profiles` op)
+//!
+//! Every `run` request's phase profiles are merged into an in-memory
+//! store that the `profiles` op reads back; profile-guided recompiles are
+//! offline, through `daec --profile-in`/`--profile-dir`.
 //!
 //! The first stdout line is machine-parseable:
 //! `daed: listening on 127.0.0.1:34567` — tests and scripts bind port 0
@@ -36,37 +33,9 @@
 //! `printf '{"id":1,"op":"health"}\n' | nc 127.0.0.1 7777`
 
 use dae_repro::driver::DriverConfig;
-use dae_repro::serve::{
-    install_signal_drain, signal_drain_requested, EngineConfig, Server, ServerConfig,
-};
+use dae_repro::serve::{install_signal_drain, EngineConfig, Server, ServerConfig};
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::sync::atomic::Ordering;
-use std::time::Duration;
-
-/// Detached background loop: one [`dae_repro::serve::Engine::recompile_pass`] per period,
-/// exiting promptly once the server drains. Detached (not joined) because
-/// a pass is short and the engine outlives the loop via its `Arc`.
-fn spawn_recompile_worker(server: &Server, period_ms: u64) {
-    let engine = server.engine();
-    let drain = server.drain_flag();
-    std::thread::spawn(move || {
-        let step = Duration::from_millis(50);
-        let period = Duration::from_millis(period_ms.max(1));
-        let mut slept = Duration::ZERO;
-        loop {
-            if drain.load(Ordering::SeqCst) || signal_drain_requested() {
-                return;
-            }
-            std::thread::sleep(step.min(period));
-            slept += step.min(period);
-            if slept >= period {
-                slept = Duration::ZERO;
-                engine.recompile_pass();
-            }
-        }
-    });
-}
 
 struct Args {
     addr: String,
@@ -75,7 +44,6 @@ struct Args {
     cache_dir: Option<PathBuf>,
     cache_max_mb: usize,
     max_global_mb: u64,
-    recompile_ms: u64,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -86,7 +54,6 @@ fn parse_args() -> Result<Args, String> {
         cache_dir: None,
         cache_max_mb: 64,
         max_global_mb: 256,
-        recompile_ms: 0,
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
@@ -124,17 +91,11 @@ fn parse_args() -> Result<Args, String> {
                     return Err("--max-global-mb must be at least 1".into());
                 }
             }
-            "--recompile-ms" => {
-                args.recompile_ms = value("--recompile-ms")?
-                    .parse()
-                    .map_err(|e| format!("bad recompile period: {e}"))?;
-            }
             other => {
                 return Err(format!(
                     "unknown argument `{other}`\n\
                      usage: daed [--addr HOST:PORT] [--workers N] [--queue-depth N] \
-                     [--cache-dir <dir>] [--cache-max-mb <mb>] [--max-global-mb <mb>] \
-                     [--recompile-ms N]"
+                     [--cache-dir <dir>] [--cache-max-mb <mb>] [--max-global-mb <mb>]"
                 ))
             }
         }
@@ -182,10 +143,6 @@ fn run_main() -> Result<(), String> {
             None => String::new(),
         }
     );
-    if args.recompile_ms > 0 {
-        println!("daed: profile-guided recompile worker every {} ms", args.recompile_ms);
-        spawn_recompile_worker(&server, args.recompile_ms);
-    }
     use std::io::Write as _;
     let _ = std::io::stdout().flush();
     server.run().map_err(|e| format!("serve failed: {e}"))?;

@@ -227,50 +227,55 @@ fn graceful_drain_finishes_admitted_work_then_refuses_new() {
     assert!(status.success());
 }
 
+/// The bytes of a response's first `"cae":{...}` object — `tasks[0]`'s
+/// coupled baseline (the object is flat, so it ends at the first `}`).
+fn first_cae(line: &str) -> &str {
+    let start = line.find("\"cae\":{").unwrap_or_else(|| panic!("no cae object: {line}"));
+    let len = line[start..].find('}').expect("the cae object closes") + 1;
+    &line[start..start + len]
+}
+
 #[test]
-fn background_recompile_hot_swap_is_client_invisible() {
-    let daemon = Daemon::spawn(&["--workers", "2", "--recompile-ms", "40"]);
+fn a_second_policy_reuses_the_baseline_and_runs_feed_profiles() {
+    let daemon = Daemon::spawn(&["--workers", "2"]);
     let mut client = daemon.connect();
-    // A run request both exercises the pipeline and feeds the profile
-    // store the background worker recompiles from.
-    let frame = work_frame("hot", "run", STREAM);
-    let before = client.roundtrip(&frame);
-    assert_eq!(before, direct_reference(&frame), "pre-swap bytes match a direct run");
+    let frame = work_frame("run", "run", STREAM);
+    let first = client.roundtrip(&frame);
+    assert_eq!(first, direct_reference(&frame), "served bytes match a direct run");
 
-    // Wait until the worker has completed at least one recompile pass
-    // over that profile (the `profiles` op exposes its counters).
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-    loop {
-        let line = client.roundtrip(r#"{"id":"p","op":"profiles"}"#);
-        let v = parse(&line).expect("well-formed profiles response");
-        let result = v.get("result").expect("profiles response has a result");
-        assert_eq!(
-            result.get("schema").and_then(JsonValue::as_str),
-            Some("dae-serve-profiles/1"),
-            "{line}"
-        );
-        let completed = result
-            .get("recompiles")
-            .and_then(|r| r.get("completed"))
-            .and_then(JsonValue::as_f64)
-            .unwrap_or(0.0);
-        if completed >= 1.0 {
-            let records =
-                result.get("records").and_then(JsonValue::as_arr).map(|a| a.len()).unwrap_or(0);
-            assert!(records >= 1, "the run must have left a profile record: {line}");
-            break;
-        }
-        assert!(
-            std::time::Instant::now() < deadline,
-            "recompile worker never completed a pass: {line}"
-        );
-        std::thread::sleep(std::time::Duration::from_millis(25));
-    }
+    // The baseline does not depend on the policy: the same IR under
+    // another policy reuses the memoised `cae` pair, byte for byte.
+    let phases = JsonValue::obj([
+        ("id", "phases".into()),
+        ("op", "run".into()),
+        ("ir", STREAM.into()),
+        ("hints", JsonValue::Arr(vec![64u64.into()])),
+        ("policy", "dae-phases:1.6,3.4".into()),
+    ]);
+    let second = client.roundtrip(&phases.to_json_string());
+    assert!(second.contains("\"ok\":true"), "{second}");
+    assert_eq!(first_cae(&second), first_cae(&first), "baseline changed across policies");
 
-    // The swap must be invisible: the same request still answers with
-    // exactly the bytes a profile-less direct engine produces.
-    let after = client.roundtrip(&frame);
-    assert_eq!(after, before, "hot swap changed served bytes");
+    let stats = parse(&client.roundtrip(r#"{"id":"s","op":"stats"}"#)).expect("stats is JSON");
+    let hits = stats
+        .get("result")
+        .and_then(|r| r.get("cache"))
+        .and_then(|c| c.get("baseline_hits"))
+        .and_then(JsonValue::as_f64)
+        .unwrap_or(0.0);
+    assert!(hits >= 1.0, "the dae-phases run missed the baseline memo");
+
+    // Both runs fed the daemon's profile store.
+    let line = client.roundtrip(r#"{"id":"p","op":"profiles"}"#);
+    let v = parse(&line).expect("well-formed profiles response");
+    let result = v.get("result").expect("profiles response has a result");
+    assert_eq!(
+        result.get("schema").and_then(JsonValue::as_str),
+        Some("dae-serve-profiles/2"),
+        "{line}"
+    );
+    let records = result.get("records").and_then(JsonValue::as_arr).map_or(0, |a| a.len());
+    assert!(records >= 1, "the runs must have left a profile record: {line}");
     daemon.shutdown_and_wait();
 }
 
