@@ -220,6 +220,21 @@ check "a second price for a DVFS transition" \
     "none" \
     'fn transition_cost'
 
+# A run's trace has one output format, the Chrome trace `daec --trace-out`
+# writes; its metadata embeds the run's report, so a second aggregate
+# format would only restate it. (`PhaseProfile::summary_json` is the
+# `profiles` op's record, not a trace format, hence `summary_json_with`.)
+check "a second trace output format (the Chrome trace embeds the report)" \
+    "none" \
+    'dae-trace-summary|summary_json_with|trace::summary|TraceFormat|--trace-format'
+
+# The driver owns its compile counts (`CompileOutcome::counts_json`); the
+# runtime's report carries nothing the runtime does not measure.
+check "driver counts in the runtime" \
+    "none" \
+    'CompileStats' \
+    'crates/runtime/.*'
+
 # The runtime runs the Optimal-f search in one place, `policy_freq`.
 n=$(grep -ro 'select_optimal_edp(' crates/runtime/src | wc -l)
 if [ "$n" -ne 1 ]; then

@@ -59,7 +59,7 @@ impl DomTree {
 
     /// The immediate dominator of `bb` (`None` for the entry or unreachable
     /// blocks).
-    pub fn idom(&self, bb: BlockId) -> Option<BlockId> {
+    pub(crate) fn idom(&self, bb: BlockId) -> Option<BlockId> {
         if bb == self.entry {
             None
         } else {
@@ -68,7 +68,7 @@ impl DomTree {
     }
 
     /// True if `a` dominates `b` (reflexively).
-    pub fn dominates(&self, a: BlockId, b: BlockId) -> bool {
+    pub(crate) fn dominates(&self, a: BlockId, b: BlockId) -> bool {
         let mut cur = b;
         loop {
             if cur == a {

@@ -77,7 +77,7 @@ pub fn summarize(func: &Function) -> EffectSummary {
 /// True if inlining every (transitive) call in `func` terminates — i.e. the
 /// call graph reachable from `func` contains no cycle through `func` or any
 /// callee.
-pub fn is_fully_inlinable(module: &Module, func: FuncId) -> bool {
+pub(crate) fn is_fully_inlinable(module: &Module, func: FuncId) -> bool {
     // DFS with an on-stack set detects recursion.
     fn dfs(
         module: &Module,

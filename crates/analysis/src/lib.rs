@@ -7,7 +7,7 @@
 //! * [`cfg::Cfg`] — successors/predecessors and reverse postorder,
 //! * [`dom::DomTree`] — dominators (Cooper–Harvey–Kennedy),
 //! * [`loops::LoopForest`] — natural loops, nesting, and
-//!   [`loops::recognize_counted`] for `for`-style loops,
+//!   `loops::recognize_counted` for `for`-style loops,
 //! * [`scev::ScalarEvolution`] — affine forms of values and addresses (the
 //!   ScalarEvolution stand-in used to classify tasks as affine/non-affine),
 //! * [`effects`] — side-effect summaries and the paper's safety conditions,
@@ -20,7 +20,7 @@
 //! Classify the memory instructions of a function as affine or not:
 //!
 //! ```
-//! use dae_analysis::{cfg::Cfg, dom::DomTree, loops::LoopForest, scev::ScalarEvolution};
+//! use dae_analysis::{Cfg, DomTree, LoopForest, ScalarEvolution};
 //! use dae_ir::{FunctionBuilder, InstKind, Module, Type, Value};
 //!
 //! let mut module = Module::new();
@@ -49,13 +49,14 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod cfg;
-pub mod dom;
+pub(crate) mod cfg;
+pub(crate) mod dom;
 pub mod effects;
-pub mod loops;
+pub(crate) mod loops;
 pub mod scev;
-pub mod ssa_verify;
+pub(crate) mod ssa_verify;
 pub mod transform;
 
 pub use cfg::Cfg;

@@ -213,7 +213,7 @@ pub struct CountedLoop {
 /// where `iv` is a header parameter, the in-loop successor leads to latches
 /// that pass `iv + step` (constant `step`) back to the header, and every
 /// entry edge passes the same initial value.
-pub fn recognize_counted(
+pub(crate) fn recognize_counted(
     func: &Function,
     cfg: &Cfg,
     forest: &LoopForest,

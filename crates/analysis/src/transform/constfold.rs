@@ -114,7 +114,7 @@ fn fold_inst(kind: &InstKind) -> Option<Value> {
 /// Folds constant expressions to a fixpoint, rewriting uses. Does not remove
 /// the dead defining instructions — run DCE afterwards. Returns `true` on
 /// change.
-pub fn fold_constants(func: &mut Function) -> bool {
+pub(crate) fn fold_constants(func: &mut Function) -> bool {
     let mut changed_any = false;
     // The folded value of each instruction, indexed by instruction id.
     let mut repl: Vec<Option<Value>> = vec![None; func.num_insts()];

@@ -19,7 +19,7 @@ use dae_ir::{BlockId, Function, Terminator, Value};
 /// so a self-feeding dead cycle is never marked and one mark-and-sweep is
 /// already the fixpoint: removing dead code changes neither the roots nor
 /// the operands of anything live.
-pub fn dce_fixpoint(func: &mut Function) -> bool {
+pub(crate) fn dce_fixpoint(func: &mut Function) -> bool {
     let n = func.num_blocks();
     // Block `b`'s parameters are slots `param_at[b]..param_at[b + 1]` of
     // `live_params`; the argument lists of the edges into it are

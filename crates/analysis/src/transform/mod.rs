@@ -1,17 +1,18 @@
 //! IR-to-IR transforms: inlining, DCE, CFG simplification, constant folding.
 
-pub mod constfold;
-pub mod dce;
-pub mod inline;
+pub(crate) mod constfold;
+pub(crate) mod dce;
+pub(crate) mod inline;
 #[cfg(test)]
 mod model;
-pub mod simplify;
-pub mod strength;
+pub(crate) mod simplify;
+pub(crate) mod strength;
 
-pub use constfold::fold_constants;
-pub use dce::dce_fixpoint;
+pub(crate) use constfold::fold_constants;
+pub(crate) use dce::dce_fixpoint;
 pub use inline::{inline_all, InlineError};
-pub use simplify::{compact, fold_constant_branches, merge_straightline, skip_trivial_blocks};
+pub use simplify::compact;
+pub(crate) use simplify::{fold_constant_branches, merge_straightline, skip_trivial_blocks};
 pub use strength::{strength_reduce, strength_reduce_and_clean};
 
 use dae_ir::{Function, Value};

@@ -5,7 +5,7 @@ use dae_ir::{BlockCall, BlockId, Function, InstId, InstKind, Terminator, Value};
 
 /// Rewrites `br true/false, a, b` into an unconditional jump.
 /// Returns `true` on change.
-pub fn fold_constant_branches(func: &mut Function) -> bool {
+pub(crate) fn fold_constant_branches(func: &mut Function) -> bool {
     let mut changed = false;
     for bb in func.block_ids() {
         let term = &mut func.block_mut(bb).term;
@@ -38,7 +38,7 @@ pub fn fold_constant_branches(func: &mut Function) -> bool {
 /// parameter substitutions are recorded as they happen and applied in one
 /// operand rewrite at the end, each use resolved through the chain of
 /// substitutions it meets.
-pub fn merge_straightline(func: &mut Function) -> bool {
+pub(crate) fn merge_straightline(func: &mut Function) -> bool {
     let cfg = Cfg::new(func);
     // `subst[at..at + len]` replaces the parameters of a merged block with
     // `subst_at[s] == (at, len)`; `len == 0` for a block that keeps them.
@@ -150,7 +150,7 @@ pub fn compact(mut func: Function) -> Function {
 /// Redirects edges through empty forwarding blocks (no instructions, jump
 /// terminator) and returns `true` on change. Parameters of the forwarder are
 /// forwarded positionally.
-pub fn skip_trivial_blocks(func: &mut Function) -> bool {
+pub(crate) fn skip_trivial_blocks(func: &mut Function) -> bool {
     // A trivial forwarder: no insts, terminator Jump(t, args) where args are
     // exactly its own params in order, and t != itself.
     let mut forward: Vec<Option<BlockId>> = vec![None; func.num_blocks()];

@@ -14,7 +14,7 @@ use std::collections::HashMap;
 
 /// One subscript dimension of a delinearised access.
 #[derive(Clone, Debug, PartialEq)]
-pub struct SubScript {
+pub(crate) struct SubScript {
     /// Multiplier of this subscript in the linearised element offset.
     pub stride_elems: i64,
     /// Induction-variable-and-constant part, as a polyhedral expression over
@@ -29,7 +29,7 @@ pub struct SubScript {
 
 /// A fully-analysed affine memory access.
 #[derive(Clone, Debug)]
-pub struct AffineAccess {
+pub(crate) struct AffineAccess {
     /// The array accessed.
     pub global: GlobalId,
     /// Element size in bytes used for delinearisation (8, or 1 when the
@@ -45,12 +45,12 @@ pub struct AffineAccess {
 
 /// Key of an access class (§5.1): array identity plus per-subscript
 /// `(stride, parameter coefficients)`.
-pub type ClassKey = (GlobalId, Vec<(i64, Vec<i64>)>);
+pub(crate) type ClassKey = (GlobalId, Vec<(i64, Vec<i64>)>);
 
 impl AffineAccess {
     /// The class key of §5.1: array identity, subscript strides and the
     /// parameter parts must all match for two accesses to share a class.
-    pub fn class_key(&self) -> ClassKey {
+    pub(crate) fn class_key(&self) -> ClassKey {
         (
             self.global,
             self.subscripts.iter().map(|s| (s.stride_elems, s.param_coeffs.clone())).collect(),
@@ -61,7 +61,7 @@ impl AffineAccess {
     /// parameter values: the iteration domain with the parameters
     /// substituted, mapped through the subscripts' residuals (the parameter
     /// parts are the class signature and stay symbolic).
-    pub fn image(&self, param_values: &[i64]) -> AffineImage {
+    pub(crate) fn image(&self, param_values: &[i64]) -> AffineImage {
         AffineImage::new(
             self.domain.instantiate_params(param_values),
             self.subscripts.iter().map(|s| s.residual.clone()).collect(),
@@ -95,14 +95,14 @@ impl AccessCounts {
     /// True when the whole task is analysable by the polyhedral path: every
     /// load affine and every branch a counted-loop exit test (static
     /// control flow).
-    pub fn fully_affine(&self) -> bool {
+    pub(crate) fn fully_affine(&self) -> bool {
         self.total_loads > 0 && self.non_affine_loads == 0 && !self.has_data_dependent_cf
     }
 }
 
 /// Result of scanning one task for affine accesses.
 #[derive(Debug, Default)]
-pub struct TaskAccessInfo {
+pub(crate) struct TaskAccessInfo {
     /// Loads with a complete affine description (read by the §5.1
     /// generator only).
     pub affine: Vec<AffineAccess>,
@@ -292,7 +292,7 @@ fn delinearize(space: Space, offset_elems: &Affine, n_params: usize) -> Vec<SubS
 }
 
 /// Scans `task` and produces its [`TaskAccessInfo`].
-pub fn analyze_task(module: &Module, task: &Function) -> TaskAccessInfo {
+pub(crate) fn analyze_task(module: &Module, task: &Function) -> TaskAccessInfo {
     let _ = module;
     let analysis = FunctionAnalysis::run(task);
     let mut scev = analysis.scev();

@@ -37,7 +37,7 @@ struct Class {
 }
 
 /// A generated affine access phase.
-pub struct AffineResult {
+pub(crate) struct AffineResult {
     /// The access function (same signature as the task, `void` return).
     pub func: Function,
     /// Decision statistics.
@@ -47,7 +47,7 @@ pub struct AffineResult {
 /// Runs the §5.1 pipeline. Returns `None` when the task is not fully
 /// affine, parameters lack representative hints, the hull check fails, or a
 /// hull cannot be scanned with unit-coefficient bounds.
-pub fn generate_affine_access(
+pub(crate) fn generate_affine_access(
     task: &Function,
     info: &TaskAccessInfo,
     opts: &CompilerOptions,

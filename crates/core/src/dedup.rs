@@ -44,7 +44,7 @@ struct Restep {
 /// Returns `func` with every eligible innermost prefetch loop re-stepped
 /// to line granularity. Ineligible loops (and functions with none) come
 /// back byte-identical.
-pub fn restep_prefetch_loops(func: &Function) -> Function {
+pub(crate) fn restep_prefetch_loops(func: &Function) -> Function {
     let plans = plan_resteps(func);
     if plans.is_empty() {
         return func.clone();

@@ -10,12 +10,12 @@
 //!
 //! Two generation strategies, selected automatically:
 //!
-//! * [`affine::generate_affine_access`] (§5.1) — for tasks whose memory
+//! * `affine::generate_affine_access` (§5.1) — for tasks whose memory
 //!   accesses are affine in counted-loop IVs and task parameters: computes
 //!   per-instruction access sets, their union, the convex hull, the
 //!   `NconvUn <= NOrig` profitability check, parameter classes, nest
 //!   merging, and emits a *minimal-depth* prefetch loop nest.
-//! * [`skeleton::generate_skeleton_access`] (§5.2) — for everything else:
+//! * `skeleton::generate_skeleton_access` (§5.2) — for everything else:
 //!   clone the inlined task, simplify the CFG (drop in-loop conditionals),
 //!   accompany loads with prefetches, discard stores, and let DCE slice the
 //!   task down to address computation and loop control.
@@ -57,18 +57,17 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod access_info;
-pub mod affine;
-pub mod dedup;
-pub mod generate;
-pub mod options;
-pub mod skeleton;
+pub(crate) mod access_info;
+pub(crate) mod affine;
+pub(crate) mod dedup;
+pub(crate) mod generate;
+pub(crate) mod options;
+pub(crate) mod skeleton;
 
-pub use access_info::{analyze_task, AccessCounts, AffineAccess, SubScript, TaskAccessInfo};
-pub use affine::{generate_affine_access, AffineResult};
+pub use access_info::AccessCounts;
 pub use generate::{
     generate_access, generate_access_with, transform_module, DaeMap, GeneratedAccess, STAGES,
 };
 pub use options::{AffineStats, CompilerOptions, RefuseReason, Strategy};
-pub use skeleton::generate_skeleton_access;

@@ -33,7 +33,7 @@ use std::collections::HashSet;
 /// # Errors
 ///
 /// Refuses per the paper's safety conditions; see [`RefuseReason`].
-pub fn generate_skeleton_access(
+pub(crate) fn generate_skeleton_access(
     inlined: &Function,
     opts: &CompilerOptions,
 ) -> Result<Function, RefuseReason> {

@@ -27,7 +27,7 @@ use dae_trace::{write_atomic, Lru};
 
 /// Schema tag of on-disk artifacts. Bump on any layout change — the tag is
 /// part of the pipeline fingerprint, so old artifacts simply stop matching.
-pub const ARTIFACT_SCHEMA: &str = "dae-driver-artifact/1";
+pub(crate) const ARTIFACT_SCHEMA: &str = "dae-driver-artifact/1";
 
 fn counts_to_json(c: &AccessCounts) -> JsonValue {
     JsonValue::obj([
@@ -53,7 +53,7 @@ fn counts_from_json(v: &JsonValue) -> Option<AccessCounts> {
 /// One cached compilation result: either the generated access function or
 /// the (deterministic) refusal.
 #[derive(Clone, Debug)]
-pub enum Artifact {
+pub(crate) enum Artifact {
     /// Generation succeeded.
     Generated {
         /// The access function.
@@ -72,7 +72,7 @@ pub enum Artifact {
 
 impl Artifact {
     /// Serialises the artifact (schema [`ARTIFACT_SCHEMA`]).
-    pub fn to_json(&self) -> JsonValue {
+    pub(crate) fn to_json(&self) -> JsonValue {
         match self {
             Artifact::Generated { func, strategy, info } => {
                 let mut pairs = vec![
@@ -128,7 +128,7 @@ impl Artifact {
 
     /// Deserialises an artifact; `None` on any mismatch (wrong schema,
     /// malformed IR, unknown tags).
-    pub fn from_json(v: &JsonValue) -> Option<Artifact> {
+    pub(crate) fn from_json(v: &JsonValue) -> Option<Artifact> {
         if v.get("schema")?.as_str()? != ARTIFACT_SCHEMA {
             return None;
         }
@@ -193,7 +193,7 @@ pub struct CacheStats {
 
 impl CacheStats {
     /// The counter increments since `earlier` (a previous snapshot).
-    pub fn delta(&self, earlier: &CacheStats) -> CacheStats {
+    pub(crate) fn delta(&self, earlier: &CacheStats) -> CacheStats {
         CacheStats {
             mem_hits: self.mem_hits - earlier.mem_hits,
             disk_hits: self.disk_hits - earlier.disk_hits,
@@ -212,7 +212,7 @@ impl CacheStats {
 /// long-running server from unbounded growth, it is not an allocator
 /// audit. The text is printed into `scratch` (cleared first), which a
 /// caller sizing many artifacts reuses.
-pub fn artifact_approx_bytes(artifact: &Artifact, scratch: &mut String) -> usize {
+pub(crate) fn artifact_approx_bytes(artifact: &Artifact, scratch: &mut String) -> usize {
     const FIXED: usize = 128;
     match artifact {
         Artifact::Generated { func, .. } => {
@@ -246,7 +246,7 @@ pub struct Cache {
 impl Cache {
     /// A cache with an in-memory tier of at most `mem_max_bytes`
     /// approximate bytes and an optional on-disk tier rooted at `dir`.
-    pub fn new(mem_max_bytes: usize, dir: Option<&Path>) -> Cache {
+    pub(crate) fn new(mem_max_bytes: usize, dir: Option<&Path>) -> Cache {
         Cache {
             mem: Lru::new(mem_max_bytes),
             dir: dir.map(Path::to_path_buf),
@@ -256,7 +256,7 @@ impl Cache {
     }
 
     /// Approximate bytes currently held by the in-memory tier.
-    pub fn mem_used_bytes(&self) -> usize {
+    pub(crate) fn mem_used_bytes(&self) -> usize {
         self.mem.used_bytes()
     }
 
@@ -266,7 +266,7 @@ impl Cache {
 
     /// Looks `key` up: memory first, then disk (promoting the artifact into
     /// memory). Counts exactly one of `mem_hits` / `disk_hits` / `misses`.
-    pub fn lookup(&mut self, key: u64) -> Option<Artifact> {
+    pub(crate) fn lookup(&mut self, key: u64) -> Option<Artifact> {
         if let Some(a) = self.mem.get(key) {
             self.stats.mem_hits += 1;
             return Some(a.clone());
@@ -295,7 +295,7 @@ impl Cache {
     /// in the cache directory and is renamed into place, so a worker
     /// killed mid-write can never leave a torn artifact for a later
     /// validate-before-count lookup to reject.
-    pub fn insert(&mut self, key: u64, artifact: Artifact) {
+    pub(crate) fn insert(&mut self, key: u64, artifact: Artifact) {
         if let Some(dir) = &self.dir {
             let ok = std::fs::create_dir_all(dir).is_ok()
                 && write_atomic(
@@ -317,7 +317,7 @@ impl Cache {
     }
 
     /// The monotonic counters.
-    pub fn stats(&self) -> CacheStats {
+    pub(crate) fn stats(&self) -> CacheStats {
         self.stats
     }
 }

@@ -140,7 +140,7 @@ pub fn task_key(
 /// recompiles) the task — an artifact can never go stale against the
 /// profile that shaped it. With no profile the base key is used directly,
 /// keeping the static pipeline's cache behaviour byte-identical.
-pub fn refined_key(base: u64, profile_hash: u64) -> u64 {
+pub(crate) fn refined_key(base: u64, profile_hash: u64) -> u64 {
     let mut h = Fnv64::new();
     h.write_str("dae-pgo-refined/1");
     h.write_u64(base);

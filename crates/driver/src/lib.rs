@@ -6,14 +6,14 @@
 //! through the one sequence [`dae_core::generate_access_with`]; the driver
 //! fills its `refine` step from a measured profile and times its stages.
 //!
-//! * [`hash`] — stable FNV-1a-64 structural keys over a task's IR, its
+//! * `hash` — stable FNV-1a-64 structural keys over a task's IR, its
 //!   transitive callees, the module's global declarations, the compiler
 //!   options, and the [`Pipeline`] fingerprint (the identity of the stage
 //!   sequence and the artifact schema).
-//! * [`cache`] — the content-addressed artifact cache: an in-memory LRU
+//! * `cache` — the content-addressed artifact cache: an in-memory LRU
 //!   tier plus an optional on-disk tier storing printed IR, so warm
 //!   recompiles skip the polyhedral analysis entirely.
-//! * [`driver`] — the parallel executor: the calling thread plus
+//! * `driver` — the parallel executor: the calling thread plus
 //!   `std::thread::scope` workers over cache misses with a deterministic
 //!   task-order merge, so the output module is **bit-identical at any
 //!   `--jobs` count** — and to the sequential
@@ -21,14 +21,15 @@
 //!
 //! Timing is reported as one [`PassSpan`] per stage (or cache hit) and can
 //! be forwarded to a `dae-trace` sink ([`emit_spans`]) as `CompilePass`
-//! events for the Chrome-trace and summary exporters.
+//! events for the Chrome-trace exporter.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod cache;
-pub mod driver;
-pub mod hash;
+pub(crate) mod cache;
+pub(crate) mod driver;
+pub(crate) mod hash;
 
-pub use cache::{artifact_approx_bytes, Artifact, Cache, CacheStats, ARTIFACT_SCHEMA};
+pub use cache::{Cache, CacheStats};
 pub use driver::{emit_spans, CompileOutcome, Driver, DriverConfig, PassSpan};
-pub use hash::{refined_key, task_key, Pipeline};
+pub use hash::{task_key, Pipeline};

@@ -41,7 +41,7 @@ const POOL_CAP: usize = 8;
 
 /// Routability of a backend, as decided by probes and request outcomes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum HealthState {
+pub(crate) enum HealthState {
     /// Routable.
     Up,
     /// Ejected after consecutive failures; not routable until the
@@ -55,7 +55,7 @@ pub enum HealthState {
 
 impl HealthState {
     /// Stable lowercase name for stats output.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             HealthState::Up => "up",
             HealthState::Ejected => "ejected",
@@ -67,7 +67,7 @@ impl HealthState {
 
 /// Why a single forwarding attempt failed.
 #[derive(Debug)]
-pub enum CallError {
+pub(crate) enum CallError {
     /// Could not connect (refused, unreachable, connect timeout).
     Connect(String),
     /// The exchange died mid-flight (reset, EOF, write/read error).
@@ -81,7 +81,7 @@ pub enum CallError {
 
 impl CallError {
     /// Human-readable description for the terminal `gate.upstream` error.
-    pub fn describe(&self) -> String {
+    pub(crate) fn describe(&self) -> String {
         match self {
             CallError::Connect(e) => format!("connect failed: {e}"),
             CallError::Io(e) => format!("exchange failed: {e}"),
@@ -100,7 +100,7 @@ struct Health {
 }
 
 /// One backend: address, pool, health, counters.
-pub struct Backend {
+pub(crate) struct Backend {
     /// The backend's `host:port`.
     pub addr: String,
     /// Index in the gateway's fleet (the trace lane).
@@ -127,7 +127,7 @@ pub struct Backend {
 
 impl Backend {
     /// A backend starting `Up` with an empty pool.
-    pub fn new(addr: String, index: usize) -> Backend {
+    pub(crate) fn new(addr: String, index: usize) -> Backend {
         Backend {
             addr,
             index,
@@ -148,17 +148,17 @@ impl Backend {
     }
 
     /// Remembers the `pgo` section of the latest health probe.
-    pub fn note_pgo(&self, pgo: JsonValue) {
+    pub(crate) fn note_pgo(&self, pgo: JsonValue) {
         *lock_recover(&self.pgo) = Some(pgo);
     }
 
     /// The latest scraped `pgo` section, if any probe carried one.
-    pub fn pgo_json(&self) -> Option<JsonValue> {
+    pub(crate) fn pgo_json(&self) -> Option<JsonValue> {
         lock_recover(&self.pgo).clone()
     }
 
     /// Current health state (with the Ejected → HalfOpen clock applied).
-    pub fn state(&self, readmit_after: Duration) -> HealthState {
+    pub(crate) fn state(&self, readmit_after: Duration) -> HealthState {
         let mut h = lock_recover(&self.health);
         if h.state == HealthState::Ejected && h.since.elapsed() >= readmit_after {
             h.state = HealthState::HalfOpen;
@@ -171,7 +171,7 @@ impl Backend {
     /// (under the in-flight cap, which the router checks separately);
     /// `HalfOpen` admits exactly one trial at a time; `Ejected` and
     /// `Draining` refuse.
-    pub fn admit(&self, readmit_after: Duration) -> bool {
+    pub(crate) fn admit(&self, readmit_after: Duration) -> bool {
         let mut h = lock_recover(&self.health);
         if h.state == HealthState::Ejected && h.since.elapsed() >= readmit_after {
             h.state = HealthState::HalfOpen;
@@ -190,7 +190,7 @@ impl Backend {
     /// Records a successful exchange (request or probe): failures reset,
     /// a half-open backend is re-admitted. Returns `true` when this call
     /// flipped the backend back to `Up` (a re-admission).
-    pub fn note_success(&self) -> bool {
+    pub(crate) fn note_success(&self) -> bool {
         self.consecutive_failures.store(0, Ordering::Relaxed);
         let mut h = lock_recover(&self.health);
         match h.state {
@@ -207,7 +207,7 @@ impl Backend {
     /// Records a failed exchange. Returns `Some(consecutive)` when this
     /// failure crossed `eject_after` and ejected the backend (the caller
     /// records the `BackendEject` trace event and counter).
-    pub fn note_failure(&self, eject_after: u32) -> Option<u32> {
+    pub(crate) fn note_failure(&self, eject_after: u32) -> Option<u32> {
         let n = self.consecutive_failures.fetch_add(1, Ordering::Relaxed) + 1;
         let mut h = lock_recover(&self.health);
         match h.state {
@@ -229,7 +229,7 @@ impl Backend {
 
     /// Marks the backend as gracefully draining (probe saw
     /// `status: "draining"`). Returns `true` on the transition.
-    pub fn note_draining(&self) -> bool {
+    pub(crate) fn note_draining(&self) -> bool {
         let mut h = lock_recover(&self.health);
         if h.state == HealthState::Draining {
             return false;
@@ -245,7 +245,12 @@ impl Backend {
     /// when possible and returns to it only after a fully valid exchange.
     ///
     /// `timeout` bounds the whole exchange (connect + write + read).
-    pub fn call(&self, line: &str, id_json: &str, timeout: Duration) -> Result<String, CallError> {
+    pub(crate) fn call(
+        &self,
+        line: &str,
+        id_json: &str,
+        timeout: Duration,
+    ) -> Result<String, CallError> {
         self.sent.fetch_add(1, Ordering::Relaxed);
         self.inflight.fetch_add(1, Ordering::Relaxed);
         let started = Instant::now();
@@ -324,17 +329,17 @@ impl Backend {
     /// Drops every pooled connection (used after an ejection: the pooled
     /// sockets are likely dead too, and dialling fresh is cheaper than
     /// failing once per stale socket).
-    pub fn drop_pool(&self) {
+    pub(crate) fn drop_pool(&self) {
         lock_recover(&self.pool).clear();
     }
 
     /// Idle pooled connections (racy, for stats).
-    pub fn pooled(&self) -> usize {
+    pub(crate) fn pooled(&self) -> usize {
         lock_recover(&self.pool).len()
     }
 
     /// Per-backend stats object.
-    pub fn to_json(&self, readmit_after: Duration) -> JsonValue {
+    pub(crate) fn to_json(&self, readmit_after: Duration) -> JsonValue {
         JsonValue::obj([
             ("addr", self.addr.as_str().into()),
             ("state", self.state(readmit_after).as_str().into()),

@@ -22,7 +22,7 @@ use dae_trace::{lock_recover, SplitMix64};
 
 /// The injectable fault classes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FaultKind {
+pub(crate) enum FaultKind {
     /// Swallow the response line entirely (the caller times out).
     Drop,
     /// Forward the line after a fixed delay.
@@ -104,6 +104,7 @@ pub struct FaultProxy {
     stop: Arc<AtomicBool>,
     /// Faults injected so far, by class (drop, delay, close, garble,
     /// truncate) — for asserting a test actually exercised the fault path.
+    #[cfg(test)]
     injected: Arc<[AtomicU64; 5]>,
 }
 
@@ -140,7 +141,12 @@ impl FaultProxy {
                 }
             });
         }
-        Ok(FaultProxy { addr, stop, injected })
+        Ok(FaultProxy {
+            addr,
+            stop,
+            #[cfg(test)]
+            injected,
+        })
     }
 
     /// The proxy's listen address (give this to the gateway as the
@@ -150,12 +156,14 @@ impl FaultProxy {
     }
 
     /// Total faults injected so far.
-    pub fn injected(&self) -> u64 {
+    #[cfg(test)]
+    fn injected(&self) -> u64 {
         self.injected.iter().map(|c| c.load(Ordering::Relaxed)).sum()
     }
 
     /// Faults injected of one class.
-    pub fn injected_of(&self, kind: FaultKind) -> u64 {
+    #[cfg(test)]
+    fn injected_of(&self, kind: FaultKind) -> u64 {
         self.injected[fault_slot(kind)].load(Ordering::Relaxed)
     }
 

@@ -6,21 +6,21 @@
 //!
 //! The moving parts, one module each:
 //!
-//! * [`ring`] — consistent-hash routing on the backends' own
+//! * `ring` — consistent-hash routing on the backends' own
 //!   response-cache key ([`dae_serve::request_key`]): warm requests land
 //!   on the backend that memoised them, so fleet cache capacity *adds*
 //!   instead of overlapping, and ejections only remap the ejected
 //!   backend's keys.
-//! * [`backend`] — one backend as the gateway sees it: an exclusive-
+//! * `backend` — one backend as the gateway sees it: an exclusive-
 //!   checkout connection pool, the Up → Ejected → HalfOpen health state
 //!   machine, and per-backend counters.
-//! * [`gateway`] — the daemon: reader threads, a bounded admission queue
+//! * `gateway` — the daemon: reader threads, a bounded admission queue
 //!   (shed with `gate.overloaded`, drain with `gate.draining`), router
 //!   threads doing bounded-load spill, capped-exponential-backoff retries
 //!   on a *different* backend and deadline-budget propagation.
-//! * [`metrics`] — aggregate counters/histograms behind `stats`
+//! * `metrics` — aggregate counters/histograms behind `stats`
 //!   (`dae-gate-stats/2`) and the stable `gate.*` error-code vocabulary.
-//! * [`fault`] — a deterministic in-process fault-injection proxy
+//! * `fault` — a deterministic in-process fault-injection proxy
 //!   (drop/delay/close/garble/truncate, seeded) for tests.
 //!
 //! # Contract
@@ -32,15 +32,14 @@
 //! with a stable dotted `gate.*` code, never silence.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod backend;
-pub mod fault;
-pub mod gateway;
-pub mod metrics;
-pub mod ring;
+pub(crate) mod backend;
+pub(crate) mod fault;
+pub(crate) mod gateway;
+pub(crate) mod metrics;
+pub(crate) mod ring;
 
-pub use backend::{Backend, CallError, HealthState};
-pub use fault::{FaultKind, FaultPlan, FaultProxy};
+pub use fault::{FaultPlan, FaultProxy};
 pub use gateway::{GateConfig, Gateway};
-pub use metrics::{codes, GateMetrics, GATE_HEALTH_SCHEMA, GATE_STATS_SCHEMA};
 pub use ring::Ring;

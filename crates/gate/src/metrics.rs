@@ -15,31 +15,29 @@ use dae_trace::json::JsonValue;
 use dae_trace::{lock_recover, LogHistogram};
 
 /// Stable schema tag for the gateway `stats` response body.
-pub const GATE_STATS_SCHEMA: &str = "dae-gate-stats/2";
+pub(crate) const GATE_STATS_SCHEMA: &str = "dae-gate-stats/2";
 
 /// Stable schema tag for the gateway `health` response body.
-pub const GATE_HEALTH_SCHEMA: &str = "dae-gate-health/1";
+pub(crate) const GATE_HEALTH_SCHEMA: &str = "dae-gate-health/1";
 
 /// Stable machine-readable error codes the gateway itself emits.
 /// Backend-origin errors pass through verbatim with their `serve.*` codes.
-pub mod codes {
+pub(crate) mod codes {
     /// The gateway admission queue is full; retry with backoff.
-    pub const OVERLOADED: &str = "gate.overloaded";
+    pub(crate) const OVERLOADED: &str = "gate.overloaded";
     /// The gateway is draining and no longer admits work requests.
-    pub const DRAINING: &str = "gate.draining";
+    pub(crate) const DRAINING: &str = "gate.draining";
     /// The request's deadline budget expired inside the gateway.
-    pub const DEADLINE: &str = "gate.deadline";
+    pub(crate) const DEADLINE: &str = "gate.deadline";
     /// No routable backend exists (all ejected or draining).
-    pub const NO_BACKENDS: &str = "gate.no-backends";
+    pub(crate) const NO_BACKENDS: &str = "gate.no-backends";
     /// Every forwarding attempt failed; the last upstream error is quoted.
-    pub const UPSTREAM: &str = "gate.upstream";
-    /// A gateway bug surfaced as a response (never expected).
-    pub const INTERNAL: &str = "gate.internal";
+    pub(crate) const UPSTREAM: &str = "gate.upstream";
 }
 
 /// Aggregate gateway counters and latency histograms.
 #[derive(Default)]
-pub struct GateMetrics {
+pub(crate) struct GateMetrics {
     /// Accepted / shed (`gate.overloaded`, at admission or with every
     /// routable backend at its in-flight cap) / refused (`gate.draining`) /
     /// expired (`gate.deadline`, queued or while routing) / malformed-frame
@@ -68,12 +66,12 @@ pub struct GateMetrics {
 
 impl GateMetrics {
     /// Fresh all-zero metrics.
-    pub fn new() -> GateMetrics {
+    pub(crate) fn new() -> GateMetrics {
         GateMetrics::default()
     }
 
     /// Records one answered request.
-    pub fn record_done(&self, ok: bool, queue_wait_s: f64, total_s: f64) {
+    pub(crate) fn record_done(&self, ok: bool, queue_wait_s: f64, total_s: f64) {
         if ok {
             self.completed.fetch_add(1, Ordering::Relaxed);
         } else {
@@ -86,7 +84,7 @@ impl GateMetrics {
     /// The `stats` response body. `backends` carries per-backend objects
     /// built by the caller (which owns the fleet), `queue_depth` the
     /// current admission-queue occupancy.
-    pub fn to_json(
+    pub(crate) fn to_json(
         &self,
         started: Instant,
         queue_depth: usize,
@@ -147,7 +145,6 @@ mod tests {
             codes::DEADLINE,
             codes::NO_BACKENDS,
             codes::UPSTREAM,
-            codes::INTERNAL,
         ] {
             assert!(c.starts_with("gate."), "{c}");
             assert!(!c.contains(' '));

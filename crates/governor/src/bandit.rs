@@ -102,7 +102,7 @@ impl Role {
 /// Learned per-class state: two role bandits plus the class's own
 /// exploration stream.
 #[derive(Clone, Debug, Default)]
-pub struct BanditState {
+pub(crate) struct BanditState {
     access: Role,
     execute: Role,
     rng: Option<SplitMix64>,

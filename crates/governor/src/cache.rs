@@ -45,7 +45,7 @@ impl Default for CacheConfig {
 
 /// Cached learning state and statistics of one task class.
 #[derive(Clone, Debug)]
-pub struct ClassEntry<S> {
+pub(crate) struct ClassEntry<S> {
     /// Policy-specific learning state.
     pub state: S,
     /// Completed-task observations of this class.
@@ -89,7 +89,7 @@ impl<S> ClassEntry<S> {
     /// Records a decision and updates the convergence tracker: after
     /// `stable_after` consecutive identical decisions the class counts as
     /// converged (a governor may use that to freeze exploration).
-    pub fn note_decision(&mut self, access: FreqId, execute: FreqId, stable_after: u32) {
+    pub(crate) fn note_decision(&mut self, access: FreqId, execute: FreqId, stable_after: u32) {
         let same = self.last_decision == Some((access, execute));
         self.stable_decisions = if same { self.stable_decisions + 1 } else { 0 };
         self.last_decision = Some((access, execute));
@@ -101,7 +101,7 @@ impl<S> ClassEntry<S> {
 
 /// LRU-with-pinning map from [`TaskClass`] to [`ClassEntry`].
 #[derive(Clone, Debug)]
-pub struct DecisionCache<S> {
+pub(crate) struct DecisionCache<S> {
     entries: BTreeMap<TaskClass, ClassEntry<S>>,
     cfg: CacheConfig,
     tick: u64,
@@ -109,28 +109,13 @@ pub struct DecisionCache<S> {
 
 impl<S: Default> DecisionCache<S> {
     /// An empty cache with the given configuration.
-    pub fn new(cfg: CacheConfig) -> Self {
+    pub(crate) fn new(cfg: CacheConfig) -> Self {
         DecisionCache { entries: BTreeMap::new(), cfg, tick: 0 }
-    }
-
-    /// The cache's configuration.
-    pub fn config(&self) -> &CacheConfig {
-        &self.cfg
-    }
-
-    /// Number of tracked classes.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when no class has been seen yet.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 
     /// The entry of `class`, inserted fresh (evicting if necessary) when
     /// absent; the LRU stamp is refreshed either way.
-    pub fn entry(&mut self, class: TaskClass) -> &mut ClassEntry<S> {
+    pub(crate) fn entry(&mut self, class: TaskClass) -> &mut ClassEntry<S> {
         self.tick += 1;
         let tick = self.tick;
         if !self.entries.contains_key(&class) && self.unguarded_len() >= self.cfg.capacity {
@@ -142,19 +127,20 @@ impl<S: Default> DecisionCache<S> {
     }
 
     /// Read-only lookup without touching LRU state.
-    pub fn get(&self, class: TaskClass) -> Option<&ClassEntry<S>> {
+    #[cfg(test)]
+    fn get(&self, class: TaskClass) -> Option<&ClassEntry<S>> {
         self.entries.get(&class)
     }
 
     /// Iterates entries in deterministic (class-ordered) order.
-    pub fn iter(&self) -> impl Iterator<Item = (&TaskClass, &ClassEntry<S>)> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (&TaskClass, &ClassEntry<S>)> {
         self.entries.iter()
     }
 
     /// Policy-independent bookkeeping after one completed task: updates
     /// observation count and running means, then re-evaluates the safety
     /// guard. Returns the entry so the caller can update its own state.
-    pub fn observe_common(&mut self, class: TaskClass, obs: &TaskObs) -> &mut ClassEntry<S> {
+    pub(crate) fn observe_common(&mut self, class: TaskClass, obs: &TaskObs) -> &mut ClassEntry<S> {
         let budget = self.cfg.access_budget;
         let min_obs = self.cfg.guard_min_obs;
         let e = self.entry(class);

@@ -25,21 +25,21 @@ const EMA_ALPHA: f64 = 0.3;
 
 /// Tuning of [`MissRatioHeuristic`].
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct HeuristicConfig {
+pub(crate) struct HeuristicConfig {
     /// Decision-cache and safety-guard knobs.
     pub cache: CacheConfig,
 }
 
 /// Learned per-class state: smoothed boundedness per phase.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct HeurState {
+pub(crate) struct HeurState {
     access_bound: Option<f64>,
     execute_bound: Option<f64>,
 }
 
 /// A [`Governor`] mapping observed phase boundedness onto the DVFS table.
 #[derive(Clone, Debug)]
-pub struct MissRatioHeuristic {
+pub(crate) struct MissRatioHeuristic {
     table: DvfsTable,
     cfg: HeuristicConfig,
     cache: DecisionCache<HeurState>,
@@ -47,7 +47,7 @@ pub struct MissRatioHeuristic {
 
 impl MissRatioHeuristic {
     /// A fresh heuristic over `table`.
-    pub fn new(table: DvfsTable, cfg: HeuristicConfig) -> Self {
+    pub(crate) fn new(table: DvfsTable, cfg: HeuristicConfig) -> Self {
         MissRatioHeuristic { table, cfg, cache: DecisionCache::new(cfg.cache) }
     }
 

@@ -9,14 +9,14 @@
 //!
 //! Decisions are made per *task class* ([`TaskClass`]: the execute function
 //! plus a coarse argument signature), fed back through [`TaskObs`] after
-//! every completed task, and cached in a [`DecisionCache`] with per-class
+//! every completed task, and cached in a `DecisionCache` with per-class
 //! convergence tracking and a safety guard (classes whose access phase
 //! overshoots the overhead budget fall back to the paper's min/max
 //! assignment and stay there).
 //!
 //! Two [`Governor`] implementations:
 //!
-//! * [`MissRatioHeuristic`] — classifies each phase memory- vs
+//! * `MissRatioHeuristic` — classifies each phase memory- vs
 //!   compute-bound from its counters (the §3 intuition made operational)
 //!   and maps boundedness onto the DVFS table;
 //! * [`BanditEdp`] — a per-class, per-phase ε-greedy bandit over the
@@ -47,18 +47,19 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod bandit;
-pub mod cache;
-pub mod class;
-pub mod heuristic;
-pub mod obs;
+pub(crate) mod bandit;
+pub(crate) mod cache;
+pub(crate) mod class;
+pub(crate) mod heuristic;
+pub(crate) mod obs;
 
 pub use bandit::{BanditConfig, BanditEdp};
-pub use cache::{CacheConfig, ClassEntry, DecisionCache};
+pub use cache::CacheConfig;
 pub use class::TaskClass;
 pub use dae_trace::SplitMix64;
-pub use heuristic::{HeuristicConfig, MissRatioHeuristic};
+pub(crate) use heuristic::{HeuristicConfig, MissRatioHeuristic};
 pub use obs::{PhaseObs, TaskObs};
 
 use dae_power::{DvfsTable, FreqId};
@@ -118,14 +119,14 @@ pub trait Governor {
 }
 
 /// Seed used by `bandit` when none is given explicitly.
-pub const DEFAULT_BANDIT_SEED: u64 = 0xdae5_eed0;
+pub(crate) const DEFAULT_BANDIT_SEED: u64 = 0xdae5_eed0;
 
 /// Names a governor implementation in configs and CLI flags — a plain
 /// `Copy` value so `FreqPolicy` stays copyable; [`GovernorKind::build`]
 /// turns it into live state at the start of a run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum GovernorKind {
-    /// [`MissRatioHeuristic`] with default tuning.
+    /// `MissRatioHeuristic` with default tuning.
     Heuristic,
     /// [`BanditEdp`] with default tuning and the given exploration seed.
     Bandit {

@@ -26,7 +26,7 @@ pub struct PhaseObs {
 
 impl PhaseObs {
     /// Energy-delay product of the phase.
-    pub fn edp(&self) -> f64 {
+    pub(crate) fn edp(&self) -> f64 {
         self.time_s * self.energy_j
     }
 }
@@ -42,23 +42,23 @@ pub struct TaskObs {
 
 impl TaskObs {
     /// Total task time in seconds.
-    pub fn time_s(&self) -> f64 {
+    pub(crate) fn time_s(&self) -> f64 {
         self.access.map_or(0.0, |a| a.time_s) + self.execute.time_s
     }
 
     /// Total task energy in joules.
-    pub fn energy_j(&self) -> f64 {
+    pub(crate) fn energy_j(&self) -> f64 {
         self.access.map_or(0.0, |a| a.energy_j) + self.execute.energy_j
     }
 
     /// Per-task energy-delay product (the governor's objective).
-    pub fn edp(&self) -> f64 {
+    pub(crate) fn edp(&self) -> f64 {
         self.time_s() * self.energy_j()
     }
 
     /// Fraction of the task's time spent in the access phase, in `[0, 1]`
     /// — the overhead signal the safety guard watches.
-    pub fn access_frac(&self) -> f64 {
+    pub(crate) fn access_frac(&self) -> f64 {
         let t = self.time_s();
         if t <= 0.0 {
             0.0

@@ -74,11 +74,6 @@ impl FunctionBuilder {
         self.func.add_block_param(block, ty)
     }
 
-    /// Read-only view of the function under construction.
-    pub fn func(&self) -> &Function {
-        &self.func
-    }
-
     /// Marks the function as a schedulable task.
     pub fn set_task(&mut self) {
         self.func.is_task = true;

@@ -1,7 +1,7 @@
 //! Small typed-index arenas used throughout the IR.
 //!
 //! Every IR entity (function, block, instruction, global) is referred to by a
-//! lightweight copyable id that indexes into a [`PrimaryMap`]. This mirrors
+//! lightweight copyable id that indexes into a `PrimaryMap`. This mirrors
 //! the `entity` pattern used by production compilers (e.g. Cranelift) and
 //! keeps the IR free of reference cycles, which makes cloning and rewriting
 //! tasks — the bread and butter of the DAE transformation — trivial.
@@ -10,7 +10,7 @@ use std::fmt;
 use std::hash::Hash;
 use std::marker::PhantomData;
 
-/// A key type usable with [`PrimaryMap`] and [`SecondaryMap`].
+/// A typed index into one of the IR's entity arenas.
 pub trait EntityId: Copy + Eq + Hash + fmt::Debug + 'static {
     /// Builds an id from a raw index.
     fn from_index(idx: usize) -> Self;
@@ -27,10 +27,10 @@ pub trait EntityId: Copy + Eq + Hash + fmt::Debug + 'static {
 /// ```
 #[macro_export]
 macro_rules! entity_id {
-    (pub struct $name:ident, $prefix:literal) => {
+    ($vis:vis struct $name:ident, $prefix:literal) => {
         /// A typed index referring to one IR entity.
         #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-        pub struct $name(pub u32);
+        $vis struct $name($vis u32);
 
         impl $crate::entity::EntityId for $name {
             fn from_index(idx: usize) -> Self {
@@ -60,62 +60,47 @@ macro_rules! entity_id {
 ///
 /// Ids are dense: the `n`-th pushed element has index `n`.
 #[derive(Clone, PartialEq, Eq)]
-pub struct PrimaryMap<K: EntityId, V> {
+pub(crate) struct PrimaryMap<K: EntityId, V> {
     items: Vec<V>,
     _marker: PhantomData<K>,
 }
 
 impl<K: EntityId, V> PrimaryMap<K, V> {
     /// Creates an empty map.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         PrimaryMap { items: Vec::new(), _marker: PhantomData }
     }
 
     /// Appends `value`, returning its id.
-    pub fn push(&mut self, value: V) -> K {
+    pub(crate) fn push(&mut self, value: V) -> K {
         let id = K::from_index(self.items.len());
         self.items.push(value);
         id
     }
 
     /// Number of entities allocated.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.items.len()
     }
 
     /// Makes room for `additional` more entities without reallocating.
-    pub fn reserve(&mut self, additional: usize) {
+    pub(crate) fn reserve(&mut self, additional: usize) {
         self.items.reserve_exact(additional);
     }
 
-    /// True when no entity has been allocated.
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
-    }
-
-    /// The id the next `push` will return.
-    pub fn next_id(&self) -> K {
-        K::from_index(self.items.len())
-    }
-
     /// Iterates over `(id, &value)` pairs in allocation order.
-    pub fn iter(&self) -> impl Iterator<Item = (K, &V)> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (K, &V)> {
         self.items.iter().enumerate().map(|(i, v)| (K::from_index(i), v))
     }
 
     /// Iterates over all ids in allocation order.
-    pub fn keys(&self) -> impl Iterator<Item = K> + 'static {
+    pub(crate) fn keys(&self) -> impl Iterator<Item = K> + 'static {
         (0..self.items.len()).map(K::from_index)
     }
 
     /// Iterates over values in allocation order.
-    pub fn values(&self) -> impl Iterator<Item = &V> {
+    pub(crate) fn values(&self) -> impl Iterator<Item = &V> {
         self.items.iter()
-    }
-
-    /// Checks whether `key` refers to an allocated entity.
-    pub fn contains(&self, key: K) -> bool {
-        key.index() < self.items.len()
     }
 }
 
@@ -144,59 +129,11 @@ impl<K: EntityId, V: fmt::Debug> fmt::Debug for PrimaryMap<K, V> {
     }
 }
 
-/// A dense side-table associating a `V` with every entity of a [`PrimaryMap`].
-///
-/// Missing entries read back as `V::default()`.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SecondaryMap<K: EntityId, V: Clone + Default> {
-    items: Vec<V>,
-    default: V,
-    _marker: PhantomData<K>,
-}
-
-impl<K: EntityId, V: Clone + Default> SecondaryMap<K, V> {
-    /// Creates an empty side-table.
-    pub fn new() -> Self {
-        SecondaryMap { items: Vec::new(), default: V::default(), _marker: PhantomData }
-    }
-
-    /// Creates a side-table pre-sized for `len` entities.
-    pub fn with_capacity(len: usize) -> Self {
-        SecondaryMap { items: vec![V::default(); len], default: V::default(), _marker: PhantomData }
-    }
-
-    fn ensure(&mut self, key: K) {
-        if key.index() >= self.items.len() {
-            self.items.resize(key.index() + 1, V::default());
-        }
-    }
-}
-
-impl<K: EntityId, V: Clone + Default> Default for SecondaryMap<K, V> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<K: EntityId, V: Clone + Default> std::ops::Index<K> for SecondaryMap<K, V> {
-    type Output = V;
-    fn index(&self, key: K) -> &V {
-        self.items.get(key.index()).unwrap_or(&self.default)
-    }
-}
-
-impl<K: EntityId, V: Clone + Default> std::ops::IndexMut<K> for SecondaryMap<K, V> {
-    fn index_mut(&mut self, key: K) -> &mut V {
-        self.ensure(key);
-        &mut self.items[key.index()]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    entity_id!(pub struct TestId, "t");
+    entity_id!(struct TestId, "t");
 
     #[test]
     fn push_and_index() {
@@ -225,25 +162,5 @@ mod tests {
         let id = TestId::from_index(7);
         assert_eq!(format!("{id}"), "t7");
         assert_eq!(format!("{id:?}"), "t7");
-    }
-
-    #[test]
-    fn secondary_map_defaults() {
-        let mut m: PrimaryMap<TestId, i32> = PrimaryMap::new();
-        let a = m.push(1);
-        let b = m.push(2);
-        let mut side: SecondaryMap<TestId, bool> = SecondaryMap::new();
-        assert!(!side[a]);
-        side[b] = true;
-        assert!(side[b]);
-        assert!(!side[a]);
-    }
-
-    #[test]
-    fn next_id_matches_push() {
-        let mut m: PrimaryMap<TestId, i32> = PrimaryMap::new();
-        let predicted = m.next_id();
-        let actual = m.push(42);
-        assert_eq!(predicted, actual);
     }
 }

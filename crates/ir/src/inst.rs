@@ -51,7 +51,7 @@ impl BinOp {
     }
 
     /// Result type of the operator.
-    pub fn result_type(self) -> Type {
+    pub(crate) fn result_type(self) -> Type {
         if self.is_float() {
             Type::F64
         } else {
@@ -60,7 +60,7 @@ impl BinOp {
     }
 
     /// Mnemonic used by the printer/parser.
-    pub fn mnemonic(self) -> &'static str {
+    pub(crate) fn mnemonic(self) -> &'static str {
         match self {
             BinOp::IAdd => "iadd",
             BinOp::ISub => "isub",
@@ -101,7 +101,7 @@ pub enum CmpOp {
 
 impl CmpOp {
     /// Mnemonic used by the printer/parser.
-    pub fn mnemonic(self) -> &'static str {
+    pub(crate) fn mnemonic(self) -> &'static str {
         match self {
             CmpOp::Eq => "eq",
             CmpOp::Ne => "ne",
@@ -170,7 +170,7 @@ impl UnOp {
     }
 
     /// Mnemonic used by the printer/parser.
-    pub fn mnemonic(self) -> &'static str {
+    pub(crate) fn mnemonic(self) -> &'static str {
         match self {
             UnOp::INeg => "ineg",
             UnOp::FNeg => "fneg",

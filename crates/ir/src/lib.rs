@@ -42,19 +42,20 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 #[macro_use]
 pub mod entity;
-pub mod builder;
-pub mod error;
-pub mod function;
-pub mod inst;
-pub mod module;
+pub(crate) mod builder;
+pub(crate) mod error;
+pub(crate) mod function;
+pub(crate) mod inst;
+pub(crate) mod module;
 pub mod parse;
-pub mod print;
-pub mod types;
-pub mod value;
-pub mod verify;
+pub(crate) mod print;
+pub(crate) mod types;
+pub(crate) mod value;
+pub(crate) mod verify;
 
 pub use builder::FunctionBuilder;
 pub use error::CodedError;

@@ -1,4 +1,4 @@
-//! Parser for the textual IR format produced by [`crate::print`].
+//! Parser for the textual IR format produced by `crate::print`.
 //!
 //! The grammar is line-oriented and mirrors the printer exactly, so
 //! `parse_module(&print_module(&m))` round-trips every module this workspace

@@ -45,11 +45,6 @@ impl Type {
             Type::Void => panic!("void has no size"),
         }
     }
-
-    /// True for [`Type::F64`].
-    pub fn is_float(self) -> bool {
-        matches!(self, Type::F64)
-    }
 }
 
 impl fmt::Display for Type {
@@ -80,10 +75,5 @@ mod tests {
     fn display_names() {
         assert_eq!(Type::I64.to_string(), "i64");
         assert_eq!(Type::Ptr.to_string(), "ptr");
-    }
-
-    #[test]
-    fn predicates() {
-        assert!(Type::F64.is_float());
     }
 }

@@ -13,7 +13,7 @@ pub struct CacheConfig {
 
 impl CacheConfig {
     /// Number of sets.
-    pub fn num_sets(&self) -> u64 {
+    pub(crate) fn num_sets(&self) -> u64 {
         self.size_bytes / (self.assoc as u64 * self.line_bytes)
     }
 }
@@ -21,7 +21,7 @@ impl CacheConfig {
 /// Outcome of one cache access: whether it hit, and a dirty line evicted
 /// to make room (write-back traffic for the next level).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct AccessOutcome {
+pub(crate) struct AccessOutcome {
     /// The line was already resident.
     pub hit: bool,
     /// A dirty victim was evicted (its line number).
@@ -100,7 +100,7 @@ impl Cache {
     ///
     /// Panics if the geometry is inconsistent (size not divisible into
     /// sets, no set at all, or line size not a power of two).
-    pub fn new(cfg: CacheConfig) -> Cache {
+    pub(crate) fn new(cfg: CacheConfig) -> Cache {
         assert!(cfg.line_bytes.is_power_of_two(), "line size must be a power of two");
         assert!(cfg.assoc > 0, "associativity must be positive");
         assert_eq!(
@@ -123,14 +123,15 @@ impl Cache {
     }
 
     /// The cache geometry.
-    pub fn config(&self) -> CacheConfig {
+    #[cfg(test)]
+    pub(crate) fn config(&self) -> CacheConfig {
         self.cfg
     }
 
     /// Empties the cache, returning it to the state [`Cache::new`] gives.
     /// Costs the sets filled since the last flush; once most sets are, one
     /// pass over the array is cheaper than visiting them one by one.
-    pub fn flush(&mut self) {
+    pub(crate) fn flush(&mut self) {
         let assoc = self.cfg.assoc;
         if self.filled.len() * assoc * 2 > self.slots.len() {
             self.slots.fill(INVALID_LINE);
@@ -154,7 +155,7 @@ impl Cache {
         set as usize * self.cfg.assoc
     }
 
-    #[inline]
+    #[cfg(test)]
     fn set_of(&self, line: u64) -> &[u64] {
         let s = self.set_start(line);
         &self.slots[s..s + self.cfg.assoc]
@@ -230,7 +231,7 @@ impl Cache {
     /// Accesses `addr`; returns `true` on hit. On miss the line is filled
     /// clean (LRU eviction). Convenience wrapper over [`Cache::access_full`].
     #[inline(always)]
-    pub fn access(&mut self, addr: u64) -> bool {
+    pub(crate) fn access(&mut self, addr: u64) -> bool {
         self.access_full(addr, false).hit
     }
 
@@ -238,7 +239,7 @@ impl Cache {
     /// the line is filled (dirty iff `write`); the LRU victim's dirty state
     /// is reported so callers can model write-back traffic.
     #[inline(always)]
-    pub fn access_full(&mut self, addr: u64, write: bool) -> AccessOutcome {
+    pub(crate) fn access_full(&mut self, addr: u64, write: bool) -> AccessOutcome {
         match self.front(addr, write) {
             None => HIT,
             Some(p) => self.walk(p, write),
@@ -248,7 +249,7 @@ impl Cache {
     /// Marks line number `line` dirty if resident (used to sink a lower
     /// level's write-back); returns whether it was resident.
     #[inline]
-    pub fn mark_dirty_line(&mut self, line: u64) -> bool {
+    pub(crate) fn mark_dirty_line(&mut self, line: u64) -> bool {
         if let Some(entry) = self.set_of_mut(line).iter_mut().find(|s| **s & !DIRTY == line) {
             *entry |= DIRTY;
             true
@@ -258,13 +259,15 @@ impl Cache {
     }
 
     /// True if the line containing `addr` is resident (no state change).
-    pub fn probe(&self, addr: u64) -> bool {
+    #[cfg(test)]
+    pub(crate) fn probe(&self, addr: u64) -> bool {
         let line = self.line_of(addr);
         self.set_of(line).iter().any(|&s| s & !DIRTY == line)
     }
 
     /// Number of resident lines.
-    pub fn resident_lines(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn resident_lines(&self) -> usize {
         self.slots.iter().filter(|&&s| s & !DIRTY != INVALID_LINE).count()
     }
 }

@@ -55,11 +55,6 @@ impl SharedLlc {
         SharedLlc { cache: Cache::new(cfg) }
     }
 
-    /// Empties the cache.
-    pub fn flush(&mut self) {
-        self.cache.flush();
-    }
-
     /// Returns the LLC to the state [`SharedLlc::new`] gives.
     pub fn reset(&mut self) {
         self.cache.flush();
@@ -72,7 +67,7 @@ impl SharedLlc {
 /// fetched ahead of use).
 #[derive(Clone, Debug, Default)]
 #[cfg_attr(test, derive(PartialEq))]
-pub struct StreamPrefetcher {
+pub(crate) struct StreamPrefetcher {
     /// Ring buffer of the last [`StreamPrefetcher::TRACKED`] miss lines
     /// (coverage only asks set membership, so order inside is irrelevant —
     /// no shifting on the per-miss hot path).
@@ -89,7 +84,7 @@ impl StreamPrefetcher {
     /// unit-line strides train the detector — pointer chases and gathers
     /// stay uncovered.
     #[inline]
-    pub fn observe(&mut self, line: u64) -> bool {
+    pub(crate) fn observe(&mut self, line: u64) -> bool {
         let covered = self.recent_lines[..self.len]
             .iter()
             .any(|&l| line.wrapping_sub(l) == 1 || l.wrapping_sub(line) == 1);
@@ -217,7 +212,7 @@ impl CoreCaches {
     }
 
     /// Empties both private levels.
-    pub fn flush(&mut self) {
+    pub(crate) fn flush(&mut self) {
         self.l1.flush();
         self.l2.flush();
     }
@@ -513,7 +508,7 @@ mod reset_tests {
                 }
             }
             if parts & 4 != 0 {
-                m.llc.flush();
+                m.llc.reset();
                 model.llc.cache.flush_whole_array();
             }
             prop_assert_eq!(m.feed(&second), model.feed(&second));

@@ -24,9 +24,10 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod cache;
-pub mod hierarchy;
+pub(crate) mod cache;
+pub(crate) mod hierarchy;
 
 pub use cache::{Cache, CacheConfig};
 pub use hierarchy::{CoreCaches, HierarchyConfig, HitLevel, SharedLlc};

@@ -5,7 +5,7 @@
 //! prefetches every load the skeleton slice can reach. This crate closes
 //! the loop the way production compilers do — with persistent PGO:
 //!
-//! * [`profile`] — the [`PhaseProfile`] record: per-task access/execute
+//! * `profile` — the [`PhaseProfile`] record: per-task access/execute
 //!   phase counters (miss ratios, prefetch coverage and accuracy, branch
 //!   and trip-count totals, memory-level parallelism, measured
 //!   memory-boundedness) assembled from the simulator's existing
@@ -14,7 +14,7 @@
 //! * [`store`] — the corruption-tolerant, versioned on-disk store keyed
 //!   by the driver's `task_key`: a malformed record is skipped and
 //!   counted, never a panic; an in-memory LRU mirror bounds residency.
-//! * [`refine`] — the pure decision function behind the `refine` stage of
+//! * `refine` — the pure decision function behind the `refine` stage of
 //!   the driver's access-generation sequence: given a profile it prunes
 //!   redundant prefetches (line-granularity dedup when measured accuracy
 //!   is low), drops access phases whose measured coverage shows them
@@ -29,9 +29,10 @@
 //! pipeline byte-identical** to the static one.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod profile;
-pub mod refine;
+pub(crate) mod profile;
+pub(crate) mod refine;
 pub mod store;
 
 pub use profile::{PhaseAgg, PhaseProfile, PhaseSample, ProfileCollector, ProfileSet};
@@ -39,7 +40,7 @@ pub use refine::{plan_refinement, RefinePlan};
 pub use store::{ProfileStore, StoreStats};
 
 /// Stable schema tag of every profile document this crate reads or writes.
-pub const PROFILE_SCHEMA: &str = "dae-pgo-profile/1";
+pub(crate) const PROFILE_SCHEMA: &str = "dae-pgo-profile/1";
 
 /// Stable machine-readable error codes of the profile layer.
 pub mod codes {
@@ -60,7 +61,7 @@ pub struct PgoError {
 
 impl PgoError {
     /// An error with the given code and human-readable message.
-    pub fn new(code: &'static str, message: impl Into<String>) -> PgoError {
+    pub(crate) fn new(code: &'static str, message: impl Into<String>) -> PgoError {
         PgoError { code, message: message.into() }
     }
 }

@@ -164,7 +164,7 @@ impl PhaseProfile {
 
     /// Merges another record into this one (saturating; commutative and
     /// associative, so aggregation order never changes the result).
-    pub fn merge(&mut self, o: &PhaseProfile) {
+    pub(crate) fn merge(&mut self, o: &PhaseProfile) {
         self.runs = self.runs.saturating_add(o.runs);
         self.access.merge(&o.access);
         self.execute.merge(&o.execute);
@@ -174,7 +174,7 @@ impl PhaseProfile {
     /// DRAM. Low accuracy means the access phase mostly re-touches lines
     /// it (or the hardware) already brought in — e.g. eight consecutive
     /// `f64` prefetches per 64-byte line score 1/8.
-    pub fn prefetch_accuracy(&self) -> f64 {
+    pub(crate) fn prefetch_accuracy(&self) -> f64 {
         ratio(self.access.prefetch_dram_lines, self.access.prefetches)
     }
 
@@ -182,13 +182,13 @@ impl PhaseProfile {
     /// phase ahead of execute: `pf_lines / (pf_lines + execute_misses)`.
     /// Near zero means the access phase fetched (almost) nothing execute
     /// would have missed on — a useless phase.
-    pub fn prefetch_coverage(&self) -> f64 {
+    pub(crate) fn prefetch_coverage(&self) -> f64 {
         let pf = self.access.prefetch_dram_lines;
         ratio(pf, pf.saturating_add(self.execute.dram_misses))
     }
 
     /// Execute-phase DRAM miss ratio (misses per demand load).
-    pub fn execute_miss_ratio(&self) -> f64 {
+    pub(crate) fn execute_miss_ratio(&self) -> f64 {
         ratio(self.execute.dram_misses, self.execute.loads)
     }
 
@@ -202,12 +202,12 @@ impl PhaseProfile {
 
     /// Mean conditional branches per run — the measured trip-count
     /// signal used to synthesise loop-bound hints for unhinted tasks.
-    pub fn trip_estimate(&self) -> u64 {
+    pub(crate) fn trip_estimate(&self) -> u64 {
         self.execute.branches.checked_div(self.runs).unwrap_or(0)
     }
 
     /// Mean execute-phase memory-level parallelism over runs.
-    pub fn execute_mlp(&self) -> f64 {
+    pub(crate) fn execute_mlp(&self) -> f64 {
         if self.runs == 0 {
             return 0.0;
         }
@@ -227,7 +227,7 @@ impl PhaseProfile {
     }
 
     /// The record's JSON form, without its key (the store adds it).
-    pub fn to_json(&self) -> JsonValue {
+    pub(crate) fn to_json(self) -> JsonValue {
         JsonValue::obj([
             ("runs", self.runs.into()),
             ("access", self.access.to_json()),
@@ -237,7 +237,7 @@ impl PhaseProfile {
 
     /// Parses [`PhaseProfile::to_json`]'s shape; `None` on any missing or
     /// malformed field (the store skips such records).
-    pub fn from_json(v: &JsonValue) -> Option<PhaseProfile> {
+    pub(crate) fn from_json(v: &JsonValue) -> Option<PhaseProfile> {
         let runs = v.get("runs")?.as_f64()?;
         if runs.is_nan() || runs < 0.0 {
             return None;
@@ -309,17 +309,6 @@ impl ProfileSet {
     /// Records in deterministic key order.
     pub fn iter(&self) -> impl Iterator<Item = (&u64, &PhaseProfile)> {
         self.map.iter()
-    }
-
-    /// Content hash of the whole set (order-independent by construction:
-    /// the map iterates in key order).
-    pub fn content_hash(&self) -> u64 {
-        let mut h = fnv1a(fnv::OFFSET, b"dae-pgo-set/1");
-        for (k, p) in &self.map {
-            h = fnv1a(h, &k.to_le_bytes());
-            h = fnv1a(h, &p.content_hash().to_le_bytes());
-        }
-        h
     }
 }
 
@@ -463,7 +452,7 @@ mod tests {
     }
 
     #[test]
-    fn collector_groups_by_function_and_set_hash_tracks_content() {
+    fn collector_groups_by_function() {
         let mut col = ProfileCollector::new();
         col.record(FuncId(3), Some(&sample(1)), &sample(1));
         col.record(FuncId(3), Some(&sample(1)), &sample(1));
@@ -473,14 +462,6 @@ mod tests {
         assert_eq!(profiles[&FuncId(3)].runs, 2);
         assert_eq!(profiles[&FuncId(9)].runs, 1);
         assert!(col.is_empty());
-
-        let mut s1 = ProfileSet::new();
-        let mut s2 = ProfileSet::new();
-        assert_eq!(s1.content_hash(), s2.content_hash());
-        s1.insert(7, profiles[&FuncId(3)]);
-        assert_ne!(s1.content_hash(), s2.content_hash());
-        s2.insert(7, profiles[&FuncId(3)]);
-        assert_eq!(s1.content_hash(), s2.content_hash());
     }
 
     #[test]

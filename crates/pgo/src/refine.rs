@@ -34,14 +34,14 @@
 use crate::profile::PhaseProfile;
 
 /// Prefetch accuracy below this enables line-granularity dedup (rule 1).
-pub const ACCURACY_FLOOR: f64 = 0.60;
+pub(crate) const ACCURACY_FLOOR: f64 = 0.60;
 
 /// Prefetch coverage below this drops the access phase entirely (rule 2).
-pub const COVERAGE_FLOOR: f64 = 0.02;
+pub(crate) const COVERAGE_FLOOR: f64 = 0.02;
 
 /// Measured execute memory-bound fraction at or above this forces the
 /// §5.1 profitability verdict to "decouple" (rule 3).
-pub const MEMBOUND_FORCE: f64 = 0.50;
+pub(crate) const MEMBOUND_FORCE: f64 = 0.50;
 
 /// The knob changes a profile justifies for one task. All fields default
 /// to "change nothing"; the driver applies them to its options.
@@ -64,13 +64,8 @@ pub struct RefinePlan {
 
 impl RefinePlan {
     /// The no-op plan (what an absent or unconvincing profile yields).
-    pub fn none() -> RefinePlan {
+    pub(crate) fn none() -> RefinePlan {
         RefinePlan::default()
-    }
-
-    /// True when applying this plan changes nothing.
-    pub fn is_noop(&self) -> bool {
-        *self == RefinePlan::default()
     }
 }
 
@@ -147,7 +142,7 @@ mod tests {
 
     #[test]
     fn empty_or_thin_profiles_plan_nothing() {
-        assert!(plan_refinement(&PhaseProfile::default(), false).is_noop());
+        assert_eq!(plan_refinement(&PhaseProfile::default(), false), RefinePlan::none());
     }
 
     #[test]
@@ -160,7 +155,7 @@ mod tests {
         assert!(!plan.force_profitable);
         // Accurate prefetches are left alone.
         let plan = plan_refinement(&decoupled(100, 95, 10), true);
-        assert!(plan.is_noop());
+        assert_eq!(plan, RefinePlan::none());
     }
 
     #[test]
@@ -202,7 +197,7 @@ mod tests {
                 ..Default::default()
             },
         );
-        assert!(plan_refinement(&cb, true).is_noop());
+        assert_eq!(plan_refinement(&cb, true), RefinePlan::none());
     }
 
     #[test]

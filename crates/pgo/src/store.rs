@@ -3,9 +3,9 @@
 //!
 //! Two persistence shapes share one record format:
 //!
-//! * **File mode** ([`ProfileStore::load_file`] / [`ProfileStore::save_file`])
+//! * **File mode** ([`ProfileStore::merge_document`] / [`ProfileStore::save_file`])
 //!   — a single whole-document snapshot (`daec --profile-out` /
-//!   `--profile-in`). The document carries [`PROFILE_SCHEMA`]; records
+//!   `--profile-in`). The document carries `PROFILE_SCHEMA`; records
 //!   are written sorted by key so equal stores serialise byte-identically.
 //! * **Dir mode** ([`ProfileStore::open_dir`]) — one
 //!   `<key:016x>.pgo.json` file per record, written through atomically
@@ -87,7 +87,7 @@ impl ProfileStore {
 
     /// An in-memory-only store holding at most `max_records` (least
     /// recently used records are evicted beyond that; 0 means 1).
-    pub fn with_capacity(max_records: usize) -> ProfileStore {
+    pub(crate) fn with_capacity(max_records: usize) -> ProfileStore {
         let mut s = ProfileStore::new();
         s.max_records = max_records.max(1);
         s
@@ -131,20 +131,6 @@ impl ProfileStore {
             }
         }
         s.dir = Some(dir);
-        Ok(s)
-    }
-
-    /// Loads a whole-document profile file into a fresh in-memory store.
-    ///
-    /// The document must parse ([`codes::PARSE`]) and carry
-    /// [`PROFILE_SCHEMA`] ([`codes::SCHEMA`]); individual malformed
-    /// records are skipped and counted, never fatal.
-    pub fn load_file(path: impl AsRef<Path>) -> Result<ProfileStore, PgoError> {
-        let path = path.as_ref();
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| PgoError::new(codes::IO, format!("read {}: {e}", path.display())))?;
-        let mut s = ProfileStore::new();
-        s.merge_document(&text)?;
         Ok(s)
     }
 
@@ -348,10 +334,11 @@ mod tests {
         s.save_file(&path).unwrap();
         let first = std::fs::read_to_string(&path).unwrap();
 
-        let mut back = ProfileStore::load_file(&path).unwrap();
+        let mut back = ProfileStore::new();
+        back.merge_document(&first).unwrap();
         assert_eq!(back.len(), 2);
         assert_eq!(back.get(7).unwrap(), profile(1));
-        assert_eq!(back.snapshot().content_hash(), s.snapshot().content_hash());
+        assert_eq!(back.snapshot(), s.snapshot());
         back.save_file(&path).unwrap();
         let second = std::fs::read_to_string(&path).unwrap();
         assert_eq!(first, second, "equal stores must serialise byte-identically");
@@ -364,18 +351,12 @@ mod tests {
 
     #[test]
     fn hostile_documents_give_dotted_errors_and_bad_records_are_skipped() {
-        let dir = tmpdir("hostile");
-        let path = dir.join("bad.json");
-        std::fs::write(&path, b"{not json").unwrap();
-        let e = ProfileStore::load_file(&path).unwrap_err();
+        let e = ProfileStore::new().merge_document("{not json").unwrap_err();
         assert_eq!(e.code(), codes::PARSE);
 
-        std::fs::write(&path, br#"{"schema":"wrong/9","records":[]}"#).unwrap();
-        let e = ProfileStore::load_file(&path).unwrap_err();
+        let e =
+            ProfileStore::new().merge_document(r#"{"schema":"wrong/9","records":[]}"#).unwrap_err();
         assert_eq!(e.code(), codes::SCHEMA);
-
-        let e = ProfileStore::load_file(dir.join("missing.json")).unwrap_err();
-        assert_eq!(e.code(), codes::IO);
 
         // One good record among malformed ones: the good one survives,
         // the bad ones are counted, nothing panics.
@@ -388,7 +369,6 @@ mod tests {
         assert_eq!(s.len(), 1);
         assert_eq!(s.get(5).unwrap(), profile(1));
         assert_eq!(s.stats().skipped_records, 3);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

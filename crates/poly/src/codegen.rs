@@ -35,7 +35,7 @@ pub struct DimBounds {
 impl DimBounds {
     /// True if both bound sets are unit-coefficient (no division needed when
     /// lowering to IR).
-    pub fn is_unit(&self) -> bool {
+    pub(crate) fn is_unit(&self) -> bool {
         self.lowers.iter().chain(&self.uppers).all(|b| b.coeff == 1)
     }
 }
@@ -58,13 +58,6 @@ impl LoopNestSpec {
     /// without floor/ceil division.
     pub fn is_unit(&self) -> bool {
         self.dims.iter().all(DimBounds::is_unit)
-    }
-
-    /// True when every dimension has exactly one lower and one upper bound
-    /// (a "box-like" nest that lowers to plain counted loops without
-    /// min/max chains).
-    pub fn is_simple(&self) -> bool {
-        self.dims.iter().all(|d| d.lowers.len() == 1 && d.uppers.len() == 1)
     }
 }
 
@@ -115,7 +108,7 @@ mod tests {
         p.add_ge0(LinExpr::dim(s, 1).scale(-1).with_param(0, 1).with_const(-1));
         let nest = extract_loop_nest(&p).expect("bounded");
         assert_eq!(nest.depth(), 2);
-        assert!(nest.is_simple());
+        assert!(nest.dims.iter().all(|d| d.lowers.len() == 1 && d.uppers.len() == 1));
         assert!(nest.is_unit());
         // dim 0 lower bound: 0; upper: n - 1
         let d0 = &nest.dims[0];

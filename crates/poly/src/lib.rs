@@ -25,10 +25,10 @@
 //! extra cells, so the `NconvUn <= NOrig` check accepts the hull scan.
 //!
 //! ```
-//! use dae_poly::linexpr::{LinExpr, Space};
-//! use dae_poly::polyhedron::Polyhedron;
-//! use dae_poly::map::{count_union_distinct, union_image_vertices, AffineImage};
-//! use dae_poly::hull::convex_hull;
+//! use dae_poly::{
+//!     convex_hull, count_union_distinct, union_image_vertices, AffineImage, LinExpr, Polyhedron,
+//!     Space,
+//! };
 //!
 //! // domain { (i, j) | 0 <= i < 8, 0 <= j < 8 }
 //! let s = Space::new(2, 0);
@@ -48,14 +48,15 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod codegen;
+pub(crate) mod codegen;
 pub mod hull;
-pub mod linexpr;
-pub mod map;
-pub mod polyhedron;
-pub mod rat;
-pub mod vertex;
+pub(crate) mod linexpr;
+pub(crate) mod map;
+pub(crate) mod polyhedron;
+pub(crate) mod rat;
+pub(crate) mod vertex;
 
 pub use codegen::{extract_loop_nest, Bound, DimBounds, LoopNestSpec};
 pub use hull::convex_hull;

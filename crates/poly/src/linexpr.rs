@@ -22,7 +22,7 @@ impl Space {
     }
 
     /// Total coefficient-vector length (dims + params + constant).
-    pub fn width(&self) -> usize {
+    pub(crate) fn width(&self) -> usize {
         self.dims + self.params + 1
     }
 
@@ -39,7 +39,7 @@ impl Space {
     }
 
     /// Column index of the constant term.
-    pub fn const_col(&self) -> usize {
+    pub(crate) fn const_col(&self) -> usize {
         self.dims + self.params
     }
 }
@@ -107,7 +107,7 @@ impl LinExpr {
     }
 
     /// `self + k·o`, in place: no scaled copy of `o` is built.
-    pub fn add_scaled(mut self, k: i128, o: &LinExpr) -> LinExpr {
+    pub(crate) fn add_scaled(mut self, k: i128, o: &LinExpr) -> LinExpr {
         assert_eq!(self.space, o.space);
         for (a, b) in self.coeffs.iter_mut().zip(&o.coeffs) {
             *a += b * k;
@@ -130,7 +130,7 @@ impl LinExpr {
     }
 
     /// Divides all coefficients by their (positive) gcd; no-op for zero.
-    pub fn normalize(mut self) -> LinExpr {
+    pub(crate) fn normalize(mut self) -> LinExpr {
         let mut g: i128 = 0;
         for &c in &self.coeffs {
             g = gcd(g, c);
@@ -144,7 +144,7 @@ impl LinExpr {
     }
 
     /// Evaluates at rational dimension values with integer parameter values.
-    pub fn eval(&self, dim_vals: &[Rat], param_vals: &[i64]) -> Rat {
+    pub(crate) fn eval(&self, dim_vals: &[Rat], param_vals: &[i64]) -> Rat {
         assert_eq!(dim_vals.len(), self.space.dims);
         assert_eq!(param_vals.len(), self.space.params);
         let mut acc = Rat::int(self.const_term());
@@ -172,7 +172,7 @@ impl LinExpr {
     /// Evaluates a parameter-free expression with the leading dims set to
     /// `dim_vals` and the remaining dims to zero; `None` when the sum
     /// leaves `i128`.
-    pub fn checked_eval_prefix(&self, dim_vals: &[i64]) -> Option<i128> {
+    pub(crate) fn checked_eval_prefix(&self, dim_vals: &[i64]) -> Option<i128> {
         debug_assert_eq!(self.space.params, 0);
         let mut acc = self.const_term();
         for (c, v) in self.coeffs.iter().zip(dim_vals) {
@@ -183,19 +183,19 @@ impl LinExpr {
 
     /// The same expression in a space without dimension `d` (whose term is
     /// dropped); dims above `d` shift down.
-    pub fn without_dim(mut self, d: usize) -> LinExpr {
+    pub(crate) fn without_dim(mut self, d: usize) -> LinExpr {
         self.coeffs.remove(self.space.dim_col(d));
         LinExpr { space: Space::new(self.space.dims - 1, self.space.params), coeffs: self.coeffs }
     }
 
     /// Exchanges the roles of dimensions `a` and `b`.
-    pub fn swap_dims(&mut self, a: usize, b: usize) {
+    pub(crate) fn swap_dims(&mut self, a: usize, b: usize) {
         self.coeffs.swap(self.space.dim_col(a), self.space.dim_col(b));
     }
 
     /// Rewrites into a space with the same layout but with parameters
     /// substituted by concrete values (result has zero params).
-    pub fn instantiate_params(&self, values: &[i64]) -> LinExpr {
+    pub(crate) fn instantiate_params(&self, values: &[i64]) -> LinExpr {
         assert_eq!(values.len(), self.space.params);
         let new_space = Space::new(self.space.dims, 0);
         let mut e = LinExpr::zero(new_space);

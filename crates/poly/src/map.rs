@@ -32,12 +32,12 @@ impl AffineImage {
     }
 
     /// Number of target coordinates.
-    pub fn target_dims(&self) -> usize {
+    pub(crate) fn target_dims(&self) -> usize {
         self.map.len()
     }
 
     /// The parameter-free image at concrete parameter values.
-    pub fn instantiate(&self, params: &[i64]) -> AffineImage {
+    pub(crate) fn instantiate(&self, params: &[i64]) -> AffineImage {
         AffineImage {
             domain: self.domain.instantiate_params(params),
             map: self.map.iter().map(|e| e.instantiate_params(params)).collect(),
@@ -48,7 +48,7 @@ impl AffineImage {
     /// subscript reads, as far as [`Polyhedron::project_unit_dim`] can drop
     /// them exactly: the image of `A[j][k]` under `i < j, i < k` needs no
     /// scan over `i`.
-    pub fn without_unread_dims(mut self) -> AffineImage {
+    pub(crate) fn without_unread_dims(mut self) -> AffineImage {
         for d in (0..self.domain.space().dims).rev() {
             if self.map.iter().any(|e| e.dim_coeff(d) != 0) {
                 continue;
@@ -120,17 +120,6 @@ impl AffineImage {
         Ok(out)
     }
 
-    /// Enumerates the distinct integer target points for concrete parameter
-    /// values, sorted.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the instantiated domain cannot be scanned; compiler paths
-    /// count with [`try_count_union_distinct`] and refuse instead.
-    pub fn enumerate(&self, params: &[i64]) -> Vec<Vec<i64>> {
-        self.try_enumerate(params).expect("scannable image domain")
-    }
-
     /// The distinct images of rational domain points under this
     /// parameter-free map, in first-appearance order.
     fn map_points(&self, points: &[Vec<Rat>]) -> Vec<Vec<Rat>> {
@@ -176,7 +165,7 @@ pub fn union_image_vertices(images: &[AffineImage], params: &[i64]) -> Vec<Vec<R
 ///
 /// The cost follows the number of domain *rows*, not points: identical
 /// images are counted once, dims no subscript reads are projected away
-/// ([`AffineImage::without_unread_dims`]), each remaining row contributes
+/// (`AffineImage::without_unread_dims`), each remaining row contributes
 /// one interval of the last coordinate where the map allows it (the scan
 /// order is chosen per image so that it does), and the union is the merged
 /// length of the sorted intervals.
@@ -260,7 +249,7 @@ mod tests {
     fn identity_image_counts_square() {
         let s = Space::new(2, 1);
         let img = AffineImage::new(square_domain(), vec![LinExpr::dim(s, 0), LinExpr::dim(s, 1)]);
-        assert_eq!(img.enumerate(&[4]).len(), 16);
+        assert_eq!(img.try_enumerate(&[4]).unwrap().len(), 16);
     }
 
     #[test]
@@ -268,7 +257,7 @@ mod tests {
         // map (i, j) -> (i): all j collapse.
         let s = Space::new(2, 1);
         let img = AffineImage::new(square_domain(), vec![LinExpr::dim(s, 0)]);
-        assert_eq!(img.enumerate(&[5]).len(), 5);
+        assert_eq!(img.try_enumerate(&[5]).unwrap().len(), 5);
     }
 
     #[test]
@@ -308,7 +297,7 @@ mod tests {
         dom.add_ge0(LinExpr::dim(s, 0));
         dom.add_ge0(LinExpr::dim(s, 0).scale(-1).with_param(0, 1).with_const(-1));
         let img = AffineImage::new(dom, vec![LinExpr::dim(s, 0).scale(2)]);
-        let pts = img.enumerate(&[6]);
+        let pts = img.try_enumerate(&[6]).unwrap();
         assert_eq!(pts.len(), 6);
         assert!(pts.contains(&vec![10]));
         assert!(!pts.contains(&vec![9]));
@@ -350,7 +339,8 @@ mod tests {
         }
         // Every cell of the 8×8 block but the diagonal below (0, 0)… by
         // brute force: the union of the three enumerations.
-        let mut cells: Vec<Vec<i64>> = images.iter().flat_map(|i| i.enumerate(&[8])).collect();
+        let mut cells: Vec<Vec<i64>> =
+            images.iter().flat_map(|i| i.try_enumerate(&[8]).unwrap()).collect();
         cells.sort_unstable();
         cells.dedup();
         assert_eq!(count_union_distinct(&images, &[8]), cells.len() as u64);

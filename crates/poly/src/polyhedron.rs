@@ -26,19 +26,19 @@ pub struct Constraint {
 
 impl Constraint {
     /// `expr >= 0`.
-    pub fn ge0(expr: LinExpr) -> Constraint {
+    pub(crate) fn ge0(expr: LinExpr) -> Constraint {
         Constraint { expr, kind: ConstraintKind::GeZero }
     }
 
     /// `expr == 0`.
-    pub fn eq0(expr: LinExpr) -> Constraint {
+    pub(crate) fn eq0(expr: LinExpr) -> Constraint {
         Constraint { expr, kind: ConstraintKind::EqZero }
     }
 }
 
 /// One bound on a dimension, as returned by [`Polyhedron::dim_bounds`]:
 /// `(coeff, expr)` with `coeff·d + expr >= 0`.
-pub type DimBound = (i128, LinExpr);
+pub(crate) type DimBound = (i128, LinExpr);
 
 /// Why the integer points of a polyhedron could not be counted or
 /// enumerated. Callers in the compiler treat every variant as a refusal
@@ -69,18 +69,6 @@ impl std::fmt::Display for ScanError {
 
 impl std::error::Error for ScanError {}
 
-impl ScanError {
-    /// Stable machine-readable error code (the zero-dependency mirror of
-    /// `dae_ir::CodedError`, same `<layer>.<class>` namespace).
-    pub fn code(&self) -> &'static str {
-        match self {
-            ScanError::Unbounded { .. } => "poly.unbounded",
-            ScanError::OverBudget => "poly.over_budget",
-            ScanError::Overflow => "poly.overflow",
-        }
-    }
-}
-
 /// Scan nodes (rows, outer-loop iterations and, on per-point paths, points)
 /// one [`RowBudget`] admits. Trip counts come from untrusted IR, so the
 /// work spent counting them is capped; the full-size corpus peaks near
@@ -109,12 +97,13 @@ impl RowBudget {
     }
 
     /// Nodes visited so far.
-    pub fn visited(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn visited(&self) -> u64 {
         self.visited
     }
 
     /// Accounts for one visited node.
-    pub fn charge(&mut self) -> Result<(), ScanError> {
+    pub(crate) fn charge(&mut self) -> Result<(), ScanError> {
         if self.visited == ROW_BUDGET {
             return Err(ScanError::OverBudget);
         }
@@ -304,7 +293,7 @@ impl Polyhedron {
     /// rewritten as: for lowers `d >= ceil(-expr / coeff)` and for uppers
     /// `d <= floor(expr / |coeff|)`; `expr` has zero coefficients for dims
     /// `>= d`.
-    pub fn dim_bounds(&self, d: usize) -> (Vec<DimBound>, Vec<DimBound>) {
+    pub(crate) fn dim_bounds(&self, d: usize) -> (Vec<DimBound>, Vec<DimBound>) {
         let mut p = Cow::Borrowed(self);
         while p.space.dims > d + 1 {
             p = Cow::Owned(p.eliminate_dim(p.space.dims - 1));
@@ -340,7 +329,7 @@ impl Polyhedron {
 
     /// Exchanges the roles of dimensions `a` and `b` (a relabelling: the
     /// same point set with two coordinates swapped).
-    pub fn swap_dims(&mut self, a: usize, b: usize) {
+    pub(crate) fn swap_dims(&mut self, a: usize, b: usize) {
         for c in &mut self.constraints {
             c.expr.swap_dims(a, b);
         }
@@ -476,7 +465,7 @@ impl Polyhedron {
     /// # Panics
     ///
     /// Panics if the polyhedron still has parameters.
-    pub fn try_for_each_integer_point(
+    pub(crate) fn try_for_each_integer_point(
         &self,
         budget: &mut RowBudget,
         mut f: impl FnMut(&[i64]) -> Result<(), ScanError>,
@@ -501,7 +490,7 @@ impl Polyhedron {
     }
 
     /// Collects all integer points, or a [`ScanError`] when they cannot be
-    /// enumerated (see [`Polyhedron::try_for_each_integer_point`]).
+    /// enumerated (see `Polyhedron::try_for_each_integer_point`).
     pub fn try_integer_points(&self, budget: &mut RowBudget) -> Result<Vec<Vec<i64>>, ScanError> {
         let mut out = Vec::new();
         self.try_for_each_integer_point(budget, |p| {

@@ -38,7 +38,7 @@ pub(crate) fn gcd(a: i128, b: i128) -> i128 {
 
 impl Rat {
     /// Zero.
-    pub const ZERO: Rat = Rat { num: 0, den: 1 };
+    pub(crate) const ZERO: Rat = Rat { num: 0, den: 1 };
 
     /// Creates `num/den`.
     ///
@@ -62,12 +62,12 @@ impl Rat {
     }
 
     /// Numerator (sign-carrying).
-    pub fn num(self) -> i128 {
+    pub(crate) fn num(self) -> i128 {
         self.num
     }
 
     /// Denominator (always positive).
-    pub fn den(self) -> i128 {
+    pub(crate) fn den(self) -> i128 {
         self.den
     }
 
@@ -77,7 +77,7 @@ impl Rat {
     }
 
     /// True if zero.
-    pub fn is_zero(self) -> bool {
+    pub(crate) fn is_zero(self) -> bool {
         self.num == 0
     }
 
@@ -101,7 +101,7 @@ impl Rat {
     /// # Panics
     ///
     /// Panics if the value is zero.
-    pub fn recip(self) -> Rat {
+    pub(crate) fn recip(self) -> Rat {
         Rat::new(self.den, self.num)
     }
 }

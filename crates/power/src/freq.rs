@@ -32,7 +32,7 @@ impl DvfsTable {
     /// # Panics
     ///
     /// Panics if the table is empty or not sorted by frequency.
-    pub fn new(points: Vec<FreqPoint>) -> Self {
+    pub(crate) fn new(points: Vec<FreqPoint>) -> Self {
         assert!(!points.is_empty(), "empty DVFS table");
         assert!(
             points.windows(2).all(|w| w[0].ghz < w[1].ghz),
@@ -87,7 +87,7 @@ impl DvfsTable {
     }
 
     /// Iterates over `(id, point)` slowest first.
-    pub fn iter(&self) -> impl Iterator<Item = (FreqId, FreqPoint)> + '_ {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (FreqId, FreqPoint)> + '_ {
         self.points.iter().enumerate().map(|(i, p)| (FreqId(i), *p))
     }
 

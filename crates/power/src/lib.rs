@@ -24,9 +24,10 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod freq;
-pub mod model;
+pub(crate) mod freq;
+pub(crate) mod model;
 
 pub use freq::{DvfsTable, FreqId, FreqPoint};
 pub use model::{edp, energy_j, phase_energy_split_j, select_optimal_edp, DvfsConfig, PowerModel};

@@ -36,7 +36,7 @@ impl PowerModel {
     }
 
     /// Effective switched capacitance (nF) at the given IPC.
-    pub fn ceff_nf(&self, ipc: f64) -> f64 {
+    pub(crate) fn ceff_nf(&self, ipc: f64) -> f64 {
         self.ceff_slope_nf * ipc + self.ceff_base_nf
     }
 
@@ -47,14 +47,14 @@ impl PowerModel {
     }
 
     /// Static power in watts for `active_cores` cores at `point`.
-    pub fn static_power_w(&self, point: FreqPoint, active_cores: usize) -> f64 {
+    pub(crate) fn static_power_w(&self, point: FreqPoint, active_cores: usize) -> f64 {
         self.static_base_w
             + active_cores as f64
                 * (self.static_per_core_w + self.static_vf_slope_w * point.volts * point.ghz)
     }
 
     /// One active core's share of static power in watts: everything of
-    /// [`PowerModel::static_power_w`] except the chip-level base, which a
+    /// `PowerModel::static_power_w` except the chip-level base, which a
     /// run charges once over its makespan. It is also the whole price of a
     /// DVFS transition, per second of it: no instructions execute, so only
     /// static energy is counted (§6.1).

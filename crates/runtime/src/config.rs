@@ -36,7 +36,7 @@ pub enum FreqPolicy {
 impl FreqPolicy {
     /// True for policies that run the access phase before the execute
     /// phase.
-    pub fn is_decoupled(self) -> bool {
+    pub(crate) fn is_decoupled(self) -> bool {
         matches!(
             self,
             FreqPolicy::DaeMinMax

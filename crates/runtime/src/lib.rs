@@ -42,14 +42,15 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod config;
+pub(crate) mod config;
 mod lease;
-pub mod report;
-pub mod sched;
+pub(crate) mod report;
+pub(crate) mod sched;
 
 pub use config::{FreqPolicy, RuntimeConfig};
 pub use dae_governor::GovernorKind;
 pub use dae_sim::EngineKind;
-pub use report::{Breakdown, ClassReport, CompileStats, GovernorReport, RunReport};
+pub use report::{Breakdown, ClassReport, GovernorReport, RunReport};
 pub use sched::{module_instances, run_workload, run_workload_with, RunHooks, TaskInstance};

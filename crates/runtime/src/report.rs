@@ -28,7 +28,7 @@ impl Breakdown {
 
     /// Machine-readable form: one key per bar segment plus the derived
     /// `osi_s`.
-    pub fn to_json(&self) -> JsonValue {
+    pub(crate) fn to_json(&self) -> JsonValue {
         JsonValue::obj([
             ("access_s", self.access_s.into()),
             ("execute_s", self.execute_s.into()),
@@ -62,7 +62,7 @@ pub struct ClassReport {
 
 impl ClassReport {
     /// Machine-readable form, one key per field.
-    pub fn to_json(&self) -> JsonValue {
+    pub(crate) fn to_json(&self) -> JsonValue {
         JsonValue::obj([
             ("class", self.class.as_str().into()),
             ("observations", self.observations.into()),
@@ -89,56 +89,10 @@ pub struct GovernorReport {
 
 impl GovernorReport {
     /// Machine-readable form: the governor name plus one entry per class.
-    pub fn to_json(&self) -> JsonValue {
+    pub(crate) fn to_json(&self) -> JsonValue {
         JsonValue::obj([
             ("governor", self.governor.as_str().into()),
             ("classes", JsonValue::Arr(self.classes.iter().map(ClassReport::to_json).collect())),
-        ])
-    }
-}
-
-/// How the module's tasks were compiled, when compilation went through the
-/// driver. Only deterministic counts live here — never wall-clock times or
-/// the job count — so reports stay byte-identical across `--jobs` settings
-/// and cold/warm caches compare on content alone.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CompileStats {
-    /// Tasks the driver compiled (or replayed).
-    pub tasks: usize,
-    /// Tasks with a generated access function.
-    pub generated: usize,
-    /// Tasks refused (they run coupled).
-    pub refused: usize,
-    /// Tasks answered from the incremental cache.
-    pub from_cache: usize,
-    /// Cache lookups answered from the in-memory tier.
-    pub mem_hits: u64,
-    /// Cache lookups answered from the on-disk tier.
-    pub disk_hits: u64,
-    /// Cache lookups answered by neither tier.
-    pub misses: u64,
-    /// Artifacts evicted from the in-memory tier.
-    pub evictions: u64,
-}
-
-impl CompileStats {
-    /// Total cache hits across both tiers.
-    pub fn hits(&self) -> u64 {
-        self.mem_hits + self.disk_hits
-    }
-
-    /// Machine-readable form, one key per field plus derived `hits`.
-    pub fn to_json(&self) -> JsonValue {
-        JsonValue::obj([
-            ("tasks", self.tasks.into()),
-            ("generated", self.generated.into()),
-            ("refused", self.refused.into()),
-            ("from_cache", self.from_cache.into()),
-            ("mem_hits", self.mem_hits.into()),
-            ("disk_hits", self.disk_hits.into()),
-            ("misses", self.misses.into()),
-            ("evictions", self.evictions.into()),
-            ("hits", self.hits().into()),
         ])
     }
 }
@@ -160,8 +114,6 @@ pub struct RunReport {
     pub execute_trace: PhaseTrace,
     /// The online governor's learned per-class state (governed runs only).
     pub governor: Option<GovernorReport>,
-    /// Compilation statistics (driver-compiled runs only).
-    pub compile: Option<CompileStats>,
 }
 
 impl RunReport {
@@ -207,9 +159,6 @@ impl RunReport {
         if let (JsonValue::Obj(pairs), Some(g)) = (&mut v, &self.governor) {
             pairs.push(("governor".to_string(), g.to_json()));
         }
-        if let (JsonValue::Obj(pairs), Some(c)) = (&mut v, &self.compile) {
-            pairs.push(("compile".to_string(), c.to_json()));
-        }
         v
     }
 
@@ -232,7 +181,6 @@ mod tests {
             access_trace: PhaseTrace::default(),
             execute_trace: PhaseTrace::default(),
             governor: None,
-            compile: None,
         }
     }
 
@@ -292,28 +240,6 @@ mod tests {
         assert_eq!(classes[0].get("class").unwrap().as_str(), Some("stream#00aa"));
         assert_eq!(classes[0].get("execute_ghz").unwrap().as_f64(), Some(3.4));
         assert_eq!(classes[0].get("converged").unwrap().as_bool(), Some(true));
-    }
-
-    #[test]
-    fn compile_section_appears_only_when_present() {
-        let mut r = report();
-        assert!(dae_trace::json::parse(&r.to_json_string()).unwrap().get("compile").is_none());
-        r.compile = Some(CompileStats {
-            tasks: 7,
-            generated: 6,
-            refused: 1,
-            from_cache: 4,
-            mem_hits: 3,
-            disk_hits: 1,
-            misses: 3,
-            evictions: 0,
-        });
-        let v = dae_trace::json::parse(&r.to_json_string()).unwrap();
-        let c = v.get("compile").expect("compile section");
-        assert_eq!(c.get("tasks").unwrap().as_f64(), Some(7.0));
-        assert_eq!(c.get("from_cache").unwrap().as_f64(), Some(4.0));
-        assert_eq!(c.get("hits").unwrap().as_f64(), Some(4.0));
-        assert_eq!(c.get("misses").unwrap().as_f64(), Some(3.0));
     }
 
     #[test]

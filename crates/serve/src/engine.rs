@@ -45,7 +45,7 @@ use crate::proto::{codes, ErrorBody, Op, Request};
 /// Schema tag of the `profiles` result object.
 /// `/2` dropped the recompile worker's `recent_modules` and `recompiles`
 /// keys.
-pub const PROFILES_SCHEMA: &str = "dae-serve-profiles/2";
+pub(crate) const PROFILES_SCHEMA: &str = "dae-serve-profiles/2";
 
 /// Byte budget of the coupled-baseline memo: 4096 (module, hints, task)
 /// baselines at [`BASELINE_ENTRY_BYTES`] each, so `Mix::Warm`'s 2048
@@ -139,7 +139,7 @@ impl Engine {
     }
 
     /// Handles one work request end to end. Never panics: layer errors
-    /// come back as their stable codes, panics as [`codes::INTERNAL`].
+    /// come back as their stable codes, panics as `codes::INTERNAL`.
     ///
     /// Convenience wrapper over [`Engine::handle_raw`] for callers that
     /// want a structured result; the hot serving path uses the raw form.
@@ -199,7 +199,7 @@ impl Engine {
     /// for the `health` fast path: unlike [`Engine::cache_json`] it never
     /// touches the driver lock, so a health probe cannot stall behind a
     /// long compile.
-    pub fn resp_cache_json(&self) -> JsonValue {
+    pub(crate) fn resp_cache_json(&self) -> JsonValue {
         JsonValue::obj([
             ("resp_hits", self.resp_hits.load(Ordering::Relaxed).into()),
             ("resp_misses", self.resp_misses.load(Ordering::Relaxed).into()),
@@ -208,7 +208,7 @@ impl Engine {
     }
 
     /// Lifetime cache counters and memory-tier occupancy, for `stats`.
-    pub fn cache_json(&self) -> JsonValue {
+    pub(crate) fn cache_json(&self) -> JsonValue {
         let resp_used = lock_recover(&self.resp).used_bytes();
         let baseline_used = lock_recover(&self.baseline).used_bytes();
         let driver = self.lock_driver();
@@ -379,7 +379,7 @@ impl Engine {
 
     /// Compact profile counters for `health` and `stats` — no driver
     /// lock, so probes never stall behind a compile.
-    pub fn pgo_json(&self) -> JsonValue {
+    pub(crate) fn pgo_json(&self) -> JsonValue {
         let records = lock_recover(&self.pgo).len();
         JsonValue::obj([("profile_records", records.into())])
     }

@@ -11,7 +11,7 @@
 //!
 //! * Each connection gets a **reader thread** that frames newline-delimited
 //!   requests (capped at [`MAX_FRAME_BYTES`]), answers control ops inline
-//!   and pushes work ops onto the shared [`Queue`]. A full queue sheds; a
+//!   and pushes work ops onto the shared `Queue`. A full queue sheds; a
 //!   draining queue refuses; neither ever buffers.
 //! * A fixed pool of **worker threads** pops jobs, refuses the ones whose
 //!   deadline expired while queued, and hands the rest to

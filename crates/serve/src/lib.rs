@@ -13,17 +13,17 @@
 //!   stable `serve.*` error-code vocabulary, and the determinism contract
 //!   (successful response bytes never depend on cache temperature, worker
 //!   count or queue state).
-//! * [`queue`] — the bounded admission queue: full means *shed now* with
+//! * `queue` — the bounded admission queue: full means *shed now* with
 //!   `serve.overloaded`, never buffer-and-pray; closed means *drain*.
-//! * [`engine`] — the shared executor: one `dae-driver` (one incremental
+//! * `engine` — the shared executor: one `dae-driver` (one incremental
 //!   cache) behind a mutex for compiles, simulation outside any lock,
 //!   input hardening (global-data cap, frame cap, panic containment).
 //! * [`front`] — the NDJSON/TCP front end, shared with `dae-gate`:
 //!   per-connection reader threads, admission, a worker pool, per-request
 //!   deadlines, graceful drain on `shutdown`/SIGTERM.
-//! * [`server`] — the daemon: what `daed` plugs into the front end
+//! * `server` — the daemon: what `daed` plugs into the front end
 //!   (control-op bodies, the response-cache fast path, the work function).
-//! * [`metrics`] — counters and log-bucketed latency histograms behind the
+//! * `metrics` — counters and log-bucketed latency histograms behind the
 //!   `stats` endpoint.
 //! * [`load`] — the seeded load generator.
 //!
@@ -41,24 +41,22 @@
 //! adversarial input.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod engine;
+pub(crate) mod engine;
 pub mod front;
 pub mod load;
-pub mod metrics;
+pub(crate) mod metrics;
 pub mod proto;
-pub mod queue;
-pub mod server;
+pub(crate) mod queue;
+pub(crate) mod server;
 
 pub use dae_sim::EngineKind;
 pub use dae_trace::Fnv64;
-pub use engine::{request_key, Engine, EngineConfig, PROFILES_SCHEMA};
+pub use engine::{request_key, Engine, EngineConfig};
 pub use front::install_signal_drain;
 pub use load::{run_load, LoadConfig, LoadReport, Mix};
-pub use metrics::{Metrics, STATS_SCHEMA};
 pub use proto::{
-    codes, err_response, ok_response, ok_response_raw, parse_request, ErrorBody, Op, Request,
-    MAX_FRAME_BYTES,
+    codes, err_response, ok_response_raw, parse_request, ErrorBody, Op, Request, MAX_FRAME_BYTES,
 };
-pub use queue::{Push, Queue};
-pub use server::{Server, ServerConfig, HEALTH_SCHEMA};
+pub use server::{Server, ServerConfig};

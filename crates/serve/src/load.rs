@@ -20,7 +20,7 @@ use dae_trace::LogHistogram;
 use dae_trace::SplitMix64;
 
 /// Schema tag of a load run's JSON report.
-pub const LOAD_SCHEMA: &str = "dae-serve-load/1";
+pub(crate) const LOAD_SCHEMA: &str = "dae-serve-load/1";
 
 /// Distinct programs in the corpus; variants cycle through it.
 pub const CORPUS: usize = 8;
@@ -94,16 +94,6 @@ impl Mix {
         }
     }
 
-    /// Stable lowercase name (the `--mix` spelling).
-    pub fn label(self) -> &'static str {
-        match self {
-            Mix::Compile => "compile",
-            Mix::Run => "run",
-            Mix::Mixed => "mixed",
-            Mix::Warm => "warm",
-        }
-    }
-
     fn op_for(self, roll: u64) -> &'static str {
         match self {
             Mix::Compile => {
@@ -171,7 +161,7 @@ impl LoadReport {
         }
     }
 
-    /// Machine-readable form (schema [`LOAD_SCHEMA`]).
+    /// Machine-readable form (schema `LOAD_SCHEMA`).
     pub fn to_json(&self) -> JsonValue {
         JsonValue::obj([
             ("schema", LOAD_SCHEMA.into()),

@@ -20,11 +20,11 @@ use crate::front::AdmissionCounters;
 /// `/5` added the coupled-baseline memo's counters to `cache`
 /// (`baseline_hits`, `baseline_misses`, `baseline_used_bytes`); `/6`
 /// dropped the recompile worker's counters from `pgo`.
-pub const STATS_SCHEMA: &str = "dae-serve-stats/6";
+pub(crate) const STATS_SCHEMA: &str = "dae-serve-stats/6";
 
 /// Work-operation index into the per-op histogram array.
 #[derive(Clone, Copy)]
-pub enum WorkOp {
+pub(crate) enum WorkOp {
     /// A `compile` request.
     Compile = 0,
     /// A `report` request.
@@ -36,7 +36,7 @@ pub enum WorkOp {
 const WORK_OPS: [&str; 3] = ["compile", "report", "run"];
 
 /// The server's live counters and latency distributions.
-pub struct Metrics {
+pub(crate) struct Metrics {
     started: Instant,
     /// Accepted / shed (`serve.overloaded`) / refused (`serve.draining`) /
     /// expired (`serve.deadline`) / malformed-frame counts, bumped by the
@@ -56,7 +56,7 @@ pub struct Metrics {
 
 impl Metrics {
     /// Fresh, all-zero metrics; `uptime_s` counts from here.
-    pub fn new() -> Metrics {
+    pub(crate) fn new() -> Metrics {
         Metrics {
             started: Instant::now(),
             admission: AdmissionCounters::default(),
@@ -74,14 +74,14 @@ impl Metrics {
 
     /// Records one completed work request: its op, how long it waited in
     /// the queue and its end-to-end service time.
-    pub fn record(&self, op: WorkOp, queue_wait: Duration, service: Duration) {
+    pub(crate) fn record(&self, op: WorkOp, queue_wait: Duration, service: Duration) {
         lock_recover(&self.queue_wait).record(queue_wait.as_secs_f64());
         lock_recover(&self.service[op as usize]).record(service.as_secs_f64());
     }
 
     /// The `stats` result object. `queue_depth` and the cache and pgo
     /// sections are sampled by the caller (they live outside this struct).
-    pub fn to_json(
+    pub(crate) fn to_json(
         &self,
         queue_depth: usize,
         workers: usize,

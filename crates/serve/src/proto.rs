@@ -31,7 +31,7 @@ pub mod codes {
     /// The server is draining; new requests are refused.
     pub const DRAINING: &str = "serve.draining";
     /// The request spent longer queued than its deadline allowed.
-    pub const DEADLINE: &str = "serve.deadline";
+    pub(crate) const DEADLINE: &str = "serve.deadline";
     /// The request frame exceeded [`super::MAX_FRAME_BYTES`].
     pub const TOO_LARGE: &str = "serve.frame-too-large";
     /// The frame parsed as JSON but is not a valid request.
@@ -39,7 +39,7 @@ pub mod codes {
     /// The module's global data exceeds the server's memory cap.
     pub const MODULE_TOO_LARGE: &str = "serve.module-too-large";
     /// A handler panicked; the worker survived and returned this instead.
-    pub const INTERNAL: &str = "serve.internal";
+    pub(crate) const INTERNAL: &str = "serve.internal";
 }
 
 /// The request operations.
@@ -92,7 +92,7 @@ impl Op {
     /// True for operations that go through the admission queue and a
     /// worker (the expensive ones). Control-plane ops (`stats`, `health`,
     /// `shutdown`) answer inline on the connection thread.
-    pub fn is_work(self) -> bool {
+    pub(crate) fn is_work(self) -> bool {
         matches!(self, Op::Compile | Op::Report | Op::Run)
     }
 }
@@ -112,7 +112,7 @@ pub struct Request {
     pub policy: Option<String>,
     /// Per-request deadline in milliseconds (0 = none): if the request is
     /// still queued when it expires, it is answered with
-    /// [`codes::DEADLINE`] instead of being executed.
+    /// `codes::DEADLINE` instead of being executed.
     pub deadline_ms: u64,
 }
 
@@ -132,13 +132,13 @@ impl ErrorBody {
     }
 
     /// An error body from any [`dae_ir::CodedError`].
-    pub fn from_coded(e: &dyn dae_ir::CodedError) -> ErrorBody {
+    pub(crate) fn from_coded(e: &dyn dae_ir::CodedError) -> ErrorBody {
         ErrorBody::new(e.code(), e.to_string())
     }
 }
 
 /// Serialises a success response line (no trailing newline).
-pub fn ok_response(id: &JsonValue, result: JsonValue) -> String {
+pub(crate) fn ok_response(id: &JsonValue, result: JsonValue) -> String {
     JsonValue::Obj(vec![
         ("id".to_string(), id.clone()),
         ("ok".to_string(), JsonValue::Bool(true)),
@@ -148,7 +148,7 @@ pub fn ok_response(id: &JsonValue, result: JsonValue) -> String {
 }
 
 /// Serialises a success response line from an already-serialised result
-/// object, skipping the tree build. Byte-identical to [`ok_response`]
+/// object, skipping the tree build. Byte-identical to `ok_response`
 /// because the JSON writer is canonical (compact, insertion-ordered).
 pub fn ok_response_raw(id: &JsonValue, result_json: &str) -> String {
     let mut out = String::with_capacity(result_json.len() + 32);

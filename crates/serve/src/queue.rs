@@ -19,7 +19,7 @@ use dae_trace::sync::{lock_recover, recover};
 
 /// Outcome of a non-blocking [`Queue::push`].
 #[derive(Debug)]
-pub enum Push<T> {
+pub(crate) enum Push<T> {
     /// Admitted; a worker will pick it up.
     Queued,
     /// The queue was at capacity — the item was shed, not stored.
@@ -34,7 +34,7 @@ struct Inner<T> {
 }
 
 /// A bounded MPMC work queue with load-shedding and drain semantics.
-pub struct Queue<T> {
+pub(crate) struct Queue<T> {
     inner: Mutex<Inner<T>>,
     capacity: usize,
     not_empty: Condvar,
@@ -42,7 +42,7 @@ pub struct Queue<T> {
 
 impl<T> Queue<T> {
     /// A queue admitting at most `capacity` items (minimum 1).
-    pub fn new(capacity: usize) -> Queue<T> {
+    pub(crate) fn new(capacity: usize) -> Queue<T> {
         Queue {
             inner: Mutex::new(Inner { items: VecDeque::new(), closed: false }),
             capacity: capacity.max(1),
@@ -51,27 +51,22 @@ impl<T> Queue<T> {
     }
 
     /// The configured capacity.
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.capacity
     }
 
     /// Items currently queued (racy, for metrics only).
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.lock().items.len()
     }
 
-    /// True when nothing is queued (racy, for metrics only).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// True once [`Queue::close`] has been called.
-    pub fn is_closed(&self) -> bool {
+    pub(crate) fn is_closed(&self) -> bool {
         self.lock().closed
     }
 
     /// Tries to admit `item` without blocking.
-    pub fn push(&self, item: T) -> Push<T> {
+    pub(crate) fn push(&self, item: T) -> Push<T> {
         let mut inner = self.lock();
         if inner.closed {
             return Push::Closed(item);
@@ -89,7 +84,7 @@ impl<T> Queue<T> {
     ///
     /// Returns `None` only when the queue is closed **and** empty — every
     /// admitted item is delivered exactly once before workers see the end.
-    pub fn pop(&self) -> Option<T> {
+    pub(crate) fn pop(&self) -> Option<T> {
         let mut inner = self.lock();
         loop {
             if let Some(item) = inner.items.pop_front() {
@@ -104,7 +99,7 @@ impl<T> Queue<T> {
 
     /// Begins the drain: refuses new items, wakes every blocked worker.
     /// Items already admitted still drain through [`Queue::pop`].
-    pub fn close(&self) {
+    pub(crate) fn close(&self) {
         self.lock().closed = true;
         self.not_empty.notify_all();
     }

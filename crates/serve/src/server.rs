@@ -20,7 +20,7 @@ use crate::proto::{codes, err_response, ok_response_raw, Op, Request};
 /// worker count and response-cache counters. `/3` added the `pgo` section
 /// (profile records held, recompile-worker counters); `/4` dropped the
 /// `engine` key; `/5` dropped the recompile worker's counters from `pgo`.
-pub const HEALTH_SCHEMA: &str = "dae-serve-health/5";
+pub(crate) const HEALTH_SCHEMA: &str = "dae-serve-health/5";
 
 /// Daemon construction knobs.
 #[derive(Clone, Debug)]

@@ -17,7 +17,7 @@ pub struct InterpConfig {
     /// Maximum call depth.
     pub max_call_depth: usize,
     /// Which execution engine runs the code. Both produce identical
-    /// results, traces and errors (see [`crate::vm`]).
+    /// results, traces and errors (see `crate::vm`).
     pub engine: EngineKind,
 }
 

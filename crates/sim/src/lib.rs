@@ -49,13 +49,14 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod interp;
-pub mod memory;
-pub mod timing;
-pub mod vm;
+pub(crate) mod interp;
+pub(crate) mod memory;
+pub(crate) mod timing;
+pub(crate) mod vm;
 
 pub use interp::{CachePort, InterpConfig, InterpError, Machine};
-pub use memory::{Memory, TypeError, Val};
+pub use memory::{Memory, Val};
 pub use timing::{DemandMiss, PhaseTrace, TimingConfig};
 pub use vm::{EngineKind, LowerSpan};

@@ -20,7 +20,7 @@ pub enum Val {
 /// `Val` accessors and [`Memory::try_read`] so a malformed module fails a
 /// run gracefully instead of aborting the process.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum TypeError {
+pub(crate) enum TypeError {
     /// Expected one payload kind, got another.
     Mismatch {
         /// The kind the operation required.
@@ -57,7 +57,7 @@ impl dae_ir::CodedError for TypeError {
 impl Val {
     /// The name of this value's payload kind.
     #[inline]
-    pub fn kind(self) -> &'static str {
+    pub(crate) fn kind(self) -> &'static str {
         match self {
             Val::I(_) => "i64",
             Val::F(_) => "f64",
@@ -68,7 +68,7 @@ impl Val {
 
     /// The integer payload, or a [`TypeError`] for any other kind.
     #[inline]
-    pub fn try_i(self) -> Result<i64, TypeError> {
+    pub(crate) fn try_i(self) -> Result<i64, TypeError> {
         match self {
             Val::I(v) => Ok(v),
             other => Err(TypeError::Mismatch { expected: "i64", got: other.kind() }),
@@ -77,7 +77,7 @@ impl Val {
 
     /// The float payload, or a [`TypeError`] for any other kind.
     #[inline]
-    pub fn try_f(self) -> Result<f64, TypeError> {
+    pub(crate) fn try_f(self) -> Result<f64, TypeError> {
         match self {
             Val::F(v) => Ok(v),
             other => Err(TypeError::Mismatch { expected: "f64", got: other.kind() }),
@@ -86,7 +86,7 @@ impl Val {
 
     /// The boolean payload, or a [`TypeError`] for any other kind.
     #[inline]
-    pub fn try_b(self) -> Result<bool, TypeError> {
+    pub(crate) fn try_b(self) -> Result<bool, TypeError> {
         match self {
             Val::B(v) => Ok(v),
             other => Err(TypeError::Mismatch { expected: "bool", got: other.kind() }),
@@ -95,7 +95,7 @@ impl Val {
 
     /// The pointer payload, or a [`TypeError`] for any other kind.
     #[inline]
-    pub fn try_p(self) -> Result<u64, TypeError> {
+    pub(crate) fn try_p(self) -> Result<u64, TypeError> {
         match self {
             Val::P(v) => Ok(v),
             other => Err(TypeError::Mismatch { expected: "ptr", got: other.kind() }),
@@ -107,7 +107,7 @@ impl Val {
     /// # Panics
     ///
     /// Panics if the value is not an integer (test helper; execution paths
-    /// use [`Val::try_i`]).
+    /// use `Val::try_i`).
     pub fn as_i(self) -> i64 {
         self.try_i().unwrap_or_else(|e| panic!("{e}"))
     }
@@ -117,7 +117,7 @@ impl Val {
     /// # Panics
     ///
     /// Panics if the value is not a float (test helper; execution paths
-    /// use [`Val::try_f`]).
+    /// use `Val::try_f`).
     pub fn as_f(self) -> f64 {
         self.try_f().unwrap_or_else(|e| panic!("{e}"))
     }
@@ -137,7 +137,7 @@ pub struct Memory {
 
 impl Memory {
     /// Lays out and initialises the globals of `module`.
-    pub fn for_module(module: &Module) -> Memory {
+    pub(crate) fn for_module(module: &Module) -> Memory {
         let mut addr = GLOBALS_BASE;
         let mut global_addrs = Vec::with_capacity(module.num_globals());
         for (_, g) in module.globals() {
@@ -165,7 +165,7 @@ impl Memory {
     }
 
     /// Total mapped size in bytes.
-    pub fn size(&self) -> usize {
+    pub(crate) fn size(&self) -> usize {
         self.bytes.len()
     }
 
@@ -190,7 +190,7 @@ impl Memory {
 
     /// Writes a raw 64-bit word.
     #[inline]
-    pub fn write_u64(&mut self, addr: u64, v: u64) {
+    pub(crate) fn write_u64(&mut self, addr: u64, v: u64) {
         self.check(addr, 8);
         let a = addr as usize;
         self.bytes[a..a + 8].copy_from_slice(&v.to_le_bytes());
@@ -203,7 +203,7 @@ impl Memory {
     ///
     /// Panics on out-of-bounds access.
     #[inline]
-    pub fn try_read(&self, ty: Type, addr: u64) -> Result<Val, TypeError> {
+    pub(crate) fn try_read(&self, ty: Type, addr: u64) -> Result<Val, TypeError> {
         Ok(match ty {
             Type::I64 => Val::I(self.read_u64(addr) as i64),
             Type::F64 => Val::F(f64::from_bits(self.read_u64(addr))),
@@ -221,14 +221,14 @@ impl Memory {
     /// # Panics
     ///
     /// Panics on out-of-bounds access or a [`Type::Void`] load (test
-    /// helper; execution paths use [`Memory::try_read`]).
+    /// helper; execution paths use `Memory::try_read`).
     pub fn read(&self, ty: Type, addr: u64) -> Val {
         self.try_read(ty, addr).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Writes a typed value.
     #[inline]
-    pub fn write(&mut self, addr: u64, v: Val) {
+    pub(crate) fn write(&mut self, addr: u64, v: Val) {
         match v {
             Val::I(x) => self.write_u64(addr, x as u64),
             Val::F(x) => self.write_u64(addr, x.to_bits()),

@@ -120,7 +120,7 @@ pub struct PhaseTrace {
 }
 
 /// Index of a [`HitLevel`] into the per-level counters.
-pub fn level_index(l: HitLevel) -> usize {
+pub(crate) fn level_index(l: HitLevel) -> usize {
     match l {
         HitLevel::L1 => 0,
         HitLevel::L2 => 1,
@@ -159,7 +159,7 @@ impl PhaseTrace {
 
     /// Issue-limited core cycles (frequency-independent count; divide by `f`
     /// for seconds).
-    pub fn core_cycles(&self, cfg: &TimingConfig) -> f64 {
+    pub(crate) fn core_cycles(&self, cfg: &TimingConfig) -> f64 {
         self.instrs as f64 / cfg.issue_width
             + self.extra_lat_cycles
             + self.demand_hits[1] as f64 * cfg.l2_extra_cyc
@@ -208,7 +208,7 @@ impl PhaseTrace {
     }
 
     /// Bandwidth floor in nanoseconds.
-    pub fn bandwidth_ns(&self, cfg: &TimingConfig) -> f64 {
+    pub(crate) fn bandwidth_ns(&self, cfg: &TimingConfig) -> f64 {
         self.dram_lines() as f64 * cfg.line_transfer_ns
     }
 

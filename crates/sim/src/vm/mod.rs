@@ -60,7 +60,7 @@ pub(crate) use exec::VmState;
 /// that `tests/engine_equivalence.rs` and the benchmark's oracle set.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum EngineKind {
-    /// The reference tree-walking interpreter ([`crate::interp`]), kept
+    /// The reference tree-walking interpreter (`crate::interp`), kept
     /// as the differential oracle.
     Tree,
     /// The pre-lowered bytecode engine (this module). Observationally

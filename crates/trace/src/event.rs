@@ -18,7 +18,7 @@ pub enum PhaseKind {
 
 impl PhaseKind {
     /// Stable lowercase name, used as the Chrome-trace category.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             PhaseKind::Access => "access",
             PhaseKind::Execute => "execute",
@@ -67,22 +67,6 @@ impl PhaseCounters {
             ("prefetch_hits", level_array(&self.prefetch_hits)),
             ("dram_lines", self.dram_lines.into()),
         ])
-    }
-
-    /// Accumulates `other` into `self`.
-    pub fn merge(&mut self, other: &PhaseCounters) {
-        self.instrs += other.instrs;
-        self.addr_ops += other.addr_ops;
-        self.fp_ops += other.fp_ops;
-        self.loads += other.loads;
-        self.stores += other.stores;
-        self.prefetches += other.prefetches;
-        self.branches += other.branches;
-        for i in 0..4 {
-            self.demand_hits[i] += other.demand_hits[i];
-            self.prefetch_hits[i] += other.prefetch_hits[i];
-        }
-        self.dram_lines += other.dram_lines;
     }
 }
 
@@ -437,19 +421,8 @@ mod tests {
     }
 
     #[test]
-    fn counters_merge_and_serialize() {
-        let mut a = PhaseCounters { instrs: 10, demand_hits: [1, 2, 3, 4], ..Default::default() };
-        let b = PhaseCounters {
-            instrs: 5,
-            loads: 2,
-            demand_hits: [4, 3, 2, 1],
-            dram_lines: 9,
-            ..Default::default()
-        };
-        a.merge(&b);
-        assert_eq!(a.instrs, 15);
-        assert_eq!(a.loads, 2);
-        assert_eq!(a.demand_hits, [5, 5, 5, 5]);
+    fn counters_serialize() {
+        let a = PhaseCounters { instrs: 15, demand_hits: [5, 5, 5, 5], ..Default::default() };
         let j = a.to_json();
         assert_eq!(j.get("instrs").unwrap().as_f64(), Some(15.0));
         assert_eq!(j.get("demand_hits").unwrap().as_arr().unwrap().len(), 4);

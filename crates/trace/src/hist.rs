@@ -84,7 +84,7 @@ impl LogHistogram {
     }
 
     /// Exact mean of the recorded samples (0 when empty).
-    pub fn mean_s(&self) -> f64 {
+    pub(crate) fn mean_s(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
@@ -93,7 +93,7 @@ impl LogHistogram {
     }
 
     /// Exact maximum recorded sample (0 when empty).
-    pub fn max_s(&self) -> f64 {
+    pub(crate) fn max_s(&self) -> f64 {
         self.max_s
     }
 

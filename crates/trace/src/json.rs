@@ -219,17 +219,17 @@ impl JsonError {
 /// Maximum container nesting depth [`parse`] accepts. The parser is
 /// recursive-descent, so without a bound an adversarial `[[[[…` frame
 /// would overflow the stack — an uncatchable abort, not an `Err`.
-pub const MAX_DEPTH: usize = 128;
+pub(crate) const MAX_DEPTH: usize = 128;
 
 /// Parses `text` as a single JSON value (trailing whitespace allowed,
 /// trailing garbage is an error). Containers nested deeper than
-/// [`MAX_DEPTH`] are rejected with an error.
+/// `MAX_DEPTH` are rejected with an error.
 pub fn parse(text: &str) -> Result<JsonValue, JsonError> {
     Parser::<true>::document(text)
 }
 
 /// True exactly when [`parse`] would succeed: the same parser walks the
-/// same grammar (same [`MAX_DEPTH`], same trailing-garbage rule) but
+/// same grammar (same `MAX_DEPTH`, same trailing-garbage rule) but
 /// builds no tree and allocates nothing, so checking a frame that is only
 /// passed along costs a scan.
 pub fn validate(text: &str) -> bool {

@@ -18,15 +18,13 @@
 //!   [Perfetto](https://ui.perfetto.dev) or `chrome://tracing`: one lane
 //!   per simulated core plus counter tracks for per-core frequency and
 //!   cumulative energy;
-//! * [`summary::summary_json`] — a compact aggregate schema suitable for
-//!   `BENCH_*.json` trajectory files;
 //! * [`json`] — the dependency-free ordered JSON tree, writer and strict
 //!   parser the exporters (and the rest of the workspace) build on.
 //!
 //! As the zero-dependency leaf every other crate already reaches, it also
-//! owns the workspace's shared primitives, one of each: [`lru`] (the
-//! byte-bounded LRU), [`fnv`] (the stable content hash), [`rng`] (the
-//! seeded SplitMix64), [`sync`] (poison-tolerant locking) and [`fs`] (the
+//! owns the workspace's shared primitives, one of each: `lru` (the
+//! byte-bounded LRU), [`fnv`] (the stable content hash), `rng` (the
+//! seeded SplitMix64), [`sync`] (poison-tolerant locking) and `fs` (the
 //! atomic temp-file-and-rename write).
 //!
 //! # Examples
@@ -56,17 +54,17 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod chrome;
-pub mod event;
+pub(crate) mod event;
 pub mod fnv;
-pub mod fs;
-pub mod hist;
+pub(crate) mod fs;
+pub(crate) mod hist;
 pub mod json;
-pub mod lru;
-pub mod rng;
-pub mod sink;
-pub mod summary;
+pub(crate) mod lru;
+pub(crate) mod rng;
+pub(crate) mod sink;
 pub mod sync;
 
 pub use event::{PhaseCounters, PhaseKind, TraceEvent};

@@ -81,13 +81,9 @@ impl<V> Lru<V> {
     }
 
     /// Entries currently resident.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    fn len(&self) -> usize {
         self.map.len()
-    }
-
-    /// True when nothing is resident.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
     }
 }
 
@@ -201,6 +197,5 @@ mod tests {
         assert!(c.get(1).is_some(), "sole entry is never its own victim");
         assert_eq!(c.insert(2, (), 500), 1, "the next insert evicts it");
         assert!(c.get(1).is_none() && c.get(2).is_some());
-        assert!(!c.is_empty());
     }
 }

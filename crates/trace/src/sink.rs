@@ -74,11 +74,6 @@ impl Recorder {
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
     }
-
-    /// Latest event end time, in virtual seconds (0 when empty).
-    pub fn makespan_s(&self) -> f64 {
-        self.events.iter().map(TraceEvent::end_s).fold(0.0, f64::max)
-    }
 }
 
 impl TraceSink for Recorder {
@@ -113,6 +108,5 @@ mod tests {
         assert_eq!(r.len(), 2);
         assert_eq!(r.cores(), 4);
         assert_eq!(r.events()[1].core(), 1);
-        assert!((r.makespan_s() - 2.5).abs() < 1e-15);
     }
 }

@@ -16,9 +16,9 @@ use dae_ir::{FuncId, FunctionBuilder, GlobalId, Module, Type, Value};
 use dae_sim::Val;
 
 /// Default number of matrix rows.
-pub const ROWS: i64 = 16384;
+pub(crate) const ROWS: i64 = 16384;
 /// Default non-zeros per row.
-pub const NNZ_PER_ROW: i64 = 16;
+pub(crate) const NNZ_PER_ROW: i64 = 16;
 
 struct Arrays {
     a: GlobalId,
@@ -187,7 +187,7 @@ pub fn build_sized(rows: i64, nnz_per_row: i64, chunk: i64, iters: i64) -> Workl
 }
 
 /// Builds the default-size CG workload.
-pub fn build() -> Workload {
+pub(crate) fn build() -> Workload {
     build_sized(ROWS, NNZ_PER_ROW, 512, 1)
 }
 

@@ -19,9 +19,9 @@ use dae_ir::{FuncId, FunctionBuilder, GlobalId, Module, Type, Value};
 use dae_sim::Val;
 
 /// Default matrix dimension.
-pub const N: i64 = 128;
+pub(crate) const N: i64 = 128;
 /// Default block size.
-pub const B: i64 = 32;
+pub(crate) const B: i64 = 32;
 
 fn elem2(b: &mut FunctionBuilder, a: GlobalId, row: Value, col: Value, n: i64) -> Value {
     let r = b.imul(row, n);
@@ -237,7 +237,7 @@ pub fn build_sized(n: i64, blk: i64) -> Workload {
 }
 
 /// Builds the default-size Cholesky workload.
-pub fn build() -> Workload {
+pub(crate) fn build() -> Workload {
     build_sized(N, B)
 }
 

@@ -12,11 +12,11 @@ use dae_ir::{FuncId, FunctionBuilder, GlobalId, Module, Type, Value};
 use dae_sim::Val;
 
 /// Default population size (individuals).
-pub const POP: i64 = 8192;
+pub(crate) const POP: i64 = 8192;
 /// Default chromosome length (genes).
-pub const LEN: i64 = 128;
+pub(crate) const LEN: i64 = 128;
 /// Default case-library size.
-pub const CASES: i64 = 64;
+pub(crate) const CASES: i64 = 64;
 
 struct Arrays {
     pop: GlobalId,
@@ -212,7 +212,7 @@ pub fn build_sized(pop: i64, len: i64, cases: i64, chunk: i64) -> Workload {
 }
 
 /// Builds the default-size CIGAR workload.
-pub fn build() -> Workload {
+pub(crate) fn build() -> Workload {
     build_sized(POP, LEN, CASES, 64)
 }
 

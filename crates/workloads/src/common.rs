@@ -56,7 +56,7 @@ pub struct Workload {
 
 impl Workload {
     /// Creates a workload shell; benchmarks fill the fields.
-    pub fn new(name: &'static str, module: Module) -> Self {
+    pub(crate) fn new(name: &'static str, module: Module) -> Self {
         Workload {
             name,
             module,

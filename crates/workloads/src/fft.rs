@@ -20,7 +20,7 @@ use dae_ir::{CmpOp, FuncId, FunctionBuilder, GlobalId, Module, Type, Value};
 use dae_sim::Val;
 
 /// Default transform size (must be a power of two).
-pub const DEFAULT_N: i64 = 524288;
+pub(crate) const DEFAULT_N: i64 = 524288;
 
 struct Arrays {
     re: GlobalId,
@@ -183,13 +183,13 @@ pub fn build_sized(n: i64, chunks: i64) -> Workload {
 /// 512k-point transform (the full 19-stage run is shape-identical; sampling
 /// keeps simulation time reasonable while the 12 MB working set stays
 /// DRAM-resident like the SPLASH-2 original).
-pub fn build() -> Workload {
+pub(crate) fn build() -> Workload {
     build_stage_sampled(DEFAULT_N, 32, &[4, 8, 12, 16])
 }
 
 /// Builds an FFT workload restricted to the given stages (1-based log2 of
 /// the group length).
-pub fn build_stage_sampled(n: i64, chunks: i64, stages: &[i64]) -> Workload {
+pub(crate) fn build_stage_sampled(n: i64, chunks: i64, stages: &[i64]) -> Workload {
     let mut w = build_sized(n, chunks);
     let mut keep_inst = Vec::new();
     let mut keep_epochs = Vec::new();

@@ -18,11 +18,11 @@ use dae_ir::{CmpOp, FuncId, FunctionBuilder, GlobalId, Module, Type, Value};
 use dae_sim::Val;
 
 /// Default lattice width.
-pub const W: i64 = 512;
+pub(crate) const W: i64 = 512;
 /// Default lattice height.
-pub const H: i64 = 256;
+pub(crate) const H: i64 = 256;
 /// Number of distributions per cell (D2Q5).
-pub const Q: i64 = 5;
+pub(crate) const Q: i64 = 5;
 
 /// One task: collide-and-stream rows `[y0, y1)` from plane `src_off` to
 /// plane `dst_off` of the distribution array `f[2][Q][H·W]`.
@@ -174,7 +174,7 @@ pub fn build_sized(w: i64, h: i64, chunk: i64, iters: i64) -> Workload {
 }
 
 /// Builds the default-size LBM workload.
-pub fn build() -> Workload {
+pub(crate) fn build() -> Workload {
     build_sized(W, H, 4, 2)
 }
 

@@ -33,6 +33,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod cg;
 pub mod cholesky;

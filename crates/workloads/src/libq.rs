@@ -18,7 +18,7 @@ use dae_ir::{CmpOp, FuncId, FunctionBuilder, GlobalId, Module, Type, Value};
 use dae_sim::Val;
 
 /// Default register table size (number of simulated basis states).
-pub const DEFAULT_STATES: i64 = 262144;
+pub(crate) const DEFAULT_STATES: i64 = 262144;
 
 struct Reg {
     basis: GlobalId,
@@ -202,7 +202,7 @@ pub fn build_sized(states: i64, chunk: i64) -> Workload {
 }
 
 /// Builds the default-size LibQ workload.
-pub fn build() -> Workload {
+pub(crate) fn build() -> Workload {
     build_sized(DEFAULT_STATES, 16384)
 }
 

@@ -8,7 +8,7 @@
 //!      [--jobs N] [--cache-dir <dir>] [--cache-max-mb <mb>]
 //!      [--no-polyhedral]
 //!      [--profile-in <file>] [--profile-out <file>] [--profile-dir <dir>]
-//!      [--trace-out <file> [--trace-format chrome|summary]]
+//!      [--trace-out <file>]
 //! ```
 //!
 //! * `--report` — print per-task strategy/statistics instead of IR
@@ -34,33 +34,25 @@
 //! * `--profile-dir` — persistent per-record profile store: loads every
 //!   record before compiling and writes collected records through
 //! * `--trace-out` — run every task once (decoupled where possible, under
-//!   the selected `--policy`) with event tracing on and write the trace to
+//!   the selected `--policy`) with event tracing on and write a Chrome
+//!   trace (open in <https://ui.perfetto.dev> or `chrome://tracing`) to
 //!   `<file>`; with `--profile-out`/`--profile-dir` the same run also
 //!   collects the profiles (the module is simulated once)
-//! * `--trace-format` — `chrome` (default; open in
-//!   <https://ui.perfetto.dev> or `chrome://tracing`) or `summary`
-//!   (compact aggregate JSON)
 //!
 //! Try it on the bundled examples: `cargo run --bin daec -- examples/ir/stream.dae --report --run`
 
 use dae_repro::compiler::{CompilerOptions, Strategy};
-use dae_repro::driver::{emit_spans, CompileOutcome, Driver, DriverConfig};
+use dae_repro::driver::{emit_spans, Driver, DriverConfig};
 use dae_repro::governor::{BanditConfig, BanditEdp, GovernorKind, TaskClass};
 use dae_repro::ir::{parse::parse_module, print_module, verify_module, CodedError};
 use dae_repro::pgo::{store::DEFAULT_MAX_RECORDS, ProfileCollector, ProfileStore};
 use dae_repro::runtime::{
-    module_instances, run_workload, run_workload_with, CompileStats, FreqPolicy, RunHooks,
-    RuntimeConfig, TaskInstance,
+    module_instances, run_workload, run_workload_with, FreqPolicy, RunHooks, RuntimeConfig,
+    TaskInstance,
 };
-use dae_repro::trace::{chrome, json::JsonValue, summary, Recorder, TraceSink};
+use dae_repro::trace::{chrome, json::JsonValue, Recorder, TraceSink};
 use std::path::PathBuf;
 use std::process::ExitCode;
-
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum TraceFormat {
-    Chrome,
-    Summary,
-}
 
 struct Args {
     file: String,
@@ -70,7 +62,6 @@ struct Args {
     opts: CompilerOptions,
     policy: FreqPolicy,
     trace_out: Option<String>,
-    trace_format: TraceFormat,
     jobs: usize,
     cache_dir: Option<PathBuf>,
     cache_max_mb: usize,
@@ -88,7 +79,6 @@ fn parse_args() -> Result<Option<Args>, String> {
     let mut opts = CompilerOptions::default();
     let mut policy = FreqPolicy::DaeOptimal;
     let mut trace_out = None;
-    let mut trace_format = TraceFormat::Chrome;
     let mut jobs = 1usize;
     let mut cache_dir = None;
     let mut cache_max_mb = 64usize;
@@ -116,17 +106,6 @@ fn parse_args() -> Result<Option<Args>, String> {
                     .collect::<Result<_, _>>()?;
             }
             "--trace-out" => trace_out = Some(it.next().ok_or("--trace-out needs a path")?),
-            "--trace-format" => {
-                trace_format = match it.next().ok_or("--trace-format needs a value")?.as_str() {
-                    "chrome" => TraceFormat::Chrome,
-                    "summary" => TraceFormat::Summary,
-                    other => {
-                        return Err(format!(
-                            "bad trace format `{other}` (expected chrome or summary)"
-                        ))
-                    }
-                };
-            }
             "--jobs" => {
                 let v = it.next().ok_or("--jobs needs a value")?;
                 jobs = v.parse::<usize>().map_err(|e| format!("bad job count: {e}"))?;
@@ -168,7 +147,6 @@ fn parse_args() -> Result<Option<Args>, String> {
         opts,
         policy,
         trace_out,
-        trace_format,
         jobs,
         cache_dir,
         cache_max_mb,
@@ -176,20 +154,6 @@ fn parse_args() -> Result<Option<Args>, String> {
         profile_out,
         profile_dir,
     }))
-}
-
-/// The report-facing view of a driver compile: deterministic counts only.
-fn compile_stats(outcome: &CompileOutcome) -> CompileStats {
-    CompileStats {
-        tasks: outcome.tasks,
-        generated: outcome.generated,
-        refused: outcome.refused,
-        from_cache: outcome.from_cache,
-        mem_hits: outcome.cache.mem_hits,
-        disk_hits: outcome.cache.disk_hits,
-        misses: outcome.cache.misses,
-        evictions: outcome.cache.evictions,
-    }
 }
 
 fn main() -> ExitCode {
@@ -388,23 +352,23 @@ fn run_main() -> Result<(), String> {
         }
     }
 
-    if let (Some(path), Some((rec, mut report))) = (&args.trace_out, traced) {
-        report.compile = Some(compile_stats(&outcome));
+    if let (Some(path), Some((rec, report))) = (&args.trace_out, traced) {
+        let mut report = report.to_json();
+        if let JsonValue::Obj(pairs) = &mut report {
+            pairs.push(("compile".to_string(), outcome.counts_json()));
+        }
         let meta: Vec<(String, JsonValue)> = vec![
             ("source".to_string(), args.file.as_str().into()),
             ("policy".to_string(), cfg.policy.label(&cfg.table).as_str().into()),
-            ("report".to_string(), report.to_json()),
+            ("report".to_string(), report),
         ];
-        let text = match args.trace_format {
-            TraceFormat::Chrome => chrome::chrome_trace_json_with(&rec, meta),
-            TraceFormat::Summary => summary::summary_json_with(&rec, meta),
-        };
+        let text = chrome::chrome_trace_json_with(&rec, meta);
         std::fs::write(path, &text).map_err(|e| format!("cannot write {path}: {e}"))?;
-        let what = match args.trace_format {
-            TraceFormat::Chrome => "chrome trace (open in ui.perfetto.dev)",
-            TraceFormat::Summary => "summary JSON",
-        };
-        println!("trace: {} events over {} cores -> {path} [{what}]", rec.len(), rec.cores());
+        println!(
+            "trace: {} events over {} cores -> {path} [chrome trace (open in ui.perfetto.dev)]",
+            rec.len(),
+            rec.cores()
+        );
     }
     Ok(())
 }

@@ -25,7 +25,7 @@
 //! | [`pgo`] | persistent phase profiles + profile-guided refinement |
 //! | [`serve`] | concurrent compile-and-simulate network service (`daed`) |
 //! | [`gate`] | sharded, fault-tolerant gateway over a `daed` fleet (`daeg`) |
-//! | [`trace`] | event-level tracing: Perfetto/Chrome-trace + summary JSON |
+//! | [`trace`] | event-level tracing: Perfetto/Chrome-trace export |
 //! | [`workloads`] | the seven evaluation benchmarks |
 //!
 //! [`model`] regenerates the paper's evaluation (Table 1, Figs. 3–4,

@@ -88,16 +88,18 @@ fn trace_out_records_the_selected_policy_and_governor() {
         &example("stream.dae"),
         "--trace-out",
         out.to_str().unwrap(),
-        "--trace-format",
-        "summary",
         "--policy",
         "governed",
     ]);
     assert!(ok, "{stderr}");
     let v = parse(&std::fs::read_to_string(&out).unwrap()).expect("valid JSON");
-    assert_eq!(v.get("policy").unwrap().as_str(), Some("governed:heuristic"));
-    assert!(v.get("governor_decisions").unwrap().as_f64().unwrap() > 0.0);
-    let gov = v.get("report").unwrap().get("governor").expect("governed report section");
+    let meta = v.get("metadata").unwrap();
+    assert_eq!(meta.get("policy").unwrap().as_str(), Some("governed:heuristic"));
+    let events = v.get("traceEvents").unwrap().as_arr().unwrap();
+    let decisions =
+        events.iter().filter(|e| e.get("cat").and_then(JsonValue::as_str) == Some("governor"));
+    assert!(decisions.count() > 0);
+    let gov = meta.get("report").unwrap().get("governor").expect("governed report section");
     assert_eq!(gov.get("governor").unwrap().as_str(), Some("heuristic"));
     assert!(!gov.get("classes").unwrap().as_arr().unwrap().is_empty());
 }
@@ -132,13 +134,8 @@ fn trace_out_chrome_is_valid_and_reconciles_with_breakdown() {
     let dir = std::env::temp_dir().join("daec_cli_trace_chrome");
     std::fs::create_dir_all(&dir).unwrap();
     let out = dir.join("t.json");
-    let (ok, stdout, stderr) = daec(&[
-        &example("stream.dae"),
-        "--trace-out",
-        out.to_str().unwrap(),
-        "--trace-format",
-        "chrome",
-    ]);
+    let (ok, stdout, stderr) =
+        daec(&[&example("stream.dae"), "--trace-out", out.to_str().unwrap()]);
     assert!(ok, "{stderr}");
     assert!(stdout.contains("trace:"), "{stdout}");
 
@@ -201,44 +198,6 @@ fn trace_out_chrome_is_valid_and_reconciles_with_breakdown() {
         .expect("stream.dae generates an access phase");
     let counters = access_span.0.get("args").unwrap().get("counters").unwrap();
     assert!(counters.get("prefetches").unwrap().as_f64().unwrap() > 0.0);
-}
-
-#[test]
-fn trace_out_summary_matches_embedded_report() {
-    let dir = std::env::temp_dir().join("daec_cli_trace_summary");
-    std::fs::create_dir_all(&dir).unwrap();
-    let out = dir.join("s.json");
-    let (ok, _, stderr) = daec(&[
-        &example("stream.dae"),
-        "--trace-out",
-        out.to_str().unwrap(),
-        "--trace-format",
-        "summary",
-    ]);
-    assert!(ok, "{stderr}");
-    let v = parse(&std::fs::read_to_string(&out).unwrap()).expect("valid JSON");
-    assert_eq!(v.get("schema").unwrap().as_str(), Some("dae-trace-summary/1"));
-    assert_eq!(v.get("source").unwrap().as_str().map(|s| s.ends_with("stream.dae")), Some(true));
-    let phase_s = v.get("phase_s").unwrap();
-    let breakdown = v.get("report").unwrap().get("breakdown").unwrap();
-    for (trace_key, report_key) in [
-        ("access", "access_s"),
-        ("execute", "execute_s"),
-        ("overhead", "overhead_s"),
-        ("idle", "idle_s"),
-    ] {
-        let a = phase_s.get(trace_key).unwrap().as_f64().unwrap();
-        let b = breakdown.get(report_key).unwrap().as_f64().unwrap();
-        assert!((a - b).abs() < 1e-9, "{trace_key}: {a} vs {b}");
-    }
-}
-
-#[test]
-fn bad_trace_format_fails_cleanly() {
-    let (ok, _, stderr) =
-        daec(&[&example("stream.dae"), "--trace-out", "/tmp/x.json", "--trace-format", "xml"]);
-    assert!(!ok);
-    assert!(stderr.contains("bad trace format"), "{stderr}");
 }
 
 #[test]
@@ -319,8 +278,6 @@ fn profile_out_and_trace_out_observe_one_run() {
         doc.to_str().unwrap(),
         "--trace-out",
         trace.to_str().unwrap(),
-        "--trace-format",
-        "summary",
     ]);
     assert!(ok, "{stderr}");
     let (p, t) = (stdout.find("profile: 1 records").unwrap(), stdout.find("trace: ").unwrap());
@@ -329,12 +286,62 @@ fn profile_out_and_trace_out_observe_one_run() {
     // The profile's counters are the traced run's counters.
     let record = only_record(&doc);
     let v = parse(&std::fs::read_to_string(&trace).unwrap()).expect("valid JSON");
-    let report = v.get("report").unwrap();
+    let report = v.get("metadata").unwrap().get("report").unwrap();
     let count =
         |v: &JsonValue, phase: &str, k: &str| v.get(phase).unwrap().get(k).unwrap().as_f64();
     assert_eq!(count(&record, "execute", "instrs"), count(report, "execute_trace", "instrs"));
     assert_eq!(count(&record, "access", "prefetches"), count(report, "access_trace", "prefetches"));
     assert!(count(&record, "access", "prefetches").unwrap() > 0.0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn trace_report_compile_section_is_the_report_compile_line() {
+    // Cold, then warm from the disk tier: the `compile` object embedded in
+    // the trace carries the counts `--report` prints, key for key.
+    let dir = scratch("compile_section");
+    let cache = dir.join("cache");
+    for round in 0..2 {
+        let trace = dir.join(format!("t{round}.json"));
+        let (ok, stdout, stderr) = daec(&[
+            &example("stream.dae"),
+            "--report",
+            "--cache-dir",
+            cache.to_str().unwrap(),
+            "--trace-out",
+            trace.to_str().unwrap(),
+        ]);
+        assert!(ok, "{stderr}");
+        let line = stdout.lines().find(|l| l.starts_with("compile: ")).expect("compile line");
+        let printed: Vec<f64> = line
+            .split(|c: char| !c.is_ascii_digit())
+            .filter(|w| !w.is_empty())
+            .map(|w| w.parse().unwrap())
+            .collect();
+        let v = parse(&std::fs::read_to_string(&trace).unwrap()).expect("valid JSON");
+        let compile = v.get("metadata").unwrap().get("report").unwrap().get("compile").unwrap();
+        let keys: Vec<&str> = compile.as_obj().unwrap().iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(
+            keys,
+            [
+                "tasks",
+                "generated",
+                "refused",
+                "from_cache",
+                "mem_hits",
+                "disk_hits",
+                "misses",
+                "evictions",
+                "hits"
+            ]
+        );
+        let field = |k: &str| compile.get(k).unwrap().as_f64().unwrap();
+        let embedded: Vec<f64> = keys[..7].iter().map(|k| field(k)).collect();
+        assert_eq!(embedded, printed, "{line}");
+        assert_eq!(field("hits"), field("mem_hits") + field("disk_hits"));
+        let warm = if round == 0 { 0.0 } else { field("tasks") };
+        assert_eq!(field("disk_hits"), warm, "round {round}: {line}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
