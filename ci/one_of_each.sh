@@ -5,7 +5,8 @@
 #
 # Not scanned: crates/perf (the benchmark measures the workspace from
 # outside and may not be touched by refactors), crates/workloads (data
-# seeds, not generators) and vendor/ (stand-ins for external crates).
+# seeds, not generators; only its manifest is checked, by the last rule)
+# and vendor/ (stand-ins for external crates).
 set -u
 cd "$(dirname "$0")/.."
 
@@ -247,6 +248,21 @@ if [ "$n" -ne 1 ]; then
     echo "one_of_each: InterpError::StepLimit appears $n times in crates/sim/src/vm/exec.rs (only step! raises it)"
     fail=1
 fi
+
+# A crate depends only on what it uses: every `dae-*` entry under a
+# manifest's `[dependencies]` is named (`dae_*`) somewhere in that crate's
+# Rust sources. An edge nothing uses only widens the build graph.
+for manifest in Cargo.toml crates/*/Cargo.toml; do
+    dir=$(dirname "$manifest")
+    [ "$dir" = crates/perf ] && continue
+    if [ "$dir" = . ]; then sources="src tests examples"; else sources=$dir; fi
+    for dep in $(sed -n '/^\[dependencies\]/,/^\[/p' "$manifest" | grep -oE '^dae-[a-z]+'); do
+        if ! grep -rqw --include='*.rs' -e "${dep//-/_}" $sources; then
+            echo "one_of_each: $manifest depends on $dep, which its sources never name"
+            fail=1
+        fi
+    done
+done
 
 if [ "$fail" -eq 0 ]; then
     echo "one_of_each: ok"

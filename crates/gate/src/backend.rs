@@ -157,26 +157,38 @@ impl Backend {
         lock_recover(&self.pgo).clone()
     }
 
-    /// Current health state (with the Ejected → HalfOpen clock applied).
-    pub(crate) fn state(&self, readmit_after: Duration) -> HealthState {
+    /// The health record with the Ejected → HalfOpen clock applied.
+    fn health(&self, readmit_after: Duration) -> std::sync::MutexGuard<'_, Health> {
         let mut h = lock_recover(&self.health);
         if h.state == HealthState::Ejected && h.since.elapsed() >= readmit_after {
             h.state = HealthState::HalfOpen;
             h.trial_inflight = false;
         }
-        h.state
+        h
     }
 
-    /// Claims the right to route one request here. `Up` admits freely
+    /// Current health state (with the Ejected → HalfOpen clock applied).
+    pub(crate) fn state(&self, readmit_after: Duration) -> HealthState {
+        self.health(readmit_after).state
+    }
+
+    /// Whether [`Backend::admit`] would admit a request now, without
+    /// claiming anything.
+    pub(crate) fn routable(&self, readmit_after: Duration) -> bool {
+        let h = self.health(readmit_after);
+        match h.state {
+            HealthState::Up => true,
+            HealthState::HalfOpen => !h.trial_inflight,
+            _ => false,
+        }
+    }
+
+    /// Claims the right to send one request here. `Up` admits freely
     /// (under the in-flight cap, which the router checks separately);
     /// `HalfOpen` admits exactly one trial at a time; `Ejected` and
     /// `Draining` refuse.
     pub(crate) fn admit(&self, readmit_after: Duration) -> bool {
-        let mut h = lock_recover(&self.health);
-        if h.state == HealthState::Ejected && h.since.elapsed() >= readmit_after {
-            h.state = HealthState::HalfOpen;
-            h.trial_inflight = false;
-        }
+        let mut h = self.health(readmit_after);
         match h.state {
             HealthState::Up => true,
             HealthState::HalfOpen if !h.trial_inflight => {
@@ -404,7 +416,9 @@ mod tests {
         assert!(!b.admit(READMIT), "ejected backends are not routable");
         std::thread::sleep(READMIT + Duration::from_millis(5));
         assert_eq!(b.state(READMIT), HealthState::HalfOpen);
+        assert!(b.routable(READMIT) && b.routable(READMIT), "looking claims nothing");
         assert!(b.admit(READMIT), "half-open admits one trial");
+        assert!(!b.routable(READMIT), "the trial is taken");
         assert!(!b.admit(READMIT), "only one trial at a time");
         assert!(b.note_success(), "trial success re-admits");
         assert_eq!(b.state(READMIT), HealthState::Up);

@@ -3,6 +3,11 @@
 //! worker pool as `daed`, with routers for workers:
 //! pop → pick backend (ring walk) → forward (retry) → respond.
 //!
+//! The gateway opts into inline work: a forward is one backend round trip,
+//! short next to the handoff to a router, so a reader with its frame alone
+//! on the connection, nothing queued and a router slot free forwards the
+//! frame itself. `routers` bounds the forwards in flight either way.
+//!
 //! The gateway speaks the exact `daed` wire protocol on both sides. A work
 //! frame is re-serialised once (canonically, with its deadline budget
 //! decremented by the time already spent inside the gateway) and the
@@ -35,7 +40,8 @@ pub struct GateConfig {
     pub addr: String,
     /// Backend `host:port` addresses (the fleet).
     pub backends: Vec<String>,
-    /// Router threads forwarding work requests.
+    /// At most this many forwards in flight: router threads forwarding
+    /// queued requests plus readers forwarding their own frame.
     pub routers: usize,
     /// Admission-queue capacity; beyond it requests are shed.
     pub queue_depth: usize,
@@ -211,6 +217,7 @@ impl Service for Shared {
     /// verbatim instead of re-serialising the (IR-sized) request per
     /// attempt.
     const KEEPS_FRAME: bool = true;
+    const INLINE_WORK: bool = true;
 
     fn counters(&self) -> &AdmissionCounters {
         &self.metrics.admission
@@ -264,9 +271,11 @@ fn route(shared: &Shared, job: &Job) -> (String, bool) {
     if candidates.is_empty() {
         return (no_backends(job), false);
     }
-    // Admitted candidates in key order, honouring health state.
+    // Routable candidates in key order, honouring health state. Nothing is
+    // claimed yet: a half-open backend's one trial goes to the request
+    // that is actually sent there.
     let admitted: Vec<usize> =
-        candidates.iter().copied().filter(|&b| shared.fleet[b].admit(cfg.readmit)).collect();
+        candidates.iter().copied().filter(|&b| shared.fleet[b].routable(cfg.readmit)).collect();
     if admitted.is_empty() {
         return (no_backends(job), false);
     }
@@ -297,12 +306,21 @@ fn route(shared: &Shared, job: &Job) -> (String, bool) {
     let route_start_s = shared.now_s();
     let t0 = Instant::now();
 
-    // One attempt in flight at a time, inline in this router thread:
-    // `Backend::call` enforces the per-attempt timeout through socket
-    // deadlines.
+    // One attempt in flight at a time, on this thread (a router, or the
+    // reader of an inline job): `Backend::call` enforces the per-attempt
+    // timeout through socket deadlines.
     let mut attempts: u32 = 0;
+    let mut cursor = 0;
     loop {
-        let backend_idx = order[attempts as usize % order.len()];
+        // Claim the next candidate that still admits (another request may
+        // have taken a half-open trial since the walk above).
+        let claimed = (0..order.len())
+            .find(|&i| shared.fleet[order[(cursor + i) % order.len()]].admit(cfg.readmit));
+        let Some(skip) = claimed else {
+            return (no_backends(job), false);
+        };
+        let backend_idx = order[(cursor + skip) % order.len()];
+        cursor += skip + 1;
         let rebuilt;
         let line: &str = match job.deadline {
             None => &job.raw,

@@ -16,10 +16,11 @@
 //!   machine, and per-backend counters.
 //! * `gateway` — the daemon: reader threads, a bounded admission queue
 //!   (shed with `gate.overloaded`, drain with `gate.draining`), router
-//!   threads doing bounded-load spill, capped-exponential-backoff retries
+//!   threads (or a reader forwarding its own frame) doing bounded-load
+//!   spill, capped-exponential-backoff retries
 //!   on a *different* backend and deadline-budget propagation.
 //! * `metrics` — aggregate counters/histograms behind `stats`
-//!   (`dae-gate-stats/2`) and the stable `gate.*` error-code vocabulary.
+//!   (`dae-gate-stats/3`) and the stable `gate.*` error-code vocabulary.
 //! * `fault` — a deterministic in-process fault-injection proxy
 //!   (drop/delay/close/garble/truncate, seeded) for tests.
 //!

@@ -2,7 +2,7 @@
 //!
 //! Everything here is either atomic or behind a short-lived mutex so the
 //! hot path never blocks on stats readers. The JSON shape is versioned
-//! (`dae-gate-stats/2`) like the serving layer's, and per-backend detail
+//! (`dae-gate-stats/3`) like the serving layer's, and per-backend detail
 //! comes from [`crate::backend::Backend::to_json`] — this module only owns
 //! the aggregate view.
 
@@ -15,7 +15,8 @@ use dae_trace::json::JsonValue;
 use dae_trace::{lock_recover, LogHistogram};
 
 /// Stable schema tag for the gateway `stats` response body.
-pub(crate) const GATE_STATS_SCHEMA: &str = "dae-gate-stats/2";
+/// `/3` added `inline`.
+pub(crate) const GATE_STATS_SCHEMA: &str = "dae-gate-stats/3";
 
 /// Stable schema tag for the gateway `health` response body.
 pub(crate) const GATE_HEALTH_SCHEMA: &str = "dae-gate-health/1";
@@ -60,7 +61,8 @@ pub(crate) struct GateMetrics {
     pub probes: AtomicU64,
     /// End-to-end gateway latency for answered requests.
     pub latency: Mutex<LogHistogram>,
-    /// Time spent queued before a router thread picked the request up.
+    /// Time spent queued before a router thread picked the request up
+    /// (zero for a request its reader forwarded).
     pub queue_wait: Mutex<LogHistogram>,
 }
 
@@ -99,6 +101,7 @@ impl GateMetrics {
             ("routers", routers.into()),
             ("queue_depth", queue_depth.into()),
             ("accepted", c(&a.accepted)),
+            ("inline", c(&a.inline)),
             ("completed", c(&self.completed)),
             ("failed", c(&self.failed)),
             ("shed", c(&a.shed)),
@@ -125,11 +128,13 @@ mod tests {
     fn stats_body_has_schema_and_counters() {
         let m = GateMetrics::new();
         m.admission.accepted.fetch_add(3, Ordering::Relaxed);
+        m.admission.inline.fetch_add(2, Ordering::Relaxed);
         m.record_done(true, 0.001, 0.010);
         m.record_done(false, 0.002, 0.020);
         let body = m.to_json(Instant::now(), 1, 4, vec![JsonValue::obj([("addr", "x".into())])]);
         assert_eq!(body.get("schema").unwrap().as_str().unwrap(), GATE_STATS_SCHEMA);
         assert_eq!(body.get("accepted").unwrap().as_f64().unwrap(), 3.0);
+        assert_eq!(body.get("inline").unwrap().as_f64().unwrap(), 2.0);
         assert_eq!(body.get("completed").unwrap().as_f64().unwrap(), 1.0);
         assert_eq!(body.get("failed").unwrap().as_f64().unwrap(), 1.0);
         assert_eq!(body.get("backends").unwrap().as_arr().unwrap().len(), 1);

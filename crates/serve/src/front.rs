@@ -5,8 +5,11 @@
 //!            readers (1/conn)        bounded queue        workers (N)
 //!  client ──► parse frame ──► admit ─────────────────► pop → Service::work
 //!     ▲         │    │          │ full → overloaded        │
-//!     │         │    │          │ draining → refused       ▼
-//!     └─────────┴────┴──────────┴──────────────── response line (per conn)
+//!     │         │    │          │ draining → refused       │
+//!     │         │    │          │ alone, idle, free slot:  │
+//!     │         │    │          │ Service::work (inline)   │
+//!     │         │    │          │       │                  ▼
+//!     └─────────┴────┴──────────┴───────┴──────── response line (per conn)
 //! ```
 //!
 //! * Each connection gets a **reader thread** that frames newline-delimited
@@ -18,11 +21,17 @@
 //!   [`Service::work`]. Responses go back through a per-connection writer
 //!   mutex, so lines never interleave; `id` is the client's correlation
 //!   key.
+//! * **Inline work** — for a service that opts in
+//!   ([`Service::INLINE_WORK`]), a reader runs a work frame itself when
+//!   nothing is buffered behind it on its connection, nothing is queued
+//!   and one of the `workers` slots is free. A closed-loop client then
+//!   skips the handoff to a worker. Readers and workers together never run
+//!   more than `workers` jobs, so overload still queues and sheds.
 //! * **Graceful drain** — a `shutdown` request or a SIGTERM/SIGINT (see
 //!   [`install_signal_drain`]) stops the accept loop and closes the queue:
 //!   everything already admitted completes and is answered, everything new
 //!   is refused, and [`Front::run`] returns once the workers have gone
-//!   idle.
+//!   idle — which they do only after the last inline job has answered.
 //!
 //! A daemon is a [`Service`]: the control-op bodies, the work function, an
 //! optional reader-thread fast path, and its own error codes and wording.
@@ -85,8 +94,12 @@ impl Job {
 /// bumps them, the daemon's metrics embed and print them.
 #[derive(Default)]
 pub struct AdmissionCounters {
-    /// Work requests admitted (queued, or answered on the fast path).
+    /// Work requests admitted (queued, run inline, or answered on the fast
+    /// path).
     pub accepted: AtomicU64,
+    /// Of `accepted`, the work requests run on their reader thread
+    /// ([`Service::INLINE_WORK`]).
+    pub inline: AtomicU64,
     /// Requests shed because the queue was full.
     pub shed: AtomicU64,
     /// Requests refused because the daemon was draining.
@@ -136,6 +149,10 @@ pub trait Service: Send + Sync + 'static {
     /// daemon passes it on verbatim; an executing one has no use for a
     /// second copy of the IR).
     const KEEPS_FRAME: bool;
+    /// Whether a reader may run [`Service::work`] itself when its frame is
+    /// alone on the connection, nothing is queued and a worker slot is
+    /// free. Worth it when a job is short next to the handoff to a worker.
+    const INLINE_WORK: bool = false;
 
     /// The counters the front end bumps.
     fn counters(&self) -> &AdmissionCounters;
@@ -151,7 +168,7 @@ pub trait Service: Send + Sync + 'static {
     }
 
     /// Executes one admitted, unexpired job and answers it on `job.conn`.
-    /// `waited` is the time it spent queued.
+    /// `waited` is the time it spent queued (zero for an inline job).
     fn work(&self, job: &Job, waited: Duration);
 }
 
@@ -180,7 +197,7 @@ impl<S: Service> Front<S> {
     ) -> std::io::Result<Front<S>> {
         let shared = Shared {
             service,
-            queue: Queue::new(queue_depth),
+            queue: Queue::new(queue_depth, workers),
             drain: AtomicBool::new(false),
             workers: workers.max(1),
         };
@@ -204,8 +221,9 @@ impl<S: Service> Front<S> {
 
     /// Serves until a drain is requested, then completes all admitted work
     /// and returns. Reader threads are detached — they die with their
-    /// connections — but every worker is joined, so when `run` returns
-    /// every admitted request has been answered.
+    /// connections — but every worker is joined, and a worker outlives
+    /// every inline job, so when `run` returns every admitted request has
+    /// been answered.
     pub fn run(&self) -> std::io::Result<()> {
         self.listener.set_nonblocking(true)?;
         std::thread::scope(|scope| {
@@ -235,7 +253,7 @@ impl<S: Service> Front<S> {
 
 impl<S: Service> Shared<S> {
     fn worker_loop(&self) {
-        while let Some(job) = self.queue.pop() {
+        while let Some((job, _slot)) = self.queue.pop() {
             let waited = job.admitted.elapsed();
             if job.expired() {
                 self.service.counters().deadline_expired.fetch_add(1, Ordering::Relaxed);
@@ -266,18 +284,23 @@ impl<S: Service> Shared<S> {
         // arrives over many reads is searched once, not once per read.
         let mut scanned = 0;
         let mut chunk = [0u8; 16 * 1024];
+        let newline = |buf: &[u8], from: usize| {
+            buf[from..].iter().position(|&b| b == b'\n').map(|off| from + off)
+        };
         loop {
             // Handle the complete frames in place, then drop them at once.
+            // The search runs one frame ahead, so a frame knows whether
+            // another waits behind it; every byte is still searched once.
             let mut start = 0;
-            while let Some(off) = buf[scanned..].iter().position(|&b| b == b'\n') {
-                let nl = scanned + off;
+            let mut next = newline(&buf, scanned);
+            while let Some(nl) = next {
+                next = newline(&buf, nl + 1);
                 let line = String::from_utf8_lossy(&buf[start..nl]);
                 let line = line.trim();
                 if !line.is_empty() {
-                    self.handle_frame(line, &conn);
+                    self.handle_frame(line, &conn, next.is_none());
                 }
                 start = nl + 1;
-                scanned = start;
             }
             buf.drain(..start);
             scanned = buf.len();
@@ -303,8 +326,10 @@ impl<S: Service> Shared<S> {
         }
     }
 
-    /// Routes one frame: control ops inline, work ops into the queue.
-    fn handle_frame(&self, line: &str, conn: &Arc<Conn>) {
+    /// Routes one frame: control ops inline, work ops into the queue — or
+    /// inline, when the service opts in and the frame is `alone` (nothing
+    /// complete is buffered behind it).
+    fn handle_frame(&self, line: &str, conn: &Arc<Conn>, alone: bool) {
         let counters = self.service.counters();
         let req = match parse_request(line) {
             Ok(req) => req,
@@ -346,6 +371,14 @@ impl<S: Service> Shared<S> {
                     admitted: Instant::now(),
                     deadline,
                 };
+                if S::INLINE_WORK && alone {
+                    if let Some(_slot) = self.queue.claim() {
+                        counters.accepted.fetch_add(1, Ordering::Relaxed);
+                        counters.inline.fetch_add(1, Ordering::Relaxed);
+                        self.service.work(&job, Duration::ZERO);
+                        return;
+                    }
+                }
                 let (job, code, message) = match self.queue.push(job) {
                     Push::Queued => {
                         counters.accepted.fetch_add(1, Ordering::Relaxed);

@@ -17,7 +17,9 @@
 //! * `--backends` — comma-separated `daed` addresses (required)
 //! * `--addr` — bind address (default `127.0.0.1:7780`; port 0 picks an
 //!   ephemeral port, printed on the `listening` line)
-//! * `--routers` — router threads forwarding work requests (default 8)
+//! * `--routers` — at most N forwards in flight; a reader with a free slot
+//!   forwards its own frame, router threads forward the queued ones
+//!   (default 8)
 //! * `--queue-depth` — admission-queue capacity; beyond it requests are
 //!   shed with `gate.overloaded` (default 128)
 //! * `--vnodes` — virtual nodes per backend on the hash ring (default 128)
@@ -120,7 +122,9 @@ fn parse_args() -> Result<Args, String> {
                      usage: daeg --backends HOST:PORT,... [--addr HOST:PORT] [--routers N] \
                      [--queue-depth N] [--vnodes N] [--inflight-cap N] [--eject-after N] \
                      [--readmit-ms MS] [--probe-ms MS] [--attempt-timeout-ms MS] [--retries N] \
-                     [--trace <file>]"
+                     [--trace <file>]\n\
+                     --routers N: at most N forwards in flight; a reader with a free slot \
+                     forwards its own frame"
                 ))
             }
         }

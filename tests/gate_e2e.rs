@@ -9,14 +9,14 @@
 //! truncated and connection-dropping backend frames must never panic the
 //! gateway and must surface to clients only as structured dotted codes.
 
-use dae_repro::gate::{FaultPlan, FaultProxy, GateConfig, Gateway};
+use dae_repro::gate::{FaultPlan, FaultProxy, GateConfig, Gateway, Ring};
 use dae_repro::serve::load::shutdown;
 use dae_repro::serve::proto::{ok_response_raw, parse_request};
-use dae_repro::serve::{Engine, EngineConfig, Server, ServerConfig};
+use dae_repro::serve::{request_key, Engine, EngineConfig, Server, ServerConfig};
 use dae_repro::trace::json::{parse, JsonValue};
 use proptest::prelude::*;
 use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
+use std::net::{TcpListener, TcpStream};
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
@@ -306,6 +306,137 @@ fn gateway_keeps_draining_fleet_invisible_until_the_end() {
 
     gateway.shutdown_and_wait();
     keeper.shutdown_and_wait();
+}
+
+/// The gateway's `stats` body, asked on a fresh connection.
+fn gate_stats(addr: &str) -> JsonValue {
+    let line = Client::connect(addr).roundtrip(r#"{"id":"s","op":"stats"}"#);
+    parse(&line).expect("stats is JSON").get("result").expect("stats has a result").clone()
+}
+
+/// Backend `i`'s entry in a gateway `stats` body.
+fn backend_stat<'a>(stats: &'a JsonValue, i: usize, field: &str) -> &'a JsonValue {
+    let backends = stats.get("backends").and_then(JsonValue::as_arr).expect("backends array");
+    backends[i].get(field).unwrap_or_else(|| panic!("backend {i} has no `{field}`"))
+}
+
+/// A frame its reader forwards itself (alone on its connection, nothing
+/// queued) is admitted work like any queued one: a `shutdown` arriving
+/// while the forward waits on a slow backend must not let `Gateway::run`
+/// return before that frame is answered.
+#[test]
+fn an_inline_forward_is_answered_before_the_gateway_returns() {
+    let server =
+        Server::bind(&ServerConfig { workers: 1, queue_depth: 8, ..ServerConfig::default() })
+            .expect("backend binds");
+    let backend_addr = server.local_addr().expect("backend addr").to_string();
+    let server_handle = std::thread::spawn(move || server.run());
+    // Every backend line arrives 300 ms late.
+    let plan = FaultPlan { delay_pm: 1000, delay_ms: 300, ..FaultPlan::clean(3) };
+    let proxy = FaultProxy::start(backend_addr.clone(), plan).expect("proxy starts");
+    let gateway = Gateway::bind(&GateConfig {
+        backends: vec![proxy.addr()],
+        routers: 2,
+        probe_interval_ms: 0,
+        ..GateConfig::default()
+    })
+    .expect("gateway binds");
+    let gate_addr = gateway.local_addr().expect("gateway addr").to_string();
+    let gate_handle = std::thread::spawn(move || gateway.run());
+
+    let frame = work_frame("slow", "compile", &program(900));
+    let mut slow = Client::connect(&gate_addr);
+    slow.send(&frame);
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while gate_stats(&gate_addr).get("inline").and_then(JsonValue::as_f64) != Some(1.0) {
+        assert!(Instant::now() < deadline, "the lone frame was never forwarded inline");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    shutdown(&gate_addr).expect("gateway drains");
+    gate_handle.join().expect("gateway thread must not panic").expect("gateway run ok");
+
+    // `run` has returned, so the answer is already on the socket.
+    slow.reader.get_ref().set_read_timeout(Some(Duration::from_millis(50))).unwrap();
+    let answer = slow.recv().expect("the inline frame was answered before `run` returned");
+    assert_eq!(answer, direct_reference(&frame));
+
+    proxy.stop();
+    shutdown(&backend_addr).expect("backend drains");
+    server_handle.join().expect("backend thread must not panic").expect("backend run ok");
+}
+
+/// A half-open backend's one trial belongs to the request actually sent
+/// there. A request homed elsewhere only walks past it on the ring; were
+/// it to claim the trial, nothing would release it with probes off, and
+/// the backend would never serve again.
+#[test]
+fn a_half_open_trial_goes_to_the_request_sent_there() {
+    // Backend A's port is reserved but nothing listens on it yet, so A's
+    // first request fails and ejects it.
+    let a_addr = {
+        let reserved = TcpListener::bind("127.0.0.1:0").expect("reserve a port");
+        reserved.local_addr().unwrap().to_string()
+    };
+    let spawn_backend = |addr: &str| {
+        let server = Server::bind(&ServerConfig {
+            addr: addr.to_string(),
+            workers: 1,
+            ..ServerConfig::default()
+        })
+        .expect("backend binds");
+        let addr = server.local_addr().expect("backend addr").to_string();
+        (addr, std::thread::spawn(move || server.run()))
+    };
+    let (b_addr, b_handle) = spawn_backend("127.0.0.1:0");
+    let fleet = vec![a_addr.clone(), b_addr.clone()];
+    let config = GateConfig {
+        backends: fleet.clone(),
+        routers: 1,
+        eject_after: 1,
+        // Long enough that A still reads `ejected` after the first request
+        // (a cold compile on B, debug builds included).
+        readmit_ms: 500,
+        probe_interval_ms: 0,
+        ..GateConfig::default()
+    };
+    let ring = Ring::new(&fleet, config.vnodes);
+    let homed_on = |backend: usize, first: u64| {
+        (first..)
+            .map(|n| work_frame(&format!("h{n}"), "compile", &program(n)))
+            .find(|f| ring.home(request_key(&parse_request(f).unwrap())) == Some(backend))
+            .expect("some program is homed there")
+    };
+    let gateway = Gateway::bind(&config).expect("gateway binds");
+    let gate_addr = gateway.local_addr().expect("gateway addr").to_string();
+    let gate_handle = std::thread::spawn(move || gateway.run());
+    let mut client = Client::connect(&gate_addr);
+
+    // A refuses the connection and is ejected; the retry lands on B.
+    let frame = homed_on(0, 300);
+    assert_eq!(client.roundtrip(&frame), direct_reference(&frame));
+    assert_eq!(backend_stat(&gate_stats(&gate_addr), 0, "state").as_str(), Some("ejected"));
+
+    // A comes up; after the cooldown it is half-open.
+    let (_, a_handle) = spawn_backend(&a_addr);
+    std::thread::sleep(Duration::from_millis(600));
+    assert_eq!(backend_stat(&gate_stats(&gate_addr), 0, "state").as_str(), Some("half-open"));
+
+    // A request homed on B passes A on its ring walk but is sent to B ...
+    let frame = homed_on(1, 400);
+    assert_eq!(client.roundtrip(&frame), direct_reference(&frame));
+    // ... so A's trial is still free for the next request homed on A.
+    let frame = homed_on(0, 500);
+    assert_eq!(client.roundtrip(&frame), direct_reference(&frame));
+    let stats = gate_stats(&gate_addr);
+    assert_eq!(backend_stat(&stats, 0, "state").as_str(), Some("up"), "{stats:?}");
+    assert_eq!(backend_stat(&stats, 0, "ok").as_f64(), Some(1.0), "A served its trial");
+
+    shutdown(&gate_addr).expect("gateway drains");
+    gate_handle.join().expect("gateway thread must not panic").expect("gateway run ok");
+    for (addr, handle) in [(a_addr, a_handle), (b_addr, b_handle)] {
+        shutdown(&addr).expect("backend drains");
+        handle.join().expect("backend thread must not panic").expect("backend run ok");
+    }
 }
 
 /// Spins up a full in-process chain — engine server, fault proxy,
