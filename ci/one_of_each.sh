@@ -186,6 +186,15 @@ check "a per-block Vec CFG" \
     'Vec<Vec<BlockId>>' \
     'crates/analysis/src/.*'
 
+# Block, instruction and loop ids are dense indices: the analyses and passes
+# of a compile keep their tables in id-indexed vectors and bit sets, most of
+# them in the reused `dae_analysis::Workspace`. A hashed table keyed by an
+# id is a hash per lookup and an allocation per table coming back.
+check "a hashed id table on the compile path" \
+    "none" \
+    'HashSet<BlockId>|HashMap<(BlockId|InstId|LoopId)' \
+    'crates/(analysis|core)/src/.*'
+
 # Access generation is one sequence, `dae_core::generate_access_with`
 # (inline → optimize → refine → analyze → generate); the driver fills its
 # refine step and times its stages. No pass trait, slot map, second copy of

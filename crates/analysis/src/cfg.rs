@@ -7,8 +7,9 @@ use dae_ir::{BlockId, Function};
 /// The graph is computed once from the terminators; rebuild after mutating
 /// control flow. Both edge lists are stored flat, one run per block
 /// delimited by an offset table, so building a graph costs a fixed handful
-/// of allocations whatever the function's size.
-#[derive(Clone, Debug)]
+/// of allocations whatever the function's size — and none when a rebuild
+/// reuses a graph whose buffers are already large enough.
+#[derive(Clone, Debug, Default)]
 pub struct Cfg {
     /// Successors of block `b` are `succs[succ_at[b]..succ_at[b + 1]]`.
     succ_at: Vec<u32>,
@@ -20,16 +21,27 @@ pub struct Cfg {
     rpo: Vec<BlockId>,
     /// `rpo_index[b] == Some(i)` iff `rpo[i] == b`.
     rpo_index: Vec<Option<u32>>,
+    /// The depth-first search's frames; empty between builds.
+    stack: Vec<(BlockId, u32)>,
 }
 
 impl Cfg {
     /// Builds the CFG of `func`.
     pub fn new(func: &Function) -> Self {
+        let mut cfg = Cfg::default();
+        cfg.rebuild(func);
+        cfg
+    }
+
+    /// Makes `self` the CFG of `func`, reusing its buffers.
+    pub(crate) fn rebuild(&mut self, func: &Function) {
         let n = func.num_blocks();
-        let mut succ_at = Vec::with_capacity(n + 1);
-        let mut succs = Vec::with_capacity(2 * n);
+        let Cfg { succ_at, succs, pred_at, preds, rpo, rpo_index, stack } = self;
+        succ_at.clear();
+        succs.clear();
         // In-degrees, shifted one slot up for the prefix sum below.
-        let mut pred_at = vec![0u32; n + 1];
+        pred_at.clear();
+        pred_at.resize(n + 1, 0);
         for bb in func.block_ids() {
             succ_at.push(succs.len() as u32);
             for dest in func.terminator(bb).successors() {
@@ -43,7 +55,8 @@ impl Cfg {
         }
         // Fill each run in block order (predecessors with multiplicity),
         // using `pred_at[b]` as block `b`'s cursor…
-        let mut preds = vec![func.entry; succs.len()];
+        preds.clear();
+        preds.resize(succs.len(), func.entry);
         for bb in 0..n {
             for &s in &succs[succ_at[bb] as usize..succ_at[bb + 1] as usize] {
                 let cursor = &mut pred_at[s.0 as usize];
@@ -57,11 +70,12 @@ impl Cfg {
 
         // Postorder DFS from the entry; `rpo_index` doubles as the visited
         // set until the order is known.
-        let mut rpo: Vec<BlockId> = Vec::with_capacity(n);
-        let mut rpo_index = vec![None; n];
+        rpo.clear();
+        rpo_index.clear();
+        rpo_index.resize(n, None);
         // Iterative DFS with an explicit state machine to avoid recursion:
         // each frame holds its block's next successor slot.
-        let mut stack: Vec<(BlockId, u32)> = vec![(func.entry, succ_at[func.entry.0 as usize])];
+        stack.push((func.entry, succ_at[func.entry.0 as usize]));
         rpo_index[func.entry.0 as usize] = Some(u32::MAX);
         while let Some(&mut (bb, ref mut at)) = stack.last_mut() {
             if *at < succ_at[bb.0 as usize + 1] {
@@ -79,7 +93,6 @@ impl Cfg {
         for (i, &bb) in rpo.iter().enumerate() {
             rpo_index[bb.0 as usize] = Some(i as u32);
         }
-        Cfg { succ_at, succs, pred_at, preds, rpo, rpo_index }
     }
 
     /// Predecessors of `bb` (with multiplicity for duplicate edges), in

@@ -11,12 +11,27 @@ pub struct DomTree {
     entry: BlockId,
 }
 
+impl Default for DomTree {
+    fn default() -> Self {
+        DomTree { idom: Vec::new(), entry: BlockId(0) }
+    }
+}
+
 impl DomTree {
     /// Computes the dominator tree of `func` given its [`Cfg`].
     pub fn new(func: &Function, cfg: &Cfg) -> Self {
-        let n = func.num_blocks();
-        let mut idom: Vec<Option<BlockId>> = vec![None; n];
+        let mut dom = DomTree::default();
+        dom.rebuild(func, cfg);
+        dom
+    }
+
+    /// Makes `self` the dominator tree of `func`, reusing its table.
+    pub(crate) fn rebuild(&mut self, func: &Function, cfg: &Cfg) {
         let entry = func.entry;
+        self.entry = entry;
+        let idom = &mut self.idom;
+        idom.clear();
+        idom.resize(func.num_blocks(), None);
         idom[entry.0 as usize] = Some(entry);
 
         let intersect = |idom: &[Option<BlockId>], mut a: BlockId, mut b: BlockId| -> BlockId {
@@ -43,7 +58,7 @@ impl DomTree {
                     }
                     new_idom = Some(match new_idom {
                         None => p,
-                        Some(cur) => intersect(&idom, cur, p),
+                        Some(cur) => intersect(idom, cur, p),
                     });
                 }
                 if let Some(ni) = new_idom {
@@ -54,7 +69,6 @@ impl DomTree {
                 }
             }
         }
-        DomTree { idom, entry }
     }
 
     /// The immediate dominator of `bb` (`None` for the entry or unreachable

@@ -58,15 +58,17 @@ pub(crate) mod loops;
 pub mod scev;
 pub(crate) mod ssa_verify;
 pub mod transform;
+pub(crate) mod workspace;
 
 pub use cfg::Cfg;
 pub use dom::DomTree;
-pub use loops::{CountedLoop, LoopForest, LoopId};
+pub use loops::{BlockSet, CountedLoop, LoopForest, LoopId};
 pub use scev::{Affine, AffineVar, PtrAffine, ScalarEvolution};
 pub use ssa_verify::{verify_ssa, SsaError};
+pub use workspace::Workspace;
 
 /// Bundle of the standard analyses for one function, built in dependency
-/// order. Most passes want all of them.
+/// order by [`Workspace::analyze`]. Most passes want all of them.
 pub struct FunctionAnalysis<'f> {
     /// The analysed function.
     pub func: &'f dae_ir::Function,
@@ -76,19 +78,4 @@ pub struct FunctionAnalysis<'f> {
     pub dom: DomTree,
     /// Loop forest.
     pub forest: LoopForest,
-}
-
-impl<'f> FunctionAnalysis<'f> {
-    /// Runs CFG, dominator and loop analysis on `func`.
-    pub fn run(func: &'f dae_ir::Function) -> Self {
-        let cfg = Cfg::new(func);
-        let dom = DomTree::new(func, &cfg);
-        let forest = LoopForest::new(func, &cfg, &dom);
-        FunctionAnalysis { func, cfg, dom, forest }
-    }
-
-    /// Builds the scalar-evolution engine on top of the bundled analyses.
-    pub fn scev(&'f self) -> ScalarEvolution<'f> {
-        ScalarEvolution::new(self.func, &self.cfg, &self.dom, &self.forest)
-    }
 }

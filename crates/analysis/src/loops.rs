@@ -9,11 +9,59 @@
 use crate::cfg::Cfg;
 use crate::dom::DomTree;
 use dae_ir::{BinOp, BlockId, CmpOp, Function, InstKind, Terminator, Value};
-use std::collections::HashSet;
 
 /// Index of a loop within a [`LoopForest`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct LoopId(pub u32);
+
+/// A set of blocks of one function, one bit per block id.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct BlockSet {
+    words: Vec<u64>,
+    len: usize,
+}
+
+impl BlockSet {
+    /// Empties the set and sizes it for block ids below `blocks`.
+    fn reset(&mut self, blocks: usize) {
+        self.words.clear();
+        self.words.resize(blocks.div_ceil(64), 0);
+        self.len = 0;
+    }
+
+    /// Adds `bb`; `false` if it was already there.
+    fn insert(&mut self, bb: BlockId) -> bool {
+        let (word, bit) = (bb.0 as usize / 64, 1u64 << (bb.0 % 64));
+        let fresh = self.words[word] & bit == 0;
+        self.words[word] |= bit;
+        self.len += fresh as usize;
+        fresh
+    }
+
+    /// True if `bb` is in the set.
+    pub fn contains(&self, bb: BlockId) -> bool {
+        self.words.get(bb.0 as usize / 64).is_some_and(|w| w & (1u64 << (bb.0 % 64)) != 0)
+    }
+
+    /// Number of blocks in the set.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True when the set holds no block.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The blocks of the set, in increasing id order.
+    pub fn iter(&self) -> impl Iterator<Item = BlockId> + '_ {
+        self.words.iter().enumerate().flat_map(|(w, &bits)| {
+            (0..64u32)
+                .filter(move |b| bits & (1u64 << b) != 0)
+                .map(move |b| BlockId(w as u32 * 64 + b))
+        })
+    }
+}
 
 /// One natural loop.
 #[derive(Clone, Debug)]
@@ -23,7 +71,7 @@ pub struct Loop {
     /// Blocks with a back edge to the header.
     pub latches: Vec<BlockId>,
     /// All blocks in the loop body (header included).
-    pub blocks: HashSet<BlockId>,
+    pub blocks: BlockSet,
     /// The enclosing loop, if nested.
     pub parent: Option<LoopId>,
     /// Directly nested loops.
@@ -33,10 +81,20 @@ pub struct Loop {
 }
 
 /// The loop forest of one function.
-#[derive(Clone, Debug)]
+///
+/// A rebuild keeps every buffer, including those of loops past the
+/// current count, so a forest reused across functions stops allocating
+/// once it has seen the largest.
+#[derive(Clone, Debug, Default)]
 pub struct LoopForest {
+    /// The first `count` entries are the loops; the rest are spare.
     loops: Vec<Loop>,
+    count: usize,
     innermost: Vec<Option<LoopId>>,
+    /// The loop headed by each block, indexed by block id.
+    header_of: Vec<Option<LoopId>>,
+    /// The body search's work list; empty between builds.
+    work: Vec<BlockId>,
 }
 
 impl LoopForest {
@@ -46,28 +104,56 @@ impl LoopForest {
     /// its source) is ignored — such edges never arise from the structured
     /// builder, and the DAE compiler refuses tasks it cannot analyse anyway.
     pub fn new(func: &Function, cfg: &Cfg, dom: &DomTree) -> Self {
-        // Collect back edges grouped by header: `(header, latches)`.
-        let mut back_edges: Vec<(BlockId, Vec<BlockId>)> = Vec::new();
+        let mut forest = LoopForest::default();
+        forest.rebuild(func, cfg, dom);
+        forest
+    }
+
+    /// Makes `self` the loop forest of `func`, reusing its buffers.
+    pub(crate) fn rebuild(&mut self, func: &Function, cfg: &Cfg, dom: &DomTree) {
+        let n = func.num_blocks();
+        let LoopForest { loops, count, innermost, header_of, work } = self;
+        *count = 0;
+        header_of.clear();
+        header_of.resize(n, None);
+        // Back edges grouped by header, headers in order of discovery.
         for &bb in cfg.rpo() {
             for &succ in cfg.succs(bb) {
                 if dom.dominates(succ, bb) {
-                    match back_edges.iter_mut().find(|(h, _)| *h == succ) {
-                        Some((_, latches)) => latches.push(bb),
-                        None => back_edges.push((succ, vec![bb])),
-                    }
+                    let id = *header_of[succ.0 as usize].get_or_insert_with(|| {
+                        if *count == loops.len() {
+                            loops.push(Loop {
+                                header: succ,
+                                latches: Vec::new(),
+                                blocks: BlockSet::default(),
+                                parent: None,
+                                children: Vec::new(),
+                                depth: 0,
+                            });
+                        }
+                        let l = &mut loops[*count];
+                        l.header = succ;
+                        l.latches.clear();
+                        *count += 1;
+                        LoopId(*count as u32 - 1)
+                    });
+                    loops[id.0 as usize].latches.push(bb);
                 }
             }
         }
+        let loops = &mut loops[..*count];
 
         // Body of each loop: header plus everything that reaches a latch
         // without passing through the header.
-        let mut loops: Vec<Loop> = Vec::with_capacity(back_edges.len());
-        for (header, latches) in back_edges {
-            let mut blocks: HashSet<BlockId> = HashSet::new();
-            blocks.insert(header);
-            let mut work: Vec<BlockId> = latches.clone();
+        for l in loops.iter_mut() {
+            l.blocks.reset(n);
+            l.blocks.insert(l.header);
+            l.parent = None;
+            l.children.clear();
+            l.depth = 0;
+            work.extend_from_slice(&l.latches);
             while let Some(bb) = work.pop() {
-                if blocks.insert(bb) {
+                if l.blocks.insert(bb) {
                     for &p in cfg.preds(bb) {
                         if cfg.is_reachable(p) {
                             work.push(p);
@@ -75,19 +161,19 @@ impl LoopForest {
                     }
                 }
             }
-            loops.push(Loop { header, latches, blocks, parent: None, children: vec![], depth: 0 });
         }
 
         // Nesting: loop A is the parent of B if A contains B's header and A≠B
         // and A is the smallest such loop.
-        let ids: Vec<LoopId> = (0..loops.len() as u32).map(LoopId).collect();
-        for &b in &ids {
+        let num = loops.len() as u32;
+        let ids = move || (0..num).map(LoopId);
+        for b in ids() {
             let mut best: Option<LoopId> = None;
-            for &a in &ids {
+            for a in ids() {
                 if a == b {
                     continue;
                 }
-                if loops[a.0 as usize].blocks.contains(&loops[b.0 as usize].header)
+                if loops[a.0 as usize].blocks.contains(loops[b.0 as usize].header)
                     && loops[a.0 as usize].header != loops[b.0 as usize].header
                 {
                     best = match best {
@@ -104,13 +190,13 @@ impl LoopForest {
             }
             loops[b.0 as usize].parent = best;
         }
-        for &b in &ids {
+        for b in ids() {
             if let Some(p) = loops[b.0 as usize].parent {
                 loops[p.0 as usize].children.push(b);
             }
         }
         // Depths.
-        for &b in &ids {
+        for b in ids() {
             let mut d = 1;
             let mut cur = loops[b.0 as usize].parent;
             while let Some(p) = cur {
@@ -121,12 +207,13 @@ impl LoopForest {
         }
 
         // Innermost loop per block = the smallest loop containing it.
-        let mut innermost: Vec<Option<LoopId>> = vec![None; func.num_blocks()];
+        innermost.clear();
+        innermost.resize(n, None);
         for (slot, inner) in innermost.iter_mut().enumerate() {
             let bb = BlockId(slot as u32);
             let mut best: Option<LoopId> = None;
-            for &l in &ids {
-                if loops[l.0 as usize].blocks.contains(&bb) {
+            for l in ids() {
+                if loops[l.0 as usize].blocks.contains(bb) {
                     best = match best {
                         None => Some(l),
                         Some(cur)
@@ -141,28 +228,26 @@ impl LoopForest {
             }
             *inner = best;
         }
-
-        LoopForest { loops, innermost }
     }
 
     /// All loops, unordered.
     pub fn loops(&self) -> impl Iterator<Item = (LoopId, &Loop)> {
-        self.loops.iter().enumerate().map(|(i, l)| (LoopId(i as u32), l))
+        self.loops[..self.count].iter().enumerate().map(|(i, l)| (LoopId(i as u32), l))
     }
 
     /// Access one loop.
     pub fn get(&self, id: LoopId) -> &Loop {
-        &self.loops[id.0 as usize]
+        &self.loops[..self.count][id.0 as usize]
     }
 
     /// Number of loops.
     pub fn len(&self) -> usize {
-        self.loops.len()
+        self.count
     }
 
     /// True when the function has no loops.
     pub fn is_empty(&self) -> bool {
-        self.loops.is_empty()
+        self.count == 0
     }
 
     /// Innermost loop containing `bb`, if any.
@@ -184,7 +269,7 @@ impl LoopForest {
 
     /// The loop with header `header`, if one exists.
     pub fn loop_with_header(&self, header: BlockId) -> Option<LoopId> {
-        self.loops.iter().position(|l| l.header == header).map(|i| LoopId(i as u32))
+        self.header_of.get(header.0 as usize).copied().flatten()
     }
 }
 
@@ -253,9 +338,9 @@ pub(crate) fn recognize_counted(
 
     // The continue-edge must stay in the loop; if the `then` edge exits,
     // the continue predicate is the negation.
-    let (continue_in_loop, cmp) = if l.blocks.contains(&then_dest.block) {
+    let (continue_in_loop, cmp) = if l.blocks.contains(then_dest.block) {
         (then_dest.block, cmp)
-    } else if l.blocks.contains(&else_dest.block) {
+    } else if l.blocks.contains(else_dest.block) {
         (else_dest.block, cmp.negated())
     } else {
         return None;

@@ -30,26 +30,129 @@ pub enum AffineVar {
 /// An affine integer expression `constant + Σ coeff·var`.
 ///
 /// The terms are a short vector sorted by variable with no zero
-/// coefficient, so every combination is one merge into one allocation and
-/// equal expressions compare equal.
+/// coefficient, so every combination is one merge and equal expressions
+/// compare equal. Up to six terms — every form the corpus
+/// produces — are stored in place: building and combining those forms
+/// never allocates.
 #[derive(Clone, Debug, PartialEq, Eq, Default)]
 pub struct Affine {
     /// Constant term.
     pub constant: i64,
     /// `(variable, coefficient)` pairs sorted by variable; zero
     /// coefficients are not stored.
-    terms: Vec<(AffineVar, i64)>,
+    terms: Terms,
+}
+
+/// Terms an [`Affine`] holds without a heap allocation.
+const INLINE_TERMS: usize = 6;
+
+/// The term list of an [`Affine`]: in place up to [`INLINE_TERMS`]
+/// entries, on the heap beyond.
+#[derive(Clone)]
+enum Terms {
+    /// `buf[..len]`; the entries past `len` are unused filler.
+    Inline {
+        len: u8,
+        buf: [(AffineVar, i64); INLINE_TERMS],
+    },
+    Heap(Vec<(AffineVar, i64)>),
+}
+
+impl Default for Terms {
+    fn default() -> Self {
+        Terms::Inline { len: 0, buf: [(AffineVar::Param(0), 0); INLINE_TERMS] }
+    }
+}
+
+impl Terms {
+    fn as_slice(&self) -> &[(AffineVar, i64)] {
+        match self {
+            Terms::Inline { len, buf } => &buf[..*len as usize],
+            Terms::Heap(v) => v,
+        }
+    }
+
+    fn as_mut_slice(&mut self) -> &mut [(AffineVar, i64)] {
+        match self {
+            Terms::Inline { len, buf } => &mut buf[..*len as usize],
+            Terms::Heap(v) => v,
+        }
+    }
+
+    fn insert(&mut self, i: usize, t: (AffineVar, i64)) {
+        match self {
+            Terms::Inline { len, buf } if (*len as usize) < INLINE_TERMS => {
+                let n = *len as usize;
+                buf.copy_within(i..n, i + 1);
+                buf[i] = t;
+                *len += 1;
+            }
+            Terms::Inline { buf, .. } => {
+                let mut v = buf.to_vec();
+                v.insert(i, t);
+                *self = Terms::Heap(v);
+            }
+            Terms::Heap(v) => v.insert(i, t),
+        }
+    }
+
+    fn push(&mut self, t: (AffineVar, i64)) {
+        let n = self.as_slice().len();
+        self.insert(n, t);
+    }
+
+    fn remove(&mut self, i: usize) {
+        match self {
+            Terms::Inline { len, buf } => {
+                buf.copy_within(i + 1..*len as usize, i);
+                *len -= 1;
+            }
+            Terms::Heap(v) => {
+                v.remove(i);
+            }
+        }
+    }
+}
+
+impl std::ops::Deref for Terms {
+    type Target = [(AffineVar, i64)];
+
+    fn deref(&self) -> &Self::Target {
+        self.as_slice()
+    }
+}
+
+impl std::ops::DerefMut for Terms {
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        self.as_mut_slice()
+    }
+}
+
+impl PartialEq for Terms {
+    fn eq(&self, other: &Terms) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl Eq for Terms {}
+
+impl fmt::Debug for Terms {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.as_slice().fmt(f)
+    }
 }
 
 impl Affine {
     /// The constant expression `c`.
     pub fn constant(c: i64) -> Self {
-        Affine { constant: c, terms: Vec::new() }
+        Affine { constant: c, terms: Terms::default() }
     }
 
     /// The expression `1·var`.
     pub fn var(v: AffineVar) -> Self {
-        Affine { constant: 0, terms: vec![(v, 1)] }
+        let mut terms = Terms::default();
+        terms.push((v, 1));
+        Affine { constant: 0, terms }
     }
 
     /// True if the expression has no variable terms.
@@ -96,7 +199,7 @@ impl Affine {
 
     /// [`Affine::add_scaled`] with the term of `skip` in `self` left out.
     fn merge(&self, skip: Option<AffineVar>, k: i64, other: &Affine) -> Affine {
-        let mut terms = Vec::with_capacity(self.terms.len() + other.terms.len());
+        let mut terms = Terms::default();
         let mine = self.terms.iter().filter(|t| Some(t.0) != skip);
         let (mut a, mut b) = (mine.peekable(), other.terms.iter().peekable());
         loop {
@@ -175,7 +278,7 @@ impl Affine {
 impl fmt::Display for Affine {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mut first = true;
-        for &(v, c) in &self.terms {
+        for &(v, c) in self.terms.iter() {
             if first {
                 if c == 1 {
                     write!(f, "{v:?}")?;
@@ -213,37 +316,68 @@ pub struct PtrAffine {
 /// Scalar-evolution engine for one function.
 ///
 /// Construction runs counted-loop recognition for every loop; the affine
-/// forms of instructions are memoised in tables indexed by instruction id,
-/// and an operand's form is read from the table in place, never copied.
+/// forms of instructions are memoised, found through tables indexed by
+/// instruction id, and an operand's form is read in place, never copied.
 pub struct ScalarEvolution<'f> {
     func: &'f Function,
+    forest: &'f LoopForest,
+    memo: ScevMemo,
+}
+
+/// The tables of a [`ScalarEvolution`], kept by a
+/// [`Workspace`](crate::Workspace) between functions.
+#[derive(Default)]
+pub(crate) struct ScevMemo {
     /// Indexed by loop id.
     counted: Vec<Option<CountedLoop>>,
-    forest: &'f LoopForest,
-    /// Indexed by instruction id: `None` until computed, then the form
-    /// (`Some(None)` while it is being computed, which cuts cycles through
-    /// malformed IR).
-    int_memo: Vec<Option<Option<Affine>>>,
-    ptr_memo: Vec<Option<Option<PtrAffine>>>,
+    /// Indexed by instruction id: [`UNSEEN`] until computed, then the
+    /// form's position in `ints`, or [`NO_FORM`] — also while the form is
+    /// being computed, which cuts cycles through malformed IR. Four bytes
+    /// an instruction, so building an engine clears little.
+    int_at: Vec<u32>,
+    ints: Vec<Affine>,
+    /// [`ScevMemo::int_at`] and [`ScevMemo::ints`] for pointer forms.
+    ptr_at: Vec<u32>,
+    ptrs: Vec<PtrAffine>,
 }
+
+/// A memo slot not computed yet.
+const UNSEEN: u32 = u32::MAX;
+/// A memo slot without a form, or whose form is being computed.
+const NO_FORM: u32 = u32::MAX - 1;
 
 impl<'f> ScalarEvolution<'f> {
     /// Builds the engine; `cfg`, `dom` and `forest` must describe `func`.
     pub fn new(func: &'f Function, cfg: &Cfg, _dom: &DomTree, forest: &'f LoopForest) -> Self {
-        let counted =
-            forest.loops().map(|(id, _)| recognize_counted(func, cfg, forest, id)).collect();
-        ScalarEvolution {
-            func,
-            counted,
-            forest,
-            int_memo: vec![None; func.num_insts()],
-            ptr_memo: vec![None; func.num_insts()],
-        }
+        ScalarEvolution::with_memo(ScevMemo::default(), func, cfg, forest)
+    }
+
+    /// [`ScalarEvolution::new`] on tables left by another function.
+    pub(crate) fn with_memo(
+        mut memo: ScevMemo,
+        func: &'f Function,
+        cfg: &Cfg,
+        forest: &'f LoopForest,
+    ) -> Self {
+        memo.counted.clear();
+        memo.counted.extend(forest.loops().map(|(id, _)| recognize_counted(func, cfg, forest, id)));
+        memo.int_at.clear();
+        memo.int_at.resize(func.num_insts(), UNSEEN);
+        memo.ints.clear();
+        memo.ptr_at.clear();
+        memo.ptr_at.resize(func.num_insts(), UNSEEN);
+        memo.ptrs.clear();
+        ScalarEvolution { func, forest, memo }
+    }
+
+    /// The engine's tables, for the next function.
+    pub(crate) fn into_memo(self) -> ScevMemo {
+        self.memo
     }
 
     /// The recognised counted loop for `id`, if recognition succeeded.
     pub fn counted(&self, id: LoopId) -> Option<&CountedLoop> {
-        self.counted.get(id.0 as usize)?.as_ref()
+        self.memo.counted.get(id.0 as usize)?.as_ref()
     }
 
     /// Affine form of an integer value, if one exists.
@@ -257,10 +391,12 @@ impl<'f> ScalarEvolution<'f> {
     fn memoise(&mut self, v: Value) {
         let Value::Inst(id) = v else { return };
         let i = id.0 as usize;
-        if self.int_memo[i].is_none() {
-            self.int_memo[i] = Some(None);
-            let form = self.affine_of_inst(id);
-            self.int_memo[i] = Some(form);
+        if self.memo.int_at[i] == UNSEEN {
+            self.memo.int_at[i] = NO_FORM;
+            if let Some(form) = self.affine_of_inst(id) {
+                self.memo.int_at[i] = self.memo.ints.len() as u32;
+                self.memo.ints.push(form);
+            }
         }
     }
 
@@ -268,7 +404,9 @@ impl<'f> ScalarEvolution<'f> {
     /// (which [`ScalarEvolution::memoise`] has recorded).
     fn affine_in_place(&self, v: Value) -> Option<Cow<'_, Affine>> {
         match v {
-            Value::Inst(id) => self.int_memo[id.0 as usize].as_ref()?.as_ref().map(Cow::Borrowed),
+            Value::Inst(id) => {
+                self.memo.ints.get(self.memo.int_at[id.0 as usize] as usize).map(Cow::Borrowed)
+            }
             Value::ConstI64(c) => Some(Cow::Owned(Affine::constant(c))),
             Value::ConstBool(_) | Value::ConstF64(_) | Value::Global(_) => None,
             Value::Arg(i) => Some(Cow::Owned(Affine::var(AffineVar::Param(i)))),
@@ -320,10 +458,12 @@ impl<'f> ScalarEvolution<'f> {
     fn memoise_pointer(&mut self, v: Value) {
         let Value::Inst(id) = v else { return };
         let i = id.0 as usize;
-        if self.ptr_memo[i].is_none() {
-            self.ptr_memo[i] = Some(None);
-            let form = self.pointer_of_inst(id);
-            self.ptr_memo[i] = Some(form);
+        if self.memo.ptr_at[i] == UNSEEN {
+            self.memo.ptr_at[i] = NO_FORM;
+            if let Some(form) = self.pointer_of_inst(id) {
+                self.memo.ptr_at[i] = self.memo.ptrs.len() as u32;
+                self.memo.ptrs.push(form);
+            }
         }
     }
 
@@ -333,7 +473,9 @@ impl<'f> ScalarEvolution<'f> {
             Value::Global(g) => {
                 Some(Cow::Owned(PtrAffine { base: g, offset: Affine::constant(0) }))
             }
-            Value::Inst(id) => self.ptr_memo[id.0 as usize].as_ref()?.as_ref().map(Cow::Borrowed),
+            Value::Inst(id) => {
+                self.memo.ptrs.get(self.memo.ptr_at[id.0 as usize] as usize).map(Cow::Borrowed)
+            }
             _ => None,
         }
     }

@@ -7,8 +7,7 @@
 
 use crate::cfg::Cfg;
 use crate::dom::DomTree;
-use dae_ir::{BlockId, Function, InstId, Value};
-use std::collections::HashMap;
+use dae_ir::{BlockId, Function, Value};
 use std::fmt;
 
 /// A dominance violation.
@@ -43,11 +42,12 @@ pub fn verify_ssa(func: &Function) -> Result<(), SsaError> {
     let cfg = Cfg::new(func);
     let dom = DomTree::new(func, &cfg);
 
-    // Definition site of every placed instruction: (block, position).
-    let mut def_site: HashMap<InstId, (BlockId, usize)> = HashMap::new();
+    // Definition site of every placed instruction, (block, position),
+    // indexed by instruction id.
+    let mut def_site: Vec<Option<(BlockId, usize)>> = vec![None; func.num_insts()];
     for &bb in cfg.rpo() {
         for (pos, &inst) in func.block(bb).insts.iter().enumerate() {
-            def_site.insert(inst, (bb, pos));
+            def_site[inst.0 as usize] = Some((bb, pos));
         }
     }
 
@@ -57,8 +57,10 @@ pub fn verify_ssa(func: &Function) -> Result<(), SsaError> {
     let check_use = |v: Value, use_bb: BlockId, use_pos: usize| -> Result<(), SsaError> {
         match v {
             Value::Inst(id) => {
-                let (def_bb, def_pos) = *def_site
-                    .get(&id)
+                let (def_bb, def_pos) = def_site
+                    .get(id.0 as usize)
+                    .copied()
+                    .flatten()
                     .ok_or_else(|| err(format!("{use_bb}: use of unplaced {id}")))?;
                 let ok = if def_bb == use_bb {
                     def_pos < use_pos

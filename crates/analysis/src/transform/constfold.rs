@@ -1,5 +1,6 @@
 //! Constant folding and algebraic simplification.
 
+use crate::Workspace;
 use dae_ir::{BinOp, CmpOp, Function, InstKind, UnOp, Value};
 
 fn eval_ibin(op: BinOp, a: i64, b: i64) -> Option<i64> {
@@ -114,10 +115,11 @@ fn fold_inst(kind: &InstKind) -> Option<Value> {
 /// Folds constant expressions to a fixpoint, rewriting uses. Does not remove
 /// the dead defining instructions — run DCE afterwards. Returns `true` on
 /// change.
-pub(crate) fn fold_constants(func: &mut Function) -> bool {
+pub(crate) fn fold_constants(ws: &mut Workspace, func: &mut Function) -> bool {
     let mut changed_any = false;
     // The folded value of each instruction, indexed by instruction id.
-    let mut repl: Vec<Option<Value>> = vec![None; func.num_insts()];
+    let repl = &mut ws.cleanup.repl;
+    super::refill(repl, func.num_insts(), None);
     loop {
         repl.fill(None);
         let mut folded = 0;
@@ -171,8 +173,8 @@ mod tests {
         let c = b.imul(a, 4i64);
         b.ret(Some(c));
         let mut f = b.finish();
-        assert!(fold_constants(&mut f));
-        dce_fixpoint(&mut f);
+        assert!(fold_constants(&mut Workspace::new(), &mut f));
+        dce_fixpoint(&mut Workspace::new(), &mut f);
         assert_eq!(f.placed_inst_count(), 0);
         match f.terminator(f.entry) {
             dae_ir::Terminator::Ret(Some(v)) => assert_eq!(v.as_i64(), Some(20)),
@@ -187,8 +189,8 @@ mod tests {
         let x1 = b.imul(x0, 1i64);
         b.ret(Some(x1));
         let mut f = b.finish();
-        fold_constants(&mut f);
-        dce_fixpoint(&mut f);
+        fold_constants(&mut Workspace::new(), &mut f);
+        dce_fixpoint(&mut Workspace::new(), &mut f);
         assert_eq!(f.placed_inst_count(), 0);
         match f.terminator(f.entry) {
             dae_ir::Terminator::Ret(Some(v)) => assert_eq!(*v, Value::Arg(0)),
@@ -202,7 +204,7 @@ mod tests {
         let d = b.idiv(1i64, 0i64);
         b.ret(Some(d));
         let mut f = b.finish();
-        assert!(!fold_constants(&mut f));
+        assert!(!fold_constants(&mut Workspace::new(), &mut f));
         assert_eq!(f.placed_inst_count(), 1);
     }
 
@@ -213,8 +215,8 @@ mod tests {
         let s = b.select(c, 10i64, 20i64);
         b.ret(Some(s));
         let mut f = b.finish();
-        fold_constants(&mut f);
-        dce_fixpoint(&mut f);
+        fold_constants(&mut Workspace::new(), &mut f);
+        dce_fixpoint(&mut Workspace::new(), &mut f);
         match f.terminator(f.entry) {
             dae_ir::Terminator::Ret(Some(v)) => assert_eq!(v.as_i64(), Some(10)),
             t => panic!("{t:?}"),
@@ -227,7 +229,7 @@ mod tests {
         let c = b.cmp(CmpOp::Le, Value::Arg(0), Value::Arg(0));
         b.ret(Some(c));
         let mut f = b.finish();
-        fold_constants(&mut f);
+        fold_constants(&mut Workspace::new(), &mut f);
         match f.terminator(f.entry) {
             dae_ir::Terminator::Ret(Some(Value::ConstBool(true))) => {}
             t => panic!("{t:?}"),
@@ -241,7 +243,7 @@ mod tests {
         let c = b.fmul(a, 2.0f64);
         b.ret(Some(c));
         let mut f = b.finish();
-        fold_constants(&mut f);
+        fold_constants(&mut Workspace::new(), &mut f);
         match f.terminator(f.entry) {
             dae_ir::Terminator::Ret(Some(v)) => assert_eq!(v.as_f64(), Some(8.0)),
             t => panic!("{t:?}"),

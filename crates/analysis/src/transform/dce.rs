@@ -7,6 +7,7 @@
 //! pass removes them, including loop-carried block parameters whose only use
 //! was feeding themselves around the back edge.
 
+use crate::Workspace;
 use dae_ir::{BlockId, Function, Terminator, Value};
 
 /// Removes instructions whose results are unused and that have no side
@@ -19,13 +20,23 @@ use dae_ir::{BlockId, Function, Terminator, Value};
 /// so a self-feeding dead cycle is never marked and one mark-and-sweep is
 /// already the fixpoint: removing dead code changes neither the roots nor
 /// the operands of anything live.
-pub(crate) fn dce_fixpoint(func: &mut Function) -> bool {
+pub(crate) fn dce_fixpoint(ws: &mut Workspace, func: &mut Function) -> bool {
     let n = func.num_blocks();
+    let super::CleanupScratch {
+        param_at,
+        in_at,
+        incoming,
+        live_params,
+        live_insts,
+        work,
+        remap,
+        ..
+    } = &mut ws.cleanup;
     // Block `b`'s parameters are slots `param_at[b]..param_at[b + 1]` of
-    // `live_params`; the argument lists of the edges into it are
-    // `incoming[in_at[b]..in_at[b + 1]]`.
-    let mut param_at = Vec::with_capacity(n + 1);
-    let mut in_at = vec![0u32; n + 1];
+    // `live_params`; the edges into it come from the blocks
+    // `incoming[in_at[b]..in_at[b + 1]]`, once per edge.
+    param_at.clear();
+    super::refill(in_at, n + 1, 0);
     let mut slots = 0u32;
     for bb in func.block_ids() {
         param_at.push(slots);
@@ -38,10 +49,10 @@ pub(crate) fn dce_fixpoint(func: &mut Function) -> bool {
     for b in 0..n {
         in_at[b + 1] += in_at[b];
     }
-    let mut live_params = vec![false; slots as usize];
-    let mut live_insts = vec![false; func.num_insts()];
-    let mut incoming: Vec<&[Value]> = vec![&[]; in_at[n] as usize];
-    let mut work: Vec<Value> = Vec::new();
+    super::refill(live_params, slots as usize, false);
+    super::refill(live_insts, func.num_insts(), false);
+    super::refill(incoming, in_at[n] as usize, func.entry);
+    work.clear();
 
     let touch = |v: Value, work: &mut Vec<Value>| {
         if !v.is_const() {
@@ -53,19 +64,19 @@ pub(crate) fn dce_fixpoint(func: &mut Function) -> bool {
         for &inst in &func.block(bb).insts {
             if func.inst(inst).kind.has_side_effects() {
                 live_insts[inst.0 as usize] = true;
-                func.inst(inst).kind.for_each_operand(|v| touch(v, &mut work));
+                func.inst(inst).kind.for_each_operand(|v| touch(v, work));
             }
         }
         let term = func.terminator(bb);
         match term {
-            Terminator::Branch { cond, .. } => touch(*cond, &mut work),
-            Terminator::Ret(Some(v)) => touch(*v, &mut work),
+            Terminator::Branch { cond, .. } => touch(*cond, work),
+            Terminator::Ret(Some(v)) => touch(*v, work),
             _ => {}
         }
         // `in_at[b]` is block `b`'s fill cursor; shifted back below.
         for dest in term.successors() {
             let cursor = &mut in_at[dest.block.0 as usize];
-            incoming[*cursor as usize] = &dest.args;
+            incoming[*cursor as usize] = bb;
             *cursor += 1;
         }
     }
@@ -75,7 +86,7 @@ pub(crate) fn dce_fixpoint(func: &mut Function) -> bool {
     while let Some(v) = work.pop() {
         match v {
             Value::Inst(id) if !std::mem::replace(&mut live_insts[id.0 as usize], true) => {
-                func.inst(id).kind.for_each_operand(|o| touch(o, &mut work));
+                func.inst(id).kind.for_each_operand(|o| touch(o, work));
             }
             Value::BlockParam { block, index } => {
                 let b = block.0 as usize;
@@ -85,10 +96,20 @@ pub(crate) fn dce_fixpoint(func: &mut Function) -> bool {
                 {
                     continue;
                 }
-                // The matching argument on every incoming edge is live.
-                for args in &incoming[in_at[b] as usize..in_at[b + 1] as usize] {
-                    if let Some(a) = args.get(index as usize) {
-                        touch(*a, &mut work);
+                // The matching argument on every incoming edge is live. A
+                // block with two edges here is listed twice in a row: its
+                // edges are visited once.
+                let mut last = None;
+                for &pred in &incoming[in_at[b] as usize..in_at[b + 1] as usize] {
+                    if last.replace(pred) == Some(pred) {
+                        continue;
+                    }
+                    for dest in func.terminator(pred).successors() {
+                        if dest.block == block {
+                            if let Some(a) = dest.args.get(index as usize) {
+                                touch(*a, work);
+                            }
+                        }
                     }
                 }
             }
@@ -102,19 +123,24 @@ pub(crate) fn dce_fixpoint(func: &mut Function) -> bool {
         func.block_mut(bb).insts.retain(|i| live_insts[i.0 as usize]);
         changed |= func.block(bb).insts.len() != before;
     }
-    changed |= remove_dead_params(func, &param_at, &live_params);
+    changed |= remove_dead_params(func, param_at, live_params, remap);
     changed
 }
 
 /// Drops block parameters not marked in `live` (block `b`'s slots are
 /// `param_at[b]..param_at[b + 1]`), compacting indices and rewriting every
-/// use and every incoming edge.
-fn remove_dead_params(func: &mut Function, param_at: &[u32], live: &[bool]) -> bool {
+/// use and every incoming edge. `remap` is scratch.
+fn remove_dead_params(
+    func: &mut Function,
+    param_at: &[u32],
+    live: &[bool],
+    remap: &mut Vec<Option<u32>>,
+) -> bool {
     if live.iter().all(|&l| l) {
         return false;
     }
     // Per-slot new index within its block (`None` = dropped).
-    let mut remap: Vec<Option<u32>> = Vec::with_capacity(live.len());
+    remap.clear();
     for bb in func.block_ids() {
         let b = bb.0 as usize;
         let mut next = 0u32;
@@ -125,6 +151,7 @@ fn remove_dead_params(func: &mut Function, param_at: &[u32], live: &[bool]) -> b
             }));
         }
     }
+    let remap = &remap[..];
     let slot = |block: BlockId, index: usize| -> Option<Option<u32>> {
         let b = block.0 as usize;
         let at = param_at[b] as usize + index;
@@ -178,7 +205,7 @@ mod tests {
         let _dead2 = b.imul(Value::Arg(0), 200i64);
         b.ret(Some(used));
         let mut f = b.finish();
-        assert!(dce_fixpoint(&mut f));
+        assert!(dce_fixpoint(&mut Workspace::new(), &mut f));
         verify_function(&f, None).unwrap();
         assert_eq!(f.placed_inst_count(), 1);
     }
@@ -192,7 +219,7 @@ mod tests {
         b.store(a, 7i64);
         b.ret(None);
         let mut f = b.finish();
-        dce_fixpoint(&mut f);
+        dce_fixpoint(&mut Workspace::new(), &mut f);
         verify_function(&f, None).unwrap();
         assert_eq!(f.placed_inst_count(), 2); // ptradd + store
     }
@@ -210,7 +237,7 @@ mod tests {
         );
         b.ret(None);
         let mut f = b.finish();
-        assert!(dce_fixpoint(&mut f));
+        assert!(dce_fixpoint(&mut Workspace::new(), &mut f));
         verify_function(&f, None).unwrap();
         // The accumulator param and its add are gone; the IV machinery stays.
         let total_params: usize = f.block_ids().map(|bb| f.block(bb).params.len()).sum();
@@ -234,7 +261,7 @@ mod tests {
         );
         b.ret(Some(sums[0]));
         let mut f = b.finish();
-        dce_fixpoint(&mut f);
+        dce_fixpoint(&mut Workspace::new(), &mut f);
         verify_function(&f, None).unwrap();
         let total_params: usize = f.block_ids().map(|bb| f.block(bb).params.len()).sum();
         assert_eq!(total_params, 3, "IV + carried in header + carried in exit");
@@ -254,7 +281,7 @@ mod tests {
         );
         b.ret(None);
         let mut f = b.finish();
-        dce_fixpoint(&mut f);
+        dce_fixpoint(&mut Workspace::new(), &mut f);
         verify_function(&f, None).unwrap();
         let total_params: usize = f.block_ids().map(|bb| f.block(bb).params.len()).sum();
         assert_eq!(total_params, 1);
@@ -278,10 +305,10 @@ mod tests {
         );
         b.ret(Some(live[0]));
         let mut f = b.finish();
-        assert!(dce_fixpoint(&mut f));
+        assert!(dce_fixpoint(&mut Workspace::new(), &mut f));
         verify_function(&f, None).unwrap();
         let swept = dae_ir::print_function(&f, None);
-        assert!(!dce_fixpoint(&mut f));
+        assert!(!dce_fixpoint(&mut Workspace::new(), &mut f));
         assert_eq!(dae_ir::print_function(&f, None), swept);
     }
 
@@ -294,7 +321,7 @@ mod tests {
         b.prefetch(addr);
         b.ret(None);
         let mut f = b.finish();
-        dce_fixpoint(&mut f);
+        dce_fixpoint(&mut Workspace::new(), &mut f);
         assert_eq!(f.placed_inst_count(), 3); // imul + ptradd + prefetch
     }
 }

@@ -9,7 +9,6 @@ use crate::effects::is_fully_inlinable;
 use dae_ir::{
     BlockCall, BlockId, FuncId, Function, InstId, InstKind, Module, Terminator, Type, Value,
 };
-use std::collections::HashMap;
 use std::fmt;
 
 /// Why inlining was refused.
@@ -62,16 +61,22 @@ fn find_first_call(f: &Function) -> Option<(BlockId, usize, InstId)> {
     None
 }
 
+/// A callee operand as the caller sees it: `block_map` and `inst_map` are
+/// indexed by callee block and instruction id.
 fn map_value(
     args: &[Value],
-    block_map: &HashMap<BlockId, BlockId>,
-    inst_map: &HashMap<InstId, InstId>,
+    block_map: &[BlockId],
+    inst_map: &[Option<InstId>],
     v: Value,
 ) -> Value {
     match v {
         Value::Arg(i) => args[i as usize],
-        Value::Inst(id) => Value::Inst(inst_map[&id]),
-        Value::BlockParam { block, index } => Value::BlockParam { block: block_map[&block], index },
+        Value::Inst(id) => {
+            Value::Inst(inst_map[id.0 as usize].expect("operand placed in the callee"))
+        }
+        Value::BlockParam { block, index } => {
+            Value::BlockParam { block: block_map[block.0 as usize], index }
+        }
         other => other,
     }
 }
@@ -95,31 +100,31 @@ fn inline_one(module: &Module, f: &mut Function, bb: BlockId, pos: usize, call: 
     f.set_terminator(cont, old_term);
 
     // Clone callee blocks and allocate parameter lists.
-    let mut block_map: HashMap<BlockId, BlockId> = HashMap::new();
+    let mut block_map: Vec<BlockId> = Vec::with_capacity(g.num_blocks());
     for gb in g.block_ids() {
         let nb = f.add_block();
         for &ty in &g.block(gb).params {
             f.add_block_param(nb, ty);
         }
-        block_map.insert(gb, nb);
+        block_map.push(nb);
     }
 
     // Allocate instruction slots first so operands can reference forward.
-    let mut inst_map: HashMap<InstId, InstId> = HashMap::new();
+    let mut inst_map: Vec<Option<InstId>> = vec![None; g.num_insts()];
     for gb in g.block_ids() {
         for &gi in &g.block(gb).insts {
             let placeholder =
                 f.create_inst(InstKind::Prefetch { addr: Value::ConstI64(0) }, g.inst(gi).ty);
-            inst_map.insert(gi, placeholder);
+            inst_map[gi.0 as usize] = Some(placeholder);
         }
     }
     // Fill bodies.
     for gb in g.block_ids() {
-        let nb = block_map[&gb];
+        let nb = block_map[gb.0 as usize];
         for &gi in &g.block(gb).insts {
             let mut kind = g.inst(gi).kind.clone();
             kind.map_operands(|v| map_value(&args, &block_map, &inst_map, v));
-            let ni = inst_map[&gi];
+            let ni = inst_map[gi.0 as usize].expect("allocated above");
             f.inst_mut(ni).kind = kind;
             f.append_inst(nb, ni);
         }
@@ -138,7 +143,7 @@ fn inline_one(module: &Module, f: &mut Function, bb: BlockId, pos: usize, call: 
                 let mut t = other.clone();
                 t.map_operands(|v| map_value(&args, &block_map, &inst_map, v));
                 for dest in t.successors_mut() {
-                    dest.block = block_map[&dest.block];
+                    dest.block = block_map[dest.block.0 as usize];
                 }
                 t
             }
@@ -147,20 +152,12 @@ fn inline_one(module: &Module, f: &mut Function, bb: BlockId, pos: usize, call: 
     }
 
     // Enter the inlined body.
-    f.set_terminator(bb, Terminator::Jump(BlockCall::new(block_map[&g.entry])));
+    f.set_terminator(bb, Terminator::Jump(BlockCall::new(block_map[g.entry.0 as usize])));
 
     // Redirect uses of the call's result to the continuation parameter.
     if let Some(rp) = ret_param {
         let target = Value::Inst(call);
-        for b in f.block_ids().collect::<Vec<_>>() {
-            let insts = f.block(b).insts.clone();
-            for i in insts {
-                f.inst_mut(i).kind.map_operands(|v| if v == target { rp } else { v });
-            }
-            if f.block(b).term.is_some() {
-                f.terminator_mut(b).map_operands(|v| if v == target { rp } else { v });
-            }
-        }
+        super::map_all_operands(f, |v| if v == target { rp } else { v });
     }
 }
 

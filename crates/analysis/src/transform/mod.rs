@@ -11,11 +11,51 @@ pub(crate) mod strength;
 pub(crate) use constfold::fold_constants;
 pub(crate) use dce::dce_fixpoint;
 pub use inline::{inline_all, InlineError};
-pub use simplify::compact;
+pub use simplify::{compact, compact_in};
 pub(crate) use simplify::{fold_constant_branches, merge_straightline, skip_trivial_blocks};
-pub use strength::{strength_reduce, strength_reduce_and_clean};
+pub(crate) use strength::StrengthScratch;
+pub use strength::{
+    strength_reduce, strength_reduce_and_clean, strength_reduce_and_clean_compacted,
+};
 
-use dae_ir::{Function, Value};
+use crate::Workspace;
+use dae_ir::{BlockId, Function, InstId, Value};
+
+/// The tables of the clean-up passes, kept by a [`Workspace`]: each pass
+/// clears what it uses before filling it.
+#[derive(Default)]
+pub(crate) struct CleanupScratch {
+    /// [`compact`]: old block id → new block id.
+    block_map: Vec<Option<BlockId>>,
+    /// [`compact`]: old instruction id → new instruction id.
+    inst_map: Vec<Option<InstId>>,
+    /// [`fold_constants`]: the folded value of each instruction.
+    repl: Vec<Option<Value>>,
+    /// [`skip_trivial_blocks`]: the target of each forwarding block.
+    forward: Vec<Option<BlockId>>,
+    /// [`merge_straightline`]: where each merged block's parameter
+    /// substitutions start in `subst`, and how many there are.
+    subst_at: Vec<(u32, u32)>,
+    subst: Vec<Value>,
+    /// [`dce_fixpoint`]: parameter slots and incoming edges per block,
+    /// liveness marks, the work list and the surviving slots' new indices.
+    param_at: Vec<u32>,
+    in_at: Vec<u32>,
+    incoming: Vec<BlockId>,
+    live_params: Vec<bool>,
+    live_insts: Vec<bool>,
+    work: Vec<Value>,
+    remap: Vec<Option<u32>>,
+    /// [`compact`]: the arenas of the function the last compaction
+    /// emptied, which the next one fills.
+    spare: Option<Function>,
+}
+
+/// `v` cleared and refilled with `n` copies of `fill`, its capacity kept.
+fn refill<T: Clone>(v: &mut Vec<T>, n: usize, fill: T) {
+    v.clear();
+    v.resize(n, fill);
+}
 
 /// Rewrites every operand of every placed instruction and terminator, in
 /// block and instruction order.
@@ -40,24 +80,24 @@ pub(crate) fn map_all_operands(func: &mut Function, mut f: impl FnMut(Value) -> 
 /// postorder): a round that changed nothing returns the previous round's
 /// compaction as it is instead of rebuilding it.
 pub fn optimize(func: &Function) -> Function {
-    optimized(func.clone())
+    Workspace::with(|ws| optimize_in(ws, func.clone()))
 }
 
-/// [`optimize`] of a function the caller gives up, whose storage the
-/// compactions reuse.
-pub(crate) fn optimized(func: Function) -> Function {
-    let mut f = compact(func);
+/// [`optimize`] on the buffers of `ws`, of a function the caller gives up
+/// (the compactions reuse its storage).
+pub fn optimize_in(ws: &mut Workspace, func: Function) -> Function {
+    let mut f = compact_in(ws, func);
     loop {
         let mut changed = false;
-        changed |= fold_constants(&mut f);
+        changed |= fold_constants(ws, &mut f);
         changed |= fold_constant_branches(&mut f);
-        changed |= skip_trivial_blocks(&mut f);
-        changed |= dce_fixpoint(&mut f);
-        changed |= merge_straightline(&mut f);
+        changed |= skip_trivial_blocks(ws, &mut f);
+        changed |= dce_fixpoint(ws, &mut f);
+        changed |= merge_straightline(ws, &mut f);
         if !changed {
             return f;
         }
-        f = compact(f);
+        f = compact_in(ws, f);
     }
 }
 

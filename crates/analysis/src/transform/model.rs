@@ -61,7 +61,7 @@ pub(crate) fn merge_straightline_model(func: &mut Function) -> bool {
 /// [`super::strength_reduce`] by the model: every reduced instruction's
 /// uses are redirected as soon as its derived induction variable exists.
 pub(crate) fn strength_reduce_model(func: &mut Function) -> bool {
-    reduce_loops(func, |func, inst, dv| {
+    reduce_loops(&mut crate::Workspace::new(), func, |func, inst, dv| {
         let target = Value::Inst(inst);
         super::map_all_operands(func, |v| if v == target { dv } else { v });
     })
@@ -70,16 +70,23 @@ pub(crate) fn strength_reduce_model(func: &mut Function) -> bool {
 mod tests {
     use super::*;
     use crate::transform::{
-        compact, dce_fixpoint, fold_constant_branches, fold_constants, inline_all,
-        merge_straightline, optimize, skip_trivial_blocks, strength_reduce,
+        compact, compact_in, dce_fixpoint, fold_constant_branches, fold_constants, inline_all,
+        merge_straightline, optimize, optimize_in, skip_trivial_blocks, strength_reduce,
+        strength_reduce_and_clean_compacted,
     };
+    use crate::Workspace;
     use dae_ir::{verify_function, CmpOp, FunctionBuilder, GlobalId, Type};
     use proptest::prelude::*;
 
     /// Both passes leave `f` exactly as their models do.
     fn agrees(f: &Function) {
         let (mut new, mut old) = (f.clone(), f.clone());
-        assert_eq!(merge_straightline(&mut new), merge_straightline_model(&mut old), "{}", f.name);
+        assert_eq!(
+            merge_straightline(&mut Workspace::new(), &mut new),
+            merge_straightline_model(&mut old),
+            "{}",
+            f.name
+        );
         assert_eq!(new, old, "merge_straightline left {} unlike the model", f.name);
         let (mut new, mut old) = (f.clone(), f.clone());
         assert_eq!(strength_reduce(&mut new), strength_reduce_model(&mut old), "{}", f.name);
@@ -91,12 +98,13 @@ mod tests {
     /// leaves it before merging, and fully optimized.
     fn agrees_at_every_stage(f: &Function) {
         agrees(f);
+        let ws = &mut Workspace::new();
         let mut g = compact(f.clone());
         agrees(&g);
-        fold_constants(&mut g);
+        fold_constants(ws, &mut g);
         fold_constant_branches(&mut g);
-        skip_trivial_blocks(&mut g);
-        dce_fixpoint(&mut g);
+        skip_trivial_blocks(ws, &mut g);
+        dce_fixpoint(ws, &mut g);
         agrees(&g);
         agrees(&optimize(f));
     }
@@ -205,8 +213,29 @@ mod tests {
         b.finish()
     }
 
+    /// What the clean-up pipeline and strength reduction make of `f` on `ws`.
+    fn cleaned(ws: &mut Workspace, f: &Function) -> [Function; 2] {
+        let compacted = compact_in(ws, f.clone());
+        [optimize_in(ws, f.clone()), strength_reduce_and_clean_compacted(ws, compacted)]
+    }
+
     proptest! {
-            #[test]
+        #[test]
+        fn a_reused_workspace_cleans_generated_functions_as_a_fresh_one_does(
+            first in proptest::collection::vec(op(), 1..40),
+            second in proptest::collection::vec(op(), 1..40),
+        ) {
+            let (f, g) = (generated(&first), generated(&second));
+            for (a, b) in [(&f, &g), (&g, &f)] {
+                let ws = &mut Workspace::new();
+                cleaned(ws, a);
+                prop_assert_eq!(cleaned(ws, b), cleaned(&mut Workspace::new(), b));
+            }
+            let once = optimize(&f);
+            prop_assert_eq!(compact(once.clone()), once, "optimize's output is compact");
+        }
+
+        #[test]
         fn the_passes_equal_their_models_on_generated_functions(
             ops in proptest::collection::vec(op(), 1..40)
         ) {
@@ -249,7 +278,7 @@ mod tests {
         let f = compact(generated(&ops));
         let mut g = f.clone();
         fold_constant_branches(&mut g);
-        assert!(merge_straightline(&mut g.clone()));
+        assert!(merge_straightline(&mut Workspace::new(), &mut g.clone()));
         assert!(strength_reduce(&mut f.clone()));
         agrees_at_every_stage(&f);
     }

@@ -1,7 +1,7 @@
 //! CFG simplification: constant-branch folding, block merging, compaction.
 
-use crate::cfg::Cfg;
-use dae_ir::{BlockCall, BlockId, Function, InstId, InstKind, Terminator, Value};
+use crate::Workspace;
+use dae_ir::{BlockCall, BlockId, Function, InstKind, Terminator, Value};
 
 /// Rewrites `br true/false, a, b` into an unconditional jump.
 /// Returns `true` on change.
@@ -38,12 +38,14 @@ pub(crate) fn fold_constant_branches(func: &mut Function) -> bool {
 /// parameter substitutions are recorded as they happen and applied in one
 /// operand rewrite at the end, each use resolved through the chain of
 /// substitutions it meets.
-pub(crate) fn merge_straightline(func: &mut Function) -> bool {
-    let cfg = Cfg::new(func);
+pub(crate) fn merge_straightline(ws: &mut Workspace, func: &mut Function) -> bool {
+    let cfg = &mut ws.cfg;
+    cfg.rebuild(func);
     // `subst[at..at + len]` replaces the parameters of a merged block with
     // `subst_at[s] == (at, len)`; `len == 0` for a block that keeps them.
-    let mut subst_at = vec![(0u32, 0u32); func.num_blocks()];
-    let mut subst: Vec<Value> = Vec::new();
+    let (subst_at, subst) = (&mut ws.cleanup.subst_at, &mut ws.cleanup.subst);
+    super::refill(subst_at, func.num_blocks(), (0u32, 0u32));
+    subst.clear();
     let mut merges = 0;
     for &bb in cfg.rpo() {
         while let Terminator::Jump(dest) = func.terminator(bb) {
@@ -88,14 +90,30 @@ pub(crate) fn merge_straightline(func: &mut Function) -> bool {
 /// allocated once at their final sizes, and everything else — parameter
 /// and instruction lists, instruction kinds, terminators with their edge
 /// arguments — moves across from `func` instead of being copied.
-pub fn compact(mut func: Function) -> Function {
-    let cfg = Cfg::new(&func);
+///
+/// Compaction is idempotent: the output of `compact` (and so of
+/// [`optimize`](super::optimize)) compacts to itself.
+pub fn compact(func: Function) -> Function {
+    Workspace::with(|ws| compact_in(ws, func))
+}
+
+/// [`compact`] on the buffers of `ws`.
+pub fn compact_in(ws: &mut Workspace, mut func: Function) -> Function {
+    let cfg = &mut ws.cfg;
+    cfg.rebuild(&func);
     let (name, params) = (std::mem::take(&mut func.name), std::mem::take(&mut func.params));
-    let mut out = Function::new(name, params, func.ret);
+    let mut out = match ws.cleanup.spare.take() {
+        Some(mut spare) => {
+            spare.reset(name, params, func.ret);
+            spare
+        }
+        None => Function::new(name, params, func.ret),
+    };
     out.is_task = func.is_task;
 
     // Old id → new id, indexed by the old id; `None` for what is dropped.
-    let mut block_map: Vec<Option<BlockId>> = vec![None; func.num_blocks()];
+    let (block_map, inst_map) = (&mut ws.cleanup.block_map, &mut ws.cleanup.inst_map);
+    super::refill(block_map, func.num_blocks(), None);
     let placed: usize = cfg.rpo().iter().map(|&bb| func.block(bb).insts.len()).sum();
     out.reserve(cfg.rpo().len() - 1, placed);
     for (i, &bb) in cfg.rpo().iter().enumerate() {
@@ -107,7 +125,7 @@ pub fn compact(mut func: Function) -> Function {
     // A placeholder per placed instruction first, so that an operand can
     // be mapped before its definition is moved.
     const PLACEHOLDER: InstKind = InstKind::Prefetch { addr: Value::ConstI64(0) };
-    let mut inst_map: Vec<Option<InstId>> = vec![None; func.num_insts()];
+    super::refill(inst_map, func.num_insts(), None);
     for &bb in cfg.rpo() {
         for &inst in &func.block(bb).insts {
             inst_map[inst.0 as usize] = Some(out.create_inst(PLACEHOLDER, func.inst(inst).ty));
@@ -144,16 +162,18 @@ pub fn compact(mut func: Function) -> Function {
         }
         out.set_terminator(nb, term);
     }
+    ws.cleanup.spare = Some(func);
     out
 }
 
 /// Redirects edges through empty forwarding blocks (no instructions, jump
 /// terminator) and returns `true` on change. Parameters of the forwarder are
 /// forwarded positionally.
-pub(crate) fn skip_trivial_blocks(func: &mut Function) -> bool {
+pub(crate) fn skip_trivial_blocks(ws: &mut Workspace, func: &mut Function) -> bool {
     // A trivial forwarder: no insts, terminator Jump(t, args) where args are
     // exactly its own params in order, and t != itself.
-    let mut forward: Vec<Option<BlockId>> = vec![None; func.num_blocks()];
+    let forward = &mut ws.cleanup.forward;
+    super::refill(forward, func.num_blocks(), None);
     let (mut forwarders, mut with_params) = (0, false);
     for bb in func.block_ids() {
         if bb == func.entry || !func.block(bb).insts.is_empty() {
@@ -244,7 +264,7 @@ mod tests {
         b.ret(Some(v[0]));
         let mut f = b.finish();
         assert!(fold_constant_branches(&mut f));
-        let f = compact(f);
+        let f = compact_in(&mut Workspace::new(), f);
         verify_function(&f, None).unwrap();
         // else arm unreachable and dropped
         assert_eq!(f.num_blocks(), 3);
@@ -262,9 +282,9 @@ mod tests {
         b.ret(Some(v[0]));
         let mut f = b.finish();
         fold_constant_branches(&mut f);
-        let mut f = compact(f);
-        assert!(merge_straightline(&mut f));
-        let f = compact(f);
+        let mut f = compact_in(&mut Workspace::new(), f);
+        assert!(merge_straightline(&mut Workspace::new(), &mut f));
+        let f = compact_in(&mut Workspace::new(), f);
         verify_function(&f, None).unwrap();
         assert_eq!(f.num_blocks(), 1, "{}", dae_ir::print_function(&f, None));
         match f.terminator(f.entry) {
@@ -281,7 +301,7 @@ mod tests {
         b.switch_to(dead);
         b.ret(None);
         let f = b.finish();
-        let f = compact(f);
+        let f = compact_in(&mut Workspace::new(), f);
         assert_eq!(f.num_blocks(), 1);
         verify_function(&f, None).unwrap();
     }
@@ -298,7 +318,7 @@ mod tests {
         );
         b.ret(Some(out[0]));
         let f = b.finish();
-        let g = compact(f.clone());
+        let g = compact_in(&mut Workspace::new(), f.clone());
         verify_function(&g, None).unwrap();
         assert_eq!(g.num_blocks(), 4);
         assert_eq!(g.placed_inst_count(), f.placed_inst_count());
@@ -316,7 +336,7 @@ mod tests {
         // The arms are each single-pred, empty, and jump to the join — but the
         // join has 2 preds, so only arm→join merges are structurally blocked;
         // entry→arm merges are blocked because entry ends in a branch.
-        assert!(!merge_straightline(&mut f));
+        assert!(!merge_straightline(&mut Workspace::new(), &mut f));
         verify_function(&f, None).unwrap();
     }
 
@@ -336,8 +356,8 @@ mod tests {
         let sum = b.iadd(x, y);
         b.ret(Some(sum));
         let mut f = b.finish();
-        assert!(!skip_trivial_blocks(&mut f));
-        let f = compact(f);
+        assert!(!skip_trivial_blocks(&mut Workspace::new(), &mut f));
+        let f = compact_in(&mut Workspace::new(), f);
         verify_function(&f, None).unwrap();
         assert_eq!(f.num_blocks(), 3);
     }
@@ -354,8 +374,8 @@ mod tests {
         b.switch_to(target);
         b.ret(None);
         let mut f = b.finish();
-        assert!(skip_trivial_blocks(&mut f));
-        let f = compact(f);
+        assert!(skip_trivial_blocks(&mut Workspace::new(), &mut f));
+        let f = compact_in(&mut Workspace::new(), f);
         assert_eq!(f.num_blocks(), 2);
         verify_function(&f, None).unwrap();
     }

@@ -15,11 +15,10 @@
 //! loop-carried block parameter initialised in the preheader and advanced
 //! by `c·step` on the back edge.
 
-use crate::loops::{recognize_counted, LoopId};
+use crate::loops::LoopId;
 use crate::scev::{Affine, AffineVar};
-use crate::FunctionAnalysis;
+use crate::Workspace;
 use dae_ir::{BinOp, BlockId, Function, InstId, InstKind, Terminator, Type, Value};
-use std::collections::HashMap;
 
 /// One rewrite candidate discovered during analysis.
 struct Candidate {
@@ -34,14 +33,40 @@ struct Candidate {
     ptr_base: Option<dae_ir::GlobalId>,
 }
 
+/// A counted loop strength reduction can rewrite in: single entry, and an
+/// initial IV value with an affine form.
+struct LoopCtx {
+    header: BlockId,
+    /// The one predecessor of the header outside the loop.
+    entry_pred: BlockId,
+    /// The loop's latches are `StrengthScratch::latches[at..at + len]`.
+    latches: (u32, u32),
+    init_affine: Affine,
+    step: i64,
+}
+
+/// The tables of strength reduction, kept by a [`Workspace`].
+#[derive(Default)]
+pub(crate) struct StrengthScratch {
+    /// Indexed by loop id: the context of each loop rewrites can go in.
+    loops: Vec<Option<LoopCtx>>,
+    /// Indexed by loop id: the IV value (the recognised header parameter)
+    /// of every counted loop.
+    iv_values: Vec<Option<Value>>,
+    latches: Vec<BlockId>,
+    candidates: Vec<Candidate>,
+    /// Indexed by instruction id: the derived IV its uses move to.
+    redirect: Vec<Option<Value>>,
+}
+
 /// Emits IR computing `affine` evaluated with the given IV substitution
 /// available: every [`AffineVar::Iv`] must be resolvable through
-/// `iv_values`, every parameter through `Value::Arg`.
+/// `iv_values` (indexed by loop id), every parameter through `Value::Arg`.
 fn emit_affine(
     func: &mut Function,
     block: BlockId,
     affine: &Affine,
-    iv_values: &HashMap<LoopId, Value>,
+    iv_values: &[Option<Value>],
 ) -> Option<Value> {
     let mut acc = Value::i64(affine.constant);
     let mut acc_is_const = true;
@@ -74,7 +99,7 @@ fn emit_affine(
         match var {
             AffineVar::Param(p) => add_term(func, &mut acc, &mut acc_is_const, Value::Arg(p), c),
             AffineVar::Iv(l) => {
-                let v = *iv_values.get(&l)?;
+                let v = iv_values.get(l.0 as usize).copied().flatten()?;
                 add_term(func, &mut acc, &mut acc_is_const, v, c)
             }
         }
@@ -93,8 +118,14 @@ fn emit_affine(
 /// replacement is always a fresh block parameter, never another candidate,
 /// so the order they apply in does not matter.
 pub fn strength_reduce(func: &mut Function) -> bool {
-    let mut redirect: Vec<Option<Value>> = Vec::new();
-    let changed = reduce_loops(func, |func, inst, dv| {
+    Workspace::with(|ws| strength_reduce_in(ws, func))
+}
+
+/// [`strength_reduce`] on the buffers of `ws`.
+fn strength_reduce_in(ws: &mut Workspace, func: &mut Function) -> bool {
+    let mut redirect = std::mem::take(&mut ws.strength.redirect);
+    redirect.clear();
+    let changed = reduce_loops(ws, func, |func, inst, dv| {
         if redirect.is_empty() {
             redirect.resize(func.num_insts(), None);
         }
@@ -106,6 +137,7 @@ pub fn strength_reduce(func: &mut Function) -> bool {
             other => other,
         });
     }
+    ws.strength.redirect = redirect;
     changed
 }
 
@@ -113,6 +145,7 @@ pub fn strength_reduce(func: &mut Function) -> bool {
 /// induction variable and hands `redirect` each `(instruction, derived IV)`
 /// whose uses must move.
 pub(crate) fn reduce_loops(
+    ws: &mut Workspace,
     func: &mut Function,
     mut redirect: impl FnMut(&mut Function, InstId, Value),
 ) -> bool {
@@ -135,115 +168,124 @@ pub(crate) fn reduce_loops(
 
     // Analysis snapshot (invalidated by our edits; we gather all candidates
     // first, then rewrite).
-    let analysis = FunctionAnalysis::run(func);
-    let mut scev = analysis.scev();
+    let mut scratch = std::mem::take(&mut ws.strength);
+    let found = find_candidates(ws, func, &mut scratch);
+    let changed = found && rewrite(func, &scratch, &mut redirect);
+    ws.strength = scratch;
+    changed
+}
+
+/// Fills `s` with the loops rewrites can go in and the candidates in
+/// them; `false` when there is none.
+fn find_candidates(ws: &mut Workspace, func: &Function, s: &mut StrengthScratch) -> bool {
+    let analysis = ws.analyze(func);
+    let mut scev = ws.scev(&analysis);
 
     // Counted-loop info per loop (header, init value, step), and the IV
     // value of every counted loop = its recognised header parameter.
-    struct LoopCtx {
-        header: BlockId,
-        entry_preds: Vec<BlockId>,
-        latches: Vec<BlockId>,
-        init_affine: Affine,
-        step: i64,
-    }
-    let mut loops: HashMap<LoopId, LoopCtx> = HashMap::new();
-    let mut iv_values: HashMap<LoopId, Value> = HashMap::new();
+    let n_loops = analysis.forest.len();
+    s.loops.clear();
+    s.loops.resize_with(n_loops, || None);
+    s.iv_values.clear();
+    s.iv_values.resize(n_loops, None);
+    s.latches.clear();
+    s.candidates.clear();
+    let mut reducible = 0;
     for (id, l) in analysis.forest.loops() {
-        if let Some(c) = recognize_counted(func, &analysis.cfg, &analysis.forest, id) {
-            iv_values.insert(id, c.iv);
-            let Some(init_affine) = scev.affine_of(c.init) else { continue };
-            let entry_preds: Vec<BlockId> = analysis
-                .cfg
-                .preds(l.header)
-                .iter()
-                .copied()
-                .filter(|p| !l.latches.contains(p))
-                .collect();
-            if entry_preds.len() != 1 {
-                continue; // keep it simple: single-entry loops only
-            }
-            loops.insert(
-                id,
-                LoopCtx {
-                    header: l.header,
-                    entry_preds,
-                    latches: l.latches.clone(),
-                    init_affine,
-                    step: c.step,
-                },
-            );
-        }
-    }
-    if loops.is_empty() {
-        return false;
+        let Some(c) = scev.counted(id) else { continue };
+        let (iv, init, step) = (c.iv, c.init, c.step);
+        s.iv_values[id.0 as usize] = Some(iv);
+        let Some(init_affine) = scev.affine_of(init) else { continue };
+        let mut entry_preds =
+            analysis.cfg.preds(l.header).iter().copied().filter(|p| !l.latches.contains(p));
+        let (Some(entry_pred), None) = (entry_preds.next(), entry_preds.next()) else {
+            continue; // keep it simple: single-entry loops only
+        };
+        let at = s.latches.len() as u32;
+        s.latches.extend_from_slice(&l.latches);
+        s.loops[id.0 as usize] = Some(LoopCtx {
+            header: l.header,
+            entry_pred,
+            latches: (at, l.latches.len() as u32),
+            init_affine,
+            step,
+        });
+        reducible += 1;
     }
 
     // Candidates: multiplies (or global-based ptradds with a multiply in the
     // offset) inside a counted loop whose value is affine with a non-zero
     // IV coefficient for that loop.
-    let mut candidates: Vec<Candidate> = Vec::new();
-    for bb in func.block_ids() {
-        let Some(lp) = analysis.forest.innermost(bb) else { continue };
-        if !loops.contains_key(&lp) {
-            continue;
-        }
-        for &inst in &func.block(bb).insts {
-            let (is_mul, ptr_base) = match &func.inst(inst).kind {
-                InstKind::Binary { op: BinOp::IMul, .. } => (true, None),
-                InstKind::PtrAdd { base: Value::Global(g), offset } => {
-                    // only worth it if the offset chain contains a multiply
-                    let has_mul = matches!(
-                        offset,
-                        Value::Inst(o) if matches!(func.inst(*o).kind, InstKind::Binary { op: BinOp::IMul, .. } | InstKind::Binary { op: BinOp::IAdd, .. })
-                    );
-                    (has_mul, Some(*g))
-                }
-                _ => (false, None),
-            };
-            if !is_mul {
+    if reducible > 0 {
+        for bb in func.block_ids() {
+            let Some(lp) = analysis.forest.innermost(bb) else { continue };
+            if s.loops[lp.0 as usize].is_none() {
                 continue;
             }
-            let affine = if ptr_base.is_some() {
-                match scev.pointer_of(Value::Inst(inst)) {
-                    Some(p) => p.offset,
-                    None => continue,
+            for &inst in &func.block(bb).insts {
+                let (is_mul, ptr_base) = match &func.inst(inst).kind {
+                    InstKind::Binary { op: BinOp::IMul, .. } => (true, None),
+                    InstKind::PtrAdd { base: Value::Global(g), offset } => {
+                        // only worth it if the offset chain contains a multiply
+                        let has_mul = matches!(
+                            offset,
+                            Value::Inst(o) if matches!(func.inst(*o).kind, InstKind::Binary { op: BinOp::IMul, .. } | InstKind::Binary { op: BinOp::IAdd, .. })
+                        );
+                        (has_mul, Some(*g))
+                    }
+                    _ => (false, None),
+                };
+                if !is_mul {
+                    continue;
                 }
-            } else {
-                match scev.affine_of(Value::Inst(inst)) {
-                    Some(a) => a,
-                    None => continue,
+                let affine = if ptr_base.is_some() {
+                    match scev.pointer_of(Value::Inst(inst)) {
+                        Some(p) => p.offset,
+                        None => continue,
+                    }
+                } else {
+                    match scev.affine_of(Value::Inst(inst)) {
+                        Some(a) => a,
+                        None => continue,
+                    }
+                };
+                let coeff = affine.coeff(AffineVar::Iv(lp));
+                if coeff == 0 {
+                    continue;
                 }
-            };
-            let coeff = affine.coeff(AffineVar::Iv(lp));
-            if coeff == 0 {
-                continue;
+                // Every *other* IV in the form must belong to an enclosing loop
+                // (so its header param is in scope at the preheader).
+                let nest = std::iter::successors(Some(lp), |&l| analysis.forest.get(l).parent);
+                if !affine.vars().all(|v| match v {
+                    AffineVar::Iv(l) => nest.clone().any(|n| n == l),
+                    AffineVar::Param(_) => true,
+                }) {
+                    continue;
+                }
+                s.candidates.push(Candidate { inst, affine, lp, coeff, ptr_base });
             }
-            // Every *other* IV in the form must belong to an enclosing loop
-            // (so its header param is in scope at the preheader).
-            let nest = std::iter::successors(Some(lp), |&l| analysis.forest.get(l).parent);
-            if !affine.vars().all(|v| match v {
-                AffineVar::Iv(l) => nest.clone().any(|n| n == l),
-                AffineVar::Param(_) => true,
-            }) {
-                continue;
-            }
-            candidates.push(Candidate { inst, affine, lp, coeff, ptr_base });
         }
     }
-    if candidates.is_empty() {
-        return false;
-    }
+    ws.reclaim_scev(scev);
+    ws.reclaim(analysis);
+    !s.candidates.is_empty()
+}
 
+/// Places the derived induction variable of every candidate in `s`.
+fn rewrite(
+    func: &mut Function,
+    s: &StrengthScratch,
+    redirect: &mut impl FnMut(&mut Function, InstId, Value),
+) -> bool {
     let mut changed = false;
-    for cand in candidates {
-        let ctx = &loops[&cand.lp];
+    for cand in &s.candidates {
+        let ctx = s.loops[cand.lp.0 as usize].as_ref().expect("candidates sit in reducible loops");
 
         // Entry value: the affine form with this loop's IV replaced by its
         // init expression, emitted in the (unique) entry predecessor.
         let init_sub = cand.affine.substitute(AffineVar::Iv(cand.lp), &ctx.init_affine);
-        let pred = ctx.entry_preds[0];
-        let Some(entry_int) = emit_affine(func, pred, &init_sub, &iv_values) else { continue };
+        let pred = ctx.entry_pred;
+        let Some(entry_int) = emit_affine(func, pred, &init_sub, &s.iv_values) else { continue };
         let (param_ty, entry_val) = match cand.ptr_base {
             Some(g) => {
                 let p = func.create_inst(
@@ -275,7 +317,8 @@ pub(crate) fn reduce_loops(
 
         // Back-edge arguments: dv + coeff·step.
         let delta = cand.coeff * ctx.step;
-        for &latch in &ctx.latches {
+        let (at, len) = (ctx.latches.0 as usize, ctx.latches.1 as usize);
+        for &latch in &s.latches[at..at + len] {
             let next = match param_ty {
                 Type::Ptr => func.create_inst(
                     InstKind::PtrAdd { base: dv, offset: Value::i64(delta) },
@@ -311,27 +354,37 @@ pub(crate) fn reduce_loops(
 /// Convenience: strength reduction followed by the standard clean-up
 /// pipeline (drops the now-dead multiplies).
 pub fn strength_reduce_and_clean(func: &Function) -> Function {
-    let mut f = super::compact(func.clone());
+    Workspace::with(|ws| {
+        let f = super::compact_in(ws, func.clone());
+        strength_reduce_and_clean_compacted(ws, f)
+    })
+}
+
+/// [`strength_reduce_and_clean`] on the buffers of `ws`, of a function the
+/// caller gives up and has already compacted — the output of
+/// [`compact`](super::compact) or [`optimize`](super::optimize) — so no
+/// copy is compacted again.
+pub fn strength_reduce_and_clean_compacted(ws: &mut Workspace, mut f: Function) -> Function {
     // One round is enough for the patterns the builder generates; a second
     // round catches derived IVs exposed by the first.
     let mut settled = false; // `f` is the output of `optimize`, untouched since
     for _ in 0..2 {
         let insts = f.num_insts();
-        let reduced = strength_reduce(&mut f);
+        let reduced = strength_reduce_in(ws, &mut f);
         // A candidate abandoned half-way leaves dead arithmetic behind even
         // when the round reports no change.
         settled &= f.num_insts() == insts;
         if !reduced {
             break;
         }
-        f = super::optimized(f);
+        f = super::optimize_in(ws, f);
         settled = true;
     }
     // `optimize` is idempotent: nothing is left to do on its own output.
     if settled {
         f
     } else {
-        super::optimized(f)
+        super::optimize_in(ws, f)
     }
 }
 
@@ -412,7 +465,8 @@ mod tests {
         verify_function(&out, None).unwrap();
         // The inner loop body should be mul-free (the row mul moves to the
         // outer loop or becomes a derived IV).
-        let analysis = FunctionAnalysis::run(&out);
+        let mut ws = Workspace::new();
+        let analysis = ws.analyze(&out);
         let inner = analysis
             .forest
             .loops()
@@ -420,8 +474,8 @@ mod tests {
             .map(|(_, l)| l.blocks.clone())
             .expect("inner loop");
         let mut inner_muls = 0;
-        for bb in &inner {
-            for &i in &out.block(*bb).insts {
+        for bb in inner.iter() {
+            for &i in &out.block(bb).insts {
                 inner_muls +=
                     matches!(out.inst(i).kind, InstKind::Binary { op: BinOp::IMul, .. }) as usize;
             }

@@ -5,14 +5,26 @@
 //!   per-block-`Vec` graph built the obvious way, with a recursive DFS for
 //!   the order, must agree with it on every block of random graphs —
 //!   unreachable blocks, self-loops and duplicate edges included.
-//! * [`Affine`] keeps its terms in a sorted vector; a `BTreeMap` model with
-//!   wrapping arithmetic that never stores a zero coefficient must agree
-//!   with it after every operation, on coefficients chosen to wrap.
+//! * [`Affine`] keeps its terms in a sorted vector, in place up to six
+//!   terms; a `BTreeMap` model with wrapping arithmetic that never stores a
+//!   zero coefficient must agree with it after every operation, on
+//!   coefficients chosen to wrap and on forms of up to eight terms.
+//! * A [`Workspace`] reused across functions must leave no trace: the
+//!   clean-up pipeline and compaction plus strength reduction on a
+//!   workspace that has just processed another function print exactly what
+//!   they print on a fresh one, on random graphs and on every corpus task,
+//!   in either order.
+//! * [`optimize`]'s output is already compact: compacting it again changes
+//!   nothing, which is why the skeleton path hands it to strength reduction
+//!   as it is.
 
 use std::collections::BTreeMap;
 
-use dae_analysis::{Affine, AffineVar, Cfg, LoopId};
-use dae_ir::{BlockCall, BlockId, Function, Terminator, Type, Value};
+use dae_analysis::transform::{
+    compact, compact_in, inline_all, optimize, optimize_in, strength_reduce_and_clean_compacted,
+};
+use dae_analysis::{Affine, AffineVar, Cfg, LoopId, Workspace};
+use dae_ir::{print_function, BlockCall, BlockId, Function, Terminator, Type, Value};
 use proptest::prelude::*;
 
 /// A terminator recipe: `0` returns, `1` jumps to `a`, else branches to
@@ -75,6 +87,51 @@ fn term() -> impl Strategy<Value = (u8, usize, usize)> {
     (0u8..3, 0usize..64, 0usize..64)
 }
 
+/// What the clean-up pipeline and strength reduction make of `f` on `ws`.
+fn cleaned(ws: &mut Workspace, f: &Function) -> [Function; 2] {
+    let compacted = compact_in(ws, f.clone());
+    [optimize_in(ws, f.clone()), strength_reduce_and_clean_compacted(ws, compacted)]
+}
+
+/// Runs `first` then `second` on one workspace: `second` must come out as
+/// it does on a fresh workspace, arenas and printed text alike.
+fn reuse_leaves_no_trace(first: &Function, second: &Function) {
+    let fresh = cleaned(&mut Workspace::new(), second);
+    let ws = &mut Workspace::new();
+    cleaned(ws, first);
+    let reused = cleaned(ws, second);
+    for (r, f) in reused.iter().zip(&fresh) {
+        assert_eq!(
+            print_function(r, None),
+            print_function(f, None),
+            "{} after {}",
+            second.name,
+            first.name
+        );
+        assert_eq!(r, f, "{} after {}", second.name, first.name);
+    }
+}
+
+/// `compact` leaves `optimize`'s output exactly as it is.
+fn optimize_output_is_compact(f: &Function) {
+    let once = optimize(f);
+    let again = compact(once.clone());
+    assert_eq!(print_function(&again, None), print_function(&once, None), "{}", f.name);
+    assert_eq!(again, once, "{}", f.name);
+}
+
+/// The inlined body of every task of the small and the full corpus.
+fn corpus_tasks() -> Vec<Function> {
+    let suites = [dae_workloads::all_benchmarks_small(), dae_workloads::all_benchmarks()];
+    let mut out = Vec::new();
+    for w in suites.iter().flatten() {
+        for task in w.module.task_ids() {
+            out.push(inline_all(&w.module, task).expect("inlinable"));
+        }
+    }
+    out
+}
+
 /// One step of an affine-expression program over the expressions built so
 /// far (indices modulo their number).
 #[derive(Clone, Debug)]
@@ -101,10 +158,11 @@ fn wide() -> impl Strategy<Value = i64> {
     ]
 }
 
+/// Eight variables: enough for a form to outgrow its in-place terms.
 fn var() -> impl Strategy<Value = AffineVar> {
     prop_oneof![
-        (0u32..3).prop_map(|l| AffineVar::Iv(LoopId(l))),
-        (0u32..3).prop_map(AffineVar::Param),
+        (0u32..4).prop_map(|l| AffineVar::Iv(LoopId(l))),
+        (0u32..4).prop_map(AffineVar::Param),
     ]
 }
 
@@ -194,6 +252,19 @@ proptest! {
     }
 
     #[test]
+    fn a_reused_workspace_cleans_random_graphs_as_a_fresh_one_does(
+        n in 1usize..24,
+        m in 1usize..24,
+        terms in proptest::collection::vec(term(), 24..25),
+        others in proptest::collection::vec(term(), 24..25),
+    ) {
+        let (f, g) = (graph(n, &terms), graph(m, &others));
+        reuse_leaves_no_trace(&f, &g);
+        reuse_leaves_no_trace(&g, &f);
+        optimize_output_is_compact(&f);
+    }
+
+    #[test]
     fn affine_forms_equal_the_map_model(steps in proptest::collection::vec(step(), 1..40)) {
         let mut built: Vec<(Affine, Model)> = vec![(Affine::constant(0), Model::constant(0))];
         for s in &steps {
@@ -253,4 +324,22 @@ fn a_product_that_wraps_to_zero_leaves_no_term() {
     let p = Affine::var(AffineVar::Param(0)).scale(1 << 62).scale(4);
     assert!(p.is_const(), "{p}");
     assert_eq!(p, Affine::constant(0));
+}
+
+#[test]
+fn a_reused_workspace_cleans_every_corpus_task_as_a_fresh_one_does() {
+    let tasks = corpus_tasks();
+    // Each task after its neighbour and before it: a larger function
+    // leaves longer tables behind, a smaller one shorter.
+    for pair in tasks.windows(2) {
+        reuse_leaves_no_trace(&pair[0], &pair[1]);
+        reuse_leaves_no_trace(&pair[1], &pair[0]);
+    }
+}
+
+#[test]
+fn optimize_output_compacts_to_itself_on_every_corpus_task() {
+    for f in corpus_tasks() {
+        optimize_output_is_compact(&f);
+    }
 }

@@ -7,10 +7,9 @@
 //! union analysis.
 
 use dae_analysis::scev::{Affine, AffineVar};
-use dae_analysis::{CountedLoop, FunctionAnalysis, LoopId, ScalarEvolution};
-use dae_ir::{CmpOp, Function, GlobalId, InstKind, Module, Value};
+use dae_analysis::{CountedLoop, FunctionAnalysis, LoopId, ScalarEvolution, Workspace};
+use dae_ir::{CmpOp, Function, GlobalId, InstKind, Value};
 use dae_poly::{AffineImage, LinExpr, Polyhedron, Space};
-use std::collections::HashMap;
 
 /// One subscript dimension of a delinearised access.
 #[derive(Clone, Debug, PartialEq)]
@@ -110,15 +109,20 @@ pub(crate) struct TaskAccessInfo {
     pub counts: AccessCounts,
 }
 
+/// The dim of `lp` in a loop nest: its position, outermost first.
+fn dim_of(nest: &[LoopId], lp: LoopId) -> Option<usize> {
+    nest.iter().position(|&l| l == lp)
+}
+
 /// Converts a scalar-evolution [`Affine`] into a polyhedral [`LinExpr`] over
-/// `space`, mapping IVs through `iv_dim` and `Param(i)` to parameter `i`.
-/// Returns `None` when the expression uses an IV outside the mapping or a
-/// coefficient overflows the polyhedral range.
-fn to_linexpr(space: Space, iv_dim: &HashMap<LoopId, usize>, a: &Affine) -> Option<LinExpr> {
+/// `space`, mapping the IV of `nest[d]` to dim `d` and `Param(i)` to
+/// parameter `i`. Returns `None` when the expression uses an IV outside the
+/// nest or a coefficient overflows the polyhedral range.
+fn to_linexpr(space: Space, nest: &[LoopId], a: &Affine) -> Option<LinExpr> {
     let mut e = LinExpr::constant(space, a.constant as i128);
     for (v, c) in a.terms() {
         let col = match v {
-            AffineVar::Iv(lp) => space.dim_col(*iv_dim.get(&lp)?),
+            AffineVar::Iv(lp) => space.dim_col(dim_of(nest, lp)?),
             AffineVar::Param(p) => {
                 if (p as usize) >= space.params {
                     return None;
@@ -133,13 +137,14 @@ fn to_linexpr(space: Space, iv_dim: &HashMap<LoopId, usize>, a: &Affine) -> Opti
 
 /// Applies the simultaneous IV-normalisation substitution to an affine
 /// expression: every original IV is replaced by `init + step·k` where `k`
-/// is the zero-based normalised counter of its loop.
-fn normalize_affine(a: &Affine, subst: &HashMap<LoopId, Affine>) -> Option<Affine> {
+/// is the zero-based normalised counter of its loop. `subst[d]` is the
+/// substitution of the IV of `nest[d]`; an IV without one fails.
+fn normalize_affine(a: &Affine, nest: &[LoopId], subst: &[Affine]) -> Option<Affine> {
     let mut out = Affine::constant(a.constant);
     for (v, c) in a.terms() {
         out = match v {
             AffineVar::Param(_) => out.add_term(v, c),
-            AffineVar::Iv(l) => out.add_scaled(c, subst.get(&l)?),
+            AffineVar::Iv(l) => out.add_scaled(c, subst.get(dim_of(nest, l)?)?),
         };
     }
     Some(out)
@@ -156,26 +161,26 @@ fn normalize_affine(a: &Affine, subst: &HashMap<LoopId, Affine>) -> Option<Affin
 /// counts* remain as parameter terms in the domain and are rejected by the
 /// caller — the skeleton path handles them.
 ///
-/// Returns the domain plus the IV substitution map.
+/// Returns the domain plus the IV substitutions, `subst[d]` for the IV of
+/// `nest[d]`.
 fn build_domain(
     space: Space,
-    iv_dim: &HashMap<LoopId, usize>,
     nest: &[LoopId],
     scev: &mut ScalarEvolution<'_>,
-) -> Option<(Polyhedron, HashMap<LoopId, Affine>)> {
+) -> Option<(Polyhedron, Vec<Affine>)> {
     let mut dom = Polyhedron::universe(space);
-    let mut subst: HashMap<LoopId, Affine> = HashMap::new();
+    let mut subst: Vec<Affine> = Vec::with_capacity(nest.len());
     for (k, lp) in nest.iter().enumerate() {
         let counted: CountedLoop = scev.counted(*lp)?.clone();
         if counted.step.abs() != 1 {
             return None;
         }
-        let init = normalize_affine(&scev.affine_of(counted.init)?, &subst)?;
-        let bound = normalize_affine(&scev.affine_of(counted.bound)?, &subst)?;
+        let init = normalize_affine(&scev.affine_of(counted.init)?, nest, &subst)?;
+        let bound = normalize_affine(&scev.affine_of(counted.bound)?, nest, &subst)?;
         let init_has_params = init.vars().any(|v| matches!(v, AffineVar::Param(_)));
 
-        let init_e = to_linexpr(space, iv_dim, &init)?;
-        let bound_e = to_linexpr(space, iv_dim, &bound)?;
+        let init_e = to_linexpr(space, nest, &init)?;
+        let bound_e = to_linexpr(space, nest, &bound)?;
         // Bounds may only reference outer dims.
         for d in k..space.dims {
             if init_e.dim_coeff(d) != 0 || bound_e.dim_coeff(d) != 0 {
@@ -185,7 +190,7 @@ fn build_domain(
         let dim_v = LinExpr::dim(space, k);
         if init_has_params {
             // Normalise: iv = init + step·k, 0 <= k < trip count.
-            subst.insert(*lp, init.add_term(AffineVar::Iv(*lp), counted.step));
+            subst.push(init.add_term(AffineVar::Iv(*lp), counted.step));
             dom.add_ge0(dim_v.clone()); // k >= 0
             let diff = if counted.step == 1 { bound_e - &init_e } else { init_e - &bound_e };
             match (counted.step, counted.cmp) {
@@ -199,7 +204,7 @@ fn build_domain(
             }
         } else {
             // Natural coordinates: the dim is the IV itself.
-            subst.insert(*lp, Affine::var(AffineVar::Iv(*lp)));
+            subst.push(Affine::var(AffineVar::Iv(*lp)));
             if counted.step == 1 {
                 dom.add_ge0(dim_v.clone() - &init_e); // iv >= init
                 match counted.cmp {
@@ -292,37 +297,35 @@ fn delinearize(space: Space, offset_elems: &Affine, n_params: usize) -> Vec<SubS
 }
 
 /// Scans `task` and produces its [`TaskAccessInfo`].
-pub(crate) fn analyze_task(module: &Module, task: &Function) -> TaskAccessInfo {
-    let _ = module;
-    let analysis = FunctionAnalysis::run(task);
-    let mut scev = analysis.scev();
+pub(crate) fn analyze_task(ws: &mut Workspace, task: &Function) -> TaskAccessInfo {
+    let analysis = ws.analyze(task);
+    let mut scev = ws.scev(&analysis);
+    let forest = &analysis.forest;
     let mut affine = Vec::new();
-    let mut counts = AccessCounts { loops_total: analysis.forest.len(), ..Default::default() };
+    let mut counts = AccessCounts { loops_total: forest.len(), ..Default::default() };
 
-    // Track per-loop affineness: a loop counts as affine if all loads in it
-    // (transitively) are affine.
-    let mut loop_has_nonaffine: HashMap<LoopId, bool> = HashMap::new();
+    // Track per-loop affineness, indexed by loop id: a loop counts as
+    // affine if all loads in it (transitively) are affine.
+    let mut loop_has_nonaffine = vec![false; forest.len()];
+    let mut mark_nest = |bb: dae_ir::BlockId| {
+        let mut cur = forest.innermost(bb);
+        while let Some(lp) = cur {
+            loop_has_nonaffine[lp.0 as usize] = true;
+            cur = forest.get(lp).parent;
+        }
+    };
 
-    let mut work: Vec<(dae_ir::BlockId, dae_ir::InstId)> = Vec::new();
-    task.for_each_placed_inst(|bb, inst| work.push((bb, inst)));
-
-    for (bb, inst) in work {
-        let addr = match &task.inst(inst).kind {
-            InstKind::Load { addr } => *addr,
-            _ => continue,
-        };
+    task.for_each_placed_inst(|bb, inst| {
+        let InstKind::Load { addr } = task.inst(inst).kind else { return };
         counts.total_loads += 1;
-        let described = describe_load(task, &analysis, &mut scev, bb, addr);
-        match described {
+        match describe_load(task, &analysis, &mut scev, bb, addr) {
             Some(acc) => affine.push(acc),
             None => {
                 counts.non_affine_loads += 1;
-                for lp in analysis.forest.nest_of(bb) {
-                    loop_has_nonaffine.insert(lp, true);
-                }
+                mark_nest(bb);
             }
         }
-    }
+    });
 
     // Static-control-flow check: every conditional branch must be the exit
     // test of a recognised counted loop.
@@ -331,28 +334,22 @@ pub(crate) fn analyze_task(module: &Module, task: &Function) -> TaskAccessInfo {
             continue;
         }
         if matches!(task.terminator(bb), dae_ir::Terminator::Branch { .. }) {
-            let is_counted_header = analysis
-                .forest
-                .loop_with_header(bb)
-                .map(|lp| scev.counted(lp).is_some())
-                .unwrap_or(false);
+            let is_counted_header =
+                forest.loop_with_header(bb).map(|lp| scev.counted(lp).is_some()).unwrap_or(false);
             if !is_counted_header {
                 counts.has_data_dependent_cf = true;
                 // Loops containing the irregular branch are not affine.
-                for lp in analysis.forest.nest_of(bb) {
-                    loop_has_nonaffine.insert(lp, true);
-                }
+                mark_nest(bb);
             }
         }
     }
 
-    counts.loops_affine = analysis
-        .forest
+    counts.loops_affine = forest
         .loops()
-        .filter(|(id, _)| {
-            !loop_has_nonaffine.get(id).copied().unwrap_or(false) && scev.counted(*id).is_some()
-        })
+        .filter(|(id, _)| !loop_has_nonaffine[id.0 as usize] && scev.counted(*id).is_some())
         .count();
+    ws.reclaim_scev(scev);
+    ws.reclaim(analysis);
     TaskAccessInfo { affine, counts }
 }
 
@@ -367,25 +364,22 @@ fn describe_load(
     let nest = analysis.forest.nest_of(bb);
     let n_params = task.params.len();
     let space = Space::new(nest.len(), n_params);
-    let iv_dim: HashMap<LoopId, usize> = nest.iter().enumerate().map(|(i, l)| (*l, i)).collect();
 
     // Every IV in the offset must belong to the enclosing nest.
     for v in ptr.offset.vars() {
         if let AffineVar::Iv(lp) = v {
-            if !iv_dim.contains_key(&lp) {
-                return None;
-            }
+            dim_of(&nest, lp)?;
         }
     }
 
-    let (domain, subst) = build_domain(space, &iv_dim, &nest, scev)?;
+    let (domain, subst) = build_domain(space, &nest, scev)?;
     // Parametric trip counts cannot be scanned by a concretely-hulled nest:
     // leave those to the skeleton path.
     if domain.constraints().iter().any(|c| (0..n_params).any(|p| c.expr.param_coeff(p) != 0)) {
         return None;
     }
     // Rewrite the byte offset onto the normalised counters.
-    let ptr_offset = normalize_affine(&ptr.offset, &subst)?;
+    let ptr_offset = normalize_affine(&ptr.offset, &nest, &subst)?;
 
     // Bytes → elements.
     let elem: i64 = 8;
@@ -407,7 +401,7 @@ fn describe_load(
     for v in offset_elems.vars() {
         if let AffineVar::Iv(lp) = v {
             let c = offset_elems.coeff(v);
-            let d = iv_dim[&lp];
+            let d = dim_of(&nest, lp).expect("checked above");
             // Find the subscript whose stride divides this coefficient
             // exactly (by construction |c| is one of the strides, unless we
             // fell back to 1-D).
@@ -430,7 +424,7 @@ fn describe_load(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dae_ir::{FunctionBuilder, Type};
+    use dae_ir::{FunctionBuilder, Module, Type};
 
     /// Builds the paper's Listing 1(b) LU block loop nest over an N×N
     /// matrix (constant trip counts, as in the block-sized task setting).
@@ -486,8 +480,8 @@ mod tests {
 
     #[test]
     fn lu_is_fully_affine() {
-        let (m, f) = lu_task(16);
-        let info = analyze_task(&m, &f);
+        let (_, f) = lu_task(16);
+        let info = analyze_task(&mut Workspace::new(), &f);
         assert_eq!(info.counts.total_loads, 5);
         assert_eq!(info.counts.non_affine_loads, 0);
         assert!(info.counts.fully_affine());
@@ -497,8 +491,8 @@ mod tests {
 
     #[test]
     fn lu_access_shapes() {
-        let (m, f) = lu_task(16);
-        let info = analyze_task(&m, &f);
+        let (_, f) = lu_task(16);
+        let info = analyze_task(&mut Workspace::new(), &f);
         // A[i][i] delinearises to one subscript of stride N+1 = 17 with
         // residual i (offset = 17·i elements).
         let diag = info
@@ -522,8 +516,8 @@ mod tests {
 
     #[test]
     fn domain_counts_triangle() {
-        let (m, f) = lu_task(8);
-        let info = analyze_task(&m, &f);
+        let (_, f) = lu_task(8);
+        let info = analyze_task(&mut Workspace::new(), &f);
         // A 2-level access (A[j][i] in the j-loop): the normalised domain is
         // the triangle {0<=i<8, 0<=k<7-i} — 28 points.
         let two_level = info.affine.iter().find(|a| a.nest.len() == 2).expect("2-level access");
@@ -545,7 +539,7 @@ mod tests {
         });
         b.ret(None);
         let f = b.finish();
-        let info = analyze_task(&m, &f);
+        let info = analyze_task(&mut Workspace::new(), &f);
         assert_eq!(info.counts.total_loads, 2);
         assert_eq!(info.counts.non_affine_loads, 1); // a[idx[i]] rejected
         assert_eq!(info.affine.len(), 1); // idx[i] itself is affine
@@ -570,7 +564,7 @@ mod tests {
         });
         b.ret(None);
         let f = b.finish();
-        let info = analyze_task(&m, &f);
+        let info = analyze_task(&mut Workspace::new(), &f);
         assert_eq!(info.affine.len(), 2);
         let k1 = info.affine[0].class_key();
         let k2 = info.affine[1].class_key();
@@ -592,7 +586,7 @@ mod tests {
         });
         b.ret(None);
         let f = b.finish();
-        let info = analyze_task(&m, &f);
+        let info = analyze_task(&mut Workspace::new(), &f);
         assert_eq!(info.affine.len(), 1, "{info:?}");
         let acc = &info.affine[0];
         assert_eq!(acc.subscripts.len(), 1);
@@ -614,7 +608,7 @@ mod tests {
         });
         b.ret(None);
         let f = b.finish();
-        let info = analyze_task(&m, &f);
+        let info = analyze_task(&mut Workspace::new(), &f);
         assert_eq!(info.affine.len(), 0);
         assert_eq!(info.counts.non_affine_loads, 1);
     }
@@ -640,7 +634,7 @@ mod tests {
         bld.switch_to(exit);
         bld.ret(None);
         let f = bld.finish();
-        let info = analyze_task(&m, &f);
+        let info = analyze_task(&mut Workspace::new(), &f);
         assert_eq!(info.affine.len(), 1);
         let dom = info.affine[0].domain.instantiate_params(&[]);
         assert_eq!(dom.count_integer_points(), 10);

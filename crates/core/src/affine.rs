@@ -17,6 +17,8 @@
 
 use crate::access_info::{AffineAccess, ClassKey, TaskAccessInfo};
 use crate::options::{AffineStats, CompilerOptions};
+use dae_analysis::transform::{compact_in, strength_reduce_and_clean_compacted};
+use dae_analysis::Workspace;
 use dae_ir::{Function, FunctionBuilder, GlobalId, Type, Value};
 use dae_poly::{
     convex_hull, extract_loop_nest, try_count_union_distinct, union_image_vertices, AffineImage,
@@ -48,6 +50,7 @@ pub(crate) struct AffineResult {
 /// affine, parameters lack representative hints, the hull check fails, or a
 /// hull cannot be scanned with unit-coefficient bounds.
 pub(crate) fn generate_affine_access(
+    ws: &mut Workspace,
     task: &Function,
     info: &TaskAccessInfo,
     opts: &CompilerOptions,
@@ -145,12 +148,13 @@ pub(crate) fn generate_affine_access(
         } else {
             1
         };
-        emit_nest(&mut b, spec, 0, &[], &classes, members, line_step);
+        emit_nest(&mut b, spec, 0, &mut Vec::new(), &classes, members, line_step);
     }
     b.ret(None);
     // -O3-style clean-up including strength reduction: the scanning nests
     // become tight pointer-increment prefetch streams.
-    let func = dae_analysis::transform::strength_reduce_and_clean(&b.finish());
+    let func = compact_in(ws, b.finish());
+    let func = strength_reduce_and_clean_compacted(ws, func);
 
     let stats = AffineStats {
         n_orig,
@@ -210,11 +214,13 @@ fn emit_bound(
     acc.expect("at least one bound")
 }
 
+/// Emits the scanning loops of `spec` from `depth` in, `dims` holding the
+/// IVs of the loops already open (pushed and popped around each level).
 fn emit_nest(
     b: &mut FunctionBuilder,
     spec: &LoopNestSpec,
     depth: usize,
-    dims: &[Value],
+    dims: &mut Vec<Value>,
     classes: &[Class],
     members: &[usize],
     line_step: i64,
@@ -251,13 +257,10 @@ fn emit_nest(
     let hi_incl = emit_bound(b, &d.uppers, dims, false);
     let hi = b.iadd(hi_incl, 1i64);
     let step = if depth + 1 == spec.depth() { line_step } else { 1 };
-    // A recursive closure is awkward with FnOnce; use explicit recursion by
-    // capturing the needed state in a helper.
-    let spec_c = spec.clone();
-    let mut dims_c = dims.to_vec();
     b.counted_loop(lo, hi, Value::i64(step), |b, iv| {
-        dims_c.push(iv);
-        emit_nest(b, &spec_c, depth + 1, &dims_c, classes, members, line_step);
+        dims.push(iv);
+        emit_nest(b, spec, depth + 1, dims, classes, members, line_step);
+        dims.pop();
     });
 }
 
@@ -336,10 +339,11 @@ mod tests {
         // diagonal access A[i][i] delinearises to a separate stride-17
         // class (its own 1-D scan); the off-diagonal accesses form one 2-D
         // class whose hull is the matrix minus the (0,0) corner.
-        let (m, f) = lu_like(16);
-        let info = analyze_task(&m, &f);
+        let (_, f) = lu_like(16);
+        let info = analyze_task(&mut Workspace::new(), &f);
         let opts = CompilerOptions { param_hints: vec![16], ..Default::default() };
-        let r = generate_affine_access(&f, &info, &opts).expect("affine access generated");
+        let r = generate_affine_access(&mut Workspace::new(), &f, &info, &opts)
+            .expect("affine access generated");
         verify_function(&r.func, None).unwrap();
         assert_eq!(r.stats.orig_depth, 3);
         assert_eq!(r.stats.gen_depth, 2, "{}", dae_ir::print_function(&r.func, None));
@@ -391,9 +395,9 @@ mod tests {
         });
         b.ret(None);
         let f = b.finish();
-        let info = analyze_task(&m, &f);
+        let info = analyze_task(&mut Workspace::new(), &f);
         let opts = CompilerOptions { param_hints: vec![n], ..Default::default() };
-        let r = generate_affine_access(&f, &info, &opts).expect("generated");
+        let r = generate_affine_access(&mut Workspace::new(), &f, &info, &opts).expect("generated");
         verify_function(&r.func, None).unwrap();
         assert_eq!(r.stats.classes, 2, "A and D form separate classes");
         assert_eq!(r.stats.nests, 1, "identical bounds merge into one nest");
@@ -436,9 +440,9 @@ mod tests {
         });
         b.ret(None);
         let f = b.finish();
-        let info = analyze_task(&m, &f);
+        let info = analyze_task(&mut Workspace::new(), &f);
         let opts = CompilerOptions { param_hints: vec![0, 0, 32, 32], ..Default::default() };
-        let r = generate_affine_access(&f, &info, &opts).expect("generated");
+        let r = generate_affine_access(&mut Workspace::new(), &f, &info, &opts).expect("generated");
         verify_function(&r.func, None).unwrap();
         assert_eq!(r.stats.classes, 2, "parameter-distinct blocks split");
         assert_eq!(r.stats.nests, 1, "equal-iteration nests merge");
@@ -464,21 +468,21 @@ mod tests {
         });
         b.ret(None);
         let f = b.finish();
-        let info = analyze_task(&m, &f);
+        let info = analyze_task(&mut Workspace::new(), &f);
         assert_eq!(info.affine.len(), 2);
         let opts = CompilerOptions { param_hints: vec![16], ..Default::default() };
         assert!(
-            generate_affine_access(&f, &info, &opts).is_none(),
+            generate_affine_access(&mut Workspace::new(), &f, &info, &opts).is_none(),
             "hull spanning the [16, 1000) gap must fail NconvUn <= NOrig"
         );
         // …but with the check disabled (ablation) it generates.
         let opts2 =
             CompilerOptions { param_hints: vec![16], skip_hull_check: true, ..Default::default() };
-        assert!(generate_affine_access(&f, &info, &opts2).is_some());
+        assert!(generate_affine_access(&mut Workspace::new(), &f, &info, &opts2).is_some());
         // …and a large enough threshold also admits it.
         let opts3 =
             CompilerOptions { param_hints: vec![16], hull_threshold: 2000, ..Default::default() };
-        assert!(generate_affine_access(&f, &info, &opts3).is_some());
+        assert!(generate_affine_access(&mut Workspace::new(), &f, &info, &opts3).is_some());
     }
 
     #[test]
@@ -486,33 +490,33 @@ mod tests {
         // `NconvUn − th` with th near i64::MIN used to overflow i64 (a panic
         // in debug, a wrapped "profitable" in release); compared in i128
         // it is simply a very unprofitable hull. th near i64::MAX admits.
-        let (m, f) = lu_like(16);
-        let info = analyze_task(&m, &f);
+        let (_, f) = lu_like(16);
+        let info = analyze_task(&mut Workspace::new(), &f);
         let with = |th| CompilerOptions {
             param_hints: vec![16],
             hull_threshold: th,
             ..Default::default()
         };
-        assert!(generate_affine_access(&f, &info, &with(i64::MIN)).is_none());
-        assert!(generate_affine_access(&f, &info, &with(i64::MAX)).is_some());
+        assert!(generate_affine_access(&mut Workspace::new(), &f, &info, &with(i64::MIN)).is_none());
+        assert!(generate_affine_access(&mut Workspace::new(), &f, &info, &with(i64::MAX)).is_some());
     }
 
     #[test]
     fn missing_param_hints_fall_back() {
-        let (m, f) = lu_like(8);
-        let info = analyze_task(&m, &f);
+        let (_, f) = lu_like(8);
+        let info = analyze_task(&mut Workspace::new(), &f);
         let opts = CompilerOptions::default(); // no hints
-        assert!(generate_affine_access(&f, &info, &opts).is_none());
+        assert!(generate_affine_access(&mut Workspace::new(), &f, &info, &opts).is_none());
     }
 
     #[test]
     fn line_dedup_steps_by_line() {
-        let (m, f) = lu_like(16);
-        let info = analyze_task(&m, &f);
+        let (_, f) = lu_like(16);
+        let info = analyze_task(&mut Workspace::new(), &f);
         let base = CompilerOptions { param_hints: vec![16], ..Default::default() };
         let dedup = CompilerOptions { line_dedup: true, ..base.clone() };
-        let r1 = generate_affine_access(&f, &info, &base).unwrap();
-        let r2 = generate_affine_access(&f, &info, &dedup).unwrap();
+        let r1 = generate_affine_access(&mut Workspace::new(), &f, &info, &base).unwrap();
+        let r2 = generate_affine_access(&mut Workspace::new(), &f, &info, &dedup).unwrap();
         let text1 = dae_ir::print_function(&r1.func, None);
         let text2 = dae_ir::print_function(&r2.func, None);
         assert!(text1.contains("iadd") && text2.contains("iadd"));

@@ -27,7 +27,7 @@
 //! * nothing defined in the loop is consumed outside it (the trip count
 //!   changes, so live-outs would observe different values).
 
-use dae_analysis::{AffineVar, FunctionAnalysis};
+use dae_analysis::{AffineVar, BlockSet, FunctionAnalysis, Workspace};
 use dae_ir::{BinOp, BlockId, CmpOp, Function, InstKind, Terminator, Value};
 
 /// Cache line size the re-step targets, in bytes.
@@ -44,8 +44,8 @@ struct Restep {
 /// Returns `func` with every eligible innermost prefetch loop re-stepped
 /// to line granularity. Ineligible loops (and functions with none) come
 /// back byte-identical.
-pub(crate) fn restep_prefetch_loops(func: &Function) -> Function {
-    let plans = plan_resteps(func);
+pub(crate) fn restep_prefetch_loops(ws: &mut Workspace, func: &Function) -> Function {
+    let plans = plan_resteps(ws, func);
     if plans.is_empty() {
         return func.clone();
     }
@@ -65,9 +65,9 @@ pub(crate) fn restep_prefetch_loops(func: &Function) -> Function {
     f
 }
 
-fn plan_resteps(func: &Function) -> Vec<Restep> {
-    let analysis = FunctionAnalysis::run(func);
-    let mut scev = analysis.scev();
+fn plan_resteps(ws: &mut Workspace, func: &Function) -> Vec<Restep> {
+    let analysis = ws.analyze(func);
+    let mut scev = ws.scev(&analysis);
     let mut plans = Vec::new();
 
     for (lp, l) in analysis.forest.loops() {
@@ -90,7 +90,7 @@ fn plan_resteps(func: &Function) -> Vec<Restep> {
         // deterministic block order.
         let mut prefetches: Vec<Value> = Vec::new();
         let mut eligible = true;
-        for bb in func.block_ids().filter(|bb| l.blocks.contains(bb)) {
+        for bb in l.blocks.iter() {
             for &inst in &func.block(bb).insts {
                 match &func.inst(inst).kind {
                     InstKind::Load { .. } | InstKind::Store { .. } | InstKind::Call { .. } => {
@@ -164,17 +164,15 @@ fn plan_resteps(func: &Function) -> Vec<Restep> {
             new_step,
         });
     }
+    ws.reclaim_scev(scev);
+    ws.reclaim(analysis);
     plans
 }
 
 /// True when any value defined inside the loop (an instruction placed in
 /// a loop block, or a loop block's parameter) is consumed outside it —
 /// including by edge arguments leaving the loop.
-fn loop_values_escape(
-    func: &Function,
-    analysis: &FunctionAnalysis<'_>,
-    blocks: &std::collections::HashSet<BlockId>,
-) -> bool {
+fn loop_values_escape(func: &Function, analysis: &FunctionAnalysis<'_>, blocks: &BlockSet) -> bool {
     let defined_inside = |v: Value| match v {
         Value::Inst(id) => {
             let mut home = None;
@@ -183,9 +181,9 @@ fn loop_values_escape(
                     home = Some(bb);
                 }
             });
-            home.is_some_and(|bb| blocks.contains(&bb))
+            home.is_some_and(|bb| blocks.contains(bb))
         }
-        Value::BlockParam { block, .. } => blocks.contains(&block),
+        Value::BlockParam { block, .. } => blocks.contains(block),
         _ => false,
     };
 
@@ -194,10 +192,10 @@ fn loop_values_escape(
         if !analysis.cfg.is_reachable(bb) || func.block(bb).term.is_none() {
             continue;
         }
-        if blocks.contains(&bb) {
+        if blocks.contains(bb) {
             // Edges leaving the loop must not carry loop-defined values.
             for dest in func.terminator(bb).successors() {
-                if !blocks.contains(&dest.block) {
+                if !blocks.contains(dest.block) {
                     escapes = escapes || dest.args.iter().any(|&a| defined_inside(a));
                 }
             }
@@ -249,7 +247,7 @@ mod tests {
     #[test]
     fn unit_stride_prefetch_loop_is_restepped_to_the_line() {
         let f = prefetch_loop(1);
-        let out = restep_prefetch_loops(&f);
+        let out = restep_prefetch_loops(&mut Workspace::new(), &f);
         verify_function(&out, None).unwrap();
         assert_eq!(latch_step(&out), Some(8), "{}", print_function(&out, None));
         assert_ne!(print_function(&f, None), print_function(&out, None));
@@ -259,7 +257,7 @@ mod tests {
     fn line_stride_and_coarser_loops_are_left_alone() {
         for stride in [8i64, 16] {
             let f = prefetch_loop(stride);
-            let out = restep_prefetch_loops(&f);
+            let out = restep_prefetch_loops(&mut Workspace::new(), &f);
             assert_eq!(print_function(&f, None), print_function(&out, None));
         }
     }
@@ -277,7 +275,7 @@ mod tests {
         });
         b.ret(None);
         let f = b.finish();
-        let out = restep_prefetch_loops(&f);
+        let out = restep_prefetch_loops(&mut Workspace::new(), &f);
         assert_eq!(print_function(&f, None), print_function(&out, None));
     }
 
@@ -287,7 +285,7 @@ mod tests {
         // 0..=12. After the re-step (step 8, offsets 0,64,...), the same
         // lines are all still prefetched.
         let f = prefetch_loop(1);
-        let out = restep_prefetch_loops(&f);
+        let out = restep_prefetch_loops(&mut Workspace::new(), &f);
         let lines = |f: &Function, n: i64| -> Vec<i64> {
             // Interpret the loop symbolically: collect i*8 for each
             // surviving iteration, mapped to line indices.

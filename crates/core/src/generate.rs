@@ -5,7 +5,8 @@ use crate::access_info::{analyze_task, AccessCounts};
 use crate::affine::generate_affine_access;
 use crate::options::{CompilerOptions, RefuseReason, Strategy};
 use crate::skeleton::generate_skeleton_access;
-use dae_analysis::transform::{inline_all, optimize};
+use dae_analysis::transform::{inline_all, optimize_in};
+use dae_analysis::Workspace;
 use dae_ir::{FuncId, Function, Module};
 use std::collections::HashMap;
 
@@ -65,20 +66,23 @@ pub fn generate_access_with(
     let inlined = inline_task(module, task);
     on_stage("inline");
     let inlined = inlined?;
-    let body = optimize(&inlined);
-    on_stage("optimize");
-    let adjusted = adjust(&mut opts);
-    on_stage("refine");
-    adjusted?;
-    let info = analyze_task(module, &body);
-    on_stage("analyze");
-    let generated = match generate_affine_access(&body, &info, &opts) {
-        Some(affine) => Ok((affine.func, Strategy::Polyhedral(affine.stats))),
-        None => generate_skeleton_access(&inlined, &opts).map(|f| (f, Strategy::Skeleton)),
-    };
-    on_stage("generate");
-    let (func, strategy) = generated?;
-    Ok(GeneratedAccess { func, strategy, info: info.counts })
+    // Every later stage runs on this thread's analysis buffers.
+    Workspace::with(|ws| {
+        let body = optimize_in(ws, inlined.clone());
+        on_stage("optimize");
+        let adjusted = adjust(&mut opts);
+        on_stage("refine");
+        adjusted?;
+        let info = analyze_task(ws, &body);
+        on_stage("analyze");
+        let generated = match generate_affine_access(ws, &body, &info, &opts) {
+            Some(affine) => Ok((affine.func, Strategy::Polyhedral(affine.stats))),
+            None => generate_skeleton_access(ws, &inlined, &opts).map(|f| (f, Strategy::Skeleton)),
+        };
+        on_stage("generate");
+        let (func, strategy) = generated?;
+        Ok(GeneratedAccess { func, strategy, info: info.counts })
+    })
 }
 
 /// `task` with every call inlined; a recursive call graph refuses it.

@@ -22,8 +22,8 @@
 
 use crate::options::{CompilerOptions, RefuseReason};
 use dae_analysis::effects;
-use dae_analysis::transform::{compact, optimize};
-use dae_analysis::FunctionAnalysis;
+use dae_analysis::transform::{compact_in, optimize_in, strength_reduce_and_clean_compacted};
+use dae_analysis::Workspace;
 use dae_ir::{BlockId, Function, InstId, InstKind, Terminator, Type, Value};
 use std::collections::HashSet;
 
@@ -34,6 +34,7 @@ use std::collections::HashSet;
 ///
 /// Refuses per the paper's safety conditions; see [`RefuseReason`].
 pub(crate) fn generate_skeleton_access(
+    ws: &mut Workspace,
     inlined: &Function,
     opts: &CompilerOptions,
 ) -> Result<Function, RefuseReason> {
@@ -41,14 +42,14 @@ pub(crate) fn generate_skeleton_access(
     let original_effects = effects::summarize(inlined);
 
     // 2. a private clone
-    let mut f = compact(inlined.clone());
+    let mut f = compact_in(ws, inlined.clone());
     f.name = format!("{}__access", inlined.name);
     f.is_task = false;
 
     // 3. simplified CFG
     if opts.cfg_simplify {
-        simplify_in_loop_conditionals(&mut f);
-        f = compact(f);
+        simplify_in_loop_conditionals(ws, &mut f);
+        f = compact_in(ws, f);
     }
 
     // 4–5. prefetch insertion + store discarding
@@ -58,7 +59,7 @@ pub(crate) fn generate_skeleton_access(
     }
 
     // 6. cleanup (-O3 part one: fold, DCE, merge)
-    let f = optimize(&f);
+    let f = optimize_in(ws, f);
 
     // 7. safety: control flow must not consume task-written memory. Checked
     // before strength reduction, whose derived pointer IVs would hide the
@@ -70,10 +71,17 @@ pub(crate) fn generate_skeleton_access(
     // Profile-guided line dedup (measured prefetch accuracy said the
     // element-granular streams are redundant): re-step eligible prefetch
     // loops to one touch per cache line before strength reduction.
-    let f = if opts.line_dedup { crate::dedup::restep_prefetch_loops(&f) } else { f };
+    // The re-stepped function is compacted again; `optimize`'s output
+    // already is.
+    let f = if opts.line_dedup {
+        let restepped = crate::dedup::restep_prefetch_loops(ws, &f);
+        compact_in(ws, restepped)
+    } else {
+        f
+    };
 
     // -O3 part two: strength-reduce the surviving address streams.
-    let f = dae_analysis::transform::strength_reduce_and_clean(&f);
+    let f = strength_reduce_and_clean_compacted(ws, f);
 
     let mut prefetches = 0;
     f.for_each_placed_inst(|_, i| {
@@ -89,8 +97,8 @@ pub(crate) fn generate_skeleton_access(
 /// same loop into unconditional jumps, eliminating data-dependent control
 /// flow while preserving loop control. The false edge is taken (for
 /// builder-generated `if-then` diamonds that is the skip edge).
-fn simplify_in_loop_conditionals(f: &mut Function) {
-    let analysis = FunctionAnalysis::run(f);
+fn simplify_in_loop_conditionals(ws: &mut Workspace, f: &mut Function) {
+    let analysis = ws.analyze(f);
     let mut rewrites: Vec<(BlockId, Terminator)> = Vec::new();
     for bb in f.block_ids() {
         if !analysis.cfg.is_reachable(bb) {
@@ -102,8 +110,7 @@ fn simplify_in_loop_conditionals(f: &mut Function) {
         };
         let blocks = &analysis.forest.get(lp).blocks;
         if let Terminator::Branch { then_dest, else_dest, .. } = f.terminator(bb) {
-            let both_inside =
-                blocks.contains(&then_dest.block) && blocks.contains(&else_dest.block);
+            let both_inside = blocks.contains(then_dest.block) && blocks.contains(else_dest.block);
             // The loop header's own test and any branch with an exit edge
             // maintain the loop's control flow — keep those.
             let is_header = analysis.forest.get(lp).header == bb;
@@ -112,6 +119,7 @@ fn simplify_in_loop_conditionals(f: &mut Function) {
             }
         }
     }
+    ws.reclaim(analysis);
     for (bb, term) in rewrites {
         f.set_terminator(bb, term);
     }
@@ -121,10 +129,12 @@ fn simplify_in_loop_conditionals(f: &mut Function) {
 /// address, deduplicated per SSA address value.
 fn insert_prefetches(f: &mut Function, prefetch_writes: bool) {
     let mut seen: HashSet<Value> = HashSet::new();
-    for bb in f.block_ids().collect::<Vec<_>>() {
-        let insts = f.block(bb).insts.clone();
-        let mut new_list: Vec<InstId> = Vec::with_capacity(insts.len() * 2);
-        for inst in insts {
+    // Each block's new list is built in the list the previous block gave up.
+    let mut new_list: Vec<InstId> = Vec::new();
+    for bb in f.block_ids() {
+        let insts = std::mem::take(&mut f.block_mut(bb).insts);
+        new_list.clear();
+        for &inst in &insts {
             new_list.push(inst);
             let addr = match &f.inst(inst).kind {
                 InstKind::Load { addr } => Some(*addr),
@@ -138,21 +148,16 @@ fn insert_prefetches(f: &mut Function, prefetch_writes: bool) {
                 }
             }
         }
-        f.block_mut(bb).insts = new_list;
+        f.block_mut(bb).insts = std::mem::replace(&mut new_list, insts);
     }
 }
 
 /// Drops every store instruction.
 fn remove_stores(f: &mut Function) {
-    for bb in f.block_ids().collect::<Vec<_>>() {
-        let keep: Vec<InstId> = f
-            .block(bb)
-            .insts
-            .iter()
-            .copied()
-            .filter(|&i| !matches!(f.inst(i).kind, InstKind::Store { .. }))
-            .collect();
-        f.block_mut(bb).insts = keep;
+    for bb in f.block_ids() {
+        let mut insts = std::mem::take(&mut f.block_mut(bb).insts);
+        insts.retain(|&i| !matches!(f.inst(i).kind, InstKind::Store { .. }));
+        f.block_mut(bb).insts = insts;
     }
 }
 
@@ -223,7 +228,11 @@ mod tests {
         task: FuncId,
         opts: &CompilerOptions,
     ) -> Result<Function, RefuseReason> {
-        generate_skeleton_access(&crate::generate::inline_task(m, task)?, opts)
+        generate_skeleton_access(
+            &mut Workspace::new(),
+            &crate::generate::inline_task(m, task)?,
+            opts,
+        )
     }
 
     fn count_kind(f: &Function, pred: impl Fn(&InstKind) -> bool) -> usize {

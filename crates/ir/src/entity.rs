@@ -83,6 +83,11 @@ impl<K: EntityId, V> PrimaryMap<K, V> {
         self.items.len()
     }
 
+    /// Removes every entity, keeping the storage.
+    pub(crate) fn clear(&mut self) {
+        self.items.clear();
+    }
+
     /// Makes room for `additional` more entities without reallocating.
     pub(crate) fn reserve(&mut self, additional: usize) {
         self.items.reserve_exact(additional);

@@ -68,6 +68,15 @@ impl Function {
         }
     }
 
+    /// Turns `self` into what [`Function::new`] makes of this signature,
+    /// keeping the storage its block and instruction arenas grew to.
+    pub fn reset(&mut self, name: String, params: Vec<Type>, ret: Type) {
+        self.blocks.clear();
+        self.insts.clear();
+        self.entry = self.blocks.push(BlockData::new());
+        (self.name, self.params, self.ret, self.is_task) = (name, params, ret, false);
+    }
+
     /// Makes room for `blocks` more blocks and `insts` more instructions, so
     /// a caller that knows the final size fills the arenas without growing
     /// them.

@@ -57,40 +57,41 @@ fn cross(o: &[Rat], a: &[Rat], b: &[Rat]) -> Rat {
 }
 
 fn hull_2d(space: Space, points: &[Vec<Rat>]) -> Polyhedron {
-    // Andrew's monotone chain over deduplicated sorted points.
-    let mut pts: Vec<Vec<Rat>> = points.to_vec();
-    pts.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    pts.dedup();
+    // Andrew's monotone chain over deduplicated sorted points, each point
+    // named by its index in `points`.
+    let mut pts: Vec<usize> = (0..points.len()).collect();
+    pts.sort_by(|&a, &b| points[a].partial_cmp(&points[b]).unwrap());
+    pts.dedup_by(|a, b| points[*a] == points[*b]);
 
     if pts.len() == 1 {
         let mut p = Polyhedron::universe(space);
-        for (d, &v) in pts[0].iter().enumerate().take(2) {
+        for (d, &v) in points[pts[0]].iter().enumerate().take(2) {
             p.add_eq0(LinExpr::dim(space, d).scale(v.den()).with_const(-v.num()));
         }
         return p;
     }
 
-    let mut lower: Vec<Vec<Rat>> = Vec::new();
-    for pt in &pts {
-        while lower.len() >= 2
-            && cross(&lower[lower.len() - 2], &lower[lower.len() - 1], pt).signum() <= 0
-        {
-            lower.pop();
+    let turns_left = |chain: &[usize], pt: usize| {
+        let (o, a) = (&points[chain[chain.len() - 2]], &points[chain[chain.len() - 1]]);
+        cross(o, a, &points[pt]).signum() > 0
+    };
+    let mut hull: Vec<usize> = Vec::with_capacity(2 * pts.len());
+    for &pt in &pts {
+        while hull.len() >= 2 && !turns_left(&hull, pt) {
+            hull.pop();
         }
-        lower.push(pt.clone());
+        hull.push(pt);
     }
-    let mut upper: Vec<Vec<Rat>> = Vec::new();
-    for pt in pts.iter().rev() {
-        while upper.len() >= 2
-            && cross(&upper[upper.len() - 2], &upper[upper.len() - 1], pt).signum() <= 0
-        {
-            upper.pop();
+    hull.pop();
+    let lower_len = hull.len();
+    for &pt in pts.iter().rev() {
+        while hull.len() >= lower_len + 2 && !turns_left(&hull[lower_len..], pt) {
+            hull.pop();
         }
-        upper.push(pt.clone());
+        hull.push(pt);
     }
-    lower.pop();
-    upper.pop();
-    let hull: Vec<Vec<Rat>> = lower.into_iter().chain(upper).collect(); // CCW
+    hull.pop();
+    let hull: Vec<&[Rat]> = hull.into_iter().map(|i| &points[i][..]).collect(); // CCW
 
     if hull.len() == 2 {
         // Degenerate: all points collinear. Constrain to the segment: the

@@ -60,7 +60,7 @@ pub(crate) mod vertex;
 
 pub use codegen::{extract_loop_nest, Bound, DimBounds, LoopNestSpec};
 pub use hull::convex_hull;
-pub use linexpr::{LinExpr, Space};
+pub use linexpr::{Coeffs, LinExpr, Space};
 pub use map::{count_union_distinct, try_count_union_distinct, union_image_vertices, AffineImage};
 pub use polyhedron::{
     rows_high_water, Constraint, ConstraintKind, Polyhedron, RowBudget, ScanError, ROW_BUDGET,

@@ -1,6 +1,7 @@
 //! Linear expressions over a fixed variable space.
 
 use crate::rat::{gcd, Rat};
+use std::hash::{Hash, Hasher};
 use std::{fmt, ops};
 
 /// The variable space of a polyhedron: `dims` set variables followed by
@@ -44,19 +45,123 @@ impl Space {
     }
 }
 
+/// Columns a [`Coeffs`] holds without a heap allocation: a space of up to
+/// seven dims and parameters — every space the compiler builds for the
+/// corpus.
+const INLINE: usize = 8;
+
+/// The coefficient vector of a [`LinExpr`]: a slice of `i128`, stored in
+/// place up to eight columns and on the heap beyond, so building,
+/// cloning and combining the expressions of small spaces never allocates.
+#[derive(Clone)]
+pub struct Coeffs(Repr);
+
+#[derive(Clone)]
+enum Repr {
+    /// `buf[..len]`; the rest of `buf` is zero.
+    Inline {
+        len: u8,
+        buf: [i128; INLINE],
+    },
+    Heap(Vec<i128>),
+}
+
+impl Coeffs {
+    /// `n` zero coefficients.
+    fn zeros(n: usize) -> Coeffs {
+        Coeffs(if n <= INLINE {
+            Repr::Inline { len: n as u8, buf: [0; INLINE] }
+        } else {
+            Repr::Heap(vec![0; n])
+        })
+    }
+
+    /// Removes column `i`, shifting the later ones down.
+    fn remove(&mut self, i: usize) {
+        match &mut self.0 {
+            Repr::Inline { len, buf } => {
+                buf.copy_within(i + 1..*len as usize, i);
+                *len -= 1;
+                buf[*len as usize] = 0;
+            }
+            Repr::Heap(v) => {
+                v.remove(i);
+            }
+        }
+    }
+}
+
+impl ops::Deref for Coeffs {
+    type Target = [i128];
+
+    fn deref(&self) -> &[i128] {
+        match &self.0 {
+            Repr::Inline { len, buf } => &buf[..*len as usize],
+            Repr::Heap(v) => v,
+        }
+    }
+}
+
+impl ops::DerefMut for Coeffs {
+    fn deref_mut(&mut self) -> &mut [i128] {
+        match &mut self.0 {
+            Repr::Inline { len, buf } => &mut buf[..*len as usize],
+            Repr::Heap(v) => v,
+        }
+    }
+}
+
+impl<'a> IntoIterator for &'a Coeffs {
+    type Item = &'a i128;
+    type IntoIter = std::slice::Iter<'a, i128>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl<'a> IntoIterator for &'a mut Coeffs {
+    type Item = &'a mut i128;
+    type IntoIter = std::slice::IterMut<'a, i128>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter_mut()
+    }
+}
+
+impl PartialEq for Coeffs {
+    fn eq(&self, other: &Coeffs) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for Coeffs {}
+
+impl Hash for Coeffs {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        (**self).hash(state);
+    }
+}
+
+impl fmt::Debug for Coeffs {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        (**self).fmt(f)
+    }
+}
+
 /// An integer-coefficient linear expression `Σ ci·di + Σ kj·pj + c`.
 #[derive(Clone, PartialEq, Eq, Hash)]
 pub struct LinExpr {
     /// Owning space.
     pub space: Space,
     /// Coefficients, laid out per [`Space`].
-    pub coeffs: Vec<i128>,
+    pub coeffs: Coeffs,
 }
 
 impl LinExpr {
     /// The zero expression.
     pub fn zero(space: Space) -> LinExpr {
-        LinExpr { space, coeffs: vec![0; space.width()] }
+        LinExpr { space, coeffs: Coeffs::zeros(space.width()) }
     }
 
     /// The constant expression `c`.

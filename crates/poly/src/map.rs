@@ -11,6 +11,7 @@ use crate::linexpr::LinExpr;
 use crate::polyhedron::{row_len, to_i64, Polyhedron, RowBudget, ScanError};
 use crate::rat::Rat;
 use crate::vertex::vertices;
+use std::borrow::Cow;
 
 /// The image of an iteration domain under an affine subscript map.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -120,17 +121,17 @@ impl AffineImage {
         Ok(out)
     }
 
-    /// The distinct images of rational domain points under this
-    /// parameter-free map, in first-appearance order.
-    fn map_points(&self, points: &[Vec<Rat>]) -> Vec<Vec<Rat>> {
-        let mut out: Vec<Vec<Rat>> = Vec::new();
+    /// Appends to `out` the images of rational domain points under this
+    /// parameter-free map that it does not hold yet, in first-appearance
+    /// order. `img` is scratch.
+    fn push_new_images(&self, points: &[Vec<Rat>], img: &mut Vec<Rat>, out: &mut Vec<Vec<Rat>>) {
         for v in points {
-            let img: Vec<Rat> = self.map.iter().map(|e| e.eval(v, &[])).collect();
-            if !out.contains(&img) {
-                out.push(img);
+            img.clear();
+            img.extend(self.map.iter().map(|e| e.eval(v, &[])));
+            if !out.contains(img) {
+                out.push(img.clone());
             }
         }
-        out
     }
 }
 
@@ -141,19 +142,23 @@ impl AffineImage {
 /// the vertices of a domain are computed once however many images share it
 /// (the accesses of a loop body all do).
 pub fn union_image_vertices(images: &[AffineImage], params: &[i64]) -> Vec<Vec<Rat>> {
-    let images: Vec<AffineImage> = images.iter().map(|i| i.instantiate(params)).collect();
+    // A parameter-free image is its own instance.
+    let images: Vec<Cow<'_, AffineImage>> = images
+        .iter()
+        .map(|i| match i.domain.space().params == 0 && params.is_empty() {
+            true => Cow::Borrowed(i),
+            false => Cow::Owned(i.instantiate(params)),
+        })
+        .collect();
     let mut domains: Vec<(&Polyhedron, Vec<Vec<Rat>>)> = Vec::new();
     let mut out: Vec<Vec<Rat>> = Vec::new();
-    for img in &images {
-        let known = domains.iter().position(|(d, _)| *d == &img.domain).unwrap_or_else(|| {
-            domains.push((&img.domain, vertices(&img.domain)));
+    let mut img = Vec::new();
+    for image in &images {
+        let known = domains.iter().position(|(d, _)| *d == &image.domain).unwrap_or_else(|| {
+            domains.push((&image.domain, vertices(&image.domain)));
             domains.len() - 1
         });
-        for v in img.map_points(&domains[known].1) {
-            if !out.contains(&v) {
-                out.push(v);
-            }
-        }
+        image.push_new_images(&domains[known].1, &mut img, &mut out);
     }
     out
 }

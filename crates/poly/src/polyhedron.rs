@@ -147,6 +147,11 @@ impl Polyhedron {
         Polyhedron { space, constraints: Vec::new() }
     }
 
+    /// The universe of `space`, with room for `n` constraints.
+    fn with_capacity(space: Space, n: usize) -> Polyhedron {
+        Polyhedron { space, constraints: Vec::with_capacity(n) }
+    }
+
     /// The owning space.
     pub fn space(&self) -> Space {
         self.space
@@ -202,7 +207,8 @@ impl Polyhedron {
     /// Substitutes concrete parameter values, producing a param-free
     /// polyhedron.
     pub fn instantiate_params(&self, values: &[i64]) -> Polyhedron {
-        let mut out = Polyhedron::universe(Space::new(self.space.dims, 0));
+        let mut out =
+            Polyhedron::with_capacity(Space::new(self.space.dims, 0), self.constraints.len());
         for c in &self.constraints {
             let e = c.expr.instantiate_params(values);
             match c.kind {
@@ -228,7 +234,7 @@ impl Polyhedron {
         {
             let eq = &self.constraints[eq_pos].expr;
             let a = eq.dim_coeff(d);
-            let mut out = Polyhedron::universe(new_space);
+            let mut out = Polyhedron::with_capacity(new_space, self.constraints.len() - 1);
             for (i, c) in self.constraints.iter().enumerate() {
                 if i == eq_pos {
                     continue;
@@ -250,34 +256,30 @@ impl Polyhedron {
             return out;
         }
 
-        // Classic FM on inequalities.
-        let mut lowers: Vec<&LinExpr> = Vec::new(); // coeff(d) > 0: d >= -rest/coeff
-        let mut uppers: Vec<&LinExpr> = Vec::new(); // coeff(d) < 0
-        let mut free: Vec<&Constraint> = Vec::new();
+        // Classic FM on inequalities: the constraints free of `d` first, in
+        // order, then each lower bound (coeff(d) > 0: d >= -rest/coeff)
+        // combined with each upper bound (coeff(d) < 0), lowers outer.
+        let coeff_of = |c: &Constraint| c.expr.dim_coeff(d);
+        let (mut lowers, mut uppers) = (0, 0);
         for c in &self.constraints {
-            let k = c.expr.dim_coeff(d);
-            if k == 0 {
-                free.push(c);
-            } else if k > 0 {
-                lowers.push(&c.expr);
-            } else {
-                uppers.push(&c.expr);
-            }
+            lowers += (coeff_of(c) > 0) as usize;
+            uppers += (coeff_of(c) < 0) as usize;
         }
-        let mut out = Polyhedron::universe(new_space);
-        for c in free {
+        let free = self.constraints.len() - lowers - uppers;
+        let mut out = Polyhedron::with_capacity(new_space, free + lowers * uppers);
+        for c in self.constraints.iter().filter(|c| coeff_of(c) == 0) {
             let e = c.expr.clone().without_dim(d);
             match c.kind {
                 ConstraintKind::GeZero => out.add_ge0(e),
                 ConstraintKind::EqZero => out.add_eq0(e),
             }
         }
-        for lo in &lowers {
-            for up in &uppers {
-                let a = lo.dim_coeff(d); // > 0
-                let b = -up.dim_coeff(d); // > 0
-                                          // b*lo + a*up has zero coeff at d and stays >= 0.
-                let combined = (*lo).clone().scale(b).add_scaled(a, up);
+        for lo in self.constraints.iter().filter(|c| coeff_of(c) > 0) {
+            for up in self.constraints.iter().filter(|c| coeff_of(c) < 0) {
+                let a = lo.expr.dim_coeff(d); // > 0
+                let b = -up.expr.dim_coeff(d); // > 0
+                                               // b*lo + a*up has zero coeff at d and stays >= 0.
+                let combined = lo.expr.clone().scale(b).add_scaled(a, &up.expr);
                 out.add_ge0(combined.without_dim(d));
             }
         }

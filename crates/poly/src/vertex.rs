@@ -41,11 +41,11 @@ fn solve(a: &mut [Rat], n: usize, x: &mut Vec<Rat>) -> bool {
     true
 }
 
-/// The augmented row of an active constraint: `expr = Σ ci·xi + c` is
-/// active when `expr == 0`, i.e. `Σ ci·xi = -c`.
-fn expr_row(e: &LinExpr) -> Vec<Rat> {
+/// Appends the augmented row of an active constraint to `rows`: `expr =
+/// Σ ci·xi + c` is active when `expr == 0`, i.e. `Σ ci·xi = -c`.
+fn push_row(rows: &mut Vec<Rat>, e: &LinExpr) {
     let d = e.space.dims;
-    (0..d).map(|i| e.dim_coeff(i)).chain([-e.const_term()]).map(Rat::int).collect()
+    rows.extend((0..d).map(|i| e.dim_coeff(i)).chain([-e.const_term()]).map(Rat::int));
 }
 
 /// Enumerates the vertices of a parameter-free polyhedron.
@@ -57,32 +57,39 @@ fn expr_row(e: &LinExpr) -> Vec<Rat> {
 pub fn vertices(p: &Polyhedron) -> Vec<Vec<Rat>> {
     assert_eq!(p.space().params, 0, "instantiate parameters before vertex enumeration");
     let d = p.space().dims;
-    let rows_of = |kind: ConstraintKind| -> Vec<Vec<Rat>> {
-        p.constraints().iter().filter(|c| c.kind == kind).map(|c| expr_row(&c.expr)).collect()
-    };
-    let mut eqs = rows_of(ConstraintKind::EqZero);
-    eqs.truncate(d);
-    let ineqs = rows_of(ConstraintKind::GeZero);
+    let w = d + 1;
+    // The augmented rows of the equalities (at most `d`) and of the
+    // inequalities, `w` entries each.
+    let (mut eqs, mut ineqs) = (Vec::new(), Vec::new());
+    for c in p.constraints() {
+        match c.kind {
+            ConstraintKind::EqZero if eqs.len() < d * w => push_row(&mut eqs, &c.expr),
+            ConstraintKind::EqZero => {}
+            ConstraintKind::GeZero => push_row(&mut ineqs, &c.expr),
+        }
+    }
+    let n_ineqs = ineqs.len() / w;
 
-    let need = d - eqs.len();
+    let need = d - eqs.len() / w;
     let mut out: Vec<Vec<Rat>> = Vec::new();
     // The active system of one basis: all equalities plus `need`
     // inequalities, copied into one scratch matrix and solved there.
-    let mut system: Vec<Rat> = Vec::with_capacity(d * (d + 1));
+    let mut system: Vec<Rat> = Vec::with_capacity(d * w);
     let mut x: Vec<Rat> = Vec::with_capacity(d);
-    if need > ineqs.len() {
+    if need > n_ineqs {
         return out;
     }
     let mut choice: Vec<usize> = (0..need).collect();
     loop {
         system.clear();
-        for row in eqs.iter().chain(choice.iter().map(|&i| &ineqs[i])) {
-            system.extend_from_slice(row);
+        system.extend_from_slice(&eqs);
+        for &i in &choice {
+            system.extend_from_slice(&ineqs[i * w..(i + 1) * w]);
         }
         if solve(&mut system, d, &mut x) && p.contains_rat(&x, &[]) && !out.contains(&x) {
             out.push(x.clone());
         }
-        if !next_combination(&mut choice, ineqs.len()) {
+        if !next_combination(&mut choice, n_ineqs) {
             return out;
         }
     }

@@ -70,9 +70,16 @@ struct Client {
 }
 
 impl Client {
+    /// Writes `frame` and its newline in one write.
+    fn try_send(&mut self, frame: &str) -> std::io::Result<()> {
+        let mut line = Vec::with_capacity(frame.len() + 1);
+        line.extend_from_slice(frame.as_bytes());
+        line.push(b'\n');
+        self.writer.write_all(&line)
+    }
+
     fn send(&mut self, frame: &str) {
-        self.writer.write_all(frame.as_bytes()).unwrap();
-        self.writer.write_all(b"\n").unwrap();
+        self.try_send(frame).unwrap();
     }
 
     /// Reads one response line (without the newline); None on EOF.
@@ -207,16 +214,16 @@ fn graceful_drain_finishes_admitted_work_then_refuses_new() {
     assert!(work.contains("\"ok\":true"), "admitted work completed: {work}");
     assert!(ack.contains("\"draining\":true"), "{ack}");
     // New work after the drain started is refused, not executed. The
-    // daemon may already have exited, in which case the connection (or
-    // the connect) fails — both are refusals; a success is the bug.
-    // A connect failure means the daemon already drained and exited —
-    // also a refusal, so only the Ok arm has anything to check.
+    // daemon may already have exited, in which case the connect or the
+    // write fails (a broken pipe when it exits between the two) — both
+    // are refusals; a success is the bug. Only a response that arrives
+    // has anything to check.
     if let Ok(stream) = TcpStream::connect(&daemon.addr) {
         stream.set_nodelay(true).unwrap();
         let mut late =
             Client { writer: stream.try_clone().unwrap(), reader: BufReader::new(stream) };
-        late.send(&work_frame("late", "compile", STREAM));
-        if let Some(resp) = late.recv() {
+        let sent = late.try_send(&work_frame("late", "compile", STREAM)).is_ok();
+        if let Some(resp) = sent.then(|| late.recv()).flatten() {
             assert!(
                 resp.contains(codes::DRAINING),
                 "late work must be refused with serve.draining: {resp}"
