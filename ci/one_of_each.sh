@@ -96,6 +96,14 @@ if [ -n "$hits" ]; then
     fail=1
 fi
 
+# Nor does the serving layer keep profiles: `daed` and `daeg` neither
+# collect, store nor serve them (no `profiles` op), so neither crate nor
+# binary names the profile types or depends on dae-pgo.
+check "a daemon-side profile store (profiles are collected and fed back offline)" \
+    "none" \
+    'dae_pgo|ProfileCollector|ProfileStore|Op::Profiles|dae-(serve|gate)-profiles' \
+    'crates/(serve|gate)/src/.*|src/bin/dae[dg]\.rs'
+
 # Durable records (driver artifacts, profiles) are written by one
 # temp-file-and-rename.
 check "an atomic file write" \
@@ -232,11 +240,11 @@ check "a second price for a DVFS transition" \
 
 # A run's trace has one output format, the Chrome trace `daec --trace-out`
 # writes; its metadata embeds the run's report, so a second aggregate
-# format would only restate it. (`PhaseProfile::summary_json` is the
-# `profiles` op's record, not a trace format, hence `summary_json_with`.)
+# format would only restate it. Nothing else emits a JSON summary either,
+# so the rule matches `summary_json` and every variant of it.
 check "a second trace output format (the Chrome trace embeds the report)" \
     "none" \
-    'dae-trace-summary|summary_json_with|trace::summary|TraceFormat|--trace-format'
+    'dae-trace-summary|summary_json|trace::summary|TraceFormat|--trace-format'
 
 # The driver owns its compile counts (`CompileOutcome::counts_json`); the
 # runtime's report carries nothing the runtime does not measure.

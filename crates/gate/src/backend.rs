@@ -120,9 +120,6 @@ pub(crate) struct Backend {
     pub failed: AtomicU64,
     /// Per-backend forwarding latency (successful attempts).
     latency: Mutex<LogHistogram>,
-    /// Latest `pgo` section scraped from this backend's `health` body
-    /// (`None` until a probe has seen one).
-    pgo: Mutex<Option<JsonValue>>,
 }
 
 impl Backend {
@@ -143,18 +140,7 @@ impl Backend {
             ok: AtomicU64::new(0),
             failed: AtomicU64::new(0),
             latency: Mutex::new(LogHistogram::new()),
-            pgo: Mutex::new(None),
         }
-    }
-
-    /// Remembers the `pgo` section of the latest health probe.
-    pub(crate) fn note_pgo(&self, pgo: JsonValue) {
-        *lock_recover(&self.pgo) = Some(pgo);
-    }
-
-    /// The latest scraped `pgo` section, if any probe carried one.
-    pub(crate) fn pgo_json(&self) -> Option<JsonValue> {
-        lock_recover(&self.pgo).clone()
     }
 
     /// The health record with the Ejected → HalfOpen clock applied.
@@ -362,7 +348,6 @@ impl Backend {
             ("ok", self.ok.load(Ordering::Relaxed).into()),
             ("failed", self.failed.load(Ordering::Relaxed).into()),
             ("latency", lock_recover(&self.latency).to_json()),
-            ("pgo", self.pgo_json().unwrap_or(JsonValue::Null)),
         ])
     }
 }

@@ -229,7 +229,7 @@ impl Service for Shared {
                 let backends = self.fleet.iter().map(|b| b.to_json(self.cfg.readmit)).collect();
                 self.metrics.to_json(self.started, g.queue_depth, g.workers, backends)
             }
-            Op::Health => {
+            _ => {
                 let up = self
                     .fleet
                     .iter()
@@ -244,7 +244,6 @@ impl Service for Shared {
                     ("queue_capacity", g.queue_capacity.into()),
                 ])
             }
-            _ => aggregate_profiles(self),
         }
     }
 
@@ -451,56 +450,6 @@ fn forward_line(req: &Request, deadline: Option<Instant>) -> String {
     JsonValue::Obj(pairs).to_json_string()
 }
 
-/// Fans a `profiles` request out to every routable backend and merges
-/// the answers: per-backend bodies verbatim plus the fleet-wide count of
-/// profile records held, summed from them. Schema `dae-gate-profiles/2`
-/// dropped the recompile-worker totals.
-fn aggregate_profiles(shared: &Shared) -> JsonValue {
-    let mut backends = Vec::with_capacity(shared.fleet.len());
-    let mut records = 0.0f64;
-    for b in shared.fleet.iter() {
-        if b.state(shared.cfg.readmit) != HealthState::Up {
-            backends.push(JsonValue::obj([
-                ("addr", b.addr.as_str().into()),
-                ("ok", false.into()),
-                ("error", b.state(shared.cfg.readmit).as_str().into()),
-            ]));
-            continue;
-        }
-        let id = shared.probe_id.fetch_add(1, Ordering::Relaxed);
-        let line = format!("{{\"id\":\"gate-profiles-{id}\",\"op\":\"profiles\"}}");
-        let id_json = format!("\"gate-profiles-{id}\"");
-        match b.call(&line, &id_json, Duration::from_millis(1000)) {
-            Ok(resp) => {
-                let result = dae_trace::json::parse(&resp)
-                    .ok()
-                    .and_then(|v| v.get("result").cloned())
-                    .unwrap_or(JsonValue::Null);
-                records += result
-                    .get("store")
-                    .and_then(|s| s.get("resident"))
-                    .and_then(JsonValue::as_f64)
-                    .unwrap_or(0.0);
-                backends.push(JsonValue::obj([
-                    ("addr", b.addr.as_str().into()),
-                    ("ok", true.into()),
-                    ("result", result),
-                ]));
-            }
-            Err(err) => backends.push(JsonValue::obj([
-                ("addr", b.addr.as_str().into()),
-                ("ok", false.into()),
-                ("error", err.describe().into()),
-            ])),
-        }
-    }
-    JsonValue::obj([
-        ("schema", "dae-gate-profiles/2".into()),
-        ("totals", JsonValue::obj([("profile_records", records.into())])),
-        ("backends", JsonValue::Arr(backends)),
-    ])
-}
-
 /// One round of `health` probes over the fleet, driving the state machine
 /// from the results: failures eject, `draining` bodies quarantine,
 /// recoveries re-admit.
@@ -520,11 +469,6 @@ fn probe_fleet(shared: &Shared) {
                     .and_then(JsonValue::as_str)
                     .map(|s| s == "draining")
                     .unwrap_or(false);
-                // Ride-along scrape: health bodies carry the backend's
-                // profile counters for `stats`.
-                if let Some(pgo) = result.as_ref().and_then(|r| r.get("pgo")) {
-                    b.note_pgo(pgo.clone());
-                }
                 if draining {
                     if b.note_draining() {
                         shared.record(TraceEvent::BackendEject {

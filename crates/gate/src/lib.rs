@@ -20,7 +20,7 @@
 //!   spill, capped-exponential-backoff retries
 //!   on a *different* backend and deadline-budget propagation.
 //! * `metrics` — aggregate counters/histograms behind `stats`
-//!   (`dae-gate-stats/3`) and the stable `gate.*` error-code vocabulary.
+//!   (`dae-gate-stats/4`) and the stable `gate.*` error-code vocabulary.
 //! * `fault` — a deterministic in-process fault-injection proxy
 //!   (drop/delay/close/garble/truncate, seeded) for tests.
 //!

@@ -2,7 +2,7 @@
 //!
 //! Everything here is either atomic or behind a short-lived mutex so the
 //! hot path never blocks on stats readers. The JSON shape is versioned
-//! (`dae-gate-stats/3`) like the serving layer's, and per-backend detail
+//! (`dae-gate-stats/4`) like the serving layer's, and per-backend detail
 //! comes from [`crate::backend::Backend::to_json`] — this module only owns
 //! the aggregate view.
 
@@ -15,8 +15,8 @@ use dae_trace::json::JsonValue;
 use dae_trace::{lock_recover, LogHistogram};
 
 /// Stable schema tag for the gateway `stats` response body.
-/// `/3` added `inline`.
-pub(crate) const GATE_STATS_SCHEMA: &str = "dae-gate-stats/3";
+/// `/3` added `inline`; `/4` dropped each backend's `pgo` key.
+pub(crate) const GATE_STATS_SCHEMA: &str = "dae-gate-stats/4";
 
 /// Stable schema tag for the gateway `health` response body.
 pub(crate) const GATE_HEALTH_SCHEMA: &str = "dae-gate-health/1";

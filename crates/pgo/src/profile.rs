@@ -187,11 +187,6 @@ impl PhaseProfile {
         ratio(pf, pf.saturating_add(self.execute.dram_misses))
     }
 
-    /// Execute-phase DRAM miss ratio (misses per demand load).
-    pub(crate) fn execute_miss_ratio(&self) -> f64 {
-        ratio(self.execute.dram_misses, self.execute.loads)
-    }
-
     /// Mean measured memory-bound fraction of the execute phase at fmax.
     pub fn execute_mem_bound(&self) -> f64 {
         if self.runs == 0 {
@@ -204,14 +199,6 @@ impl PhaseProfile {
     /// signal used to synthesise loop-bound hints for unhinted tasks.
     pub(crate) fn trip_estimate(&self) -> u64 {
         self.execute.branches.checked_div(self.runs).unwrap_or(0)
-    }
-
-    /// Mean execute-phase memory-level parallelism over runs.
-    pub(crate) fn execute_mlp(&self) -> f64 {
-        if self.runs == 0 {
-            return 0.0;
-        }
-        (self.execute.mlp_x100_sum as f64 / self.runs as f64) / 100.0
     }
 
     /// Stable content hash of the record (FNV-1a-64 over the schema tag
@@ -247,20 +234,6 @@ impl PhaseProfile {
             access: PhaseAgg::from_json(v.get("access")?)?,
             execute: PhaseAgg::from_json(v.get("execute")?)?,
         })
-    }
-
-    /// Compact derived-signal summary for `stats`/`profiles` endpoints.
-    pub fn summary_json(&self, key: u64) -> JsonValue {
-        JsonValue::obj([
-            ("key", format!("{key:016x}").into()),
-            ("runs", self.runs.into()),
-            ("prefetch_accuracy", self.prefetch_accuracy().into()),
-            ("prefetch_coverage", self.prefetch_coverage().into()),
-            ("execute_miss_ratio", self.execute_miss_ratio().into()),
-            ("execute_mem_bound", self.execute_mem_bound().into()),
-            ("execute_mlp", self.execute_mlp().into()),
-            ("trip_estimate", self.trip_estimate().into()),
-        ])
     }
 }
 
@@ -411,10 +384,8 @@ mod tests {
         assert!((p.prefetch_accuracy() - 0.125).abs() < 1e-12);
         // coverage = 10 / (10 + 10)
         assert!((p.prefetch_coverage() - 0.5).abs() < 1e-12);
-        assert!((p.execute_miss_ratio() - 0.1).abs() < 1e-12);
         assert!((p.execute_mem_bound() - 0.6).abs() < 1e-12);
         assert_eq!(p.trip_estimate(), 64);
-        assert!((p.execute_mlp() - 2.5).abs() < 1e-12);
         // Degenerate denominators never divide by zero.
         let z = PhaseProfile::default();
         assert_eq!(z.prefetch_accuracy(), 0.0);

@@ -31,21 +31,12 @@ use std::sync::{Arc, Mutex};
 use dae_core::{CompilerOptions, Strategy};
 use dae_driver::{Driver, DriverConfig};
 use dae_ir::{parse::parse_module, print_module, verify_module, FuncId, Function, Module};
-use dae_pgo::{ProfileCollector, ProfileStore};
-use dae_runtime::{
-    module_instances, run_workload, run_workload_with, FreqPolicy, RunHooks, RuntimeConfig,
-    TaskInstance,
-};
+use dae_runtime::{module_instances, run_workload, FreqPolicy, RuntimeConfig, TaskInstance};
 use dae_sim::EngineKind;
 use dae_trace::json::JsonValue;
 use dae_trace::{lock_recover, Fnv64, Lru};
 
 use crate::proto::{codes, ErrorBody, Op, Request};
-
-/// Schema tag of the `profiles` result object.
-/// `/2` dropped the recompile worker's `recent_modules` and `recompiles`
-/// keys.
-pub(crate) const PROFILES_SCHEMA: &str = "dae-serve-profiles/2";
 
 /// Byte budget of the coupled-baseline memo: 4096 (module, hints, task)
 /// baselines at [`BASELINE_ENTRY_BYTES`] each, so `Mix::Warm`'s 2048
@@ -111,9 +102,6 @@ pub struct Engine {
     baseline: Mutex<Lru<(f64, f64)>>,
     baseline_hits: AtomicU64,
     baseline_misses: AtomicU64,
-    /// Phase profiles collected from `run` requests, keyed by each task's
-    /// base compile key; read back by the `profiles` op.
-    pgo: Mutex<ProfileStore>,
     max_global_bytes: u64,
     max_steps: u64,
     engine: EngineKind,
@@ -131,7 +119,6 @@ impl Engine {
             baseline: Mutex::new(Lru::new(BASELINE_MAX_BYTES)),
             baseline_hits: AtomicU64::new(0),
             baseline_misses: AtomicU64::new(0),
-            pgo: Mutex::new(ProfileStore::new()),
             max_global_bytes: config.max_global_bytes,
             max_steps: config.max_steps,
             engine: config.engine,
@@ -235,7 +222,7 @@ impl Engine {
             Op::Report => Ok(map_json.report_result(&module)),
             Op::Run => self.run(req, &module, &map_json),
             // Control ops never reach the engine.
-            Op::Stats | Op::Profiles | Op::Health | Op::Shutdown => {
+            Op::Stats | Op::Health | Op::Shutdown => {
                 Err(ErrorBody::new(codes::BAD_REQUEST, "control op routed to a worker"))
             }
         }
@@ -280,12 +267,8 @@ impl Engine {
         // Per-task comparison: coupled baseline at fmax vs decoupled under
         // the requested policy — the service twin of `daec --run`.
         let cfg = base.clone().with_policy(policy);
-        // Profile collection rides along on one run: the collector only
-        // observes, so the report is exactly what `run_workload` produces.
-        let mut col = ProfileCollector::new();
-        let collected = |insts: &[TaskInstance], col: &mut ProfileCollector| {
-            let hooks = RunHooks { collector: Some(col), ..Default::default() };
-            run_workload_with(module, insts, &cfg, hooks).map_err(|e| ErrorBody::from_coded(&e))
+        let simulate = |insts: &[TaskInstance]| {
+            run_workload(module, insts, &cfg).map_err(|e| ErrorBody::from_coded(&e))
         };
         let mkey = ModuleKey::of(req);
         let insts = module_instances(module, &c.tasks, &req.hints, |t| c.outcome.map.access(t));
@@ -299,20 +282,15 @@ impl Engine {
                 ("cae".to_string(), headline(cae_t, cae_e)),
             ];
             if inst.access.is_some() {
-                let dae = std::slice::from_ref(inst);
-                // A module's only task: this run is the whole-module run
-                // below (same module, same one-instance list, same config),
-                // so it is simulated once and reported twice.
-                let r2 = if one_task {
-                    collected(dae, &mut col)?
-                } else {
-                    run_workload(module, dae, &cfg).map_err(|e| ErrorBody::from_coded(&e))?
-                };
+                let r2 = simulate(std::slice::from_ref(inst))?;
                 entry.push(("dae".to_string(), headline(r2.time_s, r2.energy_j)));
                 entry.push((
                     "edp_delta_percent".to_string(),
                     ((r2.edp() / (cae_t * cae_e) - 1.0) * 100.0).into(),
                 ));
+                // A module's only task: this run is the whole-module run
+                // below (same module, same one-instance list, same config),
+                // so it is simulated once and reported twice.
                 whole = one_task.then_some(r2);
             } else {
                 entry.push(("dae".to_string(), JsonValue::Null));
@@ -325,9 +303,8 @@ impl Engine {
         // vary with cache temperature and the report must not.
         let report = match whole {
             Some(report) => report,
-            None => collected(&insts, &mut col)?,
+            None => simulate(&insts)?,
         };
-        self.absorb_profiles(c, col);
         Ok(JsonValue::obj([
             ("policy", cfg.policy.label(&cfg.table).into()),
             ("tasks", JsonValue::Arr(per_task)),
@@ -363,47 +340,6 @@ impl Engine {
         let pair = (r.time_s, r.energy_j);
         lock_recover(&self.baseline).insert(key, pair, BASELINE_ENTRY_BYTES);
         Ok(pair)
-    }
-
-    /// Folds one run's collected profiles into the store, keyed by each
-    /// task's *base* compile key.
-    fn absorb_profiles(&self, c: &Compiled, mut col: ProfileCollector) {
-        if col.is_empty() {
-            return;
-        }
-        let mut store = lock_recover(&self.pgo);
-        for (key, p) in col.drain_keyed(&c.outcome.keys) {
-            store.merge_record(key, &p);
-        }
-    }
-
-    /// Compact profile counters for `health` and `stats` — no driver
-    /// lock, so probes never stall behind a compile.
-    pub(crate) fn pgo_json(&self) -> JsonValue {
-        let records = lock_recover(&self.pgo).len();
-        JsonValue::obj([("profile_records", records.into())])
-    }
-
-    /// The `profiles` result object: every resident profile record
-    /// (derived metrics included) plus store counters.
-    pub fn profiles_json(&self) -> JsonValue {
-        let store = lock_recover(&self.pgo);
-        let records: Vec<JsonValue> =
-            store.snapshot().iter().map(|(&k, p)| p.summary_json(k)).collect();
-        let s = store.stats();
-        JsonValue::obj([
-            ("schema", PROFILES_SCHEMA.into()),
-            ("records", JsonValue::Arr(records)),
-            (
-                "store",
-                JsonValue::obj([
-                    ("resident", s.resident.into()),
-                    ("merged", s.merged.into()),
-                    ("skipped_records", s.skipped_records.into()),
-                    ("evicted", s.evicted.into()),
-                ]),
-            ),
-        ])
     }
 
     fn lock_driver(&self) -> std::sync::MutexGuard<'_, Driver> {
@@ -685,22 +621,6 @@ bb3:
             let e = engine.handle(&req(&frame.to_json_string())).unwrap_err();
             assert_eq!(e.code, codes::BAD_REQUEST, "bad policy `{policy}`");
         }
-    }
-
-    #[test]
-    fn run_requests_feed_profiles() {
-        let engine = Engine::new(&EngineConfig::default());
-        // No runs yet: empty store.
-        let p = engine.profiles_json();
-        assert_eq!(p.get("schema").unwrap().as_str(), Some(PROFILES_SCHEMA));
-        assert!(p.get("records").unwrap().as_arr().unwrap().is_empty());
-        // A run request collects one profile record per task.
-        engine.handle(&run_req("run")).unwrap();
-        let p = engine.profiles_json();
-        assert_eq!(p.get("records").unwrap().as_arr().unwrap().len(), 1);
-        let rec = &p.get("records").unwrap().as_arr().unwrap()[0];
-        assert!(rec.get("runs").unwrap().as_f64().unwrap() >= 1.0);
-        assert_eq!(engine.pgo_json().get("profile_records").unwrap().as_f64(), Some(1.0));
     }
 
     /// Two tasks over separate globals: a polyhedral stream and a

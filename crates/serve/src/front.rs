@@ -157,7 +157,7 @@ pub trait Service: Send + Sync + 'static {
     /// The counters the front end bumps.
     fn counters(&self) -> &AdmissionCounters;
 
-    /// The `result` body of a `stats`, `health` or `profiles` request.
+    /// The `result` body of a `stats` or `health` request.
     fn control(&self, op: Op, gauges: &Gauges) -> JsonValue;
 
     /// Reader-thread fast path: answer a work request on `conn` without
@@ -341,7 +341,7 @@ impl<S: Service> Shared<S> {
         };
         let draining = self.drain.load(Ordering::SeqCst) || self.queue.is_closed();
         match req.op {
-            Op::Stats | Op::Health | Op::Profiles => {
+            Op::Stats | Op::Health => {
                 let gauges = Gauges {
                     queue_depth: self.queue.len(),
                     queue_capacity: self.queue.capacity(),

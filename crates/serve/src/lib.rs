@@ -1,9 +1,9 @@
 //! # dae-serve — the concurrent compile-and-simulate service
 //!
 //! A std-only TCP daemon that accepts untrusted DAE IR text over
-//! newline-delimited JSON and serves six request types: `compile`,
-//! `report`, `run` (the work ops), plus `stats`, `profiles` and `health`
-//! (control ops), with `shutdown` starting a graceful drain. Two binaries ship on
+//! newline-delimited JSON and serves five request types: `compile`,
+//! `report`, `run` (the work ops), plus `stats` and `health` (control
+//! ops), with `shutdown` starting a graceful drain. Two binaries ship on
 //! top: `daed` (the daemon) and `dae-load` (a deterministic seeded load
 //! generator for a running daemon).
 //!
@@ -31,7 +31,7 @@
 //!
 //! ```text
 //! $ printf '{"id":1,"op":"health"}\n' | nc 127.0.0.1 7777
-//! {"id":1,"ok":true,"result":{"schema":"dae-serve-health/5","status":"ok",...}}
+//! {"id":1,"ok":true,"result":{"schema":"dae-serve-health/6","status":"ok",...}}
 //! ```
 //!
 //! Work requests carry the IR inline and answer with either a `result`

@@ -19,8 +19,8 @@ use crate::front::AdmissionCounters;
 /// (profile records, recompile counters); `/4` dropped the `engine` key;
 /// `/5` added the coupled-baseline memo's counters to `cache`
 /// (`baseline_hits`, `baseline_misses`, `baseline_used_bytes`); `/6`
-/// dropped the recompile worker's counters from `pgo`.
-pub(crate) const STATS_SCHEMA: &str = "dae-serve-stats/6";
+/// dropped the recompile worker's counters from `pgo`; `/7` dropped `pgo`.
+pub(crate) const STATS_SCHEMA: &str = "dae-serve-stats/7";
 
 /// Work-operation index into the per-op histogram array.
 #[derive(Clone, Copy)]
@@ -79,14 +79,13 @@ impl Metrics {
         lock_recover(&self.service[op as usize]).record(service.as_secs_f64());
     }
 
-    /// The `stats` result object. `queue_depth` and the cache and pgo
-    /// sections are sampled by the caller (they live outside this struct).
+    /// The `stats` result object. `queue_depth` and the cache section are
+    /// sampled by the caller (they live outside this struct).
     pub(crate) fn to_json(
         &self,
         queue_depth: usize,
         workers: usize,
         cache: JsonValue,
-        pgo: JsonValue,
     ) -> JsonValue {
         let c = |a: &AtomicU64| JsonValue::from(a.load(Ordering::Relaxed));
         let a = &self.admission;
@@ -116,7 +115,6 @@ impl Metrics {
             ),
             ("latency", JsonValue::Obj(latency)),
             ("cache", cache),
-            ("pgo", pgo),
         ])
     }
 }
@@ -138,12 +136,7 @@ mod tests {
         m.completed.store(4, Ordering::Relaxed);
         m.admission.shed.store(1, Ordering::Relaxed);
         m.record(WorkOp::Run, Duration::from_micros(20), Duration::from_millis(3));
-        let v = m.to_json(
-            2,
-            8,
-            JsonValue::obj([("mem_hits", 7u64.into())]),
-            JsonValue::obj([("profile_records", 2u64.into())]),
-        );
+        let v = m.to_json(2, 8, JsonValue::obj([("mem_hits", 7u64.into())]));
         assert_eq!(v.get("schema").unwrap().as_str(), Some(STATS_SCHEMA));
         assert_eq!(v.get("queue_depth").unwrap().as_f64(), Some(2.0));
         assert_eq!(v.get("workers").unwrap().as_f64(), Some(8.0));
@@ -155,7 +148,7 @@ mod tests {
         assert_eq!(lat.get("compile").unwrap().get("count").unwrap().as_f64(), Some(0.0));
         assert_eq!(lat.get("queue_wait").unwrap().get("count").unwrap().as_f64(), Some(1.0));
         assert_eq!(v.get("cache").unwrap().get("mem_hits").unwrap().as_f64(), Some(7.0));
-        assert_eq!(v.get("pgo").unwrap().get("profile_records").unwrap().as_f64(), Some(2.0));
+        assert!(v.get("pgo").is_none(), "daed keeps no profiles");
         // The whole snapshot round-trips through the JSON writer/parser.
         assert!(dae_trace::json::parse(&v.to_json_string()).is_ok());
     }
@@ -166,7 +159,7 @@ mod tests {
         m.record(WorkOp::Compile, Duration::ZERO, Duration::from_millis(1));
         m.record(WorkOp::Compile, Duration::ZERO, Duration::from_millis(2));
         m.record(WorkOp::Report, Duration::ZERO, Duration::from_millis(1));
-        let v = m.to_json(0, 1, JsonValue::Null, JsonValue::Null);
+        let v = m.to_json(0, 1, JsonValue::Null);
         let lat = v.get("latency").unwrap();
         assert_eq!(lat.get("compile").unwrap().get("count").unwrap().as_f64(), Some(2.0));
         assert_eq!(lat.get("report").unwrap().get("count").unwrap().as_f64(), Some(1.0));

@@ -54,8 +54,6 @@ pub enum Op {
     Run,
     /// Live server counters, latency histograms and cache statistics.
     Stats,
-    /// Phase-profile store: resident records plus store counters.
-    Profiles,
     /// Liveness/readiness probe.
     Health,
     /// Begin a graceful drain: complete in-flight work, refuse new work.
@@ -70,7 +68,6 @@ impl Op {
             Op::Report => "report",
             Op::Run => "run",
             Op::Stats => "stats",
-            Op::Profiles => "profiles",
             Op::Health => "health",
             Op::Shutdown => "shutdown",
         }
@@ -82,7 +79,6 @@ impl Op {
             "report" => Op::Report,
             "run" => Op::Run,
             "stats" => Op::Stats,
-            "profiles" => Op::Profiles,
             "health" => Op::Health,
             "shutdown" => Op::Shutdown,
             _ => return None,
@@ -202,7 +198,7 @@ pub fn parse_request(line: &str) -> Result<Request, (JsonValue, ErrorBody)> {
     let op_str =
         v.get("op").and_then(JsonValue::as_str).ok_or_else(|| bad("missing string field `op`"))?;
     let op = Op::parse(op_str).ok_or_else(|| {
-        bad(&format!("unknown op `{op_str}` (compile/report/run/stats/profiles/health/shutdown)"))
+        bad(&format!("unknown op `{op_str}` (compile/report/run/stats/health/shutdown)"))
     })?;
     let ir = match v.get("ir") {
         Some(JsonValue::Str(s)) => s.clone(),
@@ -278,7 +274,7 @@ mod tests {
 
     #[test]
     fn control_ops_need_no_ir() {
-        for op in ["stats", "profiles", "health", "shutdown"] {
+        for op in ["stats", "health", "shutdown"] {
             let r = parse_request(&format!(r#"{{"id":1,"op":"{op}"}}"#)).unwrap();
             assert!(!r.op.is_work());
         }

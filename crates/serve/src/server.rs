@@ -19,8 +19,9 @@ use crate::proto::{codes, err_response, ok_response_raw, Op, Request};
 /// inputs a gateway needs from one cheap probe: queue depth/capacity,
 /// worker count and response-cache counters. `/3` added the `pgo` section
 /// (profile records held, recompile-worker counters); `/4` dropped the
-/// `engine` key; `/5` dropped the recompile worker's counters from `pgo`.
-pub(crate) const HEALTH_SCHEMA: &str = "dae-serve-health/5";
+/// `engine` key; `/5` dropped the recompile worker's counters from `pgo`;
+/// `/6` dropped `pgo`.
+pub(crate) const HEALTH_SCHEMA: &str = "dae-serve-health/6";
 
 /// Daemon construction knobs.
 #[derive(Clone, Debug)]
@@ -102,22 +103,15 @@ impl Service for Daed {
     fn control(&self, op: Op, g: &Gauges) -> JsonValue {
         let engine = &self.engine;
         match op {
-            Op::Stats => self.metrics.to_json(
-                g.queue_depth,
-                g.workers,
-                engine.cache_json(),
-                engine.pgo_json(),
-            ),
-            Op::Health => JsonValue::obj([
+            Op::Stats => self.metrics.to_json(g.queue_depth, g.workers, engine.cache_json()),
+            _ => JsonValue::obj([
                 ("schema", HEALTH_SCHEMA.into()),
                 ("status", if g.draining { "draining" } else { "ok" }.into()),
                 ("workers", g.workers.into()),
                 ("queue_depth", g.queue_depth.into()),
                 ("queue_capacity", g.queue_capacity.into()),
                 ("cache", engine.resp_cache_json()),
-                ("pgo", engine.pgo_json()),
             ]),
-            _ => engine.profiles_json(),
         }
     }
 

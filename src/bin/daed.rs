@@ -1,9 +1,8 @@
 //! `daed` — the DAE compile-and-simulate daemon.
 //!
 //! Accepts untrusted IR text over newline-delimited JSON on a TCP socket
-//! and serves `compile`, `report`, `run`, `stats`, `profiles` and
-//! `health` requests; a `shutdown` request or SIGTERM/SIGINT starts a
-//! graceful drain.
+//! and serves `compile`, `report`, `run`, `stats` and `health` requests;
+//! a `shutdown` request or SIGTERM/SIGINT starts a graceful drain.
 //!
 //! ```text
 //! daed [--addr HOST:PORT] [--workers N] [--queue-depth N]
@@ -21,9 +20,8 @@
 //! * `--max-global-mb` — refuse modules declaring more global data than
 //!   this, in MiB (default 256)
 //!
-//! Every `run` request's phase profiles are merged into an in-memory
-//! store that the `profiles` op reads back; profile-guided recompiles are
-//! offline, through `daec --profile-in`/`--profile-dir`.
+//! The daemon keeps no phase profiles: profiles are collected and fed
+//! back offline, through `daec --profile-out`/`--profile-in`/`--profile-dir`.
 //!
 //! The first stdout line is machine-parseable:
 //! `daed: listening on 127.0.0.1:34567` — tests and scripts bind port 0

@@ -4,8 +4,9 @@
 //! protocol the backends speak: consistent-hash routing on the request's
 //! cache key, health probing with ejection and re-admission, bounded-load
 //! spill, retries with capped exponential backoff, and deadline-budget
-//! propagation. A `shutdown` request or SIGTERM/SIGINT starts a graceful
-//! drain.
+//! propagation. `compile`, `report` and `run` are forwarded; `stats` and
+//! `health` describe the gateway itself. A `shutdown` request or
+//! SIGTERM/SIGINT starts a graceful drain.
 //!
 //! ```text
 //! daeg --backends HOST:PORT,HOST:PORT,... [--addr HOST:PORT]

@@ -12,7 +12,7 @@
 use dae_repro::gate::{FaultPlan, FaultProxy, GateConfig, Gateway, Ring};
 use dae_repro::serve::load::shutdown;
 use dae_repro::serve::proto::{ok_response_raw, parse_request};
-use dae_repro::serve::{request_key, Engine, EngineConfig, Server, ServerConfig};
+use dae_repro::serve::{codes, request_key, Engine, EngineConfig, Server, ServerConfig};
 use dae_repro::trace::json::{parse, JsonValue};
 use proptest::prelude::*;
 use std::io::{BufRead, BufReader, Write};
@@ -306,6 +306,48 @@ fn gateway_keeps_draining_fleet_invisible_until_the_end() {
 
     gateway.shutdown_and_wait();
     keeper.shutdown_and_wait();
+}
+
+/// The gateway speaks `daed`'s protocol, so `profiles` is not an op
+/// there either: the gateway refuses the frame itself, as it refuses any
+/// unknown op (the backend never sees it), counts it, and the connection
+/// goes on serving. No backend entry in `stats` carries profile counters.
+#[test]
+fn a_profiles_frame_is_refused_as_an_unknown_op() {
+    let backend = Daemon::spawn_daed(&["--workers", "1"]);
+    let gateway = Daemon::spawn_daeg(&["--backends", &backend.addr, "--probe-ms", "20"]);
+    let mut client = gateway.connect();
+    let stats = |client: &mut Client| {
+        let line = client.roundtrip(r#"{"id":"s","op":"stats"}"#);
+        parse(&line).expect("stats is JSON").get("result").expect("stats has a result").clone()
+    };
+    let count = |stats: &JsonValue| {
+        stats.get("bad_requests").and_then(JsonValue::as_f64).expect("stats counts bad requests")
+    };
+    let before = count(&stats(&mut client));
+
+    let line = client.roundtrip(r#"{"id":"p","op":"profiles"}"#);
+    let v = parse(&line).expect("well-formed error response");
+    assert_eq!(v.get("id").and_then(JsonValue::as_str), Some("p"), "id echoed: {line}");
+    assert_eq!(v.get("ok").and_then(JsonValue::as_bool), Some(false), "{line}");
+    let code = v.get("error").and_then(|e| e.get("code")).and_then(JsonValue::as_str);
+    assert_eq!(code, Some(codes::BAD_REQUEST), "{line}");
+
+    // The same connection answers the next frames, work included.
+    let after = stats(&mut client);
+    assert_eq!(count(&after), before + 1.0);
+    let backends = after.get("backends").and_then(JsonValue::as_arr).expect("backends array");
+    assert!(backends[0].get("pgo").is_none(), "backend entries carry no profile counters");
+    let frame = work_frame("w", "compile", STREAM);
+    assert_eq!(client.roundtrip(&frame), direct_reference(&frame));
+
+    let line = backend.connect().roundtrip(r#"{"id":"s","op":"stats"}"#);
+    let backend_bad = parse(&line)
+        .ok()
+        .and_then(|v| v.get("result")?.get("requests")?.get("bad_requests")?.as_f64());
+    assert_eq!(backend_bad, Some(0.0), "the frame never reached the backend: {line}");
+    gateway.shutdown_and_wait();
+    backend.shutdown_and_wait();
 }
 
 /// The gateway's `stats` body, asked on a fresh connection.

@@ -1,6 +1,5 @@
 //! Golden `run` output: the serialised results of `run` requests on one
-//! long-lived [`Engine`], the `profiles` document they leave behind, and
-//! the small corpus's [`RunReport`]s, hashed with the workspace's FNV-1a-64
+//! long-lived [`Engine`] and the small corpus's [`RunReport`]s, hashed with the workspace's FNV-1a-64
 //! and compared against digests recorded on the commit *before* cache-model
 //! state was leased per thread and the one-task whole-module run was folded
 //! into the task's decoupled run.
@@ -75,13 +74,10 @@ const POLICIES: [Option<&str>; 4] =
     [None, Some("dae-phases:2.0,3.0"), Some("dae-minmax"), Some("coupled-max")];
 
 /// Recorded on the parent commit, in the order the test computes them: one
-/// digest per served program (its 16 `run` results chained), the `profiles`
-/// document after all of them, one per small-corpus benchmark (CAE under
-/// coupled-max, then Auto-DAE under dae-optimal, chained). `profiles` was
-/// re-recorded for `dae-serve-profiles/2`: the earlier document with its
-/// `recent_modules` and `recompiles` keys removed and the schema renamed
-/// hashes to exactly this value.
-const EXPECTED: [(&str, u64); 17] = [
+/// digest per served program (its 16 `run` results chained), then one per
+/// small-corpus benchmark (CAE under coupled-max, then Auto-DAE under
+/// dae-optimal, chained).
+const EXPECTED: [(&str, u64); 16] = [
     ("serve/0", 0xe703_a043_765b_09f5),
     ("serve/1", 0xd2f9_c101_1fc3_e54d),
     ("serve/2", 0x51fa_6434_66fb_f929),
@@ -91,7 +87,6 @@ const EXPECTED: [(&str, u64); 17] = [
     ("serve/6", 0xb632_5a27_4229_c916),
     ("serve/7", 0x74c0_03a0_3dc9_fb29),
     ("serve/two-tasks", 0x2ff0_b2b2_e339_ef38),
-    ("profiles", 0x2489_d526_036d_8cef),
     ("corpus/LU", 0xb8d7_0064_68b5_37bc),
     ("corpus/Cholesky", 0xf674_fd91_9b6a_3f4b),
     ("corpus/FFT", 0x6729_ec84_6097_e2f4),
@@ -102,7 +97,7 @@ const EXPECTED: [(&str, u64); 17] = [
 ];
 
 #[test]
-fn run_results_profiles_and_corpus_reports_match_recorded_digests() {
+fn run_results_and_corpus_reports_match_recorded_digests() {
     let mut got: Vec<(String, u64)> = Vec::new();
 
     let engine = Engine::new(&EngineConfig::default());
@@ -132,10 +127,6 @@ fn run_results_profiles_and_corpus_reports_match_recorded_digests() {
         }
         got.push((name, digest));
     }
-    got.push((
-        "profiles".to_string(),
-        fnv1a(OFFSET, engine.profiles_json().to_json_string().as_bytes()),
-    ));
 
     let cae_cfg = RuntimeConfig::paper_default();
     let auto_cfg = RuntimeConfig::paper_default().with_policy(FreqPolicy::DaeOptimal);

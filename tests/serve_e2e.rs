@@ -243,7 +243,7 @@ fn first_cae(line: &str) -> &str {
 }
 
 #[test]
-fn a_second_policy_reuses_the_baseline_and_runs_feed_profiles() {
+fn a_second_policy_reuses_the_baseline() {
     let daemon = Daemon::spawn(&["--workers", "2"]);
     let mut client = daemon.connect();
     let frame = work_frame("run", "run", STREAM);
@@ -272,17 +272,42 @@ fn a_second_policy_reuses_the_baseline_and_runs_feed_profiles() {
         .unwrap_or(0.0);
     assert!(hits >= 1.0, "the dae-phases run missed the baseline memo");
 
-    // Both runs fed the daemon's profile store.
+    daemon.shutdown_and_wait();
+}
+
+/// `daed` keeps no phase profiles (they are collected and fed back
+/// offline, by `daec --profile-*`), so `profiles` is not an op: the frame
+/// is refused like any unknown op, counted as a bad request, and the
+/// connection goes on serving.
+#[test]
+fn a_profiles_frame_is_refused_as_an_unknown_op() {
+    let daemon = Daemon::spawn(&["--workers", "1"]);
+    let mut client = daemon.connect();
+    let bad_requests = |client: &mut Client| {
+        let stats = parse(&client.roundtrip(r#"{"id":"s","op":"stats"}"#)).expect("stats is JSON");
+        let result = stats.get("result").expect("stats has a result");
+        assert!(result.get("pgo").is_none(), "stats carries no profile counters");
+        result
+            .get("requests")
+            .and_then(|r| r.get("bad_requests"))
+            .and_then(JsonValue::as_f64)
+            .expect("stats counts bad requests")
+    };
+    let before = bad_requests(&mut client);
+
     let line = client.roundtrip(r#"{"id":"p","op":"profiles"}"#);
-    let v = parse(&line).expect("well-formed profiles response");
-    let result = v.get("result").expect("profiles response has a result");
-    assert_eq!(
-        result.get("schema").and_then(JsonValue::as_str),
-        Some("dae-serve-profiles/2"),
-        "{line}"
-    );
-    let records = result.get("records").and_then(JsonValue::as_arr).map_or(0, |a| a.len());
-    assert!(records >= 1, "the runs must have left a profile record: {line}");
+    let v = parse(&line).expect("well-formed error response");
+    assert_eq!(v.get("id").and_then(JsonValue::as_str), Some("p"), "id echoed: {line}");
+    assert_eq!(v.get("ok").and_then(JsonValue::as_bool), Some(false), "{line}");
+    let code = v.get("error").and_then(|e| e.get("code")).and_then(JsonValue::as_str);
+    assert_eq!(code, Some(codes::BAD_REQUEST), "{line}");
+
+    // The same connection answers the next frames.
+    assert_eq!(bad_requests(&mut client), before + 1.0);
+    let health = parse(&client.roundtrip(r#"{"id":"h","op":"health"}"#)).expect("health is JSON");
+    let result = health.get("result").expect("health has a result");
+    assert_eq!(result.get("status").and_then(JsonValue::as_str), Some("ok"));
+    assert!(result.get("pgo").is_none(), "health carries no profile counters");
     daemon.shutdown_and_wait();
 }
 
