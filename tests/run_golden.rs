@@ -10,13 +10,19 @@
 //! line behind, a simulation dropped that was not a repeat) is visible only
 //! to a recorded digest. Every request below runs on one thread, back to
 //! back, so each simulation after the first starts from leased state.
+//!
+//! The `daec` rows pin what the scheduler's observers see: the
+//! `--trace-out` document (the trace sink, and through its report the
+//! governor) and the `--profile-out` document (the profile collector) of
+//! both example modules, recorded on the commit before the three observers
+//! were fed one per-phase record.
 
 use dae_repro::runtime::{run_workload, FreqPolicy, RuntimeConfig};
 use dae_repro::serve::load::{corpus_program, CORPUS};
 use dae_repro::serve::proto::parse_request;
 use dae_repro::serve::{Engine, EngineConfig};
 use dae_repro::trace::fnv::{fnv1a, OFFSET};
-use dae_repro::trace::json::JsonValue;
+use dae_repro::trace::json::{parse, JsonValue};
 use dae_repro::workloads::{all_benchmarks_small, Variant};
 
 /// Two tasks in one module (an affine stream and a gather, both of which
@@ -144,4 +150,88 @@ fn run_results_and_corpus_reports_match_recorded_digests() {
     let matches = got.iter().map(|(n, d)| (n.as_str(), *d)).eq(EXPECTED);
     let table: String = got.iter().map(|(n, d)| format!("    (\"{n}\", {d:#018x}),\n")).collect();
     assert!(matches, "run output changed; computed digests:\n{table}");
+}
+
+const DAEC_POLICIES: [&str; 3] = ["dae-optimal", "governed:bandit:7", "governed:heuristic"];
+
+/// Recorded on the parent commit, in the order the test computes them: per
+/// example module and policy, the trace document of a run that also wrote
+/// profiles, then the profile documents of that run and of a run that wrote
+/// only profiles, chained.
+const DAEC_EXPECTED: [(&str, u64); 12] = [
+    ("gather/dae-optimal/trace", 0xf261_7f7a_dbdd_3c1f),
+    ("gather/dae-optimal/profile", 0xb473_29e1_ceec_a94f),
+    ("gather/governed:bandit:7/trace", 0x81f3_25b0_179c_b7b6),
+    ("gather/governed:bandit:7/profile", 0xb473_29e1_ceec_a94f),
+    ("gather/governed:heuristic/trace", 0x96d0_0035_cd3a_d156),
+    ("gather/governed:heuristic/profile", 0xb473_29e1_ceec_a94f),
+    ("stream/dae-optimal/trace", 0x0551_f94d_113c_24d5),
+    ("stream/dae-optimal/profile", 0x0e30_cbe2_dd00_775b),
+    ("stream/governed:bandit:7/trace", 0x0d13_834c_1b93_9872),
+    ("stream/governed:bandit:7/profile", 0x0e30_cbe2_dd00_775b),
+    ("stream/governed:heuristic/trace", 0x2b8f_b7ff_49cc_8a76),
+    ("stream/governed:heuristic/profile", 0x0e30_cbe2_dd00_775b),
+];
+
+/// The trace document without what varies from run to run or checkout to
+/// checkout: the driver's wall-clock compile spans, the wall-clock cost of
+/// bytecode lowering and the module's path.
+fn virtual_time_part(trace: &str) -> String {
+    let mut v = parse(trace).expect("valid trace JSON");
+    let JsonValue::Obj(top) = &mut v else { panic!("trace is an object") };
+    for (key, value) in top.iter_mut() {
+        match (key.as_str(), value) {
+            ("traceEvents", JsonValue::Arr(events)) => {
+                events.retain(|e| e.get("cat").and_then(JsonValue::as_str) != Some("compile"));
+                for event in events.iter_mut() {
+                    let JsonValue::Obj(fields) = event else { continue };
+                    for (k, args) in fields.iter_mut() {
+                        if let ("args", JsonValue::Obj(args)) = (k.as_str(), args) {
+                            args.retain(|(k, _)| k != "wall_s");
+                        }
+                    }
+                }
+            }
+            ("metadata", JsonValue::Obj(meta)) => meta.retain(|(k, _)| k != "source"),
+            _ => {}
+        }
+    }
+    v.to_json_string()
+}
+
+#[test]
+fn daec_trace_and_profile_documents_match_recorded_digests() {
+    let dir = std::env::temp_dir().join(format!("dae-run-golden-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let daec = |args: &[&str]| {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_daec"))
+            .args(args)
+            .output()
+            .expect("daec runs");
+        assert!(out.status.success(), "daec {args:?}: {}", String::from_utf8_lossy(&out.stderr));
+    };
+    let read = |name: &str| std::fs::read_to_string(dir.join(name)).unwrap();
+    let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    let mut got: Vec<(String, u64)> = Vec::new();
+    for module in ["gather", "stream"] {
+        let file = format!("{}/examples/ir/{module}.dae", env!("CARGO_MANIFEST_DIR"));
+        for policy in DAEC_POLICIES {
+            let (trace, both, alone) = (path("t.json"), path("both.json"), path("alone.json"));
+            daec(&[&file, "--policy", policy, "--trace-out", &trace, "--profile-out", &both]);
+            daec(&[&file, "--policy", policy, "--profile-out", &alone]);
+            let trace = fnv1a(OFFSET, virtual_time_part(&read("t.json")).as_bytes());
+            let profile =
+                fnv1a(fnv1a(OFFSET, read("both.json").as_bytes()), read("alone.json").as_bytes());
+            got.push((format!("{module}/{policy}/trace"), trace));
+            got.push((format!("{module}/{policy}/profile"), profile));
+            for name in ["t.json", "both.json", "alone.json"] {
+                std::fs::remove_file(dir.join(name)).unwrap();
+            }
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let matches = got.iter().map(|(n, d)| (n.as_str(), *d)).eq(DAEC_EXPECTED);
+    let table: String = got.iter().map(|(n, d)| format!("    (\"{n}\", {d:#018x}),\n")).collect();
+    assert!(matches, "daec documents changed; computed digests:\n{table}");
 }
