@@ -104,6 +104,16 @@ check "a daemon-side profile store (profiles are collected and fed back offline)
     'dae_pgo|ProfileCollector|ProfileStore|Op::Profiles|dae-(serve|gate)-profiles' \
     'crates/(serve|gate)/src/.*|src/bin/dae[dg]\.rs'
 
+# One record per charged phase: `Run::phase` builds one
+# `dae_trace::PhaseRecord`, which the trace sink (a profile collector is
+# one), the governor's `TaskObs` and the profile sample all read. A
+# per-observer conversion in the scheduler or the governor is a second copy
+# of that record coming back.
+check "a second per-phase conversion (the observers read one PhaseRecord)" \
+    "none" \
+    'dae_pgo|PhaseObs|fn obs\(|fn sample\(' \
+    'crates/(runtime|governor)/src/.*'
+
 # Durable records (driver artifacts, profiles) are written by one
 # temp-file-and-rename.
 check "an atomic file write" \

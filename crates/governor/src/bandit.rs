@@ -23,7 +23,7 @@
 
 use crate::cache::{CacheConfig, DecisionCache};
 use crate::class::TaskClass;
-use crate::obs::TaskObs;
+use crate::obs::{billed_edp, TaskObs};
 use crate::{ClassSnapshot, Decision, Governor};
 use dae_power::{DvfsTable, FreqId};
 use dae_trace::SplitMix64;
@@ -232,10 +232,10 @@ impl Governor for BanditEdp {
         if let Some(a) = &obs.access {
             e.state.access_seen = true;
             e.state.access.ensure(n);
-            e.state.access.credit(a_freq.0, a.edp());
+            e.state.access.credit(a_freq.0, billed_edp(a));
         }
         e.state.execute.ensure(n);
-        e.state.execute.credit(e_freq.0, obs.execute.edp());
+        e.state.execute.credit(e_freq.0, billed_edp(&obs.execute));
     }
 
     fn snapshot(&self) -> Vec<ClassSnapshot> {
@@ -262,7 +262,7 @@ impl Governor for BanditEdp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::obs::PhaseObs;
+    use crate::obs::phase;
     use dae_ir::FuncId;
 
     fn class(n: u32) -> TaskClass {
@@ -276,11 +276,7 @@ mod tests {
     }
 
     fn feed(g: &mut BanditEdp, c: TaskClass, d: &Decision, best_a: usize, best_e: usize) {
-        let mk = |edp: f64| PhaseObs {
-            time_s: 1.0,
-            energy_j: edp, // time 1 s ⇒ phase EDP == energy
-            ..Default::default()
-        };
+        let mk = |edp: f64| phase(1.0, edp); // time 1 s ⇒ phase EDP == energy
         g.observe(
             c,
             &TaskObs {
@@ -395,14 +391,7 @@ mod tests {
         for _ in 0..20 {
             let d = g.decide(c);
             assert_eq!(d.access, t.min(), "no access phase ⇒ access arm stays at fmin");
-            let obs = TaskObs {
-                access: None,
-                execute: PhaseObs {
-                    time_s: 1.0,
-                    energy_j: phase_edp(d.execute.0, 5),
-                    ..Default::default()
-                },
-            };
+            let obs = TaskObs { access: None, execute: phase(1.0, phase_edp(d.execute.0, 5)) };
             g.observe(c, &obs);
         }
         assert_eq!(g.decide(c).execute, FreqId(5));
@@ -451,13 +440,7 @@ mod tests {
         for _ in 0..4 {
             let _ = g.decide(c);
             // Access phase dominates: 70% of task time.
-            g.observe(
-                c,
-                &TaskObs {
-                    access: Some(PhaseObs { time_s: 0.7, energy_j: 1.0, ..Default::default() }),
-                    execute: PhaseObs { time_s: 0.3, energy_j: 1.0, ..Default::default() },
-                },
-            );
+            g.observe(c, &TaskObs { access: Some(phase(0.7, 1.0)), execute: phase(0.3, 1.0) });
         }
         let d = g.decide(c);
         assert!(d.guarded);

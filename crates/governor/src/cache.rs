@@ -177,18 +177,15 @@ impl<S: Default> DecisionCache<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::obs::PhaseObs;
+    use crate::obs::phase;
     use dae_ir::FuncId;
 
     fn class(n: u32) -> TaskClass {
         TaskClass { func: FuncId(n), sig: 0 }
     }
 
-    fn obs(access_s: f64, execute_s: f64) -> TaskObs {
-        TaskObs {
-            access: Some(PhaseObs { time_s: access_s, energy_j: 1.0, ..Default::default() }),
-            execute: PhaseObs { time_s: execute_s, energy_j: 1.0, ..Default::default() },
-        }
+    fn task_obs(access_s: f64, execute_s: f64) -> TaskObs {
+        TaskObs { access: Some(phase(access_s, 1.0)), execute: phase(execute_s, 1.0) }
     }
 
     #[test]
@@ -217,12 +214,12 @@ mod tests {
         let mut cache: DecisionCache<()> = DecisionCache::new(cfg);
         // Access phase is 80% of the task: over budget.
         for i in 0..3 {
-            let e = cache.observe_common(class(0), &obs(0.8, 0.2));
+            let e = cache.observe_common(class(0), &task_obs(0.8, 0.2));
             assert_eq!(e.guarded, i == 2, "guard state after {} observations", i + 1);
         }
         // A healthy class never trips.
         for _ in 0..10 {
-            assert!(!cache.observe_common(class(1), &obs(0.1, 0.9)).guarded);
+            assert!(!cache.observe_common(class(1), &task_obs(0.1, 0.9)).guarded);
         }
     }
 
@@ -232,11 +229,11 @@ mod tests {
             CacheConfig { capacity: 4, access_budget: 0.5, guard_min_obs: 1, ..Default::default() };
         let mut cache: DecisionCache<()> = DecisionCache::new(cfg);
         // Trip the guard on class 0.
-        cache.observe_common(class(0), &obs(0.9, 0.1));
+        cache.observe_common(class(0), &task_obs(0.9, 0.1));
         assert!(cache.get(class(0)).unwrap().guarded);
         // Flood the cache far beyond capacity with healthy classes.
         for n in 1..40 {
-            cache.observe_common(class(n), &obs(0.1, 0.9));
+            cache.observe_common(class(n), &task_obs(0.1, 0.9));
         }
         assert!(cache.get(class(0)).is_some(), "guarded entry was evicted");
         assert!(cache.get(class(0)).unwrap().guarded);
@@ -261,8 +258,8 @@ mod tests {
     #[test]
     fn running_means_track_observations() {
         let mut cache: DecisionCache<()> = DecisionCache::new(CacheConfig::default());
-        cache.observe_common(class(0), &obs(0.0, 1.0));
-        cache.observe_common(class(0), &obs(1.0, 1.0));
+        cache.observe_common(class(0), &task_obs(0.0, 1.0));
+        cache.observe_common(class(0), &task_obs(1.0, 1.0));
         let e = cache.get(class(0)).unwrap();
         assert_eq!(e.observations, 2);
         assert!((e.mean_access_frac - 0.25).abs() < 1e-12);

@@ -15,9 +15,10 @@
 
 use crate::cache::{CacheConfig, DecisionCache};
 use crate::class::TaskClass;
-use crate::obs::{PhaseObs, TaskObs};
+use crate::obs::TaskObs;
 use crate::{ClassSnapshot, Decision, Governor};
 use dae_power::{DvfsTable, FreqId};
+use dae_trace::PhaseRecord;
 
 /// EMA smoothing factor for the boundedness score (weight of the newest
 /// observation).
@@ -52,11 +53,11 @@ impl MissRatioHeuristic {
     }
 
     /// Boundedness score of one measured phase, in `[0, 1]`.
-    fn score(obs: &PhaseObs) -> f64 {
+    fn score(r: &PhaseRecord) -> f64 {
         // The insensitivity fraction is the primary signal; the miss ratio
         // catches latency-bound phases whose stalls overlap (high MLP) but
         // that still gain little from a faster core.
-        obs.mem_bound_frac.max(obs.miss_ratio).clamp(0.0, 1.0)
+        r.mem_bound_frac.max(r.counters.miss_ratio()).clamp(0.0, 1.0)
     }
 
     /// Maps a boundedness score onto the table: 1 → fmin, 0 → fmax.
@@ -134,26 +135,18 @@ impl Governor for MissRatioHeuristic {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::obs::phase;
     use dae_ir::FuncId;
+    use dae_trace::PhaseCounters;
 
     fn class(n: u32) -> TaskClass {
         TaskClass { func: FuncId(n), sig: 0 }
     }
 
-    fn obs(access_bound: Option<f64>, execute_bound: f64) -> TaskObs {
+    fn task_obs(access_bound: Option<f64>, execute_bound: f64) -> TaskObs {
         TaskObs {
-            access: access_bound.map(|b| PhaseObs {
-                time_s: 1e-6,
-                energy_j: 1e-6,
-                mem_bound_frac: b,
-                ..Default::default()
-            }),
-            execute: PhaseObs {
-                time_s: 4e-6,
-                energy_j: 4e-6,
-                mem_bound_frac: execute_bound,
-                ..Default::default()
-            },
+            access: access_bound.map(|b| PhaseRecord { mem_bound_frac: b, ..phase(1e-6, 1e-6) }),
+            execute: PhaseRecord { mem_bound_frac: execute_bound, ..phase(4e-6, 4e-6) },
         }
     }
 
@@ -171,7 +164,7 @@ mod tests {
         let t = DvfsTable::sandybridge();
         let mut g = MissRatioHeuristic::new(t.clone(), HeuristicConfig::default());
         for _ in 0..10 {
-            g.observe(class(0), &obs(None, 0.95));
+            g.observe(class(0), &task_obs(None, 0.95));
         }
         let d = g.decide(class(0));
         assert!(d.execute < t.max(), "bound execute must leave fmax, got {:?}", d.execute);
@@ -183,7 +176,7 @@ mod tests {
         let t = DvfsTable::sandybridge();
         let mut g = MissRatioHeuristic::new(t.clone(), HeuristicConfig::default());
         for _ in 0..10 {
-            g.observe(class(0), &obs(Some(0.05), 0.0));
+            g.observe(class(0), &task_obs(Some(0.05), 0.0));
         }
         let d = g.decide(class(0));
         assert!(d.access > t.min(), "compute-bound access must leave fmin");
@@ -196,12 +189,13 @@ mod tests {
         let mut g = MissRatioHeuristic::new(t.clone(), HeuristicConfig::default());
         let o = TaskObs {
             access: None,
-            execute: PhaseObs {
-                time_s: 1e-6,
-                energy_j: 1e-6,
-                mem_bound_frac: 0.0,
-                miss_ratio: 1.0,
-                ..Default::default()
+            execute: PhaseRecord {
+                counters: PhaseCounters {
+                    loads: 1,
+                    demand_hits: [0, 0, 0, 1],
+                    ..Default::default()
+                },
+                ..phase(1e-6, 1e-6)
             },
         };
         for _ in 0..10 {
@@ -218,10 +212,7 @@ mod tests {
         };
         let mut g = MissRatioHeuristic::new(t.clone(), cfg);
         // Access dominates the task (1e-6 vs 4e-6 is 20% — push harder).
-        let o = TaskObs {
-            access: Some(PhaseObs { time_s: 9e-6, energy_j: 1e-6, ..Default::default() }),
-            execute: PhaseObs { time_s: 1e-6, energy_j: 1e-6, ..Default::default() },
-        };
+        let o = TaskObs { access: Some(phase(9e-6, 1e-6)), execute: phase(1e-6, 1e-6) };
         g.observe(class(0), &o);
         let d = g.decide(class(0));
         assert!(d.guarded);
@@ -234,7 +225,7 @@ mod tests {
         let mut g = MissRatioHeuristic::new(t, HeuristicConfig::default());
         for _ in 0..20 {
             g.decide(class(0));
-            g.observe(class(0), &obs(Some(0.9), 0.0));
+            g.observe(class(0), &task_obs(Some(0.9), 0.0));
         }
         let snap = g.snapshot();
         assert_eq!(snap.len(), 1);

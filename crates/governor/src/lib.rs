@@ -8,8 +8,9 @@
 //! per-phase frequencies on the fly.
 //!
 //! Decisions are made per *task class* ([`TaskClass`]: the execute function
-//! plus a coarse argument signature), fed back through [`TaskObs`] after
-//! every completed task, and cached in a `DecisionCache` with per-class
+//! plus a coarse argument signature), fed back through [`TaskObs`] — the
+//! scheduler's charged [`dae_trace::PhaseRecord`]s of the task's phases —
+//! after every completed task, and cached in a `DecisionCache` with per-class
 //! convergence tracking and a safety guard (classes whose access phase
 //! overshoots the overhead budget fall back to the paper's min/max
 //! assignment and stay there).
@@ -30,19 +31,18 @@
 //! # Examples
 //!
 //! ```
-//! use dae_governor::{Governor, GovernorKind, TaskClass, TaskObs, PhaseObs};
+//! use dae_governor::{Governor, GovernorKind, TaskClass, TaskObs};
 //! use dae_power::DvfsTable;
 //! use dae_ir::FuncId;
+//! use dae_trace::PhaseRecord;
 //!
 //! let table = DvfsTable::sandybridge();
 //! let mut gov = GovernorKind::Bandit { seed: 42 }.build(&table);
 //! let class = TaskClass::of(FuncId(0), &[]);
 //! let d = gov.decide(class);
 //! // ... run the task at d.access / d.execute, measure, then:
-//! gov.observe(
-//!     class,
-//!     &TaskObs { access: None, execute: PhaseObs { time_s: 1e-6, energy_j: 2e-6, ..Default::default() } },
-//! );
+//! let execute = PhaseRecord { time_s: 1e-6, model_energy_j: 2e-6, ..Default::default() };
+//! gov.observe(class, &TaskObs { access: None, execute });
 //! assert_eq!(gov.snapshot().len(), 1);
 //! ```
 
@@ -60,7 +60,7 @@ pub use cache::CacheConfig;
 pub use class::TaskClass;
 pub use dae_trace::SplitMix64;
 pub(crate) use heuristic::{HeuristicConfig, MissRatioHeuristic};
-pub use obs::{PhaseObs, TaskObs};
+pub use obs::TaskObs;
 
 use dae_power::{DvfsTable, FreqId};
 

@@ -13,12 +13,12 @@ use std::collections::{BTreeMap, HashMap};
 use dae_ir::FuncId;
 use dae_trace::fnv::{self, fnv1a};
 use dae_trace::json::JsonValue;
+use dae_trace::{PhaseKind, PhaseRecord, TraceEvent, TraceSink};
 
 use crate::PROFILE_SCHEMA;
 
-/// One phase's counters from a single run, as sampled from the
-/// simulator's `PhaseTrace` by the runtime (this crate never sees the
-/// trace itself; the runtime converts).
+/// One phase's counters from a single run, read off the scheduler's
+/// [`PhaseRecord`] by `PhaseSample::of`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PhaseSample {
     /// Dynamic instructions retired.
@@ -61,6 +61,29 @@ pub struct PhaseAgg {
     pub mlp_x100_sum: u64,
     /// Sum over runs of the per-run memory-bound ppm.
     pub mem_bound_ppm_sum: u64,
+}
+
+impl PhaseSample {
+    /// The sample of one charged phase. DRAM-level hits index 3 of the hit
+    /// arrays; memory-level parallelism is the interval model's proxy
+    /// (DRAM misses per serialised miss cluster); boundedness is the
+    /// record's, measured at fmax so stored profiles do not drift with
+    /// whatever frequency the run happened to pick.
+    pub(crate) fn of(r: &PhaseRecord) -> PhaseSample {
+        let c = &r.counters;
+        let dram = c.demand_hits[3];
+        let mlp = if r.miss_clusters > 0.0 { dram as f64 / r.miss_clusters } else { 0.0 };
+        PhaseSample {
+            instrs: c.instrs,
+            loads: c.loads,
+            dram_misses: dram,
+            prefetches: c.prefetches,
+            prefetch_dram_lines: c.prefetch_hits[3],
+            branches: c.branches,
+            mlp_x100: (mlp * 100.0).round() as u64,
+            mem_bound_ppm: (r.mem_bound_frac * 1e6).round().clamp(0.0, 1e6) as u64,
+        }
+    }
 }
 
 impl PhaseAgg {
@@ -285,24 +308,44 @@ impl ProfileSet {
     }
 }
 
-/// Accumulates per-task samples during a run, keyed by the *execute*
-/// function. The runtime owns one per profiled run; the caller remaps
-/// function ids to driver `task_key`s afterwards (the runtime does not
-/// know them).
+/// A trace sink that folds a run's phase events into per-task profiles,
+/// keyed by the *execute* function: that is the task identity the driver's
+/// base `task_key` names. An access phase waits for the execute phase of
+/// its own task instance, so events of tasks on different cores may
+/// interleave. The caller remaps function ids to driver `task_key`s
+/// afterwards (the scheduler does not know them).
 #[derive(Debug, Default)]
 pub struct ProfileCollector {
     map: BTreeMap<FuncId, PhaseProfile>,
+    /// Access samples whose task's execute phase has not arrived yet, by
+    /// task index.
+    pending: HashMap<u32, PhaseSample>,
+}
+
+impl TraceSink for ProfileCollector {
+    fn is_enabled(&self) -> bool {
+        true
+    }
+
+    fn record(&mut self, event: TraceEvent) {
+        let TraceEvent::Phase { task, record, .. } = event else { return };
+        let sample = PhaseSample::of(&record);
+        match record.kind {
+            PhaseKind::Access => {
+                self.pending.insert(task, sample);
+            }
+            PhaseKind::Execute => {
+                let access = self.pending.remove(&task);
+                self.map.entry(FuncId(record.func)).or_default().absorb(access.as_ref(), &sample);
+            }
+        }
+    }
 }
 
 impl ProfileCollector {
     /// A fresh, empty collector.
     pub fn new() -> ProfileCollector {
         ProfileCollector::default()
-    }
-
-    /// Records one completed task execution.
-    pub fn record(&mut self, func: FuncId, access: Option<&PhaseSample>, execute: &PhaseSample) {
-        self.map.entry(func).or_default().absorb(access, execute);
     }
 
     /// Collected profiles in deterministic function order.
@@ -340,6 +383,8 @@ impl ProfileCollector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dae_trace::PhaseCounters;
+    use PhaseKind::{Access, Execute};
 
     pub(crate) fn sample(scale: u64) -> PhaseSample {
         PhaseSample {
@@ -422,25 +467,71 @@ mod tests {
         assert_eq!(a.content_hash(), a.content_hash());
     }
 
+    /// A phase of function `func` that ran `instrs` instructions, 4 of its
+    /// 8 loads from DRAM over 2 serialised miss clusters.
+    fn rec(kind: PhaseKind, func: u32, instrs: u64) -> PhaseRecord {
+        let counters =
+            PhaseCounters { instrs, loads: 8, demand_hits: [4, 0, 0, 4], ..Default::default() };
+        let (mem_bound_frac, miss_clusters) = (0.25, 2.0);
+        PhaseRecord { func, kind, counters, mem_bound_frac, miss_clusters, ..Default::default() }
+    }
+
+    fn event(core: u32, task: u32, record: PhaseRecord) -> TraceEvent {
+        TraceEvent::Phase { core, task, name: String::new(), start_s: 0.0, record }
+    }
+
+    #[test]
+    fn a_sample_reads_the_record() {
+        let s = PhaseSample::of(&rec(Execute, 3, 100));
+        let read = (s.instrs, s.loads, s.dram_misses, s.mlp_x100, s.mem_bound_ppm);
+        assert_eq!(read, (100, 8, 4, 200, 250_000), "MLP: 4 DRAM misses over 2 clusters");
+        assert_eq!(PhaseSample::of(&PhaseRecord::default()).mlp_x100, 0, "no clusters, MLP 0");
+    }
+
     #[test]
     fn collector_groups_by_function() {
         let mut col = ProfileCollector::new();
-        col.record(FuncId(3), Some(&sample(1)), &sample(1));
-        col.record(FuncId(3), Some(&sample(1)), &sample(1));
-        col.record(FuncId(9), None, &sample(2));
+        for task in 0..2 {
+            col.record(event(0, task, rec(Access, 4, 1)));
+            col.record(event(0, task, rec(Execute, 3, 10)));
+        }
+        col.record(event(0, 2, rec(Execute, 9, 20)));
+        col.record(TraceEvent::Idle { core: 0, start_s: 0.0, dur_s: 1.0 });
         assert_eq!(col.len(), 2);
         let profiles = col.take();
-        assert_eq!(profiles[&FuncId(3)].runs, 2);
+        assert_eq!((profiles[&FuncId(3)].runs, profiles[&FuncId(3)].access.instrs), (2, 2));
         assert_eq!(profiles[&FuncId(9)].runs, 1);
+        assert_eq!(profiles[&FuncId(9)].access, PhaseAgg::default(), "a coupled task");
         assert!(col.is_empty());
+    }
+
+    #[test]
+    fn an_access_record_pairs_with_its_own_task_when_cores_interleave() {
+        // Task 0 (function 3) on core 0 and task 1 (function 5) on core 1
+        // run decoupled, task 2 (function 3) coupled; their events
+        // interleave, task 1's execute first.
+        let mut col = ProfileCollector::new();
+        for (core, task, r) in [
+            (0, 0, rec(Access, 4, 1)),
+            (1, 1, rec(Access, 6, 2)),
+            (1, 1, rec(Execute, 5, 20)),
+            (0, 2, rec(Execute, 3, 30)),
+            (0, 0, rec(Execute, 3, 10)),
+        ] {
+            col.record(event(core, task, r));
+        }
+        let p = col.take();
+        assert_eq!((p[&FuncId(5)].runs, p[&FuncId(5)].access.instrs), (1, 2));
+        assert_eq!((p[&FuncId(3)].runs, p[&FuncId(3)].access.instrs), (2, 1));
     }
 
     #[test]
     fn drain_keyed_maps_functions_to_task_keys_and_drops_the_unkeyed() {
         let mut col = ProfileCollector::new();
-        col.record(FuncId(9), None, &sample(2));
-        col.record(FuncId(3), Some(&sample(1)), &sample(1));
-        col.record(FuncId(5), None, &sample(1));
+        col.record(event(0, 0, rec(Execute, 9, 20)));
+        col.record(event(0, 1, rec(Access, 4, 1)));
+        col.record(event(0, 1, rec(Execute, 3, 10)));
+        col.record(event(0, 2, rec(Execute, 5, 10)));
         let keys = HashMap::from([(FuncId(3), 30), (FuncId(9), 90)]);
         let drained: Vec<(u64, u64)> = col.drain_keyed(&keys).map(|(k, p)| (k, p.runs)).collect();
         assert_eq!(drained, [(30, 1), (90, 1)], "function order; FuncId(5) has no key");

@@ -39,8 +39,6 @@ pub struct StoreStats {
     pub merged: u64,
     /// Malformed records skipped during loads (corruption tolerance).
     pub skipped_records: u64,
-    /// Records evicted from the in-memory mirror by the LRU bound.
-    pub evicted: u64,
     /// Records written to disk (dir mode write-through + file saves).
     pub written: u64,
 }
@@ -60,7 +58,6 @@ pub struct ProfileStore {
     clock: u64,
     merged: u64,
     skipped: u64,
-    evicted: u64,
     written: u64,
 }
 
@@ -80,7 +77,6 @@ impl ProfileStore {
             clock: 0,
             merged: 0,
             skipped: 0,
-            evicted: 0,
             written: 0,
         }
     }
@@ -212,7 +208,6 @@ impl ProfileStore {
             // dir-mode copy on disk stays).
             if let Some((&victim, _)) = self.records.iter().min_by_key(|(_, r)| r.stamp) {
                 self.records.remove(&victim);
-                self.evicted += 1;
             }
         }
     }
@@ -236,11 +231,6 @@ impl ProfileStore {
         set
     }
 
-    /// Number of resident records.
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
     /// True when no records are resident.
     pub fn is_empty(&self) -> bool {
         self.records.is_empty()
@@ -252,7 +242,6 @@ impl ProfileStore {
             resident: self.records.len(),
             merged: self.merged,
             skipped_records: self.skipped,
-            evicted: self.evicted,
             written: self.written,
         }
     }
@@ -336,7 +325,7 @@ mod tests {
 
         let mut back = ProfileStore::new();
         back.merge_document(&first).unwrap();
-        assert_eq!(back.len(), 2);
+        assert_eq!(back.stats().resident, 2);
         assert_eq!(back.get(7).unwrap(), profile(1));
         assert_eq!(back.snapshot(), s.snapshot());
         back.save_file(&path).unwrap();
@@ -366,7 +355,7 @@ mod tests {
         );
         let mut s = ProfileStore::new();
         s.merge_document(&doc).unwrap();
-        assert_eq!(s.len(), 1);
+        assert_eq!(s.stats().resident, 1);
         assert_eq!(s.get(5).unwrap(), profile(1));
         assert_eq!(s.stats().skipped_records, 3);
     }
@@ -389,7 +378,7 @@ mod tests {
         std::fs::write(dir.join("0000000000000abc.pgo.json"), b"{torn").unwrap();
         std::fs::write(dir.join("README.txt"), b"hello").unwrap();
         let mut s = ProfileStore::open_dir(&dir, 64).unwrap();
-        assert_eq!(s.len(), 1);
+        assert_eq!(s.stats().resident, 1);
         assert_eq!(s.get(0xdef).unwrap(), profile(3));
         assert!(s.stats().skipped_records >= 1);
         let _ = std::fs::remove_dir_all(&dir);
@@ -402,10 +391,9 @@ mod tests {
         s.merge_record(2, &profile(1));
         let _ = s.get(1); // 1 is now most recent
         s.merge_record(3, &profile(1));
-        assert_eq!(s.len(), 2);
+        assert_eq!(s.stats().resident, 2);
         assert!(s.get(2).is_none(), "2 was least recent and must be evicted");
         assert!(s.get(1).is_some());
         assert!(s.get(3).is_some());
-        assert_eq!(s.stats().evicted, 1);
     }
 }

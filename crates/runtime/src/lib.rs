@@ -8,9 +8,11 @@
 //! accounting, and the O.S.I. (overhead / sequential / idle) bookkeeping
 //! that Figure 4 stacks.
 //!
-//! One routine runs, prices and charges every phase and returns one charge
-//! record, which governor feedback and PGO samples read; debug builds
-//! assert time and energy conservation at the end of every run.
+//! One routine runs, prices and charges every phase and, when a sink or a
+//! governor observes the run, builds one [`dae_trace::PhaseRecord`] of it,
+//! which the trace event, the governor's feedback and (through the sink)
+//! PGO samples all read; debug builds assert time and energy conservation
+//! at the end of every run.
 //! [`module_instances`] is the whole-module task list `daec` and `daed` run.
 //!
 //! Every run can stream event-level evidence — task/phase spans, DVFS

@@ -12,12 +12,11 @@
 use crate::config::{FreqPolicy, RuntimeConfig};
 use crate::lease::Hierarchy;
 use crate::report::{Breakdown, ClassReport, GovernorReport, RunReport};
-use dae_governor::{Decision, Governor, PhaseObs, TaskClass, TaskObs};
+use dae_governor::{Decision, Governor, TaskClass, TaskObs};
 use dae_ir::{FuncId, Module, Type};
-use dae_pgo::{PhaseSample, ProfileCollector};
-use dae_power::{phase_energy_split_j, select_optimal_edp, DvfsTable, FreqId, FreqPoint};
+use dae_power::{phase_energy_split_j, select_optimal_edp, DvfsTable, FreqId};
 use dae_sim::{CachePort, InterpError, Machine, PhaseTrace, Val};
-use dae_trace::{NullSink, PhaseKind, TraceEvent, TraceSink};
+use dae_trace::{NullSink, PhaseKind, PhaseRecord, TraceEvent, TraceSink};
 use std::collections::VecDeque;
 
 /// One dynamic task instance.
@@ -98,11 +97,17 @@ fn governor_report(gov: &dyn Governor, module: &Module, table: &DvfsTable) -> Go
 }
 
 /// Optional observers and overrides of one run; the default has none.
+///
+/// Both observe the same [`PhaseRecord`] per charged phase, built only
+/// when one of them is attached: the sink inside each
+/// [`TraceEvent::Phase`], the governor as the [`TaskObs`] of a completed
+/// task.
 #[derive(Default)]
 pub struct RunHooks<'a> {
     /// Receives task/phase spans, DVFS transitions and per-core idle gaps
     /// with the exact times and energies the scheduler charges, so
-    /// exported span totals reconcile with [`RunReport::breakdown`].
+    /// exported span totals reconcile with [`RunReport::breakdown`]. A
+    /// profile collector is such a sink.
     pub sink: Option<&'a mut dyn TraceSink>,
     /// An externally-owned governor. It overrides `cfg.policy` for every
     /// task (tasks with an access phase always run decoupled), and — unlike
@@ -110,10 +115,6 @@ pub struct RunHooks<'a> {
     /// the caller keeps it and can carry its learned per-class decisions
     /// across runs (warm start).
     pub governor: Option<&'a mut dyn Governor>,
-    /// The PGO collection hook: each completed task contributes one access
-    /// sample (when it ran decoupled) and one execute sample, converted
-    /// from the same [`PhaseTrace`] counters the report aggregates.
-    pub collector: Option<&'a mut ProfileCollector>,
 }
 
 /// Runs `tasks` to completion and reports time/energy/EDP: no events are
@@ -132,11 +133,10 @@ pub fn run_workload(
 
 /// Runs `tasks` to completion under `hooks`.
 ///
-/// The sink and the collector only observe: with either attached the
-/// reported numbers are bit-identical to [`run_workload`] on the same
-/// inputs. The simulated cache hierarchy is leased from the calling thread
-/// and parked, reset, on return — a run never sees an earlier run's lines
-/// or counters.
+/// The sink only observes: with one attached the reported numbers are
+/// bit-identical to [`run_workload`] on the same inputs. The simulated
+/// cache hierarchy is leased from the calling thread and parked, reset, on
+/// return — a run never sees an earlier run's lines or counters.
 ///
 /// # Errors
 ///
@@ -161,7 +161,7 @@ fn run_on(
     cfg: &RuntimeConfig,
     hooks: RunHooks<'_>,
 ) -> Result<RunReport, InterpError> {
-    let RunHooks { sink, governor, collector } = hooks;
+    let RunHooks { sink, governor } = hooks;
     let mut null = NullSink;
     let mut built;
     let gov = match (governor, cfg.policy) {
@@ -184,7 +184,6 @@ fn run_on(
             .collect(),
         sink: sink.unwrap_or(&mut null),
         gov,
-        collector,
         energy_j: 0.0,
         breakdown: Breakdown::default(),
         access_trace: PhaseTrace::default(),
@@ -300,67 +299,6 @@ fn policy_freq(cfg: &RuntimeConfig, kind: PhaseKind, trace: &PhaseTrace) -> Freq
     }
 }
 
-/// One phase as [`Run::phase`] charged it.
-struct Charge {
-    trace: PhaseTrace,
-    point: FreqPoint,
-    time_s: f64,
-    ipc: f64,
-    /// The DVFS transition the phase triggered; zero when the core was
-    /// already at `point`.
-    transition_s: f64,
-    transition_j: f64,
-}
-
-impl Charge {
-    /// Governor feedback. Time and energy are the phase's at the point it
-    /// ran at — energy with the *full* power model (`total_power_w`), the
-    /// objective [`select_optimal_edp`] minimises — **plus** the transition
-    /// it triggered, as billed. The oracle is blind to transitions;
-    /// including them is what lets an online governor learn that, for
-    /// short tasks, keeping both phases at one operating point beats
-    /// per-phase switching. Boundedness is measured at fmax so the
-    /// classification does not drift with whatever frequency was chosen.
-    fn obs(&self, cfg: &RuntimeConfig) -> PhaseObs {
-        let fmax_hz = cfg.table.point(cfg.table.max()).hz();
-        PhaseObs {
-            time_s: self.time_s + self.transition_s,
-            energy_j: cfg.power.total_power_w(self.point, self.ipc, 1) * self.time_s
-                + self.transition_j,
-            ipc: self.ipc,
-            mem_bound_frac: self.trace.memory_bound_fraction(fmax_hz, &cfg.timing),
-            miss_ratio: self.trace.miss_ratio(),
-        }
-    }
-
-    /// The phase's counters as a PGO [`PhaseSample`].
-    ///
-    /// DRAM-level hits index 3 of the hit arrays; memory-level parallelism
-    /// is the interval model's proxy (DRAM misses per serialised miss
-    /// cluster, a cluster being one memory latency of demand stall);
-    /// boundedness is measured at fmax so stored profiles do not drift with
-    /// whatever frequency the run happened to pick.
-    fn sample(&self, cfg: &RuntimeConfig) -> PhaseSample {
-        let trace = &self.trace;
-        let dram = trace.demand_hits[3];
-        let clusters =
-            (trace.demand_stall_ns(&cfg.timing) / cfg.timing.mem_latency_ns).round().max(0.0);
-        let mlp = if clusters > 0.0 { dram as f64 / clusters } else { 0.0 };
-        let fmax = cfg.table.point(cfg.table.max()).hz();
-        let mem_bound = trace.memory_bound_fraction(fmax, &cfg.timing);
-        PhaseSample {
-            instrs: trace.instrs,
-            loads: trace.loads,
-            dram_misses: dram,
-            prefetches: trace.prefetches,
-            prefetch_dram_lines: trace.prefetch_hits[3],
-            branches: trace.branches,
-            mlp_x100: (mlp * 100.0).round() as u64,
-            mem_bound_ppm: (mem_bound * 1e6).round().clamp(0.0, 1e6) as u64,
-        }
-    }
-}
-
 /// The state of one run: the machine, the cores, the sink, the hooks and
 /// the running totals.
 struct Run<'r, 'h> {
@@ -370,7 +308,6 @@ struct Run<'r, 'h> {
     cores: Vec<CoreState>,
     sink: &'r mut (dyn TraceSink + 'h),
     gov: Option<&'r mut (dyn Governor + 'h)>,
-    collector: Option<&'r mut ProfileCollector>,
     energy_j: f64,
     breakdown: Breakdown,
     access_trace: PhaseTrace,
@@ -380,7 +317,7 @@ struct Run<'r, 'h> {
 impl Run<'_, '_> {
     /// Runs `task` on core `c`: the dispatch overhead, the governor's
     /// decision, the access phase when the task runs decoupled, then the
-    /// execute phase; the governor and the collector read the two charges.
+    /// execute phase; the governor reads the two phases' records.
     fn task(&mut self, c: usize, idx: u32, task: &TaskInstance) -> Result<(), InterpError> {
         let cfg = self.cfg;
         // Runtime overhead for dequeuing/scheduling this task.
@@ -431,20 +368,15 @@ impl Run<'_, '_> {
         let d = decision.map(|(_, d)| d);
         let access = match task.access {
             Some(_) if d.is_some() || cfg.policy.is_decoupled() => {
-                Some(self.phase(c, idx, task, PhaseKind::Access, d)?)
+                self.phase(c, idx, task, PhaseKind::Access, d)?
             }
             _ => None,
         };
         let execute = self.phase(c, idx, task, PhaseKind::Execute, d)?;
-        if let (Some(g), Some((class, _))) = (self.gov.as_deref_mut(), decision) {
-            let obs =
-                TaskObs { access: access.as_ref().map(|a| a.obs(cfg)), execute: execute.obs(cfg) };
-            g.observe(class, &obs);
-        }
-        if let Some(col) = self.collector.as_deref_mut() {
-            // Keyed by the *execute* function: that is the task identity the
-            // driver's base `task_key` names.
-            col.record(task.func, access.map(|a| a.sample(cfg)).as_ref(), &execute.sample(cfg));
+        if let (Some(g), Some((class, _)), Some(execute)) =
+            (self.gov.as_deref_mut(), decision, execute)
+        {
+            g.observe(class, &TaskObs { access, execute });
         }
         Ok(())
     }
@@ -454,7 +386,8 @@ impl Run<'_, '_> {
     /// operating point first bills one DVFS transition — `transition_s` at
     /// the target point's per-core static power, since no instructions run
     /// (§6.1) — then the phase is charged its time and energy at that
-    /// point. Every event of the charge goes to the sink.
+    /// point. Every event of the charge goes to the sink. The phase's
+    /// [`PhaseRecord`] is built only when a sink or a governor observes it.
     fn phase(
         &mut self,
         c: usize,
@@ -462,7 +395,7 @@ impl Run<'_, '_> {
         task: &TaskInstance,
         kind: PhaseKind,
         decision: Option<Decision>,
-    ) -> Result<Charge, InterpError> {
+    ) -> Result<Option<PhaseRecord>, InterpError> {
         let cfg = self.cfg;
         let func = match kind {
             PhaseKind::Access => task.access.expect("a decoupled task has an access phase"),
@@ -528,22 +461,38 @@ impl Run<'_, '_> {
         };
         *spent_s += time_s;
         total.merge(&trace);
+        if !self.sink.is_enabled() && self.gov.is_none() {
+            return Ok(None);
+        }
+        let (dyn_energy_j, static_energy_j) = phase_energy_split_j(&cfg.power, point, ipc, time_s);
+        let fmax_hz = cfg.table.point(cfg.table.max()).hz();
+        let record = PhaseRecord {
+            func: func.0,
+            kind,
+            freq_ghz: point.ghz,
+            time_s,
+            ipc,
+            transition_s,
+            transition_j,
+            dyn_energy_j,
+            static_energy_j,
+            model_energy_j: cfg.power.total_power_w(point, ipc, 1) * time_s,
+            counters: trace.counters(),
+            mem_bound_frac: trace.memory_bound_fraction(fmax_hz, &cfg.timing),
+            miss_clusters: (trace.demand_stall_ns(&cfg.timing) / cfg.timing.mem_latency_ns)
+                .round()
+                .max(0.0),
+        };
         if self.sink.is_enabled() {
-            let (dyn_j, static_j) = phase_energy_split_j(&cfg.power, point, ipc, time_s);
             self.sink.record(TraceEvent::Phase {
                 core: c as u32,
                 task: idx,
                 name: self.machine.module().func(func).name.clone(),
-                kind,
                 start_s,
-                dur_s: time_s,
-                freq_ghz: point.ghz,
-                dyn_energy_j: dyn_j,
-                static_energy_j: static_j,
-                counters: trace.counters(),
+                record,
             });
         }
-        Ok(Charge { trace, point, time_s, ipc, transition_s, transition_j })
+        Ok(Some(record))
     }
 }
 
@@ -795,50 +744,63 @@ mod tests {
         assert!(!rec.is_empty());
     }
 
-    #[test]
-    fn profiling_collects_samples_without_changing_results() {
-        let (m, exec, access) = stream_module(8192, 512);
-        let tasks = tasks_for(exec, access, 8192, 512);
-        let cfg = RuntimeConfig::paper_default().with_policy(FreqPolicy::DaeOptimal);
-        let plain = run_workload(&m, &tasks, &cfg).unwrap();
-        let mut col = ProfileCollector::new();
-        let profiled = run_workload_with(
-            &m,
-            &tasks,
-            &cfg,
-            RunHooks { collector: Some(&mut col), ..Default::default() },
-        )
-        .unwrap();
-        // Strictly observational: bit-identical report.
-        assert_eq!(plain.time_s.to_bits(), profiled.time_s.to_bits());
-        assert_eq!(plain.energy_j.to_bits(), profiled.energy_j.to_bits());
-        assert_eq!(plain.breakdown, profiled.breakdown);
-        // One record per distinct task function, with both phases seen.
-        assert_eq!(col.len(), 1);
-        let (&func, p) = col.iter().next().unwrap();
-        assert_eq!(func, exec);
-        assert_eq!(p.runs as usize, tasks.len());
-        assert!(p.access.prefetches > 0, "access phase issued prefetches");
-        assert!(p.execute.instrs > 0);
-        // The aggregate matches the run's own trace totals.
-        assert_eq!(p.execute.instrs, profiled.execute_trace.instrs);
-        assert_eq!(p.access.prefetches, profiled.access_trace.prefetches);
+    /// A governor that keeps every observation it is fed and delegates
+    /// its decisions to a real one.
+    struct Keeping {
+        inner: Box<dyn Governor>,
+        kept: Vec<TaskObs>,
+    }
 
-        // Coupled runs contribute no access sample.
-        let coupled: Vec<TaskInstance> =
-            tasks.iter().map(|t| TaskInstance::coupled(t.func, t.args.clone())).collect();
-        let mut col = ProfileCollector::new();
-        let cfg = RuntimeConfig::paper_default().with_policy(FreqPolicy::CoupledMax);
-        run_workload_with(
-            &m,
-            &coupled,
-            &cfg,
-            RunHooks { collector: Some(&mut col), ..Default::default() },
-        )
-        .unwrap();
-        let (_, p) = col.iter().next().unwrap();
-        assert_eq!(p.access.instrs, 0);
-        assert!(p.execute.instrs > 0);
+    impl Governor for Keeping {
+        fn name(&self) -> &'static str {
+            self.inner.name()
+        }
+
+        fn decide(&mut self, class: TaskClass) -> Decision {
+            self.inner.decide(class)
+        }
+
+        fn observe(&mut self, class: TaskClass, obs: &TaskObs) {
+            self.kept.push(*obs);
+            self.inner.observe(class, obs);
+        }
+
+        fn snapshot(&self) -> Vec<dae_governor::ClassSnapshot> {
+            self.inner.snapshot()
+        }
+    }
+
+    #[test]
+    fn the_governor_and_the_sink_observe_the_same_records() {
+        let (m, exec, access) = stream_module(16384, 512);
+        let tasks = tasks_for(exec, access, 16384, 512);
+        let cfg = RuntimeConfig::paper_default();
+        let kind = dae_governor::GovernorKind::Bandit { seed: 7 };
+        let mut gov = Keeping { inner: kind.build(&cfg.table), kept: Vec::new() };
+        let mut rec = dae_trace::Recorder::new(cfg.cores);
+        let hooks = RunHooks { sink: Some(&mut rec), governor: Some(&mut gov) };
+        run_workload_with(&m, &tasks, &cfg, hooks).unwrap();
+
+        let traced: Vec<String> = rec
+            .events()
+            .iter()
+            .filter_map(|e| match e {
+                TraceEvent::Phase { record, .. } => Some(format!("{record:?}")),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(traced.len(), 2 * tasks.len(), "one record per access or execute phase");
+        // `Debug` prints every float exactly, so equal strings are equal bits.
+        let observed: Vec<String> = gov
+            .kept
+            .iter()
+            .flat_map(|o| o.access.iter().chain([&o.execute]))
+            .map(|r| format!("{r:?}"))
+            .collect();
+        assert_eq!(observed, traced);
+        assert_eq!(gov.kept.len(), tasks.len());
+        let kinds = |o: &TaskObs| (o.access.map(|a| a.kind), o.execute.kind);
+        assert!(gov.kept.iter().all(|o| kinds(o) == (Some(PhaseKind::Access), PhaseKind::Execute)));
     }
 
     #[test]

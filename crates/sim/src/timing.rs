@@ -277,17 +277,6 @@ impl PhaseTrace {
         let t_bw = self.bandwidth_ns(cfg) * 1e-9;
         (t_stall.max(t_bw) / t).min(1.0)
     }
-
-    /// DRAM demand misses per executed load, in `[0, 1]` — the classic
-    /// miss-ratio boundedness indicator (0 when the phase executed no
-    /// loads).
-    pub fn miss_ratio(&self) -> f64 {
-        if self.loads == 0 {
-            0.0
-        } else {
-            self.demand_hits[3] as f64 / self.loads as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -314,15 +303,6 @@ mod tests {
         let fast = t.time_s(3.4e9, &cfg());
         let ratio = slow / fast;
         assert!((ratio - 3.4 / 1.6).abs() < 1e-6, "ratio {ratio}");
-    }
-
-    #[test]
-    fn miss_ratio_counts_dram_misses_per_load() {
-        let mut t = PhaseTrace { loads: 100, ..Default::default() };
-        assert_eq!(t.miss_ratio(), 0.0);
-        t.demand_hits = [80, 10, 5, 5];
-        assert!((t.miss_ratio() - 0.05).abs() < 1e-12);
-        assert_eq!(PhaseTrace::default().miss_ratio(), 0.0, "no loads ⇒ ratio 0");
     }
 
     #[test]

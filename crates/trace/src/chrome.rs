@@ -100,16 +100,14 @@ fn meta_event(name: &str, tid: Option<u32>, value: &str) -> JsonValue {
 
 fn span_event(ev: &TraceEvent) -> JsonValue {
     let (name, args) = match ev {
-        TraceEvent::Phase {
-            task, name, freq_ghz, dyn_energy_j, static_energy_j, counters, ..
-        } => (
+        TraceEvent::Phase { task, name, record, .. } => (
             name.clone(),
             JsonValue::obj([
                 ("task", (*task).into()),
-                ("freq_ghz", (*freq_ghz).into()),
-                ("dyn_energy_j", (*dyn_energy_j).into()),
-                ("static_energy_j", (*static_energy_j).into()),
-                ("counters", counters.to_json()),
+                ("freq_ghz", record.freq_ghz.into()),
+                ("dyn_energy_j", record.dyn_energy_j.into()),
+                ("static_energy_j", record.static_energy_j.into()),
+                ("counters", record.counters.to_json()),
             ]),
         ),
         TraceEvent::Overhead { task, energy_j, .. } => (
@@ -195,7 +193,7 @@ fn span_event(ev: &TraceEvent) -> JsonValue {
 /// operating point.
 fn freq_sample(ev: &TraceEvent) -> Option<JsonValue> {
     let (core, t, ghz) = match ev {
-        TraceEvent::Phase { core, start_s, freq_ghz, .. } => (*core, *start_s, *freq_ghz),
+        TraceEvent::Phase { core, start_s, record, .. } => (*core, *start_s, record.freq_ghz),
         TraceEvent::DvfsTransition { core, to_ghz, .. } => (*core, ev.end_s(), *to_ghz),
         _ => return None,
     };
@@ -211,7 +209,7 @@ fn freq_sample(ev: &TraceEvent) -> Option<JsonValue> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{PhaseCounters, PhaseKind};
+    use crate::event::{PhaseCounters, PhaseKind, PhaseRecord};
     use crate::json::parse;
     use crate::sink::TraceSink;
 
@@ -236,13 +234,16 @@ mod tests {
             core: 0,
             task: 0,
             name: "stream__access".into(),
-            kind: PhaseKind::Access,
             start_s: 6e-7,
-            dur_s: 4e-6,
-            freq_ghz: 1.6,
-            dyn_energy_j: 3e-9,
-            static_energy_j: 1e-9,
-            counters: PhaseCounters { instrs: 100, prefetches: 12, ..Default::default() },
+            record: PhaseRecord {
+                kind: PhaseKind::Access,
+                freq_ghz: 1.6,
+                time_s: 4e-6,
+                dyn_energy_j: 3e-9,
+                static_energy_j: 1e-9,
+                counters: PhaseCounters { instrs: 100, prefetches: 12, ..Default::default() },
+                ..Default::default()
+            },
         });
         rec.record(TraceEvent::Idle { core: 1, start_s: 0.0, dur_s: 4.6e-6 });
         rec

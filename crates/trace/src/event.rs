@@ -8,11 +8,12 @@
 use crate::json::JsonValue;
 
 /// Which half of a decoupled task a phase span covers.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum PhaseKind {
     /// The compiler-generated prefetch slice (run at low frequency).
     Access,
     /// The original task body (run on a warm cache).
+    #[default]
     Execute,
 }
 
@@ -28,7 +29,7 @@ impl PhaseKind {
 
 /// Snapshot of a phase's execution counters (a plain-data mirror of the
 /// simulator's `PhaseTrace`, without the per-miss event list).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PhaseCounters {
     /// Dynamic instructions executed.
     pub instrs: u64,
@@ -68,6 +69,56 @@ impl PhaseCounters {
             ("dram_lines", self.dram_lines.into()),
         ])
     }
+
+    /// DRAM demand misses per executed load, in `[0, 1]` — the classic
+    /// miss-ratio boundedness indicator (0 when the phase executed no
+    /// loads).
+    pub fn miss_ratio(&self) -> f64 {
+        if self.loads == 0 {
+            0.0
+        } else {
+            self.demand_hits[3] as f64 / self.loads as f64
+        }
+    }
+}
+
+/// One phase as the scheduler charged it: the record the trace, an online
+/// governor and the profile collector all observe. Times and energies are
+/// at the operating point the phase ran at; the boundedness is measured at
+/// fmax, so it does not drift with whatever frequency was chosen.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct PhaseRecord {
+    /// Index of the IR function the phase ran.
+    pub func: u32,
+    /// Access or execute.
+    pub kind: PhaseKind,
+    /// Operating frequency the phase ran at, in GHz.
+    pub freq_ghz: f64,
+    /// Duration of the phase, in seconds.
+    pub time_s: f64,
+    /// Instructions per cycle.
+    pub ipc: f64,
+    /// The DVFS transition billed before the phase, in seconds (0 when the
+    /// core was already at `freq_ghz`).
+    pub transition_s: f64,
+    /// The static energy of that transition, in joules.
+    pub transition_j: f64,
+    /// Dynamic (switching) energy of the phase, in joules.
+    pub dyn_energy_j: f64,
+    /// The core's static-energy share over the phase, in joules.
+    pub static_energy_j: f64,
+    /// Energy of the phase under the full power model (dynamic, per-core
+    /// static and the chip-base share), in joules: the objective the
+    /// *Optimal-f* search minimises.
+    pub model_energy_j: f64,
+    /// Execution counters of the phase.
+    pub counters: PhaseCounters,
+    /// Fraction of the phase's fmax runtime that is frequency-insensitive
+    /// (memory-boundedness in `[0, 1]`).
+    pub mem_bound_frac: f64,
+    /// Serialised demand-miss clusters, one memory latency of demand stall
+    /// each: memory-level parallelism is DRAM misses per cluster.
+    pub miss_clusters: f64,
 }
 
 fn level_array(levels: &[u64; 4]) -> JsonValue {
@@ -87,20 +138,10 @@ pub enum TraceEvent {
         task: u32,
         /// Name of the IR function the phase ran.
         name: String,
-        /// Access or execute.
-        kind: PhaseKind,
         /// Start time in virtual seconds.
         start_s: f64,
-        /// Duration in seconds.
-        dur_s: f64,
-        /// Operating frequency the phase ran at, in GHz.
-        freq_ghz: f64,
-        /// Dynamic (switching) energy of the phase, in joules.
-        dyn_energy_j: f64,
-        /// The core's static-energy share over the phase, in joules.
-        static_energy_j: f64,
-        /// Execution counters of the phase.
-        counters: PhaseCounters,
+        /// The charged phase; its duration is `record.time_s`.
+        record: PhaseRecord,
     },
     /// Runtime cost of dequeuing/scheduling one task.
     Overhead {
@@ -266,8 +307,8 @@ impl TraceEvent {
     /// Duration of the event's interval, in seconds.
     pub fn dur_s(&self) -> f64 {
         match self {
-            TraceEvent::Phase { dur_s, .. }
-            | TraceEvent::Overhead { dur_s, .. }
+            TraceEvent::Phase { record, .. } => record.time_s,
+            TraceEvent::Overhead { dur_s, .. }
             | TraceEvent::DvfsTransition { dur_s, .. }
             | TraceEvent::Idle { dur_s, .. }
             | TraceEvent::CompilePass { dur_s, .. }
@@ -287,9 +328,7 @@ impl TraceEvent {
     /// idle cores are in sleep states).
     pub fn energy_j(&self) -> f64 {
         match self {
-            TraceEvent::Phase { dyn_energy_j, static_energy_j, .. } => {
-                dyn_energy_j + static_energy_j
-            }
+            TraceEvent::Phase { record, .. } => record.dyn_energy_j + record.static_energy_j,
             TraceEvent::Overhead { energy_j, .. } | TraceEvent::DvfsTransition { energy_j, .. } => {
                 *energy_j
             }
@@ -307,7 +346,7 @@ impl TraceEvent {
     /// Exporters group and reconcile spans by this.
     pub fn category(&self) -> &'static str {
         match self {
-            TraceEvent::Phase { kind, .. } => kind.as_str(),
+            TraceEvent::Phase { record, .. } => record.kind.as_str(),
             TraceEvent::Overhead { .. } => "overhead",
             TraceEvent::DvfsTransition { .. } => "dvfs",
             TraceEvent::Idle { .. } => "idle",
@@ -331,13 +370,14 @@ mod tests {
                 core: 1,
                 task: 7,
                 name: "f".into(),
-                kind: PhaseKind::Execute,
                 start_s: 1.0,
-                dur_s: 0.5,
-                freq_ghz: 3.4,
-                dyn_energy_j: 2.0,
-                static_energy_j: 1.0,
-                counters: PhaseCounters::default(),
+                record: PhaseRecord {
+                    kind: PhaseKind::Execute,
+                    time_s: 0.5,
+                    dyn_energy_j: 2.0,
+                    static_energy_j: 1.0,
+                    ..Default::default()
+                },
             },
             TraceEvent::Overhead { core: 1, task: 7, start_s: 0.5, dur_s: 0.25, energy_j: 0.1 },
             TraceEvent::DvfsTransition {
@@ -426,5 +466,14 @@ mod tests {
         let j = a.to_json();
         assert_eq!(j.get("instrs").unwrap().as_f64(), Some(15.0));
         assert_eq!(j.get("demand_hits").unwrap().as_arr().unwrap().len(), 4);
+    }
+
+    #[test]
+    fn miss_ratio_counts_dram_misses_per_load() {
+        let mut c = PhaseCounters { loads: 100, ..Default::default() };
+        assert_eq!(c.miss_ratio(), 0.0);
+        c.demand_hits = [80, 10, 5, 5];
+        assert!((c.miss_ratio() - 0.05).abs() < 1e-12);
+        assert_eq!(PhaseCounters::default().miss_ratio(), 0.0, "no loads ⇒ ratio 0");
     }
 }

@@ -7,7 +7,9 @@
 //! this crate can. It is the observability backbone of the repository:
 //!
 //! * [`TraceEvent`] — the structured event model: phase spans (access /
-//!   execute) with per-phase counter snapshots, task-dispatch overhead,
+//!   execute), each carrying the [`PhaseRecord`] the scheduler charged —
+//!   the one per-phase record the trace, an online governor and the
+//!   profile collector observe — plus task-dispatch overhead,
 //!   DVFS transitions with from/to frequency, and per-core idle gaps, all
 //!   stamped in virtual seconds;
 //! * [`TraceSink`] — the producer-side trait. [`NullSink`] is the
@@ -30,7 +32,8 @@
 //! # Examples
 //!
 //! ```
-//! use dae_trace::{chrome, NullSink, PhaseCounters, PhaseKind, Recorder, TraceEvent, TraceSink};
+//! use dae_trace::{chrome, NullSink, PhaseCounters, PhaseKind, PhaseRecord, Recorder};
+//! use dae_trace::{TraceEvent, TraceSink};
 //!
 //! let mut rec = Recorder::new(2);
 //! assert!(rec.is_enabled());
@@ -38,13 +41,16 @@
 //!     core: 0,
 //!     task: 0,
 //!     name: "stream__access".into(),
-//!     kind: PhaseKind::Access,
 //!     start_s: 0.0,
-//!     dur_s: 1e-6,
-//!     freq_ghz: 1.6,
-//!     dyn_energy_j: 2e-6,
-//!     static_energy_j: 1e-6,
-//!     counters: PhaseCounters { instrs: 640, prefetches: 64, ..Default::default() },
+//!     record: PhaseRecord {
+//!         kind: PhaseKind::Access,
+//!         freq_ghz: 1.6,
+//!         time_s: 1e-6,
+//!         dyn_energy_j: 2e-6,
+//!         static_energy_j: 1e-6,
+//!         counters: PhaseCounters { instrs: 640, prefetches: 64, ..Default::default() },
+//!         ..Default::default()
+//!     },
 //! });
 //! let json = chrome::chrome_trace_json(&rec);
 //! assert!(json.contains("traceEvents"));
@@ -67,7 +73,7 @@ pub(crate) mod rng;
 pub(crate) mod sink;
 pub mod sync;
 
-pub use event::{PhaseCounters, PhaseKind, TraceEvent};
+pub use event::{PhaseCounters, PhaseKind, PhaseRecord, TraceEvent};
 pub use fnv::Fnv64;
 pub use fs::write_atomic;
 pub use hist::LogHistogram;

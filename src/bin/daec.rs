@@ -263,8 +263,9 @@ fn run_main() -> Result<(), String> {
     // decoupled where an access phase was generated, under the selected
     // policy — when profiles are collected (merged into the store under
     // each task's *base* compile key, so the next compile finds them
-    // regardless of refinement) or a trace is written. Both hooks only
-    // observe, so one run serves both.
+    // regardless of refinement) or a trace is written. The collector is a
+    // trace sink; with a trace written too, it reads the recorded events
+    // afterwards, so one run serves both.
     let insts = module_instances(&module, &tasks, &args.hints, |t| map.access(t));
     let cfg = RuntimeConfig::paper_default().with_policy(args.policy);
     let collecting = args.profile_out.is_some() || args.profile_dir.is_some();
@@ -275,12 +276,15 @@ fn run_main() -> Result<(), String> {
         if let Some(rec) = rec.as_mut() {
             emit_spans(&outcome.spans, rec.cores(), rec);
         }
-        let hooks = RunHooks {
-            sink: rec.as_mut().map(|r| r as &mut dyn TraceSink),
-            collector: col.as_mut(),
-            ..Default::default()
+        let sink = match rec.as_mut() {
+            Some(rec) => Some(rec as &mut dyn TraceSink),
+            None => col.as_mut().map(|c| c as &mut dyn TraceSink),
         };
+        let hooks = RunHooks { sink, ..Default::default() };
         let report = run_workload_with(&module, &insts, &cfg, hooks).map_err(|e| e.to_string())?;
+        if let (Some(rec), Some(col)) = (&rec, col.as_mut()) {
+            rec.events().iter().for_each(|e| col.record(e.clone()));
+        }
         traced = rec.map(|rec| (rec, report));
     }
     if let (Some(st), Some(col)) = (store.as_mut(), col.as_mut()) {

@@ -606,7 +606,7 @@ fn pgo(smoke: bool) -> Vec<Table> {
         let s = edp(&w_static, RunHooks::default());
         // One profiled replay, keyed by the driver's base task keys.
         let mut col = ProfileCollector::new();
-        edp(&w_static, RunHooks { collector: Some(&mut col), ..Default::default() });
+        edp(&w_static, RunHooks { sink: Some(&mut col), ..Default::default() });
         let mut profiles = ProfileSet::default();
         for (key, profile) in col.drain_keyed(&keys) {
             profiles.insert(key, profile);

@@ -14,7 +14,9 @@
 use dae_repro::driver::{Driver, DriverConfig};
 use dae_repro::ir::{print_module, verify_module};
 use dae_repro::pgo::{ProfileCollector, ProfileSet};
-use dae_repro::runtime::{run_workload, run_workload_with, RunHooks, RuntimeConfig};
+use dae_repro::runtime::{
+    run_workload, run_workload_with, FreqPolicy, RunHooks, RuntimeConfig, TaskInstance,
+};
 use dae_repro::workloads::{all_benchmarks_small, Variant, Workload};
 
 /// Builds a fresh copy of benchmark `i` (compilation mutates the module,
@@ -61,7 +63,7 @@ fn collect_profile(i: usize) -> ProfileSet {
         &w.module,
         &w.tasks(Variant::AutoDae),
         &RuntimeConfig::paper_default(),
-        RunHooks { collector: Some(&mut col), ..Default::default() },
+        RunHooks { sink: Some(&mut col), ..Default::default() },
     )
     .unwrap_or_else(|e| panic!("{}: profiled run failed: {e}", w.name));
     let mut set = ProfileSet::default();
@@ -109,4 +111,43 @@ fn same_profile_refines_byte_identically_at_any_job_count() {
         assert_eq!(again_ir, ref_ir, "{name}: repeat refined compile differs");
         assert_eq!(again_report, ref_report, "{name}: repeat refined report differs");
     }
+}
+
+#[test]
+fn profiling_collects_samples_without_changing_results() {
+    // One task function with an expert access phase.
+    let lbm = all_benchmarks_small().into_iter().find(|w| w.name == "LBM").unwrap();
+    let (m, tasks) = (&lbm.module, lbm.tasks(Variant::ManualDae));
+    let exec = tasks[0].func;
+    let cfg = RuntimeConfig::paper_default().with_policy(FreqPolicy::DaeOptimal);
+    let plain = run_workload(m, &tasks, &cfg).unwrap();
+    let mut col = ProfileCollector::new();
+    let profiled =
+        run_workload_with(m, &tasks, &cfg, RunHooks { sink: Some(&mut col), ..Default::default() })
+            .unwrap();
+    // Strictly observational: bit-identical report.
+    assert_eq!(plain.time_s.to_bits(), profiled.time_s.to_bits());
+    assert_eq!(plain.energy_j.to_bits(), profiled.energy_j.to_bits());
+    assert_eq!(plain.breakdown, profiled.breakdown);
+    // One record per distinct task function, with both phases seen.
+    assert_eq!(col.len(), 1);
+    let (&func, p) = col.iter().next().unwrap();
+    assert_eq!(func, exec);
+    assert_eq!(p.runs as usize, tasks.len());
+    assert!(p.access.prefetches > 0, "access phase issued prefetches");
+    assert!(p.execute.instrs > 0);
+    // The aggregate matches the run's own trace totals.
+    assert_eq!(p.execute.instrs, profiled.execute_trace.instrs);
+    assert_eq!(p.access.prefetches, profiled.access_trace.prefetches);
+
+    // Coupled runs contribute no access sample.
+    let coupled: Vec<TaskInstance> =
+        tasks.iter().map(|t| TaskInstance::coupled(t.func, t.args.clone())).collect();
+    let mut col = ProfileCollector::new();
+    let cfg = RuntimeConfig::paper_default().with_policy(FreqPolicy::CoupledMax);
+    run_workload_with(m, &coupled, &cfg, RunHooks { sink: Some(&mut col), ..Default::default() })
+        .unwrap();
+    let (_, p) = col.iter().next().unwrap();
+    assert_eq!(p.access.instrs, 0);
+    assert!(p.execute.instrs > 0);
 }
