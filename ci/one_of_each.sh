@@ -210,8 +210,24 @@ check "a per-block Vec CFG" \
 # id is a hash per lookup and an allocation per table coming back.
 check "a hashed id table on the compile path" \
     "none" \
-    'HashSet<BlockId>|HashMap<(BlockId|InstId|LoopId)' \
+    'HashSet<(BlockId|Value|FuncId)>|HashMap<(BlockId|InstId|LoopId)' \
     'crates/(analysis|core)/src/.*'
+
+# §5.1's polyhedral steps do each piece of work once. A vertex is solved in
+# integers over its basis determinant; the rational Gaussian elimination
+# survives only as the oracle in crates/poly/tests. A polyhedron's
+# Fourier–Motzkin chain is built once (`Levels::build`) and read by the
+# count and the loop nest alike; re-projecting from the top for every
+# dimension is the quadratic chain coming back.
+check "a rational elimination matrix (vertices are solved in integers)" \
+    "none" \
+    '&mut \[Rat\]|mut [a-z_]+: Vec<Rat>' \
+    'crates/poly/src/.*'
+
+check "bounds re-projected per dimension (one projection chain per polyhedron)" \
+    "none" \
+    'dim_bounds\(' \
+    'crates/(poly|core)/src/.*'
 
 # Access generation is one sequence, `dae_core::generate_access_with`
 # (inline → optimize → refine → analyze → generate); the driver fills its

@@ -78,30 +78,30 @@ pub fn summarize(func: &Function) -> EffectSummary {
 /// call graph reachable from `func` contains no cycle through `func` or any
 /// callee.
 pub(crate) fn is_fully_inlinable(module: &Module, func: FuncId) -> bool {
-    // DFS with an on-stack set detects recursion.
-    fn dfs(
-        module: &Module,
-        f: FuncId,
-        on_stack: &mut HashSet<FuncId>,
-        done: &mut HashSet<FuncId>,
-    ) -> bool {
-        if done.contains(&f) {
-            return true;
-        }
-        if !on_stack.insert(f) {
-            return false;
+    /// Per function, by id: not reached, on the DFS stack, or done.
+    #[derive(Clone, Copy, PartialEq)]
+    enum Mark {
+        New,
+        OnStack,
+        Done,
+    }
+    // DFS with an on-stack mark detects recursion.
+    fn dfs(module: &Module, f: FuncId, marks: &mut [Mark]) -> bool {
+        match marks[f.0 as usize] {
+            Mark::Done => return true,
+            Mark::OnStack => return false,
+            Mark::New => marks[f.0 as usize] = Mark::OnStack,
         }
         let summary = summarize(module.func(f));
         for callee in summary.callees {
-            if !dfs(module, callee, on_stack, done) {
+            if !dfs(module, callee, marks) {
                 return false;
             }
         }
-        on_stack.remove(&f);
-        done.insert(f);
+        marks[f.0 as usize] = Mark::Done;
         true
     }
-    dfs(module, func, &mut HashSet::new(), &mut HashSet::new())
+    dfs(module, func, &mut vec![Mark::New; module.num_funcs()])
 }
 
 #[cfg(test)]

@@ -78,7 +78,15 @@ pub(crate) fn map_all_operands(func: &mut Function, mut f: impl FnMut(Value) -> 
 ///
 /// The result is always the output of [`compact`] (dense ids in reverse
 /// postorder): a round that changed nothing returns the previous round's
-/// compaction as it is instead of rebuilding it.
+/// compaction as it is instead of rebuilding it. A round after one that
+/// changed no edge — only constants were folded and dead code went — runs
+/// the forwarder pass alone, and is the last when that finds nothing:
+/// folding runs to its own fixpoint and dead-code removal is one, removing
+/// dead instructions and parameters gives no instruction a constant
+/// operand, no branch a constant condition and no block a single
+/// predecessor, so folding, branch folding and merging have nothing new to
+/// do — only a block that lost its last instruction or parameter can have
+/// become a forwarder.
 pub fn optimize(func: &Function) -> Function {
     Workspace::with(|ws| optimize_in(ws, func.clone()))
 }
@@ -87,16 +95,24 @@ pub fn optimize(func: &Function) -> Function {
 /// (the compactions reuse its storage).
 pub fn optimize_in(ws: &mut Workspace, func: Function) -> Function {
     let mut f = compact_in(ws, func);
+    let mut settled = false;
     loop {
-        let mut changed = false;
-        changed |= fold_constants(ws, &mut f);
-        changed |= fold_constant_branches(&mut f);
-        changed |= skip_trivial_blocks(ws, &mut f);
-        changed |= dce_fixpoint(ws, &mut f);
-        changed |= merge_straightline(ws, &mut f);
-        if !changed {
+        let (mut folded, mut edges) = (false, false);
+        if !settled {
+            folded = fold_constants(ws, &mut f);
+            edges = fold_constant_branches(&mut f);
+        }
+        let forwarded = skip_trivial_blocks(ws, &mut f);
+        if settled && !forwarded {
             return f;
         }
+        edges |= forwarded;
+        let swept = dce_fixpoint(ws, &mut f);
+        edges |= merge_straightline(ws, &mut f);
+        if !(folded || swept || edges) {
+            return f;
+        }
+        settled = !edges;
         f = compact_in(ws, f);
     }
 }

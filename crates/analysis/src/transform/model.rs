@@ -2,16 +2,23 @@
 //! whole merge sweep and one operand rewrite a whole strength reduction,
 //! kept as the oracle the tests compare against: [`merge_straightline`]
 //! rebuilds the CFG after every single merge and rewrites every operand of
-//! the function per merge, and [`strength_reduce`] rewrites every operand
-//! once per reduced instruction. Both passes must leave a function exactly
-//! as these do — same arenas, same ids — on generated functions and on
-//! every task of the benchmark corpus.
+//! the function per merge, [`strength_reduce`] rewrites every operand
+//! once per reduced instruction, and [`optimize_in`] runs every pass in
+//! every round until a round changes nothing. The passes must leave a
+//! function exactly as these do — same arenas, same ids — on generated
+//! functions and on every task of the benchmark corpus.
 //!
 //! [`merge_straightline`]: super::merge_straightline
 //! [`strength_reduce`]: super::strength_reduce
+//! [`optimize_in`]: super::optimize_in
 
 use super::strength::reduce_loops;
+use super::{
+    compact_in, dce_fixpoint, fold_constant_branches, fold_constants, merge_straightline,
+    skip_trivial_blocks,
+};
 use crate::cfg::Cfg;
+use crate::Workspace;
 use dae_ir::{Function, Terminator, Value};
 
 /// [`super::merge_straightline`] by the model.
@@ -67,6 +74,24 @@ pub(crate) fn strength_reduce_model(func: &mut Function) -> bool {
     })
 }
 
+/// [`super::optimize_in`] by the model: every round runs every pass, and
+/// only a round that changes nothing ends the loop.
+pub(crate) fn optimize_model(ws: &mut Workspace, func: Function) -> Function {
+    let mut f = compact_in(ws, func);
+    loop {
+        let mut changed = false;
+        changed |= fold_constants(ws, &mut f);
+        changed |= fold_constant_branches(&mut f);
+        changed |= skip_trivial_blocks(ws, &mut f);
+        changed |= dce_fixpoint(ws, &mut f);
+        changed |= merge_straightline(ws, &mut f);
+        if !changed {
+            return f;
+        }
+        f = compact_in(ws, f);
+    }
+}
+
 mod tests {
     use super::*;
     use crate::transform::{
@@ -78,7 +103,7 @@ mod tests {
     use dae_ir::{verify_function, CmpOp, FunctionBuilder, GlobalId, Type};
     use proptest::prelude::*;
 
-    /// Both passes leave `f` exactly as their models do.
+    /// The passes leave `f` exactly as their models do.
     fn agrees(f: &Function) {
         let (mut new, mut old) = (f.clone(), f.clone());
         assert_eq!(
@@ -91,16 +116,23 @@ mod tests {
         let (mut new, mut old) = (f.clone(), f.clone());
         assert_eq!(strength_reduce(&mut new), strength_reduce_model(&mut old), "{}", f.name);
         assert_eq!(new, old, "strength_reduce left {} unlike the model", f.name);
+        let ws = &mut Workspace::new();
+        let new = optimize_in(ws, f.clone());
+        assert_eq!(new, optimize_model(ws, f.clone()), "optimize left {} unlike the model", f.name);
     }
 
     /// [`agrees`] on `f` and on the states the clean-up pipeline hands the
-    /// passes: compacted, folded and swept as `optimize`'s first round
-    /// leaves it before merging, and fully optimized.
+    /// passes: compacted, strength-reduced as `strength_reduce_and_clean`
+    /// hands it to `optimize`, folded and swept as `optimize`'s first
+    /// round leaves it before merging, and fully optimized.
     fn agrees_at_every_stage(f: &Function) {
         agrees(f);
         let ws = &mut Workspace::new();
         let mut g = compact(f.clone());
         agrees(&g);
+        let mut reduced = g.clone();
+        strength_reduce(&mut reduced);
+        agrees(&reduced);
         fold_constants(ws, &mut g);
         fold_constant_branches(&mut g);
         skip_trivial_blocks(ws, &mut g);
@@ -260,6 +292,45 @@ mod tests {
                 agrees_at_every_stage(f);
             }
         }
+    }
+
+    #[test]
+    fn a_block_emptied_by_dead_code_removal_is_forwarded() {
+        // `b` holds only a dead add and then forwards its parameter to `t`;
+        // both of `t`'s predecessors end in different blocks and the entry
+        // branches, so the first round removes only dead code. The round
+        // after it must still find `b` a forwarder.
+        let mut fb = FunctionBuilder::new("f", vec![Type::I64, Type::I64], Type::Void);
+        let (b, d, t) = (fb.create_block(), fb.create_block(), fb.create_block());
+        let (p, r, q) = (
+            fb.block_param(b, Type::I64),
+            fb.block_param(d, Type::I64),
+            fb.block_param(t, Type::I64),
+        );
+        let c = fb.cmp(CmpOp::Lt, Value::Arg(0), 8i64);
+        fb.branch(c, b, vec![Value::Arg(0)], d, vec![Value::Arg(1)]);
+        fb.switch_to(b);
+        fb.iadd(p, 1i64);
+        fb.jump(t, vec![p]);
+        fb.switch_to(d);
+        let at = fb.elem_addr(Value::Global(GlobalId(0)), r, Type::F64);
+        fb.store(at, 1.5f64);
+        fb.jump(t, vec![r]);
+        fb.switch_to(t);
+        let at = fb.elem_addr(Value::Global(GlobalId(0)), q, Type::F64);
+        fb.prefetch(at);
+        fb.ret(None);
+        let f = fb.finish();
+
+        let ws = &mut Workspace::new();
+        let mut g = compact_in(ws, f.clone());
+        assert!(!fold_constants(ws, &mut g) && !fold_constant_branches(&mut g));
+        assert!(!skip_trivial_blocks(ws, &mut g));
+        assert!(dce_fixpoint(ws, &mut g));
+        assert!(!merge_straightline(ws, &mut g));
+        let optimized = optimize_in(ws, f.clone());
+        assert_eq!(optimized.num_blocks(), 3, "{}", dae_ir::print_function(&optimized, None));
+        agrees(&f);
     }
 
     #[test]

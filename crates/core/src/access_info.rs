@@ -10,6 +10,7 @@ use dae_analysis::scev::{Affine, AffineVar};
 use dae_analysis::{CountedLoop, FunctionAnalysis, LoopId, ScalarEvolution, Workspace};
 use dae_ir::{CmpOp, Function, GlobalId, InstKind, Value};
 use dae_poly::{AffineImage, LinExpr, Polyhedron, Space};
+use std::rc::Rc;
 
 /// One subscript dimension of a delinearised access.
 #[derive(Clone, Debug, PartialEq)]
@@ -26,6 +27,20 @@ pub(crate) struct SubScript {
     pub param_coeffs: Vec<i64>,
 }
 
+/// One loop nest of a task's affine accesses: built once however many
+/// loads it encloses, and shared by their images.
+#[derive(Debug)]
+pub(crate) struct LoopNest {
+    /// The counted loops, outermost first.
+    pub loops: Vec<LoopId>,
+    /// Iteration domain: dims = the loops' IVs (in order), params = task
+    /// args.
+    pub domain: Polyhedron,
+    /// The IV substitutions of `build_domain`, `subst[d]` for the IV of
+    /// `loops[d]`.
+    subst: Vec<Affine>,
+}
+
 /// A fully-analysed affine memory access.
 #[derive(Clone, Debug)]
 pub(crate) struct AffineAccess {
@@ -34,10 +49,8 @@ pub(crate) struct AffineAccess {
     /// Element size in bytes used for delinearisation (8, or 1 when the
     /// offset is not element-aligned).
     pub elem_bytes: i64,
-    /// Enclosing counted loops, outermost first.
-    pub nest: Vec<LoopId>,
-    /// Iteration domain: dims = `nest` IVs (in order), params = task args.
-    pub domain: Polyhedron,
+    /// The enclosing loop nest: an index into [`TaskAccessInfo::nests`].
+    pub nest: usize,
     /// Delinearised subscripts, largest stride first.
     pub subscripts: Vec<SubScript>,
 }
@@ -56,13 +69,13 @@ impl AffineAccess {
         )
     }
 
-    /// The cells this access touches within its class, at concrete
-    /// parameter values: the iteration domain with the parameters
-    /// substituted, mapped through the subscripts' residuals (the parameter
-    /// parts are the class signature and stay symbolic).
-    pub(crate) fn image(&self, param_values: &[i64]) -> AffineImage {
+    /// The cells this access touches within its class, over `domain` — its
+    /// nest's iteration domain with the parameters substituted — mapped
+    /// through the subscripts' residuals (the parameter parts are the class
+    /// signature and stay symbolic).
+    pub(crate) fn image(&self, domain: &Rc<Polyhedron>) -> AffineImage {
         AffineImage::new(
-            self.domain.instantiate_params(param_values),
+            Rc::clone(domain),
             self.subscripts.iter().map(|s| s.residual.clone()).collect(),
         )
     }
@@ -105,6 +118,8 @@ pub(crate) struct TaskAccessInfo {
     /// Loads with a complete affine description (read by the §5.1
     /// generator only).
     pub affine: Vec<AffineAccess>,
+    /// The loop nests the accesses of `affine` index.
+    pub nests: Vec<LoopNest>,
     /// The task's Table 1 counts.
     pub counts: AccessCounts,
 }
@@ -303,6 +318,10 @@ pub(crate) fn analyze_task(ws: &mut Workspace, task: &Function) -> TaskAccessInf
     let forest = &analysis.forest;
     let mut affine = Vec::new();
     let mut counts = AccessCounts { loops_total: forest.len(), ..Default::default() };
+    // Per innermost loop (slot 0: outside every loop), once built: the
+    // index of its nest in `nests`, or `None` when it has no domain.
+    let mut nests = Vec::new();
+    let mut nest_of_loop: Vec<Option<Option<usize>>> = vec![None; forest.len() + 1];
 
     // Track per-loop affineness, indexed by loop id: a loop counts as
     // affine if all loads in it (transitively) are affine.
@@ -318,7 +337,9 @@ pub(crate) fn analyze_task(ws: &mut Workspace, task: &Function) -> TaskAccessInf
     task.for_each_placed_inst(|bb, inst| {
         let InstKind::Load { addr } = task.inst(inst).kind else { return };
         counts.total_loads += 1;
-        match describe_load(task, &analysis, &mut scev, bb, addr) {
+        let slot = forest.innermost(bb).map_or(0, |lp| lp.0 as usize + 1);
+        let nest = &mut nest_of_loop[slot];
+        match describe_load(task, &analysis, &mut scev, (nest, &mut nests), bb, addr) {
             Some(acc) => affine.push(acc),
             None => {
                 counts.non_affine_loads += 1;
@@ -350,36 +371,59 @@ pub(crate) fn analyze_task(ws: &mut Workspace, task: &Function) -> TaskAccessInf
         .count();
     ws.reclaim_scev(scev);
     ws.reclaim(analysis);
-    TaskAccessInfo { affine, counts }
+    TaskAccessInfo { affine, nests, counts }
 }
 
-fn describe_load(
+/// The loop nest around `bb` as an index into `nests`, built there (with
+/// its iteration domain) unless it is already; `None` when the nest has no
+/// domain the polyhedral path can scan.
+fn loop_nest(
     task: &Function,
     analysis: &FunctionAnalysis<'_>,
     scev: &mut ScalarEvolution<'_>,
     bb: dae_ir::BlockId,
-    addr: Value,
-) -> Option<AffineAccess> {
-    let ptr = scev.pointer_of(addr)?;
-    let nest = analysis.forest.nest_of(bb);
+    nests: &mut Vec<LoopNest>,
+) -> Option<usize> {
+    let loops = analysis.forest.nest_of(bb);
     let n_params = task.params.len();
-    let space = Space::new(nest.len(), n_params);
-
-    // Every IV in the offset must belong to the enclosing nest.
-    for v in ptr.offset.vars() {
-        if let AffineVar::Iv(lp) = v {
-            dim_of(&nest, lp)?;
-        }
-    }
-
-    let (domain, subst) = build_domain(space, &nest, scev)?;
+    let (domain, subst) = build_domain(Space::new(loops.len(), n_params), &loops, scev)?;
     // Parametric trip counts cannot be scanned by a concretely-hulled nest:
     // leave those to the skeleton path.
     if domain.constraints().iter().any(|c| (0..n_params).any(|p| c.expr.param_coeff(p) != 0)) {
         return None;
     }
+    nests.push(LoopNest { loops, domain, subst });
+    Some(nests.len() - 1)
+}
+
+/// Describes the load of `addr` in `bb`. `nest` is the memo of `bb`'s loop
+/// nest (see [`loop_nest`]), `nests` the nests built so far.
+fn describe_load(
+    task: &Function,
+    analysis: &FunctionAnalysis<'_>,
+    scev: &mut ScalarEvolution<'_>,
+    (nest, nests): (&mut Option<Option<usize>>, &mut Vec<LoopNest>),
+    bb: dae_ir::BlockId,
+    addr: Value,
+) -> Option<AffineAccess> {
+    let ptr = scev.pointer_of(addr)?;
+    let index = match *nest {
+        Some(built) => built?,
+        None => (*nest.insert(loop_nest(task, analysis, scev, bb, nests)))?,
+    };
+    let (loops, subst) = (&nests[index].loops[..], &nests[index].subst[..]);
+    let n_params = task.params.len();
+    let space = Space::new(loops.len(), n_params);
+
+    // Every IV in the offset must belong to the enclosing nest.
+    for v in ptr.offset.vars() {
+        if let AffineVar::Iv(lp) = v {
+            dim_of(loops, lp)?;
+        }
+    }
+
     // Rewrite the byte offset onto the normalised counters.
-    let ptr_offset = normalize_affine(&ptr.offset, &nest, &subst)?;
+    let ptr_offset = normalize_affine(&ptr.offset, loops, subst)?;
 
     // Bytes → elements.
     let elem: i64 = 8;
@@ -401,7 +445,7 @@ fn describe_load(
     for v in offset_elems.vars() {
         if let AffineVar::Iv(lp) = v {
             let c = offset_elems.coeff(v);
-            let d = dim_of(&nest, lp).expect("checked above");
+            let d = dim_of(loops, lp).expect("checked above");
             // Find the subscript whose stride divides this coefficient
             // exactly (by construction |c| is one of the strides, unless we
             // fell back to 1-D).
@@ -418,7 +462,7 @@ fn describe_load(
         }
     }
 
-    Some(AffineAccess { global: ptr.base, elem_bytes, nest, domain, subscripts })
+    Some(AffineAccess { global: ptr.base, elem_bytes, nest: index, subscripts })
 }
 
 #[cfg(test)]
@@ -510,7 +554,7 @@ mod tests {
         assert_eq!(off.subscripts[0].stride_elems, 16);
         assert_eq!(off.subscripts[1].stride_elems, 1);
         // Domain of the innermost accesses has 3 dims.
-        let deepest = info.affine.iter().map(|a| a.nest.len()).max().unwrap();
+        let deepest = info.affine.iter().map(|a| info.nests[a.nest].loops.len()).max().unwrap();
         assert_eq!(deepest, 3);
     }
 
@@ -520,8 +564,12 @@ mod tests {
         let info = analyze_task(&mut Workspace::new(), &f);
         // A 2-level access (A[j][i] in the j-loop): the normalised domain is
         // the triangle {0<=i<8, 0<=k<7-i} — 28 points.
-        let two_level = info.affine.iter().find(|a| a.nest.len() == 2).expect("2-level access");
-        let dom = two_level.domain.instantiate_params(&[0]);
+        let two_level = info
+            .affine
+            .iter()
+            .find(|a| info.nests[a.nest].loops.len() == 2)
+            .expect("2-level access");
+        let dom = info.nests[two_level.nest].domain.instantiate_params(&[0]);
         assert_eq!(dom.count_integer_points(), 28);
     }
 
@@ -591,7 +639,7 @@ mod tests {
         let acc = &info.affine[0];
         assert_eq!(acc.subscripts.len(), 1);
         assert_eq!(acc.subscripts[0].param_coeffs, vec![1], "offset in param part");
-        let dom = acc.domain.instantiate_params(&[0]);
+        let dom = info.nests[acc.nest].domain.instantiate_params(&[0]);
         assert_eq!(dom.count_integer_points(), 64);
     }
 
@@ -636,7 +684,7 @@ mod tests {
         let f = bld.finish();
         let info = analyze_task(&mut Workspace::new(), &f);
         assert_eq!(info.affine.len(), 1);
-        let dom = info.affine[0].domain.instantiate_params(&[]);
+        let dom = info.nests[info.affine[0].nest].domain.instantiate_params(&[]);
         assert_eq!(dom.count_integer_points(), 10);
     }
 }

@@ -31,5 +31,5 @@ pub(crate) mod driver;
 pub(crate) mod hash;
 
 pub use cache::{Cache, CacheStats};
-pub use driver::{emit_spans, CompileOutcome, Driver, DriverConfig, PassSpan};
+pub use driver::{emit_spans, CompileOutcome, Driver, DriverConfig, PassSpan, TaskKeys};
 pub use hash::{task_key, Pipeline};

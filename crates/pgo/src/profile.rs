@@ -368,15 +368,15 @@ impl ProfileCollector {
         std::mem::take(&mut self.map)
     }
 
-    /// Drains the collected profiles under the driver's base task keys, in
-    /// function order; a function `keys` does not name (no task key) is
+    /// Drains the collected profiles under the driver's base task keys
+    /// (`key_of`), in function order; a function without a task key is
     /// dropped. This is the one mapping from a run's profiles to the keys
     /// the store and the `refine` stage look them up by.
     pub fn drain_keyed<'a>(
         &mut self,
-        keys: &'a HashMap<FuncId, u64>,
+        key_of: impl Fn(FuncId) -> Option<u64> + 'a,
     ) -> impl Iterator<Item = (u64, PhaseProfile)> + 'a {
-        self.take().into_iter().filter_map(|(func, p)| Some((*keys.get(&func)?, p)))
+        self.take().into_iter().filter_map(move |(func, p)| Some((key_of(func)?, p)))
     }
 }
 
@@ -477,7 +477,7 @@ mod tests {
     }
 
     fn event(core: u32, task: u32, record: PhaseRecord) -> TraceEvent {
-        TraceEvent::Phase { core, task, name: String::new(), start_s: 0.0, record }
+        TraceEvent::Phase { core, task, name: "".into(), start_s: 0.0, record }
     }
 
     #[test]
@@ -533,7 +533,8 @@ mod tests {
         col.record(event(0, 1, rec(Execute, 3, 10)));
         col.record(event(0, 2, rec(Execute, 5, 10)));
         let keys = HashMap::from([(FuncId(3), 30), (FuncId(9), 90)]);
-        let drained: Vec<(u64, u64)> = col.drain_keyed(&keys).map(|(k, p)| (k, p.runs)).collect();
+        let drained: Vec<(u64, u64)> =
+            col.drain_keyed(|f| keys.get(&f).copied()).map(|(k, p)| (k, p.runs)).collect();
         assert_eq!(drained, [(30, 1), (90, 1)], "function order; FuncId(5) has no key");
         assert!(col.is_empty());
     }

@@ -8,7 +8,8 @@
 //! Fourier–Motzkin projection; `dae-core` lowers the spec to IR loops.
 
 use crate::linexpr::LinExpr;
-use crate::polyhedron::Polyhedron;
+use crate::polyhedron::{DimBound, Levels, Polyhedron, RowBudget, ScanError};
+use crate::tables::Tables;
 
 /// One bound of a dimension: `coeff · d ⋛ expr` with `coeff > 0`.
 ///
@@ -66,30 +67,50 @@ impl LoopNestSpec {
 /// Returns `None` if some dimension ends up without both a lower and an
 /// upper bound (an unbounded scan cannot be generated).
 pub fn extract_loop_nest(p: &Polyhedron) -> Option<LoopNestSpec> {
-    let dims = p.space().dims;
-    let mut out = Vec::with_capacity(dims);
-    for d in 0..dims {
-        let (lowers_raw, uppers_raw) = p.dim_bounds(d);
-        if lowers_raw.is_empty() || uppers_raw.is_empty() {
-            return None;
-        }
-        let mk = |v: Vec<(i128, LinExpr)>, negate: bool| -> Vec<Bound> {
-            v.into_iter()
-                .map(|(coeff, expr)| Bound {
-                    coeff,
-                    expr: if negate { expr.scale(-1) } else { expr },
-                })
-                .collect()
-        };
-        // dim_bounds returns (coeff, rest) with `coeff·d + rest >= 0` for
-        // lowers (d >= -rest/coeff) and `coeff` positive with
-        // `-coeff·d + rest >= 0` for uppers (d <= rest/coeff). Normalise so
-        // Bound::expr is the RHS of `coeff·d >= expr` / `coeff·d <= expr`.
-        let lowers = mk(lowers_raw, true);
-        let uppers = mk(uppers_raw, false);
-        out.push(DimBounds { lowers, uppers });
+    let mut levels = Levels::default();
+    levels.build(p);
+    loop_nest_of(&levels)
+}
+
+impl Tables {
+    /// The integer-point count of the parameter-free polyhedron `p` (as
+    /// [`Polyhedron::try_count_integer_points`]) and its scanning loop nest
+    /// (as [`extract_loop_nest`]), both read from one projection chain.
+    pub fn try_count_and_nest(
+        &mut self,
+        p: &Polyhedron,
+        budget: &mut RowBudget,
+    ) -> Result<(u64, Option<LoopNestSpec>), ScanError> {
+        assert_eq!(p.space().params, 0, "instantiate parameters before enumerating");
+        self.levels.build(p);
+        let count = self.levels.try_count(budget)?;
+        Ok((count, loop_nest_of(&self.levels)))
     }
-    Some(LoopNestSpec { dims: out })
+}
+
+/// The scanning loop nest of the polyhedron `levels` was last built from:
+/// the bounds its counting scan reads, as [`Bound`]s.
+pub(crate) fn loop_nest_of(levels: &Levels) -> Option<LoopNestSpec> {
+    // A level's bounds are `coeff·d + rest >= 0` for lowers
+    // (d >= -rest/coeff) and `-coeff·d + rest >= 0` for uppers
+    // (d <= rest/coeff), `coeff` positive. Normalise so Bound::expr is the
+    // RHS of `coeff·d >= expr` / `coeff·d <= expr`.
+    let bounds = |v: &[DimBound], negate: bool| -> Vec<Bound> {
+        v.iter()
+            .map(|(coeff, rest)| Bound {
+                coeff: *coeff,
+                expr: if negate { rest.clone().scale(-1) } else { rest.clone() },
+            })
+            .collect()
+    };
+    let levels = levels.get();
+    if levels.iter().any(|l| l.lowers.is_empty() || l.uppers.is_empty()) {
+        return None;
+    }
+    let dims = levels
+        .iter()
+        .map(|l| DimBounds { lowers: bounds(&l.lowers, true), uppers: bounds(&l.uppers, false) });
+    Some(LoopNestSpec { dims: dims.collect() })
 }
 
 #[cfg(test)]

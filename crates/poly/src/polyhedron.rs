@@ -3,7 +3,6 @@
 
 use crate::linexpr::{LinExpr, Space};
 use crate::rat::Rat;
-use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Constraint sense.
@@ -36,8 +35,10 @@ impl Constraint {
     }
 }
 
-/// One bound on a dimension, as returned by [`Polyhedron::dim_bounds`]:
-/// `(coeff, expr)` with `coeff·d + expr >= 0`.
+/// One bound on the last dimension `d` of a projection: `(coeff, rest)`
+/// with `coeff > 0` and `coeff·d + rest >= 0` for a lower bound,
+/// `-coeff·d + rest >= 0` for an upper one; `rest` has zero coefficients
+/// for dims `>= d`.
 pub(crate) type DimBound = (i128, LinExpr);
 
 /// Why the integer points of a polyhedron could not be counted or
@@ -119,13 +120,202 @@ impl Drop for RowBudget {
     }
 }
 
-/// The bounds of one scanning depth, derived once per scan: `lowers` and
-/// `uppers` as in [`Polyhedron::dim_bounds`], and the constraints of the
-/// projection onto dims `0..=depth` that do not mention dim `depth`.
-struct Level {
-    lowers: Vec<DimBound>,
-    uppers: Vec<DimBound>,
+/// The bounds of one scanning depth: `lowers` and `uppers` of the last dim
+/// of the projection onto dims `0..=depth` (see [`DimBound`]), and the
+/// constraints of that projection that do not mention it.
+#[derive(Debug, Default)]
+pub(crate) struct Level {
+    pub(crate) lowers: Vec<DimBound>,
+    pub(crate) uppers: Vec<DimBound>,
     guards: Vec<Constraint>,
+}
+
+impl Level {
+    /// Refills the level from `p`, whose last dim is `depth`.
+    fn fill(&mut self, p: &Polyhedron, depth: usize) {
+        self.lowers.clear();
+        self.uppers.clear();
+        self.guards.clear();
+        for c in &p.constraints {
+            let k = c.expr.dim_coeff(depth);
+            if k == 0 {
+                self.guards.push(c.clone());
+                continue;
+            }
+            let mut rest = c.expr.clone();
+            rest.coeffs[depth] = 0;
+            match c.kind {
+                ConstraintKind::GeZero if k > 0 => self.lowers.push((k, rest)),
+                ConstraintKind::GeZero => self.uppers.push((-k, rest)),
+                ConstraintKind::EqZero => {
+                    // k·d + rest == 0  ⇒  |k|·d == -sign(k)·rest, which
+                    // acts as both a lower bound (|k|·d + sign·rest >= 0)
+                    // and an upper bound (d <= -sign·rest / |k|).
+                    let sign = k.signum();
+                    self.lowers.push((k * sign, rest.clone().scale(sign)));
+                    self.uppers.push((k * sign, rest.scale(-sign)));
+                }
+            }
+        }
+    }
+}
+
+/// The scan of one polyhedron: its Fourier–Motzkin projection chain onto
+/// the leading dims, each projection reduced to one [`Level`]. Built once
+/// per polyhedron ([`Levels::build`]) and read by counting, enumeration and
+/// loop-nest extraction alike; the tables stay for the next build.
+#[derive(Debug, Default)]
+pub(crate) struct Levels {
+    /// `levels[..dims]` are the levels of the last build; the rest keep
+    /// their buffers.
+    levels: Vec<Level>,
+    dims: usize,
+    /// A polyhedron without dims: whether its constant constraints hold.
+    holds: bool,
+    /// `projs[k]`: the last build's polyhedron without its last `k + 1`
+    /// dims.
+    projs: Vec<Polyhedron>,
+    /// The scan's current row prefix, and the point a per-point scan
+    /// hands out.
+    point: Vec<i64>,
+    leaf: Vec<i64>,
+}
+
+impl Levels {
+    /// Derives the levels of `p`: one elimination per dim, each from the
+    /// projection before it.
+    pub(crate) fn build(&mut self, p: &Polyhedron) {
+        let dims = p.space.dims;
+        let chain = dims.saturating_sub(1);
+        if self.projs.len() < chain {
+            self.projs.resize_with(chain, Polyhedron::default);
+        }
+        for k in 0..chain {
+            let (done, rest) = self.projs.split_at_mut(k);
+            done.last().unwrap_or(p).eliminate_dim_into(dims - 1 - k, &mut rest[0]);
+        }
+        if self.levels.len() < dims {
+            self.levels.resize_with(dims, Level::default);
+        }
+        for depth in 0..dims {
+            let proj = if depth + 1 == dims { p } else { &self.projs[dims - 2 - depth] };
+            self.levels[depth].fill(proj, depth);
+        }
+        self.dims = dims;
+        self.holds = dims == 0 && p.contains_int(&[], &[]);
+        self.point.clear();
+        self.point.resize(dims, 0);
+        self.leaf.clear();
+        self.leaf.resize(dims, 0);
+    }
+
+    /// The levels of the last build, outermost first.
+    pub(crate) fn get(&self) -> &[Level] {
+        &self.levels[..self.dims]
+    }
+
+    /// [`Polyhedron::try_for_each_row`] over the last build, which must be
+    /// of a parameter-free polyhedron with at least one dimension.
+    pub(crate) fn try_for_each_row(
+        &mut self,
+        budget: &mut RowBudget,
+        mut f: impl FnMut(&mut RowBudget, &[i64], i64, i64) -> Result<(), ScanError>,
+    ) -> Result<(), ScanError> {
+        assert!(self.dims > 0, "a row needs an innermost dimension");
+        fn recurse(
+            levels: &[Level],
+            point: &mut [i64],
+            depth: usize,
+            budget: &mut RowBudget,
+            f: &mut impl FnMut(&mut RowBudget, &[i64], i64, i64) -> Result<(), ScanError>,
+        ) -> Result<(), ScanError> {
+            budget.charge()?;
+            let level = &levels[depth];
+            let eval = |e: &LinExpr| e.checked_eval_prefix(&point[..depth]);
+            // A guard that fails (e.g. `-1 >= 0` produced by FM from an
+            // empty polyhedron) empties this subtree, whatever the bounds.
+            for g in &level.guards {
+                let v = eval(&g.expr).ok_or(ScanError::Overflow)?;
+                let holds = match g.kind {
+                    ConstraintKind::GeZero => v >= 0,
+                    ConstraintKind::EqZero => v == 0,
+                };
+                if !holds {
+                    return Ok(());
+                }
+            }
+            if level.lowers.is_empty() || level.uppers.is_empty() {
+                return Err(ScanError::Unbounded { dim: depth });
+            }
+            // k·d + rest >= 0 => d >= ceil(-rest / k); k·d <= rest => d <= floor(rest / k).
+            let (mut lo, mut hi) = (i64::MIN, i64::MAX);
+            for (k, rest) in &level.lowers {
+                lo = lo.max(to_i64(eval(rest).and_then(|v| floor_div(v, *k).checked_neg()))?);
+            }
+            for (k, rest) in &level.uppers {
+                hi = hi.min(to_i64(eval(rest).map(|v| floor_div(v, *k)))?);
+            }
+            if lo > hi {
+                return Ok(());
+            }
+            if depth + 1 == levels.len() {
+                return f(budget, &point[..depth], lo, hi);
+            }
+            for v in lo..=hi {
+                point[depth] = v;
+                recurse(levels, point, depth + 1, budget, f)?;
+            }
+            Ok(())
+        }
+        recurse(&self.levels[..self.dims], &mut self.point, 0, budget, &mut f)
+    }
+
+    /// [`Polyhedron::try_for_each_integer_point`] over the last build.
+    pub(crate) fn try_for_each_integer_point(
+        &mut self,
+        budget: &mut RowBudget,
+        mut f: impl FnMut(&[i64]) -> Result<(), ScanError>,
+    ) -> Result<(), ScanError> {
+        let Some(inner) = self.dims.checked_sub(1) else {
+            budget.charge()?;
+            return if self.holds { f(&[]) } else { Ok(()) };
+        };
+        let mut point = std::mem::take(&mut self.leaf);
+        let scanned = self.try_for_each_row(budget, |budget, prefix, lo, hi| {
+            point[..inner].copy_from_slice(prefix);
+            for v in lo..=hi {
+                budget.charge()?;
+                point[inner] = v;
+                f(&point)?;
+            }
+            Ok(())
+        });
+        self.leaf = point;
+        scanned
+    }
+
+    /// [`Polyhedron::try_count_integer_points`] over the last build.
+    pub(crate) fn try_count(&mut self, budget: &mut RowBudget) -> Result<u64, ScanError> {
+        if self.dims == 0 {
+            budget.charge()?;
+            return Ok(self.holds as u64);
+        }
+        let mut n = 0u64;
+        self.try_for_each_row(budget, |_, _, lo, hi| {
+            n = row_len(lo, hi).and_then(|len| n.checked_add(len)).ok_or(ScanError::Overflow)?;
+            Ok(())
+        })?;
+        Ok(n)
+    }
+}
+
+/// `floor(v / k)` for `k > 0`; most bounds have `k == 1`.
+fn floor_div(v: i128, k: i128) -> i128 {
+    if k == 1 {
+        v
+    } else {
+        v.div_euclid(k)
+    }
 }
 
 /// A checked `i128` result as a coordinate, or [`ScanError::Overflow`].
@@ -141,10 +331,23 @@ pub struct Polyhedron {
     constraints: Vec<Constraint>,
 }
 
+/// The universe of the space without dims or parameters.
+impl Default for Polyhedron {
+    fn default() -> Polyhedron {
+        Polyhedron::universe(Space::new(0, 0))
+    }
+}
+
 impl Polyhedron {
     /// The universe (no constraints) of `space`.
     pub fn universe(space: Space) -> Polyhedron {
         Polyhedron { space, constraints: Vec::new() }
+    }
+
+    /// Makes `self` a copy of `other`, reusing its constraint buffer.
+    pub(crate) fn copy_from(&mut self, other: &Polyhedron) {
+        self.space = other.space;
+        self.constraints.clone_from(&other.constraints);
     }
 
     /// The universe of `space`, with room for `n` constraints.
@@ -223,8 +426,17 @@ impl Polyhedron {
     /// over the rationals). The result lives in a space with one fewer dim;
     /// dims above `d` shift down.
     pub fn eliminate_dim(&self, d: usize) -> Polyhedron {
+        let mut out = Polyhedron::universe(self.space);
+        self.eliminate_dim_into(d, &mut out);
+        out
+    }
+
+    /// [`Polyhedron::eliminate_dim`] into `out`, whose constraint buffer is
+    /// reused.
+    pub(crate) fn eliminate_dim_into(&self, d: usize, out: &mut Polyhedron) {
         assert!(d < self.space.dims);
-        let new_space = Space::new(self.space.dims - 1, self.space.params);
+        out.space = Space::new(self.space.dims - 1, self.space.params);
+        out.constraints.clear();
 
         // If an equality involves d, use it to substitute d away exactly.
         if let Some(eq_pos) = self
@@ -234,7 +446,7 @@ impl Polyhedron {
         {
             let eq = &self.constraints[eq_pos].expr;
             let a = eq.dim_coeff(d);
-            let mut out = Polyhedron::with_capacity(new_space, self.constraints.len() - 1);
+            out.constraints.reserve(self.constraints.len() - 1);
             for (i, c) in self.constraints.iter().enumerate() {
                 if i == eq_pos {
                     continue;
@@ -253,7 +465,7 @@ impl Polyhedron {
                     ConstraintKind::EqZero => out.add_eq0(e),
                 }
             }
-            return out;
+            return;
         }
 
         // Classic FM on inequalities: the constraints free of `d` first, in
@@ -266,7 +478,7 @@ impl Polyhedron {
             uppers += (coeff_of(c) < 0) as usize;
         }
         let free = self.constraints.len() - lowers - uppers;
-        let mut out = Polyhedron::with_capacity(new_space, free + lowers * uppers);
+        out.constraints.reserve(free + lowers * uppers);
         for c in self.constraints.iter().filter(|c| coeff_of(c) == 0) {
             let e = c.expr.clone().without_dim(d);
             match c.kind {
@@ -283,50 +495,6 @@ impl Polyhedron {
                 out.add_ge0(combined.without_dim(d));
             }
         }
-        out
-    }
-
-    /// Lower and upper bounds of dimension `d` as functions of dimensions
-    /// `< d` and the parameters, obtained by eliminating all dimensions
-    /// `> d` first.
-    ///
-    /// Returns `(lowers, uppers)` where each entry is `(coeff, expr)` meaning
-    /// `coeff·d >= -expr` (lower, `coeff > 0`) or `coeff·d <= expr`
-    /// rewritten as: for lowers `d >= ceil(-expr / coeff)` and for uppers
-    /// `d <= floor(expr / |coeff|)`; `expr` has zero coefficients for dims
-    /// `>= d`.
-    pub(crate) fn dim_bounds(&self, d: usize) -> (Vec<DimBound>, Vec<DimBound>) {
-        let mut p = Cow::Borrowed(self);
-        while p.space.dims > d + 1 {
-            p = Cow::Owned(p.eliminate_dim(p.space.dims - 1));
-        }
-        let mut lowers = Vec::new();
-        let mut uppers = Vec::new();
-        for c in &p.constraints {
-            let k = c.expr.dim_coeff(d);
-            let mut rest = c.expr.clone();
-            rest.coeffs[d] = 0;
-            match c.kind {
-                ConstraintKind::GeZero => {
-                    if k > 0 {
-                        lowers.push((k, rest));
-                    } else if k < 0 {
-                        uppers.push((-k, rest));
-                    }
-                }
-                ConstraintKind::EqZero => {
-                    if k != 0 {
-                        // k·d + rest == 0  ⇒  |k|·d == -sign(k)·rest, which
-                        // acts as both a lower bound (|k|·d + sign·rest >= 0)
-                        // and an upper bound (d <= -sign·rest / |k|).
-                        let sign = k.signum();
-                        lowers.push((k * sign, rest.clone().scale(sign)));
-                        uppers.push((k * sign, rest.scale(-sign)));
-                    }
-                }
-            }
-        }
-        (lowers, uppers)
     }
 
     /// Exchanges the roles of dimensions `a` and `b` (a relabelling: the
@@ -344,47 +512,30 @@ impl Polyhedron {
     /// the integer shadow. `None` when the guard fails (a `2·d` term, or a
     /// missing bound, which must stay visible as [`ScanError::Unbounded`]).
     pub fn project_unit_dim(&self, d: usize) -> Option<Polyhedron> {
+        self.projects_unit_dim(d).then(|| self.eliminate_dim(d))
+    }
+
+    /// The guard of [`Polyhedron::project_unit_dim`].
+    pub(crate) fn projects_unit_dim(&self, d: usize) -> bool {
         let (mut lower, mut upper) = (false, false);
         for c in &self.constraints {
             let k = c.expr.dim_coeff(d);
             if k.abs() > 1 {
-                return None;
+                return false;
             }
             let eq = c.kind == ConstraintKind::EqZero;
             lower |= k > 0 || (eq && k != 0);
             upper |= k < 0 || (eq && k != 0);
         }
-        (lower && upper).then(|| self.eliminate_dim(d))
+        lower && upper
     }
 
-    /// The per-depth bounds of a scan in dimension order: the
-    /// Fourier–Motzkin projections onto the leading dims, each reduced to
-    /// the bounds of its last dim and the guards that do not mention it.
-    fn levels(&self) -> Vec<Level> {
+    /// The levels of a parameter-free polyhedron's scan, in fresh tables.
+    fn levels(&self) -> Levels {
         assert_eq!(self.space.params, 0, "instantiate parameters before enumerating");
-        // projs[k] = projection of self onto its first `dims - 1 - k` dims;
-        // the deepest level reads `self` itself.
-        let mut projs: Vec<Polyhedron> = Vec::with_capacity(self.space.dims);
-        for d in (1..self.space.dims).rev() {
-            let next = projs.last().unwrap_or(self).eliminate_dim(d);
-            projs.push(next);
-        }
-        projs
-            .iter()
-            .rev()
-            .chain([self])
-            .enumerate()
-            .map(|(depth, p)| {
-                let (lowers, uppers) = p.dim_bounds(depth);
-                let guards = p
-                    .constraints
-                    .iter()
-                    .filter(|c| c.expr.dim_coeff(depth) == 0)
-                    .cloned()
-                    .collect();
-                Level { lowers, uppers, guards }
-            })
-            .collect()
+        let mut levels = Levels::default();
+        levels.build(self);
+        levels
     }
 
     /// Scans a **parameter-free** polyhedron with at least one dimension by
@@ -403,57 +554,9 @@ impl Polyhedron {
     pub fn try_for_each_row(
         &self,
         budget: &mut RowBudget,
-        mut f: impl FnMut(&mut RowBudget, &[i64], i64, i64) -> Result<(), ScanError>,
+        f: impl FnMut(&mut RowBudget, &[i64], i64, i64) -> Result<(), ScanError>,
     ) -> Result<(), ScanError> {
-        assert!(self.space.dims > 0, "a row needs an innermost dimension");
-        let levels = self.levels();
-        let mut point = vec![0i64; self.space.dims];
-        fn recurse(
-            levels: &[Level],
-            point: &mut [i64],
-            depth: usize,
-            budget: &mut RowBudget,
-            f: &mut impl FnMut(&mut RowBudget, &[i64], i64, i64) -> Result<(), ScanError>,
-        ) -> Result<(), ScanError> {
-            budget.charge()?;
-            let level = &levels[depth];
-            let eval = |e: &LinExpr| e.checked_eval_prefix(&point[..depth]);
-            // A guard that fails (e.g. `-1 >= 0` produced by FM from an
-            // empty polyhedron) empties this subtree, whatever the bounds.
-            for g in &level.guards {
-                let v = eval(&g.expr).ok_or(ScanError::Overflow)?;
-                let holds = match g.kind {
-                    ConstraintKind::GeZero => v >= 0,
-                    ConstraintKind::EqZero => v == 0,
-                };
-                if !holds {
-                    return Ok(());
-                }
-            }
-            if level.lowers.is_empty() || level.uppers.is_empty() {
-                return Err(ScanError::Unbounded { dim: depth });
-            }
-            // k·d + rest >= 0 => d >= ceil(-rest / k); k·d <= rest => d <= floor(rest / k).
-            let (mut lo, mut hi) = (i64::MIN, i64::MAX);
-            for (k, rest) in &level.lowers {
-                lo = lo.max(to_i64(eval(rest).and_then(|v| v.div_euclid(*k).checked_neg()))?);
-            }
-            for (k, rest) in &level.uppers {
-                hi = hi.min(to_i64(eval(rest).map(|v| v.div_euclid(*k)))?);
-            }
-            if lo > hi {
-                return Ok(());
-            }
-            if depth + 1 == levels.len() {
-                return f(budget, &point[..depth], lo, hi);
-            }
-            for v in lo..=hi {
-                point[depth] = v;
-                recurse(levels, point, depth + 1, budget, f)?;
-            }
-            Ok(())
-        }
-        recurse(&levels, &mut point, 0, budget, &mut f)
+        self.levels().try_for_each_row(budget, f)
     }
 
     /// Enumerates all integer points of a **parameter-free** polyhedron in
@@ -472,22 +575,11 @@ impl Polyhedron {
         budget: &mut RowBudget,
         mut f: impl FnMut(&[i64]) -> Result<(), ScanError>,
     ) -> Result<(), ScanError> {
-        let Some(inner) = self.space.dims.checked_sub(1) else {
-            budget.charge()?;
-            return if self.contains_int(&[], &[]) { f(&[]) } else { Ok(()) };
-        };
-        let mut point = vec![0i64; self.space.dims];
-        self.try_for_each_row(budget, |budget, prefix, lo, hi| {
-            point[..inner].copy_from_slice(prefix);
-            for v in lo..=hi {
-                budget.charge()?;
-                point[inner] = v;
-                // Every constraint bounds or guards the dim of its highest
-                // variable, so the scan needs no membership filter.
-                debug_assert!(self.contains_int(&point, &[]));
-                f(&point)?;
-            }
-            Ok(())
+        self.levels().try_for_each_integer_point(budget, |point| {
+            // Every constraint bounds or guards the dim of its highest
+            // variable, so the scan needs no membership filter.
+            debug_assert!(self.contains_int(point, &[]));
+            f(point)
         })
     }
 
@@ -516,16 +608,7 @@ impl Polyhedron {
     /// (`hi − lo + 1` each, no point is visited), or a [`ScanError`] when
     /// the count is infinite, unaffordable or leaves `u64`.
     pub fn try_count_integer_points(&self, budget: &mut RowBudget) -> Result<u64, ScanError> {
-        if self.space.dims == 0 {
-            budget.charge()?;
-            return Ok(self.contains_int(&[], &[]) as u64);
-        }
-        let mut n = 0u64;
-        self.try_for_each_row(budget, |_, _, lo, hi| {
-            n = row_len(lo, hi).and_then(|len| n.checked_add(len)).ok_or(ScanError::Overflow)?;
-            Ok(())
-        })?;
-        Ok(n)
+        self.levels().try_count(budget)
     }
 
     /// Counts integer points of a parameter-free bounded polyhedron.
@@ -705,9 +788,10 @@ mod tests {
         let mut p = Polyhedron::universe(s);
         p.add_ge0(LinExpr::dim(s, 0)); // i >= 0
         p.add_ge0(LinExpr::dim(s, 0).scale(-1).with_param(0, 1).with_const(-1)); // n - 1 - i >= 0
-        let (lowers, uppers) = p.dim_bounds(0);
-        assert_eq!(lowers.len(), 1);
-        assert_eq!(uppers.len(), 1);
+        let mut levels = Levels::default();
+        levels.build(&p);
+        assert_eq!(levels.get()[0].lowers.len(), 1);
+        assert_eq!(levels.get()[0].uppers.len(), 1);
         let inst = p.instantiate_params(&[8]);
         assert_eq!(inst.count_integer_points(), 8);
     }

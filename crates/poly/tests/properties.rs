@@ -1,7 +1,8 @@
 //! Property-based tests of the polyhedral substrate's invariants.
 
 use dae_poly::{
-    convex_hull, try_count_union_distinct, AffineImage, LinExpr, Polyhedron, Rat, RowBudget, Space,
+    convex_hull, try_count_union_distinct, vertices, AffineImage, ConstraintKind, LinExpr,
+    Polyhedron, Rat, RowBudget, Space,
 };
 use proptest::prelude::*;
 use std::collections::HashSet;
@@ -319,5 +320,124 @@ proptest! {
                 prop_assert_eq!(got, shadow, "{:?} dim {}", p, d);
             }
         }
+    }
+}
+
+// ---- differential oracle for the integer vertex kernel ------------------
+//
+// `vertices` solves every basis in integers (fraction-free elimination over
+// the basis determinant). The model below is the rational Gaussian
+// elimination it replaced: the same bases in the same order, the same
+// membership test and the same first-seen deduplication, in `Rat`s.
+
+/// Solves the square rational system `a` (`n` augmented rows) by Gaussian
+/// elimination; `None` if singular.
+fn solve_model(a: &mut [Vec<Rat>], n: usize) -> Option<Vec<Rat>> {
+    let zero = Rat::int(0);
+    for col in 0..n {
+        let pivot = (col..n).find(|&r| a[r][col] != zero)?;
+        a.swap(col, pivot);
+        let p = a[col][col];
+        for v in &mut a[col][col..] {
+            *v = *v / p;
+        }
+        let pivot_row = a[col].clone();
+        for (r, row) in a.iter_mut().enumerate() {
+            let factor = row[col];
+            if r != col && factor != zero {
+                for (v, pv) in row[col..].iter_mut().zip(&pivot_row[col..]) {
+                    *v = *v - factor * *pv;
+                }
+            }
+        }
+    }
+    Some(a.iter().map(|row| row[n]).collect())
+}
+
+/// The vertices of a parameter-free polyhedron by the model.
+fn vertices_model(p: &Polyhedron) -> Vec<Vec<Rat>> {
+    let d = p.space().dims;
+    let row = |e: &LinExpr| -> Vec<Rat> {
+        (0..d).map(|i| e.dim_coeff(i)).chain([-e.const_term()]).map(Rat::int).collect()
+    };
+    let (mut eqs, mut ineqs) = (Vec::new(), Vec::new());
+    for c in p.constraints() {
+        match c.kind {
+            ConstraintKind::EqZero if eqs.len() < d => eqs.push(row(&c.expr)),
+            ConstraintKind::EqZero => {}
+            ConstraintKind::GeZero => ineqs.push(row(&c.expr)),
+        }
+    }
+    let need = d - eqs.len();
+    let mut out: Vec<Vec<Rat>> = Vec::new();
+    if need > ineqs.len() {
+        return out;
+    }
+    let mut choice: Vec<usize> = (0..need).collect();
+    loop {
+        let mut system: Vec<Vec<Rat>> =
+            eqs.iter().chain(choice.iter().map(|&i| &ineqs[i])).cloned().collect();
+        if let Some(x) = solve_model(&mut system, d) {
+            if p.contains_rat(&x, &[]) && !out.contains(&x) {
+                out.push(x);
+            }
+        }
+        // The next basis, in lexicographic order.
+        let k = choice.len();
+        let Some(i) = (0..k).rev().find(|&i| choice[i] < ineqs.len() - k + i) else {
+            return out;
+        };
+        choice[i] += 1;
+        for j in i + 1..k {
+            choice[j] = choice[j - 1] + 1;
+        }
+    }
+}
+
+/// A parameter-free polyhedron over `1..=4` dims: a box whose sides may be
+/// empty (width −1) or open (no upper bound), cut by up to three
+/// half-spaces or equalities with coefficients in `-3..=3` — triangles,
+/// slanted faces, rational vertices, lines and points, empty sets.
+fn polyhedron() -> impl Strategy<Value = Polyhedron> {
+    let extra = (proptest::collection::vec(-3i128..4, 4..5), -8i128..9, 0u8..3)
+        .prop_map(|(c, k, eq)| (c, k, eq == 0));
+    (
+        1usize..5,
+        proptest::collection::vec((-3i128..3, -1i128..5, 0u8..8), 4..5),
+        proptest::collection::vec(extra, 0..4),
+    )
+        .prop_map(|(dims, sides, extras)| {
+            let s = Space::new(dims, 0);
+            let mut p = Polyhedron::universe(s);
+            for (d, (lo, w, open)) in sides.into_iter().take(dims).enumerate() {
+                if open == 0 {
+                    p.add_ge0(LinExpr::dim(s, d).with_const(-lo));
+                } else {
+                    p.bound_dim(d, lo, lo + w);
+                }
+            }
+            for (c, k, eq) in extras {
+                let mut e = LinExpr::constant(s, k);
+                for (d, c) in c.into_iter().take(dims).enumerate() {
+                    e = e.with_dim(d, c);
+                }
+                if eq {
+                    p.add_eq0(e);
+                } else {
+                    p.add_ge0(e);
+                }
+            }
+            p
+        })
+}
+
+proptest! {
+    #![proptest_config(cases())]
+
+    /// The integer kernel yields exactly the model's vertices, in the
+    /// model's order.
+    #[test]
+    fn vertices_equal_the_rational_model(p in polyhedron()) {
+        prop_assert_eq!(vertices(&p), vertices_model(&p), "{:?}", p);
     }
 }

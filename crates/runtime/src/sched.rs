@@ -18,6 +18,7 @@ use dae_power::{phase_energy_split_j, select_optimal_edp, DvfsTable, FreqId};
 use dae_sim::{CachePort, InterpError, Machine, PhaseTrace, Val};
 use dae_trace::{NullSink, PhaseKind, PhaseRecord, TraceEvent, TraceSink};
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// One dynamic task instance.
 #[derive(Clone, Debug)]
@@ -188,6 +189,7 @@ fn run_on(
         breakdown: Breakdown::default(),
         access_trace: PhaseTrace::default(),
         execute_trace: PhaseTrace::default(),
+        names: Vec::new(),
     };
 
     // Process barrier epochs in order; work stealing operates within an
@@ -312,6 +314,9 @@ struct Run<'r, 'h> {
     breakdown: Breakdown,
     access_trace: PhaseTrace,
     execute_trace: PhaseTrace,
+    /// The traced name of each function, by id, made on its first phase
+    /// and shared by all its phases' events.
+    names: Vec<Option<Arc<str>>>,
 }
 
 impl Run<'_, '_> {
@@ -484,10 +489,16 @@ impl Run<'_, '_> {
                 .max(0.0),
         };
         if self.sink.is_enabled() {
+            let at = func.0 as usize;
+            if self.names.len() <= at {
+                self.names.resize(at + 1, None);
+            }
+            let module = self.machine.module();
+            let name = self.names[at].get_or_insert_with(|| module.func(func).name.as_str().into());
             self.sink.record(TraceEvent::Phase {
                 core: c as u32,
                 task: idx,
-                name: self.machine.module().func(func).name.clone(),
+                name: Arc::clone(name),
                 start_s,
                 record,
             });

@@ -101,7 +101,7 @@ fn meta_event(name: &str, tid: Option<u32>, value: &str) -> JsonValue {
 fn span_event(ev: &TraceEvent) -> JsonValue {
     let (name, args) = match ev {
         TraceEvent::Phase { task, name, record, .. } => (
-            name.clone(),
+            name.to_string(),
             JsonValue::obj([
                 ("task", (*task).into()),
                 ("freq_ghz", record.freq_ghz.into()),

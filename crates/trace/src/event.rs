@@ -6,6 +6,7 @@
 //! duration is known, so sinks never pair begin/end records.
 
 use crate::json::JsonValue;
+use std::sync::Arc;
 
 /// Which half of a decoupled task a phase span covers.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -136,8 +137,9 @@ pub enum TraceEvent {
         core: u32,
         /// Index of the task instance in the submitted workload.
         task: u32,
-        /// Name of the IR function the phase ran.
-        name: String,
+        /// Name of the IR function the phase ran, shared by every phase of
+        /// that function in one run.
+        name: Arc<str>,
         /// Start time in virtual seconds.
         start_s: f64,
         /// The charged phase; its duration is `record.time_s`.

@@ -288,7 +288,7 @@ fn run_main() -> Result<(), String> {
         traced = rec.map(|rec| (rec, report));
     }
     if let (Some(st), Some(col)) = (store.as_mut(), col.as_mut()) {
-        for (key, p) in col.drain_keyed(&outcome.keys) {
+        for (key, p) in col.drain_keyed(|f| outcome.keys.get(&f).copied()) {
             st.merge_record(key, &p);
         }
         if let Some(path) = &args.profile_out {

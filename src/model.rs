@@ -608,7 +608,7 @@ fn pgo(smoke: bool) -> Vec<Table> {
         let mut col = ProfileCollector::new();
         edp(&w_static, RunHooks { sink: Some(&mut col), ..Default::default() });
         let mut profiles = ProfileSet::default();
-        for (key, profile) in col.drain_keyed(&keys) {
+        for (key, profile) in col.drain_keyed(|f| keys.get(&f).copied()) {
             profiles.insert(key, profile);
         }
         let (w_refined, _, refined_tasks) = build(corpus(smoke).remove(i), Some(&profiles));
