@@ -77,7 +77,8 @@ pub fn generate_access_with(
         on_stage("analyze");
         let generated = match generate_affine_access(ws, &body, &info, &opts) {
             Some(affine) => Ok((affine.func, Strategy::Polyhedral(affine.stats))),
-            None => generate_skeleton_access(ws, &inlined, &opts).map(|f| (f, Strategy::Skeleton)),
+            None => generate_skeleton_access(ws, &inlined, module.num_globals(), &opts)
+                .map(|f| (f, Strategy::Skeleton)),
         };
         on_stage("generate");
         let (func, strategy) = generated?;

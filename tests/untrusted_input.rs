@@ -419,3 +419,55 @@ fn a_hundred_thousand_squared_nest_is_counted_by_rows_or_refused() {
     assert_eq!(rows_high_water(), ROW_BUDGET, "10^10 points must exhaust the budget");
     engine.handle(&work_request("compile", &by_points)).expect("refusal falls back, not fails");
 }
+
+#[test]
+fn twenty_thousand_direct_global_loads_prefetch_each_global_once() {
+    // A ~2.4 MB request: 20 000 globals, each loaded straight from its base
+    // address twice per iteration of a loop whose trip count is the sum of
+    // the first loads. The bound is a load, so the affine path refuses and
+    // the skeleton path puts every distinct address in its prefetch set and
+    // its control slice. Both are tables indexed by global id: with a
+    // searched list of the addresses, the cost grew with the square of the
+    // globals (a `daec` run on 40 000 of them took 1.9 s against 0.34 s,
+    // on a 2-core x86-64 host).
+    const N: usize = 20_000;
+    let mut ir = String::new();
+    for k in 0..N {
+        ir += &format!("global g{k} a{k} : 1 x i64\n");
+    }
+    ir += "\ntask fn many() {\nbb0:\n  jump bb1(0)\nbb1(bb1p0: i64):\n";
+    let mut level: Vec<usize> = (0..N).collect();
+    for k in 0..N {
+        ir += &format!("  v{k}: i64 = load @g{k}\n");
+    }
+    // A balanced sum: depth log2(N), not N.
+    let mut next = N;
+    while level.len() > 1 {
+        let mut sums: Vec<usize> = Vec::new();
+        for pair in level.chunks(2) {
+            if let [a, b] = pair {
+                ir += &format!("  v{next}: i64 = iadd v{a}, v{b}\n");
+                sums.push(next);
+                next += 1;
+            } else {
+                sums.push(pair[0]);
+            }
+        }
+        level = sums;
+    }
+    ir +=
+        &format!("  v{next}: bool = icmp lt bb1p0, v{}\n  br v{next}, bb2, bb3\nbb2:\n", level[0]);
+    for k in 0..N {
+        ir += &format!("  v{}: i64 = load @g{k}\n", next + 1 + k);
+    }
+    let step = next + 1 + N;
+    ir += &format!("  v{step}: i64 = iadd bb1p0, 1\n  jump bb1(v{step})\nbb3:\n  ret\n}}\n");
+    assert!(ir.len() < MAX_FRAME_BYTES * 3 / 4, "the request fits one frame");
+
+    let engine = Engine::new(&EngineConfig::default());
+    let compiled = engine.handle(&work_request("compile", &ir)).expect("the skeleton path answers");
+    let module = compiled.get("module").and_then(JsonValue::as_str).expect("a printed module");
+    assert!(module.contains("many__access"), "an access phase was generated");
+    let prefetches = module.lines().filter(|l| l.trim_start().starts_with("prefetch @g"));
+    assert_eq!(prefetches.count(), N, "one prefetch per global, however often it is loaded");
+}
