@@ -243,6 +243,57 @@ check "a second inline of a task" \
     "crates/core/src/generate\.rs|crates/analysis/.*" \
     'inline_all\('
 
+# The inlined body has one copy beside the one the clean-up takes, and is
+# compacted once: by the clean-up that turns it into the analysed body. The
+# skeleton path takes the raw body over and leaves compaction to its own
+# clean-up.
+check "a second compaction of the inlined body" \
+    "none" \
+    'compact_in\([^)]*inlined' \
+    'crates/core/src/.*'
+
+n=$(grep -ro 'inlined\.clone()' crates/core/src | wc -l)
+if [ "$n" -ne 1 ]; then
+    echo "one_of_each: inlined.clone() appears $n times under crates/core/src (the clean-up takes the one copy)"
+    fail=1
+fi
+
+# The clean-up (`optimize_in`) compacts once, on return; between rounds it
+# only empties the blocks a round left unreachable. Its every-round
+# compaction survives as the oracle in transform/model.rs.
+check "a compaction between clean-up rounds" \
+    "none" \
+    'compact_in\(ws, f(unc)?\)' \
+    'crates/analysis/src/transform/mod\.rs'
+
+# Constant folding is one pass in reverse postorder; a round that folds,
+# resolves chains under a hop bound and rescans survives as the oracle.
+check "a constant-folding round that rescans (folding is one pass)" \
+    "crates/analysis/src/transform/model\.rs" \
+    'hops > folded'
+
+# §5.1's access classes are found by comparing an access's parts in place;
+# no key copies them.
+check "a copied access-class key" \
+    "none" \
+    'ClassKey|class_key\('
+
+# Scalar evolution walks an operand chain on its own stack (kept in the
+# workspace); a walk that recurses per operand level overflows a worker's
+# stack on a deep enough chain.
+check "a recursive operand walk in scalar evolution" \
+    "none" \
+    'self\.memoise(_pointer)?\(' \
+    'crates/analysis/src/scev\.rs'
+
+# The parser reads each body line once and sizes its tables by the body's
+# byte length; a pre-pass counting a body's lines and blocks is a second
+# scan of every byte.
+check "a second scan of each function body in the parser" \
+    "none" \
+    'fn body_size' \
+    'crates/ir/src/.*'
+
 # A task's phases are run, priced and charged by one scheduler routine
 # (`Run::phase`) over one run state; a routine that needs a pile of
 # arguments is a second copy of that sequence coming back.

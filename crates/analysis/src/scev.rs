@@ -339,6 +339,17 @@ pub(crate) struct ScevMemo {
     /// [`ScevMemo::int_at`] and [`ScevMemo::ints`] for pointer forms.
     ptr_at: Vec<u32>,
     ptrs: Vec<PtrAffine>,
+    /// The forms being computed, innermost last, with the number of their
+    /// operands already memoised: the walk keeps its own stack, so an
+    /// operand chain as deep as the function is long costs no thread stack.
+    stack: Vec<(Form, InstId, u8)>,
+}
+
+/// Which memo a form goes to.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Form {
+    Int,
+    Ptr,
 }
 
 /// A memo slot not computed yet.
@@ -367,6 +378,7 @@ impl<'f> ScalarEvolution<'f> {
         memo.ptr_at.clear();
         memo.ptr_at.resize(func.num_insts(), UNSEEN);
         memo.ptrs.clear();
+        memo.stack.clear();
         ScalarEvolution { func, forest, memo }
     }
 
@@ -382,26 +394,79 @@ impl<'f> ScalarEvolution<'f> {
 
     /// Affine form of an integer value, if one exists.
     pub fn affine_of(&mut self, v: Value) -> Option<Affine> {
-        self.memoise(v);
+        self.memoise_form(Form::Int, v);
         self.affine_in_place(v).map(Cow::into_owned)
     }
 
-    /// Computes and records the affine form of `v` if it is an
-    /// instruction not seen yet.
-    fn memoise(&mut self, v: Value) {
-        let Value::Inst(id) = v else { return };
-        let i = id.0 as usize;
-        if self.memo.int_at[i] == UNSEEN {
-            self.memo.int_at[i] = NO_FORM;
-            if let Some(form) = self.affine_of_inst(id) {
-                self.memo.int_at[i] = self.memo.ints.len() as u32;
-                self.memo.ints.push(form);
+    /// Marks the `form` slot of `id` as being computed; `false` when it was
+    /// seen before.
+    fn begin(&mut self, form: Form, id: InstId) -> bool {
+        let at = match form {
+            Form::Int => &mut self.memo.int_at[id.0 as usize],
+            Form::Ptr => &mut self.memo.ptr_at[id.0 as usize],
+        };
+        (*at == UNSEEN).then(|| *at = NO_FORM).is_some()
+    }
+
+    /// The `k`-th operand whose form the `form` of `id` is built from:
+    /// both sides of a binary instruction, a negation's operand, a
+    /// `ptradd`'s base pointer and offset.
+    fn operand(&self, form: Form, id: InstId, k: u8) -> Option<(Form, Value)> {
+        let kind = &self.func.inst(id).kind;
+        match (form, kind, k) {
+            (Form::Int, InstKind::Binary { lhs, .. }, 0) => Some((Form::Int, *lhs)),
+            (Form::Int, InstKind::Binary { rhs, .. }, 1) => Some((Form::Int, *rhs)),
+            (Form::Int, InstKind::Unary { op: UnOp::INeg, operand }, 0) => {
+                Some((Form::Int, *operand))
             }
+            (Form::Ptr, InstKind::PtrAdd { base, .. }, 0) => Some((Form::Ptr, *base)),
+            (Form::Ptr, InstKind::PtrAdd { offset, .. }, 1) => Some((Form::Int, *offset)),
+            _ => None,
         }
     }
 
+    /// Computes and records the `form` of `v` and of every operand it is
+    /// built from, depth first in operand order: a form is computed once
+    /// its operands' are, and a slot being computed reads as no form, which
+    /// cuts cycles through malformed IR.
+    fn memoise_form(&mut self, form: Form, v: Value) {
+        let Value::Inst(id) = v else { return };
+        if !self.begin(form, id) {
+            return;
+        }
+        let mut stack = std::mem::take(&mut self.memo.stack);
+        stack.push((form, id, 0));
+        while let Some(&(form, id, k)) = stack.last() {
+            if let Some((operand_form, operand)) = self.operand(form, id, k) {
+                stack.last_mut().expect("not empty").2 += 1;
+                if let Value::Inst(op) = operand {
+                    if self.begin(operand_form, op) {
+                        stack.push((operand_form, op, 0));
+                    }
+                }
+                continue;
+            }
+            stack.pop();
+            match form {
+                Form::Int => {
+                    if let Some(f) = self.affine_of_inst(id) {
+                        self.memo.int_at[id.0 as usize] = self.memo.ints.len() as u32;
+                        self.memo.ints.push(f);
+                    }
+                }
+                Form::Ptr => {
+                    if let Some(f) = self.pointer_of_inst(id) {
+                        self.memo.ptr_at[id.0 as usize] = self.memo.ptrs.len() as u32;
+                        self.memo.ptrs.push(f);
+                    }
+                }
+            }
+        }
+        self.memo.stack = stack;
+    }
+
     /// The affine form of `v`, borrowed from the memo for an instruction
-    /// (which [`ScalarEvolution::memoise`] has recorded).
+    /// (which [`ScalarEvolution::memoise_form`] has recorded).
     fn affine_in_place(&self, v: Value) -> Option<Cow<'_, Affine>> {
         match v {
             Value::Inst(id) => {
@@ -419,11 +484,10 @@ impl<'f> ScalarEvolution<'f> {
         }
     }
 
-    fn affine_of_inst(&mut self, id: InstId) -> Option<Affine> {
+    /// The affine form of `id`, from the memoised forms of its operands.
+    fn affine_of_inst(&self, id: InstId) -> Option<Affine> {
         match self.func.inst(id).kind {
             InstKind::Binary { op, lhs, rhs } => {
-                self.memoise(lhs);
-                self.memoise(rhs);
                 let (l, r) = (self.affine_in_place(lhs)?, self.affine_in_place(rhs)?);
                 match op {
                     BinOp::IAdd => Some(l.add(&r)),
@@ -441,7 +505,6 @@ impl<'f> ScalarEvolution<'f> {
                 }
             }
             InstKind::Unary { op: UnOp::INeg, operand } => {
-                self.memoise(operand);
                 Some(self.affine_in_place(operand)?.scale(-1))
             }
             _ => None,
@@ -450,21 +513,8 @@ impl<'f> ScalarEvolution<'f> {
 
     /// Affine pointer form of a `ptr` value, if one exists.
     pub fn pointer_of(&mut self, v: Value) -> Option<PtrAffine> {
-        self.memoise_pointer(v);
+        self.memoise_form(Form::Ptr, v);
         self.pointer_in_place(v).map(Cow::into_owned)
-    }
-
-    /// [`ScalarEvolution::memoise`] for pointer forms.
-    fn memoise_pointer(&mut self, v: Value) {
-        let Value::Inst(id) = v else { return };
-        let i = id.0 as usize;
-        if self.memo.ptr_at[i] == UNSEEN {
-            self.memo.ptr_at[i] = NO_FORM;
-            if let Some(form) = self.pointer_of_inst(id) {
-                self.memo.ptr_at[i] = self.memo.ptrs.len() as u32;
-                self.memo.ptrs.push(form);
-            }
-        }
     }
 
     /// [`ScalarEvolution::affine_in_place`] for pointer forms.
@@ -480,10 +530,9 @@ impl<'f> ScalarEvolution<'f> {
         }
     }
 
-    fn pointer_of_inst(&mut self, id: InstId) -> Option<PtrAffine> {
+    /// The pointer form of `id`, from the memoised forms of its operands.
+    fn pointer_of_inst(&self, id: InstId) -> Option<PtrAffine> {
         let InstKind::PtrAdd { base, offset } = self.func.inst(id).kind else { return None };
-        self.memoise_pointer(base);
-        self.memoise(offset);
         let (b, o) = (self.pointer_in_place(base)?, self.affine_in_place(offset)?);
         Some(PtrAffine { base: b.base, offset: b.offset.add(&o) })
     }

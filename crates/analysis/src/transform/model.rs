@@ -3,19 +3,22 @@
 //! kept as the oracle the tests compare against: [`merge_straightline`]
 //! rebuilds the CFG after every single merge and rewrites every operand of
 //! the function per merge, [`strength_reduce`] rewrites every operand
-//! once per reduced instruction, and [`optimize_in`] runs every pass in
-//! every round until a round changes nothing. The passes must leave a
-//! function exactly as these do — same arenas, same ids — on generated
-//! functions and on every task of the benchmark corpus.
+//! once per reduced instruction, [`fold_constants`] folds and rewrites in
+//! rounds until a round changes no operand, and [`optimize_in`] runs every
+//! pass in every round, compacting after each, until a round changes
+//! nothing. The passes must leave a function exactly as these do — same
+//! arenas, same ids — on generated functions and on every task of the
+//! benchmark corpus.
 //!
 //! [`merge_straightline`]: super::merge_straightline
 //! [`strength_reduce`]: super::strength_reduce
+//! [`fold_constants`]: super::fold_constants
 //! [`optimize_in`]: super::optimize_in
 
+use super::constfold::fold_inst;
 use super::strength::reduce_loops;
 use super::{
-    compact_in, dce_fixpoint, fold_constant_branches, fold_constants, merge_straightline,
-    skip_trivial_blocks,
+    compact_in, dce_fixpoint, fold_constant_branches, merge_straightline, skip_trivial_blocks,
 };
 use crate::cfg::Cfg;
 use crate::Workspace;
@@ -74,13 +77,57 @@ pub(crate) fn strength_reduce_model(func: &mut Function) -> bool {
     })
 }
 
+/// [`super::fold_constants`] by the model: each round folds every
+/// instruction on its current operands, resolves chains and rewrites every
+/// operand, until a round changes none.
+pub(crate) fn fold_constants_model(func: &mut Function) -> bool {
+    let mut changed_any = false;
+    loop {
+        let mut repl: Vec<Option<Value>> = vec![None; func.num_insts()];
+        let mut folded = 0;
+        for bb in func.block_ids() {
+            for &inst in &func.block(bb).insts {
+                if let Some(v) = fold_inst(&func.inst(inst).kind) {
+                    repl[inst.0 as usize] = Some(v);
+                    folded += 1;
+                }
+            }
+        }
+        if folded == 0 {
+            return changed_any;
+        }
+        let resolve = |mut v: Value| -> Value {
+            let mut hops = 0;
+            while let Value::Inst(id) = v {
+                let Some(n) = repl[id.0 as usize] else { break };
+                v = n;
+                hops += 1;
+                if hops > folded {
+                    break;
+                }
+            }
+            v
+        };
+        let mut changed = false;
+        super::map_all_operands(func, |v| {
+            let n = resolve(v);
+            changed |= n != v;
+            n
+        });
+        changed_any |= changed;
+        if !changed {
+            return changed_any;
+        }
+    }
+}
+
 /// [`super::optimize_in`] by the model: every round runs every pass, and
 /// only a round that changes nothing ends the loop.
 pub(crate) fn optimize_model(ws: &mut Workspace, func: Function) -> Function {
     let mut f = compact_in(ws, func);
     loop {
         let mut changed = false;
-        changed |= fold_constants(ws, &mut f);
+        changed |= fold_constants_model(&mut f);
         changed |= fold_constant_branches(&mut f);
         changed |= skip_trivial_blocks(ws, &mut f);
         changed |= dce_fixpoint(ws, &mut f);
@@ -117,6 +164,9 @@ mod tests {
         assert_eq!(strength_reduce(&mut new), strength_reduce_model(&mut old), "{}", f.name);
         assert_eq!(new, old, "strength_reduce left {} unlike the model", f.name);
         let ws = &mut Workspace::new();
+        let (mut new, mut old) = (compact_in(ws, f.clone()), compact(f.clone()));
+        assert_eq!(fold_constants(ws, &mut new), fold_constants_model(&mut old), "{}", f.name);
+        assert_eq!(new, old, "fold_constants left {} unlike the model", f.name);
         let new = optimize_in(ws, f.clone());
         assert_eq!(new, optimize_model(ws, f.clone()), "optimize left {} unlike the model", f.name);
     }
@@ -330,6 +380,36 @@ mod tests {
         assert!(!merge_straightline(ws, &mut g));
         let optimized = optimize_in(ws, f.clone());
         assert_eq!(optimized.num_blocks(), 3, "{}", dae_ir::print_function(&optimized, None));
+        agrees(&f);
+    }
+
+    #[test]
+    fn folding_takes_each_value_from_the_round_it_folds_in() {
+        // `c` folds in round 1, so `s` (→ -0.0) and `t` (→ 1.5) fold in
+        // round 2, when `y`'s operands read `s, 0.0` and its identity gives
+        // -0.0 — not the 0.0 that `-0.0 + 0.0` evaluates to. `e` is
+        // `t == t`, true in round 1, before `t` becomes a float constant
+        // that no compare folds.
+        let mut b = FunctionBuilder::new("f", vec![], Type::F64);
+        let c = b.cmp(CmpOp::Lt, 1i64, 2i64);
+        let s = b.select(c, -0.0f64, 5.0f64);
+        let z = b.fadd(0.0f64, 0.0f64);
+        let y = b.fadd(s, z);
+        let t = b.select(c, 1.5f64, 2.5f64);
+        let e = b.cmp(CmpOp::Eq, t, t);
+        let r = b.select(e, y, 7.0f64);
+        b.ret(Some(r));
+        let f = b.finish();
+        let (mut new, mut old) = (f.clone(), f.clone());
+        assert!(fold_constants(&mut Workspace::new(), &mut new));
+        assert!(fold_constants_model(&mut old));
+        assert_eq!(new, old);
+        match new.terminator(new.entry) {
+            Terminator::Ret(Some(v)) => {
+                assert_eq!(v.as_f64().map(f64::to_bits), Some((-0.0f64).to_bits()))
+            }
+            t => panic!("{t:?}"),
+        }
         agrees(&f);
     }
 

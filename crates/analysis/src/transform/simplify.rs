@@ -1,6 +1,6 @@
 //! CFG simplification: constant-branch folding, block merging, compaction.
 
-use crate::Workspace;
+use crate::{Cfg, Workspace};
 use dae_ir::{BlockCall, BlockId, Function, InstKind, Terminator, Value};
 
 /// Rewrites `br true/false, a, b` into an unconditional jump.
@@ -98,9 +98,14 @@ pub fn compact(func: Function) -> Function {
 }
 
 /// [`compact`] on the buffers of `ws`.
-pub fn compact_in(ws: &mut Workspace, mut func: Function) -> Function {
-    let cfg = &mut ws.cfg;
-    cfg.rebuild(&func);
+pub fn compact_in(ws: &mut Workspace, func: Function) -> Function {
+    ws.cfg.rebuild(&func);
+    compact_on_cfg(ws, func)
+}
+
+/// [`compact_in`] on a workspace whose CFG is already `func`'s.
+pub(crate) fn compact_on_cfg(ws: &mut Workspace, mut func: Function) -> Function {
+    let cfg = &ws.cfg;
     let (name, params) = (std::mem::take(&mut func.name), std::mem::take(&mut func.params));
     let mut out = match ws.cleanup.spare.take() {
         Some(mut spare) => {
@@ -164,6 +169,25 @@ pub fn compact_in(ws: &mut Workspace, mut func: Function) -> Function {
     }
     ws.cleanup.spare = Some(func);
     out
+}
+
+/// Empties every block `cfg` does not reach from the entry: no parameters,
+/// no instructions, a `ret` terminator. Such a block feeds no later pass an
+/// edge, a root or a use, as if a compaction had dropped it; the ids of
+/// everything else stay. A use of its values can only sit in another
+/// unreachable block, since a definition dominates its uses.
+pub(crate) fn drop_unreachable(cfg: &Cfg, func: &mut Function) {
+    if cfg.rpo().len() == func.num_blocks() {
+        return;
+    }
+    for bb in func.block_ids() {
+        if cfg.rpo_index(bb).is_none() {
+            let data = func.block_mut(bb);
+            data.insts.clear();
+            data.params.clear();
+            data.term = Some(Terminator::Ret(None));
+        }
+    }
 }
 
 /// Redirects edges through empty forwarding blocks (no instructions, jump

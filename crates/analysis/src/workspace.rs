@@ -55,6 +55,12 @@ impl Workspace {
         })
     }
 
+    /// The CFG of `func`, built in the workspace's buffers.
+    pub fn cfg(&mut self, func: &Function) -> &Cfg {
+        self.cfg.rebuild(func);
+        &self.cfg
+    }
+
     /// CFG, dominator and loop analysis of `func`, built in the
     /// workspace's buffers. Hand them back with [`Workspace::reclaim`].
     pub fn analyze<'f>(&mut self, func: &'f Function) -> FunctionAnalysis<'f> {

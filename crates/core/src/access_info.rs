@@ -55,18 +55,18 @@ pub(crate) struct AffineAccess {
     pub subscripts: Vec<SubScript>,
 }
 
-/// Key of an access class (§5.1): array identity plus per-subscript
-/// `(stride, parameter coefficients)`.
-pub(crate) type ClassKey = (GlobalId, Vec<(i64, Vec<i64>)>);
-
 impl AffineAccess {
-    /// The class key of §5.1: array identity, subscript strides and the
-    /// parameter parts must all match for two accesses to share a class.
-    pub(crate) fn class_key(&self) -> ClassKey {
-        (
-            self.global,
-            self.subscripts.iter().map(|s| (s.stride_elems, s.param_coeffs.clone())).collect(),
-        )
+    /// Whether `self` and `other` share an access class (§5.1): the same
+    /// array, and per subscript the same stride and parameter parts —
+    /// compared in place.
+    pub(crate) fn same_class(&self, other: &AffineAccess) -> bool {
+        self.global == other.global
+            && self.subscripts.len() == other.subscripts.len()
+            && self
+                .subscripts
+                .iter()
+                .zip(&other.subscripts)
+                .all(|(a, b)| a.stride_elems == b.stride_elems && a.param_coeffs == b.param_coeffs)
     }
 
     /// The cells this access touches within its class, over `domain` — its
@@ -614,9 +614,11 @@ mod tests {
         let f = b.finish();
         let info = analyze_task(&mut Workspace::new(), &f);
         assert_eq!(info.affine.len(), 2);
-        let k1 = info.affine[0].class_key();
-        let k2 = info.affine[1].class_key();
-        assert_ne!(k1, k2, "different parameter offsets must split classes");
+        assert!(
+            !info.affine[0].same_class(&info.affine[1]),
+            "different parameter offsets must split classes"
+        );
+        assert!(info.affine[0].same_class(&info.affine[0]));
     }
 
     #[test]

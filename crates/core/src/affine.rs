@@ -15,11 +15,11 @@
 //! 5. emit a fresh IR function that scans the hulls and prefetches
 //!    `base + elem·Σ strideₖ·(dimₖ + param-partₖ)` for every class.
 
-use crate::access_info::{AffineAccess, ClassKey, TaskAccessInfo};
+use crate::access_info::{AffineAccess, TaskAccessInfo};
 use crate::options::{AffineStats, CompilerOptions};
 use dae_analysis::transform::{compact_in, strength_reduce_and_clean_compacted};
 use dae_analysis::Workspace;
-use dae_ir::{Function, FunctionBuilder, GlobalId, Type, Value};
+use dae_ir::{Function, FunctionBuilder, Type, Value};
 use dae_poly::{
     convex_hull, extract_loop_nest, AffineImage, LinExpr, LoopNestSpec, Polyhedron, RowBudget,
     Space, Tables, VertexRecords,
@@ -27,13 +27,12 @@ use dae_poly::{
 use std::rc::Rc;
 
 /// One access class: the unit of hull computation and codegen.
-struct Class {
-    global: GlobalId,
-    elem_bytes: i64,
-    strides: Vec<i64>,
-    /// Per-subscript parameter coefficients (added back at
-    /// address-generation time; constants are part of the hull space).
-    param_parts: Vec<Vec<i64>>,
+struct Class<'a> {
+    /// The class's first access: its array, element size, strides and
+    /// per-subscript parameter coefficients (added back at
+    /// address-generation time; constants are part of the hull space) are
+    /// the class's.
+    first: &'a AffineAccess,
     n_orig: u64,
     n_conv: u64,
     nest: LoopNestSpec,
@@ -67,16 +66,11 @@ pub(crate) fn generate_affine_access(
 
     // 1. classes, grouped in first-appearance order so the emitted function
     //    is a deterministic (reproducible, cacheable) artifact of the input.
-    let mut class_keys: Vec<ClassKey> = Vec::new();
     let mut class_accs: Vec<Vec<&AffineAccess>> = Vec::new();
     for acc in &info.affine {
-        let key = acc.class_key();
-        match class_keys.iter().position(|k| *k == key) {
-            Some(i) => class_accs[i].push(acc),
-            None => {
-                class_keys.push(key);
-                class_accs.push(vec![acc]);
-            }
+        match class_accs.iter_mut().find(|accs| accs[0].same_class(acc)) {
+            Some(accs) => accs.push(acc),
+            None => class_accs.push(vec![acc]),
         }
     }
 
@@ -89,7 +83,7 @@ pub(crate) fn generate_affine_access(
     let mut budget = RowBudget::new();
     let mut classes: Vec<Class> = Vec::new();
     Tables::with(|tables| {
-        for ((global, _), accs) in class_keys.into_iter().zip(class_accs) {
+        for accs in class_accs {
             let target_dims = accs[0].subscripts.len();
             let images: Vec<AffineImage> =
                 accs.iter().map(|acc| acc.image(&domains[acc.nest])).collect();
@@ -121,15 +115,7 @@ pub(crate) fn generate_affine_access(
                     extract_loop_nest(&bb)?
                 }
             };
-            classes.push(Class {
-                global,
-                elem_bytes: accs[0].elem_bytes,
-                strides: accs[0].subscripts.iter().map(|s| s.stride_elems).collect(),
-                param_parts: accs[0].subscripts.iter().map(|s| s.param_coeffs.clone()).collect(),
-                n_orig,
-                n_conv: n_conv.max(1),
-                nest,
-            });
+            classes.push(Class { first: accs[0], n_orig, n_conv: n_conv.max(1), nest });
         }
         Some(())
     })?;
@@ -158,10 +144,10 @@ pub(crate) fn generate_affine_access(
         FunctionBuilder::new(format!("{}__access", task.name), task.params.clone(), Type::Void);
     for (spec, members) in &groups {
         let line_step = if opts.line_dedup
-            && members
-                .iter()
-                .all(|&i| classes[i].strides.last() == Some(&1) && classes[i].elem_bytes == 8)
-        {
+            && members.iter().all(|&i| {
+                let first = classes[i].first;
+                first.subscripts.last().map(|s| s.stride_elems) == Some(1) && first.elem_bytes == 8
+            }) {
             8
         } else {
             1
@@ -246,18 +232,18 @@ fn emit_nest(
     if depth == spec.depth() {
         // innermost body: one prefetch per class
         for &ci in members {
-            let c = &classes[ci];
+            let c = classes[ci].first;
             let mut elems: Option<Value> = None;
-            for (k, dim_v) in dims.iter().enumerate() {
+            for (dim_v, s) in dims.iter().zip(&c.subscripts) {
                 // subscript value = dim + Σ param_coeff·arg + const
                 let mut sub = *dim_v;
-                for (p, coeff) in c.param_parts[k].iter().enumerate() {
+                for (p, coeff) in s.param_coeffs.iter().enumerate() {
                     if *coeff != 0 {
                         let t = b.imul(Value::Arg(p as u32), *coeff);
                         sub = b.iadd(sub, t);
                     }
                 }
-                let term = b.imul(sub, c.strides[k]);
+                let term = b.imul(sub, s.stride_elems);
                 elems = Some(match elems {
                     None => term,
                     Some(cur) => b.iadd(cur, term),

@@ -62,7 +62,7 @@ pub fn generate_access_with(
     // Inline first so the affine analysis sees through calls, exactly like
     // the paper generates the access version "after applying traditional
     // compiler optimizations to the original (execute) code". The raw
-    // inlined body is kept: the skeleton path starts from it.
+    // inlined body is kept: the skeleton path takes it over.
     let inlined = inline_task(module, task);
     on_stage("inline");
     let inlined = inlined?;
@@ -77,7 +77,7 @@ pub fn generate_access_with(
         on_stage("analyze");
         let generated = match generate_affine_access(ws, &body, &info, &opts) {
             Some(affine) => Ok((affine.func, Strategy::Polyhedral(affine.stats))),
-            None => generate_skeleton_access(ws, &inlined, module.num_globals(), &opts)
+            None => generate_skeleton_access(ws, inlined, module.num_globals(), &opts)
                 .map(|f| (f, Strategy::Skeleton)),
         };
         on_stage("generate");

@@ -5,7 +5,8 @@
 //! 1. **Inline** all calls; refuse the task if any call is non-inlinable.
 //!    [`crate::generate_access`] does this once per task and hands the
 //!    inlined body over.
-//! 2. **Clone** the task (all SSA state is thereby privatised).
+//! 2. **Clone** the task (all SSA state is thereby privatised): the
+//!    inlined body is already a private copy, which this path takes over.
 //! 3. **Simplified CFG** (§5.2.2): conditionals embedded in loop bodies that
 //!    do not maintain the loop's control flow are eliminated — the branch is
 //!    replaced by its fall-through edge, so only reads guaranteed to execute
@@ -29,31 +30,34 @@ use dae_ir::{BlockId, Function, InstId, InstKind, Terminator, Type, Value};
 /// Runs the §5.2 pipeline (steps 2–7) on `inlined`, a task with every
 /// call already inlined, in a module of `globals` globals.
 ///
+/// Nothing here needs dense ids, so the body is compacted only by the
+/// cleanup: the analyses and the prefetch insertion skip the blocks the
+/// entry does not reach, and the cleanup drops them.
+///
 /// # Errors
 ///
 /// Refuses per the paper's safety conditions; see [`RefuseReason`].
 pub(crate) fn generate_skeleton_access(
     ws: &mut Workspace,
-    inlined: &Function,
+    inlined: Function,
     globals: usize,
     opts: &CompilerOptions,
 ) -> Result<Function, RefuseReason> {
     // Side effects of the *original* task, for the step-7 safety check.
-    let original_effects = effects::summarize(inlined);
+    let original_effects = effects::summarize(&inlined);
 
     // 2. a private clone
-    let mut f = compact_in(ws, inlined.clone());
-    f.name = format!("{}__access", inlined.name);
+    let mut f = inlined;
+    f.name.push_str("__access");
     f.is_task = false;
 
     // 3. simplified CFG
     if opts.cfg_simplify {
         simplify_in_loop_conditionals(ws, &mut f);
-        f = compact_in(ws, f);
     }
 
     // 4–5. prefetch insertion + store discarding
-    insert_prefetches(&mut f, globals, opts.prefetch_writes);
+    insert_prefetches(ws, &mut f, globals, opts.prefetch_writes);
     if !opts.prefetch_writes {
         remove_stores(&mut f);
     }
@@ -176,12 +180,14 @@ impl ValueSet {
 }
 
 /// Accompanies every load (and optionally store) with a prefetch of its
-/// address, deduplicated per SSA address value.
-fn insert_prefetches(f: &mut Function, globals: usize, prefetch_writes: bool) {
+/// address, deduplicated per SSA address value: the first load of an
+/// address in reverse postorder gets the prefetch, as in the block order
+/// of the compacted function. Unreachable blocks get none.
+fn insert_prefetches(ws: &mut Workspace, f: &mut Function, globals: usize, prefetch_writes: bool) {
     let mut seen = ValueSet::new(f, globals);
     // Each block's new list is built in the list the previous block gave up.
     let mut new_list: Vec<InstId> = Vec::new();
-    for bb in f.block_ids() {
+    for &bb in ws.cfg(f).rpo() {
         let insts = std::mem::take(&mut f.block_mut(bb).insts);
         new_list.clear();
         for &inst in &insts {
@@ -278,12 +284,8 @@ mod tests {
         task: FuncId,
         opts: &CompilerOptions,
     ) -> Result<Function, RefuseReason> {
-        generate_skeleton_access(
-            &mut Workspace::new(),
-            &crate::generate::inline_task(m, task)?,
-            m.num_globals(),
-            opts,
-        )
+        let inlined = crate::generate::inline_task(m, task)?;
+        generate_skeleton_access(&mut Workspace::new(), inlined, m.num_globals(), opts)
     }
 
     fn count_kind(f: &Function, pred: impl Fn(&InstKind) -> bool) -> usize {
