@@ -1,7 +1,6 @@
 //! Property-based tests: randomly generated modules survive
 //! print → parse → print round trips and always verify, any spelling
-//! of their value and block names parses to the same module, and the
-//! parser's two line readers agree on edited texts.
+//! of their value and block names parses to the same module.
 //!
 //! The generator covers every instruction kind (all binary and unary
 //! operators, integer and float `select`, value and void calls across three
@@ -10,9 +9,8 @@
 //! `±inf`, `NaN`, a subnormal, `1e300`, `0.1`).
 
 use dae_ir::{
-    parse::{parse_module, parse_module_general},
-    print_module, verify_module, BinOp, CmpOp, FuncId, FunctionBuilder, GlobalId, Module, Type,
-    UnOp, Value,
+    parse::parse_module, print_module, verify_module, BinOp, CmpOp, FuncId, FunctionBuilder,
+    GlobalId, Module, Type, UnOp, Value,
 };
 use proptest::prelude::*;
 
@@ -359,54 +357,6 @@ fn respell(text: &str, how: Spelling) -> String {
     out
 }
 
-/// Bytes an edit puts into a text: the separators, whitespace and name
-/// bytes the two line readers cut on, and a few that no name may hold.
-const EDIT_BYTES: &[u8] = b" \n\t,():=-+.@_#/{}vbpagx019";
-
-/// One byte edit of a text: at the position (modulo the length), the
-/// byte of `EDIT_BYTES` (modulo its length) replaces the byte there
-/// (kind 0), goes in before it (1), or the byte there goes (2).
-type Edit = (usize, usize, u8);
-
-fn edits() -> impl Strategy<Value = Vec<Edit>> {
-    proptest::collection::vec((any::<usize>(), any::<usize>(), 0u8..3), 1..4)
-}
-
-fn edited(text: &str, edits: &[Edit]) -> String {
-    let mut bytes = text.as_bytes().to_vec();
-    for &(at, byte, kind) in edits {
-        let at = at % (bytes.len() + 1);
-        let byte = EDIT_BYTES[byte % EDIT_BYTES.len()];
-        match kind {
-            0 if at < bytes.len() => bytes[at] = byte,
-            2 if at < bytes.len() => {
-                bytes.remove(at);
-            }
-            _ => bytes.insert(at, byte),
-        }
-    }
-    String::from_utf8(bytes).expect("ASCII edits of an ASCII text")
-}
-
-/// The one-pass line cut and the general line reader give `text` the same
-/// module, or fail it at the same line with the same message.
-fn both_readers_agree(text: &str) -> Result<(), String> {
-    match (parse_module(text), parse_module_general(text)) {
-        (Ok(one_pass), Ok(general)) => {
-            prop_assert!(one_pass == general, "the readers built different modules:\n{}", text);
-        }
-        (one_pass, general) => {
-            prop_assert_eq!(one_pass.err(), general.err(), "the readers disagree on\n{}", text);
-        }
-    }
-    Ok(())
-}
-
-const EXAMPLES: [&str; 2] = [
-    include_str!("../../../examples/ir/gather.dae"),
-    include_str!("../../../examples/ir/stream.dae"),
-];
-
 fn shape() -> impl Strategy<Value = Shape> {
     prop_oneof![Just(Shape::Straight), Just(Shape::Carried), Just(Shape::Nested)]
 }
@@ -488,30 +438,5 @@ proptest! {
         let respelled = parse_module(&text).unwrap_or_else(|e| panic!("{e}\n{text}"));
         prop_assert!(respelled == module, "{:?} spelling parsed differently:\n{}", how, text);
         prop_assert_eq!(print_module(&respelled), print_module(&module));
-    }
-
-    /// A body line in the printer's layout is cut in one pass and any
-    /// other line is read by the general reader; the two give every text
-    /// the same result. Byte edits of printed modules put lines on both
-    /// sides of that border and make most texts malformed.
-    #[test]
-    fn edited_printed_modules_parse_alike_under_both_readers(
-        steps in proptest::collection::vec(step(), 0..40),
-        shape in shape(),
-        edits in edits(),
-    ) {
-        let text = print_module(&build_module(&steps, shape));
-        both_readers_agree(&text)?;
-        both_readers_agree(&edited(&text, &edits))?;
-    }
-
-    /// The same over byte edits of the example modules, which carry
-    /// comments, blank lines and globals beside printer-layout bodies.
-    #[test]
-    fn edited_example_modules_parse_alike_under_both_readers(
-        example in 0usize..2,
-        edits in edits(),
-    ) {
-        both_readers_agree(&edited(EXAMPLES[example], &edits))?;
     }
 }
