@@ -5,7 +5,8 @@
 //! task and (b) contains calls that cannot be inlined. This module answers
 //! both questions.
 
-use dae_ir::{FuncId, Function, GlobalId, InstKind, Module, Value};
+use crate::Workspace;
+use dae_ir::{FuncId, Function, GlobalId, InstId, InstKind, Module, Value};
 use std::collections::HashSet;
 
 /// Summary of a function's interactions with state visible outside it.
@@ -31,38 +32,115 @@ impl EffectSummary {
     }
 }
 
-/// Traces a pointer value to the global it is based on, looking through
-/// `ptradd` chains. Returns `None` for argument pointers and loaded pointers.
-pub fn trace_base(func: &Function, mut v: Value) -> Option<GlobalId> {
-    loop {
+/// What [`Bases`] knows of one instruction.
+#[derive(Clone, Copy, PartialEq)]
+enum Base {
+    Unseen,
+    /// On the trace's stack, its operands not all known yet.
+    Tracing,
+    Known(Option<GlobalId>),
+}
+
+/// The global each pointer of one function is based on, looking through
+/// `ptradd` chains and through a `select` whose arms share a base; `None`
+/// for argument pointers, loaded pointers and everything else. Every
+/// instruction is traced once, on an explicit stack, so a chain of
+/// `select`s costs one step per link however often its arms meet.
+#[derive(Default)]
+pub struct Bases {
+    base: Vec<Base>,
+    stack: Vec<InstId>,
+}
+
+impl Bases {
+    /// The global `v` is based on.
+    pub fn of(&self, v: Value) -> Option<GlobalId> {
         match v {
-            Value::Global(g) => return Some(g),
-            Value::Inst(id) => match &func.inst(id).kind {
-                InstKind::PtrAdd { base, .. } => v = *base,
-                InstKind::Select { then_value, else_value, .. } => {
-                    // Only if both arms share a base.
-                    let a = trace_base(func, *then_value)?;
-                    let b = trace_base(func, *else_value)?;
-                    return if a == b { Some(a) } else { None };
-                }
-                _ => return None,
+            Value::Global(g) => Some(g),
+            Value::Inst(id) => match self.base[id.0 as usize] {
+                Base::Known(g) => g,
+                // Only a cycle, which no verified function has, meets an
+                // instruction still being traced.
+                Base::Unseen | Base::Tracing => None,
             },
-            _ => return None,
+            _ => None,
+        }
+    }
+
+    /// Traces every instruction of `func`.
+    fn fill(&mut self, func: &Function) {
+        self.base.clear();
+        self.base.resize(func.num_insts(), Base::Unseen);
+        for i in 0..func.num_insts() {
+            self.trace(func, InstId(i as u32));
+        }
+    }
+
+    /// Traces `root` and every instruction its base depends on, operands
+    /// first.
+    fn trace(&mut self, func: &Function, root: InstId) {
+        self.stack.push(root);
+        while let Some(&id) = self.stack.last() {
+            let kind = &func.inst(id).kind;
+            let arms = match *kind {
+                InstKind::PtrAdd { base, .. } => [base, base],
+                InstKind::Select { then_value, else_value, .. } => [then_value, else_value],
+                _ => [Value::ConstBool(false); 2],
+            };
+            match self.base[id.0 as usize] {
+                Base::Known(_) => {
+                    // Pushed twice, by both arms of a select.
+                    self.stack.pop();
+                    continue;
+                }
+                Base::Unseen => {
+                    self.base[id.0 as usize] = Base::Tracing;
+                    let before = self.stack.len();
+                    for arm in arms {
+                        if let Value::Inst(a) = arm {
+                            if self.base[a.0 as usize] == Base::Unseen {
+                                self.stack.push(a);
+                            }
+                        }
+                    }
+                    if self.stack.len() > before {
+                        continue;
+                    }
+                }
+                Base::Tracing => {}
+            }
+            let [a, b] = arms.map(|arm| self.of(arm));
+            let base = match kind {
+                InstKind::PtrAdd { .. } => a,
+                InstKind::Select { .. } => a.filter(|_| a == b),
+                _ => None,
+            };
+            self.base[id.0 as usize] = Base::Known(base);
+            self.stack.pop();
         }
     }
 }
 
+impl Workspace {
+    /// The bases of `func`'s pointers, each instruction traced once.
+    pub fn bases(&mut self, func: &Function) -> &Bases {
+        self.bases.fill(func);
+        &self.bases
+    }
+}
+
 /// Computes the [`EffectSummary`] of `func`.
-pub fn summarize(func: &Function) -> EffectSummary {
+pub fn summarize(ws: &mut Workspace, func: &Function) -> EffectSummary {
+    let bases = ws.bases(func);
     let mut s = EffectSummary::default();
     func.for_each_placed_inst(|_, inst| match &func.inst(inst).kind {
-        InstKind::Load { addr } => match trace_base(func, *addr) {
+        InstKind::Load { addr } => match bases.of(*addr) {
             Some(g) => {
                 s.reads_globals.insert(g);
             }
             None => s.reads_unknown_ptr = true,
         },
-        InstKind::Store { addr, .. } => match trace_base(func, *addr) {
+        InstKind::Store { addr, .. } => match bases.of(*addr) {
             Some(g) => {
                 s.writes_globals.insert(g);
             }
@@ -92,8 +170,14 @@ pub(crate) fn is_fully_inlinable(module: &Module, func: FuncId) -> bool {
             Mark::OnStack => return false,
             Mark::New => marks[f.0 as usize] = Mark::OnStack,
         }
-        let summary = summarize(module.func(f));
-        for callee in summary.callees {
+        let func = module.func(f);
+        let mut callees = Vec::new();
+        func.for_each_placed_inst(|_, inst| {
+            if let InstKind::Call { callee, .. } = func.inst(inst).kind {
+                callees.push(callee);
+            }
+        });
+        for callee in callees {
             if !dfs(module, callee, marks) {
                 return false;
             }
@@ -121,7 +205,7 @@ mod tests {
         b.store(pb, x);
         b.ret(None);
         let f = b.finish();
-        let s = summarize(&f);
+        let s = summarize(&mut Workspace::new(), &f);
         assert!(s.reads_globals.contains(&a));
         assert!(s.writes_globals.contains(&b_g));
         assert!(!s.reads_unknown_ptr);
@@ -134,7 +218,7 @@ mod tests {
         let x = b.load(Type::F64, Value::Arg(0));
         let _ = x;
         b.ret(None);
-        let s = summarize(&b.finish());
+        let s = summarize(&mut Workspace::new(), &b.finish());
         assert!(s.reads_unknown_ptr);
         assert!(s.is_read_only());
     }
@@ -147,7 +231,7 @@ mod tests {
         let head = b.load(Type::Ptr, Value::Global(a));
         let _ = b.load(Type::F64, head);
         b.ret(None);
-        let s = summarize(&b.finish());
+        let s = summarize(&mut Workspace::new(), &b.finish());
         assert!(s.reads_globals.contains(&a));
         assert!(s.reads_unknown_ptr);
     }
@@ -186,6 +270,26 @@ mod tests {
     }
 
     #[test]
+    fn a_chain_of_selects_over_one_pointer_traces_once_per_link() {
+        // Both arms of every link are the link before: a trace that
+        // followed each arm would take 2^60 steps.
+        let mut m = Module::new();
+        let a = m.add_global("a", Type::F64, 16);
+        let mut b = FunctionBuilder::new("f", vec![Type::Bool], Type::Void);
+        let mut p = b.ptr_add(Value::Global(a), 8i64);
+        for _ in 0..60 {
+            p = b.select(Value::Arg(0), p, p);
+        }
+        let _ = b.load(Type::F64, p);
+        let q = b.select(Value::Arg(0), p, Value::Arg(0));
+        b.store(q, 1.0f64);
+        b.ret(None);
+        let s = summarize(&mut Workspace::new(), &b.finish());
+        assert!(s.reads_globals.contains(&a) && !s.reads_unknown_ptr);
+        assert!(s.writes_globals.is_empty() && s.writes_unknown_ptr, "the arms' bases differ");
+    }
+
+    #[test]
     fn select_of_same_base_traces() {
         let mut m = Module::new();
         let a = m.add_global("a", Type::F64, 16);
@@ -196,7 +300,7 @@ mod tests {
         let _ = b.load(Type::F64, p);
         b.ret(None);
         let f = b.finish();
-        let s = summarize(&f);
+        let s = summarize(&mut Workspace::new(), &f);
         assert!(s.reads_globals.contains(&a));
         assert!(!s.reads_unknown_ptr);
     }

@@ -19,6 +19,7 @@ use dae_ir::Function;
 
 use crate::cfg::Cfg;
 use crate::dom::DomTree;
+use crate::effects::Bases;
 use crate::loops::LoopForest;
 use crate::scev::{ScalarEvolution, ScevMemo};
 use crate::transform::{CleanupScratch, StrengthScratch};
@@ -33,6 +34,7 @@ pub struct Workspace {
     memo: ScevMemo,
     pub(crate) cleanup: CleanupScratch,
     pub(crate) strength: StrengthScratch,
+    pub(crate) bases: Bases,
 }
 
 thread_local! {

@@ -44,7 +44,7 @@ pub(crate) fn generate_skeleton_access(
     opts: &CompilerOptions,
 ) -> Result<Function, RefuseReason> {
     // Side effects of the *original* task, for the step-7 safety check.
-    let original_effects = effects::summarize(&inlined);
+    let original_effects = effects::summarize(ws, &inlined);
 
     // 2. a private clone
     let mut f = inlined;
@@ -68,7 +68,7 @@ pub(crate) fn generate_skeleton_access(
     // 7. safety: control flow must not consume task-written memory. Checked
     // before strength reduction, whose derived pointer IVs would hide the
     // load bases from the base-tracing analysis.
-    if control_depends_on_writes(&f, globals, &original_effects) {
+    if control_depends_on_writes(ws, &f, globals, &original_effects) {
         return Err(RefuseReason::ControlDependsOnTaskWrites);
     }
 
@@ -219,7 +219,13 @@ fn remove_stores(f: &mut Function) {
 
 /// True when any branch condition of `f` (transitively) consumes a load of
 /// memory the original task writes.
-fn control_depends_on_writes(f: &Function, globals: usize, orig: &effects::EffectSummary) -> bool {
+fn control_depends_on_writes(
+    ws: &mut Workspace,
+    f: &Function,
+    globals: usize,
+    orig: &effects::EffectSummary,
+) -> bool {
+    let bases = ws.bases(f);
     // Backward slice from every branch condition.
     let mut work: Vec<Value> = Vec::new();
     for bb in f.block_ids() {
@@ -235,7 +241,7 @@ fn control_depends_on_writes(f: &Function, globals: usize, orig: &effects::Effec
         match v {
             Value::Inst(id) => {
                 if let InstKind::Load { addr } = &f.inst(id).kind {
-                    match effects::trace_base(f, *addr) {
+                    match bases.of(*addr) {
                         Some(g) => {
                             if orig.writes_globals.contains(&g) {
                                 return true;
