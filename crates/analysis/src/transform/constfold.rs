@@ -1,7 +1,7 @@
 //! Constant folding and algebraic simplification.
 
 use crate::Workspace;
-use dae_ir::{BinOp, CmpOp, Function, InstKind, UnOp, Value};
+use dae_ir::{BinOp, CmpOp, Function, InstKind, Type, UnOp, Value};
 
 fn eval_ibin(op: BinOp, a: i64, b: i64) -> Option<i64> {
     Some(match op {
@@ -41,7 +41,9 @@ fn eval_fbin(op: BinOp, a: f64, b: f64) -> Option<f64> {
     })
 }
 
-fn eval_cmp_i(op: CmpOp, a: i64, b: i64) -> bool {
+/// `a op b`, for integers and, as IEEE 754 orders them, floats: every
+/// predicate but `ne` is false when an operand is NaN.
+fn eval_cmp<T: PartialOrd>(op: CmpOp, a: T, b: T) -> bool {
     match op {
         CmpOp::Eq => a == b,
         CmpOp::Ne => a != b,
@@ -52,8 +54,15 @@ fn eval_cmp_i(op: CmpOp, a: i64, b: i64) -> bool {
     }
 }
 
-/// Computes the folded replacement of a single instruction, if any.
-pub(super) fn fold_inst(kind: &InstKind) -> Option<Value> {
+fn is_negative_zero(x: f64) -> bool {
+    x.to_bits() == (-0.0f64).to_bits()
+}
+
+/// Computes the folded replacement of a single instruction of `func`, if
+/// any. Every rule holds for every value its operands can take — `-0.0`,
+/// NaN and the infinities included — so an instruction folds to the value
+/// it computes whether its operands are folded before it or after it.
+pub(super) fn fold_inst(func: &Function, kind: &InstKind) -> Option<Value> {
     match kind {
         InstKind::Binary { op, lhs, rhs } => {
             if let (Some(a), Some(b)) = (lhs.as_i64(), rhs.as_i64()) {
@@ -73,8 +82,9 @@ pub(super) fn fold_inst(kind: &InstKind) -> Option<Value> {
                 _ => match (op, lhs.as_f64(), rhs.as_f64()) {
                     (BinOp::FMul, _, Some(1.0)) => Some(*lhs),
                     (BinOp::FMul, Some(1.0), _) => Some(*rhs),
-                    (BinOp::FAdd, _, Some(0.0)) => Some(*lhs),
-                    (BinOp::FAdd, Some(0.0), _) => Some(*rhs),
+                    // `x + -0.0` is `x` for every `x`; `-0.0 + 0.0` is `0.0`.
+                    (BinOp::FAdd, _, Some(z)) if is_negative_zero(z) => Some(*lhs),
+                    (BinOp::FAdd, Some(z), _) if is_negative_zero(z) => Some(*rhs),
                     _ => None,
                 },
             }
@@ -93,10 +103,13 @@ pub(super) fn fold_inst(kind: &InstKind) -> Option<Value> {
         },
         InstKind::Cmp { op, lhs, rhs } => {
             if let (Some(a), Some(b)) = (lhs.as_i64(), rhs.as_i64()) {
-                return Some(Value::ConstBool(eval_cmp_i(*op, a, b)));
+                return Some(Value::ConstBool(eval_cmp(*op, a, b)));
             }
-            if lhs == rhs && !lhs.is_const() {
-                // x op x folds for pure predicates.
+            if let (Some(a), Some(b)) = (lhs.as_f64(), rhs.as_f64()) {
+                return Some(Value::ConstBool(eval_cmp(*op, a, b)));
+            }
+            // `x op x` is known unless `x` may be NaN.
+            if lhs == rhs && !lhs.is_const() && func.value_type(*lhs) != Type::F64 {
                 return Some(Value::ConstBool(matches!(op, CmpOp::Eq | CmpOp::Le | CmpOp::Ge)));
             }
             None
@@ -112,61 +125,14 @@ pub(super) fn fold_inst(kind: &InstKind) -> Option<Value> {
     }
 }
 
-/// The round of an instruction that never folds.
-const NEVER: u32 = u32::MAX;
-
-/// What [`fold_constants`] found for one instruction.
-#[derive(Clone, Copy)]
-pub(super) struct Fold {
-    /// The round it folds in, or [`NEVER`].
-    round: u32,
-    /// What it folds to in that round.
-    value: Value,
-    /// What its uses are rewritten to: `value` after every later fold.
-    last: Value,
-}
-
-const UNFOLDED: Fold =
-    Fold { round: NEVER, value: Value::ConstBool(false), last: Value::ConstBool(false) };
-
-/// `v` as the operands of round `round` see it: every instruction that
-/// folded in an earlier round is replaced by its value, along the chain.
-/// Following `v` to a round and the result to a later round is following
-/// `v` to the later round.
-fn follow(folds: &[Fold], mut v: Value, round: u32) -> Value {
-    while let Value::Inst(id) = v {
-        let fold = folds[id.0 as usize];
-        if fold.round >= round {
-            break;
-        }
-        v = fold.value;
-    }
-    v
-}
-
-/// `v` after every fold: what a use of `v` is rewritten to.
-fn last(folds: &[Fold], v: Value) -> Value {
-    match v {
-        Value::Inst(id) if folds[id.0 as usize].round != NEVER => folds[id.0 as usize].last,
-        v => v,
-    }
-}
-
-/// Folds constant expressions and rewrites their uses, to the fixpoint of
-/// the round-by-round fold: each round folds every instruction on the
-/// operands the previous rounds left, then replaces the uses of what
-/// folded. Does not remove the dead defining instructions — run DCE
-/// afterwards. Returns `true` when an operand changed.
-///
-/// One pass in reverse postorder computes that fixpoint: a definition
-/// dominates its uses, so every operand's fate is known when its user is
-/// visited. An instruction's round is the first at which it folds on the
-/// operands of that round; the operands only change at the rounds after
-/// their definitions folded, so only those rounds are tried, each from the
-/// operands of the one before. (Folding the fully rewritten operands
-/// instead would not always agree: `fadd x, 0.0` is `x`, yet `-0.0 + 0.0`
-/// evaluates to `0.0`.) The work is the rounds an instruction's operands
-/// change in, at most the rounds the round-by-round fold runs.
+/// Folds constant expressions and rewrites their uses, each instruction
+/// once: in reverse postorder a definition is visited before its uses, so
+/// an instruction's operands are rewritten to their final values before it
+/// is tried, and what it folds to is final too. Since every rule of
+/// [`fold_inst`] holds for any operand values, this is the fixpoint of
+/// folding every instruction round after round. Does not remove the dead
+/// defining instructions — run DCE afterwards. Returns `true` when an
+/// operand changed.
 ///
 /// Every block of `func` must be reachable from the entry or empty, as the
 /// clean-up pipeline keeps it. The pipeline itself calls [`fold_in_rpo`].
@@ -182,10 +148,13 @@ pub(crate) fn fold_constants(ws: &mut Workspace, func: &mut Function) -> bool {
 pub(crate) fn fold_in_rpo(ws: &mut Workspace, func: &mut Function) -> bool {
     let cfg = &ws.cfg;
     let folds = &mut ws.cleanup.folds;
-    super::refill(folds, func.num_insts(), UNFOLDED);
+    super::refill(folds, func.num_insts(), None);
     let mut changed = false;
-    let mut rewrite = |folds: &[Fold], v: Value| {
-        let n = last(folds, v);
+    let mut rewrite = |folds: &[Option<Value>], v: Value| {
+        let n = match v {
+            Value::Inst(id) => folds[id.0 as usize].unwrap_or(v),
+            v => v,
+        };
         changed |= n != v;
         n
     };
@@ -194,29 +163,12 @@ pub(crate) fn fold_in_rpo(ws: &mut Workspace, func: &mut Function) -> bool {
     for &bb in cfg.rpo() {
         for i in 0..func.block(bb).insts.len() {
             let inst = func.block(bb).insts[i];
-            let kind = &mut func.inst_mut(inst).kind;
-            if matches!(
-                kind,
-                InstKind::Binary { .. }
-                    | InstKind::Unary { .. }
-                    | InstKind::Cmp { .. }
-                    | InstKind::Select { .. }
-                    | InstKind::PtrAdd { .. }
-            ) {
-                // Round 1 sees the operands as they are; later rounds only
-                // differ once something has folded.
-                let fold = match fold_inst(kind) {
-                    Some(w) => Some((1, resolve_in_round(folds, w, 1))),
-                    None if folded => fold_by_round(folds, kind),
-                    None => None,
-                };
-                if let Some((round, value)) = fold {
-                    folds[inst.0 as usize] = Fold { round, value, last: last(folds, value) };
-                    folded = true;
-                }
-            }
             if folded {
-                kind.map_operands(|v| rewrite(folds, v));
+                func.inst_mut(inst).kind.map_operands(|v| rewrite(folds, v));
+            }
+            if let Some(v) = fold_inst(func, &func.inst(inst).kind) {
+                folds[inst.0 as usize] = Some(v);
+                folded = true;
             }
         }
     }
@@ -226,43 +178,6 @@ pub(crate) fn fold_in_rpo(ws: &mut Workspace, func: &mut Function) -> bool {
         }
     }
     changed
-}
-
-/// The round after round 1 that `kind` first folds in and its value then,
-/// given the folds of its operands' definitions; `None` if it never folds.
-fn fold_by_round(folds: &[Fold], kind: &InstKind) -> Option<(u32, Value)> {
-    // The round after which the operands of `seen` change next.
-    let next = |seen: &InstKind| {
-        let mut next = NEVER;
-        seen.for_each_operand(|v| {
-            if let Value::Inst(id) = v {
-                next = next.min(folds[id.0 as usize].round.saturating_add(1));
-            }
-        });
-        next
-    };
-    let mut round = next(kind);
-    if round == NEVER {
-        return None;
-    }
-    let mut seen = kind.clone();
-    while round != NEVER {
-        seen.map_operands(|v| follow(folds, v, round));
-        if let Some(w) = fold_inst(&seen) {
-            return Some((round, resolve_in_round(folds, w, round)));
-        }
-        round = next(&seen);
-    }
-    None
-}
-
-/// `w` resolved as round `round` resolves it: a value that folded in the
-/// same round stands for what it folded to.
-fn resolve_in_round(folds: &[Fold], w: Value, round: u32) -> Value {
-    match w {
-        Value::Inst(id) if folds[id.0 as usize].round == round => folds[id.0 as usize].value,
-        w => w,
-    }
 }
 
 #[cfg(test)]

@@ -34,8 +34,8 @@ pub(crate) struct CleanupScratch {
     block_map: Vec<Option<BlockId>>,
     /// [`compact`]: old instruction id → new instruction id.
     inst_map: Vec<Option<InstId>>,
-    /// [`fold_constants`]: what each instruction folds to, and when.
-    folds: Vec<constfold::Fold>,
+    /// [`fold_constants`]: what each instruction folds to.
+    folds: Vec<Option<Value>>,
     /// [`skip_trivial_blocks`]: the target of each forwarding block.
     forward: Vec<Option<BlockId>>,
     /// [`merge_straightline`]: where each merged block's parameter

@@ -166,7 +166,7 @@ impl Function {
     }
 
     /// The type of any value in the context of this function.
-    pub(crate) fn value_type(&self, value: Value) -> Type {
+    pub fn value_type(&self, value: Value) -> Type {
         match value {
             Value::Inst(id) => self.insts[id].ty,
             Value::BlockParam { block, index } => self.blocks[block].params[index as usize],
