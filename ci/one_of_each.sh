@@ -294,6 +294,30 @@ check "a second scan of each function body in the parser" \
     'fn body_size' \
     'crates/ir/src/.*'
 
+# The parser reads the text with one byte cursor. A line list, a line
+# splitter, a switch between readers or an entry point that picks one is a
+# second grammar to keep in agreement with it.
+check "a second line reader in the parser" \
+    "none" \
+    'struct Lines|fn split_at_byte|parse_module_general|one_pass' \
+    'crates/ir/src/parse\.rs'
+
+# Every folding rule holds for any operand values (-0.0, NaN, ±inf
+# included), so folding tries each instruction once, on operands already
+# folded; the round-by-round fixpoint survives only as the oracle.
+check "round bookkeeping in constant folding (each instruction folds once)" \
+    "none" \
+    'fold_by_round|resolve_in_round' \
+    'crates/analysis/src/.*'
+
+# A pointer's base is traced once per instruction on an explicit stack
+# (`effects::Bases`); a trace that calls itself for both arms of a select
+# is exponential in a chain of selects.
+check "a recursive base trace (bases are traced once per instruction)" \
+    "none" \
+    'trace_base\(' \
+    'crates/(analysis|core)/src/.*'
+
 # A task's phases are run, priced and charged by one scheduler routine
 # (`Run::phase`) over one run state; a routine that needs a pile of
 # arguments is a second copy of that sequence coming back.

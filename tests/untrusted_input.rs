@@ -585,15 +585,85 @@ fn a_select_chain_that_folds_a_link_a_round_compiles_promptly() {
     // its operands as written, walking the chain again every round: cubic
     // in the chain, 8 s at 1 200 links and no answer within a minute at
     // 2 400 on a 2-core x86-64 host, where this one now takes about a
-    // second in a debug build.
-    let ir = select_chain_module(2_000);
-    let (done, finished) = mpsc::channel();
-    std::thread::spawn(move || {
-        let engine = Engine::new(&EngineConfig::default());
-        let _ = done.send(engine.handle(&work_request("compile", &ir)));
-    });
-    let answer = finished.recv_timeout(Duration::from_secs(30)).expect("answered within 30 s");
-    if let Err(e) = answer {
-        assert_structured(&e.code);
+    // second in a debug build. Trying each addition only at the rounds its
+    // operands changed in was still quadratic: no answer within 30 s at
+    // 20 000 links (2.1 MB) in a debug build, where folding each
+    // instruction once takes under a second for both sizes.
+    for links in [2_000, 20_000] {
+        let ir = select_chain_module(links);
+        let (done, finished) = mpsc::channel();
+        std::thread::spawn(move || {
+            let engine = Engine::new(&EngineConfig::default());
+            let _ = done.send(engine.handle(&work_request("compile", &ir)));
+        });
+        let answer = finished.recv_timeout(Duration::from_secs(30)).expect("answered within 30 s");
+        if let Err(e) = answer {
+            assert_structured(&e.code);
+        }
     }
+}
+
+/// A task whose loads go through a chain of `n` selects, each choosing
+/// between two copies of the link before it.
+fn pointer_select_chain_module(n: usize) -> String {
+    let mut ir = String::from(
+        "global g0 a : 64 x f64\n\ntask fn pick(arg0: i64) {\nbb0:\n  jump bb1(0)\n\
+         bb1(bb1p0: i64):\n  v0: bool = icmp lt bb1p0, 64\n  br v0, bb2, bb3\nbb2:\n  \
+         v1: i64 = imul bb1p0, 8\n  v2: ptr = ptradd @g0, v1\n  v3: bool = icmp lt bb1p0, arg0\n",
+    );
+    // The links are v4, v5, …; the first chooses between two copies of v2.
+    for k in 4..n + 4 {
+        let prev = if k == 4 { 2 } else { k - 1 };
+        ir += &format!("  v{k}: ptr = select v3, v{prev}, v{prev}\n");
+    }
+    let (p, x, y, step) = (n + 3, n + 4, n + 5, n + 6);
+    ir += &format!(
+        "  v{x}: f64 = load v{p}\n  v{y}: f64 = fadd v{x}, 1.0\n  store v2, v{y}\n  \
+         v{step}: i64 = iadd bb1p0, 1\n  jump bb1(v{step})\nbb3:\n  ret\n}}\n"
+    );
+    ir
+}
+
+#[test]
+fn a_forty_link_pointer_select_chain_is_answered_promptly() {
+    use std::io::{BufRead, BufReader, Write};
+    use std::process::{Command, Stdio};
+    use std::time::Duration;
+    // Tracing a load's base followed both arms of every select: 2^40 steps
+    // for this 2 KB text, which held the daemon's one worker for hours.
+    let ir = pointer_select_chain_module(40);
+    assert!(ir.len() < 2_100, "{} bytes", ir.len());
+    /// Kills the daemon however the test ends.
+    struct Daemon(std::process::Child);
+    impl Drop for Daemon {
+        fn drop(&mut self) {
+            let _ = self.0.kill();
+            let _ = self.0.wait();
+        }
+    }
+    let mut daed = Daemon(
+        Command::new(env!("CARGO_BIN_EXE_daed"))
+            .args(["--addr", "127.0.0.1:0", "--workers", "1"])
+            .stdout(Stdio::piped())
+            .spawn()
+            .expect("daed spawns"),
+    );
+    let mut first = String::new();
+    BufReader::new(daed.0.stdout.as_mut().expect("piped")).read_line(&mut first).expect("announce");
+    let addr = first.trim().strip_prefix("daed: listening on ").expect("address line").to_string();
+    let stream = std::net::TcpStream::connect(&addr).expect("connect to daed");
+    stream.set_read_timeout(Some(Duration::from_secs(1))).expect("read timeout");
+    let (mut writer, mut reader) = (stream.try_clone().unwrap(), BufReader::new(stream));
+    let mut roundtrip = |frame: String| {
+        writer.write_all(format!("{frame}\n").as_bytes()).expect("send");
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("answered within 1 s");
+        parse(line.trim()).expect("the frame is answered with JSON")
+    };
+    let compile =
+        JsonValue::obj([("id", 1u64.into()), ("op", "compile".into()), ("ir", ir.as_str().into())]);
+    let answer = roundtrip(compile.to_json_string());
+    assert_eq!(answer.get("ok").and_then(JsonValue::as_bool), Some(true), "{answer:?}");
+    let health = roundtrip(r#"{"id":2,"op":"health"}"#.to_string());
+    assert_eq!(health.get("ok").and_then(JsonValue::as_bool), Some(true), "{health:?}");
 }
